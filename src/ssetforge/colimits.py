@@ -7,6 +7,15 @@ bound factors through intermediate degrees under the bound.  Quotients
 identify the classes containing no degenerate simplex as the cells of
 the quotient complex; every other class reduces to a degeneration of a
 lower cell class.
+
+Regularity is decided cell by cell, without building a pushout.  For a
+d-cell y with Z the subcomplex generated by its last face, the canonical
+map out of the pushout of the d-simplex and Z along the last face is
+injective iff y sends every face of [d] containing the vertex d to a
+non-degenerate simplex outside Z, and no two of them to the same one.
+By Eilenberg-Zilber, injectivity is injectivity on non-degenerate
+simplices together with non-degenerate images, and the non-degenerate
+simplices of that pushout are the cells of Z and those faces of [d].
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from typing import Iterable
 
 from .operators import (
     Operator,
+    all_faces,
     compose,
     degeneracy_from_repeats,
     identity,
@@ -31,8 +41,6 @@ from .simplicial import (
     compose_maps,
     generate,
     simplex_key,
-    simplex_map,
-    standard_simplex,
 )
 
 
@@ -44,15 +52,11 @@ class Congruence:
         self.degree_bound = max(space.dim, 0)
         self._parent: dict[Simplex, Simplex] = {}
         self._size: dict[Simplex, int] = {}
-        self._members0: dict[Simplex, list[Simplex]] = {}
-        self._events: list[tuple[Simplex, ...]] = []
 
     def find(self, s: Simplex) -> Simplex:
         if s not in self._parent:
             self._parent[s] = s
             self._size[s] = 1
-            if s.degree == 0:
-                self._members0[s] = [s]
             return s
         while self._parent[s] != s:
             self._parent[s] = self._parent[self._parent[s]]
@@ -77,10 +81,6 @@ class Congruence:
             self._parent[rb] = ra
             self._size[ra] += self._size[rb]
             q = a.degree
-            if q == 0:
-                lost = self._members0.pop(rb)
-                self._members0[ra].extend(lost)
-                self._events.append(tuple(lost))
             if q >= 1:
                 for i in range(q + 1):
                     op = make_face(i, q)
@@ -89,11 +89,6 @@ class Congruence:
                 for i in range(q + 1):
                     op = make_degen(i, q)
                     work.append((self.space.eval(a, op), self.space.eval(b, op)))
-
-    def pop_events(self) -> list[tuple[Simplex, ...]]:
-        """Batches of degree-0 simplices whose class just changed."""
-        out, self._events = self._events, []
-        return out
 
     def classes(self) -> dict[Simplex, list[Simplex]]:
         """All simplices of degree <= bound grouped by class, scan order kept."""
@@ -114,8 +109,6 @@ class Congruence:
         other.degree_bound = self.degree_bound
         other._parent = dict(self._parent)
         other._size = dict(self._size)
-        other._members0 = {k: list(v) for k, v in self._members0.items()}
-        other._events = []
         return other
 
 
@@ -347,30 +340,46 @@ def collapse_subcomplex(space: SimplicialSet, seeds: Iterable[int]) -> QuotientR
 # -- regularity ------------------------------------------------------------
 
 
+def _generated_cells(space: SimplicialSet, seed: int) -> set[int]:
+    """Cells of the subcomplex generated by one cell."""
+    keep: set[int] = set()
+    stack = [seed]
+    while stack:
+        cid = stack.pop()
+        if cid not in keep:
+            keep.add(cid)
+            stack.extend(t for t, _ in space.cells[cid].faces)
+    return keep
+
+
 def regularity_witness(space: SimplicialSet) -> int | None:
-    """A cell whose last-face attachment fails to glue injectively, if any.
+    """The first cell, in id order, whose last-face attachment is not injective.
 
     A complex is regular when for every cell y of dimension d the canonical
-    map out of the pushout of the d-simplex and the subcomplex generated by
-    the last face of y is degreewise injective.
+    map out of the pushout P of the d-simplex and the subcomplex Z generated
+    by the last face of y is degreewise injective.  By Eilenberg-Zilber a
+    map is injective exactly when it sends non-degenerate simplices to
+    non-degenerate ones, injectively.  The non-degenerate simplices of P are
+    those of Z, which go to themselves, and the faces mu of [d] containing
+    the vertex d, which go to y.mu.  So the attachment of y is injective iff
+    every such y.mu is non-degenerate, is not a cell of Z, and differs from
+    every other such y.mu'.
     """
-    deltas: dict[int, SimplicialSet] = {}
+    through_last: dict[int, list[Operator]] = {}
     for cid in sorted(space.cells):
         d = space.cells[cid].dim
         if d == 0:
             continue
-        dn = deltas.setdefault(d, standard_simplex(d))
-        dn1 = deltas.setdefault(d - 1, standard_simplex(d - 1))
         top = space.simplex(cid)
-        last = space.face(top, d)
-        sub, incl = generate(space, [last.cell])
-        top_dn = dn.simplex(dn.cell_ids(d)[0])
-        to_delta = simplex_map(dn, dn.eval(top_dn, make_face(d, d)), source=dn1)
-        to_sub = simplex_map(sub, last, source=dn1)
-        po = pushout(to_delta, to_sub)
-        canonical = po.mediator(simplex_map(space, top, source=dn), incl)
-        if not canonical.is_degreewise_injective():
-            return cid
+        # the cells of Z, then each y.mu found so far
+        hit = _generated_cells(space, space.face(top, d).cell)
+        if d not in through_last:
+            through_last[d] = [mu for mu in all_faces(d) if mu.values[-1] == d]
+        for mu in through_last[d]:
+            s = space.eval(top, mu)
+            if s.is_degenerate or s.cell in hit:
+                return cid
+            hit.add(s.cell)
     return None
 
 

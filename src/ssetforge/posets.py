@@ -15,10 +15,26 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Hashable, Iterable
 
-import networkx as nx
-
 from .operators import Operator, all_faces, identity, make_vertex, run_collapse
 from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet
+
+
+def _transitive_closure(elements: tuple, pairs: set) -> set:
+    """Strict pairs (a, b), a != b, with b reachable from a along ``pairs``."""
+    succ: dict[Hashable, list] = {e: [] for e in elements}
+    for a, b in pairs:
+        succ[a].append(b)
+    out = set()
+    for e in elements:
+        seen: set = set()
+        stack = list(succ[e])
+        while stack:
+            f = stack.pop()
+            if f not in seen:
+                seen.add(f)
+                stack.extend(succ[f])
+        out.update((e, f) for f in seen if f != e)
+    return out
 
 
 class FinPoset:
@@ -38,10 +54,7 @@ class FinPoset:
             if a != b:
                 pairs.add((a, b))
         if close:
-            g = nx.DiGraph()
-            g.add_nodes_from(self.elements)
-            g.add_edges_from(pairs)
-            pairs = set(nx.transitive_closure(g, reflexive=False).edges())
+            pairs = _transitive_closure(self.elements, pairs)
         else:
             for a, b in list(pairs):
                 for c, d in list(pairs):
@@ -346,15 +359,6 @@ class PosetPushout:
 
 def poset_pushout(k: MonotoneMap, phi: MonotoneMap, *, require_dwyer: bool = True) -> PosetPushout:
     return PosetPushout(k, phi, require_dwyer=require_dwyer)
-
-
-def join(p: FinPoset, a: Hashable, b: Hashable):
-    """Least upper bound, or None when there is none."""
-    ups = [e for e in p.elements if p.leq(a, e) and p.leq(b, e)]
-    for e in ups:
-        if all(p.leq(e, other) for other in ups):
-            return e
-    return None
 
 
 # -- comparison maps into the face poset of the standard simplex -------------

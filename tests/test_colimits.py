@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ssetforge.colimits import (
@@ -15,10 +17,12 @@ from ssetforge.colimits import (
     refines,
     regularity_witness,
 )
+from ssetforge.corpus import gen_corpus
 from ssetforge.operators import Operator, all_operators, identity, make_face
 from ssetforge.simplicial import (
     Simplex,
     boundary,
+    generate,
     identity_map,
     is_isomorphic,
     representing_map,
@@ -53,13 +57,10 @@ def test_congruence_closure_exhaustive():
                         assert cong.find(x.eval(s, op)) == cong.find(x.eval(t, op))
 
 
-def test_vertex_merge_events():
+def test_vertex_merge():
     x = standard_simplex(1)
     cong = Congruence(x)
-    assert cong.pop_events() == []
     cong.merge(x.simplex(0), x.simplex(1))
-    events = cong.pop_events()
-    assert len(events) == 1 and len(events[0]) == 1
     assert cong.together(x.simplex(0), x.simplex(1))
 
 
@@ -186,3 +187,72 @@ def test_refines():
     assert refines(small, big)
     assert not refines(big, small)
     assert len(big.canonical()) >= 1
+
+
+def _pushout_witness(space):
+    """Regularity by definition: glue each cell's simplex along its last face.
+
+    The first cell, in id order, for which the canonical map out of the
+    pushout of the d-simplex and the subcomplex generated by the last face
+    is not degreewise injective.
+    """
+    deltas = {}
+    for cid in sorted(space.cells):
+        d = space.cells[cid].dim
+        if d == 0:
+            continue
+        dn = deltas.setdefault(d, standard_simplex(d))
+        dn1 = deltas.setdefault(d - 1, standard_simplex(d - 1))
+        top = space.simplex(cid)
+        last = space.face(top, d)
+        sub, incl = generate(space, [last.cell])
+        top_dn = dn.simplex(dn.cell_ids(d)[0])
+        to_delta = simplex_map(dn, dn.eval(top_dn, make_face(d, d)), source=dn1)
+        to_sub = simplex_map(sub, last, source=dn1)
+        po = pushout(to_delta, to_sub)
+        canonical = po.mediator(simplex_map(space, top, source=dn), incl)
+        if not canonical.is_degreewise_injective():
+            return cid
+    return None
+
+
+def _seeded_quotients(rng, count):
+    """Quotients of small complexes under vertex, edge and triangle identifications."""
+    bases = [
+        standard_simplex(2),
+        standard_simplex(3),
+        boundary(3),
+        disjoint_union(standard_simplex(2), standard_simplex(2))[0],
+    ]
+    out = []
+    for k in range(count):
+        x = bases[k % len(bases)]
+        q = k // len(bases) % 3
+        simplices = list(x.simplices(q))
+        cells = [s for s in simplices if not s.is_degenerate]
+        pairs = []
+        for _ in range(rng.randint(1, 2)):
+            # a cell against another cell, or against a degenerate simplex
+            a = rng.choice(cells)
+            b = rng.choice([s for s in simplices if s != a])
+            pairs.append((a, b))
+        out.append(quotient(x, congruence_from_pairs(x, pairs)).space)
+    return out
+
+
+def test_regularity_witness_matches_pushout_form():
+    rng = random.Random(20200113)
+    members = [e.space for e in gen_corpus(0) if len(e.space.cells) <= 200]
+    small = [x for x in members if len(x.cells) <= 8]
+    spaces = list(members)
+    for x in members:
+        keep = rng.sample(sorted(x.cells), min(len(x.cells), rng.randint(1, 6)))
+        spaces.append(generate(x, keep)[0])
+    for _ in range(10):
+        spaces.append(product(rng.choice(small), rng.choice(small)).space)
+    quotients = _seeded_quotients(rng, 160)
+    spaces += quotients
+    witnesses = [regularity_witness(x) for x in spaces]
+    assert witnesses == [_pushout_witness(x) for x in spaces]
+    assert len(quotients) >= 150
+    assert sum(w is not None for w in witnesses) >= 50

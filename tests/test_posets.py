@@ -1,5 +1,11 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
+import ssetforge
 from ssetforge.operators import Operator, identity, make_vertex
 from ssetforge.posets import (
     FinPoset,
@@ -17,7 +23,6 @@ from ssetforge.posets import (
     is_dwyer,
     is_poset_isomorphic,
     is_sieve,
-    join,
     nerve,
     nerve_map,
     omega,
@@ -240,17 +245,6 @@ def test_pushout_mediator_disagreement():
         po.mediator(u, v)
 
 
-def test_join():
-    fp = face_poset(2)
-    e0, e1 = make_vertex(0, 2), make_vertex(1, 2)
-    assert join(fp, e0, e1) == Operator(2, (0, 1))
-    assert join(fp, Operator(2, (0, 1)), Operator(2, (0, 2))) == identity(2)
-    c = chain_poset(3)
-    assert join(c, 1, 2) == 2
-    anti = FinPoset("ab")
-    assert join(anti, "a", "b") is None
-
-
 def test_poset_isomorphism_search():
     assert is_poset_isomorphic(chain_poset(2), FinPoset("xyz", [("z", "y"), ("y", "x")]))
     assert not is_poset_isomorphic(chain_poset(2), FinPoset("xyz", [("x", "y")]))
@@ -275,3 +269,38 @@ def test_compose_monotone():
     f = MonotoneMap(chain_poset(1), chain_poset(2), {0: 0, 1: 2})
     g = MonotoneMap(chain_poset(2), chain_poset(1), {0: 0, 1: 0, 2: 1})
     assert compose_monotone(f, g).mapping == {0: 0, 1: 1}
+
+
+def _warshall(n, rel):
+    reach = [[(a, b) in rel for b in range(n)] for a in range(n)]
+    for k in range(n):
+        for a in range(n):
+            if reach[a][k]:
+                for b in range(n):
+                    reach[a][b] = reach[a][b] or reach[k][b]
+    return reach
+
+
+def test_closure_matches_warshall():
+    rng = random.Random(7)
+    cyclic = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        rel = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+        reach = _warshall(n, rel)
+        if any(reach[a][b] and reach[b][a] for a in range(n) for b in range(n) if a != b):
+            cyclic += 1
+            with pytest.raises(ValueError, match="not antisymmetric"):
+                FinPoset(range(n), rel)
+            continue
+        p = FinPoset(range(n), rel)
+        want = {(a, b) for a in range(n) for b in range(n) if a != b and reach[a][b]}
+        assert p.strict_pairs() == want
+    assert cyclic >= 30
+
+
+def test_import_needs_no_networkx():
+    src = os.path.dirname(os.path.dirname(ssetforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ssetforge; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
