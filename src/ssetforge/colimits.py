@@ -39,7 +39,7 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     compose_maps,
-    generate,
+    generated_cells,
     simplex_key,
 )
 
@@ -110,15 +110,6 @@ class Congruence:
         other._parent = dict(self._parent)
         other._size = dict(self._size)
         return other
-
-
-def refines(fine: Congruence, coarse: Congruence) -> bool:
-    """True when every class of ``fine`` lies inside a class of ``coarse``."""
-    for members in fine.classes().values():
-        roots = {coarse.find(m) for m in members}
-        if len(roots) > 1:
-            return False
-    return True
 
 
 def congruence_from_pairs(
@@ -326,30 +317,18 @@ def product(x: SimplicialSet, y: SimplicialSet) -> ProductResult:
 
 def collapse_subcomplex(space: SimplicialSet, seeds: Iterable[int]) -> QuotientResult:
     """Quotient collapsing the subcomplex generated by the seeds to a vertex."""
-    sub, _ = generate(space, seeds)
-    if not sub.cells:
+    keep = generated_cells(space, seeds)
+    if not keep:
         raise ValueError("cannot collapse an empty subcomplex")
-    base = sub.cell_ids(0)[0]
+    base = min(cid for cid in keep if space.cells[cid].dim == 0)
     cong = Congruence(space)
-    for cid in sub.cell_ids():
-        d = sub.cells[cid].dim
+    for cid in sorted(keep):
+        d = space.cells[cid].dim
         cong.merge(space.simplex(cid), Simplex(base, Operator(0, (0,) * (d + 1))))
     return quotient(space, cong)
 
 
 # -- regularity ------------------------------------------------------------
-
-
-def _generated_cells(space: SimplicialSet, seed: int) -> set[int]:
-    """Cells of the subcomplex generated by one cell."""
-    keep: set[int] = set()
-    stack = [seed]
-    while stack:
-        cid = stack.pop()
-        if cid not in keep:
-            keep.add(cid)
-            stack.extend(t for t, _ in space.cells[cid].faces)
-    return keep
 
 
 def regularity_witness(space: SimplicialSet) -> int | None:
@@ -372,7 +351,7 @@ def regularity_witness(space: SimplicialSet) -> int | None:
             continue
         top = space.simplex(cid)
         # the cells of Z, then each y.mu found so far
-        hit = _generated_cells(space, space.face(top, d).cell)
+        hit = generated_cells(space, [space.face(top, d).cell])
         if d not in through_last:
             through_last[d] = [mu for mu in all_faces(d) if mu.values[-1] == d]
         for mu in through_last[d]:

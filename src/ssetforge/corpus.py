@@ -33,6 +33,9 @@ from .simplicial import (
 )
 from .subdivision import chains_to_top, sd
 
+SD_CAP = 200  # members with larger subdivisions get no sd image, here or in verify
+_RANDOM_COUNT = 12  # random-quotient members per seed
+
 
 @dataclass
 class CorpusEntry:
@@ -52,9 +55,6 @@ class Corpus:
 
     def __len__(self):
         return len(self.entries)
-
-    def regular_entries(self) -> list[CorpusEntry]:
-        return [e for e in self.entries if e.regular]
 
 
 def sphere(n: int) -> SimplicialSet:
@@ -148,19 +148,19 @@ def load_corpus(directory) -> Corpus:
     return Corpus(seed, entries)
 
 
-def gen_corpus(seed: int = 0, random_count: int = 12, sd_cap: int = 200) -> Corpus:
+def gen_corpus(seed: int = 0) -> Corpus:
     entries = [
         CorpusEntry(name, space, "builtin", is_regular(space))
         for name, space in _builtins()
     ]
-    for i in range(random_count):
+    for i in range(_RANDOM_COUNT):
         rng = random.Random(seed * 1000003 + i)
         space = _random_quotient(rng)
         entries.append(
             CorpusEntry(f"random-{i}", space, "random-quotient", is_regular(space))
         )
     for entry in list(entries):
-        if sd_size(entry.space) > sd_cap:
+        if sd_size(entry.space) > SD_CAP:
             continue
         image = sd(entry.space)
         if not is_regular(image):

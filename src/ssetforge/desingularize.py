@@ -1,4 +1,4 @@
-"""Desingularization and regularization.
+"""Desingularization.
 
 The zipper pass repeatedly collapses forced degeneracies: whenever a
 cell has two equal adjacent vertices p and p+1, any map to a
@@ -9,10 +9,9 @@ certified; otherwise the result is honest but uncertified and tiny
 inputs can fall back to the exhaustive oracle.
 
 The oracle enumerates minimal operator-closed congruences whose
-quotient is non-singular (resp. regular) by witness-directed search and
-takes their meet; the family is closed under meets, so the meet itself
-has a non-singular (resp. regular) quotient, which is checked, not
-assumed.
+quotient is non-singular by witness-directed search and takes their
+meet; the family is closed under meets, so the meet itself has a
+non-singular quotient, which is checked, not assumed.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .colimits import Congruence, QuotientResult, is_regular, quotient
+from .colimits import Congruence, quotient
 from .operators import Operator, all_degeneracies, identity
 from .simplicial import Simplex, SimplicialMap, SimplicialSet, compose_maps, identity_map
 
@@ -51,6 +50,16 @@ def _dup_operator(q: int, p: int) -> Operator:
     return Operator(q, tuple(p + 1 if j == p else j for j in range(q + 1)))
 
 
+def _first_preimages(eta: SimplicialMap) -> dict[int, int]:
+    """The first source cell, in id order, that eta sends onto each cell it hits."""
+    reps: dict[int, int] = {}
+    for x in sorted(eta.source.cells):
+        s = eta.assignment[x]
+        if s.degen.is_identity and s.cell not in reps:
+            reps[s.cell] = x
+    return reps
+
+
 def _adjacent_repeats(space: SimplicialSet, cid: int) -> list[int]:
     vs = space.vertices(space.simplex(cid))
     return [p for p in range(len(vs) - 1) if vs[p] == vs[p + 1]]
@@ -66,11 +75,7 @@ def zipper_desingularize(space: SimplicialSet) -> DesingResult:
             moves.extend((cid, p) for p in _adjacent_repeats(cur, cid))
         if not moves:
             break
-        reps: dict[int, int] = {}
-        for x in sorted(space.cells):
-            s = eta.assignment[x]
-            if s.degen.is_identity and s.cell not in reps:
-                reps[s.cell] = x
+        reps = _first_preimages(eta)
         cong = Congruence(cur)
         batch = []
         for cid, p in moves:
@@ -139,9 +144,10 @@ def _meet(space: SimplicialSet, congs: list[Congruence]) -> Congruence:
     return out
 
 
-def _minimal_congruence_meet(space: SimplicialSet, is_good, branch) -> Congruence:
-    """Breadth-first search for the minimal congruences whose quotient
-    satisfies is_good, branching via branch(quotient_result), then meet."""
+def _minimal_congruence_meet(space: SimplicialSet) -> Congruence:
+    """Breadth-first search for the minimal congruences whose quotient is
+    non-singular, then their meet.  A singular quotient branches on every
+    merge of its first singular cell with a degenerate simplex."""
     start = Congruence(space)
     seen = {start.canonical()}
     queue = deque([start])
@@ -151,12 +157,16 @@ def _minimal_congruence_meet(space: SimplicialSet, is_good, branch) -> Congruenc
         if any(_contains(cong, canon) for canon, _ in solutions):
             continue
         res = quotient(space, cong)
-        if is_good(res.space):
+        z = res.space
+        order = sorted(z.cells, key=lambda c: (z.cells[c].dim, c))
+        bad = next((c for c in order if not z.is_embedded(z.simplex(c))), None)
+        if bad is None:
             solutions.append((cong.canonical(), cong))
             continue
-        for a, b in branch(res):
+        rep = Simplex(res.cell_members[bad][0], identity(z.cells[bad].dim))
+        for d in _degenerate_simplices(space, z.cells[bad].dim):
             child = cong.copy()
-            child.merge(a, b)
+            child.merge(rep, d)
             canon = child.canonical()
             if canon not in seen:
                 seen.add(canon)
@@ -175,46 +185,11 @@ def _minimal_congruence_meet(space: SimplicialSet, is_good, branch) -> Congruenc
 def oracle_desingularize(space: SimplicialSet, bound: int = 10) -> DesingResult:
     if len(space.cells) > bound:
         raise ValueError(f"oracle bound exceeded: {len(space.cells)} cells > {bound}")
-
-    def branch(res: QuotientResult):
-        z = res.space
-        for cid in sorted(z.cells, key=lambda c: (z.cells[c].dim, c)):
-            if not z.is_embedded(z.simplex(cid)):
-                rep = Simplex(res.cell_members[cid][0], identity(z.cells[cid].dim))
-                return [
-                    (rep, d)
-                    for d in _degenerate_simplices(space, z.cells[cid].dim)
-                ]
-        raise AssertionError("no violation in a singular quotient")
-
-    meet = _minimal_congruence_meet(space, SimplicialSet.is_nonsingular, branch)
+    meet = _minimal_congruence_meet(space)
     res = quotient(space, meet)
     if not res.space.is_nonsingular():
         raise RuntimeError("meet of minimal non-singular congruences is singular")
     return DesingResult(res.space, res.projection, Certificate.ORACLE)
-
-
-def regularize_oracle(space: SimplicialSet, bound: int = 6) -> tuple[SimplicialSet, SimplicialMap]:
-    if len(space.cells) > bound:
-        raise ValueError(f"oracle bound exceeded: {len(space.cells)} cells > {bound}")
-
-    def branch(res: QuotientResult):
-        z = res.space
-        out = []
-        for q in range(z.dim + 1):
-            sims = list(z.simplices(q))
-            for i, a in enumerate(sims):
-                for b in sims[i + 1 :]:
-                    lifted_a = Simplex(res.cell_members[a.cell][0], a.degen)
-                    lifted_b = Simplex(res.cell_members[b.cell][0], b.degen)
-                    out.append((lifted_a, lifted_b))
-        return out
-
-    meet = _minimal_congruence_meet(space, is_regular, branch)
-    res = quotient(space, meet)
-    if not is_regular(res.space):
-        raise RuntimeError("meet of minimal regular congruences is not regular")
-    return res.space, res.projection
 
 
 def desingularize(space: SimplicialSet, oracle_bound: int = 10) -> DesingResult:
@@ -228,11 +203,7 @@ def factor_through_quotient(eta: SimplicialMap, g: SimplicialMap) -> SimplicialM
     """The unique h with h . eta = g, when g respects eta's identifications."""
     if eta.source is not g.source and not eta.source.same_presentation(g.source):
         raise ValueError("maps must share their source")
-    reps: dict[int, int] = {}
-    for x in sorted(eta.source.cells):
-        s = eta.assignment[x]
-        if s.degen.is_identity and s.cell not in reps:
-            reps[s.cell] = x
+    reps = _first_preimages(eta)
     if len(reps) != len(eta.target.cells):
         raise ValueError("projection does not hit every cell")
     asg = {u: g.assignment[reps[u]] for u in eta.target.cells}

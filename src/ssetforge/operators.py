@@ -8,7 +8,6 @@ factors uniquely as a face after a degeneracy (``ez_factor``).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
@@ -101,19 +100,6 @@ def ez_factor(op: Operator) -> tuple[Operator, Operator]:
     return face_part, degen_part
 
 
-def join_faces(mu: Operator, nu: Operator) -> Operator:
-    """Least face containing both images; the join in the face lattice of [n]."""
-    if mu.dst != nu.dst:
-        raise ValueError("faces of different simplices have no join")
-    if not mu.is_face or not nu.is_face:
-        raise ValueError("join_faces expects face operators")
-    return Operator(mu.dst, tuple(sorted(set(mu.values) | set(nu.values))))
-
-
-def face_from_image(image: Iterable[int], n: int) -> Operator:
-    return Operator(n, tuple(sorted(set(image))))
-
-
 def degeneracy_from_repeats(repeats: Iterable[int], src: int) -> Operator:
     """Surjection out of [src] collapsing i and i+1 for each listed position i."""
     reps = set(repeats)
@@ -172,45 +158,3 @@ def all_degeneracies(src: int, dst: int) -> Iterator[Operator]:
         return
     for reps in combinations(range(src), src - dst):
         yield degeneracy_from_repeats(reps, src)
-
-
-# Text encoding: `face n {i0,i1,...}` by image, `degen m {j0,...}` by repeat
-# positions, `op m n (v0 v1 ...)` in general.  Injective operators print in
-# face form, other surjections in degen form.
-
-_FACE_RE = re.compile(r"^face (\d+) \{([0-9,]*)\}$")
-_DEGEN_RE = re.compile(r"^degen (\d+) \{([0-9,]*)\}$")
-_OP_RE = re.compile(r"^op (\d+) (\d+) \(([0-9 ]*)\)$")
-
-
-def format_operator(op: Operator) -> str:
-    if op.is_face:
-        return f"face {op.dst} {{{','.join(map(str, op.values))}}}"
-    if op.is_degeneracy:
-        return f"degen {op.src} {{{','.join(map(str, op.repeats()))}}}"
-    return f"op {op.src} {op.dst} ({' '.join(map(str, op.values))})"
-
-
-def parse_operator(text: str) -> Operator:
-    text = text.strip()
-    m = _FACE_RE.match(text)
-    if m:
-        n = int(m.group(1))
-        img = [int(v) for v in m.group(2).split(",") if v != ""]
-        op = face_from_image(img, n)
-        if sorted(img) != list(op.values):
-            raise ValueError(f"face image not strictly increasing: {text!r}")
-        return op
-    m = _DEGEN_RE.match(text)
-    if m:
-        src = int(m.group(1))
-        reps = [int(v) for v in m.group(2).split(",") if v != ""]
-        return degeneracy_from_repeats(reps, src)
-    m = _OP_RE.match(text)
-    if m:
-        dst = int(m.group(2))
-        vals = tuple(int(v) for v in m.group(3).split())
-        if len(vals) != int(m.group(1)) + 1:
-            raise ValueError(f"source rank mismatch in {text!r}")
-        return Operator(dst, vals)
-    raise ValueError(f"cannot parse operator {text!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Hashable, Iterable
 
-from .operators import Operator, all_faces, identity, make_vertex, run_collapse
+from .operators import Operator, all_faces, identity, run_collapse
 from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet
 
 
@@ -60,11 +60,16 @@ class FinPoset:
                 for c, d in list(pairs):
                     if b == c and (a, d) not in pairs and a != d:
                         raise ValueError(f"relation not transitive at {(a, b, d)}")
+        self._index = {e: i for i, e in enumerate(self.elements)}
         for a, b in pairs:
             if (b, a) in pairs:
+                # name the first offending pair in element order, not set order
+                a, b = min(
+                    (p for p in pairs if p[::-1] in pairs),
+                    key=lambda p: (self._index[p[0]], self._index[p[1]]),
+                )
                 raise ValueError(f"not antisymmetric: {a!r} and {b!r} are equivalent")
         self._lt = frozenset(pairs)
-        self._index = {e: i for i, e in enumerate(self.elements)}
         self._up: dict[Hashable, tuple] = {}
         for e in self.elements:
             self._up[e] = tuple(f for f in self.elements if (e, f) in self._lt)
@@ -392,22 +397,6 @@ def psi(n: int) -> MonotoneMap:
     for mu, level in src.elements:
         if level == 0:
             mapping[(mu, level)] = Operator(n, mu.values)
-        else:
-            mapping[(mu, level)] = Operator(n, mu.values + (n,))
-    return MonotoneMap(src, dst, mapping)
-
-
-def omega(n: int) -> MonotoneMap:
-    """The cone-flavored companion of psi: level 0 collapses to the last
-    vertex, level 1 agrees with psi."""
-    if n < 1:
-        raise ValueError("omega needs n >= 1")
-    src = product_poset(face_poset(n - 1), chain_poset(1))
-    dst = face_poset(n)
-    mapping = {}
-    for mu, level in src.elements:
-        if level == 0:
-            mapping[(mu, level)] = make_vertex(n, n)
         else:
             mapping[(mu, level)] = Operator(n, mu.values + (n,))
     return MonotoneMap(src, dst, mapping)

@@ -123,9 +123,6 @@ class SimplicialSet:
                 for op in all_degeneracies(degree, d):
                     yield Simplex(cid, op)
 
-    def nsimplices(self, degree: int) -> int:
-        return sum(1 for _ in self.simplices(degree))
-
     # -- operator action -------------------------------------------------
 
     def _cell_face(self, cid: int, mu: Operator) -> Simplex:
@@ -232,9 +229,8 @@ class SimplicialMap:
     def __hash__(self):  # pragma: no cover - maps are not meant to be hashed
         return id(self)
 
-    def is_degreewise_injective(self, up_to: int | None = None) -> bool:
-        top = self.source.dim if up_to is None else up_to
-        for q in range(top + 1):
+    def is_degreewise_injective(self) -> bool:
+        for q in range(self.source.dim + 1):
             seen: set[Simplex] = set()
             count = 0
             for s in self.source.simplices(q):
@@ -301,18 +297,26 @@ def standard_simplex(n: int) -> SimplicialSet:
     return SimplicialSet(cells, labels)
 
 
-def generate(space: SimplicialSet, seeds: Iterable[int]) -> tuple[SimplicialSet, SimplicialMap]:
-    """Smallest subcomplex containing the seed cells, with its inclusion."""
+def generated_cells(space: SimplicialSet, seeds: Iterable[int]) -> set[int]:
+    """Ids of the cells of the smallest subcomplex containing the seed cells."""
     keep: set[int] = set()
-    stack = [cid for cid in seeds]
+    stack = list(seeds)
     while stack:
         cid = stack.pop()
         if cid in keep:
             continue
-        if cid not in space.cells:
-            raise ValueError(f"unknown cell {cid}")
+        try:
+            faces = space.cells[cid].faces
+        except KeyError:
+            raise ValueError(f"unknown cell {cid}") from None
         keep.add(cid)
-        stack.extend(t for t, _ in space.cells[cid].faces)
+        stack.extend(t for t, _ in faces)
+    return keep
+
+
+def generate(space: SimplicialSet, seeds: Iterable[int]) -> tuple[SimplicialSet, SimplicialMap]:
+    """Smallest subcomplex containing the seed cells, with its inclusion."""
+    keep = generated_cells(space, seeds)
     sub = SimplicialSet(
         {cid: space.cells[cid] for cid in sorted(keep)},
         {cid: space.labels[cid] for cid in sorted(keep) if cid in space.labels},

@@ -26,7 +26,7 @@ from .operators import (
     identity,
     run_collapse,
 )
-from .posets import barratt, barratt_map, face_poset, sharp
+from .posets import barratt, barratt_map, face_poset
 from .simplicial import (
     Cell,
     Simplex,

@@ -24,7 +24,7 @@ from .colimits import (
     pushout,
     quotient,
 )
-from .corpus import Corpus, sd_size
+from .corpus import SD_CAP, Corpus, sd_size
 from .cylinders import (
     cylinder_reduction,
     dcr,
@@ -42,7 +42,7 @@ from .desingularize import (
     oracle_desingularize,
     zipper_desingularize,
 )
-from .operators import Operator, all_faces, identity
+from .operators import Operator, all_faces, identity, make_vertex
 from .posets import (
     FinPoset,
     MonotoneMap,
@@ -54,7 +54,6 @@ from .posets import (
     full_subposet,
     is_cosieve,
     is_dwyer,
-    make_vertex,
     nerve,
     nerve_map,
     poset_pushout,
@@ -158,14 +157,14 @@ def verify_main_theorem(corpus: Corpus) -> Report:
     return report
 
 
-def verify_second_subdivision(corpus: Corpus, sd_cap: int = 200) -> Report:
+def verify_second_subdivision(corpus: Corpus) -> Report:
     """For arbitrary members the same comparison holds one subdivision up:
     the double subdivision desingularizes onto the nerve of the cell poset
     of the single subdivision."""
     report = Report("second-subdivision")
     by_name = {e.name: e for e in corpus}
     for entry in corpus:
-        if entry.provenance == "sd-image" or sd_size(entry.space) > sd_cap:
+        if entry.provenance == "sd-image" or sd_size(entry.space) > SD_CAP:
             continue
         started = time.time()
         image = by_name.get(f"sd-{entry.name}")
@@ -234,23 +233,24 @@ def run_counterexamples() -> Report:
 
 # -- cylinders of representing maps ---------------------------------------------
 
+_DCR_MAX_CELLS = 15
+_DCR_ALL_SIMPLEX_CELLS = 8
 
-def verify_dcr_suite(
-    corpus: Corpus, max_cells: int = 15, all_simplex_cells: int = 8
-) -> Report:
+
+def verify_dcr_suite(corpus: Corpus) -> Report:
     """For each simplex of each regular member, the cylinder of the sharp of
     its corestricted representing map reduces by an isomorphism.
 
-    Every cell is tested on members up to max_cells; degenerate simplices
-    (through the member's dimension) join in on members small enough that
-    the deep cylinders stay cheap."""
+    Every cell is tested on members up to _DCR_MAX_CELLS cells; degenerate
+    simplices (through the member's dimension) join in on members of up to
+    _DCR_ALL_SIMPLEX_CELLS, small enough that the deep cylinders stay cheap."""
     report = Report("dcr-suite")
     pairs = 0
     for entry in corpus:
-        if not entry.regular or len(entry.space.cells) > max_cells:
+        if not entry.regular or len(entry.space.cells) > _DCR_MAX_CELLS:
             continue
         x = entry.space
-        degenerate_too = len(x.cells) <= all_simplex_cells
+        degenerate_too = len(x.cells) <= _DCR_ALL_SIMPLEX_CELLS
         for q in range(x.dim + 1):
             for y in x.simplices(q):
                 if y.is_degenerate and not degenerate_too:
@@ -278,6 +278,8 @@ def verify_dcr_suite(
 
 
 # -- the lemma battery -----------------------------------------------------------
+
+_DEFLATION_DEGENERATE_CELLS = 40  # members whose degenerate simplices are checked too
 
 
 def _covering_face_pairs(n: int) -> list[tuple[Operator, Operator]]:
@@ -313,7 +315,7 @@ def _check_face_cancellation(x: SimplicialSet) -> bool:
     return True
 
 
-def _check_deflation(x: SimplicialSet, degenerate_cap: int = 40) -> tuple[bool, int]:
+def _check_deflation(x: SimplicialSet) -> tuple[bool, int]:
     """Covering face pairs with equal carriers force deflated simplices."""
     checked = 0
     for cid, cell in x.cells.items():
@@ -321,7 +323,7 @@ def _check_deflation(x: SimplicialSet, degenerate_cap: int = 40) -> tuple[bool, 
             checked += 1
             if x.eval(x.simplex(cid), mu).cell == x.eval(x.simplex(cid), nu).cell:
                 return False, checked  # a non-degenerate simplex cannot deflate
-    if len(x.cells) <= degenerate_cap:
+    if len(x.cells) <= _DEFLATION_DEGENERATE_CELLS:
         for q in range(1, x.dim + 2):
             for y in x.simplices(q):
                 if not y.is_degenerate:
@@ -396,12 +398,24 @@ def verify_lemma_suite(corpus: Corpus, seed: int = 0) -> Report:
     members = list(corpus)
     regulars = [e for e in members if e.regular]
 
-    # subdivision lands in the regular class
+    # subdivision lands in the regular class with one vertex per cell, and
+    # the nerve comparison is an isomorphism exactly on non-singular members
     for entry in members:
-        if sd_size(entry.space) > 200:
-            continue
-        image = sd(entry.space)
-        report.add(f"sd-regular/{entry.name}", is_regular(image))
+        image = None
+        if sd_size(entry.space) <= SD_CAP:
+            image = sd(entry.space)
+            report.add(f"sd-regular/{entry.name}", is_regular(image))
+            report.add(
+                f"sd-vertices/{entry.name}",
+                len(image.cell_ids(0)) == len(entry.space.cells),
+            )
+        if len(entry.space.cells) <= 80:
+            iso = b_nat(entry.space, sd_space=image).is_isomorphism()
+            report.add(
+                f"bnat-iso-iff-nonsingular/{entry.name}",
+                iso == entry.space.is_nonsingular(),
+                iso=iso,
+            )
 
     # subcomplexes of regular members stay regular
     for i in range(50):
@@ -418,27 +432,6 @@ def verify_lemma_suite(corpus: Corpus, seed: int = 0) -> Report:
         pr = product(a.space, b.space).space
         report.add(
             f"product-regular/{i}", is_regular(pr), left=a.name, right=b.name
-        )
-
-    # the nerve comparison is an isomorphism exactly on non-singular members
-    for entry in members:
-        if len(entry.space.cells) > 80:
-            continue
-        iso = b_nat(entry.space).is_isomorphism()
-        report.add(
-            f"bnat-iso-iff-nonsingular/{entry.name}",
-            iso == entry.space.is_nonsingular(),
-            iso=iso,
-        )
-
-    # subdivision vertices match cells
-    for entry in members:
-        if sd_size(entry.space) > 200:
-            continue
-        image = sd(entry.space)
-        report.add(
-            f"sd-vertices/{entry.name}",
-            len(image.cell_ids(0)) == len(entry.space.cells),
         )
 
     # face cancellation and deflation on the regular population

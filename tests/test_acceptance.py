@@ -1,6 +1,6 @@
 """Acceptance gate: every criterion checked exactly, one printed line each.
 
-The heavyweight campaigns run once per session through module fixtures;
+The heavyweight campaigns run once per session through fixtures;
 each criterion then asserts on the relevant slice of the reports, with
 the stated population minimums and wall clock budgets enforced as hard
 bounds.
@@ -10,7 +10,6 @@ import time
 
 import pytest
 
-from ssetforge.corpus import gen_corpus
 from ssetforge.cylinders import (
     cylinder_reduction,
     injective_in_degree,
@@ -24,11 +23,6 @@ from ssetforge.verify import (
     verify_main_theorem,
     verify_second_subdivision,
 )
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    return gen_corpus(0)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,3 @@
-from pathlib import Path
-
-import pytest
-
 from ssetforge.cli import main
 from ssetforge.corpus import gen_corpus, load_corpus
 from ssetforge.posets import FinPoset, MonotoneMap

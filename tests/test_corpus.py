@@ -1,7 +1,14 @@
+import hashlib
+
 from ssetforge.colimits import is_regular
-from ssetforge.corpus import gen_corpus, sd_size, sphere
+from ssetforge.corpus import SD_CAP, gen_corpus, sd_size, sphere
 from ssetforge.simplicial import boundary, is_isomorphic, standard_simplex
 from ssetforge.subdivision import sd
+from ssetforge.textio import format_sset
+
+# sha256 of the seed-0 corpus as corpus_digest computes it; any change to
+# corpus construction or cell numbering moves it
+SEED0_DIGEST = "fd17d89cde1935db305340a535bde9ebd31d3105bd1665ab48167255b75be07b"
 
 
 def test_sphere_is_collapsed_boundary():
@@ -14,8 +21,7 @@ def test_sphere_is_collapsed_boundary():
     assert is_regular(sd(s2))
 
 
-def test_builtins_present():
-    corpus = gen_corpus(0)
+def test_builtins_present(corpus):
     names = {e.name for e in corpus}
     for expected in [
         "delta-2", "boundary-3", "sphere-1", "square",
@@ -24,8 +30,7 @@ def test_builtins_present():
         assert expected in names
 
 
-def test_irregular_member_flagged():
-    corpus = gen_corpus(0)
+def test_irregular_member_flagged(corpus):
     by_name = {e.name: e for e in corpus}
     assert not by_name["triangle-middle-edge-collapse"].regular
     assert by_name["triangle-last-edge-collapse"].regular
@@ -33,8 +38,7 @@ def test_irregular_member_flagged():
         assert entry.regular == is_regular(entry.space)
 
 
-def test_sd_images_are_regular_and_sized():
-    corpus = gen_corpus(0)
+def test_sd_images_are_regular_and_sized(corpus):
     by_name = {e.name: e for e in corpus}
     for entry in corpus:
         if entry.provenance != "sd-image":
@@ -45,12 +49,11 @@ def test_sd_images_are_regular_and_sized():
         assert is_isomorphic(entry.space, sd(base.space))
 
 
-def test_population_counts():
-    corpus = gen_corpus(0)
+def test_population_counts(corpus):
     regular = [e for e in corpus if e.regular]
     arbitrary = [
         e for e in corpus
-        if e.provenance != "sd-image" and sd_size(e.space) <= 200
+        if e.provenance != "sd-image" and sd_size(e.space) <= SD_CAP
     ]
     assert len(regular) >= 30
     assert len(arbitrary) >= 15
@@ -72,3 +75,15 @@ def test_deterministic():
 def test_sd_size_matches():
     assert sd_size(standard_simplex(2)) == 3 * 1 + 3 * 3 + 13
     assert sd_size(boundary(2)) == 3 + 3 * 3
+
+
+def corpus_digest(corpus):
+    h = hashlib.sha256()
+    for e in corpus:
+        h.update(f"member {e.name} {e.provenance} {e.regular}\n".encode())
+        h.update(format_sset(e.space).encode())
+    return h.hexdigest()
+
+
+def test_seed0_corpus_pin(corpus):
+    assert corpus_digest(corpus) == SEED0_DIGEST

@@ -12,7 +12,6 @@ from ssetforge.desingularize import (
     desingularize,
     factor_through_quotient,
     oracle_desingularize,
-    regularize_oracle,
     replay_zipper,
     zipper_desingularize,
 )
@@ -141,19 +140,6 @@ def test_factor_through_quotient():
     ident = SimplicialMap(delta1, delta1, {c: delta1.simplex(c) for c in delta1.cells})
     with pytest.raises(ValueError):
         factor_through_quotient(eta, ident)
-
-
-def test_regularize_circle():
-    reg, proj = regularize_oracle(circle())
-    assert is_regular(reg)
-    assert counts(reg) == (1,)
-    assert proj.is_degreewise_surjective()
-
-
-def test_regularize_fixes_regular():
-    reg, proj = regularize_oracle(collapsed_triangle())
-    assert reg.same_presentation(collapsed_triangle())
-    assert proj.is_isomorphism()
 
 
 def test_t_nat_iso_for_regular():

@@ -25,7 +25,6 @@ from ssetforge.posets import (
     is_sieve,
     nerve,
     nerve_map,
-    omega,
     poset_pushout,
     product_poset,
     psi,
@@ -34,7 +33,7 @@ from ssetforge.posets import (
     singleton_poset,
     up_closure,
 )
-from ssetforge.simplicial import Simplex, is_isomorphic, simplex_map, standard_simplex
+from ssetforge.simplicial import is_isomorphic, simplex_map, standard_simplex
 
 
 def counts(space):
@@ -129,7 +128,6 @@ def test_barratt_counts():
 def test_barratt_collapses_presentation():
     # both cells of the circle become embedded simplices of its nerve
     from ssetforge.colimits import quotient, congruence_from_pairs
-    from ssetforge.simplicial import boundary, generate
 
     delta1 = standard_simplex(1)
     ends = congruence_from_pairs(delta1, [(delta1.simplex(0), delta1.simplex(1))])
@@ -159,14 +157,13 @@ def test_psi_image_nerve():
     assert counts(nerve(w)) == (6, 9, 4)
 
 
-def test_psi_omega_agree_on_top_level():
+def test_psi_levels():
     for n in (1, 2, 3):
-        p, o = psi(n), omega(n)
+        p = psi(n)
         for mu, level in p.source.elements:
             if level == 1:
-                assert p((mu, level)) == o((mu, level))
+                assert p((mu, level)) == Operator(n, mu.values + (n,))
             else:
-                assert o((mu, level)) == make_vertex(n, n)
                 assert set(p((mu, level)).values) == set(mu.values)
 
 
@@ -304,3 +301,25 @@ def test_import_needs_no_networkx():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, ssetforge; sys.exit('networkx' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cycle_message_ignores_hash_seed():
+    src = os.path.dirname(os.path.dirname(ssetforge.__file__))
+    cycle = "el a\nel b\nel c\nlt a b\nlt b c\nlt c a\n"
+    code = f"""
+from ssetforge.posets import FinPoset
+from ssetforge.textio import parse_poset
+for build in (lambda: FinPoset("abc", [("a", "b"), ("b", "c"), ("c", "a")]),
+              lambda: parse_poset({cycle!r})):
+    try:
+        build()
+    except ValueError as err:
+        print(err)
+"""
+    want = "not antisymmetric: 'a' and 'b' are equivalent"
+    for seed in range(1, 6):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.splitlines() == [want, want], seed

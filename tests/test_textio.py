@@ -1,7 +1,7 @@
 import pytest
 
 from ssetforge.colimits import collapse_subcomplex
-from ssetforge.posets import FinPoset, MonotoneMap, nerve
+from ssetforge.posets import FinPoset, MonotoneMap
 from ssetforge.simplicial import boundary, representing_map, standard_simplex
 from ssetforge.subdivision import sd
 from ssetforge.textio import (
