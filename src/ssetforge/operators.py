@@ -4,11 +4,20 @@ An operator is stored as its destination rank together with the tuple of
 its values, so the source rank is ``len(values) - 1``.  Injective
 operators are called faces, surjective ones degeneracies; every operator
 factors uniquely as a face after a degeneracy (``ez_factor``).
+
+Operators are frozen, and an operator's source rank, whether it is a
+face, whether it is an identity and its hash are computed once, when it
+is built.  The constructors ``identity``, ``make_face``, ``make_degen``
+and ``make_vertex``, and ``compose`` and ``ez_factor``, are memoized
+with ``lru_cache``: every verdict evaluates the same few operators
+millions of times.  The tables hold only operators between ranks that
+some space has reached, so they are bounded by the dimensions seen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
@@ -19,37 +28,41 @@ class Operator:
 
     dst: int
     values: tuple[int, ...]
+    src: int = field(init=False, repr=False, compare=False)
+    is_face: bool = field(init=False, repr=False, compare=False)
+    is_identity: bool = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dst < 0:
             raise ValueError(f"negative destination rank {self.dst}")
         if not self.values:
             raise ValueError("operator needs at least one value (source rank >= 0)")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
+        steps = tuple(zip(self.values, self.values[1:]))
+        if any(a > b for a, b in steps):
             raise ValueError(f"values not weakly increasing: {self.values}")
         if self.values[0] < 0 or self.values[-1] > self.dst:
             raise ValueError(f"values {self.values} out of range for [{self.dst}]")
+        src = len(self.values) - 1
+        # injective == strictly increasing
+        is_face = all(a < b for a, b in steps)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "is_face", is_face)
+        object.__setattr__(self, "is_identity", is_face and src == self.dst)
+        # the dataclass default hash: set and dict order, and so the report
+        # bytes, rest on it
+        object.__setattr__(self, "_hash", hash((self.dst, self.values)))
 
-    @property
-    def src(self) -> int:
-        return len(self.values) - 1
+    def __hash__(self) -> int:
+        return self._hash
 
     def __call__(self, i: int) -> int:
         return self.values[i]
 
     @property
-    def is_face(self) -> bool:
-        # injective == strictly increasing
-        return all(a < b for a, b in zip(self.values, self.values[1:]))
-
-    @property
     def is_degeneracy(self) -> bool:
         # surjective onto [dst]
         return len(set(self.values)) == self.dst + 1
-
-    @property
-    def is_identity(self) -> bool:
-        return self.dst == self.src and self.is_face
 
     def image(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.values)))
@@ -59,10 +72,12 @@ class Operator:
         return tuple(i for i in range(self.src) if self.values[i] == self.values[i + 1])
 
 
+@lru_cache(maxsize=None)
 def identity(n: int) -> Operator:
     return Operator(n, tuple(range(n + 1)))
 
 
+@lru_cache(maxsize=None)
 def make_face(i: int, n: int) -> Operator:
     """The face [n-1] -> [n] whose image omits i.  Requires n >= 1."""
     if n < 1 or not 0 <= i <= n:
@@ -70,6 +85,7 @@ def make_face(i: int, n: int) -> Operator:
     return Operator(n, tuple(j for j in range(n + 1) if j != i))
 
 
+@lru_cache(maxsize=None)
 def make_degen(i: int, n: int) -> Operator:
     """The degeneracy [n+1] -> [n] hitting i twice."""
     if not 0 <= i <= n:
@@ -77,6 +93,7 @@ def make_degen(i: int, n: int) -> Operator:
     return Operator(n, tuple(j if j <= i else j - 1 for j in range(n + 2)))
 
 
+@lru_cache(maxsize=None)
 def make_vertex(j: int, n: int) -> Operator:
     """The vertex inclusion [0] -> [n] with value j."""
     if not 0 <= j <= n:
@@ -84,6 +101,7 @@ def make_vertex(j: int, n: int) -> Operator:
     return Operator(n, (j,))
 
 
+@lru_cache(maxsize=None)
 def compose(first: Operator, second: Operator) -> Operator:
     """The composite applying ``first`` and then ``second`` (second o first)."""
     if first.dst != second.src:
@@ -91,6 +109,7 @@ def compose(first: Operator, second: Operator) -> Operator:
     return Operator(second.dst, tuple(second.values[v] for v in first.values))
 
 
+@lru_cache(maxsize=None)
 def ez_factor(op: Operator) -> tuple[Operator, Operator]:
     """Unique (face, degeneracy) pair with op == face o degeneracy."""
     img = op.image()

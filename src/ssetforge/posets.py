@@ -53,14 +53,20 @@ class FinPoset:
                 raise ValueError(f"relation {(a, b)} mentions unknown elements")
             if a != b:
                 pairs.add((a, b))
+        self._index = {e: i for i, e in enumerate(self.elements)}
         if close:
             pairs = _transitive_closure(self.elements, pairs)
         else:
-            for a, b in list(pairs):
-                for c, d in list(pairs):
-                    if b == c and (a, d) not in pairs and a != d:
-                        raise ValueError(f"relation not transitive at {(a, b, d)}")
-        self._index = {e: i for i, e in enumerate(self.elements)}
+            gaps = [
+                (a, b, d)
+                for a, b in pairs
+                for c, d in pairs
+                if b == c and (a, d) not in pairs and a != d
+            ]
+            if gaps:
+                # name the first gap in element order, not set order
+                gap = min(gaps, key=lambda t: tuple(self._index[e] for e in t))
+                raise ValueError(f"relation not transitive at {gap}")
         for a, b in pairs:
             if (b, a) in pairs:
                 # name the first offending pair in element order, not set order

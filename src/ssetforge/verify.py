@@ -24,7 +24,7 @@ from .colimits import (
     pushout,
     quotient,
 )
-from .corpus import SD_CAP, Corpus, sd_size
+from .corpus import SD_CAP, Corpus, CorpusEntry, sd_size
 from .cylinders import (
     cylinder_reduction,
     dcr,
@@ -132,16 +132,29 @@ def _timed(report: Report, name: str, ok: bool, started: float, **details) -> No
 # -- the main comparison --------------------------------------------------------
 
 
+def _corpus_sd(entry: CorpusEntry, by_name: dict[str, CorpusEntry]) -> SimplicialSet:
+    """sd of a member, taken from the corpus when gen_corpus already built it.
+
+    Only a built image carries the (cell, chain) labels that b_nat reads; an
+    image read from a corpus directory has none and is built again.
+    """
+    image = by_name.get(f"sd-{entry.name}")
+    if image is not None and image.space.labels:
+        return image.space
+    return sd(entry.space)
+
+
 def verify_main_theorem(corpus: Corpus) -> Report:
     """For every regular member the desingularized subdivision maps
     isomorphically onto the nerve of the cell poset."""
     report = Report("main-theorem")
+    by_name = {e.name: e for e in corpus}
     for entry in corpus:
         if not entry.regular:
             continue
         started = time.time()
         x = entry.space
-        sds = sd(x)
+        sds = _corpus_sd(entry, by_name)
         res = desingularize(sds)
         if res.certificate is Certificate.UNCERTIFIED:
             _timed(report, f"main/{entry.name}", False, started,
@@ -397,13 +410,14 @@ def verify_lemma_suite(corpus: Corpus, seed: int = 0) -> Report:
     rng = random.Random(seed)
     members = list(corpus)
     regulars = [e for e in members if e.regular]
+    by_name = {e.name: e for e in members}
 
     # subdivision lands in the regular class with one vertex per cell, and
     # the nerve comparison is an isomorphism exactly on non-singular members
     for entry in members:
         image = None
         if sd_size(entry.space) <= SD_CAP:
-            image = sd(entry.space)
+            image = _corpus_sd(entry, by_name)
             report.add(f"sd-regular/{entry.name}", is_regular(image))
             report.add(
                 f"sd-vertices/{entry.name}",

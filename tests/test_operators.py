@@ -161,3 +161,30 @@ def test_degeneracy_enumeration_counts():
             from math import comb
 
             assert len(got) == comb(src, src - dst)
+
+
+def test_memoized_calculus_matches_definitions():
+    # the memoized functions against their plain bodies, and the invariants
+    # stored at construction against their definitions, for every operator
+    # between ranks <= 4 and every composable pair of them
+    ranks = range(5)
+    ops = [op for src in ranks for dst in ranks for op in all_operators(src, dst)]
+    for op in ops:
+        steps = list(zip(op.values, op.values[1:]))
+        assert op.src == len(op.values) - 1
+        assert op.is_face == all(a < b for a, b in steps)
+        assert op.is_identity == (op.is_face and op.src == op.dst)
+        assert hash(op) == hash((op.dst, op.values))
+        assert repr(op) == f"Operator(dst={op.dst}, values={op.values!r})"
+        assert ez_factor(op) == ez_factor.__wrapped__(op)
+    for first in ops:
+        for second in ops:
+            if first.dst == second.src:
+                assert compose(first, second) == compose.__wrapped__(first, second)
+    for n in ranks:
+        assert identity(n) == identity.__wrapped__(n)
+        for i in range(n + 1):
+            assert make_degen(i, n) == make_degen.__wrapped__(i, n)
+            assert make_vertex(i, n) == make_vertex.__wrapped__(i, n)
+            if n:
+                assert make_face(i, n) == make_face.__wrapped__(i, n)

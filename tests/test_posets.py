@@ -303,23 +303,40 @@ def test_import_needs_no_networkx():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_cycle_message_ignores_hash_seed():
+def _errors_under_hash_seeds(builds: str) -> list[list[str]]:
+    """The ValueError message of each build, in a fresh interpreter per
+    PYTHONHASHSEED 1 to 5."""
     src = os.path.dirname(os.path.dirname(ssetforge.__file__))
-    cycle = "el a\nel b\nel c\nlt a b\nlt b c\nlt c a\n"
     code = f"""
 from ssetforge.posets import FinPoset
 from ssetforge.textio import parse_poset
-for build in (lambda: FinPoset("abc", [("a", "b"), ("b", "c"), ("c", "a")]),
-              lambda: parse_poset({cycle!r})):
+for build in ({builds}):
     try:
         build()
     except ValueError as err:
         print(err)
 """
-    want = "not antisymmetric: 'a' and 'b' are equivalent"
+    out = []
     for seed in range(1, 6):
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
         run = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert run.stdout.splitlines() == [want, want], seed
+        out.append(run.stdout.splitlines())
+    return out
+
+
+def test_cycle_message_ignores_hash_seed():
+    cycle = "el a\nel b\nel c\nlt a b\nlt b c\nlt c a\n"
+    builds = f"""lambda: FinPoset("abc", [("a", "b"), ("b", "c"), ("c", "a")]),
+              lambda: parse_poset({cycle!r})"""
+    want = "not antisymmetric: 'a' and 'b' are equivalent"
+    for seed, lines in enumerate(_errors_under_hash_seeds(builds), start=1):
+        assert lines == [want, want], seed
+
+
+def test_transitivity_message_ignores_hash_seed():
+    builds = """lambda: FinPoset("abcd", [("a", "b"), ("b", "c"), ("c", "d")], close=False),"""
+    want = "relation not transitive at ('a', 'b', 'c')"
+    for seed, lines in enumerate(_errors_under_hash_seeds(builds), start=1):
+        assert lines == [want], seed

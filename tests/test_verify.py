@@ -1,7 +1,9 @@
 from ssetforge.colimits import collapse_subcomplex, is_regular
 from ssetforge.corpus import Corpus, CorpusEntry
+from ssetforge.operators import compose, ez_factor
 from ssetforge.simplicial import boundary, standard_simplex
 from ssetforge.subdivision import sd
+from ssetforge.textio import format_sset, parse_sset
 from ssetforge.verify import (
     Report,
     format_report,
@@ -63,6 +65,34 @@ def test_main_theorem_on_tiny_corpus():
     assert "main/circle" not in names  # irregular members stay out
     assert "main/delta-2" in names
     assert rep.ok
+
+
+def test_main_theorem_reuses_built_sd_image(monkeypatch):
+    x = boundary(2)
+    image = sd(x)
+    built = [CorpusEntry("b", x, "builtin", True), CorpusEntry("sd-b", image, "sd-image", True)]
+    # an image read back from text has no chain labels, so it is built again
+    read = [built[0], CorpusEntry("sd-b", parse_sset(format_sset(image)), "sd-image", True)]
+    subdivided = []
+    monkeypatch.setattr("ssetforge.verify.sd", lambda s: subdivided.append(s) or sd(s))
+    reports = {}
+    for name, entries in (("alone", built[:1]), ("built", built), ("read", read)):
+        subdivided.clear()
+        rep = verify_main_theorem(Corpus(0, entries))
+        assert rep.ok
+        reports[name] = [(c.outcome, c.details) for c in rep.cases if c.name == "main/b"]
+        assert sum(s is x for s in subdivided) == (name != "built"), name
+    assert reports["alone"] == reports["built"] == reports["read"]
+
+
+def test_operator_memo_stays_small(corpus):
+    # compose and ez_factor memoize without a size limit; the ranks the
+    # seed-0 main theorem reaches must keep their tables small
+    compose.cache_clear()
+    ez_factor.cache_clear()
+    assert verify_main_theorem(corpus).ok
+    assert compose.cache_info().currsize < 5000
+    assert ez_factor.cache_info().currsize < 5000
 
 
 def test_second_subdivision_on_tiny_corpus():
