@@ -4,6 +4,10 @@ Spaces travel as .sset files, simplicial maps as .smap, posets as
 .poset, and monotone maps as .pmap; all four are the plain text formats
 of textio.  Verification commands print a report tree and exit nonzero
 on failures, so the tool works in shell pipelines and CI jobs alike.
+
+Exit codes: 0 success; 1 a failed verification (or an oracle refusing
+its input); 2 no certified desingularization; 3 a malformed input file,
+reported as one line ``forge: <file>:<line>: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +27,14 @@ from .desingularize import (
 )
 from .posets import barratt
 from .subdivision import b_nat, last_vertex, sd
-from .textio import format_smap, format_sset, parse_pmap, parse_sset
+from .textio import (
+    ParseError,
+    format_smap,
+    format_sset,
+    parse_file,
+    parse_pmap,
+    parse_sset,
+)
 from .verify import (
     format_report,
     merge_reports,
@@ -50,7 +61,7 @@ def _oracle_bound(explicit: int | None) -> int:
 
 
 def _load_space(path: str):
-    return parse_sset(Path(path).read_text())
+    return parse_file(path, parse_sset)
 
 
 def cmd_corpus(args) -> int:
@@ -128,7 +139,7 @@ def cmd_desing(args) -> int:
 
 
 def cmd_cylinder(args) -> int:
-    phi = parse_pmap(Path(args.phi).read_text())
+    phi = parse_file(args.phi, parse_pmap)
     if args.topological:
         space, _, _ = topological_cylinder(phi)
         _emit(format_sset(space), args.out)
@@ -140,7 +151,7 @@ def cmd_cylinder(args) -> int:
 
 
 def cmd_dcr(args) -> int:
-    phi = parse_pmap(Path(args.phi).read_text())
+    phi = parse_file(args.phi, parse_pmap)
     bundle = cylinder_reduction(phi)
     try:
         g, res = dcr(phi, oracle_bound=_oracle_bound(args.bound), bundle=bundle)
@@ -225,7 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ParseError as err:
+        where = err.path if err.line is None else f"{err.path}:{err.line}"
+        print(f"forge: {where}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

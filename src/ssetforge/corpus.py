@@ -127,7 +127,7 @@ def save_corpus(corpus: Corpus, directory) -> None:
 def load_corpus(directory) -> Corpus:
     from pathlib import Path
 
-    from .textio import parse_sset
+    from .textio import parse_file, parse_sset
 
     root = Path(directory)
     seed = 0
@@ -141,7 +141,7 @@ def load_corpus(directory) -> Corpus:
             seed = int(tokens[1])
         elif tokens[0] == "member":
             _, name, provenance, flag, fname = tokens
-            space = parse_sset((root / fname).read_text())
+            space = parse_file(root / fname, parse_sset)
             entries.append(CorpusEntry(name, space, provenance, flag == "regular"))
         else:
             raise ValueError(f"unknown manifest line: {raw!r}")

@@ -6,12 +6,21 @@ operators are called faces, surjective ones degeneracies; every operator
 factors uniquely as a face after a degeneracy (``ez_factor``).
 
 Operators are frozen, and an operator's source rank, whether it is a
-face, whether it is an identity and its hash are computed once, when it
-is built.  The constructors ``identity``, ``make_face``, ``make_degen``
-and ``make_vertex``, and ``compose`` and ``ez_factor``, are memoized
-with ``lru_cache``: every verdict evaluates the same few operators
-millions of times.  The tables hold only operators between ranks that
-some space has reached, so they are bounded by the dimensions seen.
+face, a degeneracy or an identity, and its hash are computed once, when
+it is built.  Every function of the calculus below (the constructors,
+``compose``, ``ez_factor``, ``face_split``, ``section``,
+``face_restriction``, the degeneracies) is memoized with ``lru_cache``:
+every verdict evaluates the same few operators millions of times.  The
+tables hold only operators between ranks that some space has reached, so
+they are bounded by the dimensions seen.
+
+Each operator these functions return is interned: it passes through the
+one table ``_CANON``, so equal results are the same object.  A cache
+lookup keyed by an interned operator then matches by identity and never
+calls ``Operator.__eq__``.  Interning changes which object is returned,
+never its value or its hash: the hash stays ``hash((dst, values))``, the
+dataclass default, because set and dict iteration order, and with it the
+report bytes, rest on it.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ class Operator:
     values: tuple[int, ...]
     src: int = field(init=False, repr=False, compare=False)
     is_face: bool = field(init=False, repr=False, compare=False)
+    is_degeneracy: bool = field(init=False, repr=False, compare=False)
     is_identity: bool = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
@@ -48,6 +58,8 @@ class Operator:
         is_face = all(a < b for a, b in steps)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "is_face", is_face)
+        # surjective onto [dst]
+        object.__setattr__(self, "is_degeneracy", len(set(self.values)) == self.dst + 1)
         object.__setattr__(self, "is_identity", is_face and src == self.dst)
         # the dataclass default hash: set and dict order, and so the report
         # bytes, rest on it
@@ -59,11 +71,6 @@ class Operator:
     def __call__(self, i: int) -> int:
         return self.values[i]
 
-    @property
-    def is_degeneracy(self) -> bool:
-        # surjective onto [dst]
-        return len(set(self.values)) == self.dst + 1
-
     def image(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.values)))
 
@@ -72,9 +79,17 @@ class Operator:
         return tuple(i for i in range(self.src) if self.values[i] == self.values[i + 1])
 
 
+_CANON: dict[Operator, Operator] = {}
+
+
+def _canon(op: Operator) -> Operator:
+    """The interned operator equal to ``op``."""
+    return _CANON.setdefault(op, op)
+
+
 @lru_cache(maxsize=None)
 def identity(n: int) -> Operator:
-    return Operator(n, tuple(range(n + 1)))
+    return _canon(Operator(n, tuple(range(n + 1))))
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +97,7 @@ def make_face(i: int, n: int) -> Operator:
     """The face [n-1] -> [n] whose image omits i.  Requires n >= 1."""
     if n < 1 or not 0 <= i <= n:
         raise ValueError(f"no face operator omitting {i} into [{n}]")
-    return Operator(n, tuple(j for j in range(n + 1) if j != i))
+    return _canon(Operator(n, tuple(j for j in range(n + 1) if j != i)))
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +105,7 @@ def make_degen(i: int, n: int) -> Operator:
     """The degeneracy [n+1] -> [n] hitting i twice."""
     if not 0 <= i <= n:
         raise ValueError(f"no degeneracy repeating {i} onto [{n}]")
-    return Operator(n, tuple(j if j <= i else j - 1 for j in range(n + 2)))
+    return _canon(Operator(n, tuple(j if j <= i else j - 1 for j in range(n + 2))))
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +113,7 @@ def make_vertex(j: int, n: int) -> Operator:
     """The vertex inclusion [0] -> [n] with value j."""
     if not 0 <= j <= n:
         raise ValueError(f"no vertex {j} in [{n}]")
-    return Operator(n, (j,))
+    return _canon(Operator(n, (j,)))
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +121,7 @@ def compose(first: Operator, second: Operator) -> Operator:
     """The composite applying ``first`` and then ``second`` (second o first)."""
     if first.dst != second.src:
         raise ValueError(f"ranks do not match: {first} then {second}")
-    return Operator(second.dst, tuple(second.values[v] for v in first.values))
+    return _canon(Operator(second.dst, tuple(second.values[v] for v in first.values)))
 
 
 @lru_cache(maxsize=None)
@@ -116,20 +131,33 @@ def ez_factor(op: Operator) -> tuple[Operator, Operator]:
     index = {v: k for k, v in enumerate(img)}
     face_part = Operator(op.dst, img)
     degen_part = Operator(len(img) - 1, tuple(index[v] for v in op.values))
-    return face_part, degen_part
+    return _canon(face_part), _canon(degen_part)
+
+
+@lru_cache(maxsize=None)
+def face_split(mu: Operator) -> tuple[int, Operator]:
+    """For a face mu that is not an identity: the largest i outside its
+    image, and the face rest with mu == compose(rest, make_face(i, mu.dst))."""
+    i = max(set(range(mu.dst + 1)) - set(mu.values))
+    return i, _canon(Operator(mu.dst - 1, tuple(v if v < i else v - 1 for v in mu.values)))
 
 
 def degeneracy_from_repeats(repeats: Iterable[int], src: int) -> Operator:
     """Surjection out of [src] collapsing i and i+1 for each listed position i."""
-    reps = set(repeats)
+    return _degeneracy(frozenset(repeats), src)
+
+
+@lru_cache(maxsize=None)
+def _degeneracy(reps: frozenset[int], src: int) -> Operator:
     if not all(0 <= i < src for i in reps):
         raise ValueError(f"repeat positions {sorted(reps)} out of range for [{src}]")
     vals = [0]
     for j in range(src):
         vals.append(vals[-1] if j in reps else vals[-1] + 1)
-    return Operator(vals[-1], tuple(vals))
+    return _canon(Operator(vals[-1], tuple(vals)))
 
 
+@lru_cache(maxsize=None)
 def section(op: Operator) -> Operator:
     """First-preimage section s of a surjection: compose(s, op) is the identity."""
     firsts: dict[int, int] = {}
@@ -137,14 +165,15 @@ def section(op: Operator) -> Operator:
         firsts.setdefault(v, j)
     if len(firsts) != op.dst + 1:
         raise ValueError(f"{op} is not surjective")
-    return Operator(op.src, tuple(firsts[v] for v in range(op.dst + 1)))
+    return _canon(Operator(op.src, tuple(firsts[v] for v in range(op.dst + 1))))
 
 
+@lru_cache(maxsize=None)
 def face_restriction(mu: Operator, nu: Operator) -> Operator:
     """The face rho with compose(rho, mu) == nu, for faces with im(nu) in im(mu)."""
     index = {v: k for k, v in enumerate(mu.values)}
     try:
-        return Operator(mu.src, tuple(index[v] for v in nu.values))
+        return _canon(Operator(mu.src, tuple(index[v] for v in nu.values)))
     except KeyError:
         raise ValueError(f"image of {nu} not contained in image of {mu}") from None
 
@@ -172,8 +201,11 @@ def all_faces(n: int) -> Iterator[Operator]:
             yield Operator(n, img)
 
 
-def all_degeneracies(src: int, dst: int) -> Iterator[Operator]:
+@lru_cache(maxsize=None)
+def all_degeneracies(src: int, dst: int) -> tuple[Operator, ...]:
+    """All surjections [src] ->> [dst], ordered by their repeat positions."""
     if src < dst:
-        return
-    for reps in combinations(range(src), src - dst):
-        yield degeneracy_from_repeats(reps, src)
+        return ()
+    return tuple(
+        degeneracy_from_repeats(reps, src) for reps in combinations(range(src), src - dst)
+    )

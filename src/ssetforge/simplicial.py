@@ -12,7 +12,8 @@ the whole simplex category once the face-of-face identities hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple
 
 from .operators import (
     Operator,
@@ -20,15 +21,19 @@ from .operators import (
     all_faces,
     compose,
     ez_factor,
+    face_split,
     identity,
     make_face,
     make_vertex,
 )
 
 
-@dataclass(frozen=True)
-class Simplex:
-    """A simplex in EZ normal form: a cell and a degeneracy onto its rank."""
+class Simplex(NamedTuple):
+    """A simplex in EZ normal form: a cell and a degeneracy onto its rank.
+
+    It is a tuple, so its hash is ``hash((cell, degen))`` and it compares
+    equal to the plain pair ``(cell, degen)``.
+    """
 
     cell: int
     degen: Operator
@@ -40,6 +45,11 @@ class Simplex:
     @property
     def is_degenerate(self) -> bool:
         return not self.degen.is_identity
+
+
+# Simplex from a (cell, degen) pair in C, skipping the NamedTuple's
+# Python-level __new__; for the operator action, which builds most simplices
+_simplex = partial(tuple.__new__, Simplex)
 
 
 def simplex_key(s: Simplex) -> tuple:
@@ -128,14 +138,12 @@ class SimplicialSet:
     def _cell_face(self, cid: int, mu: Operator) -> Simplex:
         # mu must be a face operator into [dim cid]
         if mu.is_identity:
-            return Simplex(cid, identity(mu.dst))
+            return _simplex((cid, mu))
         key = (cid, mu)
         hit = self._face_cache.get(key)
         if hit is not None:
             return hit
-        missing = set(range(mu.dst + 1)) - set(mu.values)
-        i = max(missing)
-        rest = Operator(mu.dst - 1, tuple(v if v < i else v - 1 for v in mu.values))
+        i, rest = face_split(mu)
         target, sigma = self.cells[cid].faces[i]
         out = self.eval(Simplex(target, sigma), rest)
         self._face_cache[key] = out
@@ -143,11 +151,12 @@ class SimplicialSet:
 
     def eval(self, s: Simplex, op: Operator) -> Simplex:
         """The simplex s.op, renormalized; op must land in [degree of s]."""
-        if op.dst != s.degree:
-            raise ValueError(f"operator {op} does not land in [{s.degree}]")
-        mu, tau = ez_factor(compose(op, s.degen))
-        z = self._cell_face(s.cell, mu)
-        return Simplex(z.cell, compose(tau, z.degen))
+        cell, degen = s
+        if op.dst != degen.src:
+            raise ValueError(f"operator {op} does not land in [{degen.src}]")
+        mu, tau = ez_factor(compose(op, degen))
+        z_cell, z_degen = self._cell_face(cell, mu)
+        return _simplex((z_cell, compose(tau, z_degen)))
 
     def face(self, s: Simplex, i: int) -> Simplex:
         return self.eval(s, make_face(i, s.degree))

@@ -6,40 +6,93 @@ degeneracy, which together with the declared dimensions pins the
 operator down.  Maps inline their source and target between
 `begin`/`end` fences followed by `send` lines.  Posets list `el` and
 `lt` lines; monotone maps mirror the simplicial layout.  `#` comments
-and blank lines are ignored everywhere.
+and blank lines are ignored everywhere.  Every parser reports malformed
+text as a ParseError that names the line at fault.
 """
 
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 from .operators import Operator, degeneracy_from_repeats
 from .posets import FinPoset, MonotoneMap
 from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet
 
-_FACE_TOKEN = re.compile(r"(\d+)\{([0-9,]*)\}$")
+_FACE_TOKEN = re.compile(r"(\d+)\{((?:\d+(?:,\d+)*)?)\}$")
 _PLAIN = re.compile(r"[A-Za-z0-9_.:+'-]+$")
 
 
-def _rows(text: str) -> list[list[str]]:
+class ParseError(ValueError):
+    """Malformed input text.
+
+    ``line`` is the 1-based source line at fault, or None when the text as
+    a whole is: a missing section, or a presentation that parses but fails
+    validation.  ``path`` names the file, for callers that read one.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line
+        self.path: str | None = None
+
+
+def parse_file(path, parse):
+    """``parse`` applied to the text of the file at ``path``; a ParseError
+    it raises names the file."""
+    try:
+        return parse(Path(path).read_text())
+    except ParseError as err:
+        err.path = str(path)
+        raise
+
+
+Rows = list[tuple[int, list[str]]]
+
+
+def _rows(text: str) -> Rows:
+    """The non-blank lines with comments stripped, as (line number, tokens)."""
     rows = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            rows.append(line.split())
+            rows.append((number, line.split()))
     return rows
+
+
+def _unexpected(line: int, row: list[str]) -> ParseError:
+    return ParseError(f"unexpected line {' '.join(row)!r}", line)
+
+
+def _int(tok: str, line: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {tok!r}", line) from None
+
+
+def _whole(build, *args, **kwargs):
+    """``build(...)``, its validation error reported against the whole text."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ParseError(str(err)) from None
 
 
 def _simplex_token(cell: int, degen: Operator) -> str:
     return f"{cell}{{{','.join(str(j) for j in degen.repeats())}}}"
 
 
-def _parse_simplex_token(tok: str) -> tuple[int, tuple[int, ...]]:
+def _parse_simplex(tok: str, degree: int, line: int) -> tuple[int, Operator]:
+    """The (cell, degeneracy) pair a `<cell>{repeats}` token names, given its degree."""
     m = _FACE_TOKEN.match(tok)
     if not m:
-        raise ValueError(f"bad simplex token {tok!r}")
+        raise ParseError(f"bad simplex token {tok!r}", line)
     reps = tuple(int(x) for x in m.group(2).split(",")) if m.group(2) else ()
-    return int(m.group(1)), reps
+    try:
+        return int(m.group(1)), degeneracy_from_repeats(reps, degree)
+    except ValueError as err:
+        raise ParseError(str(err), line) from None
 
 
 # -- simplicial sets ----------------------------------------------------------
@@ -55,52 +108,59 @@ def format_sset(space: SimplicialSet) -> str:
 
 
 def parse_sset(text: str) -> SimplicialSet:
+    return _parse_cells(_rows(text))
+
+
+def _parse_cells(rows: Rows) -> SimplicialSet:
     cells: dict[int, Cell] = {}
-    for row in _rows(text):
+    for line, row in rows:
         if row[0] != "cell":
-            raise ValueError(f"unexpected line {' '.join(row)!r}")
-        cid, dim = int(row[1]), int(row[2])
+            raise _unexpected(line, row)
+        if len(row) < 3:
+            raise ParseError("a cell line needs an id and a dimension", line)
+        cid, dim = _int(row[1], line), _int(row[2], line)
+        if dim < 0:
+            raise ParseError(f"cell {cid} has negative dimension", line)
         toks = row[3:]
-        if len(toks) != (dim + 1 if dim else 0):
-            raise ValueError(f"cell {cid} needs {dim + 1} faces, got {len(toks)}")
-        faces = []
-        for tok in toks:
-            target, reps = _parse_simplex_token(tok)
-            faces.append((target, degeneracy_from_repeats(reps, dim - 1)))
+        need = dim + 1 if dim else 0
+        if len(toks) != need:
+            raise ParseError(f"cell {cid} needs {need} faces, got {len(toks)}", line)
         if cid in cells:
-            raise ValueError(f"cell {cid} declared twice")
-        cells[cid] = Cell(dim, tuple(faces))
-    return SimplicialSet(cells)
+            raise ParseError(f"cell {cid} declared twice", line)
+        cells[cid] = Cell(dim, tuple(_parse_simplex(tok, dim - 1, line) for tok in toks))
+    return _whole(SimplicialSet, cells)
 
 
 # -- simplicial maps ----------------------------------------------------------
 
 
-def _sections(rows: list[list[str]]) -> tuple[dict[str, list[list[str]]], list[list[str]]]:
-    blocks: dict[str, list[list[str]]] = {}
-    loose: list[list[str]] = []
+def _sections(rows: Rows) -> tuple[Rows, Rows, Rows]:
+    """The rows of the source and target sections, and the rows outside."""
+    blocks: dict[str, Rows] = {}
+    loose: Rows = []
     current: str | None = None
-    for row in rows:
+    opened = 0
+    for line, row in rows:
         if row[0] == "begin":
             if current is not None:
-                raise ValueError("nested begin")
-            current = row[1]
+                raise ParseError("nested begin", line)
+            if len(row) != 2:
+                raise ParseError("begin needs one section name", line)
+            current, opened = row[1], line
             blocks[current] = []
         elif row[0] == "end":
             if current is None:
-                raise ValueError("end without begin")
+                raise ParseError("end without begin", line)
             current = None
         elif current is not None:
-            blocks[current].append(row)
+            blocks[current].append((line, row))
         else:
-            loose.append(row)
+            loose.append((line, row))
     if current is not None:
-        raise ValueError(f"unterminated section {current!r}")
-    return blocks, loose
-
-
-def _unrows(rows: list[list[str]]) -> str:
-    return "\n".join(" ".join(r) for r in rows) + "\n"
+        raise ParseError(f"unterminated section {current!r}", opened)
+    if "source" not in blocks or "target" not in blocks:
+        raise ParseError("map needs source and target sections")
+    return blocks["source"], blocks["target"], loose
 
 
 def format_smap(f: SimplicialMap) -> str:
@@ -113,20 +173,21 @@ def format_smap(f: SimplicialMap) -> str:
 
 
 def parse_smap(text: str) -> SimplicialMap:
-    blocks, loose = _sections(_rows(text))
-    if "source" not in blocks or "target" not in blocks:
-        raise ValueError("map needs source and target sections")
-    source = parse_sset(_unrows(blocks["source"]))
-    target = parse_sset(_unrows(blocks["target"]))
+    source_rows, target_rows, loose = _sections(_rows(text))
+    source = _parse_cells(source_rows)
+    target = _parse_cells(target_rows)
     asg: dict[int, Simplex] = {}
-    for row in loose:
+    for line, row in loose:
         if row[0] != "send" or len(row) != 3:
-            raise ValueError(f"unexpected line {' '.join(row)!r}")
-        cid = int(row[1])
-        tcell, reps = _parse_simplex_token(row[2])
-        degree = source.cells[cid].dim
-        asg[cid] = Simplex(tcell, degeneracy_from_repeats(reps, degree))
-    return SimplicialMap(source, target, asg)
+            raise _unexpected(line, row)
+        cid = _int(row[1], line)
+        if cid not in source.cells:
+            raise ParseError(f"cell {cid} is not in the source", line)
+        tcell, degen = _parse_simplex(row[2], source.cells[cid].dim, line)
+        if tcell not in target.cells:
+            raise ParseError(f"cell {tcell} is not in the target", line)
+        asg[cid] = Simplex(tcell, degen)
+    return _whole(SimplicialMap, source, target, asg)
 
 
 # -- posets and monotone maps -------------------------------------------------
@@ -147,16 +208,20 @@ def format_poset(p: FinPoset) -> str:
 
 
 def parse_poset(text: str) -> FinPoset:
+    return _parse_poset(_rows(text))
+
+
+def _parse_poset(rows: Rows) -> FinPoset:
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
-    for row in _rows(text):
+    for line, row in rows:
         if row[0] == "el" and len(row) == 2:
             elements.append(row[1])
         elif row[0] == "lt" and len(row) == 3:
             pairs.append((row[1], row[2]))
         else:
-            raise ValueError(f"unexpected line {' '.join(row)!r}")
-    return FinPoset(elements, pairs, close=True)
+            raise _unexpected(line, row)
+    return _whole(FinPoset, elements, pairs, close=True)
 
 
 def format_pmap(phi: MonotoneMap) -> str:
@@ -169,14 +234,17 @@ def format_pmap(phi: MonotoneMap) -> str:
 
 
 def parse_pmap(text: str) -> MonotoneMap:
-    blocks, loose = _sections(_rows(text))
-    if "source" not in blocks or "target" not in blocks:
-        raise ValueError("map needs source and target sections")
-    source = parse_poset(_unrows(blocks["source"]))
-    target = parse_poset(_unrows(blocks["target"]))
+    source_rows, target_rows, loose = _sections(_rows(text))
+    source = _parse_poset(source_rows)
+    target = _parse_poset(target_rows)
     mapping = {}
-    for row in loose:
+    for line, row in loose:
         if row[0] != "send" or len(row) != 3:
-            raise ValueError(f"unexpected line {' '.join(row)!r}")
-        mapping[row[1]] = row[2]
-    return MonotoneMap(source, target, mapping)
+            raise _unexpected(line, row)
+        _, a, b = row
+        if a not in source:
+            raise ParseError(f"{a!r} is not in the source", line)
+        if b not in target:
+            raise ParseError(f"{b!r} is not in the target", line)
+        mapping[a] = b
+    return _whole(MonotoneMap, source, target, mapping)

@@ -1,3 +1,5 @@
+import pytest
+
 from ssetforge.cli import main
 from ssetforge.corpus import gen_corpus, load_corpus
 from ssetforge.posets import FinPoset, MonotoneMap
@@ -107,12 +109,11 @@ def test_cylinder_outputs(tmp_path, capsys):
     assert cr.target.same_presentation(reduced)
 
 
-def test_verify_cli_tiny_corpus(tmp_path):
+def test_verify_cli_tiny_corpus(tmp_path, tiny_corpus):
     from ssetforge.corpus import save_corpus
-    from tests.test_verify import tiny_corpus
 
     cdir = tmp_path / "corpus"
-    save_corpus(tiny_corpus(), cdir)
+    save_corpus(tiny_corpus, cdir)
 
     report = tmp_path / "main.txt"
     assert main(["verify", "main", "--corpus", str(cdir), "--report", str(report)]) == 0
@@ -131,3 +132,41 @@ def test_counterexamples_cli(capsys):
     assert main(["counterexamples"]) == 0
     out = capsys.readouterr().out
     assert "summary: 4 pass, 0 fail, 0 skip" in out
+
+
+@pytest.mark.parametrize(
+    "command, name, text, where",
+    [
+        # the input formats the commands read: spaces and monotone maps
+        ("sd", "x.sset", "cell 0\n", ":1:"),
+        ("sd", "x.sset", "cell x 0\n", ":1:"),
+        ("sd", "x.sset", "cell 0 0\nfoo 1\n", ":2:"),
+        ("sd", "x.sset", "cell 0 1 0{7} 0{}\n", ":1:"),
+        ("sd", "x.sset", "cell 0 0\ncell 1 1 5{} 0{}\n", ":"),
+        ("dcr", "phi.pmap", WEDGE_TO_CHAIN.replace("send a u", "send a"), ":16:"),
+        ("cylinder", "phi.pmap", WEDGE_TO_CHAIN.replace("send b v", "send b z"), ":17:"),
+    ],
+)
+def test_malformed_input_is_one_line_and_exit_3(tmp_path, capsys, command, name, text, where):
+    src = tmp_path / name
+    src.write_text(text)
+    assert main([command, str(src)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"forge: {src}{where} ")
+    assert "Traceback" not in captured.err
+
+
+def test_malformed_corpus_member_names_its_file(tmp_path, tiny_corpus, capsys):
+    from ssetforge.corpus import save_corpus
+
+    cdir = tmp_path / "corpus"
+    save_corpus(tiny_corpus, cdir)
+    member = sorted(cdir.glob("*.sset"))[0]
+    member.write_text("cell 0 0\ncell 1\n")
+    assert main(["verify", "main", "--corpus", str(cdir)]) == 3
+    assert capsys.readouterr().err == (
+        f"forge: {member}:2: a cell line needs an id and a dimension\n"
+    )

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ssetforge.operators import (
+    _CANON,
     Operator,
+    _degeneracy,
     all_degeneracies,
     all_faces,
     all_operators,
     compose,
+    degeneracy_from_repeats,
     ez_factor,
     face_restriction,
+    face_split,
     identity,
     make_degen,
     make_face,
@@ -163,28 +169,80 @@ def test_degeneracy_enumeration_counts():
             assert len(got) == comb(src, src - dst)
 
 
+def _degeneracies_by_definition(src, dst):
+    # the surjections [src] ->> [dst] one repeat-position set at a time, in
+    # combinations order, each built from its values
+    if src < dst:
+        return
+    for reps in combinations(range(src), src - dst):
+        vals = [0]
+        for j in range(src):
+            vals.append(vals[-1] if j in reps else vals[-1] + 1)
+        yield Operator(dst, tuple(vals))
+
+
 def test_memoized_calculus_matches_definitions():
     # the memoized functions against their plain bodies, and the invariants
     # stored at construction against their definitions, for every operator
-    # between ranks <= 4 and every composable pair of them
+    # between ranks <= 4 and every composable pair of them; every result of
+    # the calculus is the interned operator equal to it
+    def interned(*results):
+        for got in results:
+            assert got is _CANON[got]
+
     ranks = range(5)
     ops = [op for src in ranks for dst in ranks for op in all_operators(src, dst)]
     for op in ops:
         steps = list(zip(op.values, op.values[1:]))
         assert op.src == len(op.values) - 1
         assert op.is_face == all(a < b for a, b in steps)
+        assert op.is_degeneracy == (set(op.values) == set(range(op.dst + 1)))
         assert op.is_identity == (op.is_face and op.src == op.dst)
         assert hash(op) == hash((op.dst, op.values))
         assert repr(op) == f"Operator(dst={op.dst}, values={op.values!r})"
         assert ez_factor(op) == ez_factor.__wrapped__(op)
+        interned(*ez_factor(op))
+        if op.is_face and not op.is_identity:
+            assert face_split(op) == face_split.__wrapped__(op)
+            i, rest = face_split(op)
+            assert i == max(set(range(op.dst + 1)) - set(op.values))
+            assert compose(rest, make_face(i, op.dst)) == op
+            interned(rest)
+        if op.is_degeneracy:
+            assert section(op) == section.__wrapped__(op)
+            reps = op.repeats()
+            assert degeneracy_from_repeats(reps, op.src) == op
+            assert _degeneracy(frozenset(reps), op.src) == _degeneracy.__wrapped__(
+                frozenset(reps), op.src
+            )
+            interned(section(op), degeneracy_from_repeats(reps, op.src))
     for first in ops:
         for second in ops:
             if first.dst == second.src:
                 assert compose(first, second) == compose.__wrapped__(first, second)
+                interned(compose(first, second))
+            if first.is_face and second.is_face and first.dst == second.dst:
+                try:
+                    want = face_restriction.__wrapped__(first, second)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        face_restriction(first, second)
+                else:
+                    assert face_restriction(first, second) == want
+                    interned(face_restriction(first, second))
     for n in ranks:
         assert identity(n) == identity.__wrapped__(n)
+        interned(identity(n))
         for i in range(n + 1):
             assert make_degen(i, n) == make_degen.__wrapped__(i, n)
             assert make_vertex(i, n) == make_vertex.__wrapped__(i, n)
+            interned(make_degen(i, n), make_vertex(i, n))
             if n:
                 assert make_face(i, n) == make_face.__wrapped__(i, n)
+                interned(make_face(i, n))
+        for dst in ranks:
+            got = all_degeneracies(n, dst)
+            assert isinstance(got, tuple)
+            assert got == all_degeneracies.__wrapped__(n, dst)
+            assert list(got) == list(_degeneracies_by_definition(n, dst))
+            interned(*got)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from ssetforge.operators import (
@@ -224,3 +226,30 @@ def test_simplex_map_of_degenerate_simplex():
     f = simplex_map(x, s)
     assert f.source.same_presentation(standard_simplex(2))
     assert f.apply(f.source.simplex(f.source.cell_ids(2)[0])) == s
+
+
+@dataclass(frozen=True)
+class _DataclassSimplex:
+    # the frozen-dataclass form of Simplex, as the reference for its tuple form
+    cell: int
+    degen: Operator
+
+
+def test_simplex_tuple_matches_dataclass_form(corpus):
+    # hash, equality and repr of every simplex, up to one degree above the
+    # dimension, of the small corpus members agree with the dataclass form
+    small = [e.space for e in corpus if len(e.space.cells) <= 12]
+    assert len(small) >= 4
+    for x in small:
+        for q in range(x.dim + 2):
+            simplices = list(x.simplices(q))
+            olds = [_DataclassSimplex(s.cell, s.degen) for s in simplices]
+            for s, old in zip(simplices, olds):
+                assert hash(s) == hash(old) == hash((s.cell, s.degen))
+                assert repr(s) == "Simplex" + repr(old)[len("_DataclassSimplex"):]
+                assert s == (s.cell, s.degen)
+                image = x.eval(s, identity(q))
+                assert image == s and hash(image) == hash(old)
+            for s, old in zip(simplices, olds):
+                for t, old_t in zip(simplices, olds):
+                    assert (s == t) == (old == old_t)

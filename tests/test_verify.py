@@ -1,7 +1,6 @@
-from ssetforge.colimits import collapse_subcomplex, is_regular
 from ssetforge.corpus import Corpus, CorpusEntry
-from ssetforge.operators import compose, ez_factor
-from ssetforge.simplicial import boundary, standard_simplex
+from ssetforge import operators
+from ssetforge.simplicial import boundary
 from ssetforge.subdivision import sd
 from ssetforge.textio import format_sset, parse_sset
 from ssetforge.verify import (
@@ -13,22 +12,6 @@ from ssetforge.verify import (
     verify_main_theorem,
     verify_second_subdivision,
 )
-
-
-def tiny_corpus() -> Corpus:
-    circle = collapse_subcomplex(
-        standard_simplex(1), standard_simplex(1).cell_ids(0)
-    ).space
-    entries = []
-    for name, space in [
-        ("delta-1", standard_simplex(1)),
-        ("delta-2", standard_simplex(2)),
-        ("boundary-2", boundary(2)),
-        ("circle", circle),
-    ]:
-        entries.append(CorpusEntry(name, space, "builtin", is_regular(space)))
-    entries.append(CorpusEntry("sd-circle", sd(circle), "sd-image", True))
-    return Corpus(0, entries)
 
 
 def test_report_formatting_is_stable():
@@ -58,9 +41,8 @@ def test_counterexamples_pass():
     assert rep.count("pass") == 4
 
 
-def test_main_theorem_on_tiny_corpus():
-    corpus = tiny_corpus()
-    rep = verify_main_theorem(corpus)
+def test_main_theorem_on_tiny_corpus(tiny_corpus):
+    rep = verify_main_theorem(tiny_corpus)
     names = {c.name for c in rep.cases}
     assert "main/circle" not in names  # irregular members stay out
     assert "main/delta-2" in names
@@ -86,18 +68,28 @@ def test_main_theorem_reuses_built_sd_image(monkeypatch):
 
 
 def test_operator_memo_stays_small(corpus):
-    # compose and ez_factor memoize without a size limit; the ranks the
-    # seed-0 main theorem reaches must keep their tables small
-    compose.cache_clear()
-    ez_factor.cache_clear()
+    # the calculus memoizes and interns without a size limit; the ranks the
+    # seed-0 main theorem reaches must keep every table small.  The tables
+    # are found by looking, so one added later is bounded too.
+    caches = {
+        name: fn for name, fn in vars(operators).items() if hasattr(fn, "cache_clear")
+    }
+    assert {
+        "identity", "make_face", "make_degen", "make_vertex", "compose", "ez_factor",
+        "face_split", "section", "face_restriction", "_degeneracy", "all_degeneracies",
+    } <= set(caches)
+    for fn in caches.values():
+        fn.cache_clear()
+    operators._CANON.clear()
     assert verify_main_theorem(corpus).ok
-    assert compose.cache_info().currsize < 5000
-    assert ez_factor.cache_info().currsize < 5000
+    sizes = {name: fn.cache_info().currsize for name, fn in caches.items()}
+    sizes["_CANON"] = len(operators._CANON)
+    assert sizes["compose"] and sizes["_CANON"]
+    assert all(size < 5000 for size in sizes.values()), sizes
 
 
-def test_second_subdivision_on_tiny_corpus():
-    corpus = tiny_corpus()
-    rep = verify_second_subdivision(corpus)
+def test_second_subdivision_on_tiny_corpus(tiny_corpus):
+    rep = verify_second_subdivision(tiny_corpus)
     names = {c.name for c in rep.cases}
     # arbitrary members only: the sd image is excluded, the circle is in
     assert "corollary/circle" in names
@@ -105,8 +97,8 @@ def test_second_subdivision_on_tiny_corpus():
     assert rep.ok
 
 
-def test_dcr_suite_counts_pairs():
-    corpus = Corpus(0, list(tiny_corpus())[:2])
+def test_dcr_suite_counts_pairs(tiny_corpus):
+    corpus = Corpus(0, list(tiny_corpus)[:2])
     rep = verify_dcr_suite(corpus)
     count_case = [c for c in rep.cases if c.name == "dcr/pair-count"][0]
     # every simplex through the dimension: 5 for the interval (2 vertices,
@@ -119,8 +111,8 @@ def test_dcr_suite_counts_pairs():
     assert len(degenerate) == 14
 
 
-def test_lemma_suite_smoke():
-    rep = verify_lemma_suite(tiny_corpus(), seed=1)
+def test_lemma_suite_smoke(tiny_corpus):
+    rep = verify_lemma_suite(tiny_corpus, seed=1)
     assert rep.ok
     cones = [c for c in rep.cases if c.name.startswith("cone/")]
     assert len(cones) == 88
