@@ -7,7 +7,9 @@ on failures, so the tool works in shell pipelines and CI jobs alike.
 
 Exit codes: 0 success; 1 a failed verification (or an oracle refusing
 its input); 2 no certified desingularization; 3 a malformed input file,
-reported as one line ``forge: <file>:<line>: <message>`` on stderr.
+reported as one line ``forge: <file>:<line>: <message>`` on stderr, or a
+file that cannot be read or written, reported as
+``forge: <file>: <reason>``.
 """
 
 from __future__ import annotations
@@ -241,6 +243,10 @@ def main(argv=None) -> int:
     except ParseError as err:
         where = err.path if err.line is None else f"{err.path}:{err.line}"
         print(f"forge: {where}: {err}", file=sys.stderr)
+        return 3
+    except OSError as err:
+        where = "" if err.filename is None else f"{err.filename}: "
+        print(f"forge: {where}{err.strerror or err}", file=sys.stderr)
         return 3
 
 

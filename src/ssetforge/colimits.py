@@ -189,6 +189,10 @@ def quotient(space: SimplicialSet, cong: Congruence) -> QuotientResult:
         {cid: normal_form(cong.find(space.simplex(cid))) for cid in space.cells},
     )
     members_of = {cid: tuple(label) for cid, label in labels.items()}
+    # normal_form refers to itself through its closure; clearing the name
+    # breaks that cycle, so the classes and the congruence it holds are
+    # freed here rather than at the next full collection
+    del normal_form
     return QuotientResult(qspace, projection, members_of)
 
 

@@ -124,27 +124,45 @@ def save_corpus(corpus: Corpus, directory) -> None:
     (root / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
+def _parse_manifest(text: str) -> tuple[int, list[list[str]]]:
+    """The seed and the member rows (name, provenance, flag, file) of a
+    manifest; a malformed line is a ParseError naming it."""
+    from .textio import ParseError
+
+    seed = 0
+    members: list[list[str]] = []
+    for number, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        keyword = tokens[0]
+        if keyword == "seed" and len(tokens) == 2:
+            try:
+                seed = int(tokens[1])
+            except ValueError:
+                raise ParseError(f"expected an integer seed, got {tokens[1]!r}", number) from None
+        elif keyword == "member" and len(tokens) == 5:
+            members.append(tokens[1:])
+        elif keyword == "seed":
+            raise ParseError("a seed line needs one integer", number)
+        elif keyword == "member":
+            raise ParseError("a member line needs a name, a provenance, a flag and a file", number)
+        else:
+            raise ParseError(f"unknown manifest line {' '.join(tokens)!r}", number)
+    return seed, members
+
+
 def load_corpus(directory) -> Corpus:
     from pathlib import Path
 
     from .textio import parse_file, parse_sset
 
     root = Path(directory)
-    seed = 0
-    entries: list[CorpusEntry] = []
-    for raw in (root / "manifest.txt").read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "seed":
-            seed = int(tokens[1])
-        elif tokens[0] == "member":
-            _, name, provenance, flag, fname = tokens
-            space = parse_file(root / fname, parse_sset)
-            entries.append(CorpusEntry(name, space, provenance, flag == "regular"))
-        else:
-            raise ValueError(f"unknown manifest line: {raw!r}")
+    seed, members = parse_file(root / "manifest.txt", _parse_manifest)
+    entries = [
+        CorpusEntry(name, parse_file(root / fname, parse_sset), provenance, flag == "regular")
+        for name, provenance, flag, fname in members
+    ]
     return Corpus(seed, entries)
 
 

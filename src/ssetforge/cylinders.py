@@ -10,6 +10,7 @@ map dcr : DT -> M out of the universal non-singular quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .colimits import ProductResult, PushoutResult, product, pushout
 from .desingularize import (
@@ -63,14 +64,14 @@ def surjective_in_degree(f: SimplicialMap, q: int) -> bool:
 
 
 def embedded_sibling_pairs(space: SimplicialSet, q: int) -> list[tuple[int, int]]:
-    """Pairs of distinct embedded q-cells that share their whole vertex row."""
-    cells = [c for c in space.cell_ids(q) if space.is_embedded(space.simplex(c))]
-    out = []
-    for i, a in enumerate(cells):
-        for b in cells[i + 1 :]:
-            if space.are_siblings(space.simplex(a), space.simplex(b)):
-                out.append((a, b))
-    return out
+    """Pairs (a, b), a < b, of distinct embedded q-cells that share their
+    whole vertex row, in sorted order."""
+    by_row: dict[tuple[int, ...], list[int]] = {}
+    for c in space.cell_ids(q):
+        row = space.vertices(space.simplex(c))
+        if len(set(row)) == len(row):
+            by_row.setdefault(row, []).append(c)
+    return sorted(pair for cells in by_row.values() for pair in combinations(cells, 2))
 
 
 def identifies_embedded_siblings(f: SimplicialMap, q: int) -> bool:

@@ -5,68 +5,87 @@ its values, so the source rank is ``len(values) - 1``.  Injective
 operators are called faces, surjective ones degeneracies; every operator
 factors uniquely as a face after a degeneracy (``ez_factor``).
 
-Operators are frozen, and an operator's source rank, whether it is a
-face, a degeneracy or an identity, and its hash are computed once, when
-it is built.  Every function of the calculus below (the constructors,
-``compose``, ``ez_factor``, ``face_split``, ``section``,
-``face_restriction``, the degeneracies) is memoized with ``lru_cache``:
-every verdict evaluates the same few operators millions of times.  The
-tables hold only operators between ranks that some space has reached, so
-they are bounded by the dimensions seen.
+The operator is a tuple subclass holding exactly ``(dst, values)``, read
+back through the ``dst`` and ``values`` properties.  Hashing and equality
+are therefore tuple hashing and tuple equality, which run in C on every
+cache lookup; ``hash(op)`` is ``hash((dst, values))``, the value the
+earlier frozen-dataclass form computed, so set and dict iteration order,
+and with it the report bytes, are unchanged.  An operator compares equal
+to the plain pair ``(dst, values)``, as a Simplex does to
+``(cell, degen)``.  Operators are immutable: ``__post_init__`` validates
+each new one and stores its source rank and whether it is a face, a
+degeneracy or an identity, and assigning an attribute afterwards raises.
+
+Every function of the calculus below (the constructors, ``compose``,
+``ez_factor``, ``face_split``, ``section``, ``face_restriction``, the
+degeneracies) is memoized with ``lru_cache``: every verdict evaluates the
+same few operators millions of times.  The tables hold only operators
+between ranks that some space has reached, so they are bounded by the
+dimensions seen.
 
 Each operator these functions return is interned: it passes through the
 one table ``_CANON``, so equal results are the same object.  A cache
 lookup keyed by an interned operator then matches by identity and never
-calls ``Operator.__eq__``.  Interning changes which object is returned,
-never its value or its hash: the hash stays ``hash((dst, values))``, the
-dataclass default, because set and dict iteration order, and with it the
-report bytes, rest on it.
+compares values.  Interning changes which object is returned, never its
+value or its hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(tuple):
     """A weakly monotone map [src] -> [dst] with src = len(values) - 1."""
 
-    dst: int
-    values: tuple[int, ...]
-    src: int = field(init=False, repr=False, compare=False)
-    is_face: bool = field(init=False, repr=False, compare=False)
-    is_degeneracy: bool = field(init=False, repr=False, compare=False)
-    is_identity: bool = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    dst = property(itemgetter(0))
+    values = property(itemgetter(1))
+    # stored once by __post_init__
+    src: int
+    is_face: bool
+    is_degeneracy: bool
+    is_identity: bool
+
+    def __new__(cls, dst: int, values: tuple[int, ...]) -> "Operator":
+        self = tuple.__new__(cls, (dst, values))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
-        if self.dst < 0:
-            raise ValueError(f"negative destination rank {self.dst}")
-        if not self.values:
+        dst, values = self
+        if dst < 0:
+            raise ValueError(f"negative destination rank {dst}")
+        if not values:
             raise ValueError("operator needs at least one value (source rank >= 0)")
-        steps = tuple(zip(self.values, self.values[1:]))
+        steps = tuple(zip(values, values[1:]))
         if any(a > b for a, b in steps):
-            raise ValueError(f"values not weakly increasing: {self.values}")
-        if self.values[0] < 0 or self.values[-1] > self.dst:
-            raise ValueError(f"values {self.values} out of range for [{self.dst}]")
-        src = len(self.values) - 1
+            raise ValueError(f"values not weakly increasing: {values}")
+        if values[0] < 0 or values[-1] > dst:
+            raise ValueError(f"values {values} out of range for [{dst}]")
+        src = len(values) - 1
         # injective == strictly increasing
         is_face = all(a < b for a, b in steps)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "is_face", is_face)
         # surjective onto [dst]
-        object.__setattr__(self, "is_degeneracy", len(set(self.values)) == self.dst + 1)
-        object.__setattr__(self, "is_identity", is_face and src == self.dst)
-        # the dataclass default hash: set and dict order, and so the report
-        # bytes, rest on it
-        object.__setattr__(self, "_hash", hash((self.dst, self.values)))
+        object.__setattr__(self, "is_degeneracy", len(set(values)) == dst + 1)
+        object.__setattr__(self, "is_identity", is_face and src == dst)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: operators are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: operators are immutable")
+
+    def __repr__(self) -> str:
+        return f"Operator(dst={self[0]}, values={self[1]!r})"
+
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild an operator through __new__(dst, values)
+        return tuple(self)
 
     def __call__(self, i: int) -> int:
         return self.values[i]

@@ -48,7 +48,8 @@ class Simplex(NamedTuple):
 
 
 # Simplex from a (cell, degen) pair in C, skipping the NamedTuple's
-# Python-level __new__; for the operator action, which builds most simplices
+# Python-level __new__; for the hot sites below (the operator action, the
+# simplex enumeration and validation), which build most simplices
 _simplex = partial(tuple.__new__, Simplex)
 
 
@@ -101,9 +102,9 @@ class SimplicialSet:
             if cell.dim < 2:
                 continue
             for j in range(cell.dim + 1):
-                fj = Simplex(*cell.faces[j])
+                fj = _simplex(cell.faces[j])
                 for i in range(j):
-                    fi = Simplex(*cell.faces[i])
+                    fi = _simplex(cell.faces[i])
                     a = self.eval(fj, make_face(i, cell.dim - 1))
                     b = self.eval(fi, make_face(j - 1, cell.dim - 1))
                     if a != b:
@@ -124,14 +125,14 @@ class SimplicialSet:
         return sorted(cid for cid, c in self.cells.items() if c.dim == dim)
 
     def simplex(self, cid: int) -> Simplex:
-        return Simplex(cid, identity(self.cells[cid].dim))
+        return _simplex((cid, identity(self.cells[cid].dim)))
 
     def simplices(self, degree: int) -> Iterator[Simplex]:
         for cid in sorted(self.cells):
             d = self.cells[cid].dim
             if d <= degree:
                 for op in all_degeneracies(degree, d):
-                    yield Simplex(cid, op)
+                    yield _simplex((cid, op))
 
     # -- operator action -------------------------------------------------
 
@@ -145,15 +146,24 @@ class SimplicialSet:
             return hit
         i, rest = face_split(mu)
         target, sigma = self.cells[cid].faces[i]
-        out = self.eval(Simplex(target, sigma), rest)
+        out = self.eval(_simplex((target, sigma)), rest)
         self._face_cache[key] = out
         return out
 
     def eval(self, s: Simplex, op: Operator) -> Simplex:
-        """The simplex s.op, renormalized; op must land in [degree of s]."""
+        """The simplex s.op, renormalized; op must land in [degree of s].
+
+        An identity op returns s itself, as a Simplex.  That is what the
+        general path returns for s in EZ normal form (a cell and a
+        degeneracy onto its rank), which every simplex of a validated
+        space or map is: face tables and map assignments are checked to
+        store degeneracies, and every result of eval is normal.
+        """
         cell, degen = s
         if op.dst != degen.src:
             raise ValueError(f"operator {op} does not land in [{degen.src}]")
+        if op.is_identity:
+            return s if type(s) is Simplex else _simplex(s)
         mu, tau = ez_factor(compose(op, degen))
         z_cell, z_degen = self._cell_face(cell, mu)
         return _simplex((z_cell, compose(tau, z_degen)))
@@ -214,10 +224,12 @@ class SimplicialMap:
                 raise ValueError(f"cell {cid} sent to missing cell {s.cell}")
             if s.degree != cell.dim or s.degen.dst != self.target.cells[s.cell].dim:
                 raise ValueError(f"cell {cid} sent to simplex of wrong degree")
+            if not s.degen.is_degeneracy:
+                raise ValueError(f"cell {cid} sent to {s}, which is not in normal form")
         for cid, cell in self.source.cells.items():
             for i in range(cell.dim + 1 if cell.dim else 0):
                 got = self.target.eval(self.assignment[cid], make_face(i, cell.dim))
-                want = self.apply(Simplex(*cell.faces[i]))
+                want = self.apply(_simplex(cell.faces[i]))
                 if got != want:
                     raise ValueError(
                         f"assignment not simplicial at cell {cid}, face {i}: "

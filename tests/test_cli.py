@@ -170,3 +170,51 @@ def test_malformed_corpus_member_names_its_file(tmp_path, tiny_corpus, capsys):
     assert capsys.readouterr().err == (
         f"forge: {member}:2: a cell line needs an id and a dimension\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, culprit",
+    [
+        # an input that does not exist, for each kind of input command
+        (["sd", "{tmp}/missing.sset"], "{tmp}/missing.sset"),
+        (["desing", "{tmp}/missing.sset"], "{tmp}/missing.sset"),
+        (["dcr", "{tmp}/missing.pmap"], "{tmp}/missing.pmap"),
+        # an output into a directory that does not exist
+        (["sd", "{tmp}/x.sset", "-o", "{tmp}/no/such/dir/out.sset"], "{tmp}/no/such/dir/out.sset"),
+        (["desing", "{tmp}/x.sset", "-o", "{tmp}/no/out.sset"], "{tmp}/no/out.sset"),
+    ],
+)
+def test_unreadable_or_unwritable_file_is_one_line_and_exit_3(tmp_path, capsys, argv, culprit):
+    (tmp_path / "x.sset").write_text(format_sset(standard_simplex(1)))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"forge: {culprit.format(tmp=tmp_path)}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("member x", "a member line needs a name, a provenance, a flag and a file"),
+        ("seed zero", "expected an integer seed, got 'zero'"),
+        ("seed", "a seed line needs one integer"),
+        ("colour red", "unknown manifest line 'colour red'"),
+    ],
+)
+def test_malformed_manifest_line_names_its_line(tmp_path, tiny_corpus, capsys, line, message):
+    from ssetforge.corpus import save_corpus
+    from ssetforge.textio import ParseError
+
+    cdir = tmp_path / "corpus"
+    save_corpus(tiny_corpus, cdir)
+    manifest = cdir / "manifest.txt"
+    rows = manifest.read_text().splitlines()
+    rows.insert(3, line)
+    manifest.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ParseError) as caught:
+        load_corpus(cdir)
+    assert (caught.value.path, caught.value.line, str(caught.value)) == (
+        str(manifest), 4, message
+    )
+    assert main(["verify", "main", "--corpus", str(cdir)]) == 3
+    assert capsys.readouterr().err == f"forge: {manifest}:4: {message}\n"

@@ -133,6 +133,32 @@ def test_sibling_criterion_matches_injectivity():
             assert injective_in_degree(g, q) == identifies_embedded_siblings(res.eta, q)
 
 
+def _sibling_pairs_by_scan(space, q):
+    # the quadratic scan over all pairs of embedded q-cells, which
+    # embedded_sibling_pairs replaced by grouping on vertex rows
+    cells = [c for c in space.cell_ids(q) if space.is_embedded(space.simplex(c))]
+    out = []
+    for i, a in enumerate(cells):
+        for b in cells[i + 1 :]:
+            if space.are_siblings(space.simplex(a), space.simplex(b)):
+                out.append((a, b))
+    return out
+
+
+def test_sibling_pairs_match_quadratic_scan(corpus):
+    # the same list in the same order, for every degree of the seed-0
+    # members and of their desingularizations
+    spaces = [e.space for e in corpus]
+    spaces += [desingularize(x).quotient for x in spaces]
+    found = 0
+    for x in spaces:
+        for q in range(x.dim + 1):
+            want = _sibling_pairs_by_scan(x, q)
+            assert embedded_sibling_pairs(x, q) == want
+            found += len(want)
+    assert found > 0
+
+
 def test_cone_of_point_is_an_interval():
     assert is_isomorphic(cone(standard_simplex(0)), standard_simplex(1))
 

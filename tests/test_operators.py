@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
@@ -246,3 +249,96 @@ def test_memoized_calculus_matches_definitions():
             assert got == all_degeneracies.__wrapped__(n, dst)
             assert list(got) == list(_degeneracies_by_definition(n, dst))
             interned(*got)
+
+
+@dataclass(frozen=True)
+class _DataclassOperator:
+    # the frozen-dataclass form of Operator, as the reference for its tuple
+    # form; the invariants are computed from their definitions
+    dst: int
+    values: tuple[int, ...]
+
+    @property
+    def src(self):
+        return len(self.values) - 1
+
+    @property
+    def is_face(self):
+        return all(a < b for a, b in zip(self.values, self.values[1:]))
+
+    @property
+    def is_degeneracy(self):
+        return set(self.values) == set(range(self.dst + 1))
+
+    @property
+    def is_identity(self):
+        return self.values == tuple(range(self.dst + 1))
+
+
+def test_tuple_operator_matches_dataclass_form():
+    # hash, equality, repr and the stored invariants of every operator
+    # between ranks <= 4 agree with the dataclass form; an operator also
+    # equals its plain (dst, values) pair
+    ranks = range(5)
+    ops = [op for src in ranks for dst in ranks for op in all_operators(src, dst)]
+    olds = [_DataclassOperator(op.dst, op.values) for op in ops]
+    for op, old in zip(ops, olds):
+        assert isinstance(op, tuple) and len(op) == 2
+        assert hash(op) == hash(old) == hash((op.dst, op.values))
+        assert repr(op) == "Operator" + repr(old)[len("_DataclassOperator"):]
+        assert op == (old.dst, old.values) and (old.dst, old.values) == op
+        assert (op.src, op.is_face, op.is_degeneracy, op.is_identity) == (
+            old.src, old.is_face, old.is_degeneracy, old.is_identity
+        )
+    for op, old in zip(ops, olds):
+        for other, old_other in zip(ops, olds):
+            assert (op == other) == (old == old_other)
+            assert (op != other) == (old != old_other)
+
+
+def test_operator_is_immutable():
+    op = Operator(2, (0, 1, 1))
+    for name in ("dst", "values", "src", "is_face", "is_degeneracy", "is_identity", "other"):
+        with pytest.raises(AttributeError):
+            setattr(op, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(op, name)
+    assert op == (2, (0, 1, 1)) and op.src == 2 and not op.is_face
+    for again in (copy.copy(op), pickle.loads(pickle.dumps(op))):
+        assert type(again) is Operator and again == op
+        assert (again.src, again.is_face, again.is_degeneracy) == (2, False, False)
+
+
+def test_post_init_runs_once_per_construction(monkeypatch):
+    # counted as a wrapper on the class, the way perfbench's layer trace
+    # counts operator construction
+    calls = []
+    validate = Operator.__post_init__
+
+    def counting(self):
+        calls.append(tuple(self))
+        return validate(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", counting)
+    built = list(all_operators(2, 3))
+    assert len(calls) == len(built) == 20
+    with pytest.raises(ValueError, match="not weakly increasing"):
+        Operator(2, (1, 0))
+    assert len(calls) == 21
+    assert Operator(dst=1, values=(0, 1)) == identity.__wrapped__(1)
+    assert len(calls) == 23
+
+
+@pytest.mark.parametrize(
+    "dst, values, message",
+    [
+        (-1, (0,), "negative destination rank"),
+        (2, (), "at least one value"),
+        (2, (1, 0), "not weakly increasing"),
+        (2, (0, 3), "out of range"),
+        (2, (-1, 0), "out of range"),
+    ],
+)
+def test_constructor_rejects_bad_operators(dst, values, message):
+    with pytest.raises(ValueError, match=message):
+        Operator(dst, values)

@@ -8,6 +8,7 @@ from ssetforge.operators import (
     Operator,
     all_operators,
     compose,
+    ez_factor,
     identity,
     make_degen,
     make_vertex,
@@ -253,3 +254,46 @@ def test_simplex_tuple_matches_dataclass_form(corpus):
             for s, old in zip(simplices, olds):
                 for t, old_t in zip(simplices, olds):
                     assert (s == t) == (old == old_t)
+
+
+def _eval_by_factoring(x, s, op):
+    # the general path of eval, which the identity fast path skips
+    mu, tau = ez_factor(compose(op, s.degen))
+    z = x._cell_face(s.cell, mu)
+    return Simplex(z.cell, compose(tau, z.degen))
+
+
+def test_identity_eval_matches_general_path(corpus):
+    # every simplex, up to one degree above the dimension, of the small
+    # seed-0 members: eval by an identity gives what the general path does,
+    # as a Simplex, also when handed a plain (cell, degen) pair
+    small = [e.space for e in corpus if len(e.space.cells) <= 12]
+    assert len(small) >= 4
+    for x in small:
+        for q in range(x.dim + 2):
+            for s in x.simplices(q):
+                want = _eval_by_factoring(x, s, identity(q))
+                got = x.eval(s, identity(q))
+                assert got == want == s and type(got) is Simplex
+                plain = x.eval((s.cell, s.degen), identity(q))
+                assert plain == want and type(plain) is Simplex
+
+
+def test_identity_eval_checks_rank():
+    x = standard_simplex(2)
+    s = x.simplex(x.cell_ids(1)[0])
+    for wrong in (0, 2):
+        with pytest.raises(ValueError, match="does not land"):
+            x.eval(s, identity(wrong))
+
+
+def test_map_rejects_assignment_not_in_normal_form():
+    # the vertex of Delta[0] sent to the first vertex of Delta[1], written as
+    # the edge with a face operator instead of as the vertex cell
+    point, interval = standard_simplex(0), standard_simplex(1)
+    edge = interval.cell_ids(1)[0]
+    bad = Simplex(edge, make_vertex(0, 1))
+    with pytest.raises(ValueError, match="not in normal form"):
+        SimplicialMap(point, interval, {0: bad})
+    good = interval.eval(interval.simplex(edge), make_vertex(0, 1))
+    assert SimplicialMap(point, interval, {0: good}).apply(point.simplex(0)) == good

@@ -1,8 +1,18 @@
-import pytest
+import random
+from functools import lru_cache
+from itertools import product
 
-from ssetforge.colimits import collapse_subcomplex
-from ssetforge.posets import FinPoset, MonotoneMap
-from ssetforge.simplicial import boundary, representing_map, standard_simplex
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from ssetforge.colimits import (
+    collapse_subcomplex,
+    congruence_from_pairs,
+    disjoint_union,
+    quotient,
+)
+from ssetforge.posets import FinPoset, MonotoneMap, all_posets
+from ssetforge.simplicial import Simplex, boundary, representing_map, standard_simplex
 from ssetforge.subdivision import sd
 from ssetforge.textio import (
     ParseError,
@@ -143,3 +153,87 @@ def test_wellformed_texts_parse():
     assert parse_smap(SMAP).assignment[0].cell == 1
     assert parse_poset(POSET).leq("a", "b")
     assert parse_pmap(PMAP)("p") == "b"
+
+
+# -- generated round trips and one-token mutations ----------------------------
+
+
+def _seeded_quotient(seed: int):
+    # a disjoint union of one to three simplices of dimension <= 2, with up
+    # to two pairs of same-degree cells identified; the projection onto the
+    # quotient is the map
+    rng = random.Random(seed)
+    space = standard_simplex(rng.randint(0, 2))
+    for _ in range(rng.randint(0, 2)):
+        space, _, _ = disjoint_union(space, standard_simplex(rng.randint(0, 2)))
+    pairs = []
+    for _ in range(rng.randint(0, 2)):
+        q = rng.randint(0, space.dim)
+        a, b = rng.choice(space.cell_ids(q)), rng.choice(space.cell_ids(q))
+        pairs.append((space.simplex(a), space.simplex(b)))
+    return quotient(space, congruence_from_pairs(space, pairs))
+
+
+@lru_cache(maxsize=None)
+def _monotone_maps():
+    # every monotone map between posets with at most three elements
+    posets = all_posets(3)
+    maps = []
+    for p in posets:
+        for r in posets:
+            for values in product(r.elements, repeat=len(p)):
+                mapping = dict(zip(p.elements, values))
+                if all(r.leq(mapping[a], mapping[b]) for a, b in p.strict_pairs()):
+                    maps.append(MonotoneMap(p, r, mapping))
+    return maps
+
+
+_quotients = st.integers(0, 2**32 - 1).map(_seeded_quotient)
+# kind -> (texts of that kind, parser, formatter)
+TEXTS = {
+    "sset": (_quotients.map(lambda res: format_sset(res.space)), parse_sset, format_sset),
+    "smap": (_quotients.map(lambda res: format_smap(res.projection)), parse_smap, format_smap),
+    "poset": (st.sampled_from(all_posets(4)).map(format_poset), parse_poset, format_poset),
+    "pmap": (
+        st.deferred(lambda: st.sampled_from(_monotone_maps())).map(format_pmap),
+        parse_pmap,
+        format_pmap,
+    ),
+}
+_generated = settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@pytest.mark.parametrize("kind", sorted(TEXTS))
+@_generated
+@given(data=st.data())
+def test_generated_text_round_trips(kind, data):
+    texts, parse, fmt = TEXTS[kind]
+    text = data.draw(texts)
+    assert fmt(parse(text)) == text
+
+
+@pytest.mark.parametrize("kind", sorted(TEXTS))
+@_generated
+@given(data=st.data())
+def test_one_token_dropped_or_corrupted_is_a_parse_error(kind, data):
+    texts, parse, _ = TEXTS[kind]
+    lines = [line.split() for line in data.draw(texts).splitlines()]
+    spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    assume(spots)
+    i, j = data.draw(st.sampled_from(spots))
+    how = data.draw(st.sampled_from(["drop", "corrupt"]))
+    toks = list(lines[i])
+    if how == "drop":
+        del toks[j]
+    else:
+        toks[j] = "?"
+    mutated = "\n".join(" ".join(row) for row in lines[:i] + [toks] + lines[i + 1 :]) + "\n"
+    try:
+        parse(mutated)
+    except ParseError:
+        return
+    # only renaming a poset element that no other line names leaves the
+    # text valid: element names are free text
+    assert how == "corrupt" and lines[i][0] == "el" and j == 1
