@@ -7,14 +7,21 @@ on failures, so the tool works in shell pipelines and CI jobs alike.
 
 Exit codes: 0 success; 1 a failed verification (or an oracle refusing
 its input); 2 no certified desingularization; 3 a malformed input file,
-reported as one line ``forge: <file>:<line>: <message>`` on stderr, or a
+reported as one line ``forge: <file>:<line>: <message>`` on stderr, a
 file that cannot be read or written, reported as
-``forge: <file>: <reason>``.
+``forge: <file>: <reason>``, or a ``FORGE_ORACLE_BOUND`` that is not an
+integer, reported as ``forge: FORGE_ORACLE_BOUND: <message>``.
+
+The argument parser is built once per process, on the first call of
+``main``, and shared by every later call: ``parse_args`` returns a fresh
+namespace each time and leaves the parser as it was, so calls stay
+independent.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -59,7 +66,14 @@ def _oracle_bound(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("FORGE_ORACLE_BOUND")
-    return int(env) if env else 10
+    if not env:
+        return 10
+    try:
+        return int(env)
+    except ValueError:
+        err = ParseError(f"expected an integer, got {env!r}")
+        err.path = "FORGE_ORACLE_BOUND"
+        raise err from None
 
 
 def _load_space(path: str):
@@ -119,8 +133,8 @@ def cmd_lastvertex(args) -> int:
 
 
 def cmd_desing(args) -> int:
-    space = _load_space(args.space)
     bound = _oracle_bound(args.bound)
+    space = _load_space(args.space)
     if args.method == "zipper":
         res = zipper_desingularize(space)
     elif args.method == "oracle":
@@ -153,10 +167,11 @@ def cmd_cylinder(args) -> int:
 
 
 def cmd_dcr(args) -> int:
+    bound = _oracle_bound(args.bound)
     phi = parse_file(args.phi, parse_pmap)
     bundle = cylinder_reduction(phi)
     try:
-        g, res = dcr(phi, oracle_bound=_oracle_bound(args.bound), bundle=bundle)
+        g, res = dcr(phi, oracle_bound=bound, bundle=bundle)
     except RuntimeError as err:
         print(f"certificate {Certificate.UNCERTIFIED.value}")
         print(f"error: {err}", file=sys.stderr)
@@ -175,6 +190,7 @@ def cmd_dcr(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="forge",

@@ -142,6 +142,10 @@ def _parse_manifest(text: str) -> tuple[int, list[list[str]]]:
             except ValueError:
                 raise ParseError(f"expected an integer seed, got {tokens[1]!r}", number) from None
         elif keyword == "member" and len(tokens) == 5:
+            if tokens[3] not in ("regular", "singular"):
+                raise ParseError(
+                    f"expected the flag regular or singular, got {tokens[3]!r}", number
+                )
             members.append(tokens[1:])
         elif keyword == "seed":
             raise ParseError("a seed line needs one integer", number)

@@ -11,7 +11,11 @@ inputs can fall back to the exhaustive oracle.
 The oracle enumerates minimal operator-closed congruences whose
 quotient is non-singular by witness-directed search and takes their
 meet; the family is closed under meets, so the meet itself has a
-non-singular quotient, which is checked, not assumed.
+non-singular quotient, which is checked, not assumed.  The search builds
+no quotient per node: it reads the first singular cell off the
+congruence itself, as the first cell class whose vertex classes are not
+pairwise distinct.  Only the meet is quotiented, and that quotient, its
+projection and its non-singularity are validated.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .colimits import Congruence, quotient
-from .operators import Operator, all_degeneracies, identity
+from .operators import Operator, all_degeneracies, make_vertex
 from .simplicial import Simplex, SimplicialMap, SimplicialSet, compose_maps, identity_map
 
 
@@ -144,6 +148,27 @@ def _meet(space: SimplicialSet, congs: list[Congruence]) -> Congruence:
     return out
 
 
+def _first_singular(space: SimplicialSet, cong: Congruence) -> Simplex | None:
+    """The first simplex of the first singular cell of the quotient by
+    cong, or None when that quotient is non-singular.
+
+    The quotient numbers its cells in classes() order, which runs degree
+    by degree, and a cell class (one with no degenerate member) has
+    (cell, identity) as its first member.  The congruence is closed under
+    operators, so vertex j of a quotient cell is the class of vertex j of
+    that member; degree-0 classes are all cells and are never singular.
+    """
+    for members in cong.classes().values():
+        rep = members[0]
+        q = rep.degree
+        if q == 0 or any(m.is_degenerate for m in members):
+            continue
+        roots = {cong.find(space.eval(rep, make_vertex(j, q))) for j in range(q + 1)}
+        if len(roots) <= q:
+            return rep
+    return None
+
+
 def _minimal_congruence_meet(space: SimplicialSet) -> Congruence:
     """Breadth-first search for the minimal congruences whose quotient is
     non-singular, then their meet.  A singular quotient branches on every
@@ -156,15 +181,11 @@ def _minimal_congruence_meet(space: SimplicialSet) -> Congruence:
         cong = queue.popleft()
         if any(_contains(cong, canon) for canon, _ in solutions):
             continue
-        res = quotient(space, cong)
-        z = res.space
-        order = sorted(z.cells, key=lambda c: (z.cells[c].dim, c))
-        bad = next((c for c in order if not z.is_embedded(z.simplex(c))), None)
-        if bad is None:
+        rep = _first_singular(space, cong)
+        if rep is None:
             solutions.append((cong.canonical(), cong))
             continue
-        rep = Simplex(res.cell_members[bad][0], identity(z.cells[bad].dim))
-        for d in _degenerate_simplices(space, z.cells[bad].dim):
+        for d in _degenerate_simplices(space, rep.degree):
             child = cong.copy()
             child.merge(rep, d)
             canon = child.canonical()

@@ -1,5 +1,9 @@
+import argparse
+import gc
+
 import pytest
 
+from ssetforge import cli
 from ssetforge.cli import main
 from ssetforge.corpus import gen_corpus, load_corpus
 from ssetforge.posets import FinPoset, MonotoneMap
@@ -199,6 +203,7 @@ def test_unreadable_or_unwritable_file_is_one_line_and_exit_3(tmp_path, capsys, 
         ("seed zero", "expected an integer seed, got 'zero'"),
         ("seed", "a seed line needs one integer"),
         ("colour red", "unknown manifest line 'colour red'"),
+        ("member d1 builtin reguler d1.sset", "expected the flag regular or singular, got 'reguler'"),
     ],
 )
 def test_malformed_manifest_line_names_its_line(tmp_path, tiny_corpus, capsys, line, message):
@@ -218,3 +223,80 @@ def test_malformed_manifest_line_names_its_line(tmp_path, tiny_corpus, capsys, l
     )
     assert main(["verify", "main", "--corpus", str(cdir)]) == 3
     assert capsys.readouterr().err == f"forge: {manifest}:4: {message}\n"
+
+
+@pytest.mark.parametrize("command, name, text", [
+    ("desing", "stall.sset", STALL),
+    ("dcr", "phi.pmap", WEDGE_TO_CHAIN),
+])
+def test_malformed_oracle_bound_is_one_line_and_exit_3(tmp_path, capsys, monkeypatch, command, name, text):
+    src = tmp_path / name
+    src.write_text(text)
+    monkeypatch.setenv("FORGE_ORACLE_BOUND", "abc")
+    assert main([command, str(src)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "forge: FORGE_ORACLE_BOUND: expected an integer, got 'abc'\n"
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "d1.sset"
+    src.write_text(format_sset(standard_simplex(1)))
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert main(["sd", str(src)]) == 0
+    assert built > 0
+    built = 0
+    for argv in (["sd", str(src)], ["desing", str(src)], ["barratt", str(src)]):
+        assert main(argv) == 0
+    assert built == 0
+
+
+def test_options_do_not_leak_between_calls(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "stall.sset"
+    src.write_text(STALL)
+    bounds = []
+    real = cli.desingularize
+
+    def spy(space, oracle_bound):
+        bounds.append(oracle_bound)
+        return real(space, oracle_bound=oracle_bound)
+
+    monkeypatch.setattr(cli, "desingularize", spy)
+    monkeypatch.delenv("FORGE_ORACLE_BOUND", raising=False)
+    # six cells over a bound of five: the oracle refuses
+    assert main(["desing", str(src), "--method", "oracle", "--bound", "5"]) == 1
+    assert bounds == []
+    # a bare call takes the auto path with the default bound
+    assert main(["desing", str(src)]) == 0
+    assert bounds == [10]
+    assert "certificate OracleExact" in capsys.readouterr().out
+
+
+def test_calls_leave_no_argparse_garbage(tmp_path, capsys):
+    src = tmp_path / "stall.sset"
+    src.write_text(STALL)
+    # building the parser leaves one HelpFormatter per argument to the
+    # collector, once per process; the calls after it must leave nothing
+    cli.build_parser()
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            assert main(["sd", str(src), "-o", str(tmp_path / "sd.sset")]) == 0
+            assert main(["desing", str(src)]) == 0
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from ssetforge.colimits import (
@@ -15,7 +17,7 @@ from ssetforge.desingularize import (
     replay_zipper,
     zipper_desingularize,
 )
-from ssetforge.operators import Operator
+from ssetforge.operators import Operator, identity
 from ssetforge.posets import barratt
 from ssetforge.simplicial import (
     Cell,
@@ -29,6 +31,11 @@ from ssetforge.simplicial import (
     standard_simplex,
 )
 from ssetforge.subdivision import sd, t_nat
+from ssetforge.textio import format_smap, format_sset
+from ssetforge.verify import _small_quotients
+
+# the package exports the function desingularize under the module's name
+desingularize_module = importlib.import_module("ssetforge.desingularize")
 
 
 def counts(space):
@@ -153,3 +160,46 @@ def test_t_nat_circle_counterexample():
     zero = [t.assignment[c] for c in t.source.cell_ids(0)]
     assert len(set(zero)) == len(zero) == 2
     assert not t.is_isomorphism()
+
+
+def _quotient_step(space, cong):
+    """The oracle's search step by its definition: quotient by cong, take
+    the first non-embedded cell in (dimension, id) order, and return its
+    first member as a simplex of space."""
+    res = quotient(space, cong)
+    z = res.space
+    order = sorted(z.cells, key=lambda c: (z.cells[c].dim, c))
+    bad = next((c for c in order if not z.is_embedded(z.simplex(c))), None)
+    if bad is None:
+        return None
+    return Simplex(res.cell_members[bad][0], identity(z.cells[bad].dim))
+
+
+def test_first_singular_matches_quotient_step(corpus, monkeypatch):
+    # every small quotient of the verify suite and every seed-0 member with
+    # at most ten cells, zipper-uncertified ones among them
+    spaces = _small_quotients() + [e.space for e in corpus if len(e.space.cells) <= 10]
+    assert sum(
+        zipper_desingularize(s).certificate is Certificate.UNCERTIFIED for s in spaces
+    ) > 0
+    fast = [oracle_desingularize(space) for space in spaces]
+
+    first_singular = desingularize_module._first_singular
+    nodes = 0
+
+    def step(space, cong):
+        # branch on the reference, and check the helper at every node
+        nonlocal nodes
+        nodes += 1
+        want = _quotient_step(space, cong)
+        got = first_singular(space, cong)
+        assert got == want and type(got) is type(want)
+        return want
+
+    with monkeypatch.context() as m:
+        m.setattr(desingularize_module, "_first_singular", step)
+        slow = [oracle_desingularize(space) for space in spaces]
+    assert nodes > len(spaces)
+    for a, b in zip(fast, slow):
+        assert format_sset(a.quotient) == format_sset(b.quotient)
+        assert format_smap(a.eta) == format_smap(b.eta)
