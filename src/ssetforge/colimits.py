@@ -38,6 +38,7 @@ from .simplicial import (
     Simplex,
     SimplicialMap,
     SimplicialSet,
+    _simplex,
     compose_maps,
     generated_cells,
     simplex_key,
@@ -45,7 +46,21 @@ from .simplicial import (
 
 
 class Congruence:
-    """Union-find over simplices of degree <= dim, closed under operators."""
+    """Union-find over simplices of degree <= dim, closed under operators.
+
+    ``merge`` pushes the elementary faces and degeneracies of every pair it
+    joins, except that a pair (s_i a, s_i b), queued as a degeneracy of a
+    joined pair (a, b), pushes only its degeneracies.  Every face of s_i a
+    is a itself or a degeneracy of a face of a, and the face pairs of
+    (a, b) are already queued, so by induction on the degree the faces of
+    (s_i a, s_i b) are related anyway.  Every joined pair pushes all its
+    degeneracies, so the relation is closed under degeneracies, and with
+    that under faces too: it is the same operator-closed relation.  Only
+    the root each class gets can differ, and nothing reads a root beyond
+    comparing it: ``classes`` orders classes and members by the scan, so
+    ``canonical``, ``quotient`` and the desingularization searches see the
+    same classes in the same order.
+    """
 
     def __init__(self, space: SimplicialSet):
         self.space = space
@@ -67,28 +82,39 @@ class Congruence:
         return self.find(s) == self.find(t)
 
     def merge(self, s: Simplex, t: Simplex) -> None:
-        """Merge two simplices of equal degree and close under all operators."""
+        """Merge two simplices of equal degree and close under all operators.
+
+        Both are in EZ normal form, as every simplex a space enumerates or
+        eval returns is; a degeneracy of one is then the same cell under
+        the composite degeneracy, which is what eval would return.
+        """
         if s.degree != t.degree:
             raise ValueError("cannot merge simplices of different degrees")
-        work = [(s, t)]
+        find, parent, size = self.find, self._parent, self._size
+        ev, bound = self.space.eval, self.degree_bound
+        # (a, b, whether the pair still owes its face pairs)
+        work = [(s, t, True)]
         while work:
-            a, b = work.pop()
-            ra, rb = self.find(a), self.find(b)
+            a, b, with_faces = work.pop()
+            ra, rb = find(a), find(b)
             if ra == rb:
                 continue
-            if self._size[ra] < self._size[rb]:
+            if size[ra] < size[rb]:
                 ra, rb = rb, ra
-            self._parent[rb] = ra
-            self._size[ra] += self._size[rb]
+            parent[rb] = ra
+            size[ra] += size[rb]
             q = a.degree
-            if q >= 1:
+            if with_faces and q >= 1:
                 for i in range(q + 1):
                     op = make_face(i, q)
-                    work.append((self.space.eval(a, op), self.space.eval(b, op)))
-            if q < self.degree_bound:
+                    work.append((ev(a, op), ev(b, op), True))
+            if q < bound:
+                (ca, da), (cb, db) = a, b
                 for i in range(q + 1):
                     op = make_degen(i, q)
-                    work.append((self.space.eval(a, op), self.space.eval(b, op)))
+                    work.append(
+                        (_simplex((ca, compose(op, da))), _simplex((cb, compose(op, db))), False)
+                    )
 
     def classes(self) -> dict[Simplex, list[Simplex]]:
         """All simplices of degree <= bound grouped by class, scan order kept."""
@@ -295,12 +321,12 @@ def product(x: SimplicialSet, y: SimplicialSet) -> ProductResult:
     """Cells are the jointly non-degenerate pairs of simplices."""
     ids: dict[tuple[Simplex, Simplex], int] = {}
     for q in range(x.dim + y.dim + 1):
+        ys = [(sy, set(sy.degen.repeats())) for sy in y.simplices(q)]
         for sx in x.simplices(q):
             rx = set(sx.degen.repeats())
-            for sy in y.simplices(q):
-                if rx & set(sy.degen.repeats()):
-                    continue
-                ids[(sx, sy)] = len(ids)
+            for sy, ry in ys:
+                if rx.isdisjoint(ry):
+                    ids[(sx, sy)] = len(ids)
     cells: dict[int, Cell] = {}
     labels: dict[int, object] = {}
     for (sx, sy), cid in ids.items():

@@ -7,6 +7,13 @@ factorization of operators.  A general simplex is a pair
 (cell, degeneracy operator), and all operator actions are computed by
 factoring through the stored tables, so the presentation is closed under
 the whole simplex category once the face-of-face identities hold.
+
+Where the answer is already stored, it is read off the table instead of
+factored: a degeneracy of a simplex is the same cell under the composite
+degeneracy, a codimension-1 face of a cell is its stored face, the faces
+of a face stored with an identity are that face's own stored faces, and
+the vertices of a cell are read through its last and first stored faces.  Validation checks the same identities on every
+cell either way; only the route to each side of a check is shorter.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from .operators import (
     face_split,
     identity,
     make_face,
-    make_vertex,
 )
 
 
@@ -98,15 +104,26 @@ class SimplicialSet:
                     raise ValueError(f"cell {cid} face {i} operator {op} is not surjective")
                 if op.src != cell.dim - 1 or op.dst != self.cells[target].dim:
                     raise ValueError(f"cell {cid} face {i} has mismatched ranks")
-        for cid, cell in self.cells.items():
-            if cell.dim < 2:
+        # The ranks are checked above for every cell, so a face (t, sigma)
+        # with sigma an identity has t of dimension d-1, and its k-th face
+        # is t's stored face k: what eval returns, read off the table.
+        cells = self.cells
+        for cid, cell in cells.items():
+            d = cell.dim
+            if d < 2:
                 continue
-            for j in range(cell.dim + 1):
-                fj = _simplex(cell.faces[j])
+            faces = cell.faces
+            inner = [cells[t].faces if sigma.is_identity else None for t, sigma in faces]
+            for j in range(d + 1):
                 for i in range(j):
-                    fi = _simplex(cell.faces[i])
-                    a = self.eval(fj, make_face(i, cell.dim - 1))
-                    b = self.eval(fi, make_face(j - 1, cell.dim - 1))
+                    if inner[j] is not None:
+                        a = _simplex(inner[j][i])
+                    else:
+                        a = self.eval(_simplex(faces[j]), make_face(i, d - 1))
+                    if inner[i] is not None:
+                        b = _simplex(inner[i][j - 1])
+                    else:
+                        b = self.eval(_simplex(faces[i]), make_face(j - 1, d - 1))
                     if a != b:
                         raise ValueError(
                             f"face identities fail at cell {cid}: "
@@ -140,6 +157,9 @@ class SimplicialSet:
         # mu must be a face operator into [dim cid]
         if mu.is_identity:
             return _simplex((cid, mu))
+        if mu.src == mu.dst - 1:
+            # a codimension-1 face is stored
+            return _simplex(self.cells[cid].faces[face_split(mu)[0]])
         key = (cid, mu)
         hit = self._face_cache.get(key)
         if hit is not None:
@@ -158,13 +178,24 @@ class SimplicialSet:
         degeneracy onto its rank), which every simplex of a validated
         space or map is: face tables and map assignments are checked to
         store degeneracies, and every result of eval is normal.
+
+        When the composite of op and the degeneracy of s is itself a
+        degeneracy (op is one, or s is degenerate and op keeps the
+        composite surjective), the result is the cell of s under that
+        composite.  That is again what the general path returns: the EZ
+        factorization of a surjection is (identity, itself), the identity
+        face of a cell is the cell, and the composite with the identity
+        is unchanged.  Only other operators factor through the face tables.
         """
         cell, degen = s
         if op.dst != degen.src:
             raise ValueError(f"operator {op} does not land in [{degen.src}]")
         if op.is_identity:
             return s if type(s) is Simplex else _simplex(s)
-        mu, tau = ez_factor(compose(op, degen))
+        both = compose(op, degen)
+        if both.is_degeneracy:
+            return _simplex((cell, both))
+        mu, tau = ez_factor(both)
         z_cell, z_degen = self._cell_face(cell, mu)
         return _simplex((z_cell, compose(tau, z_degen)))
 
@@ -172,10 +203,21 @@ class SimplicialSet:
         return self.eval(s, make_face(i, s.degree))
 
     def _cell_vertices(self, cid: int) -> tuple[int, ...]:
+        """Vertex cells of the cell, in order.
+
+        Vertices 0..d-1 are those of the last face, read through its
+        degeneracy; vertex d is the last vertex of face 0.
+        """
         got = self._vertex_cache.get(cid)
         if got is None:
-            d = self.cells[cid].dim
-            got = tuple(self._cell_face(cid, make_vertex(j, d)).cell for j in range(d + 1))
+            faces = self.cells[cid].faces
+            if not faces:
+                got = (cid,)
+            else:
+                (t, sigma), (t0, sigma0) = faces[-1], faces[0]
+                below = self._cell_vertices(t)
+                last = self._cell_vertices(t0)[sigma0.values[-1]]
+                got = (*(below[v] for v in sigma.values), last)
             self._vertex_cache[cid] = got
         return got
 
@@ -226,10 +268,24 @@ class SimplicialMap:
                 raise ValueError(f"cell {cid} sent to simplex of wrong degree")
             if not s.degen.is_degeneracy:
                 raise ValueError(f"cell {cid} sent to {s}, which is not in normal form")
+        # Where an image or a face is a cell under the identity, its face
+        # or its image is read off the target's table or the assignment:
+        # the same Simplex eval returns.
+        assignment, target = self.assignment, self.target
         for cid, cell in self.source.cells.items():
-            for i in range(cell.dim + 1 if cell.dim else 0):
-                got = self.target.eval(self.assignment[cid], make_face(i, cell.dim))
-                want = self.apply(_simplex(cell.faces[i]))
+            if not cell.dim:
+                continue
+            s = assignment[cid]
+            s_faces = target.cells[s.cell].faces if s.degen.is_identity else None
+            for i, face in enumerate(cell.faces):
+                if s_faces is not None:
+                    got = _simplex(s_faces[i])
+                else:
+                    got = target.eval(s, make_face(i, cell.dim))
+                if face[1].is_identity:
+                    want = _simplex(assignment[face[0]])
+                else:
+                    want = self.apply(_simplex(face))
                 if got != want:
                     raise ValueError(
                         f"assignment not simplicial at cell {cid}, face {i}: "

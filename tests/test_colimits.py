@@ -6,6 +6,7 @@ import pytest
 
 from ssetforge.colimits import (
     Congruence,
+    _strip_common,
     collapse_subcomplex,
     congruence_from_pairs,
     disjoint_union,
@@ -16,8 +17,9 @@ from ssetforge.colimits import (
     quotient,
     regularity_witness,
 )
-from ssetforge.operators import Operator, all_operators, make_face
+from ssetforge.operators import Operator, all_operators, make_degen, make_face
 from ssetforge.simplicial import (
+    Cell,
     Simplex,
     boundary,
     generate,
@@ -244,3 +246,81 @@ def test_regularity_witness_matches_pushout_form(corpus):
     assert witnesses == [_pushout_witness(x) for x in spaces]
     assert len(quotients) >= 150
     assert sum(w is not None for w in witnesses) >= 50
+
+
+def _merge_pushing_everything(cong, s, t):
+    # the closure by definition: every joined pair pushes all its
+    # elementary faces and degeneracies, each through eval
+    space = cong.space
+    work = [(s, t)]
+    while work:
+        a, b = work.pop()
+        ra, rb = cong.find(a), cong.find(b)
+        if ra == rb:
+            continue
+        cong._parent[rb] = ra
+        cong._size[ra] += cong._size[rb]
+        q = a.degree
+        ops = [make_face(i, q) for i in range(q + 1)] if q >= 1 else []
+        if q < cong.degree_bound:
+            ops += [make_degen(i, q) for i in range(q + 1)]
+        work.extend((space.eval(a, op), space.eval(b, op)) for op in ops)
+
+
+def test_merge_matches_full_closure(corpus):
+    # seeded merges, one to three at a time, on the small quotients of the
+    # oracle campaign and the seed-0 members with <= 60 cells: the closure
+    # that skips the faces of degeneracy pairs gives the same classes
+    from ssetforge.verify import _small_quotients
+
+    rng = random.Random(20200903)
+    spaces = _small_quotients() + [e.space for e in corpus if len(e.space.cells) <= 60]
+    merges = identified = 0
+    for x in spaces:
+        simplices = [list(x.simplices(q)) for q in range(max(x.dim, 0) + 1)]
+        for _ in range(4):
+            fast, full = Congruence(x), Congruence(x)
+            for _ in range(rng.randint(1, 3)):
+                pool = rng.choice([p for p in simplices if len(p) > 1] or simplices)
+                a, b = rng.choice(pool), rng.choice(pool)
+                fast.merge(a, b)
+                _merge_pushing_everything(full, a, b)
+                merges += 1
+                assert fast.canonical() == full.canonical()
+            identified += bool(fast.canonical())
+    assert merges >= 1000 and identified >= 400
+
+
+def _product_per_pair(x, y):
+    # the product enumeration with a repeat set built for every pair tried
+    ids = {}
+    for q in range(x.dim + y.dim + 1):
+        for sx in x.simplices(q):
+            rx = set(sx.degen.repeats())
+            for sy in y.simplices(q):
+                if rx & set(sy.degen.repeats()):
+                    continue
+                ids[(sx, sy)] = len(ids)
+    cells = {}
+    for (sx, sy), cid in ids.items():
+        q = sx.degree
+        faces = []
+        for i in range(q + 1 if q else 0):
+            ax, ay = x.eval(sx, make_face(i, q)), y.eval(sy, make_face(i, q))
+            bx, by, rho = _strip_common(x, y, ax, ay)
+            faces.append((ids[(bx, by)], rho))
+        cells[cid] = Cell(q, tuple(faces))
+    return ids, cells, {cid: pair for pair, cid in ids.items()}
+
+
+def test_product_matches_per_pair_enumeration(corpus):
+    # every ordered pair of regular seed-0 members with <= 12 cells
+    members = [e.space for e in corpus if e.regular and len(e.space.cells) <= 12]
+    assert len(members) >= 15
+    for x in members:
+        for y in members:
+            pr = product(x, y)
+            ids, cells, labels = _product_per_pair(x, y)
+            assert list(pr.index.items()) == list(ids.items())
+            assert list(pr.space.cells.items()) == list(cells.items())
+            assert list(pr.space.labels.items()) == list(labels.items())

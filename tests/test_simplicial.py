@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import pytest
 
+from ssetforge.colimits import collapse_subcomplex
 from ssetforge.operators import (
     Operator,
+    all_degeneracies,
     all_operators,
     compose,
     ez_factor,
+    face_split,
     identity,
     make_degen,
+    make_face,
     make_vertex,
 )
 from ssetforge.simplicial import (
@@ -256,11 +261,26 @@ def test_simplex_tuple_matches_dataclass_form(corpus):
                     assert (s == t) == (old == old_t)
 
 
-def _eval_by_factoring(x, s, op):
-    # the general path of eval, which the identity fast path skips
+def _eval_by_factoring(cells, s, op, faces=None):
+    # the general path of eval on a bare cell table, with no fast path:
+    # factor, take the face through the stored tables, recompose; faces,
+    # when given, memoizes the faces of cells
     mu, tau = ez_factor(compose(op, s.degen))
-    z = x._cell_face(s.cell, mu)
+    z = _face_by_factoring(cells, s.cell, mu, faces)
     return Simplex(z.cell, compose(tau, z.degen))
+
+
+def _face_by_factoring(cells, cid, mu, faces=None):
+    if mu.is_identity:
+        return Simplex(cid, mu)
+    if faces is not None and (cid, mu) in faces:
+        return faces[(cid, mu)]
+    i, rest = face_split(mu)
+    target, sigma = cells[cid].faces[i]
+    out = _eval_by_factoring(cells, Simplex(target, sigma), rest, faces)
+    if faces is not None:
+        faces[(cid, mu)] = out
+    return out
 
 
 def test_identity_eval_matches_general_path(corpus):
@@ -272,7 +292,7 @@ def test_identity_eval_matches_general_path(corpus):
     for x in small:
         for q in range(x.dim + 2):
             for s in x.simplices(q):
-                want = _eval_by_factoring(x, s, identity(q))
+                want = _eval_by_factoring(x.cells, s, identity(q))
                 got = x.eval(s, identity(q))
                 assert got == want == s and type(got) is Simplex
                 plain = x.eval((s.cell, s.degen), identity(q))
@@ -297,3 +317,175 @@ def test_map_rejects_assignment_not_in_normal_form():
         SimplicialMap(point, interval, {0: bad})
     good = interval.eval(interval.simplex(edge), make_vertex(0, 1))
     assert SimplicialMap(point, interval, {0: good}).apply(point.simplex(0)) == good
+
+
+def _small_members(corpus, cells=60):
+    return [e.space for e in corpus if len(e.space.cells) <= cells]
+
+
+def test_eval_matches_factoring_path(corpus):
+    # every simplex of degree <= dim+1 of the seed-0 members with <= 60
+    # cells, under every operator into it from a degree <= dim+1: eval,
+    # with its identity and degeneracy shortcuts, gives the EZ-path result
+    members = _small_members(corpus)
+    assert len(members) >= 40
+    pairs = shortcuts = 0
+    most = max(x.dim for x in members) + 1
+    into = [[op for p in range(most + 1) for op in all_operators(p, q)] for q in range(most + 1)]
+    for x in members:
+        top, faces = x.dim + 1, {}
+        for q in range(top + 1):
+            ops = [op for op in into[q] if op.src <= top]
+            for s in x.simplices(q):
+                for op in ops:
+                        got = x.eval(s, op)
+                        assert got == _eval_by_factoring(x.cells, s, op, faces)
+                        assert type(got) is Simplex
+                        pairs += 1
+                        shortcuts += compose(op, s.degen).is_degeneracy
+    assert pairs >= 300_000
+    assert shortcuts >= 10_000
+
+
+def test_cell_vertices_match_vertex_faces(corpus):
+    # vertices read off the last and first stored faces agree with the
+    # definition, the face through each vertex inclusion, both as the
+    # space computes it and through the EZ path on the bare table
+    for entry in corpus:
+        x = entry.space
+        for cid, cell in x.cells.items():
+            d = cell.dim
+            want = tuple(x._cell_face(cid, make_vertex(j, d)).cell for j in range(d + 1))
+            assert want == tuple(
+                _face_by_factoring(x.cells, cid, make_vertex(j, d)).cell for j in range(d + 1)
+            )
+            assert x._cell_vertices(cid) == want
+
+
+def _validate_set_by_eval(cells):
+    # the presentation checks, every face of a face through the EZ path
+    for cid, cell in cells.items():
+        expected = 0 if cell.dim == 0 else cell.dim + 1
+        if len(cell.faces) != expected:
+            raise ValueError(f"cell {cid} of dimension {cell.dim} stores {len(cell.faces)} faces")
+        for i, (target, op) in enumerate(cell.faces):
+            if target not in cells:
+                raise ValueError(f"cell {cid} face {i} targets missing cell {target}")
+            if not op.is_degeneracy:
+                raise ValueError(f"cell {cid} face {i} operator {op} is not surjective")
+            if op.src != cell.dim - 1 or op.dst != cells[target].dim:
+                raise ValueError(f"cell {cid} face {i} has mismatched ranks")
+    for cid, cell in cells.items():
+        for j in range(cell.dim + 1 if cell.dim >= 2 else 0):
+            for i in range(j):
+                a = _eval_by_factoring(cells, Simplex(*cell.faces[j]), make_face(i, cell.dim - 1))
+                b = _eval_by_factoring(cells, Simplex(*cell.faces[i]), make_face(j - 1, cell.dim - 1))
+                if a != b:
+                    raise ValueError(
+                        f"face identities fail at cell {cid}: faces ({i},{j}) give {a} vs {b}"
+                    )
+
+
+def _validate_map_by_eval(source, target, assignment):
+    # the map checks, both sides of every face through the EZ path
+    for cid, cell in source.cells.items():
+        s = assignment.get(cid)
+        if s is None:
+            raise ValueError(f"no assignment for cell {cid}")
+        if s.cell not in target.cells:
+            raise ValueError(f"cell {cid} sent to missing cell {s.cell}")
+        if s.degree != cell.dim or s.degen.dst != target.cells[s.cell].dim:
+            raise ValueError(f"cell {cid} sent to simplex of wrong degree")
+        if not s.degen.is_degeneracy:
+            raise ValueError(f"cell {cid} sent to {s}, which is not in normal form")
+    for cid, cell in source.cells.items():
+        for i in range(cell.dim + 1 if cell.dim else 0):
+            got = _eval_by_factoring(target.cells, assignment[cid], make_face(i, cell.dim))
+            t, sigma = cell.faces[i]
+            want = _eval_by_factoring(target.cells, assignment[t], sigma)
+            if got != want:
+                raise ValueError(
+                    f"assignment not simplicial at cell {cid}, face {i}: {got} vs {want}"
+                )
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _mutate_presentation(rng, x):
+    # one stored face of one cell changed: its target, its degeneracy or both,
+    # kept rank-correct most of the time so the face identities decide
+    cells = dict(x.cells)
+    cid = rng.choice([c for c in sorted(cells) if cells[c].dim >= 1])
+    cell = cells[cid]
+    i = rng.randrange(len(cell.faces))
+    target, sigma = cell.faces[i]
+    if rng.random() < 0.15:
+        target = rng.choice(sorted(cells))
+    else:
+        same = [c for c in sorted(cells) if cells[c].dim == sigma.dst and c != target]
+        if same and rng.random() < 0.8:
+            target = rng.choice(same)
+        onto = [op for op in all_degeneracies(cell.dim - 1, sigma.dst) if op != sigma]
+        if onto and (rng.random() < 0.5 or target == cell.faces[i][0]):
+            sigma = rng.choice(onto)
+    faces = cell.faces[:i] + ((target, sigma),) + cell.faces[i + 1 :]
+    cells[cid] = Cell(cell.dim, faces)
+    return cells
+
+
+def test_set_validation_matches_eval_reference(corpus):
+    rng = random.Random(20200901)
+    members = [x for x in _small_members(corpus) if x.dim >= 1]
+    verdicts = []
+    for _ in range(1200):
+        cells = _mutate_presentation(rng, rng.choice(members))
+        want = _verdict(_validate_set_by_eval, cells)
+        assert _verdict(SimplicialSet, cells) == want
+        verdicts.append(want)
+    # both sides of a failed identity print as a Simplex, table reads too
+    faces = [v for v in verdicts if v and v.startswith("face identities")]
+    assert all(v.count("Simplex(cell=") == 2 for v in faces)
+    assert len(faces) >= 400 and verdicts.count(None) >= 400
+
+
+def _maps(x):
+    # the identity, maps representing cells and degenerate simplices, and a
+    # quotient projection: assignments with identity and degenerate images
+    yield identity_map(x)
+    for cid in sorted(x.cells)[:4]:
+        s = x.simplex(cid)
+        yield simplex_map(x, s)
+        yield simplex_map(x, x.eval(s, make_degen(0, s.degree)))
+    if len(x.cells) > 1:
+        yield collapse_subcomplex(x, x.cell_ids(0)[:2]).projection
+
+
+def test_map_validation_matches_eval_reference(corpus):
+    rng = random.Random(20200902)
+    maps = [f for x in _small_members(corpus, 20) for f in _maps(x)]
+    assert len(maps) >= 100
+    for f in maps:
+        assert _verdict(_validate_map_by_eval, f.source, f.target, f.assignment) is None
+        assert _verdict(SimplicialMap, f.source, f.target, f.assignment) is None
+    verdicts = []
+    for _ in range(1500):
+        f = rng.choice(maps)
+        asg = dict(f.assignment)
+        cid = rng.choice(sorted(asg))
+        q = f.source.cells[cid].dim
+        if rng.random() < 0.1:
+            q += 1  # the wrong degree
+        asg[cid] = rng.choice(list(f.target.simplices(q)))
+        want = _verdict(_validate_map_by_eval, f.source, f.target, asg)
+        assert _verdict(SimplicialMap, f.source, f.target, asg) == want
+        verdicts.append(want)
+    # an image read off the assignment prints as a Simplex, as eval's does
+    faces = [v for v in verdicts if v and v.startswith("assignment not simplicial")]
+    assert all(v.count("Simplex(cell=") == 2 for v in faces)
+    assert len(faces) >= 400 and verdicts.count(None) >= 400
