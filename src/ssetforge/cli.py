@@ -9,8 +9,11 @@ Exit codes: 0 success; 1 a failed verification (or an oracle refusing
 its input); 2 no certified desingularization; 3 a malformed input file,
 reported as one line ``forge: <file>:<line>: <message>`` on stderr, a
 file that cannot be read or written, reported as
-``forge: <file>: <reason>``, or a ``FORGE_ORACLE_BOUND`` that is not an
-integer, reported as ``forge: FORGE_ORACLE_BOUND: <message>``.
+``forge: <file>: <reason>``, a ``FORGE_ORACLE_BOUND`` that is not an
+integer, reported as ``forge: FORGE_ORACLE_BOUND: <message>``, or a
+usage error (an unknown command or option, a missing argument, a value
+of the wrong type), reported as ``forge: <message>``.  ``--help`` prints
+the usage and exits 0.
 
 The argument parser is built once per process, on the first call of
 ``main``, and shared by every later call: ``parse_args`` returns a fresh
@@ -53,6 +56,17 @@ from .verify import (
     verify_main_theorem,
     verify_second_subdivision,
 )
+
+
+class UsageError(Exception):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse would print the usage and exit 2, the code that means no
+    # certified desingularization; main reports the message and exits 3
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -192,7 +206,7 @@ def cmd_dcr(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="forge",
         description="subdivide, desingularize, and verify finite simplicial sets",
     )
@@ -253,7 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as err:
+        print(f"forge: {err}", file=sys.stderr)
+        return 3
     try:
         return args.fn(args)
     except ParseError as err:

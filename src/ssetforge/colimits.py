@@ -8,6 +8,16 @@ identify the classes containing no degenerate simplex as the cells of
 the quotient complex; every other class reduces to a degeneration of a
 lower cell class.
 
+Quotients are read from witnesses, not from a walk over every simplex.
+Each class keeps one degenerate member, if it has one.  By
+Eilenberg-Zilber every simplex of the quotient is a unique degeneracy
+of a unique non-degenerate one, so a class is a cell of the quotient
+exactly when it has no degenerate member, and a class with a degenerate
+member (c, sigma) is the class of the cell c, lower in dimension,
+degenerated by sigma.  Visiting the cells of X in (dimension, id) order
+therefore gives every cell's class as a degeneracy of a first cell, and
+the simplices of X that no merge touched are never enumerated.
+
 Regularity is decided cell by cell, without building a pushout.  For a
 d-cell y with Z the subcomplex generated by its last face, the canonical
 map out of the pushout of the d-simplex and Z along the last face is
@@ -41,7 +51,6 @@ from .simplicial import (
     _simplex,
     compose_maps,
     generated_cells,
-    simplex_key,
 )
 
 
@@ -57,9 +66,15 @@ class Congruence:
     degeneracies, so the relation is closed under degeneracies, and with
     that under faces too: it is the same operator-closed relation.  Only
     the root each class gets can differ, and nothing reads a root beyond
-    comparing it: ``classes`` orders classes and members by the scan, so
-    ``canonical``, ``quotient`` and the desingularization searches see the
-    same classes in the same order.
+    comparing it: ``classes`` orders classes and members by the scan, and
+    ``normal_forms`` names each class by its first cell, so ``canonical``,
+    ``quotient`` and the desingularization searches see the same classes
+    in the same order.
+
+    Each root keeps one degenerate member of its class as a witness, set
+    when ``find`` first meets a degenerate simplex and carried over when
+    two classes join.  Which member survives does not matter: once the
+    relation is closed, every degenerate member gives the same normal form.
     """
 
     def __init__(self, space: SimplicialSet):
@@ -67,11 +82,15 @@ class Congruence:
         self.degree_bound = max(space.dim, 0)
         self._parent: dict[Simplex, Simplex] = {}
         self._size: dict[Simplex, int] = {}
+        # root -> a degenerate member of its class, for classes that have one
+        self._degen: dict[Simplex, Simplex] = {}
 
     def find(self, s: Simplex) -> Simplex:
         if s not in self._parent:
             self._parent[s] = s
             self._size[s] = 1
+            if not s.degen.is_identity:
+                self._degen[s] = s
             return s
         while self._parent[s] != s:
             self._parent[s] = self._parent[self._parent[s]]
@@ -90,7 +109,7 @@ class Congruence:
         """
         if s.degree != t.degree:
             raise ValueError("cannot merge simplices of different degrees")
-        find, parent, size = self.find, self._parent, self._size
+        find, parent, size, witness = self.find, self._parent, self._size, self._degen
         ev, bound = self.space.eval, self.degree_bound
         # (a, b, whether the pair still owes its face pairs)
         work = [(s, t, True)]
@@ -103,6 +122,8 @@ class Congruence:
                 ra, rb = rb, ra
             parent[rb] = ra
             size[ra] += size[rb]
+            if rb in witness:
+                witness.setdefault(ra, witness.pop(rb))
             q = a.degree
             if with_faces and q >= 1:
                 for i in range(q + 1):
@@ -116,8 +137,42 @@ class Congruence:
                         (_simplex((ca, compose(op, da))), _simplex((cb, compose(op, db))), False)
                     )
 
+    def normal_forms(self) -> dict[int, Simplex]:
+        """Each cell's class, as a degeneracy of the first cell of a cell class.
+
+        Cells are visited in (dimension, id) order.  A class with a
+        degenerate witness (c, sigma) is the class of the lower cell c
+        degenerated by sigma, and the form of c is already known; a class
+        without one is a cell class, and its form is its first cell, the
+        first visited, with the identity.  Simplices no merge touched are
+        their own classes and are not looked up, so the walk is over cells,
+        not over simplices.
+        """
+        space, parent, find, witness = self.space, self._parent, self.find, self._degen
+        cells = space.cells
+        forms: dict[int, Simplex] = {}
+        by_root: dict[Simplex, Simplex] = {}
+        for c in sorted(cells, key=lambda c: (cells[c].dim, c)):
+            top = space.simplex(c)
+            root = find(top) if top in parent else top
+            got = by_root.get(root)
+            if got is None:
+                w = witness.get(root)
+                if w is None:
+                    got = top
+                else:
+                    base = forms[w.cell]
+                    got = _simplex((base.cell, compose(w.degen, base.degen)))
+                by_root[root] = got
+            forms[c] = got
+        return forms
+
     def classes(self) -> dict[Simplex, list[Simplex]]:
-        """All simplices of degree <= bound grouped by class, scan order kept."""
+        """All simplices of degree <= bound grouped by class, scan order kept.
+
+        The definition of the relation as a partition; ``normal_forms``
+        reads the same classes off the witnesses without this walk.
+        """
         out: dict[Simplex, list[Simplex]] = {}
         for q in range(self.degree_bound + 1):
             for s in self.space.simplices(q):
@@ -135,6 +190,7 @@ class Congruence:
         other.degree_bound = self.degree_bound
         other._parent = dict(self._parent)
         other._size = dict(self._size)
+        other._degen = dict(self._degen)
         return other
 
 
@@ -168,58 +224,42 @@ class QuotientResult:
 
 
 def quotient(space: SimplicialSet, cong: Congruence) -> QuotientResult:
-    classes = cong.classes()
-    is_cell = {
-        root: all(not m.is_degenerate for m in members)
-        for root, members in classes.items()
-    }
-    new_id: dict[Simplex, int] = {}
-    for root in classes:
-        if is_cell[root]:
-            new_id[root] = len(new_id)
+    """The quotient by a closed congruence, read from its normal forms.
 
-    memo: dict[Simplex, Simplex] = {}
-
-    def normal_form(root: Simplex) -> Simplex:
-        got = memo.get(root)
-        if got is not None:
-            return got
-        if is_cell[root]:
-            out = Simplex(new_id[root], identity(root.degree))
-        else:
-            rep = min(
-                (m for m in classes[root] if m.is_degenerate), key=simplex_key
-            )
-            base = normal_form(cong.find(Simplex(rep.cell, identity(rep.degen.dst))))
-            out = Simplex(base.cell, compose(rep.degen, base.degen))
-        memo[root] = out
-        return out
-
+    The cells of the quotient are the cell classes, numbered by their first
+    cells in (dimension, id) order; a cell's faces and its image are the
+    forms of its stored faces and of itself.
+    """
+    forms = cong.normal_forms()
+    new_id: dict[int, int] = {}
+    members: dict[int, list[int]] = {}
+    for c, f in forms.items():
+        if f.degen.is_identity:
+            if f.cell == c:
+                new_id[c] = len(new_id)
+                members[c] = [c]
+            else:
+                members[f.cell].append(c)
     cells: dict[int, Cell] = {}
     labels: dict[int, object] = {}
-    for root, members in classes.items():
-        if not is_cell[root]:
-            continue
-        q = root.degree
-        rep = members[0]
+    for first, group in members.items():
+        cell = space.cells[first]
         faces = []
-        for i in range(q + 1 if q else 0):
-            fs = normal_form(cong.find(space.eval(rep, make_face(i, q))))
-            faces.append((fs.cell, fs.degen))
-        cells[new_id[root]] = Cell(q, tuple(faces))
-        labels[new_id[root]] = tuple(m.cell for m in members)
+        for t, sigma in cell.faces:
+            base = forms[t]
+            faces.append((new_id[base.cell], compose(sigma, base.degen)))
+        cells[new_id[first]] = Cell(cell.dim, tuple(faces))
+        labels[new_id[first]] = tuple(group)
     qspace = SimplicialSet(cells, labels)
     projection = SimplicialMap(
         space,
         qspace,
-        {cid: normal_form(cong.find(space.simplex(cid))) for cid in space.cells},
+        {
+            cid: _simplex((new_id[forms[cid].cell], forms[cid].degen))
+            for cid in space.cells
+        },
     )
-    members_of = {cid: tuple(label) for cid, label in labels.items()}
-    # normal_form refers to itself through its closure; clearing the name
-    # breaks that cycle, so the classes and the congruence it holds are
-    # freed here rather than at the next full collection
-    del normal_form
-    return QuotientResult(qspace, projection, members_of)
+    return QuotientResult(qspace, projection, dict(labels))
 
 
 def disjoint_union(
@@ -292,13 +332,6 @@ class ProductResult:
     first: SimplicialMap
     second: SimplicialMap
     index: dict[tuple[Simplex, Simplex], int]
-
-    def pair(self, sx: Simplex, sy: Simplex) -> Simplex:
-        """The unique simplex whose two projections are the given pair."""
-        if sx.degree != sy.degree:
-            raise ValueError("pair components must have equal degree")
-        bx, by, rho = _strip_common(self.first.target, self.second.target, sx, sy)
-        return Simplex(self.index[(bx, by)], rho)
 
 
 def _strip_common(

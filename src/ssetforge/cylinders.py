@@ -5,6 +5,14 @@ the end at level 0; the reduced cylinder M is the nerve of the poset
 pushout (P x [1]) u_P R.  A reduction map cr : T -> M compares the two,
 and factoring cr through the desingularization of T gives the canonical
 map dcr : DT -> M out of the universal non-singular quotient.
+
+The nerve preserves products, N(P x [1]) = NP x N[1] = NP x Delta[1],
+so the prism is built as the nerve of the product poset, and T is the
+pushout of nerves NR <- NP -> N(P x [1]) along the level-0 end: the
+case k : P -> P x [1] of ``pushout_comparison``, whose comparison map
+onto M is cr.  The ends, the prism's map to M and the reduced legs are
+all nerves of monotone maps.  The lemma suite's ``prism-nerve/*`` cases
+check the isomorphism between the prism as a nerve and as a product.
 """
 
 from __future__ import annotations
@@ -12,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .colimits import ProductResult, PushoutResult, product, pushout
+from .colimits import PushoutResult, pushout
 from .desingularize import (
     Certificate,
     DesingResult,
     desingularize,
     factor_through_quotient,
 )
-from .operators import Operator, identity, make_vertex, run_collapse
+from .operators import identity
 from .posets import (
     FinPoset,
     MonotoneMap,
@@ -41,7 +49,6 @@ from .simplicial import (
     compose_maps,
     generate,
     simplex_map,
-    standard_simplex,
 )
 
 
@@ -92,76 +99,29 @@ class CylinderBundle:
     reduction: SimplicialMap  # cr : T -> M
     front: SimplicialMap  # NR -> T, the glued-in target
     back: SimplicialMap  # NP -> T, the free end at level 1
+    prism: SimplicialMap  # N(P x [1]) -> T, the prism glued in
     reduced_front: SimplicialMap
     reduced_back: SimplicialMap
     poset: PosetPushout
 
 
-def _constant(vertex_cell: int, q: int) -> Simplex:
-    return Simplex(vertex_cell, Operator(0, (0,) * (q + 1)))
-
-
-def _end_inclusion(pr: ProductResult, level: int) -> SimplicialMap:
-    base = pr.first.target
-    interval = pr.second.target
-    vcell = next(c for c, lab in interval.labels.items() if lab == make_vertex(level, 1))
-    asg = {
-        cid: pr.pair(base.simplex(cid), _constant(vcell, cell.dim))
-        for cid, cell in base.cells.items()
-    }
-    return SimplicialMap(base, pr.space, asg)
-
-
-def _prism_row(pr: ProductResult, cid: int) -> tuple:
-    """Vertex row of a prism cell, as (base element, interval level) pairs."""
-    base = pr.first.target
-    interval = pr.second.target
-    row = []
-    for v in pr.space.vertices(pr.space.simplex(cid)):
-        sx, sy = pr.space.labels[v]
-        row.append((base.labels[sx.cell][0], interval.labels[sy.cell].values[0]))
-    return tuple(row)
-
-
-def _chain_simplex(ids: dict, row: tuple) -> Simplex:
-    collapsed, degen = run_collapse(row)
-    return Simplex(ids[collapsed], degen)
-
-
 def cylinder_reduction(phi: MonotoneMap) -> CylinderBundle:
-    p, r = phi.source, phi.target
-    np_, nr = nerve(p), nerve(r)
-    pr = product(np_, standard_simplex(1))
-    i0 = _end_inclusion(pr, 0)
-    i1 = _end_inclusion(pr, 1)
-    po = pushout(i0, nerve_map(phi, np_, nr))
-
+    p = phi.source
+    np_ = nerve(p)
     cyl = product_poset(p, chain_poset(1))
-    v = poset_pushout(cylinder_end(p, cyl, 0), phi)
-    m = nerve(v.poset)
-    mids = {lab: cid for cid, lab in m.labels.items()}
-    prism_to_m = SimplicialMap(
-        pr.space,
-        m,
-        {
-            cid: _chain_simplex(
-                mids, tuple(v.leg_ambient(pe) for pe in _prism_row(pr, cid))
-            )
-            for cid in pr.space.cells
-        },
-    )
-    reduced_front = nerve_map(v.leg_other, nr, m)
+    po, v, reduction = pushout_comparison(cylinder_end(p, cyl, 0), phi, source_nerve=np_)
+    prism, nr, m = po.left.source, po.right.source, reduction.target
+    back_end = cylinder_end(p, cyl, 1)
     bundle = CylinderBundle(
         phi=phi,
         space=po.space,
         reduced=m,
-        reduction=po.mediator(prism_to_m, reduced_front),
+        reduction=reduction,
         front=po.right,
-        back=compose_maps(i1, po.left),
-        reduced_front=reduced_front,
-        reduced_back=nerve_map(
-            compose_monotone(cylinder_end(p, cyl, 1), v.leg_ambient), np_, m
-        ),
+        back=compose_maps(nerve_map(back_end, np_, prism), po.left),
+        prism=po.left,
+        reduced_front=nerve_map(v.leg_other, nr, m),
+        reduced_back=nerve_map(compose_monotone(back_end, v.leg_ambient), np_, m),
         poset=v,
     )
     _check_bundle(bundle)
@@ -225,16 +185,19 @@ def representing_sharp(space: SimplicialSet, s: Simplex) -> MonotoneMap:
 
 
 def pushout_comparison(
-    k: MonotoneMap, phi: MonotoneMap, *, require_dwyer: bool = True
+    k: MonotoneMap,
+    phi: MonotoneMap,
+    *,
+    require_dwyer: bool = True,
+    source_nerve: SimplicialSet | None = None,
 ) -> tuple[PushoutResult, PosetPushout, SimplicialMap]:
     """Nerve-level pushout along an embedding, against the poset pushout.
 
     Returns the simplicial pushout of NQ <- NP -> NR, the poset pushout
     Q u_P R, and the comparison map from the former onto the nerve of the
-    latter.  The cylinder is the case k : P -> P x [1], up to the prism
-    presentation of the product nerve.
+    latter.  The cylinder is the case k : P -> P x [1].
     """
-    np_ = nerve(k.source)
+    np_ = nerve(k.source) if source_nerve is None else source_nerve
     nq = nerve(k.target)
     nr = nerve(phi.target)
     po = pushout(nerve_map(k, np_, nq), nerve_map(phi, np_, nr))

@@ -12,10 +12,17 @@ The oracle enumerates minimal operator-closed congruences whose
 quotient is non-singular by witness-directed search and takes their
 meet; the family is closed under meets, so the meet itself has a
 non-singular quotient, which is checked, not assumed.  The search builds
-no quotient per node: it reads the first singular cell off the
-congruence itself, as the first cell class whose vertex classes are not
-pairwise distinct.  Only the meet is quotiented, and that quotient, its
-projection and its non-singularity are validated.
+no quotient per node and walks no simplices: it reads each congruence's
+normal forms, which the union-find gives from its per-class degenerate
+witnesses by Eilenberg-Zilber (see ``colimits``).  The forms of the
+cells determine the congruence, since two simplices (c, sigma) and
+(d, tau) are related exactly when the form of c degenerated by sigma is
+the form of d degenerated by tau.  So the tuple of forms is the key that
+removes duplicate nodes, the first singular cell is the first cell class
+whose vertex forms are not pairwise distinct, and a congruence contains
+another exactly when it relates every cell to that one's form of it.
+Only the meet is quotiented, and that quotient, its projection and its
+non-singularity are validated.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .colimits import Congruence, quotient
-from .operators import Operator, all_degeneracies, make_vertex
+from .operators import Operator, all_degeneracies
 from .simplicial import Simplex, SimplicialMap, SimplicialSet, compose_maps, identity_map
 
 
@@ -116,13 +123,12 @@ def replay_zipper(space: SimplicialSet, rounds: list[list[MoveRecord]]) -> Desin
     return DesingResult(cur, eta, cert, list(rounds))
 
 
-def _contains(cong: Congruence, canon: frozenset) -> bool:
-    """Does cong identify at least everything the canonical form does?"""
-    for cls in canon:
-        roots = {cong.find(key) for key in cls}
-        if len(roots) > 1:
-            return False
-    return True
+def _contains(cong: Congruence, pairs: list[tuple[Simplex, Simplex]]) -> bool:
+    """Does cong identify at least everything a solution does?  The pairs
+    are the solution's cells with their normal forms, where they differ;
+    they generate the solution as a closed relation."""
+    find = cong.find
+    return all(find(c) == find(f) for c, f in pairs)
 
 
 def _degenerate_simplices(space: SimplicialSet, degree: int) -> list[Simplex]:
@@ -148,54 +154,56 @@ def _meet(space: SimplicialSet, congs: list[Congruence]) -> Congruence:
     return out
 
 
-def _first_singular(space: SimplicialSet, cong: Congruence) -> Simplex | None:
-    """The first simplex of the first singular cell of the quotient by
-    cong, or None when that quotient is non-singular.
+def _first_singular(space: SimplicialSet, forms: dict[int, Simplex]) -> Simplex | None:
+    """The first simplex of the first singular cell of the quotient with
+    these normal forms, or None when that quotient is non-singular.
 
-    The quotient numbers its cells in classes() order, which runs degree
-    by degree, and a cell class (one with no degenerate member) has
-    (cell, identity) as its first member.  The congruence is closed under
-    operators, so vertex j of a quotient cell is the class of vertex j of
-    that member; degree-0 classes are all cells and are never singular.
+    The quotient numbers its cells by their first cells in (dimension, id)
+    order, the order of ``forms``; a first cell is its own form.  The
+    congruence is closed under operators, so vertex j of a quotient cell is
+    the class of vertex j of its first cell, and a vertex's form names its
+    class; degree-0 classes are all cells and are never singular.
     """
-    for members in cong.classes().values():
-        rep = members[0]
-        q = rep.degree
-        if q == 0 or any(m.is_degenerate for m in members):
+    for c, f in forms.items():
+        if f.cell != c or not f.degree:
             continue
-        roots = {cong.find(space.eval(rep, make_vertex(j, q))) for j in range(q + 1)}
-        if len(roots) <= q:
-            return rep
+        row = {forms[v].cell for v in space.vertices(f)}
+        if len(row) <= f.degree:
+            return f
     return None
 
 
 def _minimal_congruence_meet(space: SimplicialSet) -> Congruence:
     """Breadth-first search for the minimal congruences whose quotient is
     non-singular, then their meet.  A singular quotient branches on every
-    merge of its first singular cell with a degenerate simplex."""
+    merge of its first singular cell with a degenerate simplex.  Each
+    queued congruence carries its normal forms, computed once."""
     start = Congruence(space)
-    seen = {start.canonical()}
-    queue = deque([start])
-    solutions: list[tuple[frozenset, Congruence]] = []
+    start_forms = start.normal_forms()
+    seen = {tuple(start_forms.values())}
+    queue = deque([(start, start_forms)])
+    solutions: list[tuple[tuple, list, Congruence]] = []
     while queue:
-        cong = queue.popleft()
-        if any(_contains(cong, canon) for canon, _ in solutions):
+        cong, forms = queue.popleft()
+        if any(_contains(cong, pairs) for _, pairs, _ in solutions):
             continue
-        rep = _first_singular(space, cong)
+        rep = _first_singular(space, forms)
         if rep is None:
-            solutions.append((cong.canonical(), cong))
+            pairs = [(space.simplex(c), f) for c, f in forms.items() if f.cell != c]
+            solutions.append((tuple(forms.values()), pairs, cong))
             continue
         for d in _degenerate_simplices(space, rep.degree):
             child = cong.copy()
             child.merge(rep, d)
-            canon = child.canonical()
-            if canon not in seen:
-                seen.add(canon)
-                queue.append(child)
+            child_forms = child.normal_forms()
+            key = tuple(child_forms.values())
+            if key not in seen:
+                seen.add(key)
+                queue.append((child, child_forms))
     minimal = []
-    for canon, c in solutions:
+    for key, _, c in solutions:
         if not any(
-            other != canon and _contains(c, other) for other, _ in solutions
+            other != key and _contains(c, pairs) for other, pairs, _ in solutions
         ):
             minimal.append(c)
     if not minimal:

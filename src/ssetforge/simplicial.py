@@ -59,10 +59,6 @@ class Simplex(NamedTuple):
 _simplex = partial(tuple.__new__, Simplex)
 
 
-def simplex_key(s: Simplex) -> tuple:
-    return (s.degree, s.cell, s.degen.values)
-
-
 @dataclass(frozen=True)
 class Cell:
     dim: int

@@ -300,3 +300,30 @@ def test_calls_leave_no_argparse_garbage(tmp_path, capsys):
         gc.set_debug(0)
         gc.garbage.clear()
     assert leaked == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["desing", "X.sset", "--bound", "x"], "argument --bound: invalid int value: 'x'"),
+    (["desing", "X.sset", "--method", "best"], "argument --method: invalid choice: 'best'"),
+    (["frobnicate", "X.sset"], "argument command: invalid choice: 'frobnicate'"),
+    (["desing"], "the following arguments are required: space"),
+    ([], "the following arguments are required: command"),
+    (["sd", "X.sset", "--frob"], "unrecognized arguments: --frob"),
+    (["cylinder", "phi.pmap", "--reduced", "--bundle"], "argument --bundle: not allowed with argument --reduced"),
+])
+def test_usage_error_is_one_line_and_exit_3(capsys, argv, message):
+    # exit 2 means no certified desingularization, so a usage error
+    # exits 3 like every other input the command cannot take
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"forge: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["desing", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: forge")

@@ -17,7 +17,7 @@ from ssetforge.colimits import (
     quotient,
     regularity_witness,
 )
-from ssetforge.operators import Operator, all_operators, make_degen, make_face
+from ssetforge.operators import Operator, all_operators, compose, make_degen, make_face
 from ssetforge.simplicial import (
     Cell,
     Simplex,
@@ -29,6 +29,9 @@ from ssetforge.simplicial import (
     simplex_map,
     standard_simplex,
 )
+from ssetforge.textio import format_smap, format_sset
+
+from reference import quotient_by_classes
 
 
 def edge_cell(delta2):
@@ -260,6 +263,8 @@ def _merge_pushing_everything(cong, s, t):
             continue
         cong._parent[rb] = ra
         cong._size[ra] += cong._size[rb]
+        if rb in cong._degen:
+            cong._degen.setdefault(ra, cong._degen.pop(rb))
         q = a.degree
         ops = [make_face(i, q) for i in range(q + 1)] if q >= 1 else []
         if q < cong.degree_bound:
@@ -289,6 +294,76 @@ def test_merge_matches_full_closure(corpus):
                 assert fast.canonical() == full.canonical()
             identified += bool(fast.canonical())
     assert merges >= 1000 and identified >= 400
+
+
+def _normal_forms_by_closure(cong):
+    # each cell's class read off the full partition: a class with a
+    # degenerate member (d, sigma), the least one, is the form of d
+    # degenerated by sigma, and any other class is its first cell
+    space = cong.space
+    classes = cong.classes()
+    forms = {}
+    for c in sorted(space.cells, key=lambda c: (space.cells[c].dim, c)):
+        members = classes[cong.find(space.simplex(c))]
+        degenerate = [m for m in members if m.is_degenerate]
+        if degenerate:
+            d = min(degenerate, key=lambda m: (m.cell, m.degen.values))
+            base = forms[d.cell]
+            forms[c] = Simplex(base.cell, compose(d.degen, base.degen))
+        else:
+            forms[c] = members[0]
+    return forms
+
+
+def test_quotient_matches_classes_walk(corpus):
+    # seeded merges on the small quotients of the oracle campaign and the
+    # seed-0 members with <= 60 cells: the forms read off the witnesses
+    # agree with the full partition, and the quotient read from them is
+    # the classes-walk quotient, cell for cell
+    from ssetforge.verify import _small_quotients
+
+    rng = random.Random(20201018)
+    spaces = _small_quotients() + [e.space for e in corpus if len(e.space.cells) <= 60]
+    congs = identified = degenerate = 0
+    for x in spaces:
+        simplices = [list(x.simplices(q)) for q in range(max(x.dim, 0) + 1)]
+        for k in range(5):
+            fast, full = Congruence(x), Congruence(x)
+            for _ in range(k and rng.randint(1, 3)):
+                pool = rng.choice([p for p in simplices if len(p) > 1] or simplices)
+                a, b = rng.choice(pool), rng.choice(pool)
+                fast.merge(a, b)
+                _merge_pushing_everything(full, a, b)
+            want = _normal_forms_by_closure(full)
+            assert fast.normal_forms() == want
+            assert full.normal_forms() == want
+            got, ref = quotient(x, fast), quotient_by_classes(x, fast)
+            assert format_sset(got.space) == format_sset(ref.space)
+            assert format_smap(got.projection) == format_smap(ref.projection)
+            assert got.cell_members == ref.cell_members
+            congs += 1
+            identified += len(got.space.cells) < len(x.cells)
+            degenerate += any(f.is_degenerate for f in want.values())
+    assert congs >= 700 and identified >= 500 and degenerate >= 300
+
+
+def test_copy_carries_witnesses():
+    # collapse the edge {0,1} of the 2-simplex onto its vertex 0, so that
+    # its class has a degenerate witness, then merge on in a copy
+    x = standard_simplex(2)
+    edge = x.simplex(edge_cell(x))
+    cong = Congruence(x)
+    cong.merge(edge, Simplex(0, Operator(0, (0, 0))))
+    other = cong.copy()
+    assert other.normal_forms() == cong.normal_forms()
+    other.merge(x.simplex(1), x.simplex(2))
+    for c in (cong, other):
+        forms = c.normal_forms()
+        assert forms == _normal_forms_by_closure(c)
+        assert forms[edge.cell].is_degenerate
+    # the copy's merge leaves the original alone
+    assert counts(quotient(x, cong).space) == (2, 2, 1)
+    assert counts(quotient(x, other).space) == (1, 2, 1)
 
 
 def _product_per_pair(x, y):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ssetforge.colimits import collapse_subcomplex, is_regular, product
@@ -33,8 +35,11 @@ from ssetforge.posets import (
     sharp_map,
     singleton_poset,
 )
-from ssetforge.simplicial import is_isomorphic, standard_simplex
+from ssetforge.simplicial import SimplicialMap, compose_maps, is_isomorphic, standard_simplex
 from ssetforge.subdivision import sd
+from ssetforge.textio import format_sset
+
+from reference import prism_row, product_cylinder_reduction
 
 
 def wedge_to_chain():
@@ -247,3 +252,57 @@ def test_dwyer_factorization_implication():
         gq, _ = desingularized_comparison(comp_q)
         if gw.is_isomorphism():
             assert gq.is_isomorphism()
+
+
+def _dcr_suite_maps(corpus):
+    # the maps of the seed-0 dcr suite: sharps of the representing maps of
+    # every simplex it tests
+    from ssetforge.verify import _DCR_ALL_SIMPLEX_CELLS, _DCR_MAX_CELLS
+
+    for entry in corpus:
+        x = entry.space
+        if not entry.regular or len(x.cells) > _DCR_MAX_CELLS:
+            continue
+        for q in range(x.dim + 1):
+            for y in x.simplices(q):
+                if not y.is_degenerate or len(x.cells) <= _DCR_ALL_SIMPLEX_CELLS:
+                    yield representing_sharp(x, y)
+
+
+def test_nerve_prism_matches_product_prism(corpus):
+    # all 88 cones over posets with at most five elements and every map of
+    # the seed-0 dcr suite: the cylinder glued from the nerve of P x [1] is
+    # the one glued from the product NP x Delta[1], up to cell numbering
+    maps = [terminal_map(p) for p in all_posets(5)]
+    assert len(maps) == 88
+    maps += list(_dcr_suite_maps(corpus))
+    assert len(maps) >= 88 + 200
+    for phi in maps:
+        new = cylinder_reduction(phi)
+        old, pr, po_old = product_cylinder_reduction(phi)
+        # the isomorphism T_old -> T_new out of the pushout: the prisms
+        # match cell for cell by vertex rows, and NR goes to itself
+        prism = new.prism.source
+        chains = {label: cid for cid, label in prism.labels.items()}
+        rows = SimplicialMap(
+            pr.space, prism, {c: prism.simplex(chains[prism_row(pr, c)]) for c in pr.space.cells}
+        )
+        assert rows.is_isomorphism()
+        assert old.front.source.same_presentation(new.front.source)
+        iso = po_old.mediator(compose_maps(rows, new.prism), new.front)
+        assert iso.is_isomorphism()
+        # M is built the same way on both sides, so cr hits the same
+        # simplices of it, as often
+        assert format_sset(new.reduced) == format_sset(old.reduced)
+        assert Counter(new.reduction.assignment.values()) == Counter(
+            old.reduction.assignment.values()
+        )
+        verdicts = []
+        for bundle in (new, old):
+            g, res = dcr(phi, bundle=bundle)
+            criterion = all(
+                injective_in_degree(g, q) == identifies_embedded_siblings(res.eta, q)
+                for q in range(1, bundle.space.dim + 1)
+            )
+            verdicts.append((g.is_isomorphism(), res.certificate, criterion))
+        assert verdicts[0] == verdicts[1]

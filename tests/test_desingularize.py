@@ -3,6 +3,7 @@ import importlib
 import pytest
 
 from ssetforge.colimits import (
+    Congruence,
     collapse_subcomplex,
     congruence_from_pairs,
     is_regular,
@@ -33,6 +34,8 @@ from ssetforge.simplicial import (
 from ssetforge.subdivision import sd, t_nat
 from ssetforge.textio import format_smap, format_sset
 from ssetforge.verify import _small_quotients
+
+from reference import quotient_by_classes
 
 # the package exports the function desingularize under the module's name
 desingularize_module = importlib.import_module("ssetforge.desingularize")
@@ -163,10 +166,10 @@ def test_t_nat_circle_counterexample():
 
 
 def _quotient_step(space, cong):
-    """The oracle's search step by its definition: quotient by cong, take
-    the first non-embedded cell in (dimension, id) order, and return its
-    first member as a simplex of space."""
-    res = quotient(space, cong)
+    """The oracle's search step by its definition: quotient by cong (the
+    classes walk), take the first non-embedded cell in (dimension, id)
+    order, and return its first member as a simplex of space."""
+    res = quotient_by_classes(space, cong)
     z = res.space
     order = sorted(z.cells, key=lambda c: (z.cells[c].dim, c))
     bad = next((c for c in order if not z.is_embedded(z.simplex(c))), None)
@@ -185,21 +188,92 @@ def test_first_singular_matches_quotient_step(corpus, monkeypatch):
     fast = [oracle_desingularize(space) for space in spaces]
 
     first_singular = desingularize_module._first_singular
+    normal_forms = Congruence.normal_forms
+    congs = {}
     nodes = 0
 
-    def step(space, cong):
+    def forms_of(cong):
+        # remember which congruence each node's forms came from
+        forms = normal_forms(cong)
+        congs[id(forms)] = (forms, cong)
+        return forms
+
+    def step(space, forms):
         # branch on the reference, and check the helper at every node
         nonlocal nodes
         nodes += 1
+        held, cong = congs[id(forms)]
+        assert held is forms
         want = _quotient_step(space, cong)
-        got = first_singular(space, cong)
+        got = first_singular(space, forms)
         assert got == want and type(got) is type(want)
         return want
 
     with monkeypatch.context() as m:
+        m.setattr(Congruence, "normal_forms", forms_of)
         m.setattr(desingularize_module, "_first_singular", step)
         slow = [oracle_desingularize(space) for space in spaces]
     assert nodes > len(spaces)
     for a, b in zip(fast, slow):
         assert format_sset(a.quotient) == format_sset(b.quotient)
         assert format_smap(a.eta) == format_smap(b.eta)
+
+
+def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
+    # the search by its definition, keyed, deduplicated and pruned by the
+    # full partition (canonical()): the same nodes in the same order, and
+    # the same meet
+    from collections import deque
+
+    from ssetforge.desingularize import _degenerate_simplices, _meet
+
+    def contains(cong, canon):
+        return all(len({cong.find(s) for s in cls}) == 1 for cls in canon)
+
+    def search(space):
+        start = Congruence(space)
+        seen = {start.canonical()}
+        queue = deque([start])
+        solutions, order = [], []
+        while queue:
+            cong = queue.popleft()
+            if any(contains(cong, canon) for canon, _ in solutions):
+                continue
+            order.append(cong.canonical())
+            rep = _quotient_step(space, cong)
+            if rep is None:
+                solutions.append((cong.canonical(), cong))
+                continue
+            for d in _degenerate_simplices(space, rep.degree):
+                child = cong.copy()
+                child.merge(rep, d)
+                canon = child.canonical()
+                if canon not in seen:
+                    seen.add(canon)
+                    queue.append(child)
+        minimal = [
+            c for canon, c in solutions
+            if not any(o != canon and contains(c, o) for o, _ in solutions)
+        ]
+        return order, _meet(space, minimal)
+
+    spaces = _small_quotients() + [e.space for e in corpus if len(e.space.cells) <= 10]
+    first_singular = desingularize_module._first_singular
+    for space in spaces:
+        order, meet = search(space)
+        visited = []
+
+        def step(space, forms):
+            # a node's forms pair each cell with a simplex of its class and
+            # generate the node's congruence, so its classes are rebuilt here
+            cong = congruence_from_pairs(
+                space, [(space.simplex(c), f) for c, f in forms.items() if f.cell != c]
+            )
+            visited.append(cong.canonical())
+            return first_singular(space, forms)
+
+        with monkeypatch.context() as m:
+            m.setattr(desingularize_module, "_first_singular", step)
+            got = desingularize_module._minimal_congruence_meet(space)
+        assert visited == order
+        assert got.canonical() == meet.canonical()

@@ -1,0 +1,70 @@
+"""Every name a module imports is used in it.
+
+A standard-library check over ``src/ssetforge/*.py`` and ``tests/*.py``
+with ``ast``: an import binds names, and each must be read somewhere in
+the same file, as a name or inside a quoted annotation.  The package's
+``__init__`` only re-exports, so it is exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ssetforge"
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each imported name the source never reads."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for ann in _annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                inner = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_checker_flags_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "from pathlib import Path, PurePath\n"
+        "def f(x: 'Path') -> None:\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(source) == [(2, "system"), (3, "PurePath")]
+
+
+def test_no_unused_imports():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    hits = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in files
+        if path != PACKAGE / "__init__.py"
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert hits == []

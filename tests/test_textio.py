@@ -12,7 +12,7 @@ from ssetforge.colimits import (
     quotient,
 )
 from ssetforge.posets import FinPoset, MonotoneMap, all_posets
-from ssetforge.simplicial import Simplex, boundary, representing_map, standard_simplex
+from ssetforge.simplicial import boundary, representing_map, standard_simplex
 from ssetforge.subdivision import sd
 from ssetforge.textio import (
     ParseError,
