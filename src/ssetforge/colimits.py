@@ -18,6 +18,17 @@ degenerated by sigma.  Visiting the cells of X in (dimension, id) order
 therefore gives every cell's class as a degeneracy of a first cell, and
 the simplices of X that no merge touched are never enumerated.
 
+Pushouts are attached, not quotiented.  Every pushout the program
+builds has a degreewise injective leg, say f: A -> X: a skeletal
+attachment of a subdivided simplex along its subdivided boundary, or a
+cylinder's prism glued on along its end.  By Eilenberg-Zilber, f is
+injective exactly when it sends the cells of A to distinct cells, and
+then the non-degenerate simplices of X u_A Y are those of Y together
+with the cells of X outside f(A); a cell f(a) of X becomes g(a).  So
+the cell table of the pushout, both legs and the mediator are written
+directly, with no disjoint union, congruence or quotient.  The same
+holds with the legs swapped when only g is injective.
+
 Regularity is decided cell by cell, without building a pushout.  For a
 d-cell y with Z the subcomplex generated by its last face, the canonical
 map out of the pushout of the d-simplex and Z along the last face is
@@ -49,7 +60,6 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     _simplex,
-    compose_maps,
     generated_cells,
 )
 
@@ -231,15 +241,11 @@ def quotient(space: SimplicialSet, cong: Congruence) -> QuotientResult:
     forms of its stored faces and of itself.
     """
     forms = cong.normal_forms()
-    new_id: dict[int, int] = {}
     members: dict[int, list[int]] = {}
     for c, f in forms.items():
         if f.degen.is_identity:
-            if f.cell == c:
-                new_id[c] = len(new_id)
-                members[c] = [c]
-            else:
-                members[f.cell].append(c)
+            members.setdefault(f.cell, []).append(c)
+    new_id = {first: i for i, first in enumerate(members)}
     cells: dict[int, Cell] = {}
     labels: dict[int, object] = {}
     for first, group in members.items():
@@ -279,28 +285,81 @@ def disjoint_union(
     return z, inl, inr
 
 
+def _is_injective(m: SimplicialMap) -> bool:
+    """Degreewise injectivity, read off the cells: by Eilenberg-Zilber a map
+    is injective exactly when it sends cells to distinct cells."""
+    cells = {s.cell for s in m.assignment.values() if s.degen.is_identity}
+    return len(cells) == len(m.assignment)
+
+
 class PushoutResult:
-    """Pushout of f: A -> X along g: A -> Y, with its universal property."""
+    """Pushout Z of f: A -> X along g: A -> Y, with its universal property.
+
+    One leg must be degreewise injective, and Z is attached along it (along
+    f when both are): the cells of the other leg's target, then the cells
+    of the injective leg's target that A does not hit.  Those are the
+    classes of X u Y under f(a) ~ g(a) with no degenerate member, and they
+    are numbered as ``quotient`` numbers classes: by their first members
+    in (dimension, union id) order, with the ids ``disjoint_union`` gives,
+    X's first.  ``cell_members`` lists each cell's members in that order,
+    and ``_inv`` sends a union id back to its side and cell.  Z, both legs
+    and every mediator are validated.
+    """
 
     def __init__(self, f: SimplicialMap, g: SimplicialMap):
         if f.source is not g.source and not f.source.same_presentation(g.source):
             raise ValueError("pushout legs must share their source")
+        if _is_injective(f):
+            attached, inj, other = "x", f, g
+        elif _is_injective(g):
+            attached, inj, other = "y", g, f
+        else:
+            raise ValueError("pushout needs a degreewise injective leg")
         self._f, self._g = f, g
-        z, inl, inr = disjoint_union(f.target, g.target)
-        self._inv: dict[int, tuple[str, int]] = {}
-        for cid, s in inl.assignment.items():
-            self._inv[s.cell] = ("x", cid)
-        for cid, s in inr.assignment.items():
-            self._inv[s.cell] = ("y", cid)
-        cong = Congruence(z)
-        for aid in sorted(f.source.cells):
-            a = f.source.simplex(aid)
-            cong.merge(inl.apply(f.apply(a)), inr.apply(g.apply(a)))
-        q = quotient(z, cong)
-        self.space = q.space
-        self.cell_members = q.cell_members
-        self.left = compose_maps(inl, q.projection)
-        self.right = compose_maps(inr, q.projection)
+        spaces = {"x": f.target, "y": g.target}
+        base = "y" if attached == "x" else "x"
+        # each cell of the attached side hit by A, with the simplex it is glued to
+        glued = {inj.assignment[a].cell: other.assignment[a] for a in inj.source.cells}
+        union = [("x", c) for c in sorted(f.target.cells)]
+        union += [("y", c) for c in sorted(g.target.cells)]
+        self._inv = dict(enumerate(union))
+
+        # A union cell is a member of its own class, except that a cell
+        # A hits is a member of the class of the cell it is glued to, and
+        # one glued to a degenerate simplex is a member of no cell class.
+        members: dict[tuple[str, int], list[int]] = {}
+        dims = [spaces[side].cells[c].dim for side, c in union]
+        for u in sorted(range(len(union)), key=dims.__getitem__):
+            side, c = key = union[u]
+            if side == attached and c in glued:
+                s = glued[c]
+                if not s.degen.is_identity:
+                    continue
+                key = (base, s.cell)
+            members.setdefault(key, []).append(u)
+        new_id = {key: i for i, key in enumerate(members)}
+
+        legs: dict[str, dict[int, Simplex]] = {}
+        for side, space in spaces.items():
+            legs[side] = asg = {}
+            for c, cell in space.cells.items():
+                s = glued.get(c) if side == attached else None
+                if s is None:
+                    asg[c] = _simplex((new_id[(side, c)], identity(cell.dim)))
+                else:
+                    asg[c] = _simplex((new_id[(base, s.cell)], s.degen))
+        cells: dict[int, Cell] = {}
+        for (side, c), n in new_id.items():
+            cell, asg = spaces[side].cells[c], legs[side]
+            cells[n] = Cell(
+                cell.dim,
+                tuple((asg[t].cell, compose(sigma, asg[t].degen)) for t, sigma in cell.faces),
+            )
+        labels = {new_id[key]: tuple(group) for key, group in members.items()}
+        self.space = SimplicialSet(cells, labels)
+        self.cell_members = labels
+        self.left = SimplicialMap(f.target, self.space, legs["x"])
+        self.right = SimplicialMap(g.target, self.space, legs["y"])
 
     def mediator(self, u: SimplicialMap, v: SimplicialMap) -> SimplicialMap:
         """The unique map out of the pushout restricting to u and v."""
@@ -323,6 +382,11 @@ class PushoutResult:
 
 
 def pushout(f: SimplicialMap, g: SimplicialMap) -> PushoutResult:
+    """The pushout of a span with a degreewise injective leg.
+
+    Raises ValueError when neither leg is injective; the quotient of the
+    disjoint union would define that pushout too, and no caller builds one.
+    """
     return PushoutResult(f, g)
 
 

@@ -10,9 +10,11 @@ The nerve preserves products, N(P x [1]) = NP x N[1] = NP x Delta[1],
 so the prism is built as the nerve of the product poset, and T is the
 pushout of nerves NR <- NP -> N(P x [1]) along the level-0 end: the
 case k : P -> P x [1] of ``pushout_comparison``, whose comparison map
-onto M is cr.  The ends, the prism's map to M and the reduced legs are
-all nerves of monotone maps.  The lemma suite's ``prism-nerve/*`` cases
-check the isomorphism between the prism as a nerve and as a product.
+onto M is cr.  The level-0 end is injective, so T is NR with the prism
+attached along it: no quotient is taken.  The ends, the prism's map to
+M and the reduced legs are all nerves of monotone maps.  The lemma
+suite's ``prism-nerve/*`` cases check the isomorphism between the prism
+as a nerve and as a product.
 """
 
 from __future__ import annotations

@@ -422,10 +422,26 @@ def representing_map(space: SimplicialSet, cid: int) -> SimplicialMap:
 
 
 def _refine_signatures(space: SimplicialSet) -> dict[int, int]:
+    """Cell signatures, refined until the partition they induce is stable.
+
+    Each round hashes a cell's signature with its faces' signatures and
+    operators, and with the sorted (signature, face index, operator)
+    triples of its cofaces.  Without the cofaces all vertices would keep
+    one signature, and the search would branch over every assignment of
+    them.
+    """
+    cofaces: dict[int, list[tuple[int, int, Operator]]] = {cid: [] for cid in space.cells}
+    for cid, c in space.cells.items():
+        for i, (t, op) in enumerate(c.faces):
+            cofaces[t].append((cid, i, op))
     sig = {cid: hash((c.dim,)) for cid, c in space.cells.items()}
     while True:
         nxt = {
-            cid: hash((sig[cid], tuple((sig[t], op) for t, op in c.faces)))
+            cid: hash((
+                sig[cid],
+                tuple((sig[t], op) for t, op in c.faces),
+                tuple(sorted((sig[u], i, op) for u, i, op in cofaces[cid])),
+            ))
             for cid, c in space.cells.items()
         }
         if len(set(nxt.values())) == len(set(sig.values())):

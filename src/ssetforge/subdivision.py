@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .colimits import pushout
 from .operators import (
     Operator,
     compose,
@@ -154,8 +155,6 @@ def sd_skeletal(space: SimplicialSet) -> SimplicialSet:
     filtration: pushout of the subdivided standard simplex against the
     subdivided boundary, one attachment per cell.  Standard simplices
     and their boundaries are subdivided as nerves of their cell posets."""
-    from .colimits import pushout
-
     verts = sorted(space.cell_ids(0))
     cur = SimplicialSet({i: Cell(0, ()) for i in range(len(verts))})
     phi: dict[tuple[int, tuple[Operator, ...]], Simplex] = {

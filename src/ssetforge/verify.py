@@ -13,6 +13,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .colimits import (
     collapse_subcomplex,
@@ -295,7 +296,8 @@ def verify_dcr_suite(corpus: Corpus) -> Report:
 _DEFLATION_DEGENERATE_CELLS = 40  # members whose degenerate simplices are checked too
 
 
-def _covering_face_pairs(n: int) -> list[tuple[Operator, Operator]]:
+@lru_cache(maxsize=None)
+def _covering_face_pairs(n: int) -> tuple[tuple[Operator, Operator], ...]:
     faces = list(all_faces(n))
     out = []
     full = set(range(n + 1))
@@ -303,7 +305,7 @@ def _covering_face_pairs(n: int) -> list[tuple[Operator, Operator]]:
         a, b = set(mu.values), set(nu.values)
         if a | b == full and not a <= b and not b <= a:
             out.append((mu, nu))
-    return out
+    return tuple(out)
 
 
 def _check_face_cancellation(x: SimplicialSet) -> bool:

@@ -3,6 +3,9 @@ definitions for differential tests.
 
 ``quotient_by_classes`` is the quotient read off ``Congruence.classes()``,
 the walk over every simplex of degree up to the bound.
+``UnionPushout`` is the pushout as the quotient of the disjoint union by
+the congruence its span generates, defined for any span; ``pushout``
+attaches along an injective leg instead.
 ``product_cylinder_reduction`` builds the topological cylinder from the
 generic simplicial product NP x Delta[1] instead of the nerve of P x [1].
 """
@@ -15,8 +18,10 @@ from ssetforge.colimits import (
     PushoutResult,
     QuotientResult,
     _strip_common,
+    disjoint_union,
     product,
     pushout,
+    quotient,
 )
 from ssetforge.cylinders import CylinderBundle, _check_bundle
 from ssetforge.operators import Operator, compose, identity, make_face, make_vertex, run_collapse
@@ -92,6 +97,32 @@ def quotient_by_classes(space: SimplicialSet, cong: Congruence) -> QuotientResul
         {cid: normal_form(cong.find(space.simplex(cid))) for cid in space.cells},
     )
     return QuotientResult(qspace, projection, dict(labels))
+
+
+class UnionPushout(PushoutResult):
+    """The pushout by its definition, for any span: the quotient of the
+    disjoint union X u Y by the congruence generated by f(a) ~ g(a) over
+    the cells a of A, with the legs through the projection."""
+
+    def __init__(self, f: SimplicialMap, g: SimplicialMap):
+        if f.source is not g.source and not f.source.same_presentation(g.source):
+            raise ValueError("pushout legs must share their source")
+        self._f, self._g = f, g
+        z, inl, inr = disjoint_union(f.target, g.target)
+        self._inv: dict[int, tuple[str, int]] = {}
+        for cid, s in inl.assignment.items():
+            self._inv[s.cell] = ("x", cid)
+        for cid, s in inr.assignment.items():
+            self._inv[s.cell] = ("y", cid)
+        cong = Congruence(z)
+        for aid in sorted(f.source.cells):
+            a = f.source.simplex(aid)
+            cong.merge(inl.apply(f.apply(a)), inr.apply(g.apply(a)))
+        q = quotient(z, cong)
+        self.space = q.space
+        self.cell_members = q.cell_members
+        self.left = compose_maps(inl, q.projection)
+        self.right = compose_maps(inr, q.projection)
 
 
 def _end_inclusion(pr: ProductResult, level: int) -> SimplicialMap:

@@ -35,7 +35,15 @@ from ssetforge.posets import (
     sharp_map,
     singleton_poset,
 )
-from ssetforge.simplicial import SimplicialMap, compose_maps, is_isomorphic, standard_simplex
+from ssetforge.simplicial import (
+    Cell,
+    SimplicialMap,
+    SimplicialSet,
+    compose_maps,
+    find_isomorphism,
+    is_isomorphic,
+    standard_simplex,
+)
 from ssetforge.subdivision import sd
 from ssetforge.textio import format_sset
 
@@ -306,3 +314,35 @@ def test_nerve_prism_matches_product_prism(corpus):
             )
             verdicts.append((g.is_isomorphism(), res.certificate, criterion))
         assert verdicts[0] == verdicts[1]
+
+
+def _with_face(space, cid, i, target):
+    # the cell table with face i of cell cid sent to another cell of the
+    # same dimension; the face identities may fail, so it is not validated
+    cells = dict(space.cells)
+    faces = list(cells[cid].faces)
+    faces[i] = (target, faces[i][1])
+    cells[cid] = Cell(cells[cid].dim, tuple(faces))
+    out = SimplicialSet.__new__(SimplicialSet)
+    out.cells = cells
+    return out
+
+
+def test_find_isomorphism_on_largest_dcr_cylinders(corpus):
+    # the five largest T of the seed-0 dcr suite, glued from the product
+    # prism and from the nerve prism; the search must not branch over
+    # every assignment of vertices
+    bundles = [cylinder_reduction(phi) for phi in _dcr_suite_maps(corpus)]
+    largest = sorted(bundles, key=lambda b: -len(b.space.cells))[:5]
+    assert len(largest[0].space.cells) > 900
+    for new in largest:
+        old, _, _ = product_cylinder_reduction(new.phi)
+        x, y = old.space, new.space
+        m = find_isomorphism(x, y)
+        assert m is not None and sorted(m.values()) == sorted(y.cells)
+        for cid, cell in x.cells.items():
+            assert y.cells[m[cid]] == Cell(cell.dim, tuple((m[t], op) for t, op in cell.faces))
+        top = max(y.cells, key=lambda c: (y.cells[c].dim, c))
+        t, _ = y.cells[top].faces[0]
+        other = next(c for c in y.cells if c != t and y.cells[c].dim == y.cells[t].dim)
+        assert find_isomorphism(x, _with_face(y, top, 0, other)) is None
