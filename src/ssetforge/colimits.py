@@ -22,10 +22,11 @@ Pushouts are attached, not quotiented.  Every pushout the program
 builds has a degreewise injective leg, say f: A -> X: a skeletal
 attachment of a subdivided simplex along its subdivided boundary, or a
 cylinder's prism glued on along its end.  By Eilenberg-Zilber, f is
-injective exactly when it sends the cells of A to distinct cells, and
-then the non-degenerate simplices of X u_A Y are those of Y together
-with the cells of X outside f(A); a cell f(a) of X becomes g(a).  So
-the cell table of the pushout, both legs and the mediator are written
+injective exactly when it sends the cells of A to distinct cells (which
+is how ``SimplicialMap.is_degreewise_injective`` decides it), and then
+the non-degenerate simplices of X u_A Y are those of Y together with
+the cells of X outside f(A); a cell f(a) of X becomes g(a).  So the
+cell table of the pushout, both legs and the mediator are written
 directly, with no disjoint union, congruence or quotient.  The same
 holds with the legs swapped when only g is injective.
 
@@ -285,13 +286,6 @@ def disjoint_union(
     return z, inl, inr
 
 
-def _is_injective(m: SimplicialMap) -> bool:
-    """Degreewise injectivity, read off the cells: by Eilenberg-Zilber a map
-    is injective exactly when it sends cells to distinct cells."""
-    cells = {s.cell for s in m.assignment.values() if s.degen.is_identity}
-    return len(cells) == len(m.assignment)
-
-
 class PushoutResult:
     """Pushout Z of f: A -> X along g: A -> Y, with its universal property.
 
@@ -309,9 +303,9 @@ class PushoutResult:
     def __init__(self, f: SimplicialMap, g: SimplicialMap):
         if f.source is not g.source and not f.source.same_presentation(g.source):
             raise ValueError("pushout legs must share their source")
-        if _is_injective(f):
+        if f.is_degreewise_injective():
             attached, inj, other = "x", f, g
-        elif _is_injective(g):
+        elif g.is_degreewise_injective():
             attached, inj, other = "y", g, f
         else:
             raise ValueError("pushout needs a degreewise injective leg")

@@ -1,6 +1,9 @@
 """Reference constructions that the fast paths replaced, kept as their
 definitions for differential tests.
 
+``injective_by_simplices`` decides degreewise injectivity by comparing
+the images of every simplex of degree up to the source's dimension;
+``SimplicialMap.is_degreewise_injective`` reads it off the cells.
 ``quotient_by_classes`` is the quotient read off ``Congruence.classes()``,
 the walk over every simplex of degree up to the bound.
 ``UnionPushout`` is the pushout as the quotient of the disjoint union by
@@ -43,6 +46,16 @@ from ssetforge.simplicial import (
     compose_maps,
     standard_simplex,
 )
+
+
+def injective_by_simplices(f: SimplicialMap) -> bool:
+    """Degreewise injectivity by its definition, degree by degree up to
+    the source's dimension."""
+    for q in range(f.source.dim + 1):
+        simplices = list(f.source.simplices(q))
+        if len({f.apply(s) for s in simplices}) != len(simplices):
+            return False
+    return True
 
 
 def quotient_by_classes(space: SimplicialSet, cong: Congruence) -> QuotientResult:

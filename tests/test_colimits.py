@@ -31,7 +31,8 @@ from ssetforge.simplicial import (
 )
 from ssetforge.textio import format_smap, format_sset
 
-from reference import quotient_by_classes
+from reference import UnionPushout, quotient_by_classes
+from test_pushout import _same_map, _same_pushout
 
 
 def edge_cell(delta2):
@@ -110,7 +111,11 @@ def test_pushout_two_triangles_along_edge():
     assert counts(po.space) == (4, 5, 2)
     assert po.left.is_degreewise_injective()
     assert po.right.is_degreewise_injective()
+    # both legs injective: attached along f, as the reference quotient numbers it
+    ref = UnionPushout(glue, glue)
+    _same_pushout(po, ref)
     fold = po.mediator(identity_map(delta2), identity_map(delta2))
+    _same_map(fold, ref.mediator(identity_map(delta2), identity_map(delta2)))
     assert fold.is_degreewise_surjective()
     assert not fold.is_degreewise_injective()
     with pytest.raises(ValueError, match="do not agree"):
@@ -123,8 +128,11 @@ def test_pushout_of_identities_is_fold_target():
     x = boundary(2)
     po = pushout(identity_map(x), identity_map(x))
     assert is_isomorphic(po.space, x)
+    ref = UnionPushout(identity_map(x), identity_map(x))
+    _same_pushout(po, ref)
     med = po.mediator(identity_map(x), identity_map(x))
     assert med.is_isomorphism()
+    _same_map(med, ref.mediator(identity_map(x), identity_map(x)))
 
 
 def test_product_square():

@@ -17,8 +17,6 @@ from ssetforge.posets import FinPoset, MonotoneMap, all_posets, singleton_poset
 from ssetforge.simplicial import (
     Simplex,
     SimplicialMap,
-    boundary,
-    identity_map,
     simplex_map,
     standard_simplex,
 )
@@ -110,18 +108,6 @@ def test_lemma_suite_dwyer_and_cosieve_squares(checked):
 def test_corpus_builtin_pushout(checked):
     corpus._builtins()
     assert checked["pushouts"] == 1
-
-
-def test_both_legs_injective():
-    delta2, delta1 = standard_simplex(2), standard_simplex(1)
-    x = boundary(2)
-    edge = next(c for c in delta2.cells if delta2.cells[c].dim == 1)
-    glue = simplex_map(delta2, delta2.simplex(edge), source=delta1)
-    for f, g in [(glue, glue), (identity_map(x), identity_map(x))]:
-        new, old = colimits.pushout(f, g), UnionPushout(f, g)
-        _same_pushout(new, old)
-        fold = identity_map(f.target)
-        _same_map(new.mediator(fold, fold), old.mediator(fold, fold))
 
 
 def test_pushout_needs_an_injective_leg():

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from ssetforge.colimits import collapse_subcomplex
+from ssetforge.colimits import collapse_subcomplex, pushout
 from ssetforge.operators import (
     Operator,
     all_degeneracies,
@@ -34,10 +34,18 @@ from ssetforge.simplicial import (
     standard_simplex,
 )
 
+from reference import injective_by_simplices
+
 
 def circle() -> SimplicialSet:
     # one vertex, one edge with both ends attached to it
     return SimplicialSet({0: Cell(0, ()), 1: Cell(1, ((0, identity(0)), (0, identity(0))))})
+
+
+def to_point(x: SimplicialSet) -> SimplicialMap:
+    # every cell to the degenerate simplex of the point in its degree
+    point = standard_simplex(0)
+    return SimplicialMap(x, point, {c: Simplex(0, Operator(0, (0,) * (x.cells[c].dim + 1))) for c in x.cells})
 
 
 def sphere2() -> SimplicialSet:
@@ -189,8 +197,7 @@ def test_identity_and_compose():
 def test_degreewise_checks_above_dim():
     # the collapse of an interval to a point is surjective, not injective
     x = standard_simplex(1)
-    pt = standard_simplex(0)
-    f = SimplicialMap(x, pt, {cid: Simplex(0, Operator(0, (0,) * (x.cells[cid].dim + 1))) for cid in x.cells})
+    f = to_point(x)
     assert not f.is_degreewise_injective()
     assert f.is_degreewise_surjective()
 
@@ -464,6 +471,25 @@ def _maps(x):
         yield simplex_map(x, x.eval(s, make_degen(0, s.degree)))
     if len(x.cells) > 1:
         yield collapse_subcomplex(x, x.cell_ids(0)[:2]).projection
+
+
+def test_injectivity_matches_simplex_walk(corpus):
+    # identities, cell and degenerate-simplex maps, collapse projections,
+    # maps to the point (the circle's sends its edge to a degenerate
+    # simplex of the vertex's image: distinct images, a shared cell),
+    # inclusions of the subcomplexes generated by the first cells, and both
+    # legs of the pushout gluing a member to itself along each inclusion
+    maps = []
+    for x in _small_members(corpus, 20) + [circle()]:
+        maps += _maps(x)
+        maps.append(to_point(x))
+        for k in (1, 2, 3):
+            _, incl = generate(x, sorted(x.cells)[:k])
+            po = pushout(incl, incl)
+            maps += [incl, po.left, po.right]
+    verdicts = [f.is_degreewise_injective() for f in maps]
+    assert verdicts == [injective_by_simplices(f) for f in maps]
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 50
 
 
 def test_map_validation_matches_eval_reference(corpus):
