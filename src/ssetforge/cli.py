@@ -5,15 +5,16 @@ Spaces travel as .sset files, simplicial maps as .smap, posets as
 of textio.  Verification commands print a report tree and exit nonzero
 on failures, so the tool works in shell pipelines and CI jobs alike.
 
-Exit codes: 0 success; 1 a failed verification (or an oracle refusing
-its input); 2 no certified desingularization; 3 a malformed input file,
-reported as one line ``forge: <file>:<line>: <message>`` on stderr, a
-file that cannot be read or written, reported as
-``forge: <file>: <reason>``, a ``FORGE_ORACLE_BOUND`` that is not an
-integer, reported as ``forge: FORGE_ORACLE_BOUND: <message>``, or a
-usage error (an unknown command or option, a missing argument, a value
-of the wrong type), reported as ``forge: <message>``.  ``--help`` prints
-the usage and exits 0.
+Exit codes: 0 success; 1 a failed verification; 2 no certified
+desingularization (an input above the oracle's cell bound included);
+3 a malformed input file, reported as one line
+``forge: <file>:<line>: <message>`` on stderr, a file that cannot be
+read or written, reported as ``forge: <file>: <reason>``, a
+``FORGE_ORACLE_BOUND`` that is not an integer, reported as
+``forge: FORGE_ORACLE_BOUND: <message>``, or a usage error (an unknown
+command or option, a missing argument, a value of the wrong type),
+reported as ``forge: <message>``.  ``--help`` prints the usage and
+exits 0.
 
 The argument parser is built once per process, on the first call of
 ``main``, and shared by every later call: ``parse_args`` returns a fresh
@@ -155,8 +156,10 @@ def cmd_desing(args) -> int:
         try:
             res = oracle_desingularize(space, bound)
         except ValueError as err:
+            # above its cell bound the oracle certifies nothing, as in dcr
+            print(f"certificate {Certificate.UNCERTIFIED.value}")
             print(f"error: {err}", file=sys.stderr)
-            return 1
+            return 2
     else:
         res = desingularize(space, oracle_bound=bound)
     print(f"certificate {res.certificate.value}")

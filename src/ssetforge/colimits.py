@@ -1,22 +1,23 @@
 """Congruences, quotients, pushouts, products, and regularity.
 
-A congruence is an operator-closed equivalence relation on the simplices
-of degree at most dim(X).  Closure only needs the elementary faces and
-degeneracies of each merged pair: any operator between degrees under the
-bound factors through intermediate degrees under the bound.  Quotients
-identify the classes containing no degenerate simplex as the cells of
-the quotient complex; every other class reduces to a degeneration of a
-lower cell class.
+A congruence is an operator-closed equivalence relation on the
+simplices of X.  By Eilenberg-Zilber every simplex of a quotient is a
+unique degeneracy of a unique non-degenerate simplex, so the class of a
+simplex (c, sigma) is the class of the cell c degenerated by sigma, and
+the relation is fixed by the classes of the cells alone: each is a
+degeneracy of a first cell, the first cell in (dimension, id) order of a
+class with no degenerate member.  The cells of the quotient are the
+classes of the first cells.
 
-Quotients are read from witnesses, not from a walk over every simplex.
-Each class keeps one degenerate member, if it has one.  By
-Eilenberg-Zilber every simplex of the quotient is a unique degeneracy
-of a unique non-degenerate one, so a class is a cell of the quotient
-exactly when it has no degenerate member, and a class with a degenerate
-member (c, sigma) is the class of the cell c, lower in dimension,
-degenerated by sigma.  Visiting the cells of X in (dimension, id) order
-therefore gives every cell's class as a degeneracy of a first cell, and
-the simplices of X that no merge touched are never enumerated.
+So a congruence is a table of cell normal forms, not a union-find over
+simplices.  A cell gets an entry only when a merge kills it, that is,
+when it stops being a first cell; the entry is a simplex of its class on
+an earlier cell.  Degenerate simplices never enter the table, closure
+under degeneracies holds by construction, and a merge kills at most
+|cells| cells, each with one step that queues its stored faces against
+the faces of its new form.  The quotient is read off the forms of the
+cells in (dimension, id) order, and the simplices of X are never
+enumerated.
 
 Pushouts are attached, not quotiented.  Every pushout the program
 builds has a degreewise injective leg, say f: A -> X: a skeletal
@@ -51,9 +52,9 @@ from .operators import (
     compose,
     degeneracy_from_repeats,
     identity,
-    make_degen,
     make_face,
     section,
+    separating_section,
 )
 from .simplicial import (
     Cell,
@@ -66,47 +67,71 @@ from .simplicial import (
 
 
 class Congruence:
-    """Union-find over simplices of degree <= dim, closed under operators.
+    """An operator-closed equivalence relation, kept as normal forms of cells.
 
-    ``merge`` pushes the elementary faces and degeneracies of every pair it
-    joins, except that a pair (s_i a, s_i b), queued as a degeneracy of a
-    joined pair (a, b), pushes only its degeneracies.  Every face of s_i a
-    is a itself or a degeneracy of a face of a, and the face pairs of
-    (a, b) are already queued, so by induction on the degree the faces of
-    (s_i a, s_i b) are related anyway.  Every joined pair pushes all its
-    degeneracies, so the relation is closed under degeneracies, and with
-    that under faces too: it is the same operator-closed relation.  Only
-    the root each class gets can differ, and nothing reads a root beyond
-    comparing it: ``classes`` orders classes and members by the scan, and
-    ``normal_forms`` names each class by its first cell, so ``canonical``,
-    ``quotient`` and the desingularization searches see the same classes
-    in the same order.
+    ``_form[c]`` is set only for a cell c that is no longer the first cell
+    of a cell class.  It holds a simplex of X in c's class on a cell that
+    comes before c in (dimension, id) order, so following forms ends at a
+    first cell, and ``_resolve`` follows them, rewriting each form on the
+    way as a degeneracy of that first cell.  The class of a simplex
+    (c, sigma) is the normal form of c degenerated by sigma: ``find``
+    returns it, and two simplices are related exactly when ``find`` agrees.
 
-    Each root keeps one degenerate member of its class as a witness, set
-    when ``find`` first meets a degenerate simplex and carried over when
-    two classes join.  Which member survives does not matter: once the
-    relation is closed, every degenerate member gives the same normal form.
+    ``merge`` relates a pair and closes the relation.  It pops pairs of
+    equal degree and compares their classes (f, alpha) and (g, beta):
+
+    - alpha = beta: f and g are first cells of one dimension.  The later
+      one in (dimension, id) order gets the earlier one as its form, and
+      their stored faces are queued pairwise.
+    - otherwise, for f the cell of higher dimension (the later one on a
+      tie) and delta = ``separating_section(alpha, beta)``, a section of
+      alpha, f ~ (g, beta).delta.  That simplex lies on a cell of lower
+      dimension than f, as beta.delta is not a bijection.  It becomes f's
+      form, f's stored faces are queued against its faces, and the popped
+      pair is queued again.
+
+    Each step kills a first cell for good, so a merge takes at most
+    |cells| steps whatever it merges, and each step relates only simplices
+    that the pair forces together.  Closure under degeneracies needs no
+    work: (c, sigma) degenerated by rho is (c, rho then sigma), whose class
+    is the class of (c, sigma) degenerated by rho.  Closure under faces
+    holds because every form's faces are queued against the faces of its
+    cell, and every operator is a face after a degeneracy.
     """
 
     def __init__(self, space: SimplicialSet):
         self.space = space
         self.degree_bound = max(space.dim, 0)
-        self._parent: dict[Simplex, Simplex] = {}
-        self._size: dict[Simplex, int] = {}
-        # root -> a degenerate member of its class, for classes that have one
-        self._degen: dict[Simplex, Simplex] = {}
+        self._form: dict[int, Simplex] = {}
+
+    def _resolve(self, c: int) -> Simplex:
+        """The normal form of a cell with a form, shortening its chain."""
+        form = self._form
+        s = form[c]
+        below = form.get(s[0])
+        if below is None:
+            return s
+        # a chain can run through every cell, so it is walked, not recursed
+        chain = [c]
+        while below is not None:
+            chain.append(s[0])
+            s = below
+            below = form.get(s[0])
+        chain.pop()
+        first, gamma = s
+        for d in reversed(chain):
+            gamma = compose(form[d][1], gamma)
+            form[d] = _simplex((first, gamma))
+        return form[c]
 
     def find(self, s: Simplex) -> Simplex:
-        if s not in self._parent:
-            self._parent[s] = s
-            self._size[s] = 1
-            if not s.degen.is_identity:
-                self._degen[s] = s
+        """The EZ normal form of the class of s, as a degeneracy of a first cell."""
+        got = self._form.get(s[0])
+        if got is None:
             return s
-        while self._parent[s] != s:
-            self._parent[s] = self._parent[self._parent[s]]
-            s = self._parent[s]
-        return s
+        if got[0] in self._form:
+            got = self._resolve(s[0])
+        return _simplex((got[0], compose(s[1], got[1])))
 
     def together(self, s: Simplex, t: Simplex) -> bool:
         return self.find(s) == self.find(t)
@@ -115,74 +140,47 @@ class Congruence:
         """Merge two simplices of equal degree and close under all operators.
 
         Both are in EZ normal form, as every simplex a space enumerates or
-        eval returns is; a degeneracy of one is then the same cell under
-        the composite degeneracy, which is what eval would return.
+        eval returns is, and so is every stored face.
         """
         if s.degree != t.degree:
             raise ValueError("cannot merge simplices of different degrees")
-        find, parent, size, witness = self.find, self._parent, self._size, self._degen
-        ev, bound = self.space.eval, self.degree_bound
-        # (a, b, whether the pair still owes its face pairs)
-        work = [(s, t, True)]
+        form, find = self._form, self.find
+        cells, ev = self.space.cells, self.space.eval
+        work = [(s, t)]
         while work:
-            a, b, with_faces = work.pop()
-            ra, rb = find(a), find(b)
-            if ra == rb:
+            a, b = work.pop()
+            fa, fb = find(a), find(b)
+            if fa == fb:
                 continue
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            size[ra] += size[rb]
-            if rb in witness:
-                witness.setdefault(ra, witness.pop(rb))
-            q = a.degree
-            if with_faces and q >= 1:
-                for i in range(q + 1):
-                    op = make_face(i, q)
-                    work.append((ev(a, op), ev(b, op), True))
-            if q < bound:
-                (ca, da), (cb, db) = a, b
-                for i in range(q + 1):
-                    op = make_degen(i, q)
-                    work.append(
-                        (_simplex((ca, compose(op, da))), _simplex((cb, compose(op, db))), False)
-                    )
+            (f, alpha), (g, beta) = fa, fb
+            if alpha == beta:
+                if f < g:
+                    f, g = g, f
+                form[f] = _simplex((g, identity(alpha.dst)))
+                work.extend(zip(cells[f].faces, cells[g].faces))
+                continue
+            if (alpha.dst, f) < (beta.dst, g):
+                f, alpha, g, beta = g, beta, f, alpha
+            to = ev(_simplex((g, beta)), separating_section(alpha, beta))
+            form[f] = to
+            work.append((a, b))
+            d = alpha.dst
+            work.extend((x, ev(to, make_face(i, d))) for i, x in enumerate(cells[f].faces))
 
     def normal_forms(self) -> dict[int, Simplex]:
-        """Each cell's class, as a degeneracy of the first cell of a cell class.
-
-        Cells are visited in (dimension, id) order.  A class with a
-        degenerate witness (c, sigma) is the class of the lower cell c
-        degenerated by sigma, and the form of c is already known; a class
-        without one is a cell class, and its form is its first cell, the
-        first visited, with the identity.  Simplices no merge touched are
-        their own classes and are not looked up, so the walk is over cells,
-        not over simplices.
-        """
-        space, parent, find, witness = self.space, self._parent, self.find, self._degen
-        cells = space.cells
-        forms: dict[int, Simplex] = {}
-        by_root: dict[Simplex, Simplex] = {}
-        for c in sorted(cells, key=lambda c: (cells[c].dim, c)):
-            top = space.simplex(c)
-            root = find(top) if top in parent else top
-            got = by_root.get(root)
-            if got is None:
-                w = witness.get(root)
-                if w is None:
-                    got = top
-                else:
-                    base = forms[w.cell]
-                    got = _simplex((base.cell, compose(w.degen, base.degen)))
-                by_root[root] = got
-            forms[c] = got
-        return forms
+        """Each cell's class, as a degeneracy of the first cell of a cell
+        class, in (dimension, id) order: read off the table, with no walk
+        over simplices."""
+        space, form, resolve = self.space, self._form, self._resolve
+        return {
+            c: resolve(c) if c in form else space.simplex(c) for c in space.cell_order()
+        }
 
     def classes(self) -> dict[Simplex, list[Simplex]]:
         """All simplices of degree <= bound grouped by class, scan order kept.
 
         The definition of the relation as a partition; ``normal_forms``
-        reads the same classes off the witnesses without this walk.
+        reads the same classes off the table without this walk.
         """
         out: dict[Simplex, list[Simplex]] = {}
         for q in range(self.degree_bound + 1):
@@ -199,9 +197,7 @@ class Congruence:
         other = Congruence.__new__(Congruence)
         other.space = self.space
         other.degree_bound = self.degree_bound
-        other._parent = dict(self._parent)
-        other._size = dict(self._size)
-        other._degen = dict(self._degen)
+        other._form = dict(self._form)
         return other
 
 
@@ -235,11 +231,12 @@ class QuotientResult:
 
 
 def quotient(space: SimplicialSet, cong: Congruence) -> QuotientResult:
-    """The quotient by a closed congruence, read from its normal forms.
+    """The quotient by a congruence, read off its table of cell forms.
 
     The cells of the quotient are the cell classes, numbered by their first
     cells in (dimension, id) order; a cell's faces and its image are the
-    forms of its stored faces and of itself.
+    forms of its stored faces and of itself.  No simplex of X outside the
+    cell table is looked at.
     """
     forms = cong.normal_forms()
     members: dict[int, list[int]] = {}

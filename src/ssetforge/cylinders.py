@@ -111,8 +111,10 @@ def cylinder_reduction(phi: MonotoneMap) -> CylinderBundle:
     p = phi.source
     np_ = nerve(p)
     cyl = product_poset(p, chain_poset(1))
-    po, v, reduction = pushout_comparison(cylinder_end(p, cyl, 0), phi, source_nerve=np_)
-    prism, nr, m = po.left.source, po.right.source, reduction.target
+    po, v, reduction, reduced_front = _pushout_comparison(
+        cylinder_end(p, cyl, 0), phi, source_nerve=np_
+    )
+    prism, m = po.left.source, reduction.target
     back_end = cylinder_end(p, cyl, 1)
     bundle = CylinderBundle(
         phi=phi,
@@ -122,7 +124,7 @@ def cylinder_reduction(phi: MonotoneMap) -> CylinderBundle:
         front=po.right,
         back=compose_maps(nerve_map(back_end, np_, prism), po.left),
         prism=po.left,
-        reduced_front=nerve_map(v.leg_other, nr, m),
+        reduced_front=reduced_front,
         reduced_back=nerve_map(compose_monotone(back_end, v.leg_ambient), np_, m),
         poset=v,
     )
@@ -199,16 +201,29 @@ def pushout_comparison(
     Q u_P R, and the comparison map from the former onto the nerve of the
     latter.  The cylinder is the case k : P -> P x [1].
     """
+    return _pushout_comparison(
+        k, phi, require_dwyer=require_dwyer, source_nerve=source_nerve
+    )[:3]
+
+
+def _pushout_comparison(
+    k: MonotoneMap,
+    phi: MonotoneMap,
+    *,
+    require_dwyer: bool = True,
+    source_nerve: SimplicialSet | None = None,
+) -> tuple[PushoutResult, PosetPushout, SimplicialMap, SimplicialMap]:
+    """``pushout_comparison``, with the nerve of the poset pushout's leg
+    out of R that the comparison map restricts to."""
     np_ = nerve(k.source) if source_nerve is None else source_nerve
     nq = nerve(k.target)
     nr = nerve(phi.target)
     po = pushout(nerve_map(k, np_, nq), nerve_map(phi, np_, nr))
     v = poset_pushout(k, phi, require_dwyer=require_dwyer)
     nv = nerve(v.poset)
-    comp = po.mediator(
-        nerve_map(v.leg_ambient, nq, nv), nerve_map(v.leg_other, nr, nv)
-    )
-    return po, v, comp
+    other = nerve_map(v.leg_other, nr, nv)
+    comp = po.mediator(nerve_map(v.leg_ambient, nq, nv), other)
+    return po, v, comp, other
 
 
 # -- cones --------------------------------------------------------------------

@@ -13,15 +13,17 @@ quotient is non-singular by witness-directed search and takes their
 meet; the family is closed under meets, so the meet itself has a
 non-singular quotient, which is checked, not assumed.  The search builds
 no quotient per node and walks no simplices: it reads each congruence's
-normal forms, which the union-find gives from its per-class degenerate
-witnesses by Eilenberg-Zilber (see ``colimits``).  The forms of the
-cells determine the congruence, since two simplices (c, sigma) and
-(d, tau) are related exactly when the form of c degenerated by sigma is
-the form of d degenerated by tau.  So the tuple of forms is the key that
-removes duplicate nodes, the first singular cell is the first cell class
-whose vertex forms are not pairwise distinct, and a congruence contains
-another exactly when it relates every cell to that one's form of it.
-Only the meet is quotiented, and that quotient, its projection and its
+normal forms off its table of cell forms (see ``colimits``).  The forms
+of the cells determine the congruence, since two simplices (c, sigma)
+and (d, tau) are related exactly when the form of c degenerated by sigma
+is the form of d degenerated by tau.  So the tuple of forms is the key
+that removes duplicate nodes, the first singular cell is the first cell
+class whose vertex forms are not pairwise distinct, and a congruence
+contains another exactly when it relates every cell to that one's form
+of it.  A node branches once per class of the degenerate simplices it
+could merge its first singular cell with: merging with any member of a
+class gives the same child, which the key would only drop again.  Only
+the meet is quotiented, and that quotient, its projection and its
 non-singularity are validated.
 """
 
@@ -82,7 +84,7 @@ def zipper_desingularize(space: SimplicialSet) -> DesingResult:
     rounds: list[list[MoveRecord]] = []
     while True:
         moves = []
-        for cid in sorted(cur.cells, key=lambda c: (cur.cells[c].dim, c)):
+        for cid in cur.cell_order():
             moves.extend((cid, p) for p in _adjacent_repeats(cur, cid))
         if not moves:
             break
@@ -175,9 +177,10 @@ def _first_singular(space: SimplicialSet, forms: dict[int, Simplex]) -> Simplex 
 
 def _minimal_congruence_meet(space: SimplicialSet) -> Congruence:
     """Breadth-first search for the minimal congruences whose quotient is
-    non-singular, then their meet.  A singular quotient branches on every
-    merge of its first singular cell with a degenerate simplex.  Each
-    queued congruence carries its normal forms, computed once."""
+    non-singular, then their meet.  A singular quotient branches once per
+    class of degenerate simplices, merging its first singular cell with
+    the first member of each.  Each queued congruence carries its normal
+    forms, computed once."""
     start = Congruence(space)
     start_forms = start.normal_forms()
     seen = {tuple(start_forms.values())}
@@ -192,7 +195,12 @@ def _minimal_congruence_meet(space: SimplicialSet) -> Congruence:
             pairs = [(space.simplex(c), f) for c, f in forms.items() if f.cell != c]
             solutions.append((tuple(forms.values()), pairs, cong))
             continue
+        tried = set()
         for d in _degenerate_simplices(space, rep.degree):
+            cls = cong.find(d)
+            if cls in tried:
+                continue
+            tried.add(cls)
             child = cong.copy()
             child.merge(rep, d)
             child_forms = child.normal_forms()

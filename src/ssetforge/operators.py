@@ -17,11 +17,11 @@ each new one and stores its source rank and whether it is a face, a
 degeneracy or an identity, and assigning an attribute afterwards raises.
 
 Every function of the calculus below (the constructors, ``compose``,
-``ez_factor``, ``face_split``, ``section``, ``face_restriction``, the
-degeneracies) is memoized with ``lru_cache``: every verdict evaluates the
-same few operators millions of times.  The tables hold only operators
-between ranks that some space has reached, so they are bounded by the
-dimensions seen.
+``ez_factor``, ``face_split``, ``section``, ``separating_section``,
+``face_restriction``, the degeneracies) is memoized with ``lru_cache``:
+every verdict evaluates the same few operators millions of times.  The
+tables hold only operators between ranks that some space has reached, so
+they are bounded by the dimensions seen.
 
 Each operator these functions return is interned: it passes through the
 one table ``_CANON``, so equal results are the same object.  A cache
@@ -185,6 +185,28 @@ def section(op: Operator) -> Operator:
     if len(firsts) != op.dst + 1:
         raise ValueError(f"{op} is not surjective")
     return _canon(Operator(op.src, tuple(firsts[v] for v in range(op.dst + 1))))
+
+
+@lru_cache(maxsize=None)
+def separating_section(alpha: Operator, beta: Operator) -> Operator:
+    """A section delta of the surjection alpha with compose(delta, beta)
+    not a bijection, for a distinct surjection beta out of the same rank
+    with beta.dst <= alpha.dst.
+
+    delta takes first preimages, except that the value alpha(j) at the
+    first j with alpha(j) != beta(j) is taken at j.  Below j the two agree
+    on some w = alpha(j-1).  If alpha(j) = w+1 and beta(j) = w, beta sends
+    both delta(w) and delta(w+1) = j to w.  If alpha(j) = w and
+    beta(j) = w+1, then beta(delta(w)) = w+1, so the monotone
+    compose(delta, beta) is not the identity.  When the ranks differ, no
+    map [alpha.dst] -> [beta.dst] is a bijection anyway.
+    """
+    j = next(i for i, (a, b) in enumerate(zip(alpha.values, beta.values)) if a != b)
+    firsts: dict[int, int] = {}
+    for i, v in enumerate(alpha.values):
+        firsts.setdefault(v, i)
+    firsts[alpha.values[j]] = j
+    return _canon(Operator(alpha.src, tuple(firsts[v] for v in range(alpha.dst + 1))))
 
 
 @lru_cache(maxsize=None)

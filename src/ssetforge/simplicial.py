@@ -78,6 +78,7 @@ class SimplicialSet:
         self.labels = dict(labels or {})
         self._face_cache: dict[tuple[int, Operator], Simplex] = {}
         self._vertex_cache: dict[int, tuple[int, ...]] = {}
+        self._order: tuple[int, ...] | None = None
         self._validate()
 
     # -- validation -----------------------------------------------------
@@ -136,6 +137,13 @@ class SimplicialSet:
         if dim is None:
             return sorted(self.cells)
         return sorted(cid for cid, c in self.cells.items() if c.dim == dim)
+
+    def cell_order(self) -> tuple[int, ...]:
+        """The cell ids in (dimension, id) order, sorted once."""
+        if self._order is None:
+            cells = self.cells
+            self._order = tuple(sorted(cells, key=lambda c: (cells[c].dim, c)))
+        return self._order
 
     def simplex(self, cid: int) -> Simplex:
         return _simplex((cid, identity(self.cells[cid].dim)))

@@ -1,6 +1,11 @@
 """Reference constructions that the fast paths replaced, kept as their
 definitions for differential tests.
 
+``SimplexCongruence`` is the congruence as a union-find over the
+simplices of degree up to dim X, with one degenerate witness per class;
+its ``merge_pushing_everything`` closes by the definition, pushing every
+elementary face and degeneracy of every joined pair.  ``Congruence``
+keeps normal forms of cells instead.
 ``injective_by_simplices`` decides degreewise injectivity by comparing
 the images of every simplex of degree up to the source's dimension;
 ``SimplicialMap.is_degreewise_injective`` reads it off the cells.
@@ -27,7 +32,15 @@ from ssetforge.colimits import (
     quotient,
 )
 from ssetforge.cylinders import CylinderBundle, _check_bundle
-from ssetforge.operators import Operator, compose, identity, make_face, make_vertex, run_collapse
+from ssetforge.operators import (
+    Operator,
+    compose,
+    identity,
+    make_degen,
+    make_face,
+    make_vertex,
+    run_collapse,
+)
 from ssetforge.posets import (
     MonotoneMap,
     chain_poset,
@@ -43,9 +56,143 @@ from ssetforge.simplicial import (
     Simplex,
     SimplicialMap,
     SimplicialSet,
+    _simplex,
     compose_maps,
     standard_simplex,
 )
+
+
+class SimplexCongruence:
+    """Union-find over simplices of degree <= dim, closed under operators.
+
+    ``merge`` pushes the elementary faces and degeneracies of every pair it
+    joins, except that a pair (s_i a, s_i b), queued as a degeneracy of a
+    joined pair (a, b), pushes only its degeneracies.  Every face of s_i a
+    is a itself or a degeneracy of a face of a, and the face pairs of
+    (a, b) are already queued, so by induction on the degree the faces of
+    (s_i a, s_i b) are related anyway.  Every joined pair pushes all its
+    degeneracies, so the relation is closed under degeneracies, and with
+    that under faces too.
+
+    Each root keeps one degenerate member of its class as a witness, set
+    when ``find`` first meets a degenerate simplex and carried over when
+    two classes join.  ``normal_forms`` visits the cells in (dimension, id)
+    order: a class with a witness (c, sigma) is the class of the lower
+    cell c degenerated by sigma, and a class without one is a cell class,
+    named by its first cell.
+    """
+
+    def __init__(self, space: SimplicialSet):
+        self.space = space
+        self.degree_bound = max(space.dim, 0)
+        self._parent: dict[Simplex, Simplex] = {}
+        self._size: dict[Simplex, int] = {}
+        # root -> a degenerate member of its class, for classes that have one
+        self._degen: dict[Simplex, Simplex] = {}
+
+    def find(self, s: Simplex) -> Simplex:
+        if s not in self._parent:
+            self._parent[s] = s
+            self._size[s] = 1
+            if not s.degen.is_identity:
+                self._degen[s] = s
+            return s
+        while self._parent[s] != s:
+            self._parent[s] = self._parent[self._parent[s]]
+            s = self._parent[s]
+        return s
+
+    def together(self, s: Simplex, t: Simplex) -> bool:
+        return self.find(s) == self.find(t)
+
+    def _join(self, a: Simplex, b: Simplex) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self._size[ra] < self._size[rb]:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self._size[ra] += self._size[rb]
+        if rb in self._degen:
+            self._degen.setdefault(ra, self._degen.pop(rb))
+        return True
+
+    def merge(self, s: Simplex, t: Simplex) -> None:
+        if s.degree != t.degree:
+            raise ValueError("cannot merge simplices of different degrees")
+        ev, bound = self.space.eval, self.degree_bound
+        # (a, b, whether the pair still owes its face pairs)
+        work = [(s, t, True)]
+        while work:
+            a, b, with_faces = work.pop()
+            if not self._join(a, b):
+                continue
+            q = a.degree
+            if with_faces and q >= 1:
+                for i in range(q + 1):
+                    op = make_face(i, q)
+                    work.append((ev(a, op), ev(b, op), True))
+            if q < bound:
+                (ca, da), (cb, db) = a, b
+                for i in range(q + 1):
+                    op = make_degen(i, q)
+                    work.append(
+                        (_simplex((ca, compose(op, da))), _simplex((cb, compose(op, db))), False)
+                    )
+
+    def merge_pushing_everything(self, s: Simplex, t: Simplex) -> None:
+        """The closure by definition: every joined pair pushes all its
+        elementary faces and degeneracies, each through eval."""
+        space = self.space
+        work = [(s, t)]
+        while work:
+            a, b = work.pop()
+            if not self._join(a, b):
+                continue
+            q = a.degree
+            ops = [make_face(i, q) for i in range(q + 1)] if q >= 1 else []
+            if q < self.degree_bound:
+                ops += [make_degen(i, q) for i in range(q + 1)]
+            work.extend((space.eval(a, op), space.eval(b, op)) for op in ops)
+
+    def normal_forms(self) -> dict[int, Simplex]:
+        space, find, witness = self.space, self.find, self._degen
+        cells = space.cells
+        forms: dict[int, Simplex] = {}
+        by_root: dict[Simplex, Simplex] = {}
+        for c in sorted(cells, key=lambda c: (cells[c].dim, c)):
+            top = space.simplex(c)
+            root = find(top)
+            got = by_root.get(root)
+            if got is None:
+                w = witness.get(root)
+                if w is None:
+                    got = top
+                else:
+                    base = forms[w.cell]
+                    got = _simplex((base.cell, compose(w.degen, base.degen)))
+                by_root[root] = got
+            forms[c] = got
+        return forms
+
+    def classes(self) -> dict[Simplex, list[Simplex]]:
+        out: dict[Simplex, list[Simplex]] = {}
+        for q in range(self.degree_bound + 1):
+            for s in self.space.simplices(q):
+                out.setdefault(self.find(s), []).append(s)
+        return out
+
+    def canonical(self) -> frozenset[frozenset[Simplex]]:
+        return frozenset(
+            frozenset(members) for members in self.classes().values() if len(members) > 1
+        )
+
+    def copy(self) -> "SimplexCongruence":
+        other = SimplexCongruence(self.space)
+        other._parent = dict(self._parent)
+        other._size = dict(self._size)
+        other._degen = dict(self._degen)
+        return other
 
 
 def injective_by_simplices(f: SimplicialMap) -> bool:

@@ -83,7 +83,23 @@ def test_desing_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FORGE_ORACLE_BOUND", "4")
     assert main(["desing", str(src)]) == 2
 
-    assert main(["desing", str(src), "--method", "oracle", "--bound", "4"]) == 1
+    assert main(["desing", str(src), "--method", "oracle", "--bound", "4"]) == 2
+
+
+@pytest.mark.parametrize("bound", [None, "4"])
+def test_desing_oracle_above_bound_is_uncertified(tmp_path, capsys, monkeypatch, bound):
+    # the oracle refuses an input above its cell bound: no certificate,
+    # one line on stderr and exit 2, as dcr reports it
+    monkeypatch.delenv("FORGE_ORACLE_BOUND", raising=False)
+    src = tmp_path / "x.sset"
+    src.write_text(format_sset(standard_simplex(3)) if bound is None else STALL)
+    argv = ["desing", str(src), "--method", "oracle", "-o", str(tmp_path / "out.sset")]
+    assert main(argv if bound is None else [*argv, "--bound", bound]) == 2
+    out, err = capsys.readouterr()
+    assert out == "certificate Uncertified\n"
+    want = "15 cells > 10" if bound is None else "6 cells > 4"
+    assert err == f"error: oracle bound exceeded: {want}\n"
+    assert not (tmp_path / "out.sset").exists()
 
 
 def test_dcr_table(tmp_path, capsys):
@@ -273,7 +289,7 @@ def test_options_do_not_leak_between_calls(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "desingularize", spy)
     monkeypatch.delenv("FORGE_ORACLE_BOUND", raising=False)
     # six cells over a bound of five: the oracle refuses
-    assert main(["desing", str(src), "--method", "oracle", "--bound", "5"]) == 1
+    assert main(["desing", str(src), "--method", "oracle", "--bound", "5"]) == 2
     assert bounds == []
     # a bare call takes the auto path with the default bound
     assert main(["desing", str(src)]) == 0

@@ -17,10 +17,11 @@ from ssetforge.colimits import (
     quotient,
     regularity_witness,
 )
-from ssetforge.operators import Operator, all_operators, compose, make_degen, make_face
+from ssetforge.operators import Operator, all_operators, compose, make_face
 from ssetforge.simplicial import (
     Cell,
     Simplex,
+    SimplicialSet,
     boundary,
     generate,
     identity_map,
@@ -31,7 +32,7 @@ from ssetforge.simplicial import (
 )
 from ssetforge.textio import format_smap, format_sset
 
-from reference import UnionPushout, quotient_by_classes
+from reference import SimplexCongruence, UnionPushout, quotient_by_classes
 from test_pushout import _same_map, _same_pushout
 
 
@@ -259,31 +260,10 @@ def test_regularity_witness_matches_pushout_form(corpus):
     assert sum(w is not None for w in witnesses) >= 50
 
 
-def _merge_pushing_everything(cong, s, t):
-    # the closure by definition: every joined pair pushes all its
-    # elementary faces and degeneracies, each through eval
-    space = cong.space
-    work = [(s, t)]
-    while work:
-        a, b = work.pop()
-        ra, rb = cong.find(a), cong.find(b)
-        if ra == rb:
-            continue
-        cong._parent[rb] = ra
-        cong._size[ra] += cong._size[rb]
-        if rb in cong._degen:
-            cong._degen.setdefault(ra, cong._degen.pop(rb))
-        q = a.degree
-        ops = [make_face(i, q) for i in range(q + 1)] if q >= 1 else []
-        if q < cong.degree_bound:
-            ops += [make_degen(i, q) for i in range(q + 1)]
-        work.extend((space.eval(a, op), space.eval(b, op)) for op in ops)
-
-
 def test_merge_matches_full_closure(corpus):
     # seeded merges, one to three at a time, on the small quotients of the
-    # oracle campaign and the seed-0 members with <= 60 cells: the closure
-    # that skips the faces of degeneracy pairs gives the same classes
+    # oracle campaign and the seed-0 members with <= 60 cells: the table of
+    # cell forms gives the classes of the union-find closed by definition
     from ssetforge.verify import _small_quotients
 
     rng = random.Random(20200903)
@@ -292,12 +272,12 @@ def test_merge_matches_full_closure(corpus):
     for x in spaces:
         simplices = [list(x.simplices(q)) for q in range(max(x.dim, 0) + 1)]
         for _ in range(4):
-            fast, full = Congruence(x), Congruence(x)
+            fast, full = Congruence(x), SimplexCongruence(x)
             for _ in range(rng.randint(1, 3)):
                 pool = rng.choice([p for p in simplices if len(p) > 1] or simplices)
                 a, b = rng.choice(pool), rng.choice(pool)
                 fast.merge(a, b)
-                _merge_pushing_everything(full, a, b)
+                full.merge_pushing_everything(a, b)
                 merges += 1
                 assert fast.canonical() == full.canonical()
             identified += bool(fast.canonical())
@@ -325,9 +305,10 @@ def _normal_forms_by_closure(cong):
 
 def test_quotient_matches_classes_walk(corpus):
     # seeded merges on the small quotients of the oracle campaign and the
-    # seed-0 members with <= 60 cells: the forms read off the witnesses
-    # agree with the full partition, and the quotient read from them is
-    # the classes-walk quotient, cell for cell
+    # seed-0 members with <= 60 cells: the forms read off the table, and
+    # those the reference reads off its witnesses, agree with the full
+    # partition, and the quotient read from them is the classes-walk
+    # quotient, cell for cell
     from ssetforge.verify import _small_quotients
 
     rng = random.Random(20201018)
@@ -336,12 +317,12 @@ def test_quotient_matches_classes_walk(corpus):
     for x in spaces:
         simplices = [list(x.simplices(q)) for q in range(max(x.dim, 0) + 1)]
         for k in range(5):
-            fast, full = Congruence(x), Congruence(x)
+            fast, full = Congruence(x), SimplexCongruence(x)
             for _ in range(k and rng.randint(1, 3)):
                 pool = rng.choice([p for p in simplices if len(p) > 1] or simplices)
                 a, b = rng.choice(pool), rng.choice(pool)
                 fast.merge(a, b)
-                _merge_pushing_everything(full, a, b)
+                full.merge_pushing_everything(a, b)
             want = _normal_forms_by_closure(full)
             assert fast.normal_forms() == want
             assert full.normal_forms() == want
@@ -357,7 +338,7 @@ def test_quotient_matches_classes_walk(corpus):
 
 def test_copy_carries_witnesses():
     # collapse the edge {0,1} of the 2-simplex onto its vertex 0, so that
-    # its class has a degenerate witness, then merge on in a copy
+    # its form is degenerate, then merge on in a copy
     x = standard_simplex(2)
     edge = x.simplex(edge_cell(x))
     cong = Congruence(x)
@@ -372,6 +353,91 @@ def test_copy_carries_witnesses():
     # the copy's merge leaves the original alone
     assert counts(quotient(x, cong).space) == (2, 2, 1)
     assert counts(quotient(x, other).space) == (1, 2, 1)
+
+
+def _same_congruence(fast, ref):
+    """The table and the union-find reference hold the same relation."""
+    assert fast.normal_forms() == ref.normal_forms()
+    assert fast.canonical() == ref.canonical()
+    # together on every pair of simplices of one degree: each reference
+    # class lies in one class of fast, and no two reference classes do
+    keys = set()
+    for members in ref.classes().values():
+        first = members[0]
+        assert all(fast.together(first, m) for m in members[1:])
+        keys.add(fast.find(first))
+    assert len(keys) == len(ref.classes())
+
+
+def _table_holds_killed_cells(cong):
+    # a form is kept exactly for each cell that is not a first cell
+    forms = cong.normal_forms()
+    assert set(cong._form) <= set(cong.space.cells)
+    assert len(cong._form) == sum(f.cell != c for c, f in forms.items())
+
+
+def test_forms_match_simplex_reference(corpus, monkeypatch):
+    # seeded merges on the small quotients of the oracle campaign and the
+    # seed-0 members with <= 60 cells, each followed by a comparison with
+    # the union-find over simplices
+    from ssetforge import colimits
+    from ssetforge.verify import _small_quotients
+
+    # whether each step comparing (f, alpha) with (g, beta), alpha != beta,
+    # had f and g of one dimension
+    real, sections = colimits.separating_section, []
+
+    def spy(alpha, beta):
+        sections.append(alpha.dst == beta.dst)
+        return real(alpha, beta)
+
+    monkeypatch.setattr(colimits, "separating_section", spy)
+    rng = random.Random(20201019)
+    spaces = _small_quotients() + [e.space for e in corpus if len(e.space.cells) <= 60]
+    merges = 0
+    for x in spaces:
+        simplices = [list(x.simplices(q)) for q in range(max(x.dim, 0) + 1)]
+        for _ in range(6):
+            fast, ref = Congruence(x), SimplexCongruence(x)
+            for _ in range(rng.randint(1, 3)):
+                pool = rng.choice([p for p in simplices if len(p) > 1] or simplices)
+                a, b = rng.choice(pool), rng.choice(pool)
+                fast.merge(a, b)
+                ref.merge(a, b)
+                merges += 1
+                _same_congruence(fast, ref)
+                _table_holds_killed_cells(fast)
+    assert merges >= 1500
+    assert sum(sections) >= 60 and len(sections) - sum(sections) >= 600
+
+
+def test_equal_rank_degeneracies_of_one_edge():
+    # (e, s_0) ~ (e, s_1) for the edge {0,1} of the 2-simplex: face d_0
+    # sends them to e and to vertex 1 degenerated, so e collapses onto
+    # vertex 1, and with it vertex 0
+    x = standard_simplex(2)
+    e = edge_cell(x)
+    a, b = Simplex(e, Operator(1, (0, 0, 1))), Simplex(e, Operator(1, (0, 1, 1)))
+    fast, ref = Congruence(x), SimplexCongruence(x)
+    fast.merge(a, b)
+    ref.merge_pushing_everything(a, b)
+    _same_congruence(fast, ref)
+    forms = fast.normal_forms()
+    assert forms[e].is_degenerate and forms[0] == forms[1]
+    assert counts(quotient(x, fast).space) == (2, 2, 1)
+
+
+def test_long_form_chain_resolves():
+    # merging vertices from the last one down chains every form through
+    # the next lower vertex, longer than the interpreter's recursion limit
+    n = 3000
+    x = SimplicialSet({c: Cell(0, ()) for c in range(n)})
+    cong = Congruence(x)
+    for c in range(n - 1, 0, -1):
+        cong.merge(x.simplex(c), x.simplex(c - 1))
+    assert len(cong._form) == n - 1
+    assert cong.find(x.simplex(n - 1)) == x.simplex(0)
+    assert set(cong.normal_forms().values()) == {x.simplex(0)}
 
 
 def _product_per_pair(x, y):

@@ -30,6 +30,7 @@ from ssetforge.posets import (
     identity_monotone,
     is_dwyer,
     nerve,
+    nerve_map,
     product_poset,
     psi,
     sharp_map,
@@ -280,7 +281,8 @@ def _dcr_suite_maps(corpus):
 def test_nerve_prism_matches_product_prism(corpus):
     # all 88 cones over posets with at most five elements and every map of
     # the seed-0 dcr suite: the cylinder glued from the nerve of P x [1] is
-    # the one glued from the product NP x Delta[1], up to cell numbering
+    # the one glued from the product NP x Delta[1], up to cell numbering,
+    # and its reduced front is the nerve map of the pushout's leg out of R
     maps = [terminal_map(p) for p in all_posets(5)]
     assert len(maps) == 88
     maps += list(_dcr_suite_maps(corpus))
@@ -305,6 +307,10 @@ def test_nerve_prism_matches_product_prism(corpus):
         assert Counter(new.reduction.assignment.values()) == Counter(
             old.reduction.assignment.values()
         )
+        # the reduced front is the nerve map cr was mediated from, kept
+        # rather than built again: it equals a fresh one
+        fresh = nerve_map(new.poset.leg_other, new.front.source, new.reduced)
+        assert new.reduced_front.assignment == fresh.assignment
         verdicts = []
         for bundle in (new, old):
             g, res = dcr(phi, bundle=bundle)

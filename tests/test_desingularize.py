@@ -35,7 +35,8 @@ from ssetforge.subdivision import sd, t_nat
 from ssetforge.textio import format_smap, format_sset
 from ssetforge.verify import _small_quotients
 
-from reference import quotient_by_classes
+from reference import SimplexCongruence, quotient_by_classes
+from test_colimits import _same_congruence, _table_holds_killed_cells
 
 # the package exports the function desingularize under the module's name
 desingularize_module = importlib.import_module("ssetforge.desingularize")
@@ -277,3 +278,75 @@ def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
             got = desingularize_module._minimal_congruence_meet(space)
         assert visited == order
         assert got.canonical() == meet.canonical()
+
+
+def test_zipper_and_oracle_match_simplex_reference(corpus, monkeypatch):
+    # every zipper move on the small quotients and the seed-0 members with
+    # <= 60 cells, and every oracle child on those with <= 10 cells: each
+    # merge is repeated on a union-find reference, carried through copies,
+    # and the two must then hold the same relation
+    spaces = _small_quotients() + [e.space for e in corpus if len(e.space.cells) <= 60]
+    merge, copy = Congruence.merge, Congruence.copy
+    merges = copies = 0
+
+    def shadow(cong):
+        if "_shadow" not in vars(cong):
+            cong._shadow = SimplexCongruence(cong.space)
+        return cong._shadow
+
+    def shadowed_merge(cong, s, t):
+        nonlocal merges
+        merge(cong, s, t)
+        ref = shadow(cong)
+        ref.merge(s, t)
+        _same_congruence(cong, ref)
+        _table_holds_killed_cells(cong)
+        merges += 1
+
+    def shadowed_copy(cong):
+        nonlocal copies
+        other = copy(cong)
+        other._shadow = shadow(cong).copy()
+        copies += 1
+        return other
+
+    with monkeypatch.context() as m:
+        m.setattr(Congruence, "merge", shadowed_merge)
+        m.setattr(Congruence, "copy", shadowed_copy)
+        for x in spaces:
+            zipper_desingularize(x)
+        zipper_merges = merges
+        for x in spaces:
+            if len(x.cells) <= 10:
+                oracle_desingularize(x)
+    assert zipper_merges >= 150 and merges - zipper_merges >= 1500 and copies >= 1500
+
+
+def test_oracle_branches_once_per_class(monkeypatch):
+    # over the small quotients: one child per class of degenerate simplices
+    # builds strictly fewer children than one per degenerate simplex; the
+    # nodes and their order are pinned by the canonical-keys test above
+    from ssetforge.desingularize import _degenerate_simplices
+
+    first_singular = desingularize_module._first_singular
+    copy = Congruence.copy
+    children = per_simplex = 0
+
+    def counted_copy(cong):
+        nonlocal children
+        children += 1
+        return copy(cong)
+
+    def step(space, forms):
+        nonlocal per_simplex
+        rep = first_singular(space, forms)
+        if rep is not None:
+            per_simplex += len(_degenerate_simplices(space, rep.degree))
+        return rep
+
+    with monkeypatch.context() as m:
+        m.setattr(Congruence, "copy", counted_copy)
+        m.setattr(desingularize_module, "_first_singular", step)
+        for space in _small_quotients():
+            oracle_desingularize(space)
+    assert 0 < children < per_simplex
