@@ -5,9 +5,13 @@ Spaces travel as .sset files, simplicial maps as .smap, posets as
 of textio.  Verification commands print a report tree and exit nonzero
 on failures, so the tool works in shell pipelines and CI jobs alike.
 
+Inputs are read as UTF-8.  Outputs are overwritten in place
+(``textio.write_file``): the same bytes, file, mode and links as a
+truncating rewrite leaves, and, like one, not atomic.
+
 Exit codes: 0 success; 1 a failed verification; 2 no certified
 desingularization (an input above the oracle's cell bound included);
-3 a malformed input file, reported as one line
+3 a malformed input file (one that is not UTF-8 included), reported as one line
 ``forge: <file>:<line>: <message>`` on stderr, a file that cannot be
 read or written, reported as ``forge: <file>: <reason>``, a
 ``FORGE_ORACLE_BOUND`` that is not an integer, reported as
@@ -28,7 +32,6 @@ import argparse
 import functools
 import os
 import sys
-from pathlib import Path
 
 from .corpus import gen_corpus, load_corpus, save_corpus
 from .cylinders import cylinder_reduction, dcr, reduced_cylinder, topological_cylinder
@@ -47,6 +50,7 @@ from .textio import (
     parse_file,
     parse_pmap,
     parse_sset,
+    write_file,
 )
 from .verify import (
     format_report,
@@ -72,7 +76,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        write_file(out, text)
     else:
         sys.stdout.write(text)
 
@@ -165,9 +169,9 @@ def cmd_desing(args) -> int:
     print(f"certificate {res.certificate.value}")
     print(f"cells {len(space.cells)} -> {len(res.quotient.cells)}")
     if args.out:
-        Path(args.out).write_text(format_sset(res.quotient))
+        write_file(args.out, format_sset(res.quotient))
     if args.emit_eta:
-        Path(args.emit_eta).write_text(format_smap(res.eta))
+        write_file(args.emit_eta, format_smap(res.eta))
     return 0 if res.certificate is not Certificate.UNCERTIFIED else 2
 
 

@@ -111,17 +111,17 @@ def save_corpus(corpus: Corpus, directory) -> None:
     """One .sset file per member plus a manifest naming them all."""
     from pathlib import Path
 
-    from .textio import format_sset
+    from .textio import format_sset, write_file
 
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     lines = ["# corpus manifest", f"seed {corpus.seed}"]
     for entry in corpus:
         fname = f"{entry.name}.sset"
-        (root / fname).write_text(format_sset(entry.space))
+        write_file(root / fname, format_sset(entry.space))
         flag = "regular" if entry.regular else "singular"
         lines.append(f"member {entry.name} {entry.provenance} {flag} {fname}")
-    (root / "manifest.txt").write_text("\n".join(lines) + "\n")
+    write_file(root / "manifest.txt", "\n".join(lines) + "\n")
 
 
 def _parse_manifest(text: str) -> tuple[int, list[list[str]]]:

@@ -145,14 +145,33 @@ def _degenerate_simplices(space: SimplicialSet, degree: int) -> list[Simplex]:
 
 
 def _meet(space: SimplicialSet, congs: list[Congruence]) -> Congruence:
+    """The intersection R of the congruences, as a congruence on space.
+
+    Degree by degree, the simplices are grouped by their classes in every
+    congruence, and each group's first member is merged with the group's
+    q-cells and with its first degenerate member only.  That relates the
+    rest, by induction on q.  Every merge is of an R-related pair, so
+    ``out`` lies in R; suppose it equals R below degree q.  Take degenerate
+    members x = s_j d_j x and x' = s_k d_k x' of one R-class, j <= k (swap
+    them otherwise).  d_j x R d_j x' lies below q, so x ~ s_j d_j x' in
+    ``out``; for j = k that is x'.  For j < k, let y' = d_k x'.  R is
+    closed under operators, so x' R s_j d_j x' = s_k s_j d_j y', and d_k
+    gives y' R s_j d_j y' below q; so x' = s_k y' ~ s_k s_j d_j y' =
+    s_j d_j x' in ``out``.
+    """
     out = Congruence(space)
     for q in range(space.dim + 1):
         groups: dict[tuple, list[Simplex]] = {}
         for s in space.simplices(q):
             groups.setdefault(tuple(c.find(s) for c in congs), []).append(s)
-        for members in groups.values():
-            for other in members[1:]:
-                out.merge(members[0], other)
+        for first, *rest in groups.values():
+            joined_degenerate = first.is_degenerate
+            for other in rest:
+                if other.is_degenerate:
+                    if joined_degenerate:
+                        continue
+                    joined_degenerate = True
+                out.merge(first, other)
     return out
 
 

@@ -8,11 +8,17 @@ operator down.  Maps inline their source and target between
 `lt` lines; monotone maps mirror the simplicial layout.  `#` comments
 and blank lines are ignored everywhere.  Every parser reports malformed
 text as a ParseError that names the line at fault.
+
+Files are read and written as UTF-8 through ``parse_file`` and
+``write_file``; a file that is not UTF-8 is a ParseError naming the line
+of its first bad byte.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from pathlib import Path
 
 from .operators import Operator, degeneracy_from_repeats
@@ -38,12 +44,54 @@ class ParseError(ValueError):
 
 
 def parse_file(path, parse):
-    """``parse`` applied to the text of the file at ``path``; a ParseError
-    it raises names the file."""
+    """``parse`` applied to the UTF-8 text of the file at ``path``; a
+    ParseError it raises, or bytes that are not UTF-8, name the file."""
+    data = Path(path).read_bytes()
     try:
-        return parse(Path(path).read_text())
+        return parse(_decode(data))
     except ParseError as err:
         err.path = str(path)
+        raise
+
+
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError as err:
+        # the text before the bad byte is valid; the byte sits on the line
+        # after its last line break, counted as the parsers count lines
+        line = len((data[:err.start].decode() + "_").splitlines())
+        bad = data[err.start]
+        raise ParseError(f"byte 0x{bad:02x} is not UTF-8", line) from None
+
+
+def write_file(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to the file at ``path``, replacing what it held.
+
+    The file is overwritten in place: opened without truncation, written
+    from offset 0, then cut to the written length if it is a regular file.
+    The bytes, inode, mode, symlinks and hard links end as
+    ``Path.write_text`` leaves them.  Neither write is atomic or durable:
+    a reader racing this one, or a write cut short, may see new bytes
+    followed by old ones, where a truncating write shows a prefix of the
+    new bytes.  Truncating a file that holds data to zero first makes ext4
+    (its replace-via-truncate heuristic) start writeback on close, which
+    the next rewrite of the same file waits for.  An OSError names the file.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            # a device or a pipe cannot be truncated (EINVAL) and need not be
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    except OSError as err:
+        err.filename = os.fspath(path)
         raise
 
 

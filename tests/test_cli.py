@@ -1,15 +1,17 @@
 import argparse
 import gc
+import os
 
 import pytest
 
 from ssetforge import cli
 from ssetforge.cli import main
 from ssetforge.corpus import gen_corpus, load_corpus
+from ssetforge.desingularize import desingularize
 from ssetforge.posets import FinPoset, MonotoneMap
-from ssetforge.simplicial import is_isomorphic, standard_simplex
-from ssetforge.subdivision import sd
-from ssetforge.textio import format_pmap, format_sset, parse_smap, parse_sset
+from ssetforge.simplicial import boundary, is_isomorphic, standard_simplex
+from ssetforge.subdivision import b_nat, sd
+from ssetforge.textio import format_pmap, format_smap, format_sset, parse_smap, parse_sset
 
 # triangle with two vertices merged: the zipper stalls, the oracle succeeds
 STALL = """\
@@ -210,6 +212,64 @@ def test_unreadable_or_unwritable_file_is_one_line_and_exit_3(tmp_path, capsys, 
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err == f"forge: {culprit.format(tmp=tmp_path)}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sd", "{tmp}/x.sset", "-o", "/dev/full"],
+    ["desing", "{tmp}/x.sset", "--emit-eta", "/dev/full"],
+])
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_write_names_its_file(tmp_path, capsys, argv):
+    (tmp_path / "x.sset").write_text(STALL)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 3
+    assert capsys.readouterr().err == "forge: /dev/full: No space left on device\n"
+
+
+def test_output_to_a_device_is_not_truncated(tmp_path, capsys):
+    # /dev/null is written but has no length to cut
+    (tmp_path / "x.sset").write_text(STALL)
+    assert main(["sd", str(tmp_path / "x.sset"), "-o", "/dev/null"]) == 0
+    argv = ["desing", str(tmp_path / "x.sset"), "-o", "/dev/null", "--emit-eta", "/dev/null"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_outputs_are_their_formatted_text(tmp_path, capsys):
+    # rewritten over longer and shorter files of the previous request
+    src, out, eta = tmp_path / "x.sset", tmp_path / "out.sset", tmp_path / "eta.smap"
+    for space in [boundary(2), parse_sset(STALL), standard_simplex(1), standard_simplex(3)]:
+        src.write_text(format_sset(space))
+        res = desingularize(space)
+        assert main(["desing", str(src), "-o", str(out), "--emit-eta", str(eta)]) == 0
+        assert out.read_bytes() == format_sset(res.quotient).encode()
+        assert eta.read_bytes() == format_smap(res.eta).encode()
+        assert main(["sd", str(src), "-o", str(out)]) == 0
+        assert out.read_bytes() == format_sset(sd(space)).encode()
+        assert main(["bnat", str(src), "-o", str(eta)]) == 0
+        assert eta.read_bytes() == format_smap(b_nat(space)).encode()
+
+
+@pytest.mark.parametrize("argv, culprit", [
+    (["sd", "{tmp}/x.sset"], "{tmp}/x.sset"),
+    (["dcr", "{tmp}/phi.pmap"], "{tmp}/phi.pmap"),
+    (["verify", "main", "--corpus", "{tmp}/corpus"], "{tmp}/corpus/delta-2.sset"),
+    (["verify", "main", "--corpus", "{tmp}/corpus"], "{tmp}/corpus/manifest.txt"),
+])
+def test_non_utf8_input_is_one_line_and_exit_3(tmp_path, tiny_corpus, capsys, argv, culprit):
+    # a bad byte in a comment on line 3: the file is refused before parsing
+    from ssetforge.corpus import save_corpus
+
+    (tmp_path / "x.sset").write_text(STALL)
+    (tmp_path / "phi.pmap").write_text(WEDGE_TO_CHAIN)
+    save_corpus(tiny_corpus, tmp_path / "corpus")
+    culprit = tmp_path / culprit.format(tmp=tmp_path)
+    rows = culprit.read_bytes().splitlines(keepends=True)
+    rows[2] = b"# \xff" + rows[2]
+    culprit.write_bytes(b"".join(rows))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"forge: {culprit}:3: byte 0xff is not UTF-8\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,8 @@
 import importlib
+import importlib.util
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,11 +39,34 @@ from ssetforge.subdivision import sd, t_nat
 from ssetforge.textio import format_smap, format_sset
 from ssetforge.verify import _small_quotients
 
-from reference import SimplexCongruence, quotient_by_classes
+from reference import SimplexCongruence, quotient_by_classes, simplex_walk_meet
 from test_colimits import _same_congruence, _table_holds_killed_cells
 
 # the package exports the function desingularize under the module's name
 desingularize_module = importlib.import_module("ssetforge.desingularize")
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _cli_small_quotients(seed: int, count: int) -> list:
+    """The first ``count`` small quotients the benchmark's cli-small
+    workload runs forge desing on at ``seed``, drawn as it draws them."""
+    spec = importlib.util.spec_from_file_location("_workloads_quotients", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file runs
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    rng = random.Random(f"cli-small:{seed}")
+    spaces = []
+    while len(spaces) < count:
+        space = workloads._small_quotient(rng)
+        if (len(space.cells) <= workloads.SMALL_QUOTIENT_CELLS
+                and zipper_desingularize(space).certificate is Certificate.ZIPPER):
+            spaces.append(space)
+    return spaces
 
 
 def counts(space):
@@ -226,7 +253,7 @@ def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
     # the same meet
     from collections import deque
 
-    from ssetforge.desingularize import _degenerate_simplices, _meet
+    from ssetforge.desingularize import _degenerate_simplices
 
     def contains(cong, canon):
         return all(len({cong.find(s) for s in cls}) == 1 for cls in canon)
@@ -256,7 +283,7 @@ def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
             c for canon, c in solutions
             if not any(o != canon and contains(c, o) for o, _ in solutions)
         ]
-        return order, _meet(space, minimal)
+        return order, simplex_walk_meet(space, minimal)
 
     spaces = _small_quotients() + [e.space for e in corpus if len(e.space.cells) <= 10]
     first_singular = desingularize_module._first_singular
@@ -350,3 +377,51 @@ def test_oracle_branches_once_per_class(monkeypatch):
         for space in _small_quotients():
             oracle_desingularize(space)
     assert 0 < children < per_simplex
+
+
+def _reversed_ids(space: SimplicialSet) -> SimplicialSet:
+    """The same space with its cell ids in reverse order, so that cells of
+    higher dimension come first."""
+    top = max(space.cells)
+    return SimplicialSet({
+        top - cid: Cell(cell.dim, tuple((top - t, op) for t, op in cell.faces))
+        for cid, cell in space.cells.items()
+    })
+
+
+def test_meet_matches_simplex_walk(monkeypatch):
+    # the oracle's meet, merging only each class's q-cells and first
+    # degenerate member, against merging every member: on the minimal
+    # congruences the oracle finds for the verify suite's small quotients
+    # and 600 of the benchmark's seed-7 cli-small inputs (one each, on
+    # these), and on two or three seeded congruences of each such space.
+    # With ids reversed, a class's first member is often a cell, and its
+    # degenerate members are reached only through the one merge with it.
+    meet = desingularize_module._meet
+    spaces = _small_quotients() + _cli_small_quotients(7, 600)
+    spaces += [_reversed_ids(space) for space in spaces]
+    inputs = []
+
+    def captured(space, congs):
+        inputs.append((space, congs))
+        return meet(space, congs)
+
+    with monkeypatch.context() as m:
+        m.setattr(desingularize_module, "_meet", captured)
+        for space in spaces:
+            oracle_desingularize(space)
+    assert len(inputs) == len(spaces)
+    rng = random.Random(13)
+    for space in spaces:
+        congs = []
+        for _ in range(rng.randint(2, 3)):
+            q = rng.randint(0, space.dim)
+            simplices = list(space.simplices(q))
+            pairs = [tuple(rng.sample(simplices, 2)) for _ in range(rng.randint(1, 2))
+                     if len(simplices) > 1]
+            congs.append(congruence_from_pairs(space, pairs))
+        inputs.append((space, congs))
+    for space, congs in inputs:
+        got, want = meet(space, congs), simplex_walk_meet(space, congs)
+        assert got.normal_forms() == want.normal_forms()
+        assert got.canonical() == want.canonical()

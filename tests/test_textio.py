@@ -1,3 +1,4 @@
+import os
 import random
 from functools import lru_cache
 from itertools import product
@@ -22,8 +23,10 @@ from ssetforge.textio import (
     format_sset,
     parse_pmap,
     parse_poset,
+    parse_file,
     parse_smap,
     parse_sset,
+    write_file,
 )
 
 
@@ -237,3 +240,78 @@ def test_one_token_dropped_or_corrupted_is_a_parse_error(kind, data):
     # only renaming a poset element that no other line names leaves the
     # text valid: element names are free text
     assert how == "corrupt" and lines[i][0] == "el" and j == 1
+
+
+# -- files --------------------------------------------------------------------
+
+TEXT = "cell 0 0\ncell 1 0\ncell 2 1 1{} 0{}\n# \u03b4 and \u2202\n"
+
+
+@pytest.mark.parametrize("before", [None, TEXT * 3, TEXT[:5], TEXT.upper()],
+                         ids=["new", "longer", "shorter", "as-long"])
+def test_write_file_leaves_exactly_the_new_bytes(tmp_path, before):
+    # a new file, and an existing one that is longer, shorter, or as long
+    assert len(TEXT.upper().encode()) == len(TEXT.encode())
+    path = tmp_path / "out.sset"
+    if before is not None:
+        path.write_text(before)
+        inode = path.stat().st_ino
+    write_file(path, TEXT)
+    assert path.read_bytes() == TEXT.encode()
+    if before is not None:
+        assert path.stat().st_ino == inode
+
+
+def test_write_file_follows_links_and_keeps_the_mode(tmp_path):
+    target = tmp_path / "target.sset"
+    target.write_text(TEXT * 2)
+    target.chmod(0o600)
+    link = tmp_path / "link.sset"
+    link.symlink_to(target)
+    write_file(link, TEXT)
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_bytes() == TEXT.encode()
+    assert target.stat().st_mode & 0o777 == 0o600
+
+    other = tmp_path / "other.sset"
+    os.link(target, other)
+    write_file(other, "cell 0 0\n")
+    assert target.read_bytes() == other.read_bytes() == b"cell 0 0\n"
+    assert target.stat().st_nlink == 2
+
+
+def test_write_file_applies_the_umask_to_a_new_file(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_file(tmp_path / "new.sset", TEXT)
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.sset").stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_write_error_names_the_file():
+    with pytest.raises(OSError) as caught:
+        write_file("/dev/full", TEXT)
+    assert caught.value.filename == "/dev/full"
+
+
+@pytest.mark.parametrize("parse, name, text", [
+    (parse_sset, "x.sset", format_sset(boundary(2))),
+    (parse_smap, "f.smap", format_smap(representing_map(boundary(2), boundary(2).cell_ids(1)[0]))),
+    (parse_pmap, "phi.pmap", format_pmap(MonotoneMap(
+        FinPoset("ab", [("a", "b")]), FinPoset("u", []), {"a": "u", "b": "u"}))),
+])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xe2\x88"])
+def test_non_utf8_file_is_a_parse_error_naming_its_line(tmp_path, parse, name, text, bad):
+    path = tmp_path / name
+    path.write_text(text)
+    parse_file(path, parse)
+    lines = text.encode().splitlines(keepends=True)
+    # the bad bytes end line 2, before its line break
+    lines[1] = lines[1].rstrip(b"\n") + bad + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError) as caught:
+        parse_file(path, parse)
+    assert (caught.value.path, caught.value.line) == (str(path), 2)
+    assert str(caught.value) == f"byte 0x{bad[0]:02x} is not UTF-8"
