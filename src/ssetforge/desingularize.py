@@ -194,12 +194,12 @@ def _first_singular(space: SimplicialSet, forms: dict[int, Simplex]) -> Simplex 
     return None
 
 
-def _minimal_congruence_meet(space: SimplicialSet) -> Congruence:
+def _minimal_congruences(space: SimplicialSet) -> list[Congruence]:
     """Breadth-first search for the minimal congruences whose quotient is
-    non-singular, then their meet.  A singular quotient branches once per
-    class of degenerate simplices, merging its first singular cell with
-    the first member of each.  Each queued congruence carries its normal
-    forms, computed once."""
+    non-singular.  A singular quotient branches once per class of
+    degenerate simplices, merging its first singular cell with the first
+    member of each.  Each queued congruence carries its normal forms,
+    computed once."""
     start = Congruence(space)
     start_forms = start.normal_forms()
     seen = {tuple(start_forms.values())}
@@ -235,7 +235,14 @@ def _minimal_congruence_meet(space: SimplicialSet) -> Congruence:
             minimal.append(c)
     if not minimal:
         raise RuntimeError("search found no admissible congruence")
-    return _meet(space, minimal)
+    return minimal
+
+
+def _minimal_congruence_meet(space: SimplicialSet) -> Congruence:
+    """The meet of the minimal congruences with a non-singular quotient.
+    The search usually finds just one, which is its own meet."""
+    minimal = _minimal_congruences(space)
+    return minimal[0] if len(minimal) == 1 else _meet(space, minimal)
 
 
 def oracle_desingularize(space: SimplicialSet, bound: int = 10) -> DesingResult:

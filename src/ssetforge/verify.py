@@ -5,6 +5,11 @@ Each campaign returns a Report, a list of named pass/fail cases with
 key-value details.  Reports render as a stable text tree so that two
 runs under the same seed diff cleanly; timings are carried but left out
 of the rendering unless asked for.
+
+The second-subdivision corollary is the main theorem applied to sd
+images: its case for X is the main comparison for Sd X.  The verdict of
+each main comparison is recorded per space, so whichever campaign reaches
+a space second reads the verdict instead of building t again.
 """
 
 from __future__ import annotations
@@ -12,8 +17,10 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .colimits import (
     collapse_subcomplex,
@@ -145,6 +152,44 @@ def _corpus_sd(entry: CorpusEntry, by_name: dict[str, CorpusEntry]) -> Simplicia
     return sd(entry.space)
 
 
+class Comparison(NamedTuple):
+    """The verdict facts of the main comparison for one space x: how sd x
+    desingularized, its cell count, and, when certified, the cell count of
+    the barratt nerve and whether t_x is an isomorphism."""
+
+    certificate: Certificate
+    sd_cells: int
+    barratt_cells: int | None
+    iso: bool
+
+
+# Keyed by the space x whose subdivision is compared; SimplicialSet hashes by
+# identity, so a record lives exactly as long as its space.
+_COMPARISONS: weakref.WeakKeyDictionary[SimplicialSet, Comparison] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _compare(x: SimplicialSet, subdivide: Callable[[], SimplicialSet]) -> Comparison:
+    """The main comparison for x, from the record or, on a miss, from a t
+    built on subdivide() (sd x) and validated, then recorded.  Only the
+    verdict facts are kept, not the objects they were read from."""
+    found = _COMPARISONS.get(x)
+    if found is not None:
+        return found
+    sds = subdivide()
+    res = desingularize(sds)
+    if res.certificate is Certificate.UNCERTIFIED:
+        found = Comparison(res.certificate, len(sds.cells), None, False)
+    else:
+        t = t_nat(x, desing=res, sd_space=sds)
+        found = Comparison(
+            res.certificate, len(sds.cells), len(t.target.cells), t.is_isomorphism()
+        )
+    _COMPARISONS[x] = found
+    return found
+
+
 def verify_main_theorem(corpus: Corpus) -> Report:
     """For every regular member the desingularized subdivision maps
     isomorphically onto the nerve of the cell poset."""
@@ -154,19 +199,16 @@ def verify_main_theorem(corpus: Corpus) -> Report:
         if not entry.regular:
             continue
         started = time.time()
-        x = entry.space
-        sds = _corpus_sd(entry, by_name)
-        res = desingularize(sds)
-        if res.certificate is Certificate.UNCERTIFIED:
+        c = _compare(entry.space, lambda: _corpus_sd(entry, by_name))
+        if c.certificate is Certificate.UNCERTIFIED:
             _timed(report, f"main/{entry.name}", False, started,
-                   certificate=res.certificate.value, cells=len(sds.cells))
+                   certificate=c.certificate.value, cells=c.sd_cells)
             continue
-        t = t_nat(x, desing=res, sd_space=sds)
         _timed(
-            report, f"main/{entry.name}", t.is_isomorphism(), started,
-            certificate=res.certificate.value,
-            sd_cells=len(sds.cells),
-            barratt_cells=len(t.target.cells),
+            report, f"main/{entry.name}", c.iso, started,
+            certificate=c.certificate.value,
+            sd_cells=c.sd_cells,
+            barratt_cells=c.barratt_cells,
         )
     return report
 
@@ -174,7 +216,11 @@ def verify_main_theorem(corpus: Corpus) -> Report:
 def verify_second_subdivision(corpus: Corpus) -> Report:
     """For arbitrary members the same comparison holds one subdivision up:
     the double subdivision desingularizes onto the nerve of the cell poset
-    of the single subdivision."""
+    of the single subdivision.
+
+    That is the main theorem for y = Sd X, which is regular, so the case
+    reads y's record when the main campaign already compared y (the corpus
+    member sd-X) and fills it otherwise."""
     report = Report("second-subdivision")
     by_name = {e.name: e for e in corpus}
     for entry in corpus:
@@ -183,17 +229,15 @@ def verify_second_subdivision(corpus: Corpus) -> Report:
         started = time.time()
         image = by_name.get(f"sd-{entry.name}")
         y = image.space if image is not None else sd(entry.space)
-        sds = sd(y)
-        res = desingularize(sds)
-        if res.certificate is Certificate.UNCERTIFIED:
+        c = _compare(y, lambda: sd(y))
+        if c.certificate is Certificate.UNCERTIFIED:
             _timed(report, f"corollary/{entry.name}", False, started,
-                   certificate=res.certificate.value)
+                   certificate=c.certificate.value)
             continue
-        t = t_nat(y, desing=res, sd_space=sds)
         _timed(
-            report, f"corollary/{entry.name}", t.is_isomorphism(), started,
+            report, f"corollary/{entry.name}", c.iso, started,
             regular_input=entry.regular,
-            sd2_cells=len(sds.cells),
+            sd2_cells=c.sd_cells,
         )
     return report
 

@@ -397,20 +397,27 @@ def test_meet_matches_simplex_walk(monkeypatch):
     # these), and on two or three seeded congruences of each such space.
     # With ids reversed, a class's first member is often a cell, and its
     # degenerate members are reached only through the one merge with it.
+    # The oracle itself takes a lone minimal congruence as its own meet.
     meet = desingularize_module._meet
+    minimal_congruences = desingularize_module._minimal_congruences
     spaces = _small_quotients() + _cli_small_quotients(7, 600)
     spaces += [_reversed_ids(space) for space in spaces]
     inputs = []
 
-    def captured(space, congs):
-        inputs.append((space, congs))
-        return meet(space, congs)
+    def captured(space):
+        minimal = minimal_congruences(space)
+        inputs.append((space, minimal))
+        return minimal
 
     with monkeypatch.context() as m:
-        m.setattr(desingularize_module, "_meet", captured)
+        m.setattr(desingularize_module, "_minimal_congruences", captured)
         for space in spaces:
-            oracle_desingularize(space)
+            got = desingularize_module._minimal_congruence_meet(space)
+            want = simplex_walk_meet(space, inputs[-1][1])
+            assert got.normal_forms() == want.normal_forms()
+            assert got.canonical() == want.canonical()
     assert len(inputs) == len(spaces)
+    assert any(len(minimal) == 1 for _, minimal in inputs)
     rng = random.Random(13)
     for space in spaces:
         congs = []

@@ -1,5 +1,11 @@
-from ssetforge.corpus import Corpus, CorpusEntry
-from ssetforge import operators
+import gc
+import hashlib
+import weakref
+from collections import Counter
+
+from ssetforge.cli import main
+from ssetforge.corpus import Corpus, CorpusEntry, load_corpus, save_corpus
+from ssetforge import operators, verify
 from ssetforge.simplicial import boundary
 from ssetforge.subdivision import sd
 from ssetforge.textio import format_sset, parse_sset
@@ -11,6 +17,12 @@ from ssetforge.verify import (
     verify_lemma_suite,
     verify_main_theorem,
     verify_second_subdivision,
+)
+
+# sha256 of `forge verify main --seed 0`, without timings, as the parent of
+# the per-space comparison record wrote it
+VERIFY_MAIN_SEED0_SHA256 = (
+    "4fca26fc077840a18f60ef5091605f8e62aef4ef2a1038ce8b7653910b9ee0fb"
 )
 
 
@@ -60,6 +72,7 @@ def test_main_theorem_reuses_built_sd_image(monkeypatch):
     reports = {}
     for name, entries in (("alone", built[:1]), ("built", built), ("read", read)):
         subdivided.clear()
+        verify._COMPARISONS.clear()
         rep = verify_main_theorem(Corpus(0, entries))
         assert rep.ok
         reports[name] = [(c.outcome, c.details) for c in rep.cases if c.name == "main/b"]
@@ -81,6 +94,7 @@ def test_operator_memo_stays_small(corpus):
     for fn in caches.values():
         fn.cache_clear()
     operators._CANON.clear()
+    verify._COMPARISONS.clear()
     assert verify_main_theorem(corpus).ok
     sizes = {name: fn.cache_info().currsize for name, fn in caches.items()}
     sizes["_CANON"] = len(operators._CANON)
@@ -95,6 +109,73 @@ def test_second_subdivision_on_tiny_corpus(tiny_corpus):
     assert "corollary/circle" in names
     assert "corollary/sd-circle" not in names
     assert rep.ok
+
+
+def _comparison_reports(corpus, second_first=False):
+    if second_first:
+        second_report = verify_second_subdivision(corpus)
+        main_report = verify_main_theorem(corpus)
+    else:
+        main_report = verify_main_theorem(corpus)
+        second_report = verify_second_subdivision(corpus)
+    return format_report(main_report), format_report(second_report)
+
+
+def test_comparison_reports_do_not_depend_on_campaign_order(corpus, tmp_path):
+    # with an empty record, either campaign may fill it for the other; a
+    # corpus read back from files has new spaces, so it starts empty too
+    verify._COMPARISONS.clear()
+    main_first = _comparison_reports(corpus)
+    verify._COMPARISONS.clear()
+    second_first = _comparison_reports(corpus, second_first=True)
+    save_corpus(corpus, tmp_path / "corpus")
+    loaded = _comparison_reports(load_corpus(tmp_path / "corpus"))
+    assert main_first == second_first == loaded
+    assert "main/sd-" in main_first[0] and "corollary/" in main_first[1]
+
+
+def test_comparison_builds_t_once_per_space(corpus, monkeypatch):
+    built = []
+    t_nat = verify.t_nat
+
+    def counted(space, **kwargs):
+        built.append(space)  # kept alive, so no two spaces share an id
+        return t_nat(space, **kwargs)
+
+    monkeypatch.setattr(verify, "t_nat", counted)
+    verify._COMPARISONS.clear()
+    main_report = verify_main_theorem(corpus)
+    second_report = verify_second_subdivision(corpus)
+    assert main_report.ok and second_report.ok
+    per_space = Counter(id(space) for space in built)
+    assert set(per_space.values()) == {1}
+    # every corollary whose sd image is a corpus member reads main's verdict
+    members = {e.name for e in corpus}
+    reused = sum(
+        1 for c in second_report.cases
+        if f"sd-{c.name.removeprefix('corollary/')}" in members
+    )
+    assert reused
+    assert len(built) == len(main_report.cases) + len(second_report.cases) - reused
+
+
+def test_comparison_record_goes_with_its_space():
+    verify._COMPARISONS.clear()
+    x = boundary(2)
+    corpus = Corpus(0, [CorpusEntry("b", x, "builtin", True)])
+    assert verify_main_theorem(corpus).ok
+    assert list(verify._COMPARISONS.keys()) == [x]
+    dropped = weakref.ref(x)
+    del x, corpus
+    gc.collect()
+    assert dropped() is None
+    assert len(verify._COMPARISONS) == 0
+
+
+def test_verify_main_report_matches_pin(tmp_path):
+    report = tmp_path / "main.txt"
+    assert main(["verify", "main", "--seed", "0", "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_MAIN_SEED0_SHA256
 
 
 def test_dcr_suite_counts_pairs(tiny_corpus):
