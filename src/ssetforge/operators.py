@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -224,7 +224,11 @@ def run_collapse(seq: Sequence) -> tuple[tuple, Operator]:
 
     The degeneracy sends position j to the index of the run containing j,
     so the original sequence is the run sequence precomposed with it.
+    A nonempty sequence without repeats is its own run sequence, under
+    the identity.
     """
+    if seq and not any(map(eq, seq, seq[1:])):
+        return tuple(seq), identity(len(seq) - 1)
     reps = tuple(i for i in range(len(seq) - 1) if seq[i] == seq[i + 1])
     out = tuple(v for i, v in enumerate(seq) if i == 0 or seq[i - 1] != v)
     return out, degeneracy_from_repeats(reps, len(seq) - 1)

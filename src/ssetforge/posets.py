@@ -1,11 +1,24 @@
 """Finite posets, their nerves, and the cell poset of a simplicial set.
 
-The nerve of a poset has one cell per nonempty strict chain.  The cell
-poset (``sharp``) of a simplicial set orders cells by the face relation:
-y <= x when y is the non-degenerate part of some face of x.  Pushouts of
-posets along injective sieve or cosieve embeddings are computed as the
-transitive closure of the images of both legs; antisymmetry of the
-result is asserted, never repaired.
+A poset numbers its elements in the order given and keeps, for each
+element, the ascending indices of the elements above and below it.  A
+relation given without closing it is checked for transitivity along
+these successor lists, and any gap or cycle is named by the first
+offending elements in element order.
+
+The nerve of a poset has one cell per nonempty strict chain.  It is
+built on chains of element indices: a ``Nerve`` keeps its poset and the
+cell id of each index chain, and labels each cell with its chain of
+elements.  ``nerve_map`` sends index chains through one index array of
+the monotone map and looks the collapsed image up in the target's table,
+so it takes only nerves of the map's own source and target posets (or of
+posets equal to them) and raises ValueError on any other simplicial set.
+
+The cell poset (``sharp``) of a simplicial set orders cells by the face
+relation: y <= x when y is the non-degenerate part of some face of x.
+Pushouts of posets along injective sieve or cosieve embeddings are
+computed as the transitive closure of the images of both legs;
+antisymmetry of the result is asserted, never repaired.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from itertools import permutations
 from typing import Hashable, Iterable
 
 from .operators import Operator, all_faces, identity, run_collapse
-from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet
+from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet, _simplex
 
 
 def _transitive_closure(elements: tuple, pairs: set) -> set:
@@ -37,6 +50,18 @@ def _transitive_closure(elements: tuple, pairs: set) -> set:
     return out
 
 
+def _first_gap(up: list[list[int]], above: list[set[int]]) -> tuple[int, int, int] | None:
+    """The first (a, b, d) in index order with a < b < d related but not
+    a < d, read along the ascending successor lists ``up``."""
+    for a, row in enumerate(up):
+        mine = above[a]
+        for b in row:
+            for d in up[b]:
+                if d != a and d not in mine:
+                    return a, b, d
+    return None
+
+
 class FinPoset:
     def __init__(
         self,
@@ -45,40 +70,41 @@ class FinPoset:
         *,
         close: bool = True,
     ):
-        self.elements = tuple(dict.fromkeys(elements))
-        known = set(self.elements)
+        self.elements = elements = tuple(dict.fromkeys(elements))
+        self._index = index = {e: i for i, e in enumerate(elements)}
         pairs = set()
         for a, b in relations:
-            if a not in known or b not in known:
+            if a not in index or b not in index:
                 raise ValueError(f"relation {(a, b)} mentions unknown elements")
             if a != b:
                 pairs.add((a, b))
-        self._index = {e: i for i, e in enumerate(self.elements)}
         if close:
-            pairs = _transitive_closure(self.elements, pairs)
-        else:
-            gaps = [
-                (a, b, d)
-                for a, b in pairs
-                for c, d in pairs
-                if b == c and (a, d) not in pairs and a != d
-            ]
-            if gaps:
-                # name the first gap in element order, not set order
-                gap = min(gaps, key=lambda t: tuple(self._index[e] for e in t))
-                raise ValueError(f"relation not transitive at {gap}")
+            pairs = _transitive_closure(elements, pairs)
+        # up[i]: the indices above element i, ascending
+        up: list[list[int]] = [[] for _ in elements]
         for a, b in pairs:
-            if (b, a) in pairs:
-                # name the first offending pair in element order, not set order
-                a, b = min(
-                    (p for p in pairs if p[::-1] in pairs),
-                    key=lambda p: (self._index[p[0]], self._index[p[1]]),
+            up[index[a]].append(index[b])
+        for row in up:
+            row.sort()
+        above = [set(row) for row in up]
+        if not close:
+            gap = _first_gap(up, above)
+            if gap is not None:
+                raise ValueError(
+                    f"relation not transitive at {tuple(elements[i] for i in gap)}"
                 )
-                raise ValueError(f"not antisymmetric: {a!r} and {b!r} are equivalent")
+        # the first offending pair in element order, not set order
+        for a, row in enumerate(up):
+            for b in row:
+                if a in above[b]:
+                    a, b = elements[a], elements[b]
+                    raise ValueError(f"not antisymmetric: {a!r} and {b!r} are equivalent")
         self._lt = frozenset(pairs)
-        self._up: dict[Hashable, tuple] = {}
-        for e in self.elements:
-            self._up[e] = tuple(f for f in self.elements if (e, f) in self._lt)
+        down: list[list[int]] = [[] for _ in elements]
+        for a, row in enumerate(up):
+            for b in row:
+                down[b].append(a)
+        self._up_idx, self._down_idx = up, down
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -93,10 +119,10 @@ class FinPoset:
         return a == b or (a, b) in self._lt
 
     def up(self, a: Hashable) -> tuple:
-        return self._up[a]
+        return tuple(map(self.elements.__getitem__, self._up_idx[self._index[a]]))
 
     def down(self, a: Hashable) -> tuple:
-        return tuple(e for e in self.elements if (e, a) in self._lt)
+        return tuple(map(self.elements.__getitem__, self._down_idx[self._index[a]]))
 
     def strict_pairs(self) -> frozenset:
         return self._lt
@@ -108,18 +134,21 @@ class FinPoset:
                 out.append((a, b))
         return out
 
-    def chains(self) -> list[tuple]:
-        """All nonempty strict chains, shortest first, lexicographic within length."""
-        n = len(self.elements)
-        up_idx = {
-            i: [self._index[f] for f in self._up[self.elements[i]]] for i in range(n)
-        }
+    def index_chains(self) -> list[tuple[int, ...]]:
+        """All nonempty strict chains as tuples of element indices, shortest
+        first, lexicographic within length."""
+        up = self._up_idx
         out: list[tuple[int, ...]] = []
-        level: list[tuple[int, ...]] = [(i,) for i in range(n)]
+        level: list[tuple[int, ...]] = [(i,) for i in range(len(self.elements))]
         while level:
             out.extend(level)
-            level = [c + (j,) for c in level for j in up_idx[c[-1]]]
-        return [tuple(self.elements[i] for i in c) for c in out]
+            level = [c + (j,) for c in level for j in up[c[-1]]]
+        return out
+
+    def chains(self) -> list[tuple]:
+        """All nonempty strict chains, shortest first, lexicographic within length."""
+        elements = self.elements
+        return [tuple(elements[i] for i in c) for c in self.index_chains()]
 
     def same_as(self, other: "FinPoset") -> bool:
         return self.elements == other.elements and self._lt == other._lt
@@ -166,12 +195,19 @@ def singleton_poset(label: Hashable = 0) -> FinPoset:
 
 
 def product_poset(p: FinPoset, q: FinPoset) -> FinPoset:
+    """Pairs ordered componentwise; relations listed in element order."""
     elements = [(a, b) for a in p.elements for b in q.elements]
+    # the indices at or above each element, ascending
+    p_le = [sorted([i, *row]) for i, row in enumerate(p._up_idx)]
+    q_le = [sorted([j, *row]) for j, row in enumerate(q._up_idx)]
+    n = len(q_le)
     rel = [
-        ((a, b), (c, d))
-        for (a, b) in elements
-        for (c, d) in elements
-        if (a, b) != (c, d) and p.leq(a, c) and q.leq(b, d)
+        (elements[i * n + j], elements[k * n + m])
+        for i, row_i in enumerate(p_le)
+        for j, row_j in enumerate(q_le)
+        for k in row_i
+        for m in row_j
+        if k != i or m != j
     ]
     return FinPoset(elements, rel, close=False)
 
@@ -210,20 +246,51 @@ def is_cosieve(p: FinPoset, subset: Iterable[Hashable]) -> bool:
 # -- nerves -----------------------------------------------------------------
 
 
-def nerve(p: FinPoset) -> SimplicialSet:
-    """One cell per nonempty strict chain; faces drop chain entries."""
-    chains = p.chains()
-    ids = {c: i for i, c in enumerate(chains)}
+class Nerve(SimplicialSet):
+    """The nerve of ``poset``: a simplicial set that also keeps its poset and
+    ``chain_ids``, the cell id of each chain as a tuple of element indices.
+    The labels are the chains themselves, as tuples of elements."""
+
+    def __init__(
+        self,
+        poset: FinPoset,
+        chain_ids: dict[tuple[int, ...], int],
+        cells: dict[int, Cell],
+        labels: dict[int, object],
+    ):
+        super().__init__(cells, labels)
+        self.poset = poset
+        self.chain_ids = chain_ids
+
+
+def nerve(p: FinPoset) -> Nerve:
+    """One cell per nonempty strict chain, numbered in ``chains()`` order;
+    faces drop chain entries."""
+    elements = p.elements
+    ids: dict[tuple[int, ...], int] = {}
     cells: dict[int, Cell] = {}
     labels: dict[int, object] = {}
-    for c, cid in ids.items():
+    element = elements.__getitem__
+    for c in p.index_chains():
+        cid = ids[c] = len(ids)
         d = len(c) - 1
-        faces = tuple(
-            (ids[c[:i] + c[i + 1 :]], identity(d - 1)) for i in range(d + 1)
-        ) if d else ()
+        if d:
+            ident = identity(d - 1)
+            faces = tuple([(ids[c[:i] + c[i + 1 :]], ident) for i in range(d + 1)])
+        else:
+            faces = ()
         cells[cid] = Cell(d, faces)
-        labels[cid] = c
-    return SimplicialSet(cells, labels)
+        labels[cid] = tuple(map(element, c))
+    return Nerve(p, ids, cells, labels)
+
+
+def _nerve_of(space: SimplicialSet, p: FinPoset, side: str) -> Nerve:
+    """space itself, when it is the nerve of p or of a poset equal to it."""
+    if not isinstance(space, Nerve) or (space.poset is not p and not space.poset.same_as(p)):
+        raise ValueError(
+            f"nerve_map: the {side} nerve given is not the nerve of the map's {side}"
+        )
+    return space
 
 
 def nerve_map(
@@ -231,14 +298,24 @@ def nerve_map(
     source_nerve: SimplicialSet | None = None,
     target_nerve: SimplicialSet | None = None,
 ) -> SimplicialMap:
-    np_ = nerve(phi.source) if source_nerve is None else source_nerve
-    nq = nerve(phi.target) if target_nerve is None else target_nerve
-    target_ids = {label: cid for cid, label in nq.labels.items()}
+    """N(phi), for nerves of phi's own source and target posets (built
+    when not given): each chain goes to its image with repeats collapsed,
+    degenerated along the repeats."""
+    if source_nerve is None:
+        np_ = nerve(phi.source)
+    else:
+        np_ = _nerve_of(source_nerve, phi.source, "source")
+    if target_nerve is None:
+        nq = nerve(phi.target)
+    else:
+        nq = _nerve_of(target_nerve, phi.target, "target")
+    mapping, index = phi.mapping, nq.poset._index
+    image = [index[mapping[e]] for e in np_.poset.elements]
+    target_ids = nq.chain_ids
     asg: dict[int, Simplex] = {}
-    for cid, chain in np_.labels.items():
-        image = tuple(phi(x) for x in chain)
-        collapsed, degen = run_collapse(image)
-        asg[cid] = Simplex(target_ids[collapsed], degen)
+    for chain, cid in np_.chain_ids.items():
+        collapsed, degen = run_collapse(tuple(map(image.__getitem__, chain)))
+        asg[cid] = _simplex((target_ids[collapsed], degen))
     return SimplicialMap(np_, nq, asg)
 
 

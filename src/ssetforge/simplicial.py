@@ -12,8 +12,17 @@ Where the answer is already stored, it is read off the table instead of
 factored: a degeneracy of a simplex is the same cell under the composite
 degeneracy, a codimension-1 face of a cell is its stored face, the faces
 of a face stored with an identity are that face's own stored faces, and
-the vertices of a cell are read through its last and first stored faces.  Validation checks the same identities on every
-cell either way; only the route to each side of a check is shorter.
+the vertices of a cell are read through its last and first stored faces
+and cached, so a non-degenerate simplex's vertex row is the cached one.
+Validation checks the same identities on every cell either way; only the
+route to each side of a check is shorter.
+
+Where every face of a cell is a cell, as in a poset nerve, the face
+identities are compared a whole row at a time: the first j faces of face
+j against face j-1 of each of the first j faces.  Where a map sends a
+cell to a cell, its stored faces are compared with the images of the
+cell's faces in one tuple.  On a mismatch both fall back to the pair by
+pair loop, so a failure is named by its first failing pair either way.
 """
 
 from __future__ import annotations
@@ -84,33 +93,40 @@ class SimplicialSet:
     # -- validation -----------------------------------------------------
 
     def _validate(self) -> None:
-        for cid, cell in self.cells.items():
+        cells = self.cells
+        for cid, cell in cells.items():
             if not isinstance(cid, int):
                 raise ValueError(f"cell ids must be integers, got {cid!r}")
-            if cell.dim < 0:
+            d, faces = cell.dim, cell.faces
+            if d < 0:
                 raise ValueError(f"cell {cid} has negative dimension")
-            expected = 0 if cell.dim == 0 else cell.dim + 1
-            if len(cell.faces) != expected:
-                raise ValueError(
-                    f"cell {cid} of dimension {cell.dim} stores {len(cell.faces)} faces"
-                )
-            for i, (target, op) in enumerate(cell.faces):
-                if target not in self.cells:
+            if len(faces) != (d + 1 if d else 0):
+                raise ValueError(f"cell {cid} of dimension {d} stores {len(faces)} faces")
+            for i, (target, op) in enumerate(faces):
+                below = cells.get(target)
+                if below is None:
                     raise ValueError(f"cell {cid} face {i} targets missing cell {target}")
                 if not op.is_degeneracy:
                     raise ValueError(f"cell {cid} face {i} operator {op} is not surjective")
-                if op.src != cell.dim - 1 or op.dst != self.cells[target].dim:
+                if op.src != d - 1 or op.dst != below.dim:
                     raise ValueError(f"cell {cid} face {i} has mismatched ranks")
         # The ranks are checked above for every cell, so a face (t, sigma)
         # with sigma an identity has t of dimension d-1, and its k-th face
         # is t's stored face k: what eval returns, read off the table.
-        cells = self.cells
         for cid, cell in cells.items():
             d = cell.dim
             if d < 2:
                 continue
             faces = cell.faces
             inner = [cells[t].faces if sigma.is_identity else None for t, sigma in faces]
+            if None not in inner:
+                # every face is a cell: the identities (i, j), i < j, say
+                # that row j's first j faces are column j-1 of the rows above
+                for j in range(1, d + 1):
+                    if inner[j][:j] != tuple([row[j - 1] for row in inner[:j]]):
+                        break
+                else:
+                    continue
             for j in range(d + 1):
                 for i in range(j):
                     if inner[j] is not None:
@@ -226,8 +242,11 @@ class SimplicialSet:
         return got
 
     def vertices(self, s: Simplex) -> tuple[int, ...]:
-        base = self._cell_vertices(s.cell)
-        return tuple(base[v] for v in s.degen.values)
+        cell, degen = s
+        base = self._cell_vertices(cell)
+        if degen.is_identity:
+            return base
+        return tuple(base[v] for v in degen.values)
 
     # -- predicates --------------------------------------------------------
 
@@ -262,25 +281,34 @@ class SimplicialMap:
             self._validate()
 
     def _validate(self) -> None:
-        for cid, cell in self.source.cells.items():
-            s = self.assignment.get(cid)
+        assignment, target = self.assignment, self.target
+        source_cells, target_cells = self.source.cells, target.cells
+        for cid, cell in source_cells.items():
+            s = assignment.get(cid)
             if s is None:
                 raise ValueError(f"no assignment for cell {cid}")
-            if s.cell not in self.target.cells:
+            image = target_cells.get(s.cell)
+            if image is None:
                 raise ValueError(f"cell {cid} sent to missing cell {s.cell}")
-            if s.degree != cell.dim or s.degen.dst != self.target.cells[s.cell].dim:
+            degen = s.degen
+            if degen.src != cell.dim or degen.dst != image.dim:
                 raise ValueError(f"cell {cid} sent to simplex of wrong degree")
-            if not s.degen.is_degeneracy:
+            if not degen.is_degeneracy:
                 raise ValueError(f"cell {cid} sent to {s}, which is not in normal form")
         # Where an image or a face is a cell under the identity, its face
         # or its image is read off the target's table or the assignment:
         # the same Simplex eval returns.
-        assignment, target = self.assignment, self.target
-        for cid, cell in self.source.cells.items():
+        for cid, cell in source_cells.items():
             if not cell.dim:
                 continue
             s = assignment[cid]
-            s_faces = target.cells[s.cell].faces if s.degen.is_identity else None
+            s_faces = target_cells[s.cell].faces if s.degen.is_identity else None
+            if s_faces is not None and s_faces == tuple([
+                assignment[t] if sigma.is_identity else self.apply(_simplex((t, sigma)))
+                for t, sigma in cell.faces
+            ]):
+                # a cell image: its stored faces are the images of the faces
+                continue
             for i, face in enumerate(cell.faces):
                 if s_faces is not None:
                     got = _simplex(s_faces[i])

@@ -19,6 +19,11 @@ the congruence its span generates, defined for any span; ``pushout``
 attaches along an injective leg instead.
 ``product_cylinder_reduction`` builds the topological cylinder from the
 generic simplicial product NP x Delta[1] instead of the nerve of P x [1].
+``label_nerve`` and ``label_nerve_map`` build nerves and nerve maps on
+chains of elements, found by walking the strict pairs; ``nerve`` and
+``nerve_map`` work on chains of element indices.  ``two_pass_run_collapse``
+is ``run_collapse`` by its definition, and ``pair_scan_error`` is the
+error ``FinPoset(close=False)`` raises, found by scanning every two pairs.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from ssetforge.cylinders import CylinderBundle, _check_bundle
 from ssetforge.operators import (
     Operator,
     compose,
+    degeneracy_from_repeats,
     identity,
     make_degen,
     make_face,
@@ -45,6 +51,7 @@ from ssetforge.operators import (
     run_collapse,
 )
 from ssetforge.posets import (
+    FinPoset,
     MonotoneMap,
     chain_poset,
     compose_monotone,
@@ -359,3 +366,80 @@ def product_cylinder_reduction(
     )
     _check_bundle(bundle)
     return bundle, pr, po
+
+
+def two_pass_run_collapse(seq) -> tuple[tuple, Operator]:
+    """The runs of equal adjacent entries, one pass for the repeat positions
+    and one for the runs, with the degeneracy collapsing the repeats."""
+    reps = tuple(i for i in range(len(seq) - 1) if seq[i] == seq[i + 1])
+    out = tuple(v for i, v in enumerate(seq) if i == 0 or seq[i - 1] != v)
+    return out, degeneracy_from_repeats(reps, len(seq) - 1)
+
+
+def pair_scan_error(elements, relations) -> str | None:
+    """The message ``FinPoset(elements, relations, close=False)`` raises, or
+    None: the first gap (a, b, d), a < b < d without a < d, in element
+    order over every two related pairs, then the first pair related both
+    ways."""
+    elements = tuple(dict.fromkeys(elements))
+    index = {e: i for i, e in enumerate(elements)}
+    pairs = set()
+    for a, b in relations:
+        if a not in index or b not in index:
+            return f"relation {(a, b)} mentions unknown elements"
+        if a != b:
+            pairs.add((a, b))
+    gaps = [
+        (a, b, d)
+        for a, b in pairs
+        for c, d in pairs
+        if b == c and (a, d) not in pairs and a != d
+    ]
+    if gaps:
+        gap = min(gaps, key=lambda t: tuple(index[e] for e in t))
+        return f"relation not transitive at {gap}"
+    both = [p for p in pairs if p[::-1] in pairs]
+    if both:
+        a, b = min(both, key=lambda p: (index[p[0]], index[p[1]]))
+        return f"not antisymmetric: {a!r} and {b!r} are equivalent"
+    return None
+
+
+def label_chains(p: FinPoset) -> list[tuple]:
+    """The nonempty strict chains of p, shortest first, lexicographic in
+    element order within a length, each extended along ``lt``."""
+    out: list[tuple] = []
+    level = [(e,) for e in p.elements]
+    while level:
+        out.extend(level)
+        level = [c + (e,) for c in level for e in p.elements if p.lt(c[-1], e)]
+    return out
+
+
+def label_nerve(p: FinPoset) -> SimplicialSet:
+    """One cell per chain of elements, in ``label_chains`` order; a face
+    drops an entry and is found by its chain."""
+    ids = {c: i for i, c in enumerate(label_chains(p))}
+    cells: dict[int, Cell] = {}
+    labels: dict[int, object] = {}
+    for c, cid in ids.items():
+        d = len(c) - 1
+        faces = tuple(
+            (ids[c[:i] + c[i + 1 :]], identity(d - 1)) for i in range(d + 1)
+        ) if d else ()
+        cells[cid] = Cell(d, faces)
+        labels[cid] = c
+    return SimplicialSet(cells, labels)
+
+
+def label_nerve_map(
+    phi: MonotoneMap, source_nerve: SimplicialSet, target_nerve: SimplicialSet
+) -> SimplicialMap:
+    """Each chain label of the source nerve sent through phi, collapsed,
+    and looked up among the target nerve's labels."""
+    target_ids = {label: cid for cid, label in target_nerve.labels.items()}
+    asg: dict[int, Simplex] = {}
+    for cid, chain in source_nerve.labels.items():
+        collapsed, degen = two_pass_run_collapse(tuple(phi(x) for x in chain))
+        asg[cid] = Simplex(target_ids[collapsed], degen)
+    return SimplicialMap(source_nerve, target_nerve, asg)

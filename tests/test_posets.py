@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -6,7 +7,9 @@ import sys
 import pytest
 
 import ssetforge
-from ssetforge.operators import Operator, identity, make_vertex
+from ssetforge import verify
+from ssetforge.cylinders import representing_sharp
+from ssetforge.operators import Operator, identity, make_vertex, run_collapse
 from ssetforge.posets import (
     FinPoset,
     MonotoneMap,
@@ -33,7 +36,14 @@ from ssetforge.posets import (
     singleton_poset,
     up_closure,
 )
-from ssetforge.simplicial import is_isomorphic, simplex_map, standard_simplex
+from ssetforge.simplicial import SimplicialSet, is_isomorphic, simplex_map, standard_simplex
+
+from reference import (
+    label_nerve,
+    label_nerve_map,
+    pair_scan_error,
+    two_pass_run_collapse,
+)
 
 
 def counts(space):
@@ -108,6 +118,115 @@ def test_nerve_map_collapse():
     top = max(f.source.cells)
     assert f.assignment[top].degen == Operator(1, (0, 0, 1))
     assert f.is_degreewise_surjective()
+
+
+def test_nerve_map_needs_nerves_of_its_posets():
+    phi = MonotoneMap(chain_poset(2), chain_poset(1), {0: 0, 1: 0, 2: 1})
+    np_, nq = nerve(chain_poset(2)), nerve(chain_poset(1))
+    # nerves of posets equal to phi's own are accepted
+    assert nerve_map(phi, np_, nq).assignment == nerve_map(phi).assignment
+    foreign = [
+        (nerve(chain_poset(1)), nq, "source"),  # labels a subset of phi's chains
+        (np_, nerve(chain_poset(2)), "target"),  # phi's image fits, the poset is not its target
+        (np_, SimplicialSet(nq.cells, nq.labels), "target"),  # the same cells, no poset
+        (np_, nerve(wedge_poset()), "target"),
+    ]
+    for source, target, side in foreign:
+        with pytest.raises(ValueError) as err:
+            nerve_map(phi, source, target)
+        message = str(err.value)
+        assert "\n" not in message and f"{side} nerve" in message
+
+
+def _cylinder_phis(corpus):
+    """The monotone maps the cylinder campaigns reduce: the cones over
+    every poset with at most five elements, then the seed-0 dcr suite."""
+    for p in all_posets(5):
+        yield MonotoneMap(p, singleton_poset("apex"), {e: "apex" for e in p.elements})
+    for entry in corpus:
+        x = entry.space
+        if not entry.regular or len(x.cells) > verify._DCR_MAX_CELLS:
+            continue
+        for q in range(x.dim + 1):
+            for y in x.simplices(q):
+                if not y.is_degenerate or len(x.cells) <= verify._DCR_ALL_SIMPLEX_CELLS:
+                    yield representing_sharp(x, y)
+
+
+def _same_nerve(n, p):
+    ref = label_nerve(p)
+    assert list(n.cells.items()) == list(ref.cells.items())
+    assert list(n.labels.items()) == list(ref.labels.items())
+    assert n.poset is p and len(n.chain_ids) == len(n.cells)
+    for chain, cid in n.chain_ids.items():
+        assert tuple(p.elements[i] for i in chain) == n.labels[cid]
+    return ref
+
+
+def test_index_nerve_matches_label_nerve(corpus):
+    # every poset with at most five elements, the sharps of the seed-0
+    # members with at most 60 cells, and each cylinder's P x [1] and
+    # pushout poset; every nerve map a cylinder builds, on both
+    posets = list(all_posets(5))
+    posets += [sharp(e.space) for e in corpus if len(e.space.cells) <= 60]
+    for p in posets:
+        _same_nerve(nerve(p), p)
+    maps = 0
+    for phi in _cylinder_phis(corpus):
+        p, r = phi.source, phi.target
+        cyl = product_poset(p, chain_poset(1))
+        k, back = cylinder_end(p, cyl, 0), cylinder_end(p, cyl, 1)
+        v = poset_pushout(k, phi)
+        nerves = {id(q): (nerve(q), label_nerve(q)) for q in (p, r, cyl, v.poset)}
+        _same_nerve(nerves[id(cyl)][0], cyl)
+        _same_nerve(nerves[id(v.poset)][0], v.poset)
+        for f in (k, back, phi, v.leg_ambient, v.leg_other,
+                  compose_monotone(back, v.leg_ambient)):
+            (ns, rs), (nt, rt) = nerves[id(f.source)], nerves[id(f.target)]
+            got, want = nerve_map(f, ns, nt), label_nerve_map(f, rs, rt)
+            assert list(got.assignment.items()) == list(want.assignment.items())
+            maps += 1
+    assert len(posets) >= 100 and maps >= 6 * 250
+
+
+def test_run_collapse_matches_two_passes():
+    # every sequence of length at most 6 over three symbols, for int,
+    # string and nested-tuple symbols
+    alphabets = [(0, 1, 2), ("a", "b", "c"), (((0, 1), 0), ((0, 1), 1), ((2,), 0))]
+    seen = 0
+    for symbols in alphabets:
+        for n in range(7):
+            for seq in itertools.product(symbols, repeat=n):
+                want = two_pass_run_collapse(seq)
+                assert run_collapse(seq) == want
+                assert run_collapse(list(seq)) == want
+                seen += 1
+    assert seen == 3 * sum(3 ** n for n in range(7))
+
+
+def test_transitivity_check_matches_pair_scan():
+    # seeded relations, most of them not transitive; the successor-list
+    # check names the same first gap as the scan over every two pairs
+    rng = random.Random(15)
+    labels = [0, 1, 2, 3, 4, 5, 6, "x", (0, 1), ((0, 1), 1)]
+    gaps = passed = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        elements = rng.sample(labels, n)
+        relations = [
+            (rng.choice(elements), rng.choice(elements))
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        want = pair_scan_error(elements, relations)
+        try:
+            FinPoset(elements, relations, close=False)
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == want
+        gaps += bool(want and want.startswith("relation not transitive"))
+        passed += want is None
+    assert gaps >= 200 and passed >= 50
 
 
 def test_sharp_of_standard_simplex():

@@ -34,6 +34,20 @@ from ssetforge.simplicial import (
     standard_simplex,
 )
 
+from ssetforge.posets import (
+    MonotoneMap,
+    all_posets,
+    barratt,
+    barratt_map,
+    chain_poset,
+    cylinder_end,
+    nerve,
+    nerve_map,
+    poset_pushout,
+    product_poset,
+    singleton_poset,
+)
+
 from reference import injective_by_simplices
 
 
@@ -446,6 +460,29 @@ def _mutate_presentation(rng, x):
     return cells
 
 
+def _cylinder_posets():
+    # P, P x [1] and the cone's pushout poset over every poset with at most
+    # four elements: the posets a cylinder takes nerves of
+    for p in all_posets(4)[1:]:
+        apex = singleton_poset("apex")
+        phi = MonotoneMap(p, apex, {e: "apex" for e in p.elements})
+        cyl = product_poset(p, chain_poset(1))
+        v = poset_pushout(cylinder_end(p, cyl, 0), phi)
+        yield p, apex, cyl, v, phi
+
+
+def _nerves(corpus):
+    # every face of every cell is a cell: the row-wise path's inputs
+    out = [barratt(x) for x in _small_members(corpus, 20)]
+    for p, _, cyl, v, _ in _cylinder_posets():
+        out += [nerve(p), nerve(cyl), nerve(v.poset)]
+    return [n for n in out if n.dim >= 2]
+
+
+def _all_faces_cells(cells):
+    return all(op.is_identity for c in cells.values() for _, op in c.faces)
+
+
 def test_set_validation_matches_eval_reference(corpus):
     rng = random.Random(20200901)
     members = [x for x in _small_members(corpus) if x.dim >= 1]
@@ -459,6 +496,24 @@ def test_set_validation_matches_eval_reference(corpus):
     faces = [v for v in verdicts if v and v.startswith("face identities")]
     assert all(v.count("Simplex(cell=") == 2 for v in faces)
     assert len(faces) >= 400 and verdicts.count(None) >= 400
+    # nerves, as built and with one face changed; a change that keeps every
+    # face a cell runs the row-wise comparison on every cell, and a failed
+    # row falls back to naming the first pair
+    nerves = _nerves(corpus)
+    assert len(nerves) >= 60
+    row_wise = {"pass": 0, "fail": 0}
+    for n in nerves:
+        assert _verdict(_validate_set_by_eval, n.cells) is None
+        assert _verdict(SimplicialSet, n.cells) is None
+        row_wise["pass"] += 1
+    for _ in range(1500):
+        cells = _mutate_presentation(rng, rng.choice(nerves))
+        want = _verdict(_validate_set_by_eval, cells)
+        assert _verdict(SimplicialSet, cells) == want
+        if _all_faces_cells(cells):
+            row_wise["pass" if want is None else "fail"] += 1
+            assert want is None or want.startswith(("face identities", "cell"))
+    assert row_wise["pass"] >= 80 and row_wise["fail"] >= 300, row_wise
 
 
 def _maps(x):
@@ -492,10 +547,29 @@ def test_injectivity_matches_simplex_walk(corpus):
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 50
 
 
+def _nerve_maps(corpus):
+    # the nerve maps a cone's cylinder builds: ends, the cone map, the
+    # pushout legs; and barratt maps of cell inclusions
+    for p, apex, cyl, v, phi in _cylinder_posets():
+        np_, ncyl, nv = nerve(p), nerve(cyl), nerve(v.poset)
+        for level in (0, 1):
+            yield nerve_map(cylinder_end(p, cyl, level), np_, ncyl)
+        yield nerve_map(phi, np_, nerve(apex))
+        yield nerve_map(v.leg_ambient, ncyl, nv)
+        yield nerve_map(v.leg_other, nerve(apex), nv)
+    for x in _small_members(corpus, 12):
+        for k in (1, 2):
+            _, incl = generate(x, sorted(x.cells)[-k:])
+            yield barratt_map(incl)
+
+
 def test_map_validation_matches_eval_reference(corpus):
     rng = random.Random(20200902)
     maps = [f for x in _small_members(corpus, 20) for f in _maps(x)]
     assert len(maps) >= 100
+    nerve_maps = list(_nerve_maps(corpus))
+    assert len(nerve_maps) >= 100
+    maps += nerve_maps
     for f in maps:
         assert _verdict(_validate_map_by_eval, f.source, f.target, f.assignment) is None
         assert _verdict(SimplicialMap, f.source, f.target, f.assignment) is None
@@ -515,3 +589,22 @@ def test_map_validation_matches_eval_reference(corpus):
     faces = [v for v in verdicts if v and v.startswith("assignment not simplicial")]
     assert all(v.count("Simplex(cell=") == 2 for v in faces)
     assert len(faces) >= 400 and verdicts.count(None) >= 400
+    # one image of a nerve map changed to a cell: where the images of its
+    # faces are cells too, the whole row of faces is compared at once
+    row_wise = {"pass": 0, "fail": 0}
+    for f in nerve_maps:
+        if all(not s.is_degenerate for s in f.assignment.values()):
+            row_wise["pass"] += 1
+    for _ in range(1500):
+        f = rng.choice(nerve_maps)
+        asg = dict(f.assignment)
+        cid = rng.choice(sorted(asg))
+        q = f.source.cells[cid].dim
+        asg[cid] = f.target.simplex(rng.choice(f.target.cell_ids(q) or [f.assignment[cid].cell]))
+        if asg[cid].degree != q:
+            continue
+        want = _verdict(_validate_map_by_eval, f.source, f.target, asg)
+        assert _verdict(SimplicialMap, f.source, f.target, asg) == want
+        if q and all(asg[t].degen.is_identity for t, _ in f.source.cells[cid].faces):
+            row_wise["pass" if want is None else "fail"] += 1
+    assert row_wise["pass"] >= 100 and row_wise["fail"] >= 300, row_wise

@@ -3,6 +3,8 @@ import hashlib
 import weakref
 from collections import Counter
 
+import pytest
+
 from ssetforge.cli import main
 from ssetforge.corpus import Corpus, CorpusEntry, load_corpus, save_corpus
 from ssetforge import operators, verify
@@ -24,6 +26,14 @@ from ssetforge.verify import (
 VERIFY_MAIN_SEED0_SHA256 = (
     "4fca26fc077840a18f60ef5091605f8e62aef4ef2a1038ce8b7653910b9ee0fb"
 )
+# sha256 of `forge verify all --seed 0`, without timings: 771 pass, 0 fail,
+# 11 skip, the report ROADMAP.md pins
+VERIFY_ALL_SEED0_SHA256 = (
+    "a54ebb3b4d9a6cc21611043933067b374249419b7eb89f5c88f9a733581fc158"
+)
+# b_nat calls in `forge verify all --seed 0` if the lemma suite built every
+# b itself: 55 spaces, 39 of them twice
+VERIFY_ALL_SEED0_BNAT_CALLS_UNSHARED = 94
 
 
 def test_report_formatting_is_stable():
@@ -135,14 +145,16 @@ def test_comparison_reports_do_not_depend_on_campaign_order(corpus, tmp_path):
 
 
 def test_comparison_builds_t_once_per_space(corpus, monkeypatch):
+    # t is b factored through the desingularization, so each t built is
+    # one b_nat call
     built = []
-    t_nat = verify.t_nat
+    b_nat = verify.b_nat
 
     def counted(space, **kwargs):
         built.append(space)  # kept alive, so no two spaces share an id
-        return t_nat(space, **kwargs)
+        return b_nat(space, **kwargs)
 
-    monkeypatch.setattr(verify, "t_nat", counted)
+    monkeypatch.setattr(verify, "b_nat", counted)
     verify._COMPARISONS.clear()
     main_report = verify_main_theorem(corpus)
     second_report = verify_second_subdivision(corpus)
@@ -176,6 +188,53 @@ def test_verify_main_report_matches_pin(tmp_path):
     report = tmp_path / "main.txt"
     assert main(["verify", "main", "--seed", "0", "--report", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_MAIN_SEED0_SHA256
+
+
+@pytest.fixture(scope="module")
+def verify_all_run(tmp_path_factory):
+    """`forge verify all --seed 0` run once: its report bytes, and every
+    space b_nat was called on, in call order."""
+    built = []
+    b_nat = verify.b_nat
+
+    def counted(space, *args, **kwargs):
+        built.append(space)  # kept alive, so no two spaces share an id
+        return b_nat(space, *args, **kwargs)
+
+    report = tmp_path_factory.mktemp("verify-all") / "all.txt"
+    verify.b_nat = counted
+    try:
+        assert main(["verify", "all", "--seed", "0", "--report", str(report)]) == 0
+    finally:
+        verify.b_nat = b_nat
+    return report.read_bytes(), built
+
+
+def test_verify_all_report_matches_pin(verify_all_run):
+    report, _ = verify_all_run
+    assert hashlib.sha256(report).hexdigest() == VERIFY_ALL_SEED0_SHA256
+
+
+def test_lemma_report_reads_b_from_the_record(corpus):
+    # the bnat cases give the same bytes whether main and the corollary
+    # recorded b's verdict first or the lemma suite builds every b itself
+    verify._COMPARISONS.clear()
+    alone = format_report(verify_lemma_suite(corpus, seed=0))
+    assert len(verify._COMPARISONS) == 0
+    assert verify_main_theorem(corpus).ok and verify_second_subdivision(corpus).ok
+    recorded = {id(x) for x in verify._COMPARISONS.keys()}
+    assert any(id(e.space) in recorded for e in corpus if len(e.space.cells) <= 80)
+    after = format_report(verify_lemma_suite(corpus, seed=0))
+    assert after == alone
+    assert "bnat-iso-iff-nonsingular/" in after
+
+
+def test_verify_all_builds_b_once_per_space(verify_all_run):
+    # the lemma suite reads b's verdict for every space that the main
+    # campaign or the corollary compared
+    _, built = verify_all_run
+    assert set(Counter(id(space) for space in built).values()) == {1}
+    assert len(built) == VERIFY_ALL_SEED0_BNAT_CALLS_UNSHARED - 39
 
 
 def test_dcr_suite_counts_pairs(tiny_corpus):
