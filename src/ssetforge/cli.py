@@ -10,15 +10,15 @@ Inputs are read as UTF-8.  Outputs are overwritten in place
 truncating rewrite leaves, and, like one, not atomic.
 
 Exit codes: 0 success; 1 a failed verification; 2 no certified
-desingularization (an input above the oracle's cell bound included);
-3 a malformed input file (one that is not UTF-8 included), reported as one line
+desingularization, which only the explicit checks ``desing --method
+zipper`` and ``--method oracle`` (above its ``--bound``, default 10) end
+with, as the default method always certifies; 3 a malformed input file
+(one that is not UTF-8 included), reported as one line
 ``forge: <file>:<line>: <message>`` on stderr, a file that cannot be
-read or written, reported as ``forge: <file>: <reason>``, a
-``FORGE_ORACLE_BOUND`` that is not an integer, reported as
-``forge: FORGE_ORACLE_BOUND: <message>``, or a usage error (an unknown
-command or option, a missing argument, a value of the wrong type),
-reported as ``forge: <message>``.  ``--help`` prints the usage and
-exits 0.
+read or written, reported as ``forge: <file>: <reason>``, or a usage
+error (an unknown command or option, a missing argument, a value of the
+wrong type), reported as ``forge: <message>``.  ``--help`` prints the
+usage and exits 0.
 
 The argument parser is built once per process, on the first call of
 ``main``, and shared by every later call: ``parse_args`` returns a fresh
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .corpus import gen_corpus, load_corpus, save_corpus
@@ -79,20 +78,6 @@ def _emit(text: str, out: str | None) -> None:
         write_file(out, text)
     else:
         sys.stdout.write(text)
-
-
-def _oracle_bound(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("FORGE_ORACLE_BOUND")
-    if not env:
-        return 10
-    try:
-        return int(env)
-    except ValueError:
-        err = ParseError(f"expected an integer, got {env!r}")
-        err.path = "FORGE_ORACLE_BOUND"
-        raise err from None
 
 
 def _load_space(path: str):
@@ -152,20 +137,19 @@ def cmd_lastvertex(args) -> int:
 
 
 def cmd_desing(args) -> int:
-    bound = _oracle_bound(args.bound)
     space = _load_space(args.space)
     if args.method == "zipper":
         res = zipper_desingularize(space)
     elif args.method == "oracle":
         try:
-            res = oracle_desingularize(space, bound)
+            res = oracle_desingularize(space, args.bound)
         except ValueError as err:
-            # above its cell bound the oracle certifies nothing, as in dcr
+            # above its cell bound the oracle certifies nothing
             print(f"certificate {Certificate.UNCERTIFIED.value}")
             print(f"error: {err}", file=sys.stderr)
             return 2
     else:
-        res = desingularize(space, oracle_bound=bound)
+        res = desingularize(space)
     print(f"certificate {res.certificate.value}")
     print(f"cells {len(space.cells)} -> {len(res.quotient.cells)}")
     if args.out:
@@ -188,15 +172,7 @@ def cmd_cylinder(args) -> int:
 
 
 def cmd_dcr(args) -> int:
-    bound = _oracle_bound(args.bound)
-    phi = parse_file(args.phi, parse_pmap)
-    bundle = cylinder_reduction(phi)
-    try:
-        g, res = dcr(phi, oracle_bound=bound, bundle=bundle)
-    except RuntimeError as err:
-        print(f"certificate {Certificate.UNCERTIFIED.value}")
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    g, res = dcr(parse_file(args.phi, parse_pmap))
     print(f"certificate {res.certificate.value}")
     print(f"cells {len(g.source.cells)} -> {len(g.target.cells)}")
     print("degree injective surjective")
@@ -251,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("desing", help="desingularize a space")
     p.add_argument("space", help="input space (.sset)")
     p.add_argument("--method", choices=["auto", "zipper", "oracle"], default="auto")
-    p.add_argument("--bound", type=int, help="oracle cell bound (default 10)")
+    p.add_argument("--bound", type=int, default=10,
+                   help="cell bound of --method oracle (default 10)")
     p.add_argument("-o", "--out", help="desingularized space (.sset)")
     p.add_argument("--emit-eta", help="projection onto the quotient (.smap)")
     p.set_defaults(fn=cmd_desing)
@@ -267,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dcr", help="desingularized cylinder reduction verdict")
     p.add_argument("phi", help="monotone map (.pmap)")
-    p.add_argument("--bound", type=int, help="oracle cell bound (default 10)")
     p.set_defaults(fn=cmd_dcr)
 
     return parser

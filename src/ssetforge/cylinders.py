@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .colimits import PushoutResult, pushout
-from .desingularize import (
-    Certificate,
-    DesingResult,
-    desingularize,
-    factor_through_quotient,
-)
+from .desingularize import DesingResult, desingularize, factor_through_quotient
 from .operators import identity
 from .posets import (
     FinPoset,
@@ -159,25 +154,18 @@ def reduced_cylinder(phi: MonotoneMap) -> SimplicialSet:
 # -- comparison out of the desingularized cylinder ----------------------------
 
 
-def desingularized_comparison(
-    comp: SimplicialMap, *, oracle_bound: int = 10
-) -> tuple[SimplicialMap, DesingResult]:
+def desingularized_comparison(comp: SimplicialMap) -> tuple[SimplicialMap, DesingResult]:
     """Factor a map to a non-singular target through D of its source."""
-    res = desingularize(comp.source, oracle_bound=oracle_bound)
-    if res.certificate is Certificate.UNCERTIFIED:
-        raise RuntimeError("desingularization of the source did not certify")
+    res = desingularize(comp.source)
     return factor_through_quotient(res.eta, comp), res
 
 
 def dcr(
-    phi: MonotoneMap,
-    *,
-    oracle_bound: int = 10,
-    bundle: CylinderBundle | None = None,
+    phi: MonotoneMap, *, bundle: CylinderBundle | None = None
 ) -> tuple[SimplicialMap, DesingResult]:
     """The unique map DT -> M composing with eta to the reduction map."""
     b = cylinder_reduction(phi) if bundle is None else bundle
-    return desingularized_comparison(b.reduction, oracle_bound=oracle_bound)
+    return desingularized_comparison(b.reduction)
 
 
 def representing_sharp(space: SimplicialSet, s: Simplex) -> MonotoneMap:

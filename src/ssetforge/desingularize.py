@@ -1,30 +1,37 @@
 """Desingularization.
 
-The zipper pass repeatedly collapses forced degeneracies: whenever a
-cell has two equal adjacent vertices p and p+1, any map to a
-non-singular target must send it to a simplex degenerate at p, so it is
-merged with the degeneracy of its own p-th face.  If the fixpoint is
-non-singular it is the universal non-singular quotient and the run is
-certified; otherwise the result is honest but uncertified and tiny
-inputs can fall back to the exhaustive oracle.
+``desingularize`` reaches the universal non-singular quotient by forced
+moves.  A map to a non-singular target sends a cell to a degeneracy of a
+simplex with pairwise distinct vertices, so it identifies the cell's
+vertices in consecutive runs only.  So a cell whose vertices p and p+1
+agree must go to a simplex degenerate at p: the zipper merges it with
+the degeneracy of its p-th face.  And v_i = v_j with j > i+1 forces every
+v_k between them onto v_i: the interval move merges those vertex cells.
+A cell is embedded exactly when its vertices are pairwise distinct, so
+where the zipper alone stops singular some cell repeats a vertex, never
+adjacently, and an interval round lowers the vertex count before the
+zipper runs again.  The loop ends with no repeated vertex.  Every merge
+was forced, so every map to a non-singular target factors through the
+non-singular result: it is the universal quotient, certified.
 
-The oracle enumerates minimal operator-closed congruences whose
-quotient is non-singular by witness-directed search and takes their
-meet; the family is closed under meets, so the meet itself has a
-non-singular quotient, which is checked, not assumed.  The search builds
-no quotient per node and walks no simplices: it reads each congruence's
-normal forms off its table of cell forms (see ``colimits``).  The forms
-of the cells determine the congruence, since two simplices (c, sigma)
-and (d, tau) are related exactly when the form of c degenerated by sigma
-is the form of d degenerated by tau.  So the tuple of forms is the key
-that removes duplicate nodes, the first singular cell is the first cell
-class whose vertex forms are not pairwise distinct, and a congruence
-contains another exactly when it relates every cell to that one's form
-of it.  A node branches once per class of the degenerate simplices it
-could merge its first singular cell with: merging with any member of a
-class gives the same child, which the key would only drop again.  Only
-the meet is quotiented, and that quotient, its projection and its
-non-singularity are validated.
+The oracle is the independent check: it enumerates minimal
+operator-closed congruences whose quotient is non-singular by
+witness-directed search and takes their meet; the family is closed under
+meets, so the meet itself has a non-singular quotient, which is checked,
+not assumed.  The search builds no quotient per node and walks no
+simplices: it reads each congruence's normal forms off its table of cell
+forms (see ``colimits``).  The forms of the cells determine the
+congruence, since two simplices (c, sigma) and (d, tau) are related
+exactly when the form of c degenerated by sigma is the form of d
+degenerated by tau.  So the tuple of forms is the key that removes
+duplicate nodes, the first singular cell is the first cell class whose
+vertex forms are not pairwise distinct, and a congruence contains
+another exactly when it relates every cell to that one's form of it.  A
+node branches once per class of the degenerate simplices it could merge
+its first singular cell with: merging with any member of a class gives
+the same child, which the key would only drop again.  Only the meet is
+quotiented, and that quotient, its projection and its non-singularity
+are validated.
 """
 
 from __future__ import annotations
@@ -51,12 +58,19 @@ class MoveRecord:
     position: int
 
 
+@dataclass(frozen=True)
+class IntervalMove:
+    cell: int  # cell of the input space mapping onto a cell with v_i = v_j
+    i: int
+    j: int
+
+
 @dataclass
 class DesingResult:
     quotient: SimplicialSet
     eta: SimplicialMap
     certificate: Certificate
-    moves: list[list[MoveRecord]] = field(default_factory=list)
+    moves: list[list[MoveRecord | IntervalMove]] = field(default_factory=list)
 
 
 def _dup_operator(q: int, p: int) -> Operator:
@@ -76,6 +90,19 @@ def _first_preimages(eta: SimplicialMap) -> dict[int, int]:
 def _adjacent_repeats(space: SimplicialSet, cid: int) -> list[int]:
     vs = space.vertices(space.simplex(cid))
     return [p for p in range(len(vs) - 1) if vs[p] == vs[p + 1]]
+
+
+def _intervals(vs: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The first and last position of each vertex repeated with others between."""
+    last = {v: k for k, v in enumerate(vs)}
+    return [(i, last[v]) for i, v in enumerate(vs) if vs.index(v) == i and last[v] > i + 1]
+
+
+def _merge_interval(cong: Congruence, vs: tuple[int, ...], i: int, j: int) -> None:
+    """Merge the vertices strictly between positions i and j onto vertex i."""
+    simplex = cong.space.simplex
+    for k in range(i + 1, j):
+        cong.merge(simplex(vs[k]), simplex(vs[i]))
 
 
 def zipper_desingularize(space: SimplicialSet) -> DesingResult:
@@ -103,9 +130,11 @@ def zipper_desingularize(space: SimplicialSet) -> DesingResult:
     return DesingResult(cur, eta, cert, rounds)
 
 
-def replay_zipper(space: SimplicialSet, rounds: list[list[MoveRecord]]) -> DesingResult:
+def replay_zipper(
+    space: SimplicialSet, rounds: list[list[MoveRecord | IntervalMove]]
+) -> DesingResult:
     """Re-run a recorded move list, re-checking every premise at its
-    merge time.  Raises if any recorded collapse was not forced."""
+    merge time.  Raises if any recorded merge was not forced."""
     cur = space
     eta = identity_map(space)
     for batch in rounds:
@@ -115,7 +144,13 @@ def replay_zipper(space: SimplicialSet, rounds: list[list[MoveRecord]]) -> Desin
             if not u.degen.is_identity:
                 raise ValueError(f"recorded cell {mv.cell} no longer maps onto a cell")
             vs = cur.vertices(u)
-            if mv.degree != u.degree or vs[mv.position] != vs[mv.position + 1]:
+            if isinstance(mv, IntervalMove):
+                if not (0 <= mv.i < mv.j < len(vs) and vs[mv.i] == vs[mv.j]):
+                    raise ValueError(f"premise fails for {mv}")
+                _merge_interval(cong, vs, mv.i, mv.j)
+                continue
+            p = mv.position
+            if mv.degree != u.degree or not 0 <= p < u.degree or vs[p] != vs[p + 1]:
                 raise ValueError(f"premise fails for {mv}")
             cong.merge(u, cur.eval(u, _dup_operator(u.degree, mv.position)))
         res = quotient(cur, cong)
@@ -255,11 +290,27 @@ def oracle_desingularize(space: SimplicialSet, bound: int = 10) -> DesingResult:
     return DesingResult(res.space, res.projection, Certificate.ORACLE)
 
 
-def desingularize(space: SimplicialSet, oracle_bound: int = 10) -> DesingResult:
+def desingularize(space: SimplicialSet) -> DesingResult:
+    """Zipper fixpoints and interval rounds until certified; moves name cells of ``space``."""
     res = zipper_desingularize(space)
-    if res.certificate == Certificate.UNCERTIFIED and len(space.cells) <= oracle_bound:
-        return oracle_desingularize(space, oracle_bound)
-    return res
+    eta, rounds = res.eta, list(res.moves)
+    while res.certificate is not Certificate.ZIPPER:
+        cur, reps = res.quotient, _first_preimages(eta)
+        cong, batch = Congruence(cur), []
+        for cid in cur.cell_order():
+            vs = cur.vertices(cur.simplex(cid))
+            for i, j in _intervals(vs):
+                _merge_interval(cong, vs, i, j)
+                batch.append(IntervalMove(reps[cid], i, j))
+        if not batch:
+            raise RuntimeError("a singular zipper fixpoint repeats no vertex")
+        eta = compose_maps(eta, quotient(cur, cong).projection)
+        res = zipper_desingularize(eta.target)
+        reps = _first_preimages(eta)
+        rounds.append(batch)
+        rounds += ([MoveRecord(reps[m.cell], m.degree, m.position) for m in b] for b in res.moves)
+        eta = compose_maps(eta, res.eta)
+    return DesingResult(res.quotient, eta, res.certificate, rounds)
 
 
 def factor_through_quotient(eta: SimplicialMap, g: SimplicialMap) -> SimplicialMap:

@@ -165,9 +165,11 @@ class MonotoneMap:
                     raise ValueError(f"no value for {e!r}")
                 if self.mapping[e] not in target:
                     raise ValueError(f"{e!r} sent outside the target poset")
-            for a, b in source.strict_pairs():
-                if not target.leq(self.mapping[a], self.mapping[b]):
-                    raise ValueError(f"not monotone on {a!r} < {b!r}")
+            # the first failing pair in element order, not set order
+            for a in source.elements:
+                for b in source.up(a):
+                    if not target.leq(self.mapping[a], self.mapping[b]):
+                        raise ValueError(f"not monotone on {a!r} < {b!r}")
 
     def __call__(self, e: Hashable) -> Hashable:
         return self.mapping[e]

@@ -121,22 +121,13 @@ def last_vertex(space: SimplicialSet, sd_space: SimplicialSet | None = None) -> 
     return SimplicialMap(sds, space, asg)
 
 
-def t_nat(
-    space: SimplicialSet,
-    desing=None,
-    barratt_space: SimplicialSet | None = None,
-    sd_space: SimplicialSet | None = None,
-) -> SimplicialMap:
+def t_nat(space: SimplicialSet) -> SimplicialMap:
     """The comparison map from the desingularized subdivision to the nerve
     of the cell poset, i.e. b factored through the desingularization."""
-    from .desingularize import Certificate, desingularize, factor_through_quotient
+    from .desingularize import desingularize, factor_through_quotient
 
-    sds = sd(space) if sd_space is None else sd_space
-    res = desingularize(sds) if desing is None else desing
-    if res.certificate == Certificate.UNCERTIFIED:
-        raise RuntimeError("no certified desingularization of the subdivision")
-    b = b_nat(space, barratt_space, sds)
-    return factor_through_quotient(res.eta, b)
+    sds = sd(space)
+    return factor_through_quotient(desingularize(sds).eta, b_nat(space, sd_space=sds))
 
 
 def _copies(base: SimplicialSet, count: int) -> SimplicialSet:

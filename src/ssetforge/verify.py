@@ -156,15 +156,15 @@ def _corpus_sd(entry: CorpusEntry, by_name: dict[str, CorpusEntry]) -> Simplicia
 
 class Comparison(NamedTuple):
     """The verdict facts of the main comparison for one space x: how sd x
-    desingularized, its cell count, and, when certified, the cell count of
-    the barratt nerve, whether t_x is an isomorphism, and whether
-    b_x : sd x -> BX, which t_x factors, is one."""
+    desingularized, its cell count, the cell count of the barratt nerve,
+    whether t_x is an isomorphism, and whether b_x : sd x -> BX, which t_x
+    factors, is one."""
 
     certificate: Certificate
     sd_cells: int
-    barratt_cells: int | None
+    barratt_cells: int
     iso: bool
-    b_iso: bool | None
+    b_iso: bool
 
 
 # Keyed by the space x whose subdivision is compared; SimplicialSet hashes by
@@ -184,15 +184,12 @@ def _compare(x: SimplicialSet, subdivide: Callable[[], SimplicialSet]) -> Compar
         return found
     sds = subdivide()
     res = desingularize(sds)
-    if res.certificate is Certificate.UNCERTIFIED:
-        found = Comparison(res.certificate, len(sds.cells), None, False, None)
-    else:
-        b = b_nat(x, sd_space=sds)
-        t = factor_through_quotient(res.eta, b)
-        found = Comparison(
-            res.certificate, len(sds.cells), len(t.target.cells), t.is_isomorphism(),
-            b.is_isomorphism(),
-        )
+    b = b_nat(x, sd_space=sds)
+    t = factor_through_quotient(res.eta, b)
+    found = Comparison(
+        res.certificate, len(sds.cells), len(t.target.cells), t.is_isomorphism(),
+        b.is_isomorphism(),
+    )
     _COMPARISONS[x] = found
     return found
 
@@ -207,10 +204,6 @@ def verify_main_theorem(corpus: Corpus) -> Report:
             continue
         started = time.time()
         c = _compare(entry.space, lambda: _corpus_sd(entry, by_name))
-        if c.certificate is Certificate.UNCERTIFIED:
-            _timed(report, f"main/{entry.name}", False, started,
-                   certificate=c.certificate.value, cells=c.sd_cells)
-            continue
         _timed(
             report, f"main/{entry.name}", c.iso, started,
             certificate=c.certificate.value,
@@ -237,10 +230,6 @@ def verify_second_subdivision(corpus: Corpus) -> Report:
         image = by_name.get(f"sd-{entry.name}")
         y = image.space if image is not None else sd(entry.space)
         c = _compare(y, lambda: sd(y))
-        if c.certificate is Certificate.UNCERTIFIED:
-            _timed(report, f"corollary/{entry.name}", False, started,
-                   certificate=c.certificate.value)
-            continue
         _timed(
             report, f"corollary/{entry.name}", c.iso, started,
             regular_input=entry.regular,
@@ -478,7 +467,7 @@ def verify_lemma_suite(corpus: Corpus, seed: int = 0) -> Report:
             )
         if len(entry.space.cells) <= 80:
             c = _COMPARISONS.get(entry.space)
-            if c is not None and c.b_iso is not None:
+            if c is not None:
                 iso = c.b_iso
             else:
                 iso = b_nat(entry.space, sd_space=image).is_isomorphism()

@@ -13,7 +13,8 @@ from ssetforge.simplicial import boundary, is_isomorphic, standard_simplex
 from ssetforge.subdivision import b_nat, sd
 from ssetforge.textio import format_pmap, format_smap, format_sset, parse_smap, parse_sset
 
-# triangle with two vertices merged: the zipper stalls, the oracle succeeds
+# triangle with two vertices merged: the zipper stalls with the vertices
+# (0, 1, 0) on its 2-cell; the interval move merges them
 STALL = """\
 cell 0 0
 cell 1 0
@@ -66,7 +67,7 @@ def test_barratt_bnat_lastvertex(tmp_path, capsys):
     assert lv.target.same_presentation(standard_simplex(2))
 
 
-def test_desing_exit_codes(tmp_path, capsys, monkeypatch):
+def test_desing_exit_codes(tmp_path, capsys):
     src = tmp_path / "stall.sset"
     src.write_text(STALL)
     out = tmp_path / "out.sset"
@@ -77,22 +78,30 @@ def test_desing_exit_codes(tmp_path, capsys, monkeypatch):
 
     code = main(["desing", str(src), "-o", str(out), "--emit-eta", str(eta)])
     assert code == 0
-    assert "OracleExact" in capsys.readouterr().out
+    assert capsys.readouterr().out == "certificate ZipperCertified\ncells 6 -> 1\n"
     proj = parse_smap(eta.read_text())
     assert proj.target.same_presentation(parse_sset(out.read_text()))
     assert proj.target.is_nonsingular()
 
-    monkeypatch.setenv("FORGE_ORACLE_BOUND", "4")
-    assert main(["desing", str(src)]) == 2
-
     assert main(["desing", str(src), "--method", "oracle", "--bound", "4"]) == 2
 
 
+def test_desing_certifies_above_the_oracle_bound(tmp_path, capsys):
+    # seed 1's random-0 stalls the zipper with 37 cells, far above the
+    # oracle's bound; the interval move certifies it all the same
+    src = tmp_path / "random-0.sset"
+    member = next(e for e in gen_corpus(1) if e.name == "random-0")
+    src.write_text(format_sset(member.space))
+    assert main(["desing", str(src), "--method", "zipper"]) == 2
+    assert "Uncertified" in capsys.readouterr().out
+    assert main(["desing", str(src)]) == 0
+    assert capsys.readouterr().out == "certificate ZipperCertified\ncells 37 -> 26\n"
+
+
 @pytest.mark.parametrize("bound", [None, "4"])
-def test_desing_oracle_above_bound_is_uncertified(tmp_path, capsys, monkeypatch, bound):
+def test_desing_oracle_above_bound_is_uncertified(tmp_path, capsys, bound):
     # the oracle refuses an input above its cell bound: no certificate,
-    # one line on stderr and exit 2, as dcr reports it
-    monkeypatch.delenv("FORGE_ORACLE_BOUND", raising=False)
+    # one line on stderr and exit 2
     src = tmp_path / "x.sset"
     src.write_text(format_sset(standard_simplex(3)) if bound is None else STALL)
     argv = ["desing", str(src), "--method", "oracle", "-o", str(tmp_path / "out.sset")]
@@ -301,20 +310,6 @@ def test_malformed_manifest_line_names_its_line(tmp_path, tiny_corpus, capsys, l
     assert capsys.readouterr().err == f"forge: {manifest}:4: {message}\n"
 
 
-@pytest.mark.parametrize("command, name, text", [
-    ("desing", "stall.sset", STALL),
-    ("dcr", "phi.pmap", WEDGE_TO_CHAIN),
-])
-def test_malformed_oracle_bound_is_one_line_and_exit_3(tmp_path, capsys, monkeypatch, command, name, text):
-    src = tmp_path / name
-    src.write_text(text)
-    monkeypatch.setenv("FORGE_ORACLE_BOUND", "abc")
-    assert main([command, str(src)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "forge: FORGE_ORACLE_BOUND: expected an integer, got 'abc'\n"
-
-
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     src = tmp_path / "d1.sset"
     src.write_text(format_sset(standard_simplex(1)))
@@ -339,21 +334,25 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
 def test_options_do_not_leak_between_calls(tmp_path, capsys, monkeypatch):
     src = tmp_path / "stall.sset"
     src.write_text(STALL)
-    bounds = []
+    calls = []
     real = cli.desingularize
 
-    def spy(space, oracle_bound):
-        bounds.append(oracle_bound)
-        return real(space, oracle_bound=oracle_bound)
+    def spy(space):
+        calls.append(space)
+        return real(space)
 
     monkeypatch.setattr(cli, "desingularize", spy)
-    monkeypatch.delenv("FORGE_ORACLE_BOUND", raising=False)
     # six cells over a bound of five: the oracle refuses
     assert main(["desing", str(src), "--method", "oracle", "--bound", "5"]) == 2
-    assert bounds == []
-    # a bare call takes the auto path with the default bound
+    assert calls == []
+    assert capsys.readouterr().out == "certificate Uncertified\n"
+    # a bare call takes the auto path, which certifies
     assert main(["desing", str(src)]) == 0
-    assert bounds == [10]
+    assert len(calls) == 1
+    assert "certificate ZipperCertified" in capsys.readouterr().out
+    # and the oracle is back at its default bound of ten
+    assert main(["desing", str(src), "--method", "oracle"]) == 0
+    assert len(calls) == 1
     assert "certificate OracleExact" in capsys.readouterr().out
 
 
@@ -381,6 +380,7 @@ def test_calls_leave_no_argparse_garbage(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["desing", "X.sset", "--bound", "x"], "argument --bound: invalid int value: 'x'"),
     (["desing", "X.sset", "--method", "best"], "argument --method: invalid choice: 'best'"),
+    (["dcr", "phi.pmap", "--bound", "4"], "unrecognized arguments: --bound 4"),
     (["frobnicate", "X.sset"], "argument command: invalid choice: 'frobnicate'"),
     (["desing"], "the following arguments are required: space"),
     ([], "the following arguments are required: command"),

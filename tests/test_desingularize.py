@@ -14,8 +14,11 @@ from ssetforge.colimits import (
     kernel_congruence,
     quotient,
 )
+from ssetforge.corpus import gen_corpus
 from ssetforge.desingularize import (
     Certificate,
+    IntervalMove,
+    MoveRecord,
     desingularize,
     factor_through_quotient,
     oracle_desingularize,
@@ -48,9 +51,8 @@ desingularize_module = importlib.import_module("ssetforge.desingularize")
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-def _cli_small_quotients(seed: int, count: int) -> list:
-    """The first ``count`` small quotients the benchmark's cli-small
-    workload runs forge desing on at ``seed``, drawn as it draws them."""
+def _workloads():
+    """The benchmark's workload module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("_workloads_quotients", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the file runs
@@ -59,6 +61,13 @@ def _cli_small_quotients(seed: int, count: int) -> list:
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
+    return workloads
+
+
+def _cli_small_quotients(seed: int, count: int) -> list:
+    """The first ``count`` small quotients the benchmark's cli-small
+    workload runs forge desing on at ``seed``, drawn as it draws them."""
+    workloads = _workloads()
     rng = random.Random(f"cli-small:{seed}")
     spaces = []
     while len(spaces) < count:
@@ -138,6 +147,11 @@ def test_replay_confirms_moves():
     bad[0][0] = type(first)(first.cell, first.degree, first.position + 1)
     with pytest.raises(ValueError):
         replay_zipper(space, bad)
+    # positions past either end of the cell's vertices
+    for position in (-1, first.degree):
+        bad[0][0] = type(first)(first.cell, first.degree, position)
+        with pytest.raises(ValueError, match="premise fails"):
+            replay_zipper(space, bad)
 
 
 def test_oracle_agrees_with_zipper():
@@ -156,6 +170,94 @@ def test_oracle_agrees_with_zipper():
 def test_oracle_bound():
     with pytest.raises(ValueError):
         oracle_desingularize(standard_simplex(3), bound=10)
+
+
+def _same_result(a, b) -> bool:
+    return (format_sset(a.quotient) == format_sset(b.quotient)
+            and format_smap(a.eta) == format_smap(b.eta) and a.moves == b.moves)
+
+
+def test_desingularize_matches_oracle_and_zipper():
+    # the verify suite's small quotients (the oracle-agreement skips among
+    # them) and 600 of the benchmark's small quotient draws, all inside the
+    # oracle's bound: desingularize certifies each, equals the oracle, is
+    # the zipper's result byte for byte where the zipper certifies, and its
+    # move list replays to the same quotient and eta
+    workloads = _workloads()
+    small = _small_quotients()
+    drawn = [workloads._small_quotient(random.Random(7000 + i)) for i in range(600)]
+    stalled = []
+    for space in small + drawn:
+        res = desingularize(space)
+        assert res.certificate is Certificate.ZIPPER
+        assert res.quotient.is_nonsingular()
+        oracle = oracle_desingularize(space)
+        assert (kernel_congruence(res.eta).canonical()
+                == kernel_congruence(oracle.eta).canonical())
+        z = zipper_desingularize(space)
+        if z.certificate is Certificate.ZIPPER:
+            assert _same_result(res, z)
+        else:
+            stalled.append(space)
+            assert any(isinstance(mv, IntervalMove) for batch in res.moves for mv in batch)
+        again = replay_zipper(space, res.moves)
+        assert again.certificate is Certificate.ZIPPER
+        assert _same_result(again, res)
+    assert sum(s in stalled for s in small) == 11
+    assert sum(s in stalled for s in drawn) == 44
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_corpus_member_certifies(seed):
+    stalled = 0
+    for entry in gen_corpus(seed):
+        res = desingularize(entry.space)
+        assert res.certificate is Certificate.ZIPPER, entry.name
+        assert _same_result(replay_zipper(entry.space, res.moves), res)
+        z = zipper_desingularize(entry.space)
+        if z.certificate is Certificate.ZIPPER:
+            assert _same_result(res, z)
+        else:
+            stalled += 1
+    assert stalled > 0
+
+
+def _pinched_tetrahedron():
+    """Delta[3] with its first and last vertices identified: the top cell
+    has the vertices (a, b, c, a)."""
+    delta3 = standard_simplex(3)
+    first, last = sorted(delta3.cell_ids(0))[::3]
+    cong = congruence_from_pairs(delta3, [(delta3.simplex(first), delta3.simplex(last))])
+    return quotient(delta3, cong).space
+
+
+def test_interval_move_merges_every_vertex_between():
+    space = _pinched_tetrahedron()
+    top = max(space.cell_ids(3))
+    a, b, c, d = space.vertices(space.simplex(top))
+    assert a == d and len({a, b, c}) == 3
+    res = replay_zipper(space, [[IntervalMove(top, 0, 3)]])
+    assert len(res.quotient.cell_ids(0)) == 1
+    out = desingularize(space)
+    assert out.certificate is Certificate.ZIPPER
+    assert counts(out.quotient) == (1,)
+    kinds = [{type(mv) for mv in batch} for batch in out.moves]
+    assert kinds == [{MoveRecord}, {IntervalMove}, {MoveRecord}]
+    assert IntervalMove(top, 0, 3) in out.moves[1]
+
+
+def test_replay_rejects_an_interval_move_that_is_not_forced():
+    space = _pinched_tetrahedron()
+    res = desingularize(space)
+    moves = [list(batch) for batch in res.moves]
+    mv = moves[1][-1]
+    assert mv.j > mv.i + 1
+    assert _same_result(replay_zipper(space, moves), res)
+    for bad in (IntervalMove(mv.cell, mv.i, mv.j - 1), IntervalMove(mv.cell, mv.i + 1, mv.j),
+                IntervalMove(mv.cell, mv.i, mv.j + 1)):
+        moves[1][-1] = bad
+        with pytest.raises(ValueError, match="premise fails"):
+            replay_zipper(space, moves)
 
 
 def test_desingularize_idempotent():

@@ -427,8 +427,8 @@ def _errors_under_hash_seeds(builds: str) -> list[list[str]]:
     PYTHONHASHSEED 1 to 5."""
     src = os.path.dirname(os.path.dirname(ssetforge.__file__))
     code = f"""
-from ssetforge.posets import FinPoset
-from ssetforge.textio import parse_poset
+from ssetforge.posets import FinPoset, MonotoneMap
+from ssetforge.textio import parse_pmap, parse_poset
 for build in ({builds}):
     try:
         build()
@@ -459,3 +459,19 @@ def test_transitivity_message_ignores_hash_seed():
     want = "relation not transitive at ('a', 'b', 'c')"
     for seed, lines in enumerate(_errors_under_hash_seeds(builds), start=1):
         assert lines == [want], seed
+
+
+def test_monotone_message_ignores_hash_seed():
+    # the chain a < b < c < d onto x < y by y, x, y, x fails on a < b and
+    # on c < d; the message names the first pair in element order
+    pmap = ("begin source\nel a\nel b\nel c\nel d\nlt a b\nlt b c\nlt c d\nend\n"
+            "begin target\nel x\nel y\nlt x y\nend\n"
+            "send a y\nsend b x\nsend c y\nsend d x\n")
+    builds = f"""lambda: MonotoneMap(
+                  FinPoset("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
+                  FinPoset("xy", [("x", "y")]),
+                  dict(zip("abcd", "yxyx"))),
+              lambda: parse_pmap({pmap!r})"""
+    want = "not monotone on 'a' < 'b'"
+    for seed, lines in enumerate(_errors_under_hash_seeds(builds), start=1):
+        assert lines == [want, want], seed

@@ -1,5 +1,8 @@
 import gc
 import hashlib
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
@@ -187,6 +190,19 @@ def test_comparison_record_goes_with_its_space():
 def test_verify_main_report_matches_pin(tmp_path):
     report = tmp_path / "main.txt"
     assert main(["verify", "main", "--seed", "0", "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_MAIN_SEED0_SHA256
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_verify_main_report_ignores_hash_seed(tmp_path, hash_seed):
+    # the same seed gives the same report bytes in a fresh interpreter,
+    # whatever order its sets and dicts of strings iterate in
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+    report = tmp_path / "main.txt"
+    argv = ["verify", "main", "--seed", "0", "--report", str(report)]
+    subprocess.run([sys.executable, "-m", "ssetforge.cli", *argv], env=env, check=True,
+                   capture_output=True)
     assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_MAIN_SEED0_SHA256
 
 
