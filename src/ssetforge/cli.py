@@ -17,8 +17,9 @@ with, as the default method always certifies; 3 a malformed input file
 ``forge: <file>:<line>: <message>`` on stderr, a file that cannot be
 read or written, reported as ``forge: <file>: <reason>``, or a usage
 error (an unknown command or option, a missing argument, a value of the
-wrong type), reported as ``forge: <message>``.  ``--help`` prints the
-usage and exits 0.
+wrong type, ``desing --bound`` without ``--method oracle`` or below 0,
+``verify --corpus`` with ``--seed``), reported as ``forge: <message>``.
+``--help`` prints the usage and exits 0.
 
 The argument parser is built once per process, on the first call of
 ``main``, and shared by every later call: ``parse_args`` returns a fresh
@@ -93,7 +94,10 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    corpus = load_corpus(args.corpus) if args.corpus else gen_corpus(args.seed)
+    if args.corpus:
+        corpus = load_corpus(args.corpus)
+    else:
+        corpus = gen_corpus(0 if args.seed is None else args.seed)
     reports = []
     if args.suite in ("main", "all"):
         reports.append(verify_main_theorem(corpus))
@@ -137,12 +141,17 @@ def cmd_lastvertex(args) -> int:
 
 
 def cmd_desing(args) -> int:
+    if args.bound is not None:
+        if args.method != "oracle":
+            raise UsageError("argument --bound: only --method oracle takes a cell bound")
+        if args.bound < 0:
+            raise UsageError(f"argument --bound: a cell bound is at least 0, not {args.bound}")
     space = _load_space(args.space)
     if args.method == "zipper":
         res = zipper_desingularize(space)
     elif args.method == "oracle":
         try:
-            res = oracle_desingularize(space, args.bound)
+            res = oracle_desingularize(space, 10 if args.bound is None else args.bound)
         except ValueError as err:
             # above its cell bound the oracle certifies nothing
             print(f"certificate {Certificate.UNCERTIFIED.value}")
@@ -202,8 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification campaign")
     p.add_argument("suite", choices=["main", "lemmas", "cylinders", "all"])
-    p.add_argument("--corpus", help="directory written by forge corpus")
-    p.add_argument("--seed", type=int, default=0, help="regenerate corpus instead")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--corpus", help="directory written by forge corpus")
+    source.add_argument("--seed", type=int, help="generate the corpus of this seed "
+                        "instead (default 0)")
     p.add_argument("--report", help="write the report here instead of stdout")
     p.add_argument("--timings", action="store_true", help="include per-case seconds")
     p.set_defaults(fn=cmd_verify)
@@ -227,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("desing", help="desingularize a space")
     p.add_argument("space", help="input space (.sset)")
     p.add_argument("--method", choices=["auto", "zipper", "oracle"], default="auto")
-    p.add_argument("--bound", type=int, default=10,
-                   help="cell bound of --method oracle (default 10)")
+    p.add_argument("--bound", type=int,
+                   help="cell bound of --method oracle, at least 0 (default 10)")
     p.add_argument("-o", "--out", help="desingularized space (.sset)")
     p.add_argument("--emit-eta", help="projection onto the quotient (.smap)")
     p.set_defaults(fn=cmd_desing)
@@ -252,11 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return args.fn(args)
     except UsageError as err:
         print(f"forge: {err}", file=sys.stderr)
         return 3
-    try:
-        return args.fn(args)
     except ParseError as err:
         where = err.path if err.line is None else f"{err.path}:{err.line}"
         print(f"forge: {where}: {err}", file=sys.stderr)

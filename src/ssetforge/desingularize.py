@@ -12,7 +12,10 @@ where the zipper alone stops singular some cell repeats a vertex, never
 adjacently, and an interval round lowers the vertex count before the
 zipper runs again.  The loop ends with no repeated vertex.  Every merge
 was forced, so every map to a non-singular target factors through the
-non-singular result: it is the universal quotient, certified.
+non-singular result: it is the universal quotient, certified.  Each
+zipper round reads every cell's cached vertex row once: that one scan
+finds the round's moves and whether any row repeats a vertex, so the
+scan that finds no move also decides the certificate.
 
 The oracle is the independent check: it enumerates minimal
 operator-closed congruences whose quotient is non-singular by
@@ -87,11 +90,6 @@ def _first_preimages(eta: SimplicialMap) -> dict[int, int]:
     return reps
 
 
-def _adjacent_repeats(space: SimplicialSet, cid: int) -> list[int]:
-    vs = space.vertices(space.simplex(cid))
-    return [p for p in range(len(vs) - 1) if vs[p] == vs[p + 1]]
-
-
 def _intervals(vs: tuple[int, ...]) -> list[tuple[int, int]]:
     """The first and last position of each vertex repeated with others between."""
     last = {v: k for k, v in enumerate(vs)}
@@ -106,28 +104,38 @@ def _merge_interval(cong: Congruence, vs: tuple[int, ...], i: int, j: int) -> No
 
 
 def zipper_desingularize(space: SimplicialSet) -> DesingResult:
+    """Zipper rounds until no cell has equal adjacent vertices.
+
+    One scan of the vertex rows per round finds the round's moves and
+    whether every row is repeat-free; the last scan, which finds no move,
+    decides the certificate.  eta starts as the first round's projection."""
     cur = space
-    eta = identity_map(space)
+    eta: SimplicialMap | None = None
     rounds: list[list[MoveRecord]] = []
     while True:
         moves = []
+        nonsingular = True
+        vertices, simplex = cur.vertices, cur.simplex
         for cid in cur.cell_order():
-            moves.extend((cid, p) for p in _adjacent_repeats(cur, cid))
+            vs = vertices(simplex(cid))
+            if len(set(vs)) < len(vs):
+                nonsingular = False
+                moves.extend((cid, p) for p in range(len(vs) - 1) if vs[p] == vs[p + 1])
         if not moves:
             break
-        reps = _first_preimages(eta)
+        reps = _first_preimages(eta) if eta is not None else None
         cong = Congruence(cur)
         batch = []
         for cid, p in moves:
-            u = cur.simplex(cid)
+            u = simplex(cid)
             cong.merge(u, cur.eval(u, _dup_operator(u.degree, p)))
-            batch.append(MoveRecord(reps[cid], u.degree, p))
+            batch.append(MoveRecord(cid if reps is None else reps[cid], u.degree, p))
         res = quotient(cur, cong)
         rounds.append(batch)
-        eta = compose_maps(eta, res.projection)
+        eta = res.projection if eta is None else compose_maps(eta, res.projection)
         cur = res.space
-    cert = Certificate.ZIPPER if cur.is_nonsingular() else Certificate.UNCERTIFIED
-    return DesingResult(cur, eta, cert, rounds)
+    cert = Certificate.ZIPPER if nonsingular else Certificate.UNCERTIFIED
+    return DesingResult(cur, identity_map(space) if eta is None else eta, cert, rounds)
 
 
 def replay_zipper(
@@ -314,9 +322,17 @@ def desingularize(space: SimplicialSet) -> DesingResult:
 
 
 def factor_through_quotient(eta: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
-    """The unique h with h . eta = g, when g respects eta's identifications."""
+    """The unique h with h . eta = g, when g respects eta's identifications.
+
+    When eta is an identity map on g's source, h is g itself: it is
+    returned as it is, not rebuilt, so it is validated only as far as g
+    was when it was built."""
     if eta.source is not g.source and not eta.source.same_presentation(g.source):
         raise ValueError("maps must share their source")
+    if eta.target is g.source and all(
+        s.cell == c and s.degen.is_identity for c, s in eta.assignment.items()
+    ):
+        return g
     reps = _first_preimages(eta)
     if len(reps) != len(eta.target.cells):
         raise ValueError("projection does not hit every cell")

@@ -8,6 +8,21 @@ top entry rebases the pair onto the carrier of the new top (EZ-reduce
 the carrier simplex, pull the chain back through the dropped face, push
 it through the degeneracy part).
 
+``sd`` works on chain indices.  The strict chains to the top of [n] are
+numbered once per n (``chains_to_top``, shortest first), with the
+indices of the faces that keep the top entry and where each length
+starts.  The cells of Sd X are numbered by chain length, then carrier
+cell, then chain, so a cell's id is its carrier's offset for that length
+plus the chain's position within it, and a face's id is found the same
+way.  The rebasing of a last face depends only on n, the chain and the
+degeneracy of the carrier's face at the chain's second-to-last entry, so
+it is computed once per such triple.
+
+A map into the nerve BX is fixed by where it sends vertices, and the
+vertex of Sd X at (x, identity) is the barycentre of x.  So ``b_nat``
+reads each subdivided cell's cached vertex row through the vertex
+labels: the carriers of its chain, in order.
+
 This direct cell structure is not taken on faith: sd_skeletal builds
 the subdivision a second time from the skeleton filtration, attaching a
 subdivided standard simplex along its subdivided boundary for every
@@ -17,6 +32,7 @@ cell, and the two constructions are compared up to isomorphism.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from .colimits import pushout
 from .operators import (
@@ -46,31 +62,96 @@ def chains_to_top(n: int) -> tuple[tuple[Operator, ...], ...]:
     return tuple(c for c in fp.chains() if c[-1] == top)
 
 
+class _ChainTable(NamedTuple):
+    """``chains_to_top(n)`` by index.  ``starts[q]`` is the index of the first
+    chain of q+1 entries (``starts[n+1]`` is the count); ``inner[k]`` holds,
+    for i below the top, the position among the chains of its length of
+    chain k with entry i dropped; ``index`` is the inverse of ``chains``.
+    ``proper`` lists the proper faces of [n], and ``penult[k]`` is the
+    position there of chain k's second-to-last entry (-1 for the chain
+    of the identity alone)."""
+
+    chains: tuple[tuple[Operator, ...], ...]
+    index: dict[tuple[Operator, ...], int]
+    starts: tuple[int, ...]
+    inner: tuple[tuple[int, ...], ...]
+    proper: tuple[Operator, ...]
+    penult: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _chain_table(n: int) -> _ChainTable:
+    chains = chains_to_top(n)
+    index = {c: k for k, c in enumerate(chains)}
+    starts = [len(chains)] * (n + 2)
+    for k in reversed(range(len(chains))):
+        starts[len(chains[k]) - 1] = k
+    inner = tuple(
+        tuple(index[c[:i] + c[i + 1 :]] - starts[len(c) - 2] for i in range(len(c) - 1))
+        for c in chains
+    )
+    proper = tuple(c[0] for c in chains if len(c) == 2)
+    where = {mu: i for i, mu in enumerate(proper)}
+    penult = tuple(where[c[-2]] if len(c) > 1 else -1 for c in chains)
+    return _ChainTable(chains, index, tuple(starts), inner, proper, penult)
+
+
+@lru_cache(maxsize=None)
+def _rebase(n: int, k: int, degen: Operator) -> tuple[int, int, Operator]:
+    """The last face of chain k of [n] on a carrier whose face at the chain's
+    second-to-last entry is a cell under ``degen``: the face's length q
+    (as a simplex degree), its chain's position among the chains of q+1
+    entries into [degen.dst], and its degeneracy."""
+    c = chains_to_top(n)[k]
+    nu = c[-2]
+    pushed = tuple(ez_factor(compose(face_restriction(nu, mu), degen))[0] for mu in c[:-1])
+    strict, run = run_collapse(pushed)
+    table = _chain_table(degen.dst)
+    q = len(strict) - 1
+    return q, table.index[strict] - table.starts[q], run
+
+
 def sd(space: SimplicialSet) -> SimplicialSet:
     """Subdivision; cells are labeled (carrier cell, strict chain)."""
-    pairs: list[tuple[int, tuple[Operator, ...]]] = []
-    for q in range(space.dim + 1):
-        for x in sorted(space.cells):
-            n = space.cells[x].dim
-            pairs.extend((x, c) for c in chains_to_top(n) if len(c) == q + 1)
-    ids = {pair: i for i, pair in enumerate(pairs)}
+    cells_of = space.cells
+    order = sorted(cells_of)
+    top = space.dim
+    tables = {x: _chain_table(cells_of[x].dim) for x in order}
+    # offset[x][q]: the id of the first cell carried by x with q+1 entries
+    offset: dict[int, list[int]] = {x: [] for x in order}
+    count = 0
+    for q in range(top + 1):
+        for x in order:
+            if q <= cells_of[x].dim:
+                starts = tables[x].starts
+                offset[x].append(count)
+                count += starts[q + 1] - starts[q]
+    # x's face at each proper face of [dim x], the second-to-last entries
+    faces_at = {
+        x: [space.eval(space.simplex(x), mu) for mu in tables[x].proper] for x in order
+    }
     cells: dict[int, Cell] = {}
     labels: dict[int, object] = {}
-    for (x, c), cid in ids.items():
-        q = len(c) - 1
-        faces = []
-        if q:
-            for i in range(q):
-                faces.append((ids[(x, c[:i] + c[i + 1 :])], identity(q - 1)))
-            nu = c[-2]
-            zs = space.eval(space.simplex(x), nu)
-            pushed = tuple(
-                ez_factor(compose(face_restriction(nu, mu), zs.degen))[0] for mu in c[:-1]
-            )
-            strict, degen = run_collapse(pushed)
-            faces.append((ids[(zs.cell, strict)], degen))
-        cells[cid] = Cell(q, tuple(faces))
-        labels[cid] = (x, c)
+    point = Cell(0, ())
+    for x in order:  # the barycentres, chains of the identity alone
+        cells[offset[x][0]] = point
+        labels[offset[x][0]] = (x, tables[x].chains[0])
+    for q in range(1, top + 1):
+        ident = identity(q - 1)
+        for x in order:
+            n = cells_of[x].dim
+            if q > n:
+                continue
+            chains, _, starts, inner, _, penult = tables[x]
+            cid, below, x_faces = offset[x][q], offset[x][q - 1], faces_at[x]
+            for k in range(starts[q], starts[q + 1]):
+                z, degen = x_faces[penult[k]]
+                fq, pos, run = _rebase(n, k, degen)
+                faces = [(below + j, ident) for j in inner[k]]
+                faces.append((offset[z][fq] + pos, run))
+                cells[cid] = Cell(q, tuple(faces))
+                labels[cid] = (x, chains[k])
+                cid += 1
     return SimplicialSet(cells, labels)
 
 
@@ -97,15 +178,20 @@ def b_nat(
     sd_space: SimplicialSet | None = None,
 ) -> SimplicialMap:
     """The natural comparison from the subdivision to the nerve of the
-    cell poset: a chain of faces goes to the chain of their carriers."""
+    cell poset: a chain of faces goes to the chain of their carriers.
+
+    The carriers are the cell's cached vertex row read through the vertex
+    labels, since vertex v of Sd X is the barycentre of cell
+    ``labels[v][0]``.  No chain entry is evaluated on X."""
     sds = sd(space) if sd_space is None else sd_space
     bx = barratt(space) if barratt_space is None else barratt_space
     target_ids = {label: cid for cid, label in bx.labels.items()}
+    labels = sds.labels
+    carrier = {v: labels[v][0] for v, cell in sds.cells.items() if not cell.dim}.__getitem__
+    vertices, simplex = sds.vertices, sds.simplex
     asg: dict[int, Simplex] = {}
-    for cid, (x, c) in sds.labels.items():
-        gen = space.simplex(x)
-        carriers = tuple(space.eval(gen, mu).cell for mu in c)
-        strict, degen = run_collapse(carriers)
+    for cid in labels:
+        strict, degen = run_collapse(tuple(map(carrier, vertices(simplex(cid)))))
         asg[cid] = Simplex(target_ids[strict], degen)
     return SimplicialMap(sds, bx, asg)
 

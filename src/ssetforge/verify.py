@@ -145,8 +145,9 @@ def _timed(report: Report, name: str, ok: bool, started: float, **details) -> No
 def _corpus_sd(entry: CorpusEntry, by_name: dict[str, CorpusEntry]) -> SimplicialSet:
     """sd of a member, taken from the corpus when gen_corpus already built it.
 
-    Only a built image carries the (cell, chain) labels that b_nat reads; an
-    image read from a corpus directory has none and is built again.
+    Only a built image carries (cell, chain) labels.  b_nat reads just the
+    vertex labels, each vertex's carrier cell, and needs them; an image read
+    from a corpus directory has no labels and is built again.
     """
     image = by_name.get(f"sd-{entry.name}")
     if image is not None and image.space.labels:

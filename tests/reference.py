@@ -24,6 +24,11 @@ chains of elements, found by walking the strict pairs; ``nerve`` and
 ``nerve_map`` work on chains of element indices.  ``two_pass_run_collapse``
 is ``run_collapse`` by its definition, and ``pair_scan_error`` is the
 error ``FinPoset(close=False)`` raises, found by scanning every two pairs.
+``reference_sd`` numbers the subdivided cells through a dict keyed by
+(carrier cell, chain of operators) and rebases every last face afresh;
+``sd`` works on chain indices and offsets.  ``carrier_b_nat`` finds the
+carriers of a subdivided cell by evaluating each chain entry on the
+carrier cell; ``b_nat`` reads them off the cell's vertex row.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ from ssetforge.operators import (
     Operator,
     compose,
     degeneracy_from_repeats,
+    ez_factor,
+    face_restriction,
     identity,
     make_degen,
     make_face,
@@ -53,6 +60,7 @@ from ssetforge.operators import (
 from ssetforge.posets import (
     FinPoset,
     MonotoneMap,
+    barratt,
     chain_poset,
     compose_monotone,
     cylinder_end,
@@ -70,6 +78,7 @@ from ssetforge.simplicial import (
     compose_maps,
     standard_simplex,
 )
+from ssetforge.subdivision import chains_to_top
 
 
 class SimplexCongruence:
@@ -443,3 +452,49 @@ def label_nerve_map(
         collapsed, degen = two_pass_run_collapse(tuple(phi(x) for x in chain))
         asg[cid] = Simplex(target_ids[collapsed], degen)
     return SimplicialMap(source_nerve, target_nerve, asg)
+
+
+def reference_sd(space: SimplicialSet) -> SimplicialSet:
+    """Subdivision with cells keyed by (carrier cell, strict chain)."""
+    pairs: list[tuple[int, tuple[Operator, ...]]] = []
+    for q in range(space.dim + 1):
+        for x in sorted(space.cells):
+            n = space.cells[x].dim
+            pairs.extend((x, c) for c in chains_to_top(n) if len(c) == q + 1)
+    ids = {pair: i for i, pair in enumerate(pairs)}
+    cells: dict[int, Cell] = {}
+    labels: dict[int, object] = {}
+    for (x, c), cid in ids.items():
+        q = len(c) - 1
+        faces = []
+        if q:
+            for i in range(q):
+                faces.append((ids[(x, c[:i] + c[i + 1 :])], identity(q - 1)))
+            nu = c[-2]
+            zs = space.eval(space.simplex(x), nu)
+            pushed = tuple(
+                ez_factor(compose(face_restriction(nu, mu), zs.degen))[0] for mu in c[:-1]
+            )
+            strict, degen = run_collapse(pushed)
+            faces.append((ids[(zs.cell, strict)], degen))
+        cells[cid] = Cell(q, tuple(faces))
+        labels[cid] = (x, c)
+    return SimplicialSet(cells, labels)
+
+
+def carrier_b_nat(
+    space: SimplicialSet,
+    barratt_space: SimplicialSet | None = None,
+    sd_space: SimplicialSet | None = None,
+) -> SimplicialMap:
+    """b with each chain entry evaluated on the carrier cell for its carrier."""
+    sds = reference_sd(space) if sd_space is None else sd_space
+    bx = barratt(space) if barratt_space is None else barratt_space
+    target_ids = {label: cid for cid, label in bx.labels.items()}
+    asg: dict[int, Simplex] = {}
+    for cid, (x, c) in sds.labels.items():
+        gen = space.simplex(x)
+        carriers = tuple(space.eval(gen, mu).cell for mu in c)
+        strict, degen = run_collapse(carriers)
+        asg[cid] = Simplex(target_ids[strict], degen)
+    return SimplicialMap(sds, bx, asg)

@@ -98,7 +98,7 @@ def test_desing_certifies_above_the_oracle_bound(tmp_path, capsys):
     assert capsys.readouterr().out == "certificate ZipperCertified\ncells 37 -> 26\n"
 
 
-@pytest.mark.parametrize("bound", [None, "4"])
+@pytest.mark.parametrize("bound", [None, "4", "0"])
 def test_desing_oracle_above_bound_is_uncertified(tmp_path, capsys, bound):
     # the oracle refuses an input above its cell bound: no certificate,
     # one line on stderr and exit 2
@@ -108,7 +108,7 @@ def test_desing_oracle_above_bound_is_uncertified(tmp_path, capsys, bound):
     assert main(argv if bound is None else [*argv, "--bound", bound]) == 2
     out, err = capsys.readouterr()
     assert out == "certificate Uncertified\n"
-    want = "15 cells > 10" if bound is None else "6 cells > 4"
+    want = "15 cells > 10" if bound is None else f"6 cells > {bound}"
     assert err == f"error: oracle bound exceeded: {want}\n"
     assert not (tmp_path / "out.sset").exists()
 
@@ -386,6 +386,15 @@ def test_calls_leave_no_argparse_garbage(tmp_path, capsys):
     ([], "the following arguments are required: command"),
     (["sd", "X.sset", "--frob"], "unrecognized arguments: --frob"),
     (["cylinder", "phi.pmap", "--reduced", "--bundle"], "argument --bundle: not allowed with argument --reduced"),
+    (["desing", "X.sset", "--bound", "0"], "argument --bound: only --method oracle takes a cell bound"),
+    (["desing", "X.sset", "--method", "zipper", "--bound", "4"],
+     "argument --bound: only --method oracle takes a cell bound"),
+    (["desing", "X.sset", "--method", "oracle", "--bound", "-3"],
+     "argument --bound: a cell bound is at least 0, not -3"),
+    (["verify", "main", "--corpus", "DIR", "--seed", "5"],
+     "argument --seed: not allowed with argument --corpus"),
+    (["verify", "main", "--seed", "0", "--corpus", "DIR"],
+     "argument --corpus: not allowed with argument --seed"),
 ])
 def test_usage_error_is_one_line_and_exit_3(capsys, argv, message):
     # exit 2 means no certified desingularization, so a usage error

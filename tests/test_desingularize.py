@@ -33,12 +33,13 @@ from ssetforge.simplicial import (
     SimplicialMap,
     SimplicialSet,
     boundary,
+    identity_map,
     is_isomorphic,
     representing_map,
     simplex_map,
     standard_simplex,
 )
-from ssetforge.subdivision import sd, t_nat
+from ssetforge.subdivision import b_nat, sd, t_nat
 from ssetforge.textio import format_smap, format_sset
 from ssetforge.verify import _small_quotients
 
@@ -280,6 +281,38 @@ def test_factor_through_quotient():
     ident = SimplicialMap(delta1, delta1, {c: delta1.simplex(c) for c in delta1.cells})
     with pytest.raises(ValueError):
         factor_through_quotient(eta, ident)
+
+
+def test_zipper_certificate_is_quotient_nonsingularity():
+    # the certificate comes from the zipper's last scan of vertex rows; it
+    # must say what a separate walk over the quotient's cells says, on the
+    # populations above: small quotients, benchmark draws, corpus members
+    workloads = _workloads()
+    spaces = _small_quotients()
+    spaces += [workloads._small_quotient(random.Random(7000 + i)) for i in range(600)]
+    spaces += [entry.space for seed in (0, 1, 2) for entry in gen_corpus(seed)]
+    stalled = 0
+    for space in spaces:
+        res = zipper_desingularize(space)
+        assert (res.certificate is Certificate.ZIPPER) == res.quotient.is_nonsingular()
+        stalled += res.certificate is Certificate.UNCERTIFIED
+    assert len(spaces) == 865 and stalled == 61
+
+
+def test_factor_through_identity_returns_g():
+    # a non-singular space takes no zipper move: eta is the identity, and
+    # the factor of g through it is g itself, not a rebuilt copy
+    space = standard_simplex(2)
+    sds = sd(space)
+    res = desingularize(sds)
+    assert res.moves == [] and res.eta.source is res.eta.target is sds
+    b = b_nat(space, sd_space=sds)
+    assert factor_through_quotient(res.eta, b) is b
+    assert factor_through_quotient(identity_map(sds), b) is b
+    # an identity on another presentation of g's source is factored as before
+    copy = SimplicialSet(sds.cells)
+    h = factor_through_quotient(identity_map(copy), b)
+    assert h is not b and h.source is copy and h.assignment == b.assignment
 
 
 def test_t_nat_iso_for_regular():

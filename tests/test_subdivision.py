@@ -1,3 +1,7 @@
+import hashlib
+
+import pytest
+
 from ssetforge.colimits import (
     congruence_from_pairs,
     is_regular,
@@ -5,6 +9,7 @@ from ssetforge.colimits import (
     pushout,
     quotient,
 )
+from ssetforge.corpus import SD_CAP, gen_corpus, sd_size
 from ssetforge.operators import Operator, identity, make_face
 from ssetforge.posets import barratt, barratt_map
 from ssetforge.simplicial import (
@@ -20,6 +25,16 @@ from ssetforge.simplicial import (
     standard_simplex,
 )
 from ssetforge.subdivision import b_nat, chains_to_top, last_vertex, sd, sd_map, sd_skeletal
+from ssetforge.textio import format_smap, format_sset
+from ssetforge.verify import _small_quotients
+
+from reference import carrier_b_nat, reference_sd
+
+# sha256 of format_sset(sd(x)) then format_smap(b_nat(x)), over the seed-0
+# members x with sd_size(x) <= SD_CAP in corpus order, recorded on the
+# construction that keyed cells by (carrier cell, chain) and found b's
+# carriers by evaluating every chain entry
+SD_BNAT_SEED0_SHA256 = "f3798f219646654428467869946ebcaf326bef98ee4d00d1ac6e8ca30f041428"
 
 
 def counts(space):
@@ -181,3 +196,36 @@ def test_skeletal_oracle():
     ]
     for space in cases:
         assert is_isomorphic(sd(space), sd_skeletal(space))
+
+
+def test_sd_and_b_nat_bytes_are_pinned(corpus):
+    digest = hashlib.sha256()
+    members = [e.space for e in corpus if sd_size(e.space) <= SD_CAP]
+    for space in members:
+        digest.update(format_sset(sd(space)).encode())
+        digest.update(format_smap(b_nat(space)).encode())
+    assert len(members) == 39
+    assert digest.hexdigest() == SD_BNAT_SEED0_SHA256
+
+
+def _assert_matches_reference(space):
+    """sd on chain indices and b read off vertex rows give the reference's
+    cells, labels and assignments, in the reference's insertion order."""
+    fast, ref = sd(space), reference_sd(space)
+    assert list(fast.cells.items()) == list(ref.cells.items())
+    assert list(fast.labels.items()) == list(ref.labels.items())
+    b = b_nat(space, sd_space=fast)
+    assert list(b.assignment.items()) == list(carrier_b_nat(space, sd_space=ref).assignment.items())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sd_and_b_nat_match_reference_on_corpus(seed):
+    # every member, the corpus's sd images included
+    for entry in gen_corpus(seed):
+        _assert_matches_reference(entry.space)
+
+
+def test_sd_and_b_nat_match_reference_on_small_spaces():
+    spaces = _small_quotients() + [standard_simplex(n) for n in range(5)] + [boundary(4)]
+    for space in spaces:
+        _assert_matches_reference(space)
