@@ -2,12 +2,9 @@
 
     python3 scripts/bench_record.py --out BENCH_6.json --runs 10
     python3 scripts/bench_record.py --out BENCH_6.json --baseline ../parent-checkout
-    python3 scripts/bench_record.py --out regularity.json --workload regularity
 
 Runs ``perfbench/run.py --trace 0`` ``--runs`` times for every workload
-``BENCHMARK.json`` lists, or for those named by ``--workload`` (which may
-be repeated, so one noisy workload can be recorded again alone), on the
-tree this script sits in, at seeds ``--first-seed``, ``--first-seed + 1``,
+``BENCHMARK.json`` lists, on the tree this script sits in, at seeds ``--first-seed``, ``--first-seed + 1``,
 and so on, for the run length ``BENCHMARK.json`` sets.  With
 ``--baseline`` it runs the same command in that checkout too, one
 baseline run per seed, alternating which of the two goes first, so each
@@ -16,13 +13,12 @@ seed gives one pair.
 The file holds, per workload and per side, the median and quartiles of
 each end-to-end metric, the failed and attempted case counts, and each
 run's metrics; with a baseline, also how many pairs the tree won on each
-metric (ties count for neither side).  ``workload_names`` lists the
-workloads it was asked for, in the order they ran.  It also holds the
-host line that ``run.py`` prints and, per side, the checked-out commit
-and the git tree id of ``src/`` as it was measured, uncommitted edits
-included.  That id equals ``git rev-parse <commit>:src`` for any commit
-holding the same code, so a record made on an uncommitted tree can be
-matched to the commit that later holds it.  Standard library only.
+metric (ties count for neither side).  It also holds the host line that
+``run.py`` prints and, per side, the checked-out commit and the git tree
+id of ``src/`` as it was measured, uncommitted edits included.  That id
+equals ``git rev-parse <commit>:src`` for any commit holding the same
+code, so a record made on an uncommitted tree can be matched to the
+commit that later holds it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -112,20 +108,16 @@ def main(argv=None) -> int:
                         help="seed of the first run; 0 and 1 are the pinned seeds "
                              "and 2 to 6 were used to size changes, so 7 on are held out")
     parser.add_argument("--baseline", type=Path, help="a checkout to pair runs with")
-    listed = [w["name"] for w in spec["workloads"]]
-    parser.add_argument("--workload", action="append", choices=listed,
-                        help="record this workload; repeat for more "
-                             "(default: every workload BENCHMARK.json lists)")
     args = parser.parse_args(argv)
 
     seconds = spec["run_seconds"]
-    workloads = [w for w in listed if args.workload is None or w in args.workload]
+    workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"tree": ROOT}
     if args.baseline:
         sides["baseline"] = args.baseline.resolve()
 
-    record: dict = {"run_seconds": seconds, "runs": args.runs, "workload_names": workloads,
+    record: dict = {"run_seconds": seconds, "runs": args.runs,
                     "seeds": [args.first_seed + i for i in range(args.runs)],
                     "commit": {side: commit_of(tree) for side, tree in sides.items()},
                     "src_tree": {side: src_tree_of(tree) for side, tree in sides.items()},

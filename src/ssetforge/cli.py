@@ -151,7 +151,10 @@ def cmd_desing(args) -> int:
         res = zipper_desingularize(space)
     elif args.method == "oracle":
         try:
-            res = oracle_desingularize(space, 10 if args.bound is None else args.bound)
+            if args.bound is None:
+                res = oracle_desingularize(space)
+            else:
+                res = oracle_desingularize(space, args.bound)
         except ValueError as err:
             # above its cell bound the oracle certifies nothing
             print(f"certificate {Certificate.UNCERTIFIED.value}")
