@@ -103,7 +103,7 @@ def cmd_verify(args) -> int:
         reports.append(verify_main_theorem(corpus))
         reports.append(verify_second_subdivision(corpus))
     if args.suite in ("lemmas", "all"):
-        reports.append(verify_lemma_suite(corpus, seed=corpus.seed))
+        reports.append(verify_lemma_suite(corpus))
     if args.suite in ("cylinders", "all"):
         reports.append(verify_dcr_suite(corpus))
     merged = merge_reports(f"verify-{args.suite}", reports)

@@ -72,7 +72,7 @@ def embedded_sibling_pairs(space: SimplicialSet, q: int) -> list[tuple[int, int]
     whole vertex row, in sorted order."""
     by_row: dict[tuple[int, ...], list[int]] = {}
     for c in space.cell_ids(q):
-        row = space.vertices(space.simplex(c))
+        row = space.cell_vertices(c)
         if len(set(row)) == len(row):
             by_row.setdefault(row, []).append(c)
     return sorted(pair for cells in by_row.values() for pair in combinations(cells, 2))
@@ -177,11 +177,7 @@ def representing_sharp(space: SimplicialSet, s: Simplex) -> MonotoneMap:
 
 
 def pushout_comparison(
-    k: MonotoneMap,
-    phi: MonotoneMap,
-    *,
-    require_dwyer: bool = True,
-    source_nerve: SimplicialSet | None = None,
+    k: MonotoneMap, phi: MonotoneMap
 ) -> tuple[PushoutResult, PosetPushout, SimplicialMap]:
     """Nerve-level pushout along an embedding, against the poset pushout.
 
@@ -189,16 +185,13 @@ def pushout_comparison(
     Q u_P R, and the comparison map from the former onto the nerve of the
     latter.  The cylinder is the case k : P -> P x [1].
     """
-    return _pushout_comparison(
-        k, phi, require_dwyer=require_dwyer, source_nerve=source_nerve
-    )[:3]
+    return _pushout_comparison(k, phi)[:3]
 
 
 def _pushout_comparison(
     k: MonotoneMap,
     phi: MonotoneMap,
     *,
-    require_dwyer: bool = True,
     source_nerve: SimplicialSet | None = None,
 ) -> tuple[PushoutResult, PosetPushout, SimplicialMap, SimplicialMap]:
     """``pushout_comparison``, with the nerve of the poset pushout's leg
@@ -207,7 +200,7 @@ def _pushout_comparison(
     nq = nerve(k.target)
     nr = nerve(phi.target)
     po = pushout(nerve_map(k, np_, nq), nerve_map(phi, np_, nr))
-    v = poset_pushout(k, phi, require_dwyer=require_dwyer)
+    v = poset_pushout(k, phi)
     nv = nerve(v.poset)
     other = nerve_map(v.leg_other, nr, nv)
     comp = po.mediator(nerve_map(v.leg_ambient, nq, nv), other)
@@ -224,17 +217,16 @@ def as_poset_nerve(space: SimplicialSet) -> tuple[FinPoset, SimplicialMap]:
     poset nerve exactly when cells correspond bijectively to nonempty
     chains through their vertex rows.
     """
-    for cid in space.cells:
-        if not space.is_embedded(space.simplex(cid)):
-            raise ValueError("a cell with repeated vertices is no nerve cell")
-    edges = [tuple(space.vertices(space.simplex(c))) for c in space.cell_ids(1)]
+    if not space.is_nonsingular():
+        raise ValueError("a cell with repeated vertices is no nerve cell")
+    edges = [space.cell_vertices(c) for c in space.cell_ids(1)]
     try:
         p = FinPoset(space.cell_ids(0), edges, close=True)
     except ValueError as exc:
         raise ValueError("edge relation is not antisymmetric") from exc
     rows: dict[tuple, int] = {}
     for cid in space.cells:
-        row = tuple(space.vertices(space.simplex(cid)))
+        row = space.cell_vertices(cid)
         if row in rows:
             raise ValueError("two cells share a vertex row")
         rows[row] = cid

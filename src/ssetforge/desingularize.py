@@ -17,24 +17,25 @@ zipper round reads every cell's cached vertex row once: that one scan
 finds the round's moves and whether any row repeats a vertex, so the
 scan that finds no move also decides the certificate.
 
-The oracle is the independent check: it enumerates minimal
-operator-closed congruences whose quotient is non-singular by
-witness-directed search and takes their meet; the family is closed under
-meets, so the meet itself has a non-singular quotient, which is checked,
-not assumed.  The search builds no quotient per node and walks no
-simplices: it reads each congruence's normal forms off its table of cell
-forms (see ``colimits``).  The forms of the cells determine the
-congruence, since two simplices (c, sigma) and (d, tau) are related
-exactly when the form of c degenerated by sigma is the form of d
-degenerated by tau.  So the tuple of forms is the key that removes
-duplicate nodes, the first singular cell is the first cell class whose
-vertex forms are not pairwise distinct, and a congruence contains
-another exactly when it relates every cell to that one's form of it.  A
-node branches once per class of the degenerate simplices it could merge
-its first singular cell with: merging with any member of a class gives
-the same child, which the key would only drop again.  Only the meet is
-quotiented, and that quotient, its projection and its non-singularity
-are validated.
+The oracle is the independent check.  The congruences whose quotient is
+non-singular are closed under meets, since the quotient by the meet of R
+and S embeds in the product of the quotients by R and by S, so exactly
+one of them is minimal: the kernel of the universal quotient.  The
+oracle finds it by witness-directed search, keeps the solutions that
+contain no other, and raises unless exactly one is left.  The search
+builds no quotient per node and walks no simplices: it reads each
+congruence's normal forms off its table of cell forms (see
+``colimits``).  The forms of the cells determine the congruence, since
+two simplices (c, sigma) and (d, tau) are related exactly when the form
+of c degenerated by sigma is the form of d degenerated by tau.  So the
+tuple of forms is the key that removes duplicate nodes, the first
+singular cell is the first cell class whose vertex forms are not
+pairwise distinct, and a congruence contains another exactly when it
+relates every cell to that one's form of it.  A node branches once per
+class of the degenerate simplices it could merge its first singular cell
+with: merging with any member of a class gives the same child, which the
+key would only drop again.  Only the minimal congruence is quotiented,
+and that quotient, its projection and its non-singularity are validated.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ def zipper_desingularize(space: SimplicialSet) -> DesingResult:
     while True:
         moves = []
         nonsingular = True
-        vertices, simplex = cur.vertices, cur.simplex
+        cell_vertices, simplex = cur.cell_vertices, cur.simplex
         for cid in cur.cell_order():
-            vs = vertices(simplex(cid))
+            vs = cell_vertices(cid)
             if len(set(vs)) < len(vs):
                 nonsingular = False
                 moves.extend((cid, p) for p in range(len(vs) - 1) if vs[p] == vs[p + 1])
@@ -187,37 +188,6 @@ def _degenerate_simplices(space: SimplicialSet, degree: int) -> list[Simplex]:
     return out
 
 
-def _meet(space: SimplicialSet, congs: list[Congruence]) -> Congruence:
-    """The intersection R of the congruences, as a congruence on space.
-
-    Degree by degree, the simplices are grouped by their classes in every
-    congruence, and each group's first member is merged with the group's
-    q-cells and with its first degenerate member only.  That relates the
-    rest, by induction on q.  Every merge is of an R-related pair, so
-    ``out`` lies in R; suppose it equals R below degree q.  Take degenerate
-    members x = s_j d_j x and x' = s_k d_k x' of one R-class, j <= k (swap
-    them otherwise).  d_j x R d_j x' lies below q, so x ~ s_j d_j x' in
-    ``out``; for j = k that is x'.  For j < k, let y' = d_k x'.  R is
-    closed under operators, so x' R s_j d_j x' = s_k s_j d_j y', and d_k
-    gives y' R s_j d_j y' below q; so x' = s_k y' ~ s_k s_j d_j y' =
-    s_j d_j x' in ``out``.
-    """
-    out = Congruence(space)
-    for q in range(space.dim + 1):
-        groups: dict[tuple, list[Simplex]] = {}
-        for s in space.simplices(q):
-            groups.setdefault(tuple(c.find(s) for c in congs), []).append(s)
-        for first, *rest in groups.values():
-            joined_degenerate = first.is_degenerate
-            for other in rest:
-                if other.is_degenerate:
-                    if joined_degenerate:
-                        continue
-                    joined_degenerate = True
-                out.merge(first, other)
-    return out
-
-
 def _first_singular(space: SimplicialSet, forms: dict[int, Simplex]) -> Simplex | None:
     """The first simplex of the first singular cell of the quotient with
     these normal forms, or None when that quotient is non-singular.
@@ -231,18 +201,20 @@ def _first_singular(space: SimplicialSet, forms: dict[int, Simplex]) -> Simplex 
     for c, f in forms.items():
         if f.cell != c or not f.degree:
             continue
-        row = {forms[v].cell for v in space.vertices(f)}
+        row = {forms[v].cell for v in space.cell_vertices(c)}
         if len(row) <= f.degree:
             return f
     return None
 
 
-def _minimal_congruences(space: SimplicialSet) -> list[Congruence]:
-    """Breadth-first search for the minimal congruences whose quotient is
-    non-singular.  A singular quotient branches once per class of
+def _minimal_congruence(space: SimplicialSet) -> Congruence:
+    """The minimal congruence whose quotient is non-singular, by
+    breadth-first search.  A singular quotient branches once per class of
     degenerate simplices, merging its first singular cell with the first
     member of each.  Each queued congruence carries its normal forms,
-    computed once."""
+    computed once.  The search records every solution that contains no
+    earlier one, and the filter keeps those that contain no other; the
+    family is closed under meets, so one must be left."""
     start = Congruence(space)
     start_forms = start.normal_forms()
     seen = {tuple(start_forms.values())}
@@ -270,31 +242,23 @@ def _minimal_congruences(space: SimplicialSet) -> list[Congruence]:
             if key not in seen:
                 seen.add(key)
                 queue.append((child, child_forms))
-    minimal = []
-    for key, _, c in solutions:
-        if not any(
-            other != key and _contains(c, pairs) for other, pairs, _ in solutions
-        ):
-            minimal.append(c)
-    if not minimal:
-        raise RuntimeError("search found no admissible congruence")
-    return minimal
-
-
-def _minimal_congruence_meet(space: SimplicialSet) -> Congruence:
-    """The meet of the minimal congruences with a non-singular quotient.
-    The search usually finds just one, which is its own meet."""
-    minimal = _minimal_congruences(space)
-    return minimal[0] if len(minimal) == 1 else _meet(space, minimal)
+    minimal = [
+        c for key, _, c in solutions
+        if not any(other != key and _contains(c, pairs) for other, pairs, _ in solutions)
+    ]
+    if len(minimal) != 1:
+        raise RuntimeError(
+            f"search left {len(minimal)} minimal non-singular congruences, not one"
+        )
+    return minimal[0]
 
 
 def oracle_desingularize(space: SimplicialSet, bound: int = 10) -> DesingResult:
     if len(space.cells) > bound:
         raise ValueError(f"oracle bound exceeded: {len(space.cells)} cells > {bound}")
-    meet = _minimal_congruence_meet(space)
-    res = quotient(space, meet)
+    res = quotient(space, _minimal_congruence(space))
     if not res.space.is_nonsingular():
-        raise RuntimeError("meet of minimal non-singular congruences is singular")
+        raise RuntimeError("the minimal non-singular congruence has a singular quotient")
     return DesingResult(res.space, res.projection, Certificate.ORACLE)
 
 
@@ -306,7 +270,7 @@ def desingularize(space: SimplicialSet) -> DesingResult:
         cur, reps = res.quotient, _first_preimages(eta)
         cong, batch = Congruence(cur), []
         for cid in cur.cell_order():
-            vs = cur.vertices(cur.simplex(cid))
+            vs = cur.cell_vertices(cid)
             for i, j in _intervals(vs):
                 _merge_interval(cong, vs, i, j)
                 batch.append(IntervalMove(reps[cid], i, j))

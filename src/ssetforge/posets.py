@@ -23,7 +23,6 @@ antisymmetry of the result is asserted, never repaired.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Hashable, Iterable
@@ -126,13 +125,6 @@ class FinPoset:
 
     def strict_pairs(self) -> frozenset:
         return self._lt
-
-    def covers(self) -> list[tuple[Hashable, Hashable]]:
-        out = []
-        for a, b in sorted(self._lt, key=lambda p: (self._index[p[0]], self._index[p[1]])):
-            if not any(self.lt(a, c) and self.lt(c, b) for c in self.elements):
-                out.append((a, b))
-        return out
 
     def index_chains(self) -> list[tuple[int, ...]]:
         """All nonempty strict chains as tuples of element indices, shortest
@@ -335,10 +327,9 @@ def sharp(space: SimplicialSet) -> FinPoset:
     return FinPoset(sorted(space.cells), rel, close=True)
 
 
-def sharp_map(f: SimplicialMap, sharp_source: FinPoset | None = None, sharp_target: FinPoset | None = None) -> MonotoneMap:
-    src = sharp(f.source) if sharp_source is None else sharp_source
-    dst = sharp(f.target) if sharp_target is None else sharp_target
-    return MonotoneMap(src, dst, {cid: s.cell for cid, s in f.assignment.items()})
+def sharp_map(f: SimplicialMap) -> MonotoneMap:
+    mapping = {cid: s.cell for cid, s in f.assignment.items()}
+    return MonotoneMap(sharp(f.source), sharp(f.target), mapping)
 
 
 def barratt(space: SimplicialSet) -> SimplicialSet:
@@ -487,61 +478,7 @@ def psi(n: int) -> MonotoneMap:
     return MonotoneMap(src, dst, mapping)
 
 
-# -- isomorphism and enumeration ---------------------------------------------
-
-
-def find_poset_isomorphism(p: FinPoset, q: FinPoset) -> dict | None:
-    if len(p) != len(q):
-        return None
-
-    def signatures(poset):
-        sig = {e: (len(poset.down(e)), len(poset.up(e))) for e in poset.elements}
-        for _ in range(len(poset)):
-            nxt = {
-                e: (
-                    sig[e],
-                    tuple(sorted(sig[d] for d in poset.down(e))),
-                    tuple(sorted(sig[u] for u in poset.up(e))),
-                )
-                for e in poset.elements
-            }
-            if len(set(nxt.values())) == len(set(sig.values())):
-                return nxt
-            sig = nxt
-        return sig
-
-    sp, sq = signatures(p), signatures(q)
-    if Counter(sp.values()) != Counter(sq.values()):
-        return None
-    pool: dict[int, list] = {}
-    for e, s in sq.items():
-        pool.setdefault(s, []).append(e)
-    order = sorted(p.elements, key=lambda e: (len(pool[sp[e]]), p._index[e]))
-    mapping: dict = {}
-    used: set = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        a = order[i]
-        for b in pool[sp[a]]:
-            if b in used:
-                continue
-            if any(p.lt(a, c) != q.lt(b, mapping[c]) or p.lt(c, a) != q.lt(mapping[c], b) for c in mapping):
-                continue
-            mapping[a] = b
-            used.add(b)
-            if extend(i + 1):
-                return True
-            del mapping[a]
-            used.discard(b)
-        return False
-
-    return mapping if extend(0) else None
-
-
-def is_poset_isomorphic(p: FinPoset, q: FinPoset) -> bool:
-    return find_poset_isomorphism(p, q) is not None
+# -- enumeration -------------------------------------------------------------
 
 
 def all_posets(max_size: int) -> list[FinPoset]:

@@ -27,7 +27,6 @@ pair loop, so a failure is named by its first failing pair either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -68,8 +67,10 @@ class Simplex(NamedTuple):
 _simplex = partial(tuple.__new__, Simplex)
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
+    """A cell's dimension and its stored codimension-1 faces; a tuple, so
+    built in C and hashed as ``hash((dim, faces))``."""
+
     dim: int
     faces: tuple[tuple[int, Operator], ...]
 
@@ -222,7 +223,7 @@ class SimplicialSet:
     def face(self, s: Simplex, i: int) -> Simplex:
         return self.eval(s, make_face(i, s.degree))
 
-    def _cell_vertices(self, cid: int) -> tuple[int, ...]:
+    def cell_vertices(self, cid: int) -> tuple[int, ...]:
         """Vertex cells of the cell, in order.
 
         Vertices 0..d-1 are those of the last face, read through its
@@ -235,15 +236,15 @@ class SimplicialSet:
                 got = (cid,)
             else:
                 (t, sigma), (t0, sigma0) = faces[-1], faces[0]
-                below = self._cell_vertices(t)
-                last = self._cell_vertices(t0)[sigma0.values[-1]]
+                below = self.cell_vertices(t)
+                last = self.cell_vertices(t0)[sigma0.values[-1]]
                 got = (*(below[v] for v in sigma.values), last)
             self._vertex_cache[cid] = got
         return got
 
     def vertices(self, s: Simplex) -> tuple[int, ...]:
         cell, degen = s
-        base = self._cell_vertices(cell)
+        base = self.cell_vertices(cell)
         if degen.is_identity:
             return base
         return tuple(base[v] for v in degen.values)
@@ -258,7 +259,7 @@ class SimplicialSet:
         return s.degree == t.degree and self.vertices(s) == self.vertices(t)
 
     def is_nonsingular(self) -> bool:
-        return all(self.is_embedded(self.simplex(cid)) for cid in self.cells)
+        return all(len(set(vs)) == len(vs) for vs in map(self.cell_vertices, self.cells))
 
     def same_presentation(self, other: "SimplicialSet") -> bool:
         return self.cells == other.cells

@@ -188,10 +188,10 @@ def b_nat(
     target_ids = {label: cid for cid, label in bx.labels.items()}
     labels = sds.labels
     carrier = {v: labels[v][0] for v, cell in sds.cells.items() if not cell.dim}.__getitem__
-    vertices, simplex = sds.vertices, sds.simplex
+    cell_vertices = sds.cell_vertices
     asg: dict[int, Simplex] = {}
     for cid in labels:
-        strict, degen = run_collapse(tuple(map(carrier, vertices(simplex(cid)))))
+        strict, degen = run_collapse(tuple(map(carrier, cell_vertices(cid))))
         asg[cid] = Simplex(target_ids[strict], degen)
     return SimplicialMap(sds, bx, asg)
 

@@ -448,9 +448,9 @@ def _dwyer_triples() -> list[tuple[str, MonotoneMap, MonotoneMap, MonotoneMap]]:
     return triples
 
 
-def verify_lemma_suite(corpus: Corpus, seed: int = 0) -> Report:
+def verify_lemma_suite(corpus: Corpus) -> Report:
     report = Report("lemma-suite")
-    rng = random.Random(seed)
+    rng = random.Random(corpus.seed)
     members = list(corpus)
     regulars = [e for e in members if e.regular]
     by_name = {e.name: e for e in members}

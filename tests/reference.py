@@ -6,9 +6,6 @@ simplices of degree up to dim X, with one degenerate witness per class;
 its ``merge_pushing_everything`` closes by the definition, pushing every
 elementary face and degeneracy of every joined pair.  ``Congruence``
 keeps normal forms of cells instead.
-``simplex_walk_meet`` is the oracle's meet of congruences, merging every
-member of every class of the intersection with the class's first;
-``desingularize._meet`` merges only the q-cells and one degenerate member.
 ``injective_by_simplices`` decides degreewise injectivity by comparing
 the images of every simplex of degree up to the source's dimension;
 ``SimplicialMap.is_degreewise_injective`` reads it off the cells.
@@ -212,20 +209,6 @@ class SimplexCongruence:
         other._size = dict(self._size)
         other._degen = dict(self._degen)
         return other
-
-
-def simplex_walk_meet(space: SimplicialSet, congs: list[Congruence]) -> Congruence:
-    """The intersection of the congruences: degree by degree, the simplices
-    grouped by their classes in every congruence, each group merged whole."""
-    out = Congruence(space)
-    for q in range(space.dim + 1):
-        groups: dict[tuple, list[Simplex]] = {}
-        for s in space.simplices(q):
-            groups.setdefault(tuple(c.find(s) for c in congs), []).append(s)
-        for members in groups.values():
-            for other in members[1:]:
-                out.merge(members[0], other)
-    return out
 
 
 def injective_by_simplices(f: SimplicialMap) -> bool:

@@ -27,7 +27,7 @@ from ssetforge.verify import (
 
 @pytest.fixture(scope="module")
 def lemma_report(corpus):
-    return verify_lemma_suite(corpus, seed=0)
+    return verify_lemma_suite(corpus)
 
 
 @pytest.fixture(scope="module")

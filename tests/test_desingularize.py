@@ -43,7 +43,7 @@ from ssetforge.subdivision import b_nat, sd, t_nat
 from ssetforge.textio import format_smap, format_sset
 from ssetforge.verify import _small_quotients
 
-from reference import SimplexCongruence, quotient_by_classes, simplex_walk_meet
+from reference import SimplexCongruence, quotient_by_classes
 from test_colimits import _same_congruence, _table_holds_killed_cells
 
 # the package exports the function desingularize under the module's name
@@ -372,7 +372,7 @@ def test_first_singular_matches_quotient_step(corpus, monkeypatch):
 def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
     # the search by its definition, keyed, deduplicated and pruned by the
     # full partition (canonical()): the same nodes in the same order, and
-    # the same meet
+    # the same one minimal congruence
     from collections import deque
 
     from ssetforge.desingularize import _degenerate_simplices
@@ -405,12 +405,13 @@ def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
             c for canon, c in solutions
             if not any(o != canon and contains(c, o) for o, _ in solutions)
         ]
-        return order, simplex_walk_meet(space, minimal)
+        return order, minimal
 
     spaces = _small_quotients() + [e.space for e in corpus if len(e.space.cells) <= 10]
     first_singular = desingularize_module._first_singular
     for space in spaces:
-        order, meet = search(space)
+        order, minimal = search(space)
+        assert len(minimal) == 1
         visited = []
 
         def step(space, forms):
@@ -424,9 +425,9 @@ def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(desingularize_module, "_first_singular", step)
-            got = desingularize_module._minimal_congruence_meet(space)
+            got = desingularize_module._minimal_congruence(space)
         assert visited == order
-        assert got.canonical() == meet.canonical()
+        assert got.canonical() == minimal[0].canonical()
 
 
 def test_zipper_and_oracle_match_simplex_reference(corpus, monkeypatch):
@@ -511,46 +512,38 @@ def _reversed_ids(space: SimplicialSet) -> SimplicialSet:
     })
 
 
-def test_meet_matches_simplex_walk(monkeypatch):
-    # the oracle's meet, merging only each class's q-cells and first
-    # degenerate member, against merging every member: on the minimal
-    # congruences the oracle finds for the verify suite's small quotients
-    # and 600 of the benchmark's seed-7 cli-small inputs (one each, on
-    # these), and on two or three seeded congruences of each such space.
-    # With ids reversed, a class's first member is often a cell, and its
-    # degenerate members are reached only through the one merge with it.
-    # The oracle itself takes a lone minimal congruence as its own meet.
-    meet = desingularize_module._meet
-    minimal_congruences = desingularize_module._minimal_congruences
+def test_oracle_search_leaves_one_minimal_congruence(monkeypatch):
+    # the congruences with a non-singular quotient are closed under meets,
+    # so the search's filter leaves exactly one: on the verify suite's small
+    # quotients and 600 of the benchmark's seed-7 cli-small inputs, each
+    # also with its ids reversed, so that cells of higher dimension come
+    # first and the search meets its classes in another order
+    first_singular = desingularize_module._first_singular
     spaces = _small_quotients() + _cli_small_quotients(7, 600)
     spaces += [_reversed_ids(space) for space in spaces]
-    inputs = []
+    solutions = 0
 
-    def captured(space):
-        minimal = minimal_congruences(space)
-        inputs.append((space, minimal))
-        return minimal
+    def counted(space, forms):
+        # a node with no singular cell is recorded as a solution
+        nonlocal solutions
+        rep = first_singular(space, forms)
+        solutions += rep is None
+        return rep
 
+    several = []
     with monkeypatch.context() as m:
-        m.setattr(desingularize_module, "_minimal_congruences", captured)
+        m.setattr(desingularize_module, "_first_singular", counted)
         for space in spaces:
-            got = desingularize_module._minimal_congruence_meet(space)
-            want = simplex_walk_meet(space, inputs[-1][1])
-            assert got.normal_forms() == want.normal_forms()
-            assert got.canonical() == want.canonical()
-    assert len(inputs) == len(spaces)
-    assert any(len(minimal) == 1 for _, minimal in inputs)
-    rng = random.Random(13)
-    for space in spaces:
-        congs = []
-        for _ in range(rng.randint(2, 3)):
-            q = rng.randint(0, space.dim)
-            simplices = list(space.simplices(q))
-            pairs = [tuple(rng.sample(simplices, 2)) for _ in range(rng.randint(1, 2))
-                     if len(simplices) > 1]
-            congs.append(congruence_from_pairs(space, pairs))
-        inputs.append((space, congs))
-    for space, congs in inputs:
-        got, want = meet(space, congs), simplex_walk_meet(space, congs)
-        assert got.normal_forms() == want.normal_forms()
-        assert got.canonical() == want.canonical()
+            solutions = 0
+            assert isinstance(desingularize_module._minimal_congruence(space), Congruence)
+            if solutions >= 2:
+                several.append(space)
+    assert several
+    # with no solution containing another, the filter keeps every one
+    # recorded, and the oracle refuses rather than pick one of them
+    space = several[0]
+    oracle_desingularize(space)
+    with monkeypatch.context() as m:
+        m.setattr(desingularize_module, "_contains", lambda cong, pairs: False)
+        with pytest.raises(RuntimeError, match="minimal non-singular congruences"):
+            oracle_desingularize(space)

@@ -380,7 +380,7 @@ def test_cell_vertices_match_vertex_faces(corpus):
             assert want == tuple(
                 _face_by_factoring(x.cells, cid, make_vertex(j, d)).cell for j in range(d + 1)
             )
-            assert x._cell_vertices(cid) == want
+            assert x.cell_vertices(cid) == want
 
 
 def _validate_set_by_eval(cells):

@@ -235,12 +235,12 @@ def test_lemma_report_reads_b_from_the_record(corpus):
     # the bnat cases give the same bytes whether main and the corollary
     # recorded b's verdict first or the lemma suite builds every b itself
     verify._COMPARISONS.clear()
-    alone = format_report(verify_lemma_suite(corpus, seed=0))
+    alone = format_report(verify_lemma_suite(corpus))
     assert len(verify._COMPARISONS) == 0
     assert verify_main_theorem(corpus).ok and verify_second_subdivision(corpus).ok
     recorded = {id(x) for x in verify._COMPARISONS.keys()}
     assert any(id(e.space) in recorded for e in corpus if len(e.space.cells) <= 80)
-    after = format_report(verify_lemma_suite(corpus, seed=0))
+    after = format_report(verify_lemma_suite(corpus))
     assert after == alone
     assert "bnat-iso-iff-nonsingular/" in after
 
@@ -268,7 +268,7 @@ def test_dcr_suite_counts_pairs(tiny_corpus):
 
 
 def test_lemma_suite_smoke(tiny_corpus):
-    rep = verify_lemma_suite(tiny_corpus, seed=1)
+    rep = verify_lemma_suite(tiny_corpus)
     assert rep.ok
     cones = [c for c in rep.cases if c.name.startswith("cone/")]
     assert len(cones) == 88
