@@ -34,7 +34,13 @@ from ssetforge.posets import (
     singleton_poset,
     up_closure,
 )
-from ssetforge.simplicial import SimplicialSet, is_isomorphic, simplex_map, standard_simplex
+from ssetforge.simplicial import (
+    SimplicialSet,
+    find_isomorphism,
+    is_isomorphic,
+    simplex_map,
+    standard_simplex,
+)
 
 from reference import (
     label_nerve,
@@ -362,6 +368,22 @@ def test_pushout_mediator_disagreement():
     v = MonotoneMap(p, q, {0: 0})
     with pytest.raises(ValueError):
         po.mediator(u, v)
+
+
+def test_poset_isomorphism_search():
+    # posets compared through their nerves: the cell bijection that
+    # find_isomorphism returns restricts on vertices to an order isomorphism
+    assert poset_isomorphic(chain_poset(2), FinPoset("xyz", [("z", "y"), ("y", "x")]))
+    assert not poset_isomorphic(chain_poset(2), FinPoset("xyz", [("x", "y")]))
+    w = wedge_poset()
+    p = chain_poset(1)
+    a, b = product_poset(w, p), product_poset(p, w)
+    na, nb = nerve(a), nerve(b)
+    iso = find_isomorphism(na, nb)
+    assert iso is not None
+    vertex = {na.labels[c][0]: nb.labels[iso[c]][0] for c in na.cells if na.cells[c].dim == 0}
+    assert len(vertex) == 6 and set(vertex.values()) == set(b.elements)
+    assert all(a.lt(x, y) == b.lt(vertex[x], vertex[y]) for x in a.elements for y in a.elements)
 
 
 def test_poset_enumeration_counts():
