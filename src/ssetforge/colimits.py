@@ -31,24 +31,33 @@ cell table of the pushout, both legs and the mediator are written
 directly, with no disjoint union, congruence or quotient.  The same
 holds with the legs swapped when only g is injective.
 
-Regularity is decided cell by cell, without building a pushout.  For a
-d-cell y with Z the subcomplex generated by its last face, the canonical
-map out of the pushout of the d-simplex and Z along the last face is
-injective iff y sends every face of [d] containing the vertex d to a
-non-degenerate simplex outside Z, and no two of them to the same one.
-By Eilenberg-Zilber, injectivity is injectivity on non-degenerate
-simplices together with non-degenerate images, and the non-degenerate
-simplices of that pushout are the cells of Z and those faces of [d].
+Regularity is decided in one bottom-up pass over the cell table,
+without building a pushout.  For a d-cell y with Z the subcomplex
+generated by its last face, the canonical map out of the pushout of the
+d-simplex and Z along the last face is injective iff y sends every face
+of [d] containing the vertex d to a non-degenerate simplex outside Z,
+and no two of them to the same one.  By Eilenberg-Zilber, injectivity is
+injectivity on non-degenerate simplices together with non-degenerate
+images, and the non-degenerate simplices of that pushout are the cells
+of Z and those faces of [d].  A face of [d] containing d other than [d]
+lies in a face omitting some i < d, and there contains the last vertex
+again; so the cells y.mu are y together with those its non-last stored
+faces reach the same way, and each cell's closure is the cell together
+with the closures of its stored faces.  Both are kept as bitmasks over
+positions in (dimension, id) order, built bottom-up, so each cell costs
+two integer operations per stored face, and a d-cell passes when the
+mask of its cells y.mu has 2^d bits and misses the closure of its last
+face.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .operators import (
     Operator,
-    all_faces,
     compose,
     degeneracy_from_repeats,
     identity,
@@ -389,45 +398,66 @@ class ProductResult:
     index: dict[tuple[Simplex, Simplex], int]
 
 
-def _strip_common(
-    x: SimplicialSet, y: SimplicialSet, sx: Simplex, sy: Simplex
-) -> tuple[Simplex, Simplex, Operator]:
-    """Split off the common degeneracy of a pair of equal-degree simplices."""
-    acc = identity(sx.degree)
-    while True:
-        common = sorted(set(sx.degen.repeats()) & set(sy.degen.repeats()))
-        if not common:
-            return sx, sy, acc
-        rho = degeneracy_from_repeats(common, sx.degree)
-        lift = section(rho)
-        sx = Simplex(sx.cell, compose(lift, sx.degen))
-        sy = Simplex(sy.cell, compose(lift, sy.degen))
-        acc = compose(acc, rho)
+@lru_cache(maxsize=None)
+def _repeat_mask(op: Operator) -> int:
+    """The repeat positions of a degeneracy, as a bitmask."""
+    return sum(1 << i for i in op.repeats())
+
+
+@lru_cache(maxsize=None)
+def _strip_common(alpha: Operator, beta: Operator) -> tuple[Operator, Operator, Operator]:
+    """Split off the common degeneracy of two degeneracies out of one rank.
+
+    Returns (alpha', beta', rho) with no repeat common to alpha' and beta',
+    such that (c, alpha) is (c, alpha') degenerated by rho for every cell
+    c, and likewise for beta.  One split is enough: rho collapses the runs
+    on which both are constant, and the values on neighbouring runs differ
+    on at least one side.
+    """
+    common = set(alpha.repeats()) & set(beta.repeats())
+    if not common:
+        return alpha, beta, identity(alpha.src)
+    rho = degeneracy_from_repeats(common, alpha.src)
+    lift = section(rho)
+    return compose(lift, alpha), compose(lift, beta), rho
 
 
 def product(x: SimplicialSet, y: SimplicialSet) -> ProductResult:
-    """Cells are the jointly non-degenerate pairs of simplices."""
-    ids: dict[tuple[Simplex, Simplex], int] = {}
+    """Cells are the jointly non-degenerate pairs of simplices.
+
+    A pair is jointly non-degenerate when its degeneracies share no
+    repeat.  The faces of each factor simplex are evaluated once, and a
+    product cell's i-th face is the pair of i-th faces with their common
+    degeneracy split off.
+    """
+    pairs: list[tuple[Simplex, Simplex]] = []
     for q in range(x.dim + y.dim + 1):
-        ys = [(sy, set(sy.degen.repeats())) for sy in y.simplices(q)]
+        ys = [(sy, _repeat_mask(sy.degen)) for sy in y.simplices(q)]
         for sx in x.simplices(q):
-            rx = set(sx.degen.repeats())
-            for sy, ry in ys:
-                if rx.isdisjoint(ry):
-                    ids[(sx, sy)] = len(ids)
+            rx = _repeat_mask(sx.degen)
+            pairs.extend([(sx, sy) for sy, ry in ys if not rx & ry])
+    ids = {pair: cid for cid, pair in enumerate(pairs)}
+    x_faces: dict[Simplex, list[Simplex]] = {}
+    y_faces: dict[Simplex, list[Simplex]] = {}
     cells: dict[int, Cell] = {}
-    labels: dict[int, object] = {}
     for (sx, sy), cid in ids.items():
         q = sx.degree
+        if not q:
+            cells[cid] = Cell(0, ())
+            continue
+        row_x = x_faces.get(sx)
+        if row_x is None:
+            x_faces[sx] = row_x = [x.eval(sx, make_face(i, q)) for i in range(q + 1)]
+        row_y = y_faces.get(sy)
+        if row_y is None:
+            y_faces[sy] = row_y = [y.eval(sy, make_face(i, q)) for i in range(q + 1)]
         faces = []
-        for i in range(q + 1 if q else 0):
-            ax = x.eval(sx, make_face(i, q))
-            ay = y.eval(sy, make_face(i, q))
-            bx, by, rho = _strip_common(x, y, ax, ay)
-            faces.append((ids[(bx, by)], rho))
+        for (cx, alpha), (cy, beta) in zip(row_x, row_y):
+            a, b, rho = _strip_common(alpha, beta)
+            # a plain pair hashes and compares as the Simplex it stands for
+            faces.append((ids[((cx, a), (cy, b))], rho))
         cells[cid] = Cell(q, tuple(faces))
-        labels[cid] = (sx, sy)
-    space = SimplicialSet(cells, labels)
+    space = SimplicialSet(cells, {cid: pair for pair, cid in ids.items()})
     first = SimplicialMap(space, x, {cid: sx for (sx, _), cid in ids.items()})
     second = SimplicialMap(space, y, {cid: sy for (_, sy), cid in ids.items()})
     return ProductResult(space, first, second, ids)
@@ -461,23 +491,43 @@ def regularity_witness(space: SimplicialSet) -> int | None:
     the vertex d, which go to y.mu.  So the attachment of y is injective iff
     every such y.mu is non-degenerate, is not a cell of Z, and differs from
     every other such y.mu'.
+
+    One pass over the cells in (dimension, id) order decides every cell.
+    Each cell c gets two bitmasks over positions in that order: its
+    closure, c with the closures of its stored faces, and ``through``, c
+    with ``through`` of each non-last stored face.  Each cell in
+    ``through`` is some non-degenerate y.mu, and every y.mu is in it when
+    none is degenerate.  That is because a face mu != [d] containing d lies
+    in the face omitting some i < d, and there contains the last vertex
+    again; and where that stored face is (t, sigma), each t.nu with nu containing the
+    last vertex is y.mu for mu the face omitting i after a section of
+    sigma on nu that keeps the last vertex.  So the 2^d simplices y.mu are
+    non-degenerate and distinct exactly when ``through`` has 2^d bits, and
+    they miss Z exactly when it meets no bit of the last face's closure.
+    A degenerate stored face needs no check of its own.
     """
-    through_last: dict[int, list[Operator]] = {}
-    for cid in sorted(space.cells):
-        d = space.cells[cid].dim
-        if d == 0:
+    cells = space.cells
+    closure: dict[int, int] = {}
+    through: dict[int, int] = {}
+    witness = None
+    for k, c in enumerate(space.cell_order()):
+        bit = 1 << k
+        faces = cells[c].faces
+        if not faces:
+            closure[c] = through[c] = bit
             continue
-        top = space.simplex(cid)
-        # the cells of Z, then each y.mu found so far
-        hit = generated_cells(space, [space.face(top, d).cell])
-        if d not in through_last:
-            through_last[d] = [mu for mu in all_faces(d) if mu.values[-1] == d]
-        for mu in through_last[d]:
-            s = space.eval(top, mu)
-            if s.is_degenerate or s.cell in hit:
-                return cid
-            hit.add(s.cell)
-    return None
+        *rest, (last, _) = faces
+        seen = thr = bit
+        for t, _ in rest:
+            seen |= closure[t]
+            thr |= through[t]
+        z = closure[last]
+        closure[c], through[c] = seen | z, thr
+        if (thr.bit_count() != 1 << len(rest) or thr & z) and (
+            witness is None or c < witness
+        ):
+            witness = c
+    return witness
 
 
 def is_regular(space: SimplicialSet) -> bool:

@@ -251,13 +251,6 @@ class SimplicialSet:
 
     # -- predicates --------------------------------------------------------
 
-    def is_embedded(self, s: Simplex) -> bool:
-        vs = self.vertices(s)
-        return len(set(vs)) == len(vs)
-
-    def are_siblings(self, s: Simplex, t: Simplex) -> bool:
-        return s.degree == t.degree and self.vertices(s) == self.vertices(t)
-
     def is_nonsingular(self) -> bool:
         return all(len(set(vs)) == len(vs) for vs in map(self.cell_vertices, self.cells))
 

@@ -26,6 +26,10 @@ error ``FinPoset(close=False)`` raises, found by scanning every two pairs.
 ``sd`` works on chain indices and offsets.  ``carrier_b_nat`` finds the
 carriers of a subdivided cell by evaluating each chain entry on the
 carrier cell; ``b_nat`` reads them off the cell's vertex row.
+``reference_regularity_witness`` decides each cell's attachment by
+walking the closure of its last face and evaluating it on every face of
+[d] containing the vertex d; ``regularity_witness`` keeps bitmasks of
+closures and of those faces' cells in one pass over the cell table.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from ssetforge.colimits import (
 from ssetforge.cylinders import CylinderBundle, _check_bundle
 from ssetforge.operators import (
     Operator,
+    all_faces,
     compose,
     degeneracy_from_repeats,
     ez_factor,
@@ -73,6 +78,7 @@ from ssetforge.simplicial import (
     SimplicialSet,
     _simplex,
     compose_maps,
+    generated_cells,
     standard_simplex,
 )
 from ssetforge.subdivision import chains_to_top
@@ -306,9 +312,9 @@ def _end_inclusion(pr: ProductResult, level: int) -> SimplicialMap:
     vcell = next(c for c, lab in interval.labels.items() if lab == make_vertex(level, 1))
     asg = {}
     for cid, cell in base.cells.items():
-        constant = Simplex(vcell, Operator(0, (0,) * (cell.dim + 1)))
-        bx, by, rho = _strip_common(base, interval, base.simplex(cid), constant)
-        asg[cid] = Simplex(pr.index[(bx, by)], rho)
+        constant = Operator(0, (0,) * (cell.dim + 1))
+        a, b, rho = _strip_common(identity(cell.dim), constant)
+        asg[cid] = Simplex(pr.index[(Simplex(cid, a), Simplex(vcell, b))], rho)
     return SimplicialMap(base, pr.space, asg)
 
 
@@ -481,3 +487,26 @@ def carrier_b_nat(
         strict, degen = run_collapse(carriers)
         asg[cid] = Simplex(target_ids[strict], degen)
     return SimplicialMap(sds, bx, asg)
+
+
+def reference_regularity_witness(space: SimplicialSet) -> int | None:
+    """The first cell, in id order, whose last-face attachment is not
+    injective: for each cell y of dimension d, every y.mu with mu a face
+    of [d] containing d is evaluated and checked to be non-degenerate,
+    outside the closure of the last face, and new."""
+    through_last: dict[int, list[Operator]] = {}
+    for cid in sorted(space.cells):
+        d = space.cells[cid].dim
+        if d == 0:
+            continue
+        top = space.simplex(cid)
+        # the cells of Z, then each y.mu found so far
+        hit = generated_cells(space, [space.face(top, d).cell])
+        if d not in through_last:
+            through_last[d] = [mu for mu in all_faces(d) if mu.values[-1] == d]
+        for mu in through_last[d]:
+            s = space.eval(top, mu)
+            if s.is_degenerate or s.cell in hit:
+                return cid
+            hit.add(s.cell)
+    return None

@@ -6,7 +6,6 @@ import pytest
 
 from ssetforge.colimits import (
     Congruence,
-    _strip_common,
     collapse_subcomplex,
     congruence_from_pairs,
     disjoint_union,
@@ -17,7 +16,7 @@ from ssetforge.colimits import (
     quotient,
     regularity_witness,
 )
-from ssetforge.operators import Operator, all_operators, compose, make_face
+from ssetforge.operators import Operator, all_operators, compose, identity, make_face
 from ssetforge.simplicial import (
     Cell,
     Simplex,
@@ -32,7 +31,12 @@ from ssetforge.simplicial import (
 )
 from ssetforge.textio import format_smap, format_sset
 
-from reference import SimplexCongruence, UnionPushout, quotient_by_classes
+from reference import (
+    SimplexCongruence,
+    UnionPushout,
+    quotient_by_classes,
+    reference_regularity_witness,
+)
 from test_pushout import _same_map, _same_pushout
 
 
@@ -260,6 +264,50 @@ def test_regularity_witness_matches_pushout_form(corpus):
     assert sum(w is not None for w in witnesses) >= 50
 
 
+def _renumbered(space, rng):
+    """The space with its cells renumbered at random into a sparse range
+    that holds negative ids, so that id order is not (dimension, id) order."""
+    n = len(space.cells)
+    new = dict(zip(space.cells, rng.sample(range(-3 * n, 4 * n), n)))
+    return SimplicialSet({
+        new[c]: Cell(cell.dim, tuple((new[t], sigma) for t, sigma in cell.faces))
+        for c, cell in space.cells.items()
+    })
+
+
+def test_regularity_witness_matches_closure_walk(corpus):
+    # the one-pass witness against the walk over each last face's closure:
+    # members of four seeded corpora with seeded subcomplexes and products,
+    # the oracle campaign's small quotients and their sd images, renumbered
+    # copies of those, and the empty space
+    from ssetforge.corpus import gen_corpus
+    from ssetforge.subdivision import sd
+    from ssetforge.verify import _small_quotients
+
+    rng = random.Random(20201019)
+    spaces = [SimplicialSet({})]
+    for seed in range(4):
+        members = [e.space for e in (gen_corpus(seed) if seed else corpus)]
+        small = [x for x in members if len(x.cells) <= 8]
+        spaces += members
+        for x in members:
+            keep = rng.sample(sorted(x.cells), min(len(x.cells), rng.randint(1, 6)))
+            spaces.append(generate(x, keep)[0])
+        for _ in range(5):
+            spaces.append(product(rng.choice(small), rng.choice(small)).space)
+    quotients = _small_quotients()
+    spaces += quotients + [sd(q) for q in quotients]
+    renumbered = [_renumbered(x, rng) for x in quotients]
+    spaces += renumbered
+    witnesses = [regularity_witness(x) for x in spaces]
+    assert witnesses == [reference_regularity_witness(x) for x in spaces]
+    assert sum(w is not None for w in witnesses) >= 100
+    assert any(
+        regularity_witness(x) is not None and x.cell_order() != tuple(sorted(x.cells))
+        for x in renumbered
+    )
+
+
 def test_merge_matches_full_closure(corpus):
     # seeded merges, one to three at a time, on the small quotients of the
     # oracle campaign and the seed-0 members with <= 60 cells: the table of
@@ -440,8 +488,26 @@ def test_long_form_chain_resolves():
     assert set(cong.normal_forms().values()) == {x.simplex(0)}
 
 
+def _strip_by_runs(sx, sy):
+    # a pair of equal-degree simplices as a jointly non-degenerate pair
+    # degenerated by rho: rho collapses the runs of equal value pairs, and
+    # each side keeps its value at the start of every run
+    pairs = list(zip(sx.degen.values, sy.degen.values))
+    starts, run = [], []
+    for j, p in enumerate(pairs):
+        if j == 0 or p != pairs[j - 1]:
+            starts.append(j)
+        run.append(len(starts) - 1)
+    if len(starts) == len(pairs):
+        return sx, sy, identity(run[-1])
+    alpha = Operator(sx.degen.dst, tuple(pairs[k][0] for k in starts))
+    beta = Operator(sy.degen.dst, tuple(pairs[k][1] for k in starts))
+    return Simplex(sx.cell, alpha), Simplex(sy.cell, beta), Operator(run[-1], tuple(run))
+
+
 def _product_per_pair(x, y):
-    # the product enumeration with a repeat set built for every pair tried
+    # the product enumeration with a repeat set built for every pair tried,
+    # and every face of every pair evaluated on its own
     ids = {}
     for q in range(x.dim + y.dim + 1):
         for sx in x.simplices(q):
@@ -456,20 +522,35 @@ def _product_per_pair(x, y):
         faces = []
         for i in range(q + 1 if q else 0):
             ax, ay = x.eval(sx, make_face(i, q)), y.eval(sy, make_face(i, q))
-            bx, by, rho = _strip_common(x, y, ax, ay)
+            bx, by, rho = _strip_by_runs(ax, ay)
             faces.append((ids[(bx, by)], rho))
         cells[cid] = Cell(q, tuple(faces))
     return ids, cells, {cid: pair for pair, cid in ids.items()}
 
 
 def test_product_matches_per_pair_enumeration(corpus):
-    # every ordered pair of regular seed-0 members with <= 12 cells
+    # every ordered pair of regular seed-0 members with <= 12 cells; the
+    # small members of dimension <= 2 with a degenerate stored face against
+    # each other and a slice of the oracle campaign's small quotients, both
+    # ways round; and pairs of those quotients
+    from ssetforge.verify import _small_quotients
+
     members = [e.space for e in corpus if e.regular and len(e.space.cells) <= 12]
     assert len(members) >= 15
-    for x in members:
-        for y in members:
-            pr = product(x, y)
-            ids, cells, labels = _product_per_pair(x, y)
-            assert list(pr.index.items()) == list(ids.items())
-            assert list(pr.space.cells.items()) == list(cells.items())
-            assert list(pr.space.labels.items()) == list(labels.items())
+    degenerate = [
+        e.space for e in corpus
+        if len(e.space.cells) <= 12 and e.space.dim <= 2
+        and any(not sigma.is_identity for c in e.space.cells.values() for _, sigma in c.faces)
+    ]
+    assert len(degenerate) >= 3
+    quotients = _small_quotients()[::6]
+    pairs = [(x, y) for x in members for y in members]
+    pairs += [(x, y) for x in degenerate for y in degenerate + quotients]
+    pairs += [(y, x) for x in degenerate for y in quotients]
+    pairs += list(zip(quotients, reversed(quotients)))
+    for x, y in pairs:
+        pr = product(x, y)
+        ids, cells, labels = _product_per_pair(x, y)
+        assert list(pr.index.items()) == list(ids.items())
+        assert list(pr.space.cells.items()) == list(cells.items())
+        assert list(pr.space.labels.items()) == list(labels.items())

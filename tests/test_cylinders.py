@@ -150,11 +150,12 @@ def test_sibling_criterion_matches_injectivity():
 def _sibling_pairs_by_scan(space, q):
     # the quadratic scan over all pairs of embedded q-cells, which
     # embedded_sibling_pairs replaced by grouping on vertex rows
-    cells = [c for c in space.cell_ids(q) if space.is_embedded(space.simplex(c))]
+    rows = space.cell_vertices
+    cells = [c for c in space.cell_ids(q) if len(set(rows(c))) == len(rows(c))]
     out = []
     for i, a in enumerate(cells):
         for b in cells[i + 1 :]:
-            if space.are_siblings(space.simplex(a), space.simplex(b)):
+            if rows(a) == rows(b):
                 out.append((a, b))
     return out
 

@@ -322,7 +322,8 @@ def _quotient_step(space, cong):
     res = quotient_by_classes(space, cong)
     z = res.space
     order = sorted(z.cells, key=lambda c: (z.cells[c].dim, c))
-    bad = next((c for c in order if not z.is_embedded(z.simplex(c))), None)
+    rows = z.cell_vertices
+    bad = next((c for c in order if len(set(rows(c))) != len(rows(c))), None)
     if bad is None:
         return None
     return Simplex(res.cell_members[bad][0], identity(z.cells[bad].dim))
