@@ -27,15 +27,14 @@ from .cylinders import (
     identifies_embedded_siblings,
     injective_in_degree,
     pushout_comparison,
-    reduced_cylinder,
     representing_sharp,
     surjective_in_degree,
-    topological_cylinder,
 )
 from .desingularize import (
     Certificate,
     DesingResult,
     desingularize,
+    desingularized_comparison,
     oracle_desingularize,
     zipper_desingularize,
 )

@@ -13,7 +13,8 @@ Exit codes: 0 success; 1 a failed verification; 2 no certified
 desingularization, which only the explicit checks ``desing --method
 zipper`` and ``--method oracle`` (above its ``--bound``, default 10) end
 with, as the default method always certifies; 3 a malformed input file
-(one that is not UTF-8 included), reported as one line
+(one that is not UTF-8 included, and a corpus manifest whose regular or
+singular flag disagrees with its member), reported as one line
 ``forge: <file>:<line>: <message>`` on stderr, a file that cannot be
 read or written, reported as ``forge: <file>: <reason>``, or a usage
 error (an unknown command or option, a missing argument, a value of the
@@ -34,7 +35,7 @@ import functools
 import sys
 
 from .corpus import gen_corpus, load_corpus, save_corpus
-from .cylinders import cylinder_reduction, dcr, reduced_cylinder, topological_cylinder
+from .cylinders import cylinder_reduction, dcr, injective_in_degree, surjective_in_degree
 from .desingularize import (
     Certificate,
     desingularize,
@@ -172,14 +173,13 @@ def cmd_desing(args) -> int:
 
 
 def cmd_cylinder(args) -> int:
-    phi = parse_file(args.phi, parse_pmap)
+    b = cylinder_reduction(parse_file(args.phi, parse_pmap))
     if args.topological:
-        space, _, _ = topological_cylinder(phi)
-        _emit(format_sset(space), args.out)
+        _emit(format_sset(b.space), args.out)
     elif args.bundle:
-        _emit(format_smap(cylinder_reduction(phi).reduction), args.out)
+        _emit(format_smap(b.reduction), args.out)
     else:
-        _emit(format_sset(reduced_cylinder(phi)), args.out)
+        _emit(format_sset(b.reduced), args.out)
     return 0
 
 
@@ -188,8 +188,6 @@ def cmd_dcr(args) -> int:
     print(f"certificate {res.certificate.value}")
     print(f"cells {len(g.source.cells)} -> {len(g.target.cells)}")
     print("degree injective surjective")
-    from .cylinders import injective_in_degree, surjective_in_degree
-
     for q in range(max(g.source.dim, g.target.dim) + 1):
         inj = "yes" if injective_in_degree(g, q) else "no"
         sur = "yes" if surjective_in_degree(g, q) else "no"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 from .colimits import (
     collapse_subcomplex,
@@ -32,6 +33,7 @@ from .simplicial import (
     standard_simplex,
 )
 from .subdivision import chains_to_top, sd
+from .textio import ParseError, format_sset, parse_file, parse_sset, write_file
 
 SD_CAP = 200  # members with larger subdivisions get no sd image, here or in verify
 _RANDOM_COUNT = 12  # random-quotient members per seed
@@ -109,10 +111,6 @@ def _random_quotient(rng: random.Random) -> SimplicialSet:
 
 def save_corpus(corpus: Corpus, directory) -> None:
     """One .sset file per member plus a manifest naming them all."""
-    from pathlib import Path
-
-    from .textio import format_sset, write_file
-
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     lines = ["# corpus manifest", f"seed {corpus.seed}"]
@@ -124,13 +122,12 @@ def save_corpus(corpus: Corpus, directory) -> None:
     write_file(root / "manifest.txt", "\n".join(lines) + "\n")
 
 
-def _parse_manifest(text: str) -> tuple[int, list[list[str]]]:
+def _parse_manifest(text: str) -> tuple[int, list[tuple[int, list[str]]]]:
     """The seed and the member rows (name, provenance, flag, file) of a
-    manifest; a malformed line is a ParseError naming it."""
-    from .textio import ParseError
-
+    manifest, each with its line number; a malformed line is a ParseError
+    naming it."""
     seed = 0
-    members: list[list[str]] = []
+    members: list[tuple[int, list[str]]] = []
     for number, raw in enumerate(text.splitlines(), 1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -146,7 +143,7 @@ def _parse_manifest(text: str) -> tuple[int, list[list[str]]]:
                 raise ParseError(
                     f"expected the flag regular or singular, got {tokens[3]!r}", number
                 )
-            members.append(tokens[1:])
+            members.append((number, tokens[1:]))
         elif keyword == "seed":
             raise ParseError("a seed line needs one integer", number)
         elif keyword == "member":
@@ -157,16 +154,23 @@ def _parse_manifest(text: str) -> tuple[int, list[list[str]]]:
 
 
 def load_corpus(directory) -> Corpus:
-    from pathlib import Path
-
-    from .textio import parse_file, parse_sset
-
+    """The corpus a manifest names.  Each member's regularity is decided
+    again, and a flag that disagrees is a ParseError naming its line."""
     root = Path(directory)
-    seed, members = parse_file(root / "manifest.txt", _parse_manifest)
-    entries = [
-        CorpusEntry(name, parse_file(root / fname, parse_sset), provenance, flag == "regular")
-        for name, provenance, flag, fname in members
-    ]
+    manifest = root / "manifest.txt"
+    seed, members = parse_file(manifest, _parse_manifest)
+    entries = []
+    for number, (name, provenance, flag, fname) in members:
+        space = parse_file(root / fname, parse_sset)
+        regular = is_regular(space)
+        if regular != (flag == "regular"):
+            err = ParseError(
+                f"member {name} is flagged {flag}, but it is "
+                f"{'regular' if regular else 'singular'}", number
+            )
+            err.path = str(manifest)
+            raise err
+        entries.append(CorpusEntry(name, space, provenance, regular))
     return Corpus(seed, entries)
 
 

@@ -5,6 +5,8 @@ the end at level 0; the reduced cylinder M is the nerve of the poset
 pushout (P x [1]) u_P R.  A reduction map cr : T -> M compares the two,
 and factoring cr through the desingularization of T gives the canonical
 map dcr : DT -> M out of the universal non-singular quotient.
+``cylinder_reduction`` builds T, M and cr together and checks them
+against each other; it is the one route to either cylinder.
 
 The nerve preserves products, N(P x [1]) = NP x N[1] = NP x Delta[1],
 so the prism is built as the nerve of the product poset, and T is the
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .colimits import PushoutResult, pushout
-from .desingularize import DesingResult, desingularize, factor_through_quotient
+from .desingularize import DesingResult, desingularized_comparison
 from .operators import identity
 from .posets import (
     FinPoset,
@@ -106,7 +108,7 @@ def cylinder_reduction(phi: MonotoneMap) -> CylinderBundle:
     p = phi.source
     np_ = nerve(p)
     cyl = product_poset(p, chain_poset(1))
-    po, v, reduction, reduced_front = _pushout_comparison(
+    po, v, reduction, reduced_front = pushout_comparison(
         cylinder_end(p, cyl, 0), phi, source_nerve=np_
     )
     prism, m = po.left.source, reduction.target
@@ -138,26 +140,7 @@ def _check_bundle(b: CylinderBundle) -> None:
         raise RuntimeError("reduced cylinder is not non-singular")
 
 
-def topological_cylinder(
-    phi: MonotoneMap,
-) -> tuple[SimplicialSet, SimplicialMap, SimplicialMap]:
-    """The glued prism with its front (target-side) and back inclusions."""
-    b = cylinder_reduction(phi)
-    return b.space, b.front, b.back
-
-
-def reduced_cylinder(phi: MonotoneMap) -> SimplicialSet:
-    cyl = product_poset(phi.source, chain_poset(1))
-    return nerve(poset_pushout(cylinder_end(phi.source, cyl, 0), phi).poset)
-
-
 # -- comparison out of the desingularized cylinder ----------------------------
-
-
-def desingularized_comparison(comp: SimplicialMap) -> tuple[SimplicialMap, DesingResult]:
-    """Factor a map to a non-singular target through D of its source."""
-    res = desingularize(comp.source)
-    return factor_through_quotient(res.eta, comp), res
 
 
 def dcr(
@@ -177,25 +160,19 @@ def representing_sharp(space: SimplicialSet, s: Simplex) -> MonotoneMap:
 
 
 def pushout_comparison(
-    k: MonotoneMap, phi: MonotoneMap
-) -> tuple[PushoutResult, PosetPushout, SimplicialMap]:
-    """Nerve-level pushout along an embedding, against the poset pushout.
-
-    Returns the simplicial pushout of NQ <- NP -> NR, the poset pushout
-    Q u_P R, and the comparison map from the former onto the nerve of the
-    latter.  The cylinder is the case k : P -> P x [1].
-    """
-    return _pushout_comparison(k, phi)[:3]
-
-
-def _pushout_comparison(
     k: MonotoneMap,
     phi: MonotoneMap,
     *,
     source_nerve: SimplicialSet | None = None,
 ) -> tuple[PushoutResult, PosetPushout, SimplicialMap, SimplicialMap]:
-    """``pushout_comparison``, with the nerve of the poset pushout's leg
-    out of R that the comparison map restricts to."""
+    """Nerve-level pushout along an embedding, against the poset pushout.
+
+    Returns the simplicial pushout of NQ <- NP -> NR, the poset pushout
+    Q u_P R, the comparison map from the former onto the nerve of the
+    latter, and the nerve of the poset pushout's leg out of R, which the
+    comparison map restricts to.  NP is ``source_nerve`` when given.  The
+    cylinder is the case k : P -> P x [1].
+    """
     np_ = nerve(k.source) if source_nerve is None else source_nerve
     nq = nerve(k.target)
     nr = nerve(phi.target)

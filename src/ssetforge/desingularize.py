@@ -306,3 +306,9 @@ def factor_through_quotient(eta: SimplicialMap, g: SimplicialMap) -> SimplicialM
         if h.apply(eta.assignment[x]) != g.assignment[x]:
             raise ValueError(f"map does not factor through the quotient at cell {x}")
     return h
+
+
+def desingularized_comparison(comp: SimplicialMap) -> tuple[SimplicialMap, DesingResult]:
+    """Factor a map to a non-singular target through D of its source."""
+    res = desingularize(comp.source)
+    return factor_through_quotient(res.eta, comp), res

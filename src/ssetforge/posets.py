@@ -356,7 +356,15 @@ class DwyerWitness:
 def is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
     """A witness that k is an injective sieve embedding admitting a
     cosieve W containing the image on which the image is a reflective
-    sieve: each w in W has a maximum element of {p : k(p) <= w}."""
+    sieve: each w in W has a maximum r(w) of {p : k(p) <= w}.
+
+    Only W = up-closure of k(P) can pass, so no other is tried.  A
+    cosieve containing the image contains that up-closure, and any
+    element it adds lies above no k(p), so has no maximum below it.  On
+    that W the maxima are the witness: r is monotone, since the sets
+    below w grow with w, and k(e) <= w iff e <= r(w), one way by
+    maximality, the other since k(r(w)) <= w.
+    """
     p, q = k.source, k.target
     image = [k(e) for e in p.elements]
     if len(set(image)) != len(image) or not is_sieve(q, image):
@@ -364,38 +372,15 @@ def is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
     if not all(p.leq(a, b) == q.leq(k(a), k(b)) for a in p.elements for b in p.elements):
         return None
     base = up_closure(q, image)
-    rest = [e for e in q.elements if e not in base]
-    candidates = []
-    for bits in range(2 ** len(rest)):
-        s = {rest[i] for i in range(len(rest)) if bits >> i & 1}
-        if all(set(q.down(e)) <= s for e in s):
-            candidates.append(s)
-    candidates.sort(key=len, reverse=True)
-    for s in candidates:
-        w_elems = [e for e in q.elements if e not in s]
-        mapping = {}
-        ok = True
-        for w in w_elems:
-            below = [e for e in p.elements if q.leq(k(e), w)]
-            tops = [m for m in below if all(p.leq(b, m) for b in below)]
-            if not tops:
-                ok = False
-                break
-            mapping[w] = tops[0]
-        if not ok:
-            continue
-        w_poset = full_subposet(q, w_elems)
-        try:
-            retraction = MonotoneMap(w_poset, p, mapping)
-        except ValueError:
-            continue
-        if all(
-            q.leq(k(e), w) == p.leq(e, retraction(w))
-            for e in p.elements
-            for w in w_elems
-        ):
-            return DwyerWitness(tuple(w_elems), retraction)
-    return None
+    w_elems = [e for e in q.elements if e in base]
+    mapping = {}
+    for w in w_elems:
+        below = [e for e in p.elements if q.leq(k(e), w)]
+        tops = [m for m in below if all(p.leq(b, m) for b in below)]
+        if not tops:
+            return None
+        mapping[w] = tops[0]
+    return DwyerWitness(tuple(w_elems), MonotoneMap(full_subposet(q, w_elems), p, mapping))
 
 
 class PosetPushout:

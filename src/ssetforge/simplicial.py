@@ -27,6 +27,7 @@ pair loop, so a failure is named by its first failing pair either way.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -479,8 +480,6 @@ def find_isomorphism(x: SimplicialSet, y: SimplicialSet) -> dict[int, int] | Non
     if len(x.cells) != len(y.cells):
         return None
     sx, sy = _refine_signatures(x), _refine_signatures(y)
-    from collections import Counter
-
     if Counter(sx.values()) != Counter(sy.values()):
         return None
     by_sig: dict[int, list[int]] = {}

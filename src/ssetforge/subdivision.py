@@ -35,6 +35,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .colimits import pushout
+from .desingularize import desingularized_comparison
 from .operators import (
     Operator,
     compose,
@@ -210,10 +211,7 @@ def last_vertex(space: SimplicialSet, sd_space: SimplicialSet | None = None) -> 
 def t_nat(space: SimplicialSet) -> SimplicialMap:
     """The comparison map from the desingularized subdivision to the nerve
     of the cell poset, i.e. b factored through the desingularization."""
-    from .desingularize import desingularize, factor_through_quotient
-
-    sds = sd(space)
-    return factor_through_quotient(desingularize(sds).eta, b_nat(space, sd_space=sds))
+    return desingularized_comparison(b_nat(space))[0]
 
 
 def _copies(base: SimplicialSet, count: int) -> SimplicialSet:

@@ -37,7 +37,6 @@ from .corpus import SD_CAP, Corpus, CorpusEntry, sd_size
 from .cylinders import (
     cylinder_reduction,
     dcr,
-    desingularized_comparison,
     embedded_sibling_pairs,
     identifies_embedded_siblings,
     injective_in_degree,
@@ -47,8 +46,7 @@ from .cylinders import (
 )
 from .desingularize import (
     Certificate,
-    desingularize,
-    factor_through_quotient,
+    desingularized_comparison,
     oracle_desingularize,
     zipper_desingularize,
 )
@@ -183,12 +181,10 @@ def _compare(x: SimplicialSet, subdivide: Callable[[], SimplicialSet]) -> Compar
     found = _COMPARISONS.get(x)
     if found is not None:
         return found
-    sds = subdivide()
-    res = desingularize(sds)
-    b = b_nat(x, sd_space=sds)
-    t = factor_through_quotient(res.eta, b)
+    b = b_nat(x, sd_space=subdivide())
+    t, res = desingularized_comparison(b)
     found = Comparison(
-        res.certificate, len(sds.cells), len(t.target.cells), t.is_isomorphism(),
+        res.certificate, len(b.source.cells), len(t.target.cells), t.is_isomorphism(),
         b.is_isomorphism(),
     )
     _COMPARISONS[x] = found
@@ -560,9 +556,9 @@ def verify_lemma_suite(corpus: Corpus) -> Report:
 
     # if the cosieve-level comparison is an isomorphism, so is the full one
     for name, i0, k, phi in _dwyer_triples():
-        _, _, comp_w = pushout_comparison(i0, phi)
+        _, _, comp_w, _ = pushout_comparison(i0, phi)
         gw, _ = desingularized_comparison(comp_w)
-        _, _, comp_q = pushout_comparison(k, phi)
+        _, _, comp_q, _ = pushout_comparison(k, phi)
         gq, _ = desingularized_comparison(comp_q)
         antecedent = gw.is_isomorphism()
         consequent = gq.is_isomorphism()

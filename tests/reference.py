@@ -30,6 +30,9 @@ carrier cell; ``b_nat`` reads them off the cell's vertex row.
 walking the closure of its last face and evaluating it on every face of
 [d] containing the vertex d; ``regularity_witness`` keeps bitmasks of
 closures and of those faces' cells in one pass over the cell table.
+``reference_is_dwyer`` searches every cosieve containing the image,
+largest first, for one carrying a retraction; ``is_dwyer`` builds the
+only one that can pass.
 """
 
 from __future__ import annotations
@@ -60,16 +63,20 @@ from ssetforge.operators import (
     run_collapse,
 )
 from ssetforge.posets import (
+    DwyerWitness,
     FinPoset,
     MonotoneMap,
     barratt,
     chain_poset,
     compose_monotone,
     cylinder_end,
+    full_subposet,
+    is_sieve,
     nerve,
     nerve_map,
     poset_pushout,
     product_poset,
+    up_closure,
 )
 from ssetforge.simplicial import (
     Cell,
@@ -509,4 +516,49 @@ def reference_regularity_witness(space: SimplicialSet) -> int | None:
             if s.is_degenerate or s.cell in hit:
                 return cid
             hit.add(s.cell)
+    return None
+
+
+def reference_is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
+    """A witness that k is an injective sieve embedding admitting a
+    cosieve W containing the image on which the image is a reflective
+    sieve: each w in W has a maximum element of {p : k(p) <= w}."""
+    p, q = k.source, k.target
+    image = [k(e) for e in p.elements]
+    if len(set(image)) != len(image) or not is_sieve(q, image):
+        return None
+    if not all(p.leq(a, b) == q.leq(k(a), k(b)) for a in p.elements for b in p.elements):
+        return None
+    base = up_closure(q, image)
+    rest = [e for e in q.elements if e not in base]
+    candidates = []
+    for bits in range(2 ** len(rest)):
+        s = {rest[i] for i in range(len(rest)) if bits >> i & 1}
+        if all(set(q.down(e)) <= s for e in s):
+            candidates.append(s)
+    candidates.sort(key=len, reverse=True)
+    for s in candidates:
+        w_elems = [e for e in q.elements if e not in s]
+        mapping = {}
+        ok = True
+        for w in w_elems:
+            below = [e for e in p.elements if q.leq(k(e), w)]
+            tops = [m for m in below if all(p.leq(b, m) for b in below)]
+            if not tops:
+                ok = False
+                break
+            mapping[w] = tops[0]
+        if not ok:
+            continue
+        w_poset = full_subposet(q, w_elems)
+        try:
+            retraction = MonotoneMap(w_poset, p, mapping)
+        except ValueError:
+            continue
+        if all(
+            q.leq(k(e), w) == p.leq(e, retraction(w))
+            for e in p.elements
+            for w in w_elems
+        ):
+            return DwyerWitness(tuple(w_elems), retraction)
     return None

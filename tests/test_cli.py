@@ -7,11 +7,19 @@ import pytest
 from ssetforge import cli
 from ssetforge.cli import main
 from ssetforge.corpus import gen_corpus, load_corpus
+from ssetforge.cylinders import cylinder_reduction
 from ssetforge.desingularize import desingularize
 from ssetforge.posets import FinPoset, MonotoneMap
 from ssetforge.simplicial import boundary, is_isomorphic, standard_simplex
 from ssetforge.subdivision import b_nat, sd
-from ssetforge.textio import format_pmap, format_smap, format_sset, parse_smap, parse_sset
+from ssetforge.textio import (
+    format_pmap,
+    format_smap,
+    format_sset,
+    parse_pmap,
+    parse_smap,
+    parse_sset,
+)
 
 # triangle with two vertices merged: the zipper stalls with the vertices
 # (0, 1, 0) on its 2-cell; the interval move merges them
@@ -138,6 +146,30 @@ def test_cylinder_outputs(tmp_path, capsys):
     cr = parse_smap(capsys.readouterr().out)
     assert cr.source.same_presentation(top)
     assert cr.target.same_presentation(reduced)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        parse_pmap(WEDGE_TO_CHAIN),
+        MonotoneMap(FinPoset("abc", [("a", "b"), ("a", "c")]), FinPoset(["apex"]),
+                    {e: "apex" for e in "abc"}),
+    ],
+)
+def test_cylinder_kinds_write_the_bundle(tmp_path, phi):
+    # each kind writes one field of cylinder_reduction's checked bundle
+    src = tmp_path / "phi.pmap"
+    src.write_text(format_pmap(phi))
+    b = cylinder_reduction(phi)
+    for flags, text in [
+        ([], format_sset(b.reduced)),
+        (["--reduced"], format_sset(b.reduced)),
+        (["--topological"], format_sset(b.space)),
+        (["--bundle"], format_smap(b.reduction)),
+    ]:
+        out = tmp_path / "out"
+        assert main(["cylinder", str(src), *flags, "-o", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
 
 
 def test_verify_cli_tiny_corpus(tmp_path, tiny_corpus):
@@ -308,6 +340,38 @@ def test_malformed_manifest_line_names_its_line(tmp_path, tiny_corpus, capsys, l
     )
     assert main(["verify", "main", "--corpus", str(cdir)]) == 3
     assert capsys.readouterr().err == f"forge: {manifest}:4: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "member, flag, message",
+    [
+        ("circle", "regular", "member circle is flagged regular, but it is singular"),
+        ("delta-2", "singular", "member delta-2 is flagged singular, but it is regular"),
+    ],
+)
+def test_manifest_flag_must_match_regularity(
+    tmp_path, tiny_corpus, capsys, member, flag, message
+):
+    # a wrong flag would make verify main compare a member the theorem says
+    # nothing about, or skip one it covers
+    from ssetforge.corpus import save_corpus
+    from ssetforge.textio import ParseError
+
+    cdir = tmp_path / "corpus"
+    save_corpus(tiny_corpus, cdir)
+    manifest = cdir / "manifest.txt"
+    rows = manifest.read_text().splitlines()
+    line = next(i for i, row in enumerate(rows, 1) if row.startswith(f"member {member} "))
+    name, provenance, _, fname = rows[line - 1].split()[1:]
+    rows[line - 1] = f"member {name} {provenance} {flag} {fname}"
+    manifest.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ParseError) as caught:
+        load_corpus(cdir)
+    assert (caught.value.path, caught.value.line, str(caught.value)) == (
+        str(manifest), line, message
+    )
+    assert main(["verify", "main", "--corpus", str(cdir)]) == 3
+    assert capsys.readouterr().err == f"forge: {manifest}:{line}: {message}\n"
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):

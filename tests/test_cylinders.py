@@ -8,17 +8,14 @@ from ssetforge.cylinders import (
     cone,
     cylinder_reduction,
     dcr,
-    desingularized_comparison,
     embedded_sibling_pairs,
     identifies_embedded_siblings,
     injective_in_degree,
     pushout_comparison,
-    reduced_cylinder,
     representing_sharp,
     surjective_in_degree,
-    topological_cylinder,
 )
-from ssetforge.desingularize import Certificate, desingularize
+from ssetforge.desingularize import Certificate, desingularize, desingularized_comparison
 from ssetforge.posets import (
     FinPoset,
     MonotoneMap,
@@ -77,8 +74,9 @@ def test_identity_cylinder_is_the_prism():
 
 
 def test_cylinder_legs_glue_correctly():
-    phi = wedge_to_chain()
-    space, front, back = topological_cylinder(phi)
+    bundle = cylinder_reduction(wedge_to_chain())
+    front, back = bundle.front, bundle.back
+    assert front.target is bundle.space and back.target is bundle.space
     assert front.is_degreewise_injective()
     assert back.is_degreewise_injective()
     # the two ends are disjoint in the glued prism
@@ -210,7 +208,7 @@ def test_desingularized_cone_is_the_reduced_cone():
         # same statement through the cone of the nerve
         out = desingularize(cone(nerve(p)))
         assert out.certificate is not Certificate.UNCERTIFIED
-        assert is_isomorphic(out.quotient, reduced_cylinder(phi))
+        assert is_isomorphic(out.quotient, bundle.reduced)
 
 
 def test_cone_reduction_is_degreewise_surjective():
@@ -234,10 +232,12 @@ def test_pushout_comparison_matches_cylinder_route():
     phi = wedge_to_chain()
     p = phi.source
     cyl = product_poset(p, chain_poset(1))
-    po, v, comp = pushout_comparison(cylinder_end(p, cyl, 0), phi)
+    po, v, comp, other = pushout_comparison(cylinder_end(p, cyl, 0), phi)
     bundle = cylinder_reduction(phi)
     assert is_isomorphic(po.space, bundle.space)
     assert is_isomorphic(nerve(v.poset), bundle.reduced)
+    # the comparison restricts to the leg out of R on the glued-in target
+    assert compose_maps(po.right, comp) == other
     g_here, _ = desingularized_comparison(comp)
     g_there, _ = dcr(phi, bundle=bundle)
     assert g_here.is_isomorphism() == g_there.is_isomorphism()
@@ -256,9 +256,9 @@ def test_dwyer_factorization_implication():
         MonotoneMap(p, chain_poset(1), {e: (0 if len(e.values) == 1 else 1) for e in p.elements}),
     ]
     for phi in targets:
-        _, _, comp_w = pushout_comparison(i0, phi)
+        _, _, comp_w, _ = pushout_comparison(i0, phi)
         gw, _ = desingularized_comparison(comp_w)
-        _, _, comp_q = pushout_comparison(k, phi)
+        _, _, comp_q, _ = pushout_comparison(k, phi)
         gq, _ = desingularized_comparison(comp_q)
         if gw.is_isomorphism():
             assert gq.is_isomorphism()

@@ -46,6 +46,7 @@ from reference import (
     label_nerve,
     label_nerve_map,
     pair_scan_error,
+    reference_is_dwyer,
     two_pass_run_collapse,
 )
 
@@ -318,6 +319,30 @@ def test_dwyer_witness_last_face():
         assert len(wit.cosieve) == len(face_poset(n)) - 1
         top = identity(n)
         assert wit.retraction(top) == identity(n - 1)
+
+
+def test_is_dwyer_matches_cosieve_search():
+    # every injective monotone map from a poset of at most 3 elements into
+    # one of at most 5: the witness built on the up-closure of the image is
+    # the one the search over all cosieves finds first, or both are None
+    maps = dwyer = 0
+    for p in all_posets(3):
+        for q in all_posets(5):
+            for values in itertools.permutations(q.elements, len(p)):
+                mapping = dict(zip(p.elements, values))
+                if not all(q.leq(mapping[a], mapping[b]) for a, b in p.strict_pairs()):
+                    continue
+                k = MonotoneMap(p, q, mapping, check=False)
+                got, want = is_dwyer(k), reference_is_dwyer(k)
+                maps += 1
+                if want is None:
+                    assert got is None
+                    continue
+                dwyer += 1
+                assert got.cosieve == want.cosieve
+                assert got.retraction.mapping == want.retraction.mapping
+    # 88 of these maps leave the empty poset, one into each target
+    assert (maps, dwyer) == (8946, 822)
 
 
 def test_pushout_along_identity_is_cylinder():

@@ -17,6 +17,7 @@ from ssetforge.posets import FinPoset, MonotoneMap, all_posets, singleton_poset
 from ssetforge.simplicial import (
     Simplex,
     SimplicialMap,
+    compose_maps,
     simplex_map,
     standard_simplex,
 )
@@ -100,8 +101,9 @@ def test_lemma_suite_dwyer_and_cosieve_squares(checked):
     triples = verify._dwyer_triples()
     for _, i0, k, phi in triples:
         assert verify._cosieve_extension_square(k, phi)
-        cylinders.pushout_comparison(i0, phi)
-        cylinders.pushout_comparison(k, phi)
+        for leg in (i0, k):
+            po, _, comp, other = cylinders.pushout_comparison(leg, phi)
+            assert compose_maps(po.right, comp) == other
     assert checked == {"pushouts": 3 * len(triples), "mediators": 3 * len(triples)}
 
 
@@ -137,5 +139,4 @@ def test_cli_topological_cylinder_matches_reference(tmp_path, capsys, monkeypatc
     assert main(["cylinder", str(src), "--topological"]) == 0
     printed = capsys.readouterr().out
     monkeypatch.setattr(cylinders, "pushout", UnionPushout)
-    space, _, _ = cylinders.topological_cylinder(phi)
-    assert printed == format_sset(space)
+    assert printed == format_sset(cylinders.cylinder_reduction(phi).space)
