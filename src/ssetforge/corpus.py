@@ -124,10 +124,11 @@ def save_corpus(corpus: Corpus, directory) -> None:
 
 def _parse_manifest(text: str) -> tuple[int, list[tuple[int, list[str]]]]:
     """The seed and the member rows (name, provenance, flag, file) of a
-    manifest, each with its line number; a malformed line is a ParseError
-    naming it."""
+    manifest, each with its line number; a malformed line, or a second
+    line naming a member, is a ParseError naming it."""
     seed = 0
     members: list[tuple[int, list[str]]] = []
+    names: set[str] = set()
     for number, raw in enumerate(text.splitlines(), 1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -143,6 +144,9 @@ def _parse_manifest(text: str) -> tuple[int, list[tuple[int, list[str]]]]:
                 raise ParseError(
                     f"expected the flag regular or singular, got {tokens[3]!r}", number
                 )
+            if tokens[1] in names:
+                raise ParseError(f"member {tokens[1]} declared twice", number)
+            names.add(tokens[1])
             members.append((number, tokens[1:]))
         elif keyword == "seed":
             raise ParseError("a seed line needs one integer", number)

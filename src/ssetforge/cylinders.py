@@ -17,6 +17,20 @@ attached along it: no quotient is taken.  The ends, the prism's map to
 M and the reduced legs are all nerves of monotone maps.  The lemma
 suite's ``prism-nerve/*`` cases check the isomorphism between the prism
 as a nerve and as a product.
+
+Everything on the source side depends on P alone: NP, P x [1], the
+prism nerve, both ends k and k1 with their nerve maps, and the Dwyer
+check of k.  ``cylinder_source`` builds and validates these together.
+The maps the ``dcr`` suite takes the cylinders of come out of the cell
+poset of a standard simplex, so ``representing_sharp`` returns its map
+out of one shared Delta[q]#, and a memo keyed by q keeps Delta[q] with
+its source side: one entry per simplex dimension reached, built once.
+``cylinder_reduction`` reads the memo when its map comes out of a
+shared Delta[q]#, and builds the source side afresh, keeping nothing,
+for any other poset: the cones and the lemma suite reach many posets
+once each, and holding their prisms would only grow memory.  Every
+per-map object (T, M, cr, the legs and the poset pushout) is still
+built and validated for each map.
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ from .operators import identity
 from .posets import (
     FinPoset,
     MonotoneMap,
+    Nerve,
     PosetPushout,
     chain_poset,
     compose_monotone,
@@ -38,7 +53,7 @@ from .posets import (
     nerve_map,
     poset_pushout,
     product_poset,
-    sharp_map,
+    sharp,
     singleton_poset,
 )
 from .simplicial import (
@@ -48,6 +63,7 @@ from .simplicial import (
     compose_maps,
     generate,
     simplex_map,
+    standard_simplex,
 )
 
 
@@ -104,25 +120,67 @@ class CylinderBundle:
     poset: PosetPushout
 
 
-def cylinder_reduction(phi: MonotoneMap) -> CylinderBundle:
-    p = phi.source
+@dataclass(frozen=True)
+class CylinderSource:
+    """The part of the cylinder of a map out of P that depends on P alone."""
+
+    nerve: Nerve  # NP
+    front_end: MonotoneMap  # k : P -> P x [1], the level-0 end
+    back_end: MonotoneMap  # k1, the level-1 end
+    front_nerve: SimplicialMap  # N(k) : NP -> N(P x [1]), the prism nerve
+    back_nerve: SimplicialMap  # N(k1)
+
+
+def cylinder_source(p: FinPoset) -> CylinderSource:
+    """The source side over p, each piece validated as it is built, and k
+    checked to be a Dwyer map once: its pushouts read that check."""
     np_ = nerve(p)
     cyl = product_poset(p, chain_poset(1))
+    prism = nerve(cyl)
+    k, k1 = cylinder_end(p, cyl, 0), cylinder_end(p, cyl, 1)
+    if k.dwyer is None:
+        raise RuntimeError("the level-0 end is not a Dwyer map")
+    return CylinderSource(np_, k, k1, nerve_map(k, np_, prism), nerve_map(k1, np_, prism))
+
+
+# q -> (Delta[q], the source side over Delta[q]#): one entry per simplex
+# dimension reached, so no size limit is needed
+_SIMPLEX_SOURCES: dict[int, tuple[SimplicialSet, CylinderSource]] = {}
+
+
+def _simplex_source(q: int) -> tuple[SimplicialSet, CylinderSource]:
+    """Delta[q] and the source side over its cell poset, built once per q."""
+    got = _SIMPLEX_SOURCES.get(q)
+    if got is None:
+        delta = standard_simplex(q)
+        got = _SIMPLEX_SOURCES[q] = (delta, cylinder_source(sharp(delta)))
+    return got
+
+
+def _source_of(p: FinPoset) -> CylinderSource:
+    """The memo's source side when p is a shared Delta[q]#, else a fresh one."""
+    for _, side in _SIMPLEX_SOURCES.values():
+        if side.nerve.poset is p:
+            return side
+    return cylinder_source(p)
+
+
+def cylinder_reduction(phi: MonotoneMap) -> CylinderBundle:
+    side = _source_of(phi.source)
     po, v, reduction, reduced_front = pushout_comparison(
-        cylinder_end(p, cyl, 0), phi, source_nerve=np_
+        side.front_end, phi, k_nerve=side.front_nerve
     )
-    prism, m = po.left.source, reduction.target
-    back_end = cylinder_end(p, cyl, 1)
+    m = reduction.target
     bundle = CylinderBundle(
         phi=phi,
         space=po.space,
         reduced=m,
         reduction=reduction,
         front=po.right,
-        back=compose_maps(nerve_map(back_end, np_, prism), po.left),
+        back=compose_maps(side.back_nerve, po.left),
         prism=po.left,
         reduced_front=reduced_front,
-        reduced_back=nerve_map(compose_monotone(back_end, v.leg_ambient), np_, m),
+        reduced_back=nerve_map(compose_monotone(side.back_end, v.leg_ambient), side.nerve, m),
         poset=v,
     )
     _check_bundle(bundle)
@@ -152,31 +210,35 @@ def dcr(
 
 
 def representing_sharp(space: SimplicialSet, s: Simplex) -> MonotoneMap:
-    """Sharp of the representing map of s, corestricted to what s generates."""
+    """Sharp of the representing map of s, corestricted to what s generates,
+    out of the one Delta[q]# shared by every simplex of its degree."""
     sub, inc = generate(space, [s.cell])
     back = {t.cell: c for c, t in inc.assignment.items()}
-    f = simplex_map(sub, Simplex(back[s.cell], s.degen))
-    return sharp_map(f)
+    delta, side = _simplex_source(s.degree)
+    f = simplex_map(sub, Simplex(back[s.cell], s.degen), source=delta)
+    mapping = {cid: t.cell for cid, t in f.assignment.items()}
+    return MonotoneMap(side.nerve.poset, sharp(sub), mapping)
 
 
 def pushout_comparison(
     k: MonotoneMap,
     phi: MonotoneMap,
     *,
-    source_nerve: SimplicialSet | None = None,
+    k_nerve: SimplicialMap | None = None,
 ) -> tuple[PushoutResult, PosetPushout, SimplicialMap, SimplicialMap]:
     """Nerve-level pushout along an embedding, against the poset pushout.
 
     Returns the simplicial pushout of NQ <- NP -> NR, the poset pushout
     Q u_P R, the comparison map from the former onto the nerve of the
     latter, and the nerve of the poset pushout's leg out of R, which the
-    comparison map restricts to.  NP is ``source_nerve`` when given.  The
-    cylinder is the case k : P -> P x [1].
+    comparison map restricts to.  The leg NP -> NQ is ``k_nerve`` when
+    given, which must be N(k): NP and NQ are read off it.  The cylinder
+    is the case k : P -> P x [1].
     """
-    np_ = nerve(k.source) if source_nerve is None else source_nerve
-    nq = nerve(k.target)
+    nk = nerve_map(k) if k_nerve is None else k_nerve
+    np_, nq = nk.source, nk.target
     nr = nerve(phi.target)
-    po = pushout(nerve_map(k, np_, nq), nerve_map(phi, np_, nr))
+    po = pushout(nk, nerve_map(phi, np_, nr))
     v = poset_pushout(k, phi)
     nv = nerve(v.poset)
     other = nerve_map(v.leg_other, nr, nv)

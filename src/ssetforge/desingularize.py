@@ -43,6 +43,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .colimits import Congruence, quotient
 from .operators import Operator, all_degeneracies
@@ -77,7 +78,9 @@ class DesingResult:
     moves: list[list[MoveRecord | IntervalMove]] = field(default_factory=list)
 
 
+@lru_cache(maxsize=None)
 def _dup_operator(q: int, p: int) -> Operator:
+    """The zipper's move on [q]: p goes to p+1, the rest stay; built once per (q, p)."""
     return Operator(q, tuple(p + 1 if j == p else j for j in range(q + 1)))
 
 

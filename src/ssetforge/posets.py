@@ -18,12 +18,15 @@ The cell poset (``sharp``) of a simplicial set orders cells by the face
 relation: y <= x when y is the non-degenerate part of some face of x.
 Pushouts of posets along injective sieve or cosieve embeddings are
 computed as the transitive closure of the images of both legs;
-antisymmetry of the result is asserted, never repaired.
+antisymmetry of the result is asserted, never repaired.  The Dwyer
+check of the embedding leg is read through ``MonotoneMap.dwyer``, which
+decides it once per map object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Hashable, Iterable
 
@@ -168,6 +171,12 @@ class MonotoneMap:
 
     def is_injective(self) -> bool:
         return len(set(self.mapping.values())) == len(self.mapping)
+
+    @cached_property
+    def dwyer(self) -> DwyerWitness | None:
+        """``is_dwyer(self)``, decided once per map: a map shared by many
+        pushouts, such as a cylinder's level-0 end, is checked once."""
+        return is_dwyer(self)
 
 
 def identity_monotone(p: FinPoset) -> MonotoneMap:
@@ -395,7 +404,7 @@ class PosetPushout:
         if len(image) != len(k.source.elements):
             raise ValueError("pushout requires an injective embedding leg")
         if require_dwyer:
-            if is_dwyer(k) is None:
+            if k.dwyer is None:
                 raise ValueError("embedding leg admits no cosieve retraction witness")
         elif not (is_sieve(q, image) or is_cosieve(q, image)):
             raise ValueError("embedding leg is neither a sieve nor a cosieve")

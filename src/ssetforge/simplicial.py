@@ -21,8 +21,9 @@ Where every face of a cell is a cell, as in a poset nerve, the face
 identities are compared a whole row at a time: the first j faces of face
 j against face j-1 of each of the first j faces.  Where a map sends a
 cell to a cell, its stored faces are compared with the images of the
-cell's faces in one tuple.  On a mismatch both fall back to the pair by
-pair loop, so a failure is named by its first failing pair either way.
+cell's faces in one tuple, and where it sends a cell to a degenerate
+simplex, with that simplex's faces, evaluated once for all the cells sent
+to it.  On a mismatch both name the first failing pair.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ class SimplicialSet:
         self._face_cache: dict[tuple[int, Operator], Simplex] = {}
         self._vertex_cache: dict[int, tuple[int, ...]] = {}
         self._order: tuple[int, ...] | None = None
+        self._ids: tuple[int, ...] | None = None
         self._validate()
 
     # -- validation -----------------------------------------------------
@@ -167,7 +169,10 @@ class SimplicialSet:
         return _simplex((cid, identity(self.cells[cid].dim)))
 
     def simplices(self, degree: int) -> Iterator[Simplex]:
-        for cid in sorted(self.cells):
+        """The simplices of the given degree, by cell id, then degeneracy."""
+        if self._ids is None:
+            self._ids = tuple(sorted(self.cells))
+        for cid in self._ids:
             d = self.cells[cid].dim
             if d <= degree:
                 for op in all_degeneracies(degree, d):
@@ -292,31 +297,34 @@ class SimplicialMap:
                 raise ValueError(f"cell {cid} sent to {s}, which is not in normal form")
         # Where an image or a face is a cell under the identity, its face
         # or its image is read off the target's table or the assignment:
-        # the same Simplex eval returns.
+        # the same Simplex eval returns.  A degenerate image's faces are
+        # evaluated once per validation, however many cells it receives.
+        degenerate_rows: dict[Simplex, tuple[Simplex, ...]] = {}
         for cid, cell in source_cells.items():
-            if not cell.dim:
+            d = cell.dim
+            if not d:
                 continue
             s = assignment[cid]
-            s_faces = target_cells[s.cell].faces if s.degen.is_identity else None
-            if s_faces is not None and s_faces == tuple([
+            if s.degen.is_identity:
+                got = target_cells[s.cell].faces
+            else:
+                got = degenerate_rows.get(s)
+                if got is None:
+                    got = degenerate_rows[s] = tuple([
+                        target.eval(s, make_face(i, d)) for i in range(d + 1)
+                    ])
+            want = tuple([
                 assignment[t] if sigma.is_identity else self.apply(_simplex((t, sigma)))
                 for t, sigma in cell.faces
-            ]):
-                # a cell image: its stored faces are the images of the faces
+            ])
+            if got == want:
                 continue
-            for i, face in enumerate(cell.faces):
-                if s_faces is not None:
-                    got = _simplex(s_faces[i])
-                else:
-                    got = target.eval(s, make_face(i, cell.dim))
-                if face[1].is_identity:
-                    want = _simplex(assignment[face[0]])
-                else:
-                    want = self.apply(_simplex(face))
-                if got != want:
+            # name the first failing face
+            for i, (a, b) in enumerate(zip(got, want)):
+                if a != b:
                     raise ValueError(
                         f"assignment not simplicial at cell {cid}, face {i}: "
-                        f"{got} vs {want}"
+                        f"{_simplex(a)} vs {_simplex(b)}"
                     )
 
     def apply(self, s: Simplex) -> Simplex:

@@ -7,7 +7,8 @@ operator down.  Maps inline their source and target between
 `begin`/`end` fences followed by `send` lines.  Posets list `el` and
 `lt` lines; monotone maps mirror the simplicial layout.  `#` comments
 and blank lines are ignored everywhere.  Every parser reports malformed
-text as a ParseError that names the line at fault.
+text as a ParseError that names the line at fault; a cell, an element or
+a `send` declared a second time is malformed at its second line.
 
 Files are read and written as UTF-8 through ``parse_file`` and
 ``write_file``; a file that is not UTF-8 is a ParseError naming the line
@@ -231,6 +232,8 @@ def parse_smap(text: str) -> SimplicialMap:
         cid = _int(row[1], line)
         if cid not in source.cells:
             raise ParseError(f"cell {cid} is not in the source", line)
+        if cid in asg:
+            raise ParseError(f"cell {cid} sent twice", line)
         tcell, degen = _parse_simplex(row[2], source.cells[cid].dim, line)
         if tcell not in target.cells:
             raise ParseError(f"cell {tcell} is not in the target", line)
@@ -260,11 +263,13 @@ def parse_poset(text: str) -> FinPoset:
 
 
 def _parse_poset(rows: Rows) -> FinPoset:
-    elements: list[str] = []
+    elements: dict[str, None] = {}
     pairs: list[tuple[str, str]] = []
     for line, row in rows:
         if row[0] == "el" and len(row) == 2:
-            elements.append(row[1])
+            if row[1] in elements:
+                raise ParseError(f"element {row[1]!r} declared twice", line)
+            elements[row[1]] = None
         elif row[0] == "lt" and len(row) == 3:
             pairs.append((row[1], row[2]))
         else:
@@ -292,6 +297,8 @@ def parse_pmap(text: str) -> MonotoneMap:
         _, a, b = row
         if a not in source:
             raise ParseError(f"{a!r} is not in the source", line)
+        if a in mapping:
+            raise ParseError(f"{a!r} sent twice", line)
         if b not in target:
             raise ParseError(f"{b!r} is not in the target", line)
         mapping[a] = b

@@ -16,6 +16,10 @@ the congruence its span generates, defined for any span; ``pushout``
 attaches along an injective leg instead.
 ``product_cylinder_reduction`` builds the topological cylinder from the
 generic simplicial product NP x Delta[1] instead of the nerve of P x [1].
+``fresh_representing_sharp`` and ``fresh_cylinder_reduction`` build a
+new Delta[q]#, its nerve, P x [1], the prism nerve and both ends with
+their nerve maps on every call; ``representing_sharp`` and
+``cylinder_reduction`` share one source side per simplex dimension.
 ``label_nerve`` and ``label_nerve_map`` build nerves and nerve maps on
 chains of elements, found by walking the strict pairs; ``nerve`` and
 ``nerve_map`` work on chains of element indices.  ``two_pass_run_collapse``
@@ -76,6 +80,7 @@ from ssetforge.posets import (
     nerve_map,
     poset_pushout,
     product_poset,
+    sharp_map,
     up_closure,
 )
 from ssetforge.simplicial import (
@@ -85,7 +90,9 @@ from ssetforge.simplicial import (
     SimplicialSet,
     _simplex,
     compose_maps,
+    generate,
     generated_cells,
+    simplex_map,
     standard_simplex,
 )
 from ssetforge.subdivision import chains_to_top
@@ -371,6 +378,42 @@ def product_cylinder_reduction(
     )
     _check_bundle(bundle)
     return bundle, pr, po
+
+
+def fresh_representing_sharp(space: SimplicialSet, s: Simplex) -> MonotoneMap:
+    """The sharp of the corestricted representing map of s, out of a
+    Delta[q]# built for this call."""
+    sub, inc = generate(space, [s.cell])
+    back = {t.cell: c for c, t in inc.assignment.items()}
+    return sharp_map(simplex_map(sub, Simplex(back[s.cell], s.degen)))
+
+
+def fresh_cylinder_reduction(phi: MonotoneMap) -> CylinderBundle:
+    """The cylinder bundle with its whole source side built for this call:
+    NP, P x [1], its nerve, both ends and their nerve maps."""
+    p = phi.source
+    np_ = nerve(p)
+    cyl = product_poset(p, chain_poset(1))
+    k, back_end = cylinder_end(p, cyl, 0), cylinder_end(p, cyl, 1)
+    nq, nr = nerve(cyl), nerve(phi.target)
+    po = pushout(nerve_map(k, np_, nq), nerve_map(phi, np_, nr))
+    v = poset_pushout(k, phi)
+    m = nerve(v.poset)
+    reduced_front = nerve_map(v.leg_other, nr, m)
+    bundle = CylinderBundle(
+        phi=phi,
+        space=po.space,
+        reduced=m,
+        reduction=po.mediator(nerve_map(v.leg_ambient, nq, m), reduced_front),
+        front=po.right,
+        back=compose_maps(nerve_map(back_end, np_, nq), po.left),
+        prism=po.left,
+        reduced_front=reduced_front,
+        reduced_back=nerve_map(compose_monotone(back_end, v.leg_ambient), np_, m),
+        poset=v,
+    )
+    _check_bundle(bundle)
+    return bundle
 
 
 def two_pass_run_collapse(seq) -> tuple[tuple, Operator]:

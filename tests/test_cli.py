@@ -208,6 +208,9 @@ def test_counterexamples_cli(capsys):
         ("sd", "x.sset", "cell 0 0\ncell 1 1 5{} 0{}\n", ":"),
         ("dcr", "phi.pmap", WEDGE_TO_CHAIN.replace("send a u", "send a"), ":16:"),
         ("cylinder", "phi.pmap", WEDGE_TO_CHAIN.replace("send b v", "send b z"), ":17:"),
+        # a repeated declaration, which a later one would otherwise override
+        ("dcr", "phi.pmap", WEDGE_TO_CHAIN.replace("send a u", "send a u\nsend a v"), ":17:"),
+        ("cylinder", "phi.pmap", WEDGE_TO_CHAIN.replace("el b\n", "el b\nel b\n"), ":4:"),
     ],
 )
 def test_malformed_input_is_one_line_and_exit_3(tmp_path, capsys, command, name, text, where):
@@ -321,6 +324,8 @@ def test_non_utf8_input_is_one_line_and_exit_3(tmp_path, tiny_corpus, capsys, ar
         ("seed", "a seed line needs one integer"),
         ("colour red", "unknown manifest line 'colour red'"),
         ("member d1 builtin reguler d1.sset", "expected the flag regular or singular, got 'reguler'"),
+        # line 3 names delta-1 already: a second line would run it twice
+        ("member delta-1 builtin regular delta-1.sset", "member delta-1 declared twice"),
     ],
 )
 def test_malformed_manifest_line_names_its_line(tmp_path, tiny_corpus, capsys, line, message):

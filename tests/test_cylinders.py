@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from ssetforge.colimits import collapse_subcomplex, is_regular, product
+from ssetforge.corpus import gen_corpus
 from ssetforge.cylinders import (
     as_poset_nerve,
     cone,
@@ -43,9 +44,14 @@ from ssetforge.simplicial import (
     standard_simplex,
 )
 from ssetforge.subdivision import sd
-from ssetforge.textio import format_sset
+from ssetforge.textio import format_pmap, format_smap, format_sset
 
-from reference import prism_row, product_cylinder_reduction
+from reference import (
+    fresh_cylinder_reduction,
+    fresh_representing_sharp,
+    prism_row,
+    product_cylinder_reduction,
+)
 
 
 def wedge_to_chain():
@@ -264,9 +270,8 @@ def test_dwyer_factorization_implication():
             assert gq.is_isomorphism()
 
 
-def _dcr_suite_maps(corpus):
-    # the maps of the seed-0 dcr suite: sharps of the representing maps of
-    # every simplex it tests
+def _dcr_suite_pairs(corpus):
+    # the (member, simplex) pairs of the dcr suite on this corpus
     from ssetforge.verify import _DCR_ALL_SIMPLEX_CELLS, _DCR_MAX_CELLS
 
     for entry in corpus:
@@ -276,7 +281,41 @@ def _dcr_suite_maps(corpus):
         for q in range(x.dim + 1):
             for y in x.simplices(q):
                 if not y.is_degenerate or len(x.cells) <= _DCR_ALL_SIMPLEX_CELLS:
-                    yield representing_sharp(x, y)
+                    yield x, y
+
+
+def _dcr_suite_maps(corpus):
+    # the maps of the dcr suite: sharps of the representing maps of every
+    # simplex it tests
+    for x, y in _dcr_suite_pairs(corpus):
+        yield representing_sharp(x, y)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shared_source_side_matches_fresh_route(corpus, seed):
+    # every pair of the dcr suite on seeds 0 and 1, degenerate simplices
+    # too: the cylinder over the shared Delta[q]# is the one built with a
+    # fresh Delta[q]#, nerves and ends, byte for byte
+    corpus = corpus if seed == 0 else gen_corpus(seed)
+    sources = {}
+    pairs = 0
+    for x, y in _dcr_suite_pairs(corpus):
+        phi, ref = representing_sharp(x, y), fresh_representing_sharp(x, y)
+        # one source poset per degree, shared by every map of that degree
+        assert sources.setdefault(y.degree, phi.source) is phi.source
+        assert ref.source is not phi.source
+        assert format_pmap(phi) == format_pmap(ref)
+        new, old = cylinder_reduction(phi), fresh_cylinder_reduction(ref)
+        (g_new, res_new), (g_old, res_old) = dcr(phi, bundle=new), dcr(ref, bundle=old)
+        spaces = [(new.space, old.space), (new.reduced, old.reduced),
+                  (res_new.quotient, res_old.quotient)]
+        maps = [(new.reduction, old.reduction), (new.front, old.front),
+                (new.back, old.back), (g_new, g_old)]
+        assert all(format_sset(a) == format_sset(b) for a, b in spaces)
+        assert all(format_smap(a) == format_smap(b) for a, b in maps)
+        pairs += 1
+    assert pairs >= 200
+    assert len(sources) > 1
 
 
 def test_nerve_prism_matches_product_prism(corpus):

@@ -126,6 +126,13 @@ def _swap(text: str, line: int, new: str) -> str:
         (parse_pmap, _swap(PMAP, 9, "send q b"), 9, "'q' is not in the source"),
         (parse_pmap, _swap(PMAP, 9, "send p c"), 9, "'c' is not in the target"),
         (parse_pmap, _swap(PMAP, 2, "el"), 2, "unexpected line 'el'"),
+        # a declaration repeated, even word for word, is malformed at the repeat
+        (parse_smap, SMAP + "send 0 2{}\n", 10, "cell 0 sent twice"),
+        (parse_smap, SMAP + "send 0 1{}\n", 10, "cell 0 sent twice"),
+        (parse_poset, POSET + "el a\n", 4, "element 'a' declared twice"),
+        (parse_pmap, _swap(PMAP, 2, "el p\nel p"), 3, "element 'p' declared twice"),
+        (parse_pmap, PMAP + "send p a\n", 10, "'p' sent twice"),
+        (parse_pmap, PMAP + "send p b\n", 10, "'p' sent twice"),
     ],
 )
 def test_malformed_line_names_its_line(parse, text, line, message):

@@ -10,7 +10,10 @@ import pytest
 
 from ssetforge.cli import main
 from ssetforge.corpus import Corpus, CorpusEntry, load_corpus, save_corpus
-from ssetforge import operators, verify
+from ssetforge import cylinders, operators, verify
+from ssetforge.cylinders import cylinder_reduction
+from ssetforge.desingularize import _dup_operator
+from ssetforge.posets import MonotoneMap, all_posets, singleton_poset
 from ssetforge.simplicial import boundary
 from ssetforge.subdivision import sd
 from ssetforge.textio import format_sset, parse_sset
@@ -113,6 +116,25 @@ def test_operator_memo_stays_small(corpus):
     sizes["_CANON"] = len(operators._CANON)
     assert sizes["compose"] and sizes["_CANON"]
     assert all(size < 5000 for size in sizes.values()), sizes
+
+
+def test_cylinder_memos_stay_small(corpus):
+    # the source side of a representing cylinder is kept once per simplex
+    # dimension, and the zipper's move once per (degree, position); a
+    # cone's source side is built for its call and not kept
+    cylinders._SIMPLEX_SOURCES.clear()
+    _dup_operator.cache_clear()
+    p = all_posets(4)[-1]
+    cylinder_reduction(MonotoneMap(p, singleton_poset("apex"), {e: "apex" for e in p.elements}))
+    assert not cylinders._SIMPLEX_SOURCES
+    assert verify_dcr_suite(corpus).ok
+    dim = max(
+        e.space.dim for e in corpus
+        if e.regular and len(e.space.cells) <= verify._DCR_MAX_CELLS
+    )
+    assert set(cylinders._SIMPLEX_SOURCES) == set(range(dim + 1))
+    # p < q, with q at most the dimension of the largest cylinder
+    assert 0 < _dup_operator.cache_info().currsize < 100
 
 
 def test_second_subdivision_on_tiny_corpus(tiny_corpus):
