@@ -33,7 +33,6 @@ from .cylinders import (
 from .desingularize import (
     Certificate,
     DesingResult,
-    desingularize,
     desingularized_comparison,
     oracle_desingularize,
     zipper_desingularize,

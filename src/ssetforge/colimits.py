@@ -110,7 +110,6 @@ class Congruence:
 
     def __init__(self, space: SimplicialSet):
         self.space = space
-        self.degree_bound = max(space.dim, 0)
         self._form: dict[int, Simplex] = {}
 
     def _resolve(self, c: int) -> Simplex:
@@ -185,14 +184,19 @@ class Congruence:
             c: resolve(c) if c in form else space.simplex(c) for c in space.cell_order()
         }
 
+    def killed_forms(self) -> dict[int, Simplex]:
+        """The forms of the killed cells, in a dict later merges leave as it is."""
+        resolve = self._resolve
+        return {c: resolve(c) for c in self._form}
+
     def classes(self) -> dict[Simplex, list[Simplex]]:
-        """All simplices of degree <= bound grouped by class, scan order kept.
+        """All simplices of degree <= dim X grouped by class, scan order kept.
 
         The definition of the relation as a partition; ``normal_forms``
         reads the same classes off the table without this walk.
         """
         out: dict[Simplex, list[Simplex]] = {}
-        for q in range(self.degree_bound + 1):
+        for q in range(max(self.space.dim, 0) + 1):
             for s in self.space.simplices(q):
                 out.setdefault(self.find(s), []).append(s)
         return out
@@ -205,7 +209,6 @@ class Congruence:
     def copy(self) -> "Congruence":
         other = Congruence.__new__(Congruence)
         other.space = self.space
-        other.degree_bound = self.degree_bound
         other._form = dict(self._form)
         return other
 

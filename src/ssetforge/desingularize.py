@@ -12,10 +12,17 @@ where the zipper alone stops singular some cell repeats a vertex, never
 adjacently, and an interval round lowers the vertex count before the
 zipper runs again.  The loop ends with no repeated vertex.  Every merge
 was forced, so every map to a non-singular target factors through the
-non-singular result: it is the universal quotient, certified.  Each
-zipper round reads every cell's cached vertex row once: that one scan
-finds the round's moves and whether any row repeats a vertex, so the
-scan that finds no move also decides the certificate.
+non-singular result: it is the universal quotient, certified.
+
+Every move runs on one congruence over the input, and D is its one
+quotient.  Each round snapshots the forms of the killed cells and scans
+the first cells in (dimension, id) order; a first cell's vertex row is
+the first cells of its vertices' classes.  The scan that finds no move
+decides the certificate.  Premises are read from that snapshot, not from
+the congruence the round's merges change: a round takes exactly the
+moves its one scan found, and a later move may name a cell an earlier one
+killed, as a zipper move at another position of the same cell does.
+``replay_zipper`` runs recorded moves through the same loop.
 
 The oracle is the independent check.  The congruences whose quotient is
 non-singular are closed under meets, since the quotient by the meet of R
@@ -43,11 +50,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .colimits import Congruence, quotient
 from .operators import Operator, all_degeneracies
-from .simplicial import Simplex, SimplicialMap, SimplicialSet, compose_maps, identity_map
+from .simplicial import Simplex, SimplicialMap, SimplicialSet, identity_map
 
 
 class Certificate(str, Enum):
@@ -58,14 +65,14 @@ class Certificate(str, Enum):
 
 @dataclass(frozen=True)
 class MoveRecord:
-    cell: int  # cell of the input space mapping onto the collapsed cell
+    cell: int  # a first cell of the input at the move's round
     degree: int
     position: int
 
 
 @dataclass(frozen=True)
 class IntervalMove:
-    cell: int  # cell of the input space mapping onto a cell with v_i = v_j
+    cell: int  # a first cell of the input whose row has v_i = v_j
     i: int
     j: int
 
@@ -100,76 +107,81 @@ def _intervals(vs: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(i, last[v]) for i, v in enumerate(vs) if vs.index(v) == i and last[v] > i + 1]
 
 
-def _merge_interval(cong: Congruence, vs: tuple[int, ...], i: int, j: int) -> None:
-    """Merge the vertices strictly between positions i and j onto vertex i."""
-    simplex = cong.space.simplex
-    for k in range(i + 1, j):
-        cong.merge(simplex(vs[k]), simplex(vs[i]))
+def _row(space: SimplicialSet, snap: dict[int, Simplex], cid: int) -> tuple[int, ...]:
+    """A cell's vertex row in the snapshot: the first cells of its vertices' classes."""
+    return tuple(snap[v].cell if v in snap else v for v in space.cell_vertices(cid))
+
+
+def _force(cong: Congruence, snap: dict[int, Simplex], mv: MoveRecord | IntervalMove) -> None:
+    """Check a move's premise against the round-start snapshot and merge
+    what it forces; a ValueError names a move that was not forced."""
+    space, simplex = cong.space, cong.space.simplex
+    if mv.cell not in space.cells:
+        raise ValueError(f"{mv} names no cell of the input")
+    if mv.cell in snap and not snap[mv.cell].degen.is_identity:
+        raise ValueError(f"recorded cell {mv.cell} no longer maps onto a cell")
+    vs = _row(space, snap, mv.cell)
+    if isinstance(mv, IntervalMove):
+        if not (0 <= mv.i < mv.j < len(vs) and vs[mv.i] == vs[mv.j]):
+            raise ValueError(f"premise fails for {mv}")
+        for k in range(mv.i + 1, mv.j):
+            cong.merge(simplex(vs[k]), simplex(vs[mv.i]))
+        return
+    p = mv.position
+    if mv.degree != len(vs) - 1 or not 0 <= p < mv.degree or vs[p] != vs[p + 1]:
+        raise ValueError(f"premise fails for {mv}")
+    u = simplex(mv.cell)
+    cong.merge(u, space.eval(u, _dup_operator(mv.degree, p)))
+
+
+def _forced_moves(space: SimplicialSet, intervals: bool, recorded=None) -> DesingResult:
+    """Rounds of forced moves on one congruence over ``space``, then one
+    quotient.  A round takes every zipper move its scan finds or, at a
+    singular zipper fixpoint and with ``intervals``, every interval move;
+    a replay takes the ``recorded`` rounds.  Before any merge the scan reads
+    the cached rows as they are.  The last scan certifies."""
+    cong, rounds = Congruence(space), []
+    while True:
+        snap = cong.killed_forms()
+        row = partial(_row, space, snap) if snap else space.cell_vertices
+        singular = []
+        for cid in space.cell_order():
+            vs = row(cid)
+            if len(set(vs)) < len(vs) and cid not in snap:
+                singular.append((cid, vs))
+        if recorded is not None:
+            if len(rounds) == len(recorded):
+                break
+            batch = recorded[len(rounds)]
+        else:
+            batch = [MoveRecord(cid, len(vs) - 1, p) for cid, vs in singular
+                     for p in range(len(vs) - 1) if vs[p] == vs[p + 1]]
+            if not batch and intervals:
+                batch = [IntervalMove(cid, i, j) for cid, vs in singular for i, j in _intervals(vs)]
+            if not batch:
+                break
+        for mv in batch:
+            _force(cong, snap, mv)
+        rounds.append(batch)
+    cert = Certificate.UNCERTIFIED if singular else Certificate.ZIPPER
+    if not any(rounds):
+        return DesingResult(space, identity_map(space), cert, rounds)
+    res = quotient(space, cong)
+    return DesingResult(res.space, res.projection, cert, rounds)
 
 
 def zipper_desingularize(space: SimplicialSet) -> DesingResult:
-    """Zipper rounds until no cell has equal adjacent vertices.
-
-    One scan of the vertex rows per round finds the round's moves and
-    whether every row is repeat-free; the last scan, which finds no move,
-    decides the certificate.  eta starts as the first round's projection."""
-    cur = space
-    eta: SimplicialMap | None = None
-    rounds: list[list[MoveRecord]] = []
-    while True:
-        moves = []
-        nonsingular = True
-        cell_vertices, simplex = cur.cell_vertices, cur.simplex
-        for cid in cur.cell_order():
-            vs = cell_vertices(cid)
-            if len(set(vs)) < len(vs):
-                nonsingular = False
-                moves.extend((cid, p) for p in range(len(vs) - 1) if vs[p] == vs[p + 1])
-        if not moves:
-            break
-        reps = _first_preimages(eta) if eta is not None else None
-        cong = Congruence(cur)
-        batch = []
-        for cid, p in moves:
-            u = simplex(cid)
-            cong.merge(u, cur.eval(u, _dup_operator(u.degree, p)))
-            batch.append(MoveRecord(cid if reps is None else reps[cid], u.degree, p))
-        res = quotient(cur, cong)
-        rounds.append(batch)
-        eta = res.projection if eta is None else compose_maps(eta, res.projection)
-        cur = res.space
-    cert = Certificate.ZIPPER if nonsingular else Certificate.UNCERTIFIED
-    return DesingResult(cur, identity_map(space) if eta is None else eta, cert, rounds)
+    """Zipper rounds until no cell has equal adjacent vertices, then one quotient."""
+    return _forced_moves(space, intervals=False)
 
 
 def replay_zipper(
     space: SimplicialSet, rounds: list[list[MoveRecord | IntervalMove]]
 ) -> DesingResult:
-    """Re-run a recorded move list, re-checking every premise at its
-    merge time.  Raises if any recorded merge was not forced."""
-    cur = space
-    eta = identity_map(space)
-    for batch in rounds:
-        cong = Congruence(cur)
-        for mv in batch:
-            u = eta.apply(space.simplex(mv.cell))
-            if not u.degen.is_identity:
-                raise ValueError(f"recorded cell {mv.cell} no longer maps onto a cell")
-            vs = cur.vertices(u)
-            if isinstance(mv, IntervalMove):
-                if not (0 <= mv.i < mv.j < len(vs) and vs[mv.i] == vs[mv.j]):
-                    raise ValueError(f"premise fails for {mv}")
-                _merge_interval(cong, vs, mv.i, mv.j)
-                continue
-            p = mv.position
-            if mv.degree != u.degree or not 0 <= p < u.degree or vs[p] != vs[p + 1]:
-                raise ValueError(f"premise fails for {mv}")
-            cong.merge(u, cur.eval(u, _dup_operator(u.degree, mv.position)))
-        res = quotient(cur, cong)
-        eta = compose_maps(eta, res.projection)
-        cur = res.space
-    cert = Certificate.ZIPPER if cur.is_nonsingular() else Certificate.UNCERTIFIED
-    return DesingResult(cur, eta, cert, list(rounds))
+    """Re-run a recorded move list on one congruence, checking each premise
+    against its round's snapshot; a ValueError names a move that was not
+    forced, or that names no cell of ``space``."""
+    return _forced_moves(space, intervals=True, recorded=rounds)
 
 
 def _contains(cong: Congruence, pairs: list[tuple[Simplex, Simplex]]) -> bool:
@@ -266,26 +278,9 @@ def oracle_desingularize(space: SimplicialSet, bound: int = 10) -> DesingResult:
 
 
 def desingularize(space: SimplicialSet) -> DesingResult:
-    """Zipper fixpoints and interval rounds until certified; moves name cells of ``space``."""
-    res = zipper_desingularize(space)
-    eta, rounds = res.eta, list(res.moves)
-    while res.certificate is not Certificate.ZIPPER:
-        cur, reps = res.quotient, _first_preimages(eta)
-        cong, batch = Congruence(cur), []
-        for cid in cur.cell_order():
-            vs = cur.cell_vertices(cid)
-            for i, j in _intervals(vs):
-                _merge_interval(cong, vs, i, j)
-                batch.append(IntervalMove(reps[cid], i, j))
-        if not batch:
-            raise RuntimeError("a singular zipper fixpoint repeats no vertex")
-        eta = compose_maps(eta, quotient(cur, cong).projection)
-        res = zipper_desingularize(eta.target)
-        reps = _first_preimages(eta)
-        rounds.append(batch)
-        rounds += ([MoveRecord(reps[m.cell], m.degree, m.position) for m in b] for b in res.moves)
-        eta = compose_maps(eta, res.eta)
-    return DesingResult(res.quotient, eta, res.certificate, rounds)
+    """Zipper rounds, and an interval round at each singular zipper fixpoint,
+    until certified, then one quotient."""
+    return _forced_moves(space, intervals=True)
 
 
 def factor_through_quotient(eta: SimplicialMap, g: SimplicialMap) -> SimplicialMap:

@@ -37,6 +37,11 @@ closures and of those faces' cells in one pass over the cell table.
 ``reference_is_dwyer`` searches every cosieve containing the image,
 largest first, for one carrying a retraction; ``is_dwyer`` builds the
 only one that can pass.
+``reference_zipper``, ``reference_desingularize`` and ``reference_replay``
+run each round on a new congruence over the round before's quotient,
+quotient every round, compose eta, and map move cells back to the input
+through ``_first_preimages``; the desingularizer runs every move on one
+congruence over the input and quotients once.
 """
 
 from __future__ import annotations
@@ -53,6 +58,15 @@ from ssetforge.colimits import (
     quotient,
 )
 from ssetforge.cylinders import CylinderBundle, _check_bundle
+from ssetforge.desingularize import (
+    Certificate,
+    DesingResult,
+    IntervalMove,
+    MoveRecord,
+    _dup_operator,
+    _first_preimages,
+    _intervals,
+)
 from ssetforge.operators import (
     Operator,
     all_faces,
@@ -92,6 +106,7 @@ from ssetforge.simplicial import (
     compose_maps,
     generate,
     generated_cells,
+    identity_map,
     simplex_map,
     standard_simplex,
 )
@@ -605,3 +620,98 @@ def reference_is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
         ):
             return DwyerWitness(tuple(w_elems), retraction)
     return None
+
+
+def _merge_interval(cong: Congruence, vs: tuple[int, ...], i: int, j: int) -> None:
+    """Merge the vertices strictly between positions i and j onto vertex i."""
+    simplex = cong.space.simplex
+    for k in range(i + 1, j):
+        cong.merge(simplex(vs[k]), simplex(vs[i]))
+
+
+def reference_zipper(space: SimplicialSet) -> DesingResult:
+    """Zipper rounds until no cell has equal adjacent vertices.
+
+    One scan of the vertex rows per round finds the round's moves and
+    whether every row is repeat-free; the last scan, which finds no move,
+    decides the certificate.  eta starts as the first round's projection."""
+    cur = space
+    eta: SimplicialMap | None = None
+    rounds: list[list[MoveRecord]] = []
+    while True:
+        moves = []
+        nonsingular = True
+        cell_vertices, simplex = cur.cell_vertices, cur.simplex
+        for cid in cur.cell_order():
+            vs = cell_vertices(cid)
+            if len(set(vs)) < len(vs):
+                nonsingular = False
+                moves.extend((cid, p) for p in range(len(vs) - 1) if vs[p] == vs[p + 1])
+        if not moves:
+            break
+        reps = _first_preimages(eta) if eta is not None else None
+        cong = Congruence(cur)
+        batch = []
+        for cid, p in moves:
+            u = simplex(cid)
+            cong.merge(u, cur.eval(u, _dup_operator(u.degree, p)))
+            batch.append(MoveRecord(cid if reps is None else reps[cid], u.degree, p))
+        res = quotient(cur, cong)
+        rounds.append(batch)
+        eta = res.projection if eta is None else compose_maps(eta, res.projection)
+        cur = res.space
+    cert = Certificate.ZIPPER if nonsingular else Certificate.UNCERTIFIED
+    return DesingResult(cur, identity_map(space) if eta is None else eta, cert, rounds)
+
+
+def reference_replay(
+    space: SimplicialSet, rounds: list[list[MoveRecord | IntervalMove]]
+) -> DesingResult:
+    """Re-run a recorded move list, re-checking every premise at its
+    merge time.  Raises if any recorded merge was not forced."""
+    cur = space
+    eta = identity_map(space)
+    for batch in rounds:
+        cong = Congruence(cur)
+        for mv in batch:
+            u = eta.apply(space.simplex(mv.cell))
+            if not u.degen.is_identity:
+                raise ValueError(f"recorded cell {mv.cell} no longer maps onto a cell")
+            vs = cur.vertices(u)
+            if isinstance(mv, IntervalMove):
+                if not (0 <= mv.i < mv.j < len(vs) and vs[mv.i] == vs[mv.j]):
+                    raise ValueError(f"premise fails for {mv}")
+                _merge_interval(cong, vs, mv.i, mv.j)
+                continue
+            p = mv.position
+            if mv.degree != u.degree or not 0 <= p < u.degree or vs[p] != vs[p + 1]:
+                raise ValueError(f"premise fails for {mv}")
+            cong.merge(u, cur.eval(u, _dup_operator(u.degree, mv.position)))
+        res = quotient(cur, cong)
+        eta = compose_maps(eta, res.projection)
+        cur = res.space
+    cert = Certificate.ZIPPER if cur.is_nonsingular() else Certificate.UNCERTIFIED
+    return DesingResult(cur, eta, cert, list(rounds))
+
+
+def reference_desingularize(space: SimplicialSet) -> DesingResult:
+    """Zipper fixpoints and interval rounds until certified; moves name cells of ``space``."""
+    res = reference_zipper(space)
+    eta, rounds = res.eta, list(res.moves)
+    while res.certificate is not Certificate.ZIPPER:
+        cur, reps = res.quotient, _first_preimages(eta)
+        cong, batch = Congruence(cur), []
+        for cid in cur.cell_order():
+            vs = cur.cell_vertices(cid)
+            for i, j in _intervals(vs):
+                _merge_interval(cong, vs, i, j)
+                batch.append(IntervalMove(reps[cid], i, j))
+        if not batch:
+            raise RuntimeError("a singular zipper fixpoint repeats no vertex")
+        eta = compose_maps(eta, quotient(cur, cong).projection)
+        res = reference_zipper(eta.target)
+        reps = _first_preimages(eta)
+        rounds.append(batch)
+        rounds += ([MoveRecord(reps[m.cell], m.degree, m.position) for m in b] for b in res.moves)
+        eta = compose_maps(eta, res.eta)
+    return DesingResult(res.quotient, eta, res.certificate, rounds)

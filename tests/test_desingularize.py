@@ -1,11 +1,12 @@
-import importlib
 import importlib.util
 import random
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+import ssetforge.desingularize as desingularize_module
 from ssetforge.colimits import (
     Congruence,
     collapse_subcomplex,
@@ -43,11 +44,15 @@ from ssetforge.subdivision import b_nat, sd, t_nat
 from ssetforge.textio import format_smap, format_sset
 from ssetforge.verify import _small_quotients
 
-from reference import SimplexCongruence, quotient_by_classes
+from reference import (
+    SimplexCongruence,
+    quotient_by_classes,
+    reference_desingularize,
+    reference_replay,
+    reference_zipper,
+)
 from test_colimits import _same_congruence, _table_holds_killed_cells
 
-# the package exports the function desingularize under the module's name
-desingularize_module = importlib.import_module("ssetforge.desingularize")
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -153,6 +158,10 @@ def test_replay_confirms_moves():
         bad[0][0] = type(first)(first.cell, first.degree, position)
         with pytest.raises(ValueError, match="premise fails"):
             replay_zipper(space, bad)
+    # a move naming no cell of the input
+    for mv in (MoveRecord(999, 1, 0), MoveRecord(-1, 1, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"{mv} names no cell")):
+            replay_zipper(standard_simplex(2), [[mv]])
 
 
 def test_oracle_agrees_with_zipper():
@@ -262,6 +271,9 @@ def test_replay_rejects_an_interval_move_that_is_not_forced():
         moves[1][-1] = bad
         with pytest.raises(ValueError, match="premise fails"):
             replay_zipper(space, moves)
+    for mv in (IntervalMove(999, 0, 2), IntervalMove(-1, 0, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"{mv} names no cell")):
+            replay_zipper(standard_simplex(2), [[mv]])
 
 
 def test_desingularize_idempotent():
@@ -548,3 +560,67 @@ def test_oracle_search_leaves_one_minimal_congruence(monkeypatch):
         m.setattr(desingularize_module, "_contains", lambda cong, pairs: False)
         with pytest.raises(RuntimeError, match="minimal non-singular congruences"):
             oracle_desingularize(space)
+
+
+@pytest.fixture(scope="module")
+def one_congruence_inputs() -> list:
+    """The verify suite's small quotients, 600 of the benchmark's small
+    quotient draws, the seed 0-3 corpus members and the sd images of those
+    with at most 60 cells, each also with its ids reversed, so that ids are
+    not in (dimension, id) order."""
+    workloads = _workloads()
+    members = [e.space for seed in range(4) for e in gen_corpus(seed)]
+    spaces = _small_quotients()
+    spaces += [workloads._small_quotient(random.Random(7000 + i)) for i in range(600)]
+    spaces += members + [sd(x) for x in members if len(x.cells) <= 60]
+    return spaces + [_reversed_ids(x) for x in spaces]
+
+
+def _result_key(res) -> tuple:
+    return (format_sset(res.quotient), format_smap(res.eta), res.certificate, res.moves)
+
+
+def test_one_congruence_matches_round_by_round_reference(one_congruence_inputs):
+    # every move on one congruence over the input and one quotient give D,
+    # eta, the certificate and the move list byte for byte as a new
+    # congruence and a quotient per round did, and each move list replays
+    # to the same result under both replays
+    assert len(one_congruence_inputs) == 2210
+    moved = interval = several = 0
+    for space in one_congruence_inputs:
+        for run, reference in ((zipper_desingularize, reference_zipper),
+                               (desingularize, reference_desingularize)):
+            res, ref = run(space), reference(space)
+            key = _result_key(res)
+            assert key == _result_key(ref)
+            assert (res.quotient is space) == (ref.quotient is space)
+            for replay in (replay_zipper, reference_replay):
+                assert _result_key(replay(space, res.moves)) == key
+        moved += bool(res.moves)
+        interval += any(isinstance(mv, IntervalMove) for batch in res.moves for mv in batch)
+        several += len(res.moves) > 1
+    assert (moved, interval, several) == (1344, 124, 124)
+
+
+def test_one_quotient_per_call(one_congruence_inputs, monkeypatch):
+    # desingularize, zipper_desingularize and replay_zipper each quotient at
+    # most once, and not at all when no move is taken, however many rounds
+    calls = 0
+
+    def counted(space, cong):
+        nonlocal calls
+        calls += 1
+        return quotient(space, cong)
+
+    monkeypatch.setattr(desingularize_module, "quotient", counted)
+    several = 0
+    for space in one_congruence_inputs:
+        for run in (zipper_desingularize, desingularize):
+            calls = 0
+            res = run(space)
+            assert calls == bool(res.moves)
+            calls = 0
+            replay_zipper(space, res.moves)
+            assert calls == bool(res.moves)
+        several += len(res.moves) > 1
+    assert several == 124

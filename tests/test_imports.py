@@ -3,13 +3,19 @@
 A standard-library check over ``src/ssetforge/*.py`` and ``tests/*.py``
 with ``ast``: an import binds names, and each must be read somewhere in
 the same file, as a name or inside a quoted annotation.  The package's
-``__init__`` only re-exports, so it is exempt.
+``__init__`` only re-exports, so it is exempt.  Nothing it re-exports
+may shadow a submodule of the same name.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
+import types
 from pathlib import Path
+
+import ssetforge
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ssetforge"
@@ -68,3 +74,13 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert hits == []
+
+
+def test_no_export_shadows_a_submodule():
+    # ``import ssetforge.x as m`` binds the attribute ``ssetforge.x``, so a
+    # re-exported name equal to a submodule's would bind that name instead
+    names = [info.name for info in pkgutil.iter_modules(ssetforge.__path__)]
+    assert "desingularize" in names
+    for name in names:
+        importlib.import_module(f"ssetforge.{name}")
+        assert isinstance(getattr(ssetforge, name), types.ModuleType), name
