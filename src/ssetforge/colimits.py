@@ -61,7 +61,6 @@ from .operators import (
     compose,
     degeneracy_from_repeats,
     identity,
-    make_face,
     section,
     separating_section,
 )
@@ -148,12 +147,14 @@ class Congruence:
         """Merge two simplices of equal degree and close under all operators.
 
         Both are in EZ normal form, as every simplex a space enumerates or
-        eval returns is, and so is every stored face.
+        eval returns is, and so is every stored face.  A new form's faces
+        are its ``face_row`` in the space, so each is evaluated once per
+        space, for every congruence on it and every copy of one.
         """
         if s.degree != t.degree:
             raise ValueError("cannot merge simplices of different degrees")
         form, find = self._form, self.find
-        cells, ev = self.space.cells, self.space.eval
+        cells, ev, face_row = self.space.cells, self.space.eval, self.space.face_row
         work = [(s, t)]
         while work:
             a, b = work.pop()
@@ -172,8 +173,7 @@ class Congruence:
             to = ev(_simplex((g, beta)), separating_section(alpha, beta))
             form[f] = to
             work.append((a, b))
-            d = alpha.dst
-            work.extend((x, ev(to, make_face(i, d))) for i, x in enumerate(cells[f].faces))
+            work.extend(zip(cells[f].faces, face_row(to)))
 
     def normal_forms(self) -> dict[int, Simplex]:
         """Each cell's class, as a degeneracy of the first cell of a cell
@@ -429,9 +429,11 @@ def product(x: SimplicialSet, y: SimplicialSet) -> ProductResult:
     """Cells are the jointly non-degenerate pairs of simplices.
 
     A pair is jointly non-degenerate when its degeneracies share no
-    repeat.  The faces of each factor simplex are evaluated once, and a
-    product cell's i-th face is the pair of i-th faces with their common
-    degeneracy split off.
+    repeat.  A product cell's i-th face is the pair of i-th faces with
+    their common degeneracy split off, read from each factor's
+    ``face_row``: the rows are kept on the factors, so each is evaluated
+    once per factor, for this product, later products and the validation
+    of both projections alike.
     """
     pairs: list[tuple[Simplex, Simplex]] = []
     for q in range(x.dim + y.dim + 1):
@@ -440,22 +442,15 @@ def product(x: SimplicialSet, y: SimplicialSet) -> ProductResult:
             rx = _repeat_mask(sx.degen)
             pairs.extend([(sx, sy) for sy, ry in ys if not rx & ry])
     ids = {pair: cid for cid, pair in enumerate(pairs)}
-    x_faces: dict[Simplex, list[Simplex]] = {}
-    y_faces: dict[Simplex, list[Simplex]] = {}
+    row_x, row_y = x.face_row, y.face_row
     cells: dict[int, Cell] = {}
     for (sx, sy), cid in ids.items():
         q = sx.degree
         if not q:
             cells[cid] = Cell(0, ())
             continue
-        row_x = x_faces.get(sx)
-        if row_x is None:
-            x_faces[sx] = row_x = [x.eval(sx, make_face(i, q)) for i in range(q + 1)]
-        row_y = y_faces.get(sy)
-        if row_y is None:
-            y_faces[sy] = row_y = [y.eval(sy, make_face(i, q)) for i in range(q + 1)]
         faces = []
-        for (cx, alpha), (cy, beta) in zip(row_x, row_y):
+        for (cx, alpha), (cy, beta) in zip(row_x(sx), row_y(sy)):
             a, b, rho = _strip_common(alpha, beta)
             # a plain pair hashes and compares as the Simplex it stands for
             faces.append((ids[((cx, a), (cy, b))], rho))

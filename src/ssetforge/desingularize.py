@@ -229,12 +229,14 @@ def _minimal_congruence(space: SimplicialSet) -> Congruence:
     member of each.  Each queued congruence carries its normal forms,
     computed once.  The search records every solution that contains no
     earlier one, and the filter keeps those that contain no other; the
-    family is closed under meets, so one must be left."""
+    family is closed under meets, so one must be left.  The degenerate
+    simplices of each degree are listed once per search."""
     start = Congruence(space)
     start_forms = start.normal_forms()
     seen = {tuple(start_forms.values())}
     queue = deque([(start, start_forms)])
     solutions: list[tuple[tuple, list, Congruence]] = []
+    degenerate: dict[int, list[Simplex]] = {}
     while queue:
         cong, forms = queue.popleft()
         if any(_contains(cong, pairs) for _, pairs, _ in solutions):
@@ -244,8 +246,11 @@ def _minimal_congruence(space: SimplicialSet) -> Congruence:
             pairs = [(space.simplex(c), f) for c, f in forms.items() if f.cell != c]
             solutions.append((tuple(forms.values()), pairs, cong))
             continue
+        q = rep.degree
+        if q not in degenerate:
+            degenerate[q] = _degenerate_simplices(space, q)
         tried = set()
-        for d in _degenerate_simplices(space, rep.degree):
+        for d in degenerate[q]:
             cls = cong.find(d)
             if cls in tried:
                 continue

@@ -18,10 +18,10 @@ degeneracy or an identity, and assigning an attribute afterwards raises.
 
 Every function of the calculus below (the constructors, ``compose``,
 ``ez_factor``, ``face_split``, ``section``, ``separating_section``,
-``face_restriction``, the degeneracies) is memoized with ``lru_cache``:
-every verdict evaluates the same few operators millions of times.  The
-tables hold only operators between ranks that some space has reached, so
-they are bounded by the dimensions seen.
+``face_restriction``, the degeneracies, ``all_faces``) is memoized with
+``lru_cache``: every verdict evaluates the same few operators millions of
+times.  The tables hold only operators between ranks that some space has
+reached, so they are bounded by the dimensions seen.
 
 Each operator these functions return is interned: it passes through the
 one table ``_CANON``, so equal results are the same object.  A cache
@@ -239,11 +239,15 @@ def all_operators(src: int, dst: int) -> Iterator[Operator]:
         yield Operator(dst, vals)
 
 
-def all_faces(n: int) -> Iterator[Operator]:
-    """All face operators into [n] (nonempty subsets of [n]), by size then image."""
-    for size in range(1, n + 2):
-        for img in combinations(range(n + 1), size):
-            yield Operator(n, img)
+@lru_cache(maxsize=None)
+def all_faces(n: int) -> tuple[Operator, ...]:
+    """All face operators into [n] (nonempty subsets of [n]), by size then
+    image, built once per n and interned."""
+    return tuple(
+        _canon(Operator(n, img))
+        for size in range(1, n + 2)
+        for img in combinations(range(n + 1), size)
+    )
 
 
 @lru_cache(maxsize=None)

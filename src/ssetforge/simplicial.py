@@ -17,13 +17,21 @@ and cached, so a non-degenerate simplex's vertex row is the cached one.
 Validation checks the same identities on every cell either way; only the
 route to each side of a check is shorter.
 
+A simplex's face row, its faces d_0 .. d_q, is evaluated by ``face_row``
+once per space and kept: a space is immutable, so the row never changes.
+Every site that needs a whole row reads it there, a product for its
+factors' simplices, a congruence merge for the forms it sets, and both
+validations below.
+
 Where every face of a cell is a cell, as in a poset nerve, the face
 identities are compared a whole row at a time: the first j faces of face
-j against face j-1 of each of the first j faces.  Where a map sends a
-cell to a cell, its stored faces are compared with the images of the
-cell's faces in one tuple, and where it sends a cell to a degenerate
-simplex, with that simplex's faces, evaluated once for all the cells sent
-to it.  On a mismatch both name the first failing pair.
+j against face j-1 of each of the first j faces; a degenerate stored
+face's faces are its face row.  Where a map sends a cell to a cell, its
+stored faces are compared with the images of the cell's faces in one
+tuple, and where it sends a cell to a degenerate simplex, with that
+simplex's faces, evaluated once per target space, shared by every map
+into it and by the set's own validation.  On a mismatch both name the
+first failing pair.
 """
 
 from __future__ import annotations
@@ -90,6 +98,7 @@ class SimplicialSet:
         self.labels = dict(labels or {})
         self._face_cache: dict[tuple[int, Operator], Simplex] = {}
         self._vertex_cache: dict[int, tuple[int, ...]] = {}
+        self._row_cache: dict[Simplex, tuple[Simplex, ...]] = {}
         self._order: tuple[int, ...] | None = None
         self._ids: tuple[int, ...] | None = None
         self._validate()
@@ -131,16 +140,14 @@ class SimplicialSet:
                         break
                 else:
                     continue
+            # a degenerate stored face's faces are its memoized face row
+            rows = [
+                row if row is not None else self.face_row(_simplex(faces[k]))
+                for k, row in enumerate(inner)
+            ]
             for j in range(d + 1):
                 for i in range(j):
-                    if inner[j] is not None:
-                        a = _simplex(inner[j][i])
-                    else:
-                        a = self.eval(_simplex(faces[j]), make_face(i, d - 1))
-                    if inner[i] is not None:
-                        b = _simplex(inner[i][j - 1])
-                    else:
-                        b = self.eval(_simplex(faces[i]), make_face(j - 1, d - 1))
+                    a, b = _simplex(rows[j][i]), _simplex(rows[i][j - 1])
                     if a != b:
                         raise ValueError(
                             f"face identities fail at cell {cid}: "
@@ -229,6 +236,18 @@ class SimplicialSet:
     def face(self, s: Simplex, i: int) -> Simplex:
         return self.eval(s, make_face(i, s.degree))
 
+    def face_row(self, s: Simplex) -> tuple[Simplex, ...]:
+        """The faces (s.d_0, ..., s.d_q) of a simplex of degree q, evaluated
+        once per space and kept; () in degree 0.  A space is immutable, so
+        the row never changes, and only simplices asked for are kept."""
+        got = self._row_cache.get(s)
+        if got is None:
+            q = s[1].src
+            ev = self.eval
+            got = tuple([ev(s, make_face(i, q)) for i in range(q + 1)]) if q else ()
+            self._row_cache[s] = got
+        return got
+
     def cell_vertices(self, cid: int) -> tuple[int, ...]:
         """Vertex cells of the cell, in order.
 
@@ -298,23 +317,18 @@ class SimplicialMap:
         # Where an image or a face is a cell under the identity, its face
         # or its image is read off the target's table or the assignment:
         # the same Simplex eval returns.  A degenerate image's faces are
-        # evaluated once per validation, however many cells it receives.
-        degenerate_rows: dict[Simplex, tuple[Simplex, ...]] = {}
+        # the target's memoized face row, shared by every map into it, and
+        # a degenerate face's image is its cell's image under the composite
+        # degeneracy, which is what eval returns for it.
+        face_row = target.face_row
         for cid, cell in source_cells.items():
-            d = cell.dim
-            if not d:
+            if not cell.dim:
                 continue
             s = assignment[cid]
-            if s.degen.is_identity:
-                got = target_cells[s.cell].faces
-            else:
-                got = degenerate_rows.get(s)
-                if got is None:
-                    got = degenerate_rows[s] = tuple([
-                        target.eval(s, make_face(i, d)) for i in range(d + 1)
-                    ])
+            got = target_cells[s.cell].faces if s.degen.is_identity else face_row(s)
             want = tuple([
-                assignment[t] if sigma.is_identity else self.apply(_simplex((t, sigma)))
+                assignment[t] if sigma.is_identity
+                else _simplex((assignment[t][0], compose(sigma, assignment[t][1])))
                 for t, sigma in cell.faces
             ])
             if got == want:

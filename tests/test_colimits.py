@@ -554,3 +554,62 @@ def test_product_matches_per_pair_enumeration(corpus):
         assert list(pr.index.items()) == list(ids.items())
         assert list(pr.space.cells.items()) == list(cells.items())
         assert list(pr.space.labels.items()) == list(labels.items())
+
+
+def _product_factor_pairs(corpus):
+    # ordered pairs of the seed-0 members with <= 12 cells, and pairs of a
+    # slice of the oracle campaign's small quotients, each factor a fresh
+    # copy with an empty row memo
+    from ssetforge.verify import _small_quotients
+
+    members = [e.space for e in corpus if len(e.space.cells) <= 12][:15]
+    quotients = _small_quotients()[::6]
+    pairs = [(x, y) for x in members for y in members]
+    pairs += list(zip(quotients, reversed(quotients)))
+    return [
+        (SimplicialSet(x.cells, x.labels), SimplicialSet(y.cells, y.labels)) for x, y in pairs
+    ]
+
+
+def test_second_product_evaluates_nothing_on_its_factors(corpus, monkeypatch):
+    # the factors' face rows are memoized on the factors: a first product
+    # evaluates simplices of both, and a second product of the same pair,
+    # the validation of its two projections included, evaluates none
+    seen = []
+    ev = SimplicialSet.eval
+
+    def spy(self, s, op):
+        seen.append(self)
+        return ev(self, s, op)
+
+    monkeypatch.setattr(SimplicialSet, "eval", spy)
+    pairs = _product_factor_pairs(corpus)
+    assert len(pairs) >= 200
+    first = 0
+    for x, y in pairs:
+        seen.clear()
+        pr = product(x, y)
+        first += any(z is x or z is y for z in seen)
+        seen.clear()
+        again = product(x, y)
+        assert not [z for z in seen if z is x or z is y]
+        assert list(again.space.cells.items()) == list(pr.space.cells.items())
+        assert again.first.assignment == pr.first.assignment
+        assert again.second.assignment == pr.second.assignment
+    assert first >= 200
+
+
+def test_product_row_memo_holds_the_rows_it_asked_for(corpus):
+    # after product(x, y) a factor's row memo holds the rows of its own
+    # degenerate stored faces and those of the positive-degree simplices
+    # of the product's pairs, all of degree <= dim x + dim y, and no other
+    for x, y in _product_factor_pairs(corpus):
+        before = [set(x._row_cache), set(y._row_cache)]
+        pr = product(x, y)
+        top = x.dim + y.dim
+        for k, z in enumerate((x, y)):
+            asked = {pair[k] for pair in pr.index if pair[k].degree}
+            assert set(z._row_cache) == before[k] | asked
+            assert all(s.degree <= top for s in z._row_cache)
+            if top:
+                assert max(s.degree for s in z._row_cache) == top

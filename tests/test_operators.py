@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from ssetforge.operators import (
     _CANON,
     Operator,
+    _canon,
     _degeneracy,
     all_degeneracies,
     all_faces,
@@ -249,6 +250,23 @@ def test_memoized_calculus_matches_definitions():
             assert got == all_degeneracies.__wrapped__(n, dst)
             assert list(got) == list(_degeneracies_by_definition(n, dst))
             interned(*got)
+
+
+def test_all_faces_memoized_and_interned():
+    # the faces into [n] in combinations order, built once per n: the same
+    # tuple object on every call, each face the interned operator equal to it
+    for n in range(6):
+        got = all_faces(n)
+        assert isinstance(got, tuple) and got is all_faces(n)
+        want = [
+            Operator(n, img)
+            for size in range(1, n + 2)
+            for img in combinations(range(n + 1), size)
+        ]
+        assert list(got) == want
+        assert [op.values for op in got] == [op.values for op in want]
+        for op in got:
+            assert op.is_face and op is _canon(op)
 
 
 @dataclass(frozen=True)

@@ -607,3 +607,57 @@ def test_map_validation_matches_eval_reference(corpus):
         if q and all(asg[t].degen.is_identity for t, _ in f.source.cells[cid].faces):
             row_wise["pass" if want is None else "fail"] += 1
     assert row_wise["pass"] >= 100 and row_wise["fail"] >= 300, row_wise
+
+
+def test_face_row_matches_eval(corpus):
+    # every simplex of degree <= dim+1 of the seed-0 members with <= 40
+    # cells and of the small quotients: the memoized row holds the faces
+    # eval gives one at a time, degree 0 has the empty row, and a second
+    # call returns the same tuple
+    from ssetforge.verify import _small_quotients
+
+    spaces = _small_members(corpus, 40) + _small_quotients()
+    assert len(spaces) >= 100
+    rows = 0
+    for x in spaces:
+        for q in range(x.dim + 2):
+            for s in x.simplices(q):
+                row = x.face_row(s)
+                assert len(row) == (q + 1 if q else 0)
+                for i, face in enumerate(row):
+                    assert face == x.eval(s, make_face(i, q))
+                    assert type(face) is Simplex
+                assert x.face_row(s) is row
+                rows += 1
+    assert rows >= 6_000
+
+
+def test_warm_face_rows_keep_map_validation_errors(corpus):
+    # a product projection is validated first, which fills its target's
+    # row memo; a map into the same target with one degenerate image
+    # replaced by another image of the projection, whose row is in the
+    # memo, fails with the same text as against a fresh copy of the target
+    from ssetforge.colimits import product
+
+    members = _small_members(corpus, 8)
+    rng = random.Random(20261019)
+    failed = 0
+    for x in members:
+        for y in members[:6]:
+            f = product(x, y).first
+            degenerate = sorted(
+                {(c, s) for c, s in f.assignment.items() if s.is_degenerate}
+            )
+            for cid, s in rng.sample(degenerate, min(4, len(degenerate))):
+                same = [t for c, t in degenerate if t.degree == s.degree and t != s]
+                if not same:
+                    continue
+                asg = dict(f.assignment)
+                asg[cid] = rng.choice(same)
+                assert asg[cid] in f.target._row_cache
+                fresh = SimplicialSet(f.target.cells, f.target.labels)
+                want = _verdict(SimplicialMap, f.source, fresh, asg)
+                assert _verdict(SimplicialMap, f.source, f.target, asg) == want
+                assert want == _verdict(_validate_map_by_eval, f.source, fresh, asg)
+                failed += want is not None
+    assert failed >= 200
