@@ -57,6 +57,7 @@ from .posets import (
     chain_poset,
     face_poset,
     is_dwyer,
+    map_into_nerve,
     nerve,
     nerve_map,
     poset_pushout,
@@ -71,7 +72,6 @@ from .simplicial import (
     SimplicialSet,
     boundary,
     generate,
-    is_isomorphic,
     representing_map,
     simplex_map,
     standard_simplex,

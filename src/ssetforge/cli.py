@@ -121,23 +121,8 @@ def cmd_counterexamples(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_sd(args) -> int:
-    _emit(format_sset(sd(_load_space(args.space))), args.out)
-    return 0
-
-
-def cmd_barratt(args) -> int:
-    _emit(format_sset(barratt(_load_space(args.space))), args.out)
-    return 0
-
-
-def cmd_bnat(args) -> int:
-    _emit(format_smap(b_nat(_load_space(args.space))), args.out)
-    return 0
-
-
-def cmd_lastvertex(args) -> int:
-    _emit(format_smap(last_vertex(_load_space(args.space))), args.out)
+def cmd_transform(args) -> int:
+    _emit(args.format(args.build(_load_space(args.space))), args.out)
     return 0
 
 
@@ -225,16 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_counterexamples)
 
-    for name, fn, outhelp in [
-        ("sd", cmd_sd, "subdivided space (.sset)"),
-        ("barratt", cmd_barratt, "nerve of the cell poset (.sset)"),
-        ("bnat", cmd_bnat, "comparison from the subdivision (.smap)"),
-        ("lastvertex", cmd_lastvertex, "last vertex map (.smap)"),
+    for name, build, fmt, outhelp in [
+        ("sd", sd, format_sset, "subdivided space (.sset)"),
+        ("barratt", barratt, format_sset, "nerve of the cell poset (.sset)"),
+        ("bnat", b_nat, format_smap, "comparison from the subdivision (.smap)"),
+        ("lastvertex", last_vertex, format_smap, "last vertex map (.smap)"),
     ]:
         p = sub.add_parser(name)
         p.add_argument("space", help="input space (.sset)")
         p.add_argument("-o", "--out", help=outhelp)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_transform, build=build, format=fmt)
 
     p = sub.add_parser("desing", help="desingularize a space")
     p.add_argument("space", help="input space (.sset)")

@@ -33,7 +33,7 @@ from .simplicial import (
     standard_simplex,
 )
 from .subdivision import chains_to_top, sd
-from .textio import ParseError, format_sset, parse_file, parse_sset, write_file
+from .textio import ParseError, _rows, format_sset, parse_file, parse_sset, write_file
 
 SD_CAP = 200  # members with larger subdivisions get no sd image, here or in verify
 _RANDOM_COUNT = 12  # random-quotient members per seed
@@ -129,10 +129,7 @@ def _parse_manifest(text: str) -> tuple[int, list[tuple[int, list[str]]]]:
     seed = 0
     members: list[tuple[int, list[str]]] = []
     names: set[str] = set()
-    for number, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
+    for number, tokens in _rows(text):
         keyword = tokens[0]
         if keyword == "seed" and len(tokens) == 2:
             try:

@@ -15,8 +15,9 @@ case k : P -> P x [1] of ``pushout_comparison``, whose comparison map
 onto M is cr.  The level-0 end is injective, so T is NR with the prism
 attached along it: no quotient is taken.  The ends, the prism's map to
 M and the reduced legs are all nerves of monotone maps.  The lemma
-suite's ``prism-nerve/*`` cases check the isomorphism between the prism
-as a nerve and as a product.
+suite's ``prism-nerve/*`` cases build the comparison NP x Delta[1] ->
+N(P x [1]) from its vertex map, ((e,), level) to (e, level), and check
+that it is an isomorphism.
 
 Everything on the source side depends on P alone: NP, P x [1], the
 prism nerve, both ends k and k1 with their nerve maps, and the Dwyer

@@ -9,18 +9,24 @@ offending elements in element order.
 The nerve of a poset has one cell per nonempty strict chain.  It is
 built on chains of element indices: a ``Nerve`` keeps its poset and the
 cell id of each index chain, and labels each cell with its chain of
-elements.  ``nerve_map`` sends index chains through one index array of
-the monotone map and looks the collapsed image up in the target's table,
-so it takes only nerves of the map's own source and target posets (or of
-posets equal to them) and raises ValueError on any other simplicial set.
+elements.  Vertex i is the chain (i,) with cell id i, so a chain is its
+own cell's vertex row, and a ``Nerve`` answers ``cell_vertices`` from
+its chains.
+
+A map into a nerve is fixed by where it sends vertices.
+``map_into_nerve`` sends each cell to the chain of its vertices'
+images, repeats collapsed, looked up in the target's table; a vertex
+row that does not go to a chain is a ValueError naming the cell.
+``nerve_map`` builds N(phi) through it, so it takes only nerves of the
+map's own source and target posets (or of posets equal to them) and
+raises ValueError on any other simplicial set.
 
 The cell poset (``sharp``) of a simplicial set orders cells by the face
 relation: y <= x when y is the non-degenerate part of some face of x.
-Pushouts of posets along injective sieve or cosieve embeddings are
-computed as the transitive closure of the images of both legs;
-antisymmetry of the result is asserted, never repaired.  The Dwyer
-check of the embedding leg is read through ``MonotoneMap.dwyer``, which
-decides it once per map object.
+Pushouts of posets along Dwyer maps are computed as the transitive
+closure of the images of both legs; antisymmetry of the result is
+asserted, never repaired.  The Dwyer check of the embedding leg is read
+through ``MonotoneMap.dwyer``, which decides it once per map object.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from .operators import Operator, all_faces, identity, run_collapse
 from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet, _simplex
@@ -252,7 +258,9 @@ def is_cosieve(p: FinPoset, subset: Iterable[Hashable]) -> bool:
 class Nerve(SimplicialSet):
     """The nerve of ``poset``: a simplicial set that also keeps its poset and
     ``chain_ids``, the cell id of each chain as a tuple of element indices.
-    The labels are the chains themselves, as tuples of elements."""
+    The labels are the chains themselves, as tuples of elements.  The
+    vertex cells are the chains (i,), with cell id i, so each chain is
+    its cell's vertex row."""
 
     def __init__(
         self,
@@ -264,6 +272,7 @@ class Nerve(SimplicialSet):
         super().__init__(cells, labels)
         self.poset = poset
         self.chain_ids = chain_ids
+        self._vertex_cache = {cid: chain for chain, cid in chain_ids.items()}
 
 
 def nerve(p: FinPoset) -> Nerve:
@@ -287,6 +296,36 @@ def nerve(p: FinPoset) -> Nerve:
     return Nerve(p, ids, cells, labels)
 
 
+def map_into_nerve(
+    source: SimplicialSet, target: SimplicialSet, element_of: Callable[[int], Hashable]
+) -> SimplicialMap:
+    """The map into the nerve ``target`` sending each vertex cell v of
+    ``source`` to the element ``element_of(v)`` of ``target.poset``: each
+    cell goes to the chain of its vertices' images, degenerated along the
+    repeats.  A vertex row whose images do not form a chain, an element
+    outside the poset included, is a ValueError naming the cell."""
+    if not isinstance(target, Nerve):
+        raise ValueError("map_into_nerve: the target is not a poset nerve")
+    index, elements = target.poset._index, target.poset.elements
+    image: dict[int, int] = {}
+    for v, cell in source.cells.items():
+        if not cell.dim:
+            e = element_of(v)
+            if e not in index:
+                raise ValueError(f"vertex {v} sent to {e!r}, outside the target poset")
+            image[v] = index[e]
+    chain_ids, cell_vertices = target.chain_ids, source.cell_vertices
+    asg: dict[int, Simplex] = {}
+    for cid in source.cells:
+        collapsed, degen = run_collapse(tuple(map(image.__getitem__, cell_vertices(cid))))
+        tid = chain_ids.get(collapsed)
+        if tid is None:
+            row = tuple(elements[i] for i in collapsed)
+            raise ValueError(f"cell {cid} sent to {row}, which is not a chain")
+        asg[cid] = _simplex((tid, degen))
+    return SimplicialMap(source, target, asg)
+
+
 def _nerve_of(space: SimplicialSet, p: FinPoset, side: str) -> Nerve:
     """space itself, when it is the nerve of p or of a poset equal to it."""
     if not isinstance(space, Nerve) or (space.poset is not p and not space.poset.same_as(p)):
@@ -302,8 +341,8 @@ def nerve_map(
     target_nerve: SimplicialSet | None = None,
 ) -> SimplicialMap:
     """N(phi), for nerves of phi's own source and target posets (built
-    when not given): each chain goes to its image with repeats collapsed,
-    degenerated along the repeats."""
+    when not given): vertex i, the chain (i,), goes to the image of
+    element i."""
     if source_nerve is None:
         np_ = nerve(phi.source)
     else:
@@ -312,14 +351,8 @@ def nerve_map(
         nq = nerve(phi.target)
     else:
         nq = _nerve_of(target_nerve, phi.target, "target")
-    mapping, index = phi.mapping, nq.poset._index
-    image = [index[mapping[e]] for e in np_.poset.elements]
-    target_ids = nq.chain_ids
-    asg: dict[int, Simplex] = {}
-    for chain, cid in np_.chain_ids.items():
-        collapsed, degen = run_collapse(tuple(map(image.__getitem__, chain)))
-        asg[cid] = _simplex((target_ids[collapsed], degen))
-    return SimplicialMap(np_, nq, asg)
+    mapping, elements = phi.mapping, np_.poset.elements
+    return map_into_nerve(np_, nq, lambda v: mapping[elements[v]])
 
 
 # -- the cell poset ----------------------------------------------------------
@@ -393,9 +426,9 @@ def is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
 
 
 class PosetPushout:
-    """Pushout of k: P -> Q along phi: P -> R over an embedded sieve/cosieve."""
+    """Pushout of a Dwyer map k: P -> Q along phi: P -> R."""
 
-    def __init__(self, k: MonotoneMap, phi: MonotoneMap, *, require_dwyer: bool = True):
+    def __init__(self, k: MonotoneMap, phi: MonotoneMap):
         if k.source is not phi.source and not k.source.same_as(phi.source):
             raise ValueError("pushout legs must share their source")
         self._k, self._phi = k, phi
@@ -403,11 +436,8 @@ class PosetPushout:
         image = {k(e): e for e in k.source.elements}
         if len(image) != len(k.source.elements):
             raise ValueError("pushout requires an injective embedding leg")
-        if require_dwyer:
-            if k.dwyer is None:
-                raise ValueError("embedding leg admits no cosieve retraction witness")
-        elif not (is_sieve(q, image) or is_cosieve(q, image)):
-            raise ValueError("embedding leg is neither a sieve nor a cosieve")
+        if k.dwyer is None:
+            raise ValueError("embedding leg admits no cosieve retraction witness")
 
         def send(x):
             return ("r", phi(image[x])) if x in image else ("q", x)
@@ -432,8 +462,8 @@ class PosetPushout:
         return MonotoneMap(self.poset, u.target, mapping)
 
 
-def poset_pushout(k: MonotoneMap, phi: MonotoneMap, *, require_dwyer: bool = True) -> PosetPushout:
-    return PosetPushout(k, phi, require_dwyer=require_dwyer)
+def poset_pushout(k: MonotoneMap, phi: MonotoneMap) -> PosetPushout:
+    return PosetPushout(k, phi)
 
 
 # -- comparison maps into the face poset of the standard simplex -------------

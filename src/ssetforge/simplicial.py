@@ -23,12 +23,12 @@ Every site that needs a whole row reads it there, a product for its
 factors' simplices, a congruence merge for the forms it sets, and both
 validations below.
 
-Where every face of a cell is a cell, as in a poset nerve, the face
-identities are compared a whole row at a time: the first j faces of face
-j against face j-1 of each of the first j faces; a degenerate stored
-face's faces are its face row.  Where a map sends a cell to a cell, its
-stored faces are compared with the images of the cell's faces in one
-tuple, and where it sends a cell to a degenerate simplex, with that
+The face identities of a cell are compared a whole row at a time: the
+first j faces of face j against face j-1 of each of the first j faces,
+where a face stored under an identity has its own stored faces and a
+degenerate stored face has its face row.  Where a map sends a cell to a
+cell, its stored faces are compared with the images of the cell's faces
+in one tuple, and where it sends a cell to a degenerate simplex, with that
 simplex's faces, evaluated once per target space, shared by every map
 into it and by the set's own validation.  On a mismatch both name the
 first failing pair.
@@ -36,7 +36,6 @@ first failing pair.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -125,34 +124,27 @@ class SimplicialSet:
                     raise ValueError(f"cell {cid} face {i} has mismatched ranks")
         # The ranks are checked above for every cell, so a face (t, sigma)
         # with sigma an identity has t of dimension d-1, and its k-th face
-        # is t's stored face k: what eval returns, read off the table.
+        # is t's stored face k: what eval returns, read off the table.  A
+        # degenerate stored face's faces are its memoized face row.
+        face_row = self.face_row
         for cid, cell in cells.items():
             d = cell.dim
             if d < 2:
                 continue
-            faces = cell.faces
-            inner = [cells[t].faces if sigma.is_identity else None for t, sigma in faces]
-            if None not in inner:
-                # every face is a cell: the identities (i, j), i < j, say
-                # that row j's first j faces are column j-1 of the rows above
-                for j in range(1, d + 1):
-                    if inner[j][:j] != tuple([row[j - 1] for row in inner[:j]]):
-                        break
-                else:
-                    continue
-            # a degenerate stored face's faces are its memoized face row
             rows = [
-                row if row is not None else self.face_row(_simplex(faces[k]))
-                for k, row in enumerate(inner)
+                cells[t].faces if sigma.is_identity else face_row(_simplex((t, sigma)))
+                for t, sigma in cell.faces
             ]
-            for j in range(d + 1):
-                for i in range(j):
-                    a, b = _simplex(rows[j][i]), _simplex(rows[i][j - 1])
-                    if a != b:
-                        raise ValueError(
-                            f"face identities fail at cell {cid}: "
-                            f"faces ({i},{j}) give {a} vs {b}"
-                        )
+            # the identities (i, j), i < j, say that row j's first j faces
+            # are column j-1 of the rows above
+            for j in range(1, d + 1):
+                column = tuple([row[j - 1] for row in rows[:j]])
+                if rows[j][:j] != column:
+                    i = next(i for i in range(j) if rows[j][i] != column[i])
+                    raise ValueError(
+                        f"face identities fail at cell {cid}: "
+                        f"faces ({i},{j}) give {_simplex(rows[j][i])} vs {_simplex(column[i])}"
+                    )
 
     # -- basic structure -------------------------------------------------
 
@@ -464,81 +456,3 @@ def simplex_map(
 
 def representing_map(space: SimplicialSet, cid: int) -> SimplicialMap:
     return simplex_map(space, space.simplex(cid))
-
-
-# -- structural isomorphism ------------------------------------------------
-
-
-def _refine_signatures(space: SimplicialSet) -> dict[int, int]:
-    """Cell signatures, refined until the partition they induce is stable.
-
-    Each round hashes a cell's signature with its faces' signatures and
-    operators, and with the sorted (signature, face index, operator)
-    triples of its cofaces.  Without the cofaces all vertices would keep
-    one signature, and the search would branch over every assignment of
-    them.
-    """
-    cofaces: dict[int, list[tuple[int, int, Operator]]] = {cid: [] for cid in space.cells}
-    for cid, c in space.cells.items():
-        for i, (t, op) in enumerate(c.faces):
-            cofaces[t].append((cid, i, op))
-    sig = {cid: hash((c.dim,)) for cid, c in space.cells.items()}
-    while True:
-        nxt = {
-            cid: hash((
-                sig[cid],
-                tuple((sig[t], op) for t, op in c.faces),
-                tuple(sorted((sig[u], i, op) for u, i, op in cofaces[cid])),
-            ))
-            for cid, c in space.cells.items()
-        }
-        if len(set(nxt.values())) == len(set(sig.values())):
-            return nxt
-        sig = nxt
-
-
-def find_isomorphism(x: SimplicialSet, y: SimplicialSet) -> dict[int, int] | None:
-    """A dimension- and face-table-preserving cell bijection, if one exists."""
-    if len(x.cells) != len(y.cells):
-        return None
-    sx, sy = _refine_signatures(x), _refine_signatures(y)
-    if Counter(sx.values()) != Counter(sy.values()):
-        return None
-    by_sig: dict[int, list[int]] = {}
-    for cid, s in sy.items():
-        by_sig.setdefault(s, []).append(cid)
-    order = sorted(x.cells, key=lambda c: (x.cells[c].dim, len(by_sig[sx[c]]), c))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def fits(cid: int, tid: int) -> bool:
-        if x.cells[cid].dim != y.cells[tid].dim:
-            return False
-        xf, yf = x.cells[cid].faces, y.cells[tid].faces
-        for (xt, xop), (yt, yop) in zip(xf, yf):
-            if xop != yop:
-                return False
-            if xt in mapping and mapping[xt] != yt:
-                return False
-        return True
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        cid = order[k]
-        for tid in by_sig[sx[cid]]:
-            if tid in used or not fits(cid, tid):
-                continue
-            mapping[cid] = tid
-            used.add(tid)
-            if extend(k + 1):
-                return True
-            del mapping[cid]
-            used.discard(tid)
-        return False
-
-    return mapping if extend(0) else None
-
-
-def is_isomorphic(x: SimplicialSet, y: SimplicialSet) -> bool:
-    return find_isomorphism(x, y) is not None

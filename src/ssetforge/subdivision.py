@@ -19,9 +19,10 @@ degeneracy of the carrier's face at the chain's second-to-last entry, so
 it is computed once per such triple.
 
 A map into the nerve BX is fixed by where it sends vertices, and the
-vertex of Sd X at (x, identity) is the barycentre of x.  So ``b_nat``
-reads each subdivided cell's cached vertex row through the vertex
-labels: the carriers of its chain, in order.
+vertex of Sd X at (x, identity) is the barycentre of x.  So ``b_nat`` is
+built by ``map_into_nerve`` from the vertex labels: each vertex goes to
+its carrier cell, and a subdivided cell to the carriers of its chain, in
+order.
 
 This direct cell structure is not taken on faith: sd_skeletal builds
 the subdivision a second time from the skeleton filtration, attaching a
@@ -44,7 +45,7 @@ from .operators import (
     identity,
     run_collapse,
 )
-from .posets import barratt, barratt_map, face_poset
+from .posets import barratt, barratt_map, face_poset, map_into_nerve
 from .simplicial import (
     Cell,
     Simplex,
@@ -181,20 +182,14 @@ def b_nat(
     """The natural comparison from the subdivision to the nerve of the
     cell poset: a chain of faces goes to the chain of their carriers.
 
-    The carriers are the cell's cached vertex row read through the vertex
-    labels, since vertex v of Sd X is the barycentre of cell
-    ``labels[v][0]``.  No chain entry is evaluated on X."""
+    Vertex v of Sd X is the barycentre of cell ``labels[v][0]``, and a
+    cell's carriers are its vertex row read through those labels.  No
+    chain entry is evaluated on X.  ``barratt_space`` must be a nerve,
+    as ``barratt`` builds it."""
     sds = sd(space) if sd_space is None else sd_space
     bx = barratt(space) if barratt_space is None else barratt_space
-    target_ids = {label: cid for cid, label in bx.labels.items()}
     labels = sds.labels
-    carrier = {v: labels[v][0] for v, cell in sds.cells.items() if not cell.dim}.__getitem__
-    cell_vertices = sds.cell_vertices
-    asg: dict[int, Simplex] = {}
-    for cid in labels:
-        strict, degen = run_collapse(tuple(map(carrier, cell_vertices(cid))))
-        asg[cid] = Simplex(target_ids[strict], degen)
-    return SimplicialMap(sds, bx, asg)
+    return map_into_nerve(sds, bx, lambda v: labels[v][0])
 
 
 def last_vertex(space: SimplicialSet, sd_space: SimplicialSet | None = None) -> SimplicialMap:

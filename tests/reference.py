@@ -37,6 +37,10 @@ closures and of those faces' cells in one pass over the cell table.
 ``reference_is_dwyer`` searches every cosieve containing the image,
 largest first, for one carrying a retraction; ``is_dwyer`` builds the
 only one that can pass.
+``find_isomorphism`` searches for a cell bijection preserving dimensions
+and face tables, by backtracking over cells grouped by refined
+signatures; no verdict of the program runs a search, and the tests use
+it to compare constructions that build no map between them.
 ``reference_zipper``, ``reference_desingularize`` and ``reference_replay``
 run each round on a new congruence over the round before's quotient,
 quotient every round, compose eta, and map move cells back to the input
@@ -45,6 +49,8 @@ congruence over the input and quotients once.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from ssetforge.colimits import (
     Congruence,
@@ -715,3 +721,81 @@ def reference_desingularize(space: SimplicialSet) -> DesingResult:
         rounds += ([MoveRecord(reps[m.cell], m.degree, m.position) for m in b] for b in res.moves)
         eta = compose_maps(eta, res.eta)
     return DesingResult(res.quotient, eta, res.certificate, rounds)
+
+
+# -- structural isomorphism ------------------------------------------------
+
+
+def _refine_signatures(space: SimplicialSet) -> dict[int, int]:
+    """Cell signatures, refined until the partition they induce is stable.
+
+    Each round hashes a cell's signature with its faces' signatures and
+    operators, and with the sorted (signature, face index, operator)
+    triples of its cofaces.  Without the cofaces all vertices would keep
+    one signature, and the search would branch over every assignment of
+    them.
+    """
+    cofaces: dict[int, list[tuple[int, int, Operator]]] = {cid: [] for cid in space.cells}
+    for cid, c in space.cells.items():
+        for i, (t, op) in enumerate(c.faces):
+            cofaces[t].append((cid, i, op))
+    sig = {cid: hash((c.dim,)) for cid, c in space.cells.items()}
+    while True:
+        nxt = {
+            cid: hash((
+                sig[cid],
+                tuple((sig[t], op) for t, op in c.faces),
+                tuple(sorted((sig[u], i, op) for u, i, op in cofaces[cid])),
+            ))
+            for cid, c in space.cells.items()
+        }
+        if len(set(nxt.values())) == len(set(sig.values())):
+            return nxt
+        sig = nxt
+
+
+def find_isomorphism(x: SimplicialSet, y: SimplicialSet) -> dict[int, int] | None:
+    """A dimension- and face-table-preserving cell bijection, if one exists."""
+    if len(x.cells) != len(y.cells):
+        return None
+    sx, sy = _refine_signatures(x), _refine_signatures(y)
+    if Counter(sx.values()) != Counter(sy.values()):
+        return None
+    by_sig: dict[int, list[int]] = {}
+    for cid, s in sy.items():
+        by_sig.setdefault(s, []).append(cid)
+    order = sorted(x.cells, key=lambda c: (x.cells[c].dim, len(by_sig[sx[c]]), c))
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def fits(cid: int, tid: int) -> bool:
+        if x.cells[cid].dim != y.cells[tid].dim:
+            return False
+        xf, yf = x.cells[cid].faces, y.cells[tid].faces
+        for (xt, xop), (yt, yop) in zip(xf, yf):
+            if xop != yop:
+                return False
+            if xt in mapping and mapping[xt] != yt:
+                return False
+        return True
+
+    def extend(k: int) -> bool:
+        if k == len(order):
+            return True
+        cid = order[k]
+        for tid in by_sig[sx[cid]]:
+            if tid in used or not fits(cid, tid):
+                continue
+            mapping[cid] = tid
+            used.add(tid)
+            if extend(k + 1):
+                return True
+            del mapping[cid]
+            used.discard(tid)
+        return False
+
+    return mapping if extend(0) else None
+
+
+def is_isomorphic(x: SimplicialSet, y: SimplicialSet) -> bool:
+    return find_isomorphism(x, y) is not None

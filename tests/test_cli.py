@@ -10,7 +10,7 @@ from ssetforge.corpus import gen_corpus, load_corpus
 from ssetforge.cylinders import cylinder_reduction
 from ssetforge.desingularize import desingularize
 from ssetforge.posets import FinPoset, MonotoneMap
-from ssetforge.simplicial import boundary, is_isomorphic, standard_simplex
+from ssetforge.simplicial import boundary, standard_simplex
 from ssetforge.subdivision import b_nat, sd
 from ssetforge.textio import (
     format_pmap,
@@ -20,6 +20,8 @@ from ssetforge.textio import (
     parse_smap,
     parse_sset,
 )
+
+from reference import is_isomorphic
 
 # triangle with two vertices merged: the zipper stalls with the vertices
 # (0, 1, 0) on its 2-cell; the interval move merges them

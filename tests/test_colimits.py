@@ -24,7 +24,6 @@ from ssetforge.simplicial import (
     boundary,
     generate,
     identity_map,
-    is_isomorphic,
     representing_map,
     simplex_map,
     standard_simplex,
@@ -34,6 +33,7 @@ from ssetforge.textio import format_smap, format_sset
 from reference import (
     SimplexCongruence,
     UnionPushout,
+    is_isomorphic,
     quotient_by_classes,
     reference_regularity_witness,
 )

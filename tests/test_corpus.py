@@ -2,9 +2,11 @@ import hashlib
 
 from ssetforge.colimits import is_regular
 from ssetforge.corpus import SD_CAP, gen_corpus, sd_size, sphere
-from ssetforge.simplicial import boundary, is_isomorphic, standard_simplex
+from ssetforge.simplicial import boundary, standard_simplex
 from ssetforge.subdivision import sd
 from ssetforge.textio import format_sset
+
+from reference import is_isomorphic
 
 # sha256 of the seed-0 corpus as corpus_digest computes it; any change to
 # corpus construction or cell numbering moves it

@@ -39,16 +39,17 @@ from ssetforge.simplicial import (
     SimplicialMap,
     SimplicialSet,
     compose_maps,
-    find_isomorphism,
-    is_isomorphic,
     standard_simplex,
 )
 from ssetforge.subdivision import sd
 from ssetforge.textio import format_pmap, format_smap, format_sset
+from ssetforge.verify import prism_comparison
 
 from reference import (
+    find_isomorphism,
     fresh_cylinder_reduction,
     fresh_representing_sharp,
+    is_isomorphic,
     prism_row,
     product_cylinder_reduction,
 )
@@ -77,6 +78,17 @@ def test_identity_cylinder_is_the_prism():
     assert is_isomorphic(bundle.space, prism)
     assert is_isomorphic(bundle.reduced, nerve(product_poset(p, chain_poset(1))))
     assert bundle.reduction.is_isomorphism()
+
+
+def test_prism_comparison_is_an_isomorphism():
+    # the lemma suite's prism-nerve cases read NP x Delta[1] = N(P x [1])
+    # off the map built from vertices; the search agrees on every poset
+    posets = all_posets(4)
+    assert len(posets) == 25
+    for p in posets:
+        f = prism_comparison(p)
+        assert f.is_isomorphism()
+        assert is_isomorphic(f.source, f.target)
 
 
 def test_cylinder_legs_glue_correctly():

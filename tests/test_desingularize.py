@@ -35,7 +35,6 @@ from ssetforge.simplicial import (
     SimplicialSet,
     boundary,
     identity_map,
-    is_isomorphic,
     representing_map,
     simplex_map,
     standard_simplex,
@@ -46,6 +45,7 @@ from ssetforge.verify import _small_quotients
 
 from reference import (
     SimplexCongruence,
+    is_isomorphic,
     quotient_by_classes,
     reference_desingularize,
     reference_replay,

@@ -25,10 +25,8 @@ from ssetforge.simplicial import (
     SimplicialSet,
     boundary,
     compose_maps,
-    find_isomorphism,
     generate,
     identity_map,
-    is_isomorphic,
     representing_map,
     simplex_map,
     standard_simplex,
@@ -48,7 +46,7 @@ from ssetforge.posets import (
     singleton_poset,
 )
 
-from reference import injective_by_simplices
+from reference import find_isomorphism, injective_by_simplices, is_isomorphic
 
 
 def circle() -> SimplicialSet:

@@ -19,7 +19,6 @@ from ssetforge.simplicial import (
     SimplicialSet,
     boundary,
     compose_maps,
-    is_isomorphic,
     representing_map,
     simplex_map,
     standard_simplex,
@@ -28,7 +27,7 @@ from ssetforge.subdivision import b_nat, chains_to_top, last_vertex, sd, sd_map,
 from ssetforge.textio import format_smap, format_sset
 from ssetforge.verify import _small_quotients
 
-from reference import carrier_b_nat, reference_sd
+from reference import carrier_b_nat, is_isomorphic, reference_sd
 
 # sha256 of format_sset(sd(x)) then format_smap(b_nat(x)), over the seed-0
 # members x with sd_size(x) <= SD_CAP in corpus order, recorded on the
