@@ -140,9 +140,6 @@ class Congruence:
             got = self._resolve(s[0])
         return _simplex((got[0], compose(s[1], got[1])))
 
-    def together(self, s: Simplex, t: Simplex) -> bool:
-        return self.find(s) == self.find(t)
-
     def merge(self, s: Simplex, t: Simplex) -> None:
         """Merge two simplices of equal degree and close under all operators.
 

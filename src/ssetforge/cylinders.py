@@ -41,7 +41,6 @@ from itertools import combinations
 
 from .colimits import PushoutResult, pushout
 from .desingularize import DesingResult, desingularized_comparison
-from .operators import identity
 from .posets import (
     FinPoset,
     MonotoneMap,
@@ -55,7 +54,6 @@ from .posets import (
     poset_pushout,
     product_poset,
     sharp,
-    singleton_poset,
 )
 from .simplicial import (
     Simplex,
@@ -246,47 +244,3 @@ def pushout_comparison(
     comp = po.mediator(nerve_map(v.leg_ambient, nq, nv), other)
     return po, v, comp, other
 
-
-# -- cones --------------------------------------------------------------------
-
-
-def as_poset_nerve(space: SimplicialSet) -> tuple[FinPoset, SimplicialMap]:
-    """Recover P with N(P) isomorphic to the input, or raise ValueError.
-
-    Vertices become elements, edges the order relation; the input is a
-    poset nerve exactly when cells correspond bijectively to nonempty
-    chains through their vertex rows.
-    """
-    if not space.is_nonsingular():
-        raise ValueError("a cell with repeated vertices is no nerve cell")
-    edges = [space.cell_vertices(c) for c in space.cell_ids(1)]
-    try:
-        p = FinPoset(space.cell_ids(0), edges, close=True)
-    except ValueError as exc:
-        raise ValueError("edge relation is not antisymmetric") from exc
-    rows: dict[tuple, int] = {}
-    for cid in space.cells:
-        row = space.cell_vertices(cid)
-        if row in rows:
-            raise ValueError("two cells share a vertex row")
-        rows[row] = cid
-    n = nerve(p)
-    if len(rows) != len(n.cells):
-        raise ValueError("cells and chains do not match up")
-    asg = {}
-    for cid, chain in n.labels.items():
-        if chain not in rows:
-            raise ValueError(f"no cell realizes the chain {chain}")
-        asg[cid] = Simplex(rows[chain], identity(len(chain) - 1))
-    iso = SimplicialMap(n, space, asg)
-    if not iso.is_isomorphism():
-        raise ValueError("chain correspondence is not an isomorphism")
-    return p, iso
-
-
-def cone(space: SimplicialSet) -> SimplicialSet:
-    """Glue an apex above a poset nerve: the cylinder of the terminal map."""
-    p, _ = as_poset_nerve(space)
-    apex = singleton_poset("apex")
-    terminal = MonotoneMap(p, apex, {e: "apex" for e in p.elements})
-    return cylinder_reduction(terminal).space

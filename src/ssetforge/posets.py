@@ -175,18 +175,11 @@ class MonotoneMap:
     def __call__(self, e: Hashable) -> Hashable:
         return self.mapping[e]
 
-    def is_injective(self) -> bool:
-        return len(set(self.mapping.values())) == len(self.mapping)
-
     @cached_property
     def dwyer(self) -> DwyerWitness | None:
         """``is_dwyer(self)``, decided once per map: a map shared by many
         pushouts, such as a cylinder's level-0 end, is checked once."""
         return is_dwyer(self)
-
-
-def identity_monotone(p: FinPoset) -> MonotoneMap:
-    return MonotoneMap(p, p, {e: e for e in p.elements}, check=False)
 
 
 def compose_monotone(first: MonotoneMap, second: MonotoneMap) -> MonotoneMap:

@@ -24,10 +24,11 @@ built by ``map_into_nerve`` from the vertex labels: each vertex goes to
 its carrier cell, and a subdivided cell to the carriers of its chain, in
 order.
 
-This direct cell structure is not taken on faith: sd_skeletal builds
-the subdivision a second time from the skeleton filtration, attaching a
-subdivided standard simplex along its subdivided boundary for every
-cell, and the two constructions are compared up to isomorphism.
+This direct cell structure is not taken on faith: ``sd_skeletal`` in
+``tests/reference.py`` builds the subdivision a second time from the
+skeleton filtration, attaching a subdivided standard simplex along its
+subdivided boundary for every cell, and the tests compare the two
+constructions up to isomorphism.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .colimits import pushout
 from .desingularize import desingularized_comparison
 from .operators import (
     Operator,
@@ -45,15 +45,8 @@ from .operators import (
     identity,
     run_collapse,
 )
-from .posets import barratt, barratt_map, face_poset, map_into_nerve
-from .simplicial import (
-    Cell,
-    Simplex,
-    SimplicialMap,
-    SimplicialSet,
-    generate,
-    standard_simplex,
-)
+from .posets import barratt, face_poset, map_into_nerve
+from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet
 
 
 @lru_cache(maxsize=None)
@@ -208,67 +201,3 @@ def t_nat(space: SimplicialSet) -> SimplicialMap:
     of the cell poset, i.e. b factored through the desingularization."""
     return desingularized_comparison(b_nat(space))[0]
 
-
-def _copies(base: SimplicialSet, count: int) -> SimplicialSet:
-    off = len(base.cells)
-    cells: dict[int, Cell] = {}
-    for j in range(count):
-        for cid, c in base.cells.items():
-            cells[j * off + cid] = Cell(
-                c.dim, tuple((j * off + t, op) for t, op in c.faces)
-            )
-    return SimplicialSet(cells)
-
-
-def sd_skeletal(space: SimplicialSet) -> SimplicialSet:
-    """Independent construction of the subdivision along the skeleton
-    filtration: pushout of the subdivided standard simplex against the
-    subdivided boundary, one attachment per cell.  Standard simplices
-    and their boundaries are subdivided as nerves of their cell posets."""
-    verts = sorted(space.cell_ids(0))
-    cur = SimplicialSet({i: Cell(0, ()) for i in range(len(verts))})
-    phi: dict[tuple[int, tuple[Operator, ...]], Simplex] = {
-        (v, (identity(0),)): Simplex(i, identity(0)) for i, v in enumerate(verts)
-    }
-    for n in range(1, space.dim + 1):
-        ncells = sorted(space.cell_ids(n))
-        if not ncells:
-            continue
-        delta = standard_simplex(n)
-        top = max(delta.cells)
-        bnd, incl = generate(delta, [c for c in delta.cells if c != top])
-        bdelta = barratt(delta)
-        bbnd = barratt(bnd)
-        bincl = barratt_map(incl, bbnd, bdelta)
-
-        amalgam = _copies(bbnd, len(ncells))
-        offb, offd = len(bbnd.cells), len(bdelta.cells)
-        f_asg: dict[int, Simplex] = {}
-        g_asg: dict[int, Simplex] = {}
-        for j, x in enumerate(ncells):
-            gen = space.simplex(x)
-            for cid, chain in bbnd.labels.items():
-                mus = [bnd.labels[c] for c in chain]
-                nu = mus[-1]
-                zs = space.eval(gen, nu)
-                pushed = tuple(
-                    ez_factor(compose(face_restriction(nu, mu), zs.degen))[0]
-                    for mu in mus
-                )
-                strict, s = run_collapse(pushed)
-                base = phi[(zs.cell, strict)]
-                f_asg[j * offb + cid] = Simplex(base.cell, compose(s, base.degen))
-                img = bincl.assignment[cid]
-                g_asg[j * offb + cid] = Simplex(j * offd + img.cell, img.degen)
-        flat = _copies(bdelta, len(ncells))
-        po = pushout(
-            SimplicialMap(amalgam, cur, f_asg),
-            SimplicialMap(amalgam, flat, g_asg),
-        )
-        phi = {key: po.left.apply(s) for key, s in phi.items()}
-        for j, x in enumerate(ncells):
-            for cid, chain in bdelta.labels.items():
-                key = (x, tuple(delta.labels[c] for c in chain))
-                phi[key] = po.right.apply(flat.simplex(j * offd + cid))
-        cur = po.space
-    return cur

@@ -534,7 +534,10 @@ def verify_lemma_suite(corpus: Corpus) -> Report:
     ]:
         report.add(f"prism-nerve/{name}", prism_comparison(p).is_isomorphism())
 
-    # last-face embeddings really are Dwyer maps, and their pushouts are posets
+    # on each last-face embedding: it is a Dwyer map and its pushouts are
+    # posets; extending a pushout from the cosieve to the whole target is
+    # cocartesian; if the cosieve-level comparison is an isomorphism, so is
+    # the full one
     for name, i0, k, phi in _dwyer_triples():
         ok = k.dwyer is not None
         if ok:
@@ -544,13 +547,7 @@ def verify_lemma_suite(corpus: Corpus) -> Report:
             except ValueError:
                 ok = False
         report.add(f"dwyer-pushout-poset/{name}", ok)
-
-    # extending a pushout from the cosieve to the whole target is cocartesian
-    for name, i0, k, phi in _dwyer_triples():
         report.add(f"cosieve-extension/{name}", _cosieve_extension_square(k, phi))
-
-    # if the cosieve-level comparison is an isomorphism, so is the full one
-    for name, i0, k, phi in _dwyer_triples():
         _, _, comp_w, _ = pushout_comparison(i0, phi)
         gw, _ = desingularized_comparison(comp_w)
         _, _, comp_q, _ = pushout_comparison(k, phi)

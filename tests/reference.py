@@ -37,6 +37,10 @@ closures and of those faces' cells in one pass over the cell table.
 ``reference_is_dwyer`` searches every cosieve containing the image,
 largest first, for one carrying a retraction; ``is_dwyer`` builds the
 only one that can pass.
+``sd_skeletal`` builds the subdivision from the skeleton filtration,
+one pushout per dimension attaching a subdivided standard simplex along
+its subdivided boundary for every cell; ``sd`` numbers the cells
+directly.
 ``find_isomorphism`` searches for a cell bijection preserving dimensions
 and face tables, by backtracking over cells grouped by refined
 signatures; no verdict of the program runs a search, and the tests use
@@ -91,6 +95,7 @@ from ssetforge.posets import (
     FinPoset,
     MonotoneMap,
     barratt,
+    barratt_map,
     chain_poset,
     compose_monotone,
     cylinder_end,
@@ -721,6 +726,74 @@ def reference_desingularize(space: SimplicialSet) -> DesingResult:
         rounds += ([MoveRecord(reps[m.cell], m.degree, m.position) for m in b] for b in res.moves)
         eta = compose_maps(eta, res.eta)
     return DesingResult(res.quotient, eta, res.certificate, rounds)
+
+
+# -- skeletal subdivision --------------------------------------------------
+
+
+def _copies(base: SimplicialSet, count: int) -> SimplicialSet:
+    off = len(base.cells)
+    cells: dict[int, Cell] = {}
+    for j in range(count):
+        for cid, c in base.cells.items():
+            cells[j * off + cid] = Cell(
+                c.dim, tuple((j * off + t, op) for t, op in c.faces)
+            )
+    return SimplicialSet(cells)
+
+
+def sd_skeletal(space: SimplicialSet) -> SimplicialSet:
+    """Independent construction of the subdivision along the skeleton
+    filtration: pushout of the subdivided standard simplex against the
+    subdivided boundary, one attachment per cell.  Standard simplices
+    and their boundaries are subdivided as nerves of their cell posets."""
+    verts = sorted(space.cell_ids(0))
+    cur = SimplicialSet({i: Cell(0, ()) for i in range(len(verts))})
+    phi: dict[tuple[int, tuple[Operator, ...]], Simplex] = {
+        (v, (identity(0),)): Simplex(i, identity(0)) for i, v in enumerate(verts)
+    }
+    for n in range(1, space.dim + 1):
+        ncells = sorted(space.cell_ids(n))
+        if not ncells:
+            continue
+        delta = standard_simplex(n)
+        top = max(delta.cells)
+        bnd, incl = generate(delta, [c for c in delta.cells if c != top])
+        bdelta = barratt(delta)
+        bbnd = barratt(bnd)
+        bincl = barratt_map(incl, bbnd, bdelta)
+
+        amalgam = _copies(bbnd, len(ncells))
+        offb, offd = len(bbnd.cells), len(bdelta.cells)
+        f_asg: dict[int, Simplex] = {}
+        g_asg: dict[int, Simplex] = {}
+        for j, x in enumerate(ncells):
+            gen = space.simplex(x)
+            for cid, chain in bbnd.labels.items():
+                mus = [bnd.labels[c] for c in chain]
+                nu = mus[-1]
+                zs = space.eval(gen, nu)
+                pushed = tuple(
+                    ez_factor(compose(face_restriction(nu, mu), zs.degen))[0]
+                    for mu in mus
+                )
+                strict, s = run_collapse(pushed)
+                base = phi[(zs.cell, strict)]
+                f_asg[j * offb + cid] = Simplex(base.cell, compose(s, base.degen))
+                img = bincl.assignment[cid]
+                g_asg[j * offb + cid] = Simplex(j * offd + img.cell, img.degen)
+        flat = _copies(bdelta, len(ncells))
+        po = pushout(
+            SimplicialMap(amalgam, cur, f_asg),
+            SimplicialMap(amalgam, flat, g_asg),
+        )
+        phi = {key: po.left.apply(s) for key, s in phi.items()}
+        for j, x in enumerate(ncells):
+            for cid, chain in bdelta.labels.items():
+                key = (x, tuple(delta.labels[c] for c in chain))
+                phi[key] = po.right.apply(flat.simplex(j * offd + cid))
+        cur = po.space
+    return cur
 
 
 # -- structural isomorphism ------------------------------------------------

@@ -70,7 +70,7 @@ def test_vertex_merge():
     x = standard_simplex(1)
     cong = Congruence(x)
     cong.merge(x.simplex(0), x.simplex(1))
-    assert cong.together(x.simplex(0), x.simplex(1))
+    assert cong.find(x.simplex(0)) == cong.find(x.simplex(1))
 
 
 def test_quotient_interval_ends():
@@ -407,12 +407,12 @@ def _same_congruence(fast, ref):
     """The table and the union-find reference hold the same relation."""
     assert fast.normal_forms() == ref.normal_forms()
     assert fast.canonical() == ref.canonical()
-    # together on every pair of simplices of one degree: each reference
-    # class lies in one class of fast, and no two reference classes do
+    # each reference class lies in one class of fast, and no two
+    # reference classes do
     keys = set()
     for members in ref.classes().values():
         first = members[0]
-        assert all(fast.together(first, m) for m in members[1:])
+        assert all(fast.find(first) == fast.find(m) for m in members[1:])
         keys.add(fast.find(first))
     assert len(keys) == len(ref.classes())
 

@@ -5,8 +5,6 @@ import pytest
 from ssetforge.colimits import collapse_subcomplex, is_regular, product
 from ssetforge.corpus import gen_corpus
 from ssetforge.cylinders import (
-    as_poset_nerve,
-    cone,
     cylinder_reduction,
     dcr,
     embedded_sibling_pairs,
@@ -25,7 +23,6 @@ from ssetforge.posets import (
     compose_monotone,
     cylinder_end,
     face_poset,
-    identity_monotone,
     is_dwyer,
     nerve,
     nerve_map,
@@ -73,7 +70,7 @@ def terminal_map(p):
 
 def test_identity_cylinder_is_the_prism():
     p = chain_poset(1)
-    bundle = cylinder_reduction(identity_monotone(p))
+    bundle = cylinder_reduction(MonotoneMap(p, p, {e: e for e in p.elements}))
     prism = product(nerve(p), standard_simplex(1)).space
     assert is_isomorphic(bundle.space, prism)
     assert is_isomorphic(bundle.reduced, nerve(product_poset(p, chain_poset(1))))
@@ -156,7 +153,9 @@ def test_collapsed_interval_dcr_fails_in_positive_degrees():
 
 
 def test_sibling_criterion_matches_injectivity():
-    for phi in (wedge_to_chain(), circle_sharp(), identity_monotone(chain_poset(2))):
+    chain = chain_poset(2)
+    identity = MonotoneMap(chain, chain, {e: e for e in chain.elements})
+    for phi in (wedge_to_chain(), circle_sharp(), identity):
         bundle = cylinder_reduction(phi)
         g, res = dcr(phi, bundle=bundle)
         for q in range(1, bundle.space.dim + 1):
@@ -190,29 +189,39 @@ def test_sibling_pairs_match_quadratic_scan(corpus):
     assert found > 0
 
 
+# The cone over N(P) is the cylinder of the terminal map P -> *.
+
+
 def test_cone_of_point_is_an_interval():
-    assert is_isomorphic(cone(standard_simplex(0)), standard_simplex(1))
+    cone = cylinder_reduction(terminal_map(singleton_poset())).space
+    assert is_isomorphic(cone, standard_simplex(1))
 
 
 def test_cone_raises_dimension_by_one():
     for n in range(3):
-        assert cone(standard_simplex(n)).dim == n + 1
+        assert cylinder_reduction(terminal_map(chain_poset(n))).space.dim == n + 1
 
 
 def test_cone_rejects_non_nerves():
+    # the cone's leg into the apex accepts only the nerve of P itself
+    phi = terminal_map(singleton_poset())
     two_gon = sd(collapse_subcomplex(standard_simplex(1), [0, 1]).space)
     with pytest.raises(ValueError):
-        cone(two_gon)
+        nerve_map(phi, two_gon)
     delta1 = standard_simplex(1)
     with pytest.raises(ValueError):
-        cone(collapse_subcomplex(delta1, [0, 1]).space)
+        nerve_map(phi, collapse_subcomplex(delta1, [0, 1]).space)
 
 
-def test_as_poset_nerve_round_trip():
+def test_reduced_cone_is_the_nerve_of_the_poset_cone():
     p = FinPoset("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
-    q, iso = as_poset_nerve(nerve(p))
-    assert iso.is_isomorphism()
-    assert len(q) == 4 and len(q.strict_pairs()) == len(p.strict_pairs())
+    bundle = cylinder_reduction(terminal_map(p))
+    q = bundle.reduced.poset
+    assert is_isomorphic(bundle.reduced, nerve(q))
+    # P plus one apex, comparable with each element of P
+    assert len(q) == 5 and len(q.strict_pairs()) == len(p.strict_pairs()) + 4
+    apex = bundle.poset.leg_other.mapping["apex"]
+    assert all(q.leq(apex, e) or q.leq(e, apex) for e in q.elements)
 
 
 def test_desingularized_cone_is_the_reduced_cone():
@@ -223,8 +232,8 @@ def test_desingularized_cone_is_the_reduced_cone():
         bundle = cylinder_reduction(phi)
         g, res = dcr(phi, bundle=bundle)
         assert g.is_isomorphism()
-        # same statement through the cone of the nerve
-        out = desingularize(cone(nerve(p)))
+        # the same statement on the cone itself
+        out = desingularize(bundle.space)
         assert out.certificate is not Certificate.UNCERTIFIED
         assert is_isomorphic(out.quotient, bundle.reduced)
 
@@ -270,7 +279,7 @@ def test_dwyer_factorization_implication():
     k = compose_monotone(i0, psi(n))
     assert is_dwyer(k) is not None
     targets = [
-        identity_monotone(p),
+        MonotoneMap(p, p, {e: e for e in p.elements}),
         MonotoneMap(p, chain_poset(1), {e: (0 if len(e.values) == 1 else 1) for e in p.elements}),
     ]
     for phi in targets:

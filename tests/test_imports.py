@@ -2,9 +2,9 @@
 
 A standard-library check over ``src/ssetforge/*.py`` and ``tests/*.py``
 with ``ast``: an import binds names, and each must be read somewhere in
-the same file, as a name or inside a quoted annotation.  The package's
-``__init__`` only re-exports, so it is exempt.  Nothing it re-exports
-may shadow a submodule of the same name.
+the same file, as a name or inside a quoted annotation.  The package
+namespace holds only its submodules: every name is imported from the
+submodule that defines it.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ def test_no_unused_imports():
     hits = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in files
-        if path != PACKAGE / "__init__.py"
         for line, name in unused_imports(path.read_text())
     ]
     assert hits == []
@@ -78,9 +77,16 @@ def test_no_unused_imports():
 
 def test_no_export_shadows_a_submodule():
     # ``import ssetforge.x as m`` binds the attribute ``ssetforge.x``, so a
-    # re-exported name equal to a submodule's would bind that name instead
+    # re-exported name equal to a submodule's would bind that name instead;
+    # with no re-exports, every public attribute of the package is a module
     names = [info.name for info in pkgutil.iter_modules(ssetforge.__path__)]
     assert "desingularize" in names
     for name in names:
         importlib.import_module(f"ssetforge.{name}")
         assert isinstance(getattr(ssetforge, name), types.ModuleType), name
+    exported = [
+        name
+        for name, value in vars(ssetforge).items()
+        if not name.startswith("__") and not isinstance(value, types.ModuleType)
+    ]
+    assert exported == []

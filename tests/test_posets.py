@@ -295,13 +295,13 @@ def test_sharp_map_of_nondegenerate_image():
     d2 = standard_simplex(2)
     f = simplex_map(d2, d2.simplex(6))
     m = sharp_map(f)
-    assert m.is_injective()
+    assert len(set(m.mapping.values())) == len(m.mapping)
     assert m(6) == 6
 
 
 def test_psi_image_nerve():
     k = psi(2)
-    assert k.is_injective()
+    assert len(set(k.mapping.values())) == len(k.mapping)
     img = [k(e) for e in k.source.elements]
     assert is_cosieve(k.target, img) and not is_sieve(k.target, img)
     missing = [e for e in k.target.elements if e not in img]

