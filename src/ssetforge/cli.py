@@ -1,8 +1,8 @@
 """The forge command line tool.
 
-Spaces travel as .sset files, simplicial maps as .smap, posets as
-.poset, and monotone maps as .pmap; all four are the plain text formats
-of textio.  Verification commands print a report tree and exit nonzero
+Spaces travel as .sset files, simplicial maps as .smap, and monotone
+maps as .pmap, with their source and target posets inside; these are
+plain text formats of textio.  Verification commands print a report tree and exit nonzero
 on failures, so the tool works in shell pipelines and CI jobs alike.
 
 Inputs are read as UTF-8.  Outputs are overwritten in place

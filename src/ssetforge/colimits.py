@@ -20,16 +20,16 @@ cells in (dimension, id) order, and the simplices of X are never
 enumerated.
 
 Pushouts are attached, not quotiented.  Every pushout the program
-builds has a degreewise injective leg, say f: A -> X: a skeletal
-attachment of a subdivided simplex along its subdivided boundary, or a
-cylinder's prism glued on along its end.  By Eilenberg-Zilber, f is
-injective exactly when it sends the cells of A to distinct cells (which
-is how ``SimplicialMap.is_degreewise_injective`` decides it), and then
-the non-degenerate simplices of X u_A Y are those of Y together with
-the cells of X outside f(A); a cell f(a) of X becomes g(a).  So the
-cell table of the pushout, both legs and the mediator are written
-directly, with no disjoint union, congruence or quotient.  The same
-holds with the legs swapped when only g is injective.
+builds has a degreewise injective first leg f: A -> X, the nerve of a
+Dwyer embedding or of a full subposet's inclusion, or an edge of a
+triangle.  By Eilenberg-Zilber, f is injective exactly when it sends
+the cells of A to distinct cells (which is how
+``SimplicialMap.is_degreewise_injective`` decides it), and then the
+non-degenerate simplices of X u_A Y are those of Y together with the
+cells of X outside f(A); a cell f(a) of X becomes g(a).  So the cell
+table of the pushout and both legs are written directly, with no
+disjoint union, congruence or quotient.  Every map out of a quotient or
+a pushout is built by ``factor_through``.
 
 Regularity is decided in one bottom-up pass over the cell table,
 without building a pushout.  For a d-cell y with Z the subcomplex
@@ -236,7 +236,6 @@ def kernel_congruence(f: SimplicialMap) -> Congruence:
 class QuotientResult:
     space: SimplicialSet
     projection: SimplicialMap
-    cell_members: dict[int, tuple[int, ...]]
 
 
 def quotient(space: SimplicialSet, cong: Congruence) -> QuotientResult:
@@ -272,7 +271,7 @@ def quotient(space: SimplicialSet, cong: Congruence) -> QuotientResult:
             for cid in space.cells
         },
     )
-    return QuotientResult(qspace, projection, dict(labels))
+    return QuotientResult(qspace, projection)
 
 
 def disjoint_union(
@@ -295,34 +294,25 @@ def disjoint_union(
 class PushoutResult:
     """Pushout Z of f: A -> X along g: A -> Y, with its universal property.
 
-    One leg must be degreewise injective, and Z is attached along it (along
-    f when both are): the cells of the other leg's target, then the cells
-    of the injective leg's target that A does not hit.  Those are the
-    classes of X u Y under f(a) ~ g(a) with no degenerate member, and they
-    are numbered as ``quotient`` numbers classes: by their first members
-    in (dimension, union id) order, with the ids ``disjoint_union`` gives,
-    X's first.  ``cell_members`` lists each cell's members in that order,
-    and ``_inv`` sends a union id back to its side and cell.  Z, both legs
-    and every mediator are validated.
+    f must be degreewise injective, and Z is attached along it: the cells
+    of Y, then the cells of X that A does not hit.  Those are the classes
+    of X u Y under f(a) ~ g(a) with no degenerate member, and they are
+    numbered as ``quotient`` numbers classes: by their first members in
+    (dimension, union id) order, with the ids ``disjoint_union`` gives,
+    X's first.  Each cell's label lists its members in that order.  Z,
+    both legs and every mediator are validated.
     """
 
     def __init__(self, f: SimplicialMap, g: SimplicialMap):
         if f.source is not g.source and not f.source.same_presentation(g.source):
             raise ValueError("pushout legs must share their source")
-        if f.is_degreewise_injective():
-            attached, inj, other = "x", f, g
-        elif g.is_degreewise_injective():
-            attached, inj, other = "y", g, f
-        else:
-            raise ValueError("pushout needs a degreewise injective leg")
-        self._f, self._g = f, g
+        if not f.is_degreewise_injective():
+            raise ValueError("pushout needs a degreewise injective first leg")
         spaces = {"x": f.target, "y": g.target}
-        base = "y" if attached == "x" else "x"
-        # each cell of the attached side hit by A, with the simplex it is glued to
-        glued = {inj.assignment[a].cell: other.assignment[a] for a in inj.source.cells}
+        # each cell of X hit by A, with the simplex of Y it is glued to
+        glued = {f.assignment[a].cell: g.assignment[a] for a in f.source.cells}
         union = [("x", c) for c in sorted(f.target.cells)]
         union += [("y", c) for c in sorted(g.target.cells)]
-        self._inv = dict(enumerate(union))
 
         # A union cell is a member of its own class, except that a cell
         # A hits is a member of the class of the cell it is glued to, and
@@ -331,11 +321,11 @@ class PushoutResult:
         dims = [spaces[side].cells[c].dim for side, c in union]
         for u in sorted(range(len(union)), key=dims.__getitem__):
             side, c = key = union[u]
-            if side == attached and c in glued:
+            if side == "x" and c in glued:
                 s = glued[c]
                 if not s.degen.is_identity:
                     continue
-                key = (base, s.cell)
+                key = ("y", s.cell)
             members.setdefault(key, []).append(u)
         new_id = {key: i for i, key in enumerate(members)}
 
@@ -343,11 +333,11 @@ class PushoutResult:
         for side, space in spaces.items():
             legs[side] = asg = {}
             for c, cell in space.cells.items():
-                s = glued.get(c) if side == attached else None
+                s = glued.get(c) if side == "x" else None
                 if s is None:
                     asg[c] = _simplex((new_id[(side, c)], identity(cell.dim)))
                 else:
-                    asg[c] = _simplex((new_id[(base, s.cell)], s.degen))
+                    asg[c] = _simplex((new_id[("y", s.cell)], s.degen))
         cells: dict[int, Cell] = {}
         for (side, c), n in new_id.items():
             cell, asg = spaces[side].cells[c], legs[side]
@@ -357,37 +347,53 @@ class PushoutResult:
             )
         labels = {new_id[key]: tuple(group) for key, group in members.items()}
         self.space = SimplicialSet(cells, labels)
-        self.cell_members = labels
         self.left = SimplicialMap(f.target, self.space, legs["x"])
         self.right = SimplicialMap(g.target, self.space, legs["y"])
 
     def mediator(self, u: SimplicialMap, v: SimplicialMap) -> SimplicialMap:
-        """The unique map out of the pushout restricting to u and v."""
-        if u.target is not v.target:
-            raise ValueError("mediator targets differ")
-        for aid in self._f.source.cells:
-            a = self._f.source.simplex(aid)
-            if u.apply(self._f.apply(a)) != v.apply(self._g.apply(a)):
-                raise ValueError(f"maps do not agree on cell {aid} of the gluing source")
-        asg: dict[int, Simplex] = {}
-        for pid, members in self.cell_members.items():
-            values = set()
-            for zc in members:
-                side, orig = self._inv[zc]
-                values.add(u.assignment[orig] if side == "x" else v.assignment[orig])
-            if len(values) != 1:
-                raise RuntimeError(f"mediator ill-defined on quotient cell {pid}")
-            asg[pid] = values.pop()
-        return SimplicialMap(self.space, u.target, asg)
+        """The unique map out of the pushout restricting to u and v.  With
+        Y's leg first, the cells checked are those of X that A hits."""
+        return factor_through([self.right, self.left], [v, u])
 
 
 def pushout(f: SimplicialMap, g: SimplicialMap) -> PushoutResult:
-    """The pushout of a span with a degreewise injective leg.
+    """The pushout of a span whose first leg is degreewise injective.
 
-    Raises ValueError when neither leg is injective; the quotient of the
-    disjoint union would define that pushout too, and no caller builds one.
+    Raises ValueError when it is not; the quotient of the disjoint union
+    would define that pushout too, and no caller builds one.
     """
     return PushoutResult(f, g)
+
+
+def factor_through(legs: list[SimplicialMap], maps: list[SimplicialMap]) -> SimplicialMap:
+    """The unique h with h . leg = map for every leg and its map, out of
+    the legs' common target, each of whose cells a leg hits.
+
+    A target cell goes where its first preimage goes: the first cell,
+    legs in order and each in (dimension, id) order, sent onto it.  Every
+    other cell is checked before h is built, so a pair that does not
+    factor raises a ValueError naming its first bad cell; h is validated.
+    """
+    target = maps[0].target
+    if any(m.target is not target for m in maps):
+        raise ValueError("maps to factor have different targets")
+    first: dict[int, tuple[int, int]] = {}
+    for k, leg in enumerate(legs):
+        for x in leg.source.cell_order():
+            s = leg.assignment[x]
+            if s.degen.is_identity and s.cell not in first:
+                first[s.cell] = (k, x)
+    space = legs[0].target
+    if len(first) != len(space.cells):
+        raise ValueError("the legs do not hit every cell")
+    out = {u: maps[first[u][0]].assignment[first[u][1]] for u in space.cells}
+    for k, (leg, m) in enumerate(zip(legs, maps)):
+        for x, s in leg.assignment.items():
+            if s.degen.is_identity and first[s.cell] == (k, x):
+                continue
+            if target.eval(out[s.cell], s.degen) != m.assignment[x]:
+                raise ValueError(f"map does not factor at cell {x} of leg {k}")
+    return SimplicialMap(space, target, out)
 
 
 @dataclass

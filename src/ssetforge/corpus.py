@@ -125,17 +125,20 @@ def save_corpus(corpus: Corpus, directory) -> None:
 def _parse_manifest(text: str) -> tuple[int, list[tuple[int, list[str]]]]:
     """The seed and the member rows (name, provenance, flag, file) of a
     manifest, each with its line number; a malformed line, or a second
-    line naming a member, is a ParseError naming it."""
-    seed = 0
+    seed line or line naming a member, is a ParseError naming it."""
+    seed = None
     members: list[tuple[int, list[str]]] = []
     names: set[str] = set()
     for number, tokens in _rows(text):
         keyword = tokens[0]
         if keyword == "seed" and len(tokens) == 2:
             try:
-                seed = int(tokens[1])
+                value = int(tokens[1])
             except ValueError:
                 raise ParseError(f"expected an integer seed, got {tokens[1]!r}", number) from None
+            if seed is not None:
+                raise ParseError("seed declared twice", number)
+            seed = value
         elif keyword == "member" and len(tokens) == 5:
             if tokens[3] not in ("regular", "singular"):
                 raise ParseError(
@@ -151,7 +154,7 @@ def _parse_manifest(text: str) -> tuple[int, list[tuple[int, list[str]]]]:
             raise ParseError("a member line needs a name, a provenance, a flag and a file", number)
         else:
             raise ParseError(f"unknown manifest line {' '.join(tokens)!r}", number)
-    return seed, members
+    return seed or 0, members
 
 
 def load_corpus(directory) -> Corpus:

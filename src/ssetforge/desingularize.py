@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 
-from .colimits import Congruence, quotient
+from .colimits import Congruence, factor_through, quotient
 from .operators import Operator, all_degeneracies
 from .simplicial import Simplex, SimplicialMap, SimplicialSet, identity_map
 
@@ -89,16 +89,6 @@ class DesingResult:
 def _dup_operator(q: int, p: int) -> Operator:
     """The zipper's move on [q]: p goes to p+1, the rest stay; built once per (q, p)."""
     return Operator(q, tuple(p + 1 if j == p else j for j in range(q + 1)))
-
-
-def _first_preimages(eta: SimplicialMap) -> dict[int, int]:
-    """The first source cell, in id order, that eta sends onto each cell it hits."""
-    reps: dict[int, int] = {}
-    for x in sorted(eta.source.cells):
-        s = eta.assignment[x]
-        if s.degen.is_identity and s.cell not in reps:
-            reps[s.cell] = x
-    return reps
 
 
 def _intervals(vs: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -300,15 +290,7 @@ def factor_through_quotient(eta: SimplicialMap, g: SimplicialMap) -> SimplicialM
         s.cell == c and s.degen.is_identity for c, s in eta.assignment.items()
     ):
         return g
-    reps = _first_preimages(eta)
-    if len(reps) != len(eta.target.cells):
-        raise ValueError("projection does not hit every cell")
-    asg = {u: g.assignment[reps[u]] for u in eta.target.cells}
-    h = SimplicialMap(eta.target, g.target, asg)
-    for x in eta.source.cells:
-        if h.apply(eta.assignment[x]) != g.assignment[x]:
-            raise ValueError(f"map does not factor through the quotient at cell {x}")
-    return h
+    return factor_through([eta], [g])
 
 
 def desingularized_comparison(comp: SimplicialMap) -> tuple[SimplicialMap, DesingResult]:

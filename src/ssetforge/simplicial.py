@@ -353,21 +353,6 @@ class SimplicialMap:
         cells = {s.cell for s in self.assignment.values() if s.degen.is_identity}
         return len(cells) == len(self.assignment)
 
-    def is_degreewise_surjective(self) -> bool:
-        # enough to hit every cell of the target in its own degree
-        hit: dict[int, set[Simplex]] = {}
-        for tid, tcell in self.target.cells.items():
-            hit.setdefault(tcell.dim, set()).add(Simplex(tid, identity(tcell.dim)))
-        for q, wanted in sorted(hit.items()):
-            found = set()
-            for s in self.source.simplices(q):
-                img = self.apply(s)
-                if img in wanted:
-                    found.add(img)
-            if found != wanted:
-                return False
-        return True
-
     def is_isomorphism(self) -> bool:
         if len(self.assignment) != len(self.target.cells):
             return False

@@ -7,8 +7,12 @@ operator down.  Maps inline their source and target between
 `begin`/`end` fences followed by `send` lines.  Posets list `el` and
 `lt` lines; monotone maps mirror the simplicial layout.  `#` comments
 and blank lines are ignored everywhere.  Every parser reports malformed
-text as a ParseError that names the line at fault; a cell, an element or
-a `send` declared a second time is malformed at its second line.
+text as a ParseError that names the line at fault; a cell, an element,
+a `send` or a section declared a second time is malformed at its second
+line, and so is a section other than `source` and `target` at its
+`begin`.  A cell face or a `send` image whose degree disagrees with the
+cell it names is malformed at its line; a face that names a missing
+cell is a fault of the whole text.
 
 Files are read and written as UTF-8 through ``parse_file`` and
 ``write_file``; a file that is not UTF-8 is a ParseError naming the line
@@ -162,6 +166,7 @@ def parse_sset(text: str) -> SimplicialSet:
 
 def _parse_cells(rows: Rows) -> SimplicialSet:
     cells: dict[int, Cell] = {}
+    lines: dict[int, int] = {}
     for line, row in rows:
         if row[0] != "cell":
             raise _unexpected(line, row)
@@ -177,6 +182,15 @@ def _parse_cells(rows: Rows) -> SimplicialSet:
         if cid in cells:
             raise ParseError(f"cell {cid} declared twice", line)
         cells[cid] = Cell(dim, tuple(_parse_simplex(tok, dim - 1, line) for tok in toks))
+        lines[cid] = line
+    # a face's rank is checked at its line up to the first face that names
+    # a missing cell, which is a fault of the whole text
+    for cid, cell in cells.items():
+        for i, (t, op) in enumerate(cell.faces):
+            if t not in cells:
+                return _whole(SimplicialSet, cells)
+            if op.dst != cells[t].dim:
+                raise ParseError(f"cell {cid} face {i} has mismatched ranks", lines[cid])
     return _whole(SimplicialSet, cells)
 
 
@@ -195,11 +209,17 @@ def _sections(rows: Rows) -> tuple[Rows, Rows, Rows]:
                 raise ParseError("nested begin", line)
             if len(row) != 2:
                 raise ParseError("begin needs one section name", line)
+            if row[1] not in ("source", "target"):
+                raise ParseError(f"unknown section {row[1]!r}", line)
+            if row[1] in blocks:
+                raise ParseError(f"section {row[1]!r} declared twice", line)
             current, opened = row[1], line
             blocks[current] = []
         elif row[0] == "end":
             if current is None:
                 raise ParseError("end without begin", line)
+            if len(row) != 1:
+                raise ParseError("end takes no section name", line)
             current = None
         elif current is not None:
             blocks[current].append((line, row))
@@ -237,6 +257,8 @@ def parse_smap(text: str) -> SimplicialMap:
         tcell, degen = _parse_simplex(row[2], source.cells[cid].dim, line)
         if tcell not in target.cells:
             raise ParseError(f"cell {tcell} is not in the target", line)
+        if degen.dst != target.cells[tcell].dim:
+            raise ParseError(f"cell {cid} sent to simplex of wrong degree", line)
         asg[cid] = Simplex(tcell, degen)
     return _whole(SimplicialMap, source, target, asg)
 

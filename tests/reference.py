@@ -12,8 +12,10 @@ the images of every simplex of degree up to the source's dimension;
 ``quotient_by_classes`` is the quotient read off ``Congruence.classes()``,
 the walk over every simplex of degree up to the bound.
 ``UnionPushout`` is the pushout as the quotient of the disjoint union by
-the congruence its span generates, defined for any span; ``pushout``
-attaches along an injective leg instead.
+the congruence its span generates, defined for any span, and its
+mediator checks agreement on A and walks the members of each class;
+``pushout`` attaches along an injective first leg instead, and its
+mediator is ``factor_through``.
 ``product_cylinder_reduction`` builds the topological cylinder from the
 generic simplicial product NP x Delta[1] instead of the nerve of P x [1].
 ``fresh_representing_sharp`` and ``fresh_cylinder_reduction`` build a
@@ -39,8 +41,8 @@ largest first, for one carrying a retraction; ``is_dwyer`` builds the
 only one that can pass.
 ``sd_skeletal`` builds the subdivision from the skeleton filtration,
 one pushout per dimension attaching a subdivided standard simplex along
-its subdivided boundary for every cell; ``sd`` numbers the cells
-directly.
+its subdivided boundary for every cell, the boundary inclusion its
+first leg; ``sd`` numbers the cells directly.
 ``find_isomorphism`` searches for a cell bijection preserving dimensions
 and face tables, by backtracking over cells grouped by refined
 signatures; no verdict of the program runs a search, and the tests use
@@ -74,7 +76,6 @@ from ssetforge.desingularize import (
     IntervalMove,
     MoveRecord,
     _dup_operator,
-    _first_preimages,
     _intervals,
 )
 from ssetforge.operators import (
@@ -318,13 +319,15 @@ def quotient_by_classes(space: SimplicialSet, cong: Congruence) -> QuotientResul
         qspace,
         {cid: normal_form(cong.find(space.simplex(cid))) for cid in space.cells},
     )
-    return QuotientResult(qspace, projection, dict(labels))
+    return QuotientResult(qspace, projection)
 
 
 class UnionPushout(PushoutResult):
     """The pushout by its definition, for any span: the quotient of the
     disjoint union X u Y by the congruence generated by f(a) ~ g(a) over
-    the cells a of A, with the legs through the projection."""
+    the cells a of A, with the legs through the projection.  ``_inv``
+    sends a union id back to its side and cell, and the mediator walks
+    the members of each class."""
 
     def __init__(self, f: SimplicialMap, g: SimplicialMap):
         if f.source is not g.source and not f.source.same_presentation(g.source):
@@ -342,9 +345,27 @@ class UnionPushout(PushoutResult):
             cong.merge(inl.apply(f.apply(a)), inr.apply(g.apply(a)))
         q = quotient(z, cong)
         self.space = q.space
-        self.cell_members = q.cell_members
         self.left = compose_maps(inl, q.projection)
         self.right = compose_maps(inr, q.projection)
+
+    def mediator(self, u: SimplicialMap, v: SimplicialMap) -> SimplicialMap:
+        """Agreement on A, then the one value of each class over its members."""
+        if u.target is not v.target:
+            raise ValueError("mediator targets differ")
+        for aid in self._f.source.cells:
+            a = self._f.source.simplex(aid)
+            if u.apply(self._f.apply(a)) != v.apply(self._g.apply(a)):
+                raise ValueError(f"maps do not agree on cell {aid} of the gluing source")
+        asg: dict[int, Simplex] = {}
+        for pid, members in self.space.labels.items():
+            values = set()
+            for zc in members:
+                side, orig = self._inv[zc]
+                values.add(u.assignment[orig] if side == "x" else v.assignment[orig])
+            if len(values) != 1:
+                raise RuntimeError(f"mediator ill-defined on quotient cell {pid}")
+            asg[pid] = values.pop()
+        return SimplicialMap(self.space, u.target, asg)
 
 
 def _end_inclusion(pr: ProductResult, level: int) -> SimplicialMap:
@@ -640,6 +661,16 @@ def _merge_interval(cong: Congruence, vs: tuple[int, ...], i: int, j: int) -> No
         cong.merge(simplex(vs[k]), simplex(vs[i]))
 
 
+def _first_preimages(eta: SimplicialMap) -> dict[int, int]:
+    """The first source cell, in id order, that eta sends onto each cell it hits."""
+    reps: dict[int, int] = {}
+    for x in sorted(eta.source.cells):
+        s = eta.assignment[x]
+        if s.degen.is_identity and s.cell not in reps:
+            reps[s.cell] = x
+    return reps
+
+
 def reference_zipper(space: SimplicialSet) -> DesingResult:
     """Zipper rounds until no cell has equal adjacent vertices.
 
@@ -765,8 +796,8 @@ def sd_skeletal(space: SimplicialSet) -> SimplicialSet:
 
         amalgam = _copies(bbnd, len(ncells))
         offb, offd = len(bbnd.cells), len(bdelta.cells)
-        f_asg: dict[int, Simplex] = {}
-        g_asg: dict[int, Simplex] = {}
+        attach_asg: dict[int, Simplex] = {}
+        incl_asg: dict[int, Simplex] = {}
         for j, x in enumerate(ncells):
             gen = space.simplex(x)
             for cid, chain in bbnd.labels.items():
@@ -779,19 +810,19 @@ def sd_skeletal(space: SimplicialSet) -> SimplicialSet:
                 )
                 strict, s = run_collapse(pushed)
                 base = phi[(zs.cell, strict)]
-                f_asg[j * offb + cid] = Simplex(base.cell, compose(s, base.degen))
+                attach_asg[j * offb + cid] = Simplex(base.cell, compose(s, base.degen))
                 img = bincl.assignment[cid]
-                g_asg[j * offb + cid] = Simplex(j * offd + img.cell, img.degen)
+                incl_asg[j * offb + cid] = Simplex(j * offd + img.cell, img.degen)
         flat = _copies(bdelta, len(ncells))
         po = pushout(
-            SimplicialMap(amalgam, cur, f_asg),
-            SimplicialMap(amalgam, flat, g_asg),
+            SimplicialMap(amalgam, flat, incl_asg),
+            SimplicialMap(amalgam, cur, attach_asg),
         )
-        phi = {key: po.left.apply(s) for key, s in phi.items()}
+        phi = {key: po.right.apply(s) for key, s in phi.items()}
         for j, x in enumerate(ncells):
             for cid, chain in bdelta.labels.items():
                 key = (x, tuple(delta.labels[c] for c in chain))
-                phi[key] = po.right.apply(flat.simplex(j * offd + cid))
+                phi[key] = po.left.apply(flat.simplex(j * offd + cid))
         cur = po.space
     return cur
 

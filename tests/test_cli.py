@@ -328,6 +328,8 @@ def test_non_utf8_input_is_one_line_and_exit_3(tmp_path, tiny_corpus, capsys, ar
         ("member d1 builtin reguler d1.sset", "expected the flag regular or singular, got 'reguler'"),
         # line 3 names delta-1 already: a second line would run it twice
         ("member delta-1 builtin regular delta-1.sset", "member delta-1 declared twice"),
+        # line 2 sets the seed already: a second line would override it
+        ("seed 5", "seed declared twice"),
     ],
 )
 def test_malformed_manifest_line_names_its_line(tmp_path, tiny_corpus, capsys, line, message):

@@ -16,6 +16,7 @@ from ssetforge.colimits import (
     quotient,
 )
 from ssetforge.corpus import gen_corpus
+from ssetforge.cylinders import surjective_in_degree
 from ssetforge.desingularize import (
     Certificate,
     IntervalMove,
@@ -294,8 +295,14 @@ def test_factor_through_quotient():
     h = factor_through_quotient(eta, squash)
     assert h.source is circ and h.target is point
     ident = SimplicialMap(delta1, delta1, {c: delta1.simplex(c) for c in delta1.cells})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not factor at cell 1 of leg 0"):
         factor_through_quotient(eta, ident)
+    # two points onto one: the map from the first preimage alone is valid,
+    # so only the check of the second point refuses it
+    pair = SimplicialSet({0: Cell(0, ()), 1: Cell(0, ())})
+    onto = SimplicialMap(pair, point, {0: point.simplex(0), 1: point.simplex(0)})
+    with pytest.raises(ValueError, match="does not factor at cell 1 of leg 0"):
+        factor_through_quotient(onto, identity_map(pair))
 
 
 def test_factor_through_identity_returns_g():
@@ -321,7 +328,7 @@ def test_t_nat_iso_for_regular():
 
 def test_t_nat_circle_counterexample():
     t = t_nat(circle())
-    assert t.is_degreewise_surjective()
+    assert surjective_in_degree(t, t.target.dim)
     zero = [t.assignment[c] for c in t.source.cell_ids(0)]
     assert len(set(zero)) == len(zero) == 2
     assert not t.is_isomorphism()
@@ -338,7 +345,7 @@ def _quotient_step(space, cong):
     bad = next((c for c in order if len(set(rows(c))) != len(rows(c))), None)
     if bad is None:
         return None
-    return Simplex(res.cell_members[bad][0], identity(z.cells[bad].dim))
+    return Simplex(res.space.labels[bad][0], identity(z.cells[bad].dim))
 
 
 def test_first_singular_matches_quotient_step(corpus, monkeypatch):

@@ -118,6 +118,11 @@ def _swap(text: str, line: int, new: str) -> str:
         (parse_smap, _swap(SMAP, 3, "begin x"), 3, "nested begin"),
         (parse_smap, "end\n", 1, "end without begin"),
         (parse_smap, "\nbegin source\ncell 0 0\n", 2, "unterminated section 'source'"),
+        (parse_smap, SMAP + "begin junk\ncell 0 0\nend\n", 10, "unknown section 'junk'"),
+        (parse_smap, _swap(SMAP, 3, "end source"), 3, "end takes no section name"),
+        # a face or an image of the wrong degree for the cell it names
+        (parse_sset, SSET + "cell 3 2 2{} 2{} 0{}\n", 4, "cell 3 face 2 has mismatched ranks"),
+        (parse_smap, _swap(SMAP, 9, "send 0 2{}"), 9, "cell 0 sent to simplex of wrong degree"),
         (parse_poset, _swap(POSET, 3, "lt a"), 3, "unexpected line 'lt a'"),
         (parse_poset, _swap(POSET, 2, "el"), 2, "unexpected line 'el'"),
         (parse_poset, _swap(POSET, 2, "foo 1"), 2, "unexpected line 'foo 1'"),
@@ -126,6 +131,8 @@ def _swap(text: str, line: int, new: str) -> str:
         (parse_pmap, _swap(PMAP, 9, "send q b"), 9, "'q' is not in the source"),
         (parse_pmap, _swap(PMAP, 9, "send p c"), 9, "'c' is not in the target"),
         (parse_pmap, _swap(PMAP, 2, "el"), 2, "unexpected line 'el'"),
+        (parse_pmap, PMAP + "begin junk\nend\n", 10, "unknown section 'junk'"),
+        (parse_pmap, _swap(PMAP, 8, "end target"), 8, "end takes no section name"),
         # a declaration repeated, even word for word, is malformed at the repeat
         (parse_smap, SMAP + "send 0 2{}\n", 10, "cell 0 sent twice"),
         (parse_smap, SMAP + "send 0 1{}\n", 10, "cell 0 sent twice"),
@@ -133,6 +140,8 @@ def _swap(text: str, line: int, new: str) -> str:
         (parse_pmap, _swap(PMAP, 2, "el p\nel p"), 3, "element 'p' declared twice"),
         (parse_pmap, PMAP + "send p a\n", 10, "'p' sent twice"),
         (parse_pmap, PMAP + "send p b\n", 10, "'p' sent twice"),
+        (parse_smap, _swap(SMAP, 4, "begin source"), 4, "section 'source' declared twice"),
+        (parse_pmap, _swap(PMAP, 4, "begin source"), 4, "section 'source' declared twice"),
     ],
 )
 def test_malformed_line_names_its_line(parse, text, line, message):
