@@ -53,15 +53,7 @@ from .textio import (
     parse_sset,
     write_file,
 )
-from .verify import (
-    format_report,
-    merge_reports,
-    run_counterexamples,
-    verify_dcr_suite,
-    verify_lemma_suite,
-    verify_main_theorem,
-    verify_second_subdivision,
-)
+from .verify import SUITES, format_report, run_counterexamples, run_suite
 
 
 class UsageError(Exception):
@@ -99,15 +91,7 @@ def cmd_verify(args) -> int:
         corpus = load_corpus(args.corpus)
     else:
         corpus = gen_corpus(0 if args.seed is None else args.seed)
-    reports = []
-    if args.suite in ("main", "all"):
-        reports.append(verify_main_theorem(corpus))
-        reports.append(verify_second_subdivision(corpus))
-    if args.suite in ("lemmas", "all"):
-        reports.append(verify_lemma_suite(corpus))
-    if args.suite in ("cylinders", "all"):
-        reports.append(verify_dcr_suite(corpus))
-    merged = merge_reports(f"verify-{args.suite}", reports)
+    merged = run_suite(args.suite, corpus)
     _emit(format_report(merged, timings=args.timings), args.report)
     if args.report:
         print(f"{merged.count('pass')} pass, {merged.count('fail')} fail"
@@ -196,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_corpus)
 
     p = sub.add_parser("verify", help="run a verification campaign")
-    p.add_argument("suite", choices=["main", "lemmas", "cylinders", "all"])
+    p.add_argument("suite", choices=[*SUITES, "all"])
     source = p.add_mutually_exclusive_group()
     source.add_argument("--corpus", help="directory written by forge corpus")
     source.add_argument("--seed", type=int, help="generate the corpus of this seed "

@@ -1,10 +1,10 @@
 """Finite posets, their nerves, and the cell poset of a simplicial set.
 
 A poset numbers its elements in the order given and keeps, for each
-element, the ascending indices of the elements above and below it.  A
-relation given without closing it is checked for transitivity along
-these successor lists, and any gap or cycle is named by the first
-offending elements in element order.
+element, the ascending indices of the elements above and below it.
+Every relation it is given is closed, so a constructor passes only
+generating pairs; a cycle is named by the first pair of equivalent
+elements in element order.
 
 The nerve of a poset has one cell per nonempty strict chain.  It is
 built on chains of element indices: a ``Nerve`` keeps its poset and the
@@ -40,74 +40,42 @@ from .operators import Operator, all_faces, identity, run_collapse
 from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet, _simplex
 
 
-def _transitive_closure(elements: tuple, pairs: set) -> set:
-    """Strict pairs (a, b), a != b, with b reachable from a along ``pairs``."""
-    succ: dict[Hashable, list] = {e: [] for e in elements}
-    for a, b in pairs:
-        succ[a].append(b)
-    out = set()
-    for e in elements:
-        seen: set = set()
-        stack = list(succ[e])
-        while stack:
-            f = stack.pop()
-            if f not in seen:
-                seen.add(f)
-                stack.extend(succ[f])
-        out.update((e, f) for f in seen if f != e)
-    return out
-
-
-def _first_gap(up: list[list[int]], above: list[set[int]]) -> tuple[int, int, int] | None:
-    """The first (a, b, d) in index order with a < b < d related but not
-    a < d, read along the ascending successor lists ``up``."""
-    for a, row in enumerate(up):
-        mine = above[a]
-        for b in row:
-            for d in up[b]:
-                if d != a and d not in mine:
-                    return a, b, d
-    return None
-
-
 class FinPoset:
     def __init__(
-        self,
-        elements: Iterable[Hashable],
-        relations: Iterable[tuple[Hashable, Hashable]] = (),
-        *,
-        close: bool = True,
+        self, elements: Iterable[Hashable], relations: Iterable[tuple[Hashable, Hashable]] = ()
     ):
         self.elements = elements = tuple(dict.fromkeys(elements))
         self._index = index = {e: i for i, e in enumerate(elements)}
-        pairs = set()
+        succ: list[set[int]] = [set() for _ in elements]
         for a, b in relations:
             if a not in index or b not in index:
                 raise ValueError(f"relation {(a, b)} mentions unknown elements")
             if a != b:
-                pairs.add((a, b))
-        if close:
-            pairs = _transitive_closure(elements, pairs)
+                succ[index[a]].add(index[b])
+        # reach[i]: every index reachable from i along succ, itself too when
+        # it lies on a cycle; a reach already known is taken whole
+        reach: list[set[int] | None] = [None] * len(elements)
+        for i in reversed(range(len(elements))):
+            seen: set[int] = set()
+            stack = list(succ[i])
+            while stack:
+                k = stack.pop()
+                if k not in seen:
+                    seen.add(k)
+                    if reach[k] is None:
+                        stack.extend(succ[k])
+                    else:
+                        seen |= reach[k]
+            reach[i] = seen
         # up[i]: the indices above element i, ascending
-        up: list[list[int]] = [[] for _ in elements]
-        for a, b in pairs:
-            up[index[a]].append(index[b])
-        for row in up:
-            row.sort()
-        above = [set(row) for row in up]
-        if not close:
-            gap = _first_gap(up, above)
-            if gap is not None:
-                raise ValueError(
-                    f"relation not transitive at {tuple(elements[i] for i in gap)}"
-                )
+        up = [sorted(row - {i}) for i, row in enumerate(reach)]
         # the first offending pair in element order, not set order
         for a, row in enumerate(up):
             for b in row:
-                if a in above[b]:
+                if a in reach[b]:
                     a, b = elements[a], elements[b]
                     raise ValueError(f"not antisymmetric: {a!r} and {b!r} are equivalent")
-        self._lt = frozenset(pairs)
+        self._lt = frozenset((elements[a], elements[b]) for a, row in enumerate(up) for b in row)
         down: list[list[int]] = [[] for _ in elements]
         for a, row in enumerate(up):
             for b in row:
@@ -156,21 +124,20 @@ class FinPoset:
 
 
 class MonotoneMap:
-    def __init__(self, source: FinPoset, target: FinPoset, mapping: dict, check: bool = True):
+    def __init__(self, source: FinPoset, target: FinPoset, mapping: dict):
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
-        if check:
-            for e in source.elements:
-                if e not in self.mapping:
-                    raise ValueError(f"no value for {e!r}")
-                if self.mapping[e] not in target:
-                    raise ValueError(f"{e!r} sent outside the target poset")
-            # the first failing pair in element order, not set order
-            for a in source.elements:
-                for b in source.up(a):
-                    if not target.leq(self.mapping[a], self.mapping[b]):
-                        raise ValueError(f"not monotone on {a!r} < {b!r}")
+        for e in source.elements:
+            if e not in self.mapping:
+                raise ValueError(f"no value for {e!r}")
+            if self.mapping[e] not in target:
+                raise ValueError(f"{e!r} sent outside the target poset")
+        # the first failing pair in element order, not set order
+        for a in source.elements:
+            for b in source.up(a):
+                if not target.leq(self.mapping[a], self.mapping[b]):
+                    raise ValueError(f"not monotone on {a!r} < {b!r}")
 
     def __call__(self, e: Hashable) -> Hashable:
         return self.mapping[e]
@@ -183,13 +150,12 @@ class MonotoneMap:
 
 
 def compose_monotone(first: MonotoneMap, second: MonotoneMap) -> MonotoneMap:
-    return MonotoneMap(
-        first.source, second.target, {e: second(first(e)) for e in first.source.elements}, check=False
-    )
+    mapping = {e: second(first(e)) for e in first.source.elements}
+    return MonotoneMap(first.source, second.target, mapping)
 
 
 def chain_poset(n: int) -> FinPoset:
-    return FinPoset(range(n + 1), [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)], close=False)
+    return FinPoset(range(n + 1), [(i, i + 1) for i in range(n)])
 
 
 def singleton_poset(label: Hashable = 0) -> FinPoset:
@@ -197,28 +163,17 @@ def singleton_poset(label: Hashable = 0) -> FinPoset:
 
 
 def product_poset(p: FinPoset, q: FinPoset) -> FinPoset:
-    """Pairs ordered componentwise; relations listed in element order."""
-    elements = [(a, b) for a in p.elements for b in q.elements]
-    # the indices at or above each element, ascending
-    p_le = [sorted([i, *row]) for i, row in enumerate(p._up_idx)]
-    q_le = [sorted([j, *row]) for j, row in enumerate(q._up_idx)]
-    n = len(q_le)
-    rel = [
-        (elements[i * n + j], elements[k * n + m])
-        for i, row_i in enumerate(p_le)
-        for j, row_j in enumerate(q_le)
-        for k in row_i
-        for m in row_j
-        if k != i or m != j
-    ]
-    return FinPoset(elements, rel, close=False)
+    """Pairs ordered componentwise, generated by a step up in one coordinate."""
+    rel = [((a, b), (c, b)) for a, c in p.strict_pairs() for b in q.elements]
+    rel += [((a, b), (a, d)) for a in p.elements for b, d in q.strict_pairs()]
+    return FinPoset([(a, b) for a in p.elements for b in q.elements], rel)
 
 
 def full_subposet(p: FinPoset, subset: Iterable[Hashable]) -> FinPoset:
     keep = set(subset)
     elems = [e for e in p.elements if e in keep]
     rel = [(a, b) for (a, b) in p.strict_pairs() if a in keep and b in keep]
-    return FinPoset(elems, rel, close=False)
+    return FinPoset(elems, rel)
 
 
 def down_closure(p: FinPoset, subset: Iterable[Hashable]) -> set:
@@ -359,7 +314,7 @@ def sharp(space: SimplicialSet) -> FinPoset:
         for target, _ in cell.faces
         if target != cid
     ]
-    return FinPoset(sorted(space.cells), rel, close=True)
+    return FinPoset(sorted(space.cells), rel)
 
 
 def sharp_map(f: SimplicialMap) -> MonotoneMap:
@@ -439,7 +394,7 @@ class PosetPushout:
         elements += [("q", x) for x in q.elements if x not in image]
         rel = [(send(a), send(b)) for a, b in q.strict_pairs()]
         rel += [(("r", a), ("r", b)) for a, b in r.strict_pairs()]
-        self.poset = FinPoset(elements, rel, close=True)
+        self.poset = FinPoset(elements, rel)
         self.leg_ambient = MonotoneMap(q, self.poset, {x: send(x) for x in q.elements})
         self.leg_other = MonotoneMap(r, self.poset, {y: ("r", y) for y in r.elements})
 
@@ -463,15 +418,16 @@ def poset_pushout(k: MonotoneMap, phi: MonotoneMap) -> PosetPushout:
 
 
 def face_poset(n: int) -> FinPoset:
-    """All face operators into [n], ordered by image containment."""
-    elems = list(all_faces(n))
+    """All face operators into [n], ordered by image containment, generated
+    by dropping one vertex."""
+    elems = all_faces(n)
     rel = [
-        (a, b)
-        for a in elems
+        (Operator(n, b.values[:i] + b.values[i + 1 :]), b)
         for b in elems
-        if a != b and set(a.values) < set(b.values)
+        if b.src
+        for i in range(b.src + 1)
     ]
-    return FinPoset(elems, rel, close=False)
+    return FinPoset(elems, rel)
 
 
 def cylinder_end(p: FinPoset, cyl: FinPoset, level: int) -> MonotoneMap:
@@ -527,5 +483,5 @@ def all_posets(max_size: int) -> list[FinPoset]:
                 seen.add(canon)
                 nxt.append(frozenset(new))
         layer = nxt
-        out.extend(FinPoset(range(n), rel, close=False) for rel in layer)
+        out.extend(FinPoset(range(n), rel) for rel in layer)
     return out

@@ -1,18 +1,19 @@
 """Line-oriented text formats for the four kinds of artifact we exchange.
 
-A simplicial set is a list of `cell` lines; a face entry is written as
-`<target>{j,...}` where the braces hold the repeat set of the attached
-degeneracy, which together with the declared dimensions pins the
-operator down.  Maps inline their source and target between
-`begin`/`end` fences followed by `send` lines.  Posets list `el` and
-`lt` lines; monotone maps mirror the simplicial layout.  `#` comments
-and blank lines are ignored everywhere.  Every parser reports malformed
-text as a ParseError that names the line at fault; a cell, an element,
-a `send` or a section declared a second time is malformed at its second
-line, and so is a section other than `source` and `target` at its
-`begin`.  A cell face or a `send` image whose degree disagrees with the
-cell it names is malformed at its line; a face that names a missing
-cell is a fault of the whole text.
+A simplicial set is a list of `cell` lines, each naming its cell by a
+non-negative integer id; a face entry is written as `<target>{j,...}`
+where the braces hold the repeat set of the attached degeneracy, which
+together with the declared dimensions pins the operator down.  Maps
+inline their source and target between `begin`/`end` fences followed by
+`send` lines.  Posets list `el` and `lt` lines; monotone maps mirror
+the simplicial layout.  `#` comments and blank lines are ignored
+everywhere.  Every parser reports malformed text as a ParseError that
+names the line at fault; a cell, an element, a `send` or a section
+declared a second time is malformed at its second line, and so is a
+section other than `source` and `target` at its `begin`.  A cell face
+or a `send` image whose degree disagrees with the cell it names is
+malformed at its line; a face that names a missing cell is a fault of
+the whole text.
 
 Files are read and written as UTF-8 through ``parse_file`` and
 ``write_file``; a file that is not UTF-8 is a ParseError naming the line
@@ -173,6 +174,8 @@ def _parse_cells(rows: Rows) -> SimplicialSet:
         if len(row) < 3:
             raise ParseError("a cell line needs an id and a dimension", line)
         cid, dim = _int(row[1], line), _int(row[2], line)
+        if cid < 0:
+            raise ParseError(f"cell {cid} has a negative id", line)
         if dim < 0:
             raise ParseError(f"cell {cid} has negative dimension", line)
         toks = row[3:]
@@ -296,7 +299,7 @@ def _parse_poset(rows: Rows) -> FinPoset:
             pairs.append((row[1], row[2]))
         else:
             raise _unexpected(line, row)
-    return _whole(FinPoset, elements, pairs, close=True)
+    return _whole(FinPoset, elements, pairs)
 
 
 def format_pmap(phi: MonotoneMap) -> str:

@@ -4,7 +4,9 @@ supporting lemma battery, and the cylinder suite.
 Each campaign returns a Report, a list of named pass/fail cases with
 key-value details.  Reports render as a stable text tree so that two
 runs under the same seed diff cleanly; timings are carried but left out
-of the rendering unless asked for.
+of the rendering unless asked for.  ``SUITES`` names the campaigns of
+each suite of ``forge verify``, and ``run_suite`` merges their cases
+into one report.
 
 The second-subdivision corollary is the main theorem applied to sd
 images: its case for X is the main comparison for Sd X.  The verdict of
@@ -123,13 +125,6 @@ def format_report(report: Report, timings: bool = False) -> str:
         f" {report.count('fail')} fail, {report.count('skip')} skip"
     )
     return "\n".join(lines) + "\n"
-
-
-def merge_reports(title: str, reports: list[Report]) -> Report:
-    merged = Report(title)
-    for r in reports:
-        merged.cases.extend(r.cases)
-    return merged
 
 
 def _timed(report: Report, name: str, ok: bool, started: float, **details) -> None:
@@ -611,3 +606,22 @@ def _cosieve_extension_square(k: MonotoneMap, phi: MonotoneMap) -> bool:
         nerve_map(big.leg_ambient, nq, nbig), nerve_map(glue, nsmall, nbig)
     )
     return mediator.is_isomorphism()
+
+
+# -- suites ----------------------------------------------------------------------
+
+SUITES: dict[str, tuple[Callable[[Corpus], Report], ...]] = {
+    "main": (verify_main_theorem, verify_second_subdivision),
+    "lemmas": (verify_lemma_suite,),
+    "cylinders": (verify_dcr_suite,),
+}
+
+
+def run_suite(name: str, corpus: Corpus) -> Report:
+    """The ``verify-<name>`` report: the cases of every campaign of the
+    suite ``name``, or of every suite in table order for ``all``."""
+    report = Report(f"verify-{name}")
+    for suite in SUITES if name == "all" else [name]:
+        for campaign in SUITES[suite]:
+            report.cases.extend(campaign(corpus).cases)
+    return report

@@ -25,8 +25,9 @@ their nerve maps on every call; ``representing_sharp`` and
 ``label_nerve`` and ``label_nerve_map`` build nerves and nerve maps on
 chains of elements, found by walking the strict pairs; ``nerve`` and
 ``nerve_map`` work on chains of element indices.  ``two_pass_run_collapse``
-is ``run_collapse`` by its definition, and ``pair_scan_error`` is the
-error ``FinPoset(close=False)`` raises, found by scanning every two pairs.
+is ``run_collapse`` by its definition, and ``pair_scan_closure`` closes a
+relation by composing every two pairs until nothing is added, where
+``FinPoset`` walks successor sets.
 ``reference_sd`` numbers the subdivided cells through a dict keyed by
 (carrier cell, chain of operators) and rebases every last face afresh;
 ``sd`` works on chain indices and offsets.  ``carrier_b_nat`` finds the
@@ -471,11 +472,10 @@ def two_pass_run_collapse(seq) -> tuple[tuple, Operator]:
     return out, degeneracy_from_repeats(reps, len(seq) - 1)
 
 
-def pair_scan_error(elements, relations) -> str | None:
-    """The message ``FinPoset(elements, relations, close=False)`` raises, or
-    None: the first gap (a, b, d), a < b < d without a < d, in element
-    order over every two related pairs, then the first pair related both
-    ways."""
+def pair_scan_closure(elements, relations) -> frozenset | str:
+    """The strict pairs of ``FinPoset(elements, relations)``, or the message
+    it raises: the pairs composed two at a time until nothing is added,
+    then the first pair related both ways, in element order."""
     elements = tuple(dict.fromkeys(elements))
     index = {e: i for i, e in enumerate(elements)}
     pairs = set()
@@ -484,20 +484,16 @@ def pair_scan_error(elements, relations) -> str | None:
             return f"relation {(a, b)} mentions unknown elements"
         if a != b:
             pairs.add((a, b))
-    gaps = [
-        (a, b, d)
-        for a, b in pairs
-        for c, d in pairs
-        if b == c and (a, d) not in pairs and a != d
-    ]
-    if gaps:
-        gap = min(gaps, key=lambda t: tuple(index[e] for e in t))
-        return f"relation not transitive at {gap}"
+    while True:
+        composed = {(a, d) for a, b in pairs for c, d in pairs if b == c and a != d}
+        if composed <= pairs:
+            break
+        pairs |= composed
     both = [p for p in pairs if p[::-1] in pairs]
     if both:
         a, b = min(both, key=lambda p: (index[p[0]], index[p[1]]))
         return f"not antisymmetric: {a!r} and {b!r} are equivalent"
-    return None
+    return frozenset(pairs)
 
 
 def label_chains(p: FinPoset) -> list[tuple]:

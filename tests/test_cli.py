@@ -205,6 +205,7 @@ def test_counterexamples_cli(capsys):
         # the input formats the commands read: spaces and monotone maps
         ("sd", "x.sset", "cell 0\n", ":1:"),
         ("sd", "x.sset", "cell x 0\n", ":1:"),
+        ("sd", "x.sset", "cell 0 0\ncell -1 0\n", ":2:"),
         ("sd", "x.sset", "cell 0 0\nfoo 1\n", ":2:"),
         ("sd", "x.sset", "cell 0 1 0{7} 0{}\n", ":1:"),
         ("sd", "x.sset", "cell 0 0\ncell 1 1 5{} 0{}\n", ":"),
@@ -455,6 +456,8 @@ def test_calls_leave_no_argparse_garbage(tmp_path, capsys):
     (["desing", "X.sset", "--method", "best"], "argument --method: invalid choice: 'best'"),
     (["dcr", "phi.pmap", "--bound", "4"], "unrecognized arguments: --bound 4"),
     (["frobnicate", "X.sset"], "argument command: invalid choice: 'frobnicate'"),
+    (["verify", "every"],
+     "argument suite: invalid choice: 'every' (choose from 'main', 'lemmas', 'cylinders', 'all')"),
     (["desing"], "the following arguments are required: space"),
     ([], "the following arguments are required: command"),
     (["sd", "X.sset", "--frob"], "unrecognized arguments: --frob"),

@@ -46,7 +46,7 @@ from reference import (
     is_isomorphic,
     label_nerve,
     label_nerve_map,
-    pair_scan_error,
+    pair_scan_closure,
     reference_is_dwyer,
     two_pass_run_collapse,
 )
@@ -238,12 +238,13 @@ def test_run_collapse_matches_two_passes():
     assert seen == 3 * sum(3 ** n for n in range(7))
 
 
-def test_transitivity_check_matches_pair_scan():
-    # seeded relations, most of them not transitive; the successor-list
-    # check names the same first gap as the scan over every two pairs
+def test_closure_matches_pair_scan():
+    # seeded relations, most of them not transitive; closing along successor
+    # sets gives the pairs that composing every two pairs to a fixpoint
+    # gives, or names the same first pair of a cycle
     rng = random.Random(15)
     labels = [0, 1, 2, 3, 4, 5, 6, "x", (0, 1), ((0, 1), 1)]
-    gaps = passed = 0
+    open_ = passed = 0
     for _ in range(600):
         n = rng.randint(1, 8)
         elements = rng.sample(labels, n)
@@ -251,16 +252,18 @@ def test_transitivity_check_matches_pair_scan():
             (rng.choice(elements), rng.choice(elements))
             for _ in range(rng.randint(0, 2 * n))
         ]
-        want = pair_scan_error(elements, relations)
+        want = pair_scan_closure(elements, relations)
         try:
-            FinPoset(elements, relations, close=False)
-            got = None
+            got = FinPoset(elements, relations).strict_pairs()
         except ValueError as err:
             got = str(err)
         assert got == want
-        gaps += bool(want and want.startswith("relation not transitive"))
-        passed += want is None
-    assert gaps >= 200 and passed >= 50
+        given = {(a, b) for a, b in relations if a != b}
+        open_ += any(
+            (a, d) not in given for a, b in given for c, d in given if b == c and a != d
+        )
+        passed += not isinstance(want, str)
+    assert open_ >= 200 and passed >= 50
 
 
 def test_sharp_of_standard_simplex():
@@ -356,7 +359,7 @@ def test_is_dwyer_matches_cosieve_search():
                 mapping = dict(zip(p.elements, values))
                 if not all(q.leq(mapping[a], mapping[b]) for a, b in p.strict_pairs()):
                     continue
-                k = MonotoneMap(p, q, mapping, check=False)
+                k = MonotoneMap(p, q, mapping)
                 got, want = is_dwyer(k), reference_is_dwyer(k)
                 maps += 1
                 if want is None:
@@ -445,6 +448,41 @@ def test_compose_monotone():
     assert compose_monotone(f, g).mapping == {0: 0, 1: 1}
 
 
+def test_chain_poset_is_the_order_on_integers():
+    for n in range(6):
+        p = chain_poset(n)
+        assert p.elements == tuple(range(n + 1))
+        assert p.strict_pairs() == {(i, j) for i in p.elements for j in p.elements if i < j}
+
+
+def test_face_poset_is_image_containment():
+    for n in range(5):
+        p = face_poset(n)
+        assert len(p) == 2 ** (n + 1) - 1
+        want = {
+            (a, b)
+            for a in p.elements
+            for b in p.elements
+            if a != b and set(a.values) <= set(b.values)
+        }
+        assert p.strict_pairs() == want
+
+
+def test_product_poset_is_componentwise():
+    small = all_posets(3)
+    for p in small:
+        for q in small:
+            pq = product_poset(p, q)
+            assert pq.elements == tuple((a, b) for a in p.elements for b in q.elements)
+            want = {
+                (x, y)
+                for x in pq.elements
+                for y in pq.elements
+                if x != y and p.leq(x[0], y[0]) and q.leq(x[1], y[1])
+            }
+            assert pq.strict_pairs() == want
+
+
 def _warshall(n, rel):
     reach = [[(a, b) in rel for b in range(n)] for a in range(n)]
     for k in range(n):
@@ -510,13 +548,6 @@ def test_cycle_message_ignores_hash_seed():
     want = "not antisymmetric: 'a' and 'b' are equivalent"
     for seed, lines in enumerate(_errors_under_hash_seeds(builds), start=1):
         assert lines == [want, want], seed
-
-
-def test_transitivity_message_ignores_hash_seed():
-    builds = """lambda: FinPoset("abcd", [("a", "b"), ("b", "c"), ("c", "d")], close=False),"""
-    want = "relation not transitive at ('a', 'b', 'c')"
-    for seed, lines in enumerate(_errors_under_hash_seeds(builds), start=1):
-        assert lines == [want], seed
 
 
 def test_monotone_message_ignores_hash_seed():

@@ -108,6 +108,10 @@ def _swap(text: str, line: int, new: str) -> str:
         (parse_sset, _swap(SSET, 3, "cell 2 1 1{,} 0{}"), 3, "bad simplex token '1{,}'"),
         (parse_sset, _swap(SSET, 3, "cell 2 1 1{}"), 3, "cell 2 needs 2 faces, got 1"),
         (parse_sset, SSET + "# x\ncell 1 0\n", 5, "cell 1 declared twice"),
+        # no face token names a negative id, so no cell line may declare one
+        (parse_sset, _swap(SSET, 2, "cell -1 0"), 2, "cell -1 has a negative id"),
+        (parse_smap, _swap(SMAP, 2, "cell -1 0"), 2, "cell -1 has a negative id"),
+        (parse_smap, _swap(SMAP, 5, "cell -1 0"), 5, "cell -1 has a negative id"),
         (parse_smap, _swap(SMAP, 9, "send 0"), 9, "unexpected line 'send 0'"),
         (parse_smap, _swap(SMAP, 9, "send x 1{}"), 9, "expected an integer, got 'x'"),
         (parse_smap, _swap(SMAP, 9, "foo 1"), 9, "unexpected line 'foo 1'"),
