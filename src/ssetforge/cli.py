@@ -2,8 +2,9 @@
 
 Spaces travel as .sset files, simplicial maps as .smap, and monotone
 maps as .pmap, with their source and target posets inside; these are
-plain text formats of textio.  Verification commands print a report tree and exit nonzero
-on failures, so the tool works in shell pipelines and CI jobs alike.
+plain text formats of textio.  ``forge verify <suite>`` runs a suite of
+``verify.SUITES``, the counterexamples among them, prints a report tree
+and exits nonzero on failures, so it works in shell pipelines and CI jobs.
 
 Inputs are read as UTF-8.  Outputs are overwritten in place
 (``textio.write_file``): the same bytes, file, mode and links as a
@@ -53,7 +54,7 @@ from .textio import (
     parse_sset,
     write_file,
 )
-from .verify import SUITES, format_report, run_counterexamples, run_suite
+from .verify import SUITES, format_report, run_suite
 
 
 class UsageError(Exception):
@@ -97,12 +98,6 @@ def cmd_verify(args) -> int:
         print(f"{merged.count('pass')} pass, {merged.count('fail')} fail"
               f" -> {args.report}")
     return 0 if merged.ok else 1
-
-
-def cmd_counterexamples(args) -> int:
-    report = run_counterexamples()
-    _emit(format_report(report, timings=args.timings), args.report)
-    return 0 if report.ok else 1
 
 
 def cmd_transform(args) -> int:
@@ -179,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_corpus)
 
-    p = sub.add_parser("verify", help="run a verification campaign")
-    p.add_argument("suite", choices=[*SUITES, "all"])
+    p = sub.add_parser("verify", help="run a verification suite")
+    p.add_argument("suite", choices=list(SUITES))
     source = p.add_mutually_exclusive_group()
     source.add_argument("--corpus", help="directory written by forge corpus")
     source.add_argument("--seed", type=int, help="generate the corpus of this seed "
@@ -188,11 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the report here instead of stdout")
     p.add_argument("--timings", action="store_true", help="include per-case seconds")
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("counterexamples", help="check both counterexamples")
-    p.add_argument("--report")
-    p.add_argument("--timings", action="store_true")
-    p.set_defaults(fn=cmd_counterexamples)
 
     for name, build, fmt, outhelp in [
         ("sd", sd, format_sset, "subdivided space (.sset)"),

@@ -286,8 +286,8 @@ def disjoint_union(
     for cid, c in y.cells.items():
         cells[ymap[cid]] = Cell(c.dim, tuple((ymap[t], op) for t, op in c.faces))
     z = SimplicialSet(cells)
-    inl = SimplicialMap(x, z, {c: Simplex(xmap[c], identity(x.cells[c].dim)) for c in x.cells}, check=False)
-    inr = SimplicialMap(y, z, {c: Simplex(ymap[c], identity(y.cells[c].dim)) for c in y.cells}, check=False)
+    inl = SimplicialMap(x, z, {c: Simplex(xmap[c], identity(x.cells[c].dim)) for c in x.cells})
+    inr = SimplicialMap(y, z, {c: Simplex(ymap[c], identity(y.cells[c].dim)) for c in y.cells})
     return z, inl, inr
 
 

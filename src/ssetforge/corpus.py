@@ -124,8 +124,9 @@ def save_corpus(corpus: Corpus, directory) -> None:
 
 def _parse_manifest(text: str) -> tuple[int, list[tuple[int, list[str]]]]:
     """The seed and the member rows (name, provenance, flag, file) of a
-    manifest, each with its line number; a malformed line, or a second
-    seed line or line naming a member, is a ParseError naming it."""
+    manifest, each with its line number; a malformed line, an unknown
+    provenance or flag among them, or a second seed line or line naming a
+    member, is a ParseError naming it."""
     seed = None
     members: list[tuple[int, list[str]]] = []
     names: set[str] = set()
@@ -140,6 +141,11 @@ def _parse_manifest(text: str) -> tuple[int, list[tuple[int, list[str]]]]:
                 raise ParseError("seed declared twice", number)
             seed = value
         elif keyword == "member" and len(tokens) == 5:
+            if tokens[2] not in ("builtin", "random-quotient", "sd-image"):
+                raise ParseError(
+                    "expected the provenance builtin, random-quotient or sd-image,"
+                    f" got {tokens[2]!r}", number
+                )
             if tokens[3] not in ("regular", "singular"):
                 raise ParseError(
                     f"expected the flag regular or singular, got {tokens[3]!r}", number

@@ -211,10 +211,9 @@ def dcr(
 def representing_sharp(space: SimplicialSet, s: Simplex) -> MonotoneMap:
     """Sharp of the representing map of s, corestricted to what s generates,
     out of the one Delta[q]# shared by every simplex of its degree."""
-    sub, inc = generate(space, [s.cell])
-    back = {t.cell: c for c, t in inc.assignment.items()}
+    sub, _ = generate(space, [s.cell])
     delta, side = _simplex_source(s.degree)
-    f = simplex_map(sub, Simplex(back[s.cell], s.degen), source=delta)
+    f = simplex_map(sub, s, source=delta)
     mapping = {cid: t.cell for cid, t in f.assignment.items()}
     return MonotoneMap(side.nerve.poset, sharp(sub), mapping)
 

@@ -282,8 +282,7 @@ def factor_through_quotient(eta: SimplicialMap, g: SimplicialMap) -> SimplicialM
     """The unique h with h . eta = g, when g respects eta's identifications.
 
     When eta is an identity map on g's source, h is g itself: it is
-    returned as it is, not rebuilt, so it is validated only as far as g
-    was when it was built."""
+    returned as it is, not rebuilt."""
     if eta.source is not g.source and not eta.source.same_presentation(g.source):
         raise ValueError("maps must share their source")
     if eta.target is g.source and all(

@@ -283,13 +283,11 @@ class SimplicialMap:
         source: SimplicialSet,
         target: SimplicialSet,
         assignment: dict[int, Simplex],
-        check: bool = True,
     ):
         self.source = source
         self.target = target
         self.assignment = dict(assignment)
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         assignment, target = self.assignment, self.target
@@ -365,14 +363,14 @@ class SimplicialMap:
 
 
 def identity_map(space: SimplicialSet) -> SimplicialMap:
-    return SimplicialMap(space, space, {cid: space.simplex(cid) for cid in space.cells}, check=False)
+    return SimplicialMap(space, space, {cid: space.simplex(cid) for cid in space.cells})
 
 
 def compose_maps(first: SimplicialMap, second: SimplicialMap) -> SimplicialMap:
     if first.target is not second.source and not first.target.same_presentation(second.source):
         raise ValueError("maps do not chain")
     asg = {cid: second.apply(s) for cid, s in first.assignment.items()}
-    return SimplicialMap(first.source, second.target, asg, check=False)
+    return SimplicialMap(first.source, second.target, asg)
 
 
 # -- standard complexes and subcomplexes ---------------------------------
@@ -419,7 +417,7 @@ def generate(space: SimplicialSet, seeds: Iterable[int]) -> tuple[SimplicialSet,
         {cid: space.cells[cid] for cid in sorted(keep)},
         {cid: space.labels[cid] for cid in sorted(keep) if cid in space.labels},
     )
-    incl = SimplicialMap(sub, space, {cid: space.simplex(cid) for cid in sub.cells}, check=False)
+    incl = SimplicialMap(sub, space, {cid: space.simplex(cid) for cid in sub.cells})
     return sub, incl
 
 
@@ -436,7 +434,7 @@ def simplex_map(
     """The map out of the standard simplex representing the simplex s."""
     delta = standard_simplex(s.degree) if source is None else source
     asg = {cid: target.eval(s, delta.labels[cid]) for cid in delta.cells}
-    return SimplicialMap(delta, target, asg, check=False)
+    return SimplicialMap(delta, target, asg)
 
 
 def representing_map(space: SimplicialSet, cid: int) -> SimplicialMap:

@@ -11,9 +11,9 @@ everywhere.  Every parser reports malformed text as a ParseError that
 names the line at fault; a cell, an element, a `send` or a section
 declared a second time is malformed at its second line, and so is a
 section other than `source` and `target` at its `begin`.  A cell face
-or a `send` image whose degree disagrees with the cell it names is
-malformed at its line; a face that names a missing cell is a fault of
-the whole text.
+or a `send` image whose degree disagrees with the cell it names, or
+whose braces list a position twice, is malformed at its line; a face
+that names a missing cell is a fault of the whole text.
 
 Files are read and written as UTF-8 through ``parse_file`` and
 ``write_file``; a file that is not UTF-8 is a ParseError naming the line
@@ -143,6 +143,8 @@ def _parse_simplex(tok: str, degree: int, line: int) -> tuple[int, Operator]:
     if not m:
         raise ParseError(f"bad simplex token {tok!r}", line)
     reps = tuple(int(x) for x in m.group(2).split(",")) if m.group(2) else ()
+    if len(set(reps)) != len(reps):
+        raise ParseError(f"simplex token {tok!r} lists a repeat position twice", line)
     try:
         return int(m.group(1)), degeneracy_from_repeats(reps, degree)
     except ValueError as err:

@@ -1,12 +1,13 @@
 """Verification campaigns: the main comparison, both counterexamples, the
 supporting lemma battery, and the cylinder suite.
 
-Each campaign returns a Report, a list of named pass/fail cases with
-key-value details.  Reports render as a stable text tree so that two
-runs under the same seed diff cleanly; timings are carried but left out
-of the rendering unless asked for.  ``SUITES`` names the campaigns of
-each suite of ``forge verify``, and ``run_suite`` merges their cases
-into one report.
+Each campaign takes a corpus and returns a Report, a list of named
+pass/fail cases with key-value details.  Reports render as a stable text
+tree so that two runs under the same seed diff cleanly; every case carries
+its seconds, left out of the rendering unless asked for.  ``SUITES`` names
+the campaigns of each suite of ``forge verify``, the only route to a
+campaign, and ``run_suite`` merges their cases into one report; ``all`` is
+the pinned report, and the counterexamples are a suite outside it.
 
 The second-subdivision corollary is the main theorem applied to sd
 images: its case for X is the main comparison for Sd X.  The verdict of
@@ -96,13 +97,20 @@ class CaseResult:
 
 @dataclass
 class Report:
+    """Cases, each stamped with the seconds since the case before it, or
+    since the report was made for the first: work between two cases counts
+    toward the later one, as building ``all_posets(5)`` counts toward ``cone/0``."""
+
     title: str
     cases: list[CaseResult] = field(default_factory=list)
+    _clock: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     def add(self, name: str, ok: bool, skip: bool = False, **details) -> None:
+        now = time.perf_counter()
         outcome = "skip" if skip else ("pass" if ok else "fail")
         pairs = tuple((k, str(v)) for k, v in sorted(details.items()))
-        self.cases.append(CaseResult(name, outcome, pairs))
+        self.cases.append(CaseResult(name, outcome, pairs, now - self._clock))
+        self._clock = now
 
     def count(self, outcome: str) -> int:
         return sum(1 for c in self.cases if c.outcome == outcome)
@@ -118,18 +126,13 @@ def format_report(report: Report, timings: bool = False) -> str:
         lines.append(f"  {c.name}: {c.outcome}")
         for k, v in c.details:
             lines.append(f"    {k} = {v}")
-        if timings and c.seconds:
+        if timings:
             lines.append(f"    seconds = {c.seconds:.2f}")
     lines.append(
         f"  summary: {report.count('pass')} pass,"
         f" {report.count('fail')} fail, {report.count('skip')} skip"
     )
     return "\n".join(lines) + "\n"
-
-
-def _timed(report: Report, name: str, ok: bool, started: float, **details) -> None:
-    report.add(name, ok, **details)
-    report.cases[-1].seconds = time.time() - started
 
 
 # -- the main comparison --------------------------------------------------------
@@ -194,10 +197,9 @@ def verify_main_theorem(corpus: Corpus) -> Report:
     for entry in corpus:
         if not entry.regular:
             continue
-        started = time.time()
         c = _compare(entry.space, lambda: _corpus_sd(entry, by_name))
-        _timed(
-            report, f"main/{entry.name}", c.iso, started,
+        report.add(
+            f"main/{entry.name}", c.iso,
             certificate=c.certificate.value,
             sd_cells=c.sd_cells,
             barratt_cells=c.barratt_cells,
@@ -218,12 +220,11 @@ def verify_second_subdivision(corpus: Corpus) -> Report:
     for entry in corpus:
         if entry.provenance == "sd-image" or sd_size(entry.space) > SD_CAP:
             continue
-        started = time.time()
         image = by_name.get(f"sd-{entry.name}")
         y = image.space if image is not None else sd(entry.space)
         c = _compare(y, lambda: sd(y))
-        _timed(
-            report, f"corollary/{entry.name}", c.iso, started,
+        report.add(
+            f"corollary/{entry.name}", c.iso,
             regular_input=entry.regular,
             sd2_cells=c.sd_cells,
         )
@@ -239,7 +240,8 @@ def _wedge_to_chain() -> MonotoneMap:
     return MonotoneMap(p, r, {"a": "a2", "b": "b2", "c": "c2"})
 
 
-def run_counterexamples() -> Report:
+def verify_counterexamples(corpus: Corpus) -> Report:
+    """Both counterexamples; the corpus is not read."""
     report = Report("counterexamples")
 
     bundle = cylinder_reduction(_wedge_to_chain())
@@ -301,7 +303,6 @@ def verify_dcr_suite(corpus: Corpus) -> Report:
             for y in x.simplices(q):
                 if y.is_degenerate and not degenerate_too:
                     continue
-                started = time.time()
                 phi = representing_sharp(x, y)
                 bundle = cylinder_reduction(phi)
                 g, res = dcr(phi, bundle=bundle)
@@ -312,9 +313,8 @@ def verify_dcr_suite(corpus: Corpus) -> Report:
                 tag = f"cell-{y.cell}"
                 if y.is_degenerate:
                     tag += "-s" + "-".join(str(r) for r in y.degen.repeats())
-                _timed(
-                    report, f"dcr/{entry.name}/{tag}",
-                    g.is_isomorphism() and criterion, started,
+                report.add(
+                    f"dcr/{entry.name}/{tag}", g.is_isomorphism() and criterion,
                     certificate=res.certificate.value,
                     sibling_criterion=criterion,
                 )
@@ -344,20 +344,19 @@ def _check_face_cancellation(x: SimplicialSet) -> bool:
     """Distinct faces that keep the last vertex have distinct carriers."""
     for cid, cell in x.cells.items():
         n = cell.dim
-        seen: dict[int, Operator] = {}
+        seen: set[int] = set()
         for mu in all_faces(n):
             if n not in mu.values:
                 continue
             carrier = x.eval(x.simplex(cid), mu).cell
             if carrier in seen:
                 return False
-            seen[carrier] = mu
+            seen.add(carrier)
         # mixed pairs: one side missing the last vertex
         for mu in all_faces(n):
             if n in mu.values:
                 continue
-            carrier = x.eval(x.simplex(cid), mu).cell
-            if carrier in seen and seen[carrier] != mu:
+            if x.eval(x.simplex(cid), mu).cell in seen:
                 return False
     return True
 
@@ -615,13 +614,14 @@ SUITES: dict[str, tuple[Callable[[Corpus], Report], ...]] = {
     "lemmas": (verify_lemma_suite,),
     "cylinders": (verify_dcr_suite,),
 }
+SUITES["all"] = (*SUITES["main"], *SUITES["lemmas"], *SUITES["cylinders"])
+SUITES["counterexamples"] = (verify_counterexamples,)
 
 
 def run_suite(name: str, corpus: Corpus) -> Report:
     """The ``verify-<name>`` report: the cases of every campaign of the
-    suite ``name``, or of every suite in table order for ``all``."""
+    suite ``name``, in table order."""
     report = Report(f"verify-{name}")
-    for suite in SUITES if name == "all" else [name]:
-        for campaign in SUITES[suite]:
-            report.cases.extend(campaign(corpus).cases)
+    for campaign in SUITES[name]:
+        report.cases.extend(campaign(corpus).cases)
     return report

@@ -17,7 +17,7 @@ from ssetforge.cylinders import (
 )
 from ssetforge.posets import FinPoset, MonotoneMap, all_posets, singleton_poset
 from ssetforge.verify import (
-    run_counterexamples,
+    verify_counterexamples,
     verify_dcr_suite,
     verify_lemma_suite,
     verify_main_theorem,
@@ -31,8 +31,8 @@ def lemma_report(corpus):
 
 
 @pytest.fixture(scope="module")
-def counterexample_report():
-    return run_counterexamples()
+def counterexample_report(corpus):
+    return verify_counterexamples(corpus)
 
 
 def announce(capsys, name: str, ok: bool, note: str = "") -> None:

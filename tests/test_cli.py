@@ -1,12 +1,13 @@
 import argparse
 import gc
 import os
+import re
 
 import pytest
 
 from ssetforge import cli
 from ssetforge.cli import main
-from ssetforge.corpus import gen_corpus, load_corpus
+from ssetforge.corpus import Corpus, gen_corpus, load_corpus, save_corpus
 from ssetforge.cylinders import cylinder_reduction
 from ssetforge.desingularize import desingularize
 from ssetforge.posets import FinPoset, MonotoneMap
@@ -20,6 +21,7 @@ from ssetforge.textio import (
     parse_smap,
     parse_sset,
 )
+from ssetforge.verify import format_report, verify_counterexamples
 
 from reference import is_isomorphic
 
@@ -194,9 +196,34 @@ def test_verify_cli_tiny_corpus(tmp_path, tiny_corpus):
 
 
 def test_counterexamples_cli(capsys):
-    assert main(["counterexamples"]) == 0
+    assert main(["verify", "counterexamples"]) == 0
     out = capsys.readouterr().out
     assert "summary: 4 pass, 0 fail, 0 skip" in out
+    # the case lines of the campaign, under the suite's title
+    cases = format_report(verify_counterexamples(Corpus(0, [])))
+    assert out.splitlines()[1:] == cases.splitlines()[1:]
+    assert out.startswith("report verify-counterexamples\n")
+
+
+@pytest.mark.parametrize("suite", ["counterexamples", "lemmas"])
+def test_timings_stamp_every_case(tmp_path, tiny_corpus, capsys, suite):
+    # --timings adds one seconds line, the last, under every case, and
+    # leaves every other line as the untimed report has it
+    cdir = tmp_path / "corpus"
+    save_corpus(tiny_corpus, cdir)
+    main(["verify", suite, "--corpus", str(cdir)])
+    plain = capsys.readouterr().out.splitlines()
+    main(["verify", suite, "--corpus", str(cdir), "--timings"])
+    timed = capsys.readouterr().out.splitlines()
+    cases: list[list[str]] = []
+    for line in timed[1:-1]:
+        if line.startswith("    "):
+            cases[-1].append(line)
+        else:
+            cases.append([line])
+    assert cases and len(timed) == len(plain) + len(cases)
+    assert all(re.fullmatch(r"    seconds = \d+\.\d\d", case[-1]) for case in cases)
+    assert [line for line in timed if not line.startswith("    seconds = ")] == plain
 
 
 @pytest.mark.parametrize(
@@ -327,6 +354,9 @@ def test_non_utf8_input_is_one_line_and_exit_3(tmp_path, tiny_corpus, capsys, ar
         ("seed", "a seed line needs one integer"),
         ("colour red", "unknown manifest line 'colour red'"),
         ("member d1 builtin reguler d1.sset", "expected the flag regular or singular, got 'reguler'"),
+        # a misspelt sd-image would give the image corollary cases of its own
+        ("member d1 sd-imag regular d1.sset",
+         "expected the provenance builtin, random-quotient or sd-image, got 'sd-imag'"),
         # line 3 names delta-1 already: a second line would run it twice
         ("member delta-1 builtin regular delta-1.sset", "member delta-1 declared twice"),
         # line 2 sets the seed already: a second line would override it
@@ -457,7 +487,10 @@ def test_calls_leave_no_argparse_garbage(tmp_path, capsys):
     (["dcr", "phi.pmap", "--bound", "4"], "unrecognized arguments: --bound 4"),
     (["frobnicate", "X.sset"], "argument command: invalid choice: 'frobnicate'"),
     (["verify", "every"],
-     "argument suite: invalid choice: 'every' (choose from 'main', 'lemmas', 'cylinders', 'all')"),
+     "argument suite: invalid choice: 'every' (choose from 'main', 'lemmas', 'cylinders', 'all',"
+     " 'counterexamples')"),
+    # the counterexamples are a suite of verify, not a command of their own
+    (["counterexamples"], "argument command: invalid choice: 'counterexamples'"),
     (["desing"], "the following arguments are required: space"),
     ([], "the following arguments are required: command"),
     (["sd", "X.sset", "--frob"], "unrecognized arguments: --frob"),

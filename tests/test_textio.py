@@ -106,6 +106,12 @@ def _swap(text: str, line: int, new: str) -> str:
         (parse_sset, _swap(SSET, 2, "foo 1"), 2, "unexpected line 'foo 1'"),
         (parse_sset, "cell 0 1 0{7} 0{}\n", 1, "repeat positions [7] out of range"),
         (parse_sset, _swap(SSET, 3, "cell 2 1 1{,} 0{}"), 3, "bad simplex token '1{,}'"),
+        # a repeat position listed twice, which would be written back once
+        (parse_sset, "cell 0 0\ncell 1 1 0{} 0{}\ncell 2 2 1{} 1{} 0{0,0}\n", 3,
+         "simplex token '0{0,0}' lists a repeat position twice"),
+        (parse_smap, "begin source\n" + SSET + "end\nbegin target\ncell 0 0\nend\n"
+         "send 0 0{}\nsend 1 0{}\nsend 2 0{0,0}\n", 11,
+         "simplex token '0{0,0}' lists a repeat position twice"),
         (parse_sset, _swap(SSET, 3, "cell 2 1 1{}"), 3, "cell 2 needs 2 faces, got 1"),
         (parse_sset, SSET + "# x\ncell 1 0\n", 5, "cell 1 declared twice"),
         # no face token names a negative id, so no cell line may declare one

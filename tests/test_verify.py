@@ -20,7 +20,7 @@ from ssetforge.textio import format_sset, parse_sset
 from ssetforge.verify import (
     Report,
     format_report,
-    run_counterexamples,
+    verify_counterexamples,
     verify_dcr_suite,
     verify_lemma_suite,
     verify_main_theorem,
@@ -64,7 +64,7 @@ def test_report_formatting_is_stable():
 
 
 def test_counterexamples_pass():
-    rep = run_counterexamples()
+    rep = verify_counterexamples(Corpus(0, []))
     assert rep.ok
     assert rep.count("pass") == 4
 
