@@ -26,7 +26,11 @@ wrong type, ``desing --bound`` without ``--method oracle`` or below 0,
 The argument parser is built once per process, on the first call of
 ``main``, and shared by every later call: ``parse_args`` returns a fresh
 namespace each time and leaves the parser as it was, so calls stay
-independent.
+independent.  A request that names a subcommand is parsed once, by that
+subcommand's own parser; the top-level parser takes the rest (no
+argument, an unknown command, ``--help``) and reports them as usage
+errors or prints the usage.  Either way a command line reads as the
+top-level parser alone reads it, the ``command`` name aside.
 """
 
 from __future__ import annotations
@@ -162,7 +166,8 @@ def cmd_dcr(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the table of its subcommands' parsers."""
     parser = _Parser(
         prog="forge",
         description="subdivide, desingularize, and verify finite simplicial sets",
@@ -217,12 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("phi", help="monotone map (.pmap)")
     p.set_defaults(fn=cmd_dcr)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        # a named command's parser reads the rest; anything else (no
+        # argument, an unknown command, --help) goes to the top-level one
+        command = commands.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         return args.fn(args)
     except UsageError as err:
         print(f"forge: {err}", file=sys.stderr)

@@ -3,7 +3,9 @@
 A simplicial set is a list of `cell` lines, each naming its cell by a
 non-negative integer id; a face entry is written as `<target>{j,...}`
 where the braces hold the repeat set of the attached degeneracy, which
-together with the declared dimensions pins the operator down.  Maps
+together with the declared dimensions pins the operator down.  The
+braces list the repeat positions in ascending order, as they are
+written, so every token reads back as the text it came from.  Maps
 inline their source and target between `begin`/`end` fences followed by
 `send` lines.  Posets list `el` and `lt` lines; monotone maps mirror
 the simplicial layout.  `#` comments and blank lines are ignored
@@ -12,8 +14,15 @@ names the line at fault; a cell, an element, a `send` or a section
 declared a second time is malformed at its second line, and so is a
 section other than `source` and `target` at its `begin`.  A cell face
 or a `send` image whose degree disagrees with the cell it names, or
-whose braces list a position twice, is malformed at its line; a face
-that names a missing cell is a fault of the whole text.
+whose braces list a position twice or out of order, is malformed at its
+line; a face that names a missing cell is a fault of the whole text.
+
+Simplex tokens are read and written through per-operator caches: the
+braces text of each degeneracy is built once, and the degeneracy that
+each (braces text, degree) pair names is read once, so both caches grow
+with the operators a process meets and never with cell ids.  A token
+that fails to read leaves no entry, and raises at its own line each
+time it is read.
 
 Files are read and written as UTF-8 through ``parse_file`` and
 ``write_file``; a file that is not UTF-8 is a ParseError naming the line
@@ -25,13 +34,13 @@ from __future__ import annotations
 import os
 import re
 import stat
+from functools import lru_cache
 from pathlib import Path
 
 from .operators import Operator, degeneracy_from_repeats
 from .posets import FinPoset, MonotoneMap
 from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet
 
-_FACE_TOKEN = re.compile(r"(\d+)\{((?:\d+(?:,\d+)*)?)\}$")
 _PLAIN = re.compile(r"[A-Za-z0-9_.:+'-]+$")
 
 
@@ -133,20 +142,49 @@ def _whole(build, *args, **kwargs):
         raise ParseError(str(err)) from None
 
 
+@lru_cache(maxsize=None)
+def _braces(degen: Operator) -> str:
+    """The `{i,j,...}` text of a degeneracy: its repeat positions, ascending."""
+    return "{" + ",".join(map(str, degen.repeats())) + "}"
+
+
 def _simplex_token(cell: int, degen: Operator) -> str:
-    return f"{cell}{{{','.join(str(j) for j in degen.repeats())}}}"
+    return f"{cell}{_braces(degen)}"
+
+
+class _TokenFault(ValueError):
+    """A fault of a token's braces; its message is a template for the token."""
+
+
+@lru_cache(maxsize=None)
+def _read_braces(braces: str, degree: int) -> Operator:
+    """The degeneracy out of [degree] whose repeat positions a `{i,j,...}`
+    text lists, in ascending order.  A text that names none raises, and
+    lru_cache keeps no entry for it."""
+    inner = braces[1:-1]
+    positions = inner.split(",") if inner else ()
+    if braces[-1] != "}" or not all(map(str.isdecimal, positions)):
+        raise _TokenFault("bad simplex token {!r}")
+    reps = tuple(map(int, positions))
+    if any(a >= b for a, b in zip(reps, reps[1:])):
+        if len(set(reps)) != len(reps):
+            raise _TokenFault("simplex token {!r} lists a repeat position twice")
+        raise _TokenFault("simplex token {!r} lists its repeat positions out of order")
+    return degeneracy_from_repeats(reps, degree)
 
 
 def _parse_simplex(tok: str, degree: int, line: int) -> tuple[int, Operator]:
     """The (cell, degeneracy) pair a `<cell>{repeats}` token names, given its degree."""
-    m = _FACE_TOKEN.match(tok)
-    if not m:
+    brace = tok.find("{")
+    cell = tok[:brace]
+    # brace == -1 leaves no braces; a cell id is Unicode decimal digits,
+    # which int reads
+    if brace < 1 or not cell.isdecimal():
         raise ParseError(f"bad simplex token {tok!r}", line)
-    reps = tuple(int(x) for x in m.group(2).split(",")) if m.group(2) else ()
-    if len(set(reps)) != len(reps):
-        raise ParseError(f"simplex token {tok!r} lists a repeat position twice", line)
     try:
-        return int(m.group(1)), degeneracy_from_repeats(reps, degree)
+        return int(cell), _read_braces(tok[brace:], degree)
+    except _TokenFault as err:
+        raise ParseError(str(err).format(tok), line) from None
     except ValueError as err:
         raise ParseError(str(err), line) from None
 

@@ -127,7 +127,7 @@ def format_report(report: Report, timings: bool = False) -> str:
         for k, v in c.details:
             lines.append(f"    {k} = {v}")
         if timings:
-            lines.append(f"    seconds = {c.seconds:.2f}")
+            lines.append(f"    seconds = {c.seconds:.6f}")
     lines.append(
         f"  summary: {report.count('pass')} pass,"
         f" {report.count('fail')} fail, {report.count('skip')} skip"

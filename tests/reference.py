@@ -53,10 +53,16 @@ run each round on a new congruence over the round before's quotient,
 quotient every round, compose eta, and map move cells back to the input
 through ``_first_preimages``; the desingularizer runs every move on one
 congruence over the input and quotients once.
+``fstring_simplex_token`` writes a simplex token by joining the repeat
+positions of its degeneracy afresh, and ``regex_parse_simplex`` reads one
+through a regular expression and ``degeneracy_from_repeats``, every
+token anew; ``textio`` keeps the braces text of each degeneracy and the
+degeneracy of each (braces text, degree) pair instead.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 from ssetforge.colimits import (
@@ -124,6 +130,7 @@ from ssetforge.simplicial import (
     standard_simplex,
 )
 from ssetforge.subdivision import chains_to_top
+from ssetforge.textio import ParseError
 
 
 class SimplexCongruence:
@@ -899,3 +906,29 @@ def find_isomorphism(x: SimplicialSet, y: SimplicialSet) -> dict[int, int] | Non
 
 def is_isomorphic(x: SimplicialSet, y: SimplicialSet) -> bool:
     return find_isomorphism(x, y) is not None
+
+
+# -- simplex tokens -----------------------------------------------------------
+
+_FACE_TOKEN = re.compile(r"(\d+)\{((?:\d+(?:,\d+)*)?)\}$")
+
+
+def fstring_simplex_token(cell: int, degen: Operator) -> str:
+    return f"{cell}{{{','.join(str(j) for j in degen.repeats())}}}"
+
+
+def regex_parse_simplex(tok: str, degree: int, line: int) -> tuple[int, Operator]:
+    """The (cell, degeneracy) pair a `<cell>{repeats}` token names, given its
+    degree; the repeat positions must be listed in ascending order."""
+    m = _FACE_TOKEN.match(tok)
+    if not m:
+        raise ParseError(f"bad simplex token {tok!r}", line)
+    reps = tuple(int(x) for x in m.group(2).split(",")) if m.group(2) else ()
+    if len(set(reps)) != len(reps):
+        raise ParseError(f"simplex token {tok!r} lists a repeat position twice", line)
+    if list(reps) != sorted(reps):
+        raise ParseError(f"simplex token {tok!r} lists its repeat positions out of order", line)
+    try:
+        return int(m.group(1)), degeneracy_from_repeats(reps, degree)
+    except ValueError as err:
+        raise ParseError(str(err), line) from None

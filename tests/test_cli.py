@@ -222,7 +222,7 @@ def test_timings_stamp_every_case(tmp_path, tiny_corpus, capsys, suite):
         else:
             cases.append([line])
     assert cases and len(timed) == len(plain) + len(cases)
-    assert all(re.fullmatch(r"    seconds = \d+\.\d\d", case[-1]) for case in cases)
+    assert all(re.fullmatch(r"    seconds = \d+\.\d{6}", case[-1]) for case in cases)
     assert [line for line in timed if not line.startswith("    seconds = ")] == plain
 
 
@@ -236,6 +236,7 @@ def test_timings_stamp_every_case(tmp_path, tiny_corpus, capsys, suite):
         ("sd", "x.sset", "cell 0 0\nfoo 1\n", ":2:"),
         ("sd", "x.sset", "cell 0 1 0{7} 0{}\n", ":1:"),
         ("sd", "x.sset", "cell 0 0\ncell 1 1 5{} 0{}\n", ":"),
+        ("sd", "x.sset", "cell 0 0\ncell 1 3 0{0,1} 0{0,1} 0{0,1} 0{1,0}\n", ":2:"),
         ("dcr", "phi.pmap", WEDGE_TO_CHAIN.replace("send a u", "send a"), ":16:"),
         ("cylinder", "phi.pmap", WEDGE_TO_CHAIN.replace("send b v", "send b z"), ":17:"),
         # a repeated declaration, which a later one would otherwise override
@@ -479,6 +480,48 @@ def test_calls_leave_no_argparse_garbage(tmp_path, capsys):
         gc.set_debug(0)
         gc.garbage.clear()
     assert leaked == []
+
+
+# one command line of each subcommand, with its options
+COMMAND_LINES = [
+    ["corpus", "--seed", "3", "-o", "out"],
+    ["verify", "lemmas", "--seed", "2", "--report", "r.txt", "--timings"],
+    ["sd", "X.sset", "-o", "Y.sset"],
+    ["barratt", "X.sset"],
+    ["bnat", "X.sset", "--out", "b.smap"],
+    ["lastvertex", "X.sset"],
+    ["desing", "X.sset", "--method", "oracle", "--bound", "4", "--emit-eta", "e.smap"],
+    ["cylinder", "phi.pmap", "--bundle", "-o", "c.smap"],
+    ["dcr", "phi.pmap"],
+]
+
+
+def test_every_subcommand_has_a_command_line():
+    _, commands = cli.build_parser()
+    assert sorted(commands) == sorted(argv[0] for argv in COMMAND_LINES)
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=lambda argv: argv[0])
+def test_a_subcommand_parser_reads_as_the_top_level_parser(argv):
+    parser, commands = cli.build_parser()
+    whole = vars(parser.parse_args(argv))
+    assert whole.pop("command") == argv[0]
+    assert vars(commands[argv[0]].parse_args(argv[1:])) == whole
+
+
+def test_main_parses_a_request_once(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "d1.sset"
+    src.write_text(format_sset(standard_simplex(1)))
+    parsed = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    assert main(["desing", str(src), "--method", "zipper"]) == 0
+    assert parsed == ["forge desing"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -12,6 +12,7 @@ from ssetforge.colimits import (
     disjoint_union,
     quotient,
 )
+from ssetforge.operators import all_degeneracies
 from ssetforge.posets import FinPoset, MonotoneMap, all_posets
 from ssetforge.simplicial import boundary, representing_map, standard_simplex
 from ssetforge.subdivision import sd
@@ -26,8 +27,14 @@ from ssetforge.textio import (
     parse_file,
     parse_smap,
     parse_sset,
+    _braces,
+    _parse_simplex,
+    _read_braces,
+    _simplex_token,
     write_file,
 )
+
+from reference import fstring_simplex_token, regex_parse_simplex
 
 
 def test_sset_round_trip_on_varied_spaces():
@@ -112,6 +119,12 @@ def _swap(text: str, line: int, new: str) -> str:
         (parse_smap, "begin source\n" + SSET + "end\nbegin target\ncell 0 0\nend\n"
          "send 0 0{}\nsend 1 0{}\nsend 2 0{0,0}\n", 11,
          "simplex token '0{0,0}' lists a repeat position twice"),
+        # repeat positions out of order, which would be written back sorted
+        (parse_sset, "cell 0 0\ncell 1 3 0{0,1} 0{0,1} 0{0,1} 0{1,0}\n", 2,
+         "simplex token '0{1,0}' lists its repeat positions out of order"),
+        (parse_smap, "begin source\ncell 0 0\ncell 1 1 0{} 0{}\ncell 2 2 1{} 1{} 0{0}\nend\n"
+         "begin target\ncell 0 0\nend\nsend 0 0{}\nsend 1 0{0}\nsend 2 0{1,0}\n", 11,
+         "simplex token '0{1,0}' lists its repeat positions out of order"),
         (parse_sset, _swap(SSET, 3, "cell 2 1 1{}"), 3, "cell 2 needs 2 faces, got 1"),
         (parse_sset, SSET + "# x\ncell 1 0\n", 5, "cell 1 declared twice"),
         # no face token names a negative id, so no cell line may declare one
@@ -266,6 +279,93 @@ def test_one_token_dropped_or_corrupted_is_a_parse_error(kind, data):
     # only renaming a poset element that no other line names leaves the
     # text valid: element names are free text
     assert how == "corrupt" and lines[i][0] == "el" and j == 1
+
+
+# -- simplex token codecs -----------------------------------------------------
+
+
+def test_simplex_tokens_match_their_definitions():
+    # every degeneracy out of [degree] for degree <= 4, onto each rank
+    for degree in range(5):
+        for rank in range(degree + 1):
+            for op in all_degeneracies(degree, rank):
+                for cell in (0, 7, 12345):
+                    tok = _simplex_token(cell, op)
+                    assert tok == fstring_simplex_token(cell, op)
+                    assert _parse_simplex(tok, degree, 1) == (cell, op)
+                    assert regex_parse_simplex(tok, degree, 1) == (cell, op)
+
+
+# (token, degree): well-formed ones, and faults of the cell id, of the
+# braces' shape, of repeat positions and of their range, some of them
+# sharing their braces with a well-formed token of another degree
+TOKENS = [
+    ("0{}", 0), ("7{0}", 1), ("12345{0,1}", 2), ("3{1}", 2), ("\u0663{\u0660}", 1),
+    ("", 0), ("{}", 0), ("x{}", 0), ("-1{}", 0), ("+1{}", 0), ("1_0{}", 0), ("0", 0),
+    ("0{", 0), ("0}", 0), ("0{}}", 0), ("0{{}", 0), ("0{},", 0), ("0{,}", 1), ("0{0,}", 2),
+    ("0{a}", 1), ("0{ 0}", 1), ("0{-1}", 1), ("0{0}{}", 1), ("x{0}", 1), ("7{0}x", 1),
+    ("0{0,0}", 2), ("0{1,0}", 2), ("0{0,1,0}", 3), ("0{0}", 0), ("7{0,1}", 1),
+    ("0{2}", 2), ("0{1,0}", 0),
+]
+
+
+def _outcome(parse, tok, degree, line):
+    try:
+        return parse(tok, degree, line)
+    except ParseError as err:
+        return err.line, str(err)
+
+
+def test_token_faults_are_never_cached():
+    # cold: each token read on an empty cache
+    for line, (tok, degree) in enumerate(TOKENS, 1):
+        _read_braces.cache_clear()
+        expected = _outcome(regex_parse_simplex, tok, degree, line)
+        assert _outcome(_parse_simplex, tok, degree, line) == expected
+    # warm: every token read once, then each again at another line
+    for tok, degree in TOKENS:
+        _outcome(_parse_simplex, tok, degree, 1)
+    warm = _read_braces.cache_info().currsize
+    for line, (tok, degree) in enumerate(TOKENS, 100):
+        expected = _outcome(regex_parse_simplex, tok, degree, line)
+        assert _outcome(_parse_simplex, tok, degree, line) == expected
+    # one entry for each well-formed (braces, degree) pair, none for a fault
+    assert warm == _read_braces.cache_info().currsize == 5
+
+
+def _token_pairs(text: str) -> set[tuple[str, int]]:
+    """The (braces text, degree) pairs of the simplex tokens of an sset or
+    smap text, read off its lines."""
+    pairs = set()
+    dims = {}  # of the source's cells, which the send lines name
+    section = None
+    for row in (line.split() for line in text.splitlines()):
+        if row[0] == "begin":
+            section = row[1]
+        elif row[0] == "cell":
+            if section != "target":
+                dims[row[1]] = int(row[2])
+            pairs |= {(tok[tok.index("{"):], int(row[2]) - 1) for tok in row[3:]}
+        elif row[0] == "send":
+            pairs.add((row[2][row[2].index("{"):], dims[row[1]]))
+    return pairs
+
+
+def test_token_caches_grow_with_operators_not_cells():
+    # the files a desing or an sd request reads and writes, on small
+    # quotients: inputs, quotients, projections and subdivisions
+    _read_braces.cache_clear()
+    _braces.cache_clear()
+    pairs, tokens = set(), 0
+    for seed in range(200):
+        res = _seeded_quotient(seed)
+        for text in (format_sset(res.space), format_smap(res.projection),
+                     format_sset(sd(res.space))):
+            pairs |= _token_pairs(text)
+            tokens += text.count("{")
+            (parse_smap if text.startswith("begin") else parse_sset)(text)
+    assert _read_braces.cache_info().currsize == len(pairs) < tokens
+    assert _braces.cache_info().currsize <= len(pairs)
 
 
 # -- files --------------------------------------------------------------------
