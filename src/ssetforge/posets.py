@@ -27,13 +27,25 @@ Pushouts of posets along Dwyer maps are computed as the transitive
 closure of the images of both legs; antisymmetry of the result is
 asserted, never repaired.  The Dwyer check of the embedding leg is read
 through ``MonotoneMap.dwyer``, which decides it once per map object.
+
+``all_posets`` enumerates posets up to isomorphism.  It keys each
+candidate relation by the signatures (|down-set|, |up-set|) of its
+elements, sorted, and by the least relation over the labellings that
+number the elements in signature order and permute them only within a
+class of equal signatures (the class refinement of B. D. McKay,
+"Practical graph isomorphism", 1981).  The key is complete.  An
+isomorphism preserves signatures, so it maps each class onto the class
+of the same signature, and the admissible labellings of two isomorphic
+posets give the same relations: they share their key.  The key holds
+the relation of one labelling of the poset, so two posets that share a
+key are isomorphic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import groupby, permutations
 from typing import Callable, Hashable, Iterable
 
 from .operators import Operator, all_faces, identity, run_collapse
@@ -454,17 +466,50 @@ def psi(n: int) -> MonotoneMap:
 # -- enumeration -------------------------------------------------------------
 
 
+def _class_orders(classes: list[tuple]):
+    """Each concatenation of one ordering of every class, made lazily: a
+    product over all orderings of each class would hold them at once."""
+    if not classes:
+        yield ()
+        return
+    for head in permutations(classes[0]):
+        for rest in _class_orders(classes[1:]):
+            yield head + rest
+
+
+def _canonical_key(n: int, rel: frozenset) -> tuple:
+    """The key of the poset on range(n) whose strict order is rel: the
+    elements' (|down-set|, |up-set|) signatures, sorted, and the least
+    sorted relation over the labellings that number the elements in
+    signature order, in any order within a class of equal signatures."""
+    down, up = [0] * n, [0] * n
+    for a, b in rel:
+        up[a] += 1
+        down[b] += 1
+    # |up-set| < n, so this int orders as the pair does and makes no tuple
+    sig = [d * n + u for d, u in zip(down, up)]
+    ranked = sorted(range(n), key=sig.__getitem__)
+    classes = [tuple(group) for _, group in groupby(ranked, key=sig.__getitem__)]
+    best = None
+    label = [0] * n
+    for order in _class_orders(classes):
+        for pos, e in enumerate(order):
+            label[e] = pos
+        cand = sorted((label[a], label[b]) for a, b in rel)
+        if best is None or cand < best:
+            best = cand
+    return tuple(map(sig.__getitem__, ranked)), tuple(best)
+
+
 def all_posets(max_size: int) -> list[FinPoset]:
-    """All posets with at most max_size elements, one per isomorphism class."""
+    """All posets with at most max_size elements, one per isomorphism class.
 
-    def canonical(n, rel):
-        best = None
-        for perm in permutations(range(n)):
-            cand = tuple(sorted((perm[a], perm[b]) for a, b in rel))
-            if best is None or cand < best:
-                best = cand
-        return best
-
+    Each poset on n elements is generated from one on n - 1 by a new
+    maximal element above a down-closed set, and only the first relation
+    of each class is kept.  A candidate is keyed by ``_canonical_key``, at
+    a cost of at most the product of the factorials of its signature
+    classes' sizes: an antichain still takes all n! labellings, each
+    giving the empty relation, but a chain takes one."""
     out: list[FinPoset] = [FinPoset([])]
     layer: list[frozenset] = [frozenset()]
     for n in range(1, max_size + 1):
@@ -476,12 +521,12 @@ def all_posets(max_size: int) -> list[FinPoset]:
                 s = {i for i in range(n - 1) if bits >> i & 1}
                 if any(not down_of[i] <= s for i in s):
                     continue
-                new = rel | {(i, n - 1) for i in s}
-                canon = canonical(n, new)
-                if canon in seen:
+                new = frozenset(rel | {(i, n - 1) for i in s})
+                key = _canonical_key(n, new)
+                if key in seen:
                     continue
-                seen.add(canon)
-                nxt.append(frozenset(new))
+                seen.add(key)
+                nxt.append(new)
         layer = nxt
         out.extend(FinPoset(range(n), rel) for rel in layer)
     return out

@@ -5,10 +5,14 @@ non-negative integer id; a face entry is written as `<target>{j,...}`
 where the braces hold the repeat set of the attached degeneracy, which
 together with the declared dimensions pins the operator down.  The
 braces list the repeat positions in ascending order, as they are
-written, so every token reads back as the text it came from.  Maps
-inline their source and target between `begin`/`end` fences followed by
-`send` lines.  Posets list `el` and `lt` lines; monotone maps mirror
-the simplicial layout.  `#` comments and blank lines are ignored
+written, so every token reads back as the text it came from.  Every
+integer is ASCII digits: a simplex token's cell id and repeat positions,
+and a `cell` line's id and dimension and a `send` line's id, these three
+with an optional leading minus that later checks reject.  No plus sign,
+underscore or other script's digit is read.  Maps inline their source
+and target between `begin`/`end` fences followed by `send` lines.
+Posets list `el` and `lt` lines; monotone maps mirror the simplicial
+layout.  `#` comments and blank lines are ignored
 everywhere.  Every parser reports malformed text as a ParseError that
 names the line at fault; a cell, an element, a `send` or a section
 declared a second time is malformed at its second line, and so is a
@@ -127,11 +131,18 @@ def _unexpected(line: int, row: list[str]) -> ParseError:
     return ParseError(f"unexpected line {' '.join(row)!r}", line)
 
 
+def _ascii_digits(tok: str) -> bool:
+    """Whether tok is one or more ASCII digits: ``isdigit`` alone also
+    takes other scripts' digits and superscripts, and ``int`` takes signs
+    and underscores, none of which is written back as read."""
+    return tok.isascii() and tok.isdigit()
+
+
 def _int(tok: str, line: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {tok!r}", line) from None
+    """The integer an ASCII ``-?[0-9]+`` token spells; anything else raises."""
+    if not _ascii_digits(tok[1:] if tok.startswith("-") else tok):
+        raise ParseError(f"expected an integer, got {tok!r}", line)
+    return int(tok)
 
 
 def _whole(build, *args, **kwargs):
@@ -163,7 +174,7 @@ def _read_braces(braces: str, degree: int) -> Operator:
     lru_cache keeps no entry for it."""
     inner = braces[1:-1]
     positions = inner.split(",") if inner else ()
-    if braces[-1] != "}" or not all(map(str.isdecimal, positions)):
+    if braces[-1] != "}" or not all(map(_ascii_digits, positions)):
         raise _TokenFault("bad simplex token {!r}")
     reps = tuple(map(int, positions))
     if any(a >= b for a, b in zip(reps, reps[1:])):
@@ -177,9 +188,8 @@ def _parse_simplex(tok: str, degree: int, line: int) -> tuple[int, Operator]:
     """The (cell, degeneracy) pair a `<cell>{repeats}` token names, given its degree."""
     brace = tok.find("{")
     cell = tok[:brace]
-    # brace == -1 leaves no braces; a cell id is Unicode decimal digits,
-    # which int reads
-    if brace < 1 or not cell.isdecimal():
+    # brace == -1 leaves no braces
+    if brace < 1 or not _ascii_digits(cell):
         raise ParseError(f"bad simplex token {tok!r}", line)
     try:
         return int(cell), _read_braces(tok[brace:], degree)

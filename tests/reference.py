@@ -58,12 +58,16 @@ positions of its degeneracy afresh, and ``regex_parse_simplex`` reads one
 through a regular expression and ``degeneracy_from_repeats``, every
 token anew; ``textio`` keeps the braces text of each degeneracy and the
 degeneracy of each (braces text, degree) pair instead.
+``all_posets_by_relabelling`` enumerates posets keyed by the least
+relation over all n! relabellings; ``all_posets`` permutes elements only
+within classes of equal (|down-set|, |up-set|) signatures.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import permutations
 
 from ssetforge.colimits import (
     Congruence,
@@ -908,9 +912,44 @@ def is_isomorphic(x: SimplicialSet, y: SimplicialSet) -> bool:
     return find_isomorphism(x, y) is not None
 
 
+# -- poset enumeration ------------------------------------------------------
+
+
+def all_posets_by_relabelling(max_size: int) -> list[FinPoset]:
+    """All posets with at most max_size elements, one per isomorphism class,
+    generated as ``all_posets`` generates them, each candidate keyed by the
+    least sorted relation over all n! relabellings."""
+
+    def canonical(n, rel):
+        return min(
+            tuple(sorted((perm[a], perm[b]) for a, b in rel)) for perm in permutations(range(n))
+        )
+
+    out: list[FinPoset] = [FinPoset([])]
+    layer: list[frozenset] = [frozenset()]
+    for n in range(1, max_size + 1):
+        seen = set()
+        nxt = []
+        for rel in layer:
+            down_of = {i: {a for a, b in rel if b == i} for i in range(n - 1)}
+            for bits in range(2 ** (n - 1)):
+                s = {i for i in range(n - 1) if bits >> i & 1}
+                if any(not down_of[i] <= s for i in s):
+                    continue
+                new = rel | {(i, n - 1) for i in s}
+                canon = canonical(n, new)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                nxt.append(frozenset(new))
+        layer = nxt
+        out.extend(FinPoset(range(n), rel) for rel in layer)
+    return out
+
+
 # -- simplex tokens -----------------------------------------------------------
 
-_FACE_TOKEN = re.compile(r"(\d+)\{((?:\d+(?:,\d+)*)?)\}$")
+_FACE_TOKEN = re.compile(r"(\d+)\{((?:\d+(?:,\d+)*)?)\}$", re.ASCII)
 
 
 def fstring_simplex_token(cell: int, degen: Operator) -> str:

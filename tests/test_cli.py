@@ -237,6 +237,12 @@ def test_timings_stamp_every_case(tmp_path, tiny_corpus, capsys, suite):
         ("sd", "x.sset", "cell 0 1 0{7} 0{}\n", ":1:"),
         ("sd", "x.sset", "cell 0 0\ncell 1 1 5{} 0{}\n", ":"),
         ("sd", "x.sset", "cell 0 0\ncell 1 3 0{0,1} 0{0,1} 0{0,1} 0{1,0}\n", ":2:"),
+        # an integer that is not ASCII digits, which would be written back
+        # as other text
+        ("sd", "x.sset", "cell +0 0\n", ":1:"),
+        ("sd", "x.sset", "cell 0 0\ncell 1_0 0\n", ":2:"),
+        ("sd", "x.sset", "cell 0 0\ncell 1 0\ncell \u0662 1 10{} 0{}\n", ":3:"),
+        ("sd", "x.sset", "cell 0 0\ncell 1 1 \u0660{} 0{}\n", ":2:"),
         ("dcr", "phi.pmap", WEDGE_TO_CHAIN.replace("send a u", "send a"), ":16:"),
         ("cylinder", "phi.pmap", WEDGE_TO_CHAIN.replace("send b v", "send b z"), ":17:"),
         # a repeated declaration, which a later one would otherwise override
@@ -246,7 +252,7 @@ def test_timings_stamp_every_case(tmp_path, tiny_corpus, capsys, suite):
 )
 def test_malformed_input_is_one_line_and_exit_3(tmp_path, capsys, command, name, text, where):
     src = tmp_path / name
-    src.write_text(text)
+    src.write_text(text, encoding="utf-8")
     assert main([command, str(src)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

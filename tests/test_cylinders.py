@@ -238,6 +238,17 @@ def test_desingularized_cone_is_the_reduced_cone():
         assert is_isomorphic(out.quotient, bundle.reduced)
 
 
+def test_cones_over_six_element_posets_reduce_by_an_isomorphism():
+    # the next population past the cone/ cases, which stop at five
+    # elements: each of the 318 cones desingularizes by forced moves alone
+    sixes = [p for p in all_posets(6) if len(p) == 6]
+    assert len(sixes) == 318
+    for p in sixes:
+        g, res = dcr(terminal_map(p))
+        assert g.is_isomorphism()
+        assert res.certificate is Certificate.ZIPPER
+
+
 def test_cone_reduction_is_degreewise_surjective():
     p = FinPoset("abc", [("a", "b"), ("a", "c")])
     bundle = cylinder_reduction(terminal_map(p))

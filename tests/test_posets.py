@@ -13,6 +13,7 @@ from ssetforge.operators import Operator, identity, make_vertex, run_collapse
 from ssetforge.posets import (
     FinPoset,
     MonotoneMap,
+    _canonical_key,
     all_posets,
     barratt,
     chain_poset,
@@ -42,6 +43,7 @@ from ssetforge.simplicial import (
 )
 
 from reference import (
+    all_posets_by_relabelling,
     find_isomorphism,
     is_isomorphic,
     label_nerve,
@@ -431,15 +433,47 @@ def test_poset_isomorphism_search():
 
 
 def test_poset_enumeration_counts():
+    # the numbers of unlabelled posets on 0..7 elements (OEIS A000112)
     by_size = {}
-    for p in all_posets(5):
+    for p in all_posets(7):
         by_size.setdefault(len(p), []).append(p)
-    assert [len(by_size.get(n, [])) for n in range(6)] == [1, 1, 2, 5, 16, 63]
-    for group in by_size.values():
-        nerves = [nerve(p) for p in group]
+    assert [len(by_size.get(n, [])) for n in range(8)] == [1, 1, 2, 5, 16, 63, 318, 2045]
+    for n in range(6):
+        nerves = [nerve(p) for p in by_size[n]]
         for i, a in enumerate(nerves):
             for b in nerves[i + 1 :]:
                 assert not is_isomorphic(a, b)
+
+
+def _pairs(posets):
+    return [(p.elements, p.strict_pairs()) for p in posets]
+
+
+def test_enumeration_matches_the_search_over_every_relabelling():
+    # the same posets in the same order as keying each candidate by its
+    # least relation over all n! relabellings; the list for 6 holds the
+    # list for every smaller size as its prefix
+    ours = all_posets(6)
+    assert len(ours) == 406
+    assert _pairs(ours) == _pairs(all_posets_by_relabelling(6))
+    for n in range(6):
+        assert _pairs(all_posets(n)) == _pairs(ours[: len(all_posets(n))])
+
+
+def test_canonical_key_is_invariant_and_separates_classes():
+    # three seeded relabellings of each poset give its key, and the 406
+    # classes with at most six elements have 406 keys
+    rng = random.Random(31)
+    keys = set()
+    for p in all_posets(6):
+        n, rel = len(p), p.strict_pairs()
+        key = _canonical_key(n, rel)
+        for _ in range(3):
+            perm = rng.sample(range(n), n)
+            moved = frozenset((perm[a], perm[b]) for a, b in rel)
+            assert _canonical_key(n, moved) == key
+        keys.add(key)
+    assert len(keys) == 406
 
 
 def test_compose_monotone():

@@ -131,6 +131,17 @@ def _swap(text: str, line: int, new: str) -> str:
         (parse_sset, _swap(SSET, 2, "cell -1 0"), 2, "cell -1 has a negative id"),
         (parse_smap, _swap(SMAP, 2, "cell -1 0"), 2, "cell -1 has a negative id"),
         (parse_smap, _swap(SMAP, 5, "cell -1 0"), 5, "cell -1 has a negative id"),
+        # an integer is ASCII digits, so it reads back as the text it came from
+        (parse_sset, _swap(SSET, 2, "cell +0 0"), 2, "expected an integer, got '+0'"),
+        (parse_sset, _swap(SSET, 2, "cell 1_0 0"), 2, "expected an integer, got '1_0'"),
+        (parse_sset, _swap(SSET, 2, "cell 0 \u00b2"), 2, "expected an integer, got '\u00b2'"),
+        (parse_sset, _swap(SSET, 3, "cell \u0662 1 10{} 0{}"), 3,
+         "expected an integer, got '\u0662'"),
+        (parse_sset, _swap(SSET, 3, "cell 2 1 1{} \u0660{}"), 3, "bad simplex token '\u0660{}'"),
+        (parse_sset, "cell 0 0\ncell 1 1 0{} 0{}\ncell 2 2 1{} 1{} 0{\u0660}\n", 3,
+         "bad simplex token '0{\u0660}'"),
+        (parse_smap, _swap(SMAP, 9, "send +0 1{}"), 9, "expected an integer, got '+0'"),
+        (parse_smap, _swap(SMAP, 9, "send 0 \u0661{}"), 9, "bad simplex token '\u0661{}'"),
         (parse_smap, _swap(SMAP, 9, "send 0"), 9, "unexpected line 'send 0'"),
         (parse_smap, _swap(SMAP, 9, "send x 1{}"), 9, "expected an integer, got 'x'"),
         (parse_smap, _swap(SMAP, 9, "foo 1"), 9, "unexpected line 'foo 1'"),
@@ -300,8 +311,9 @@ def test_simplex_tokens_match_their_definitions():
 # braces' shape, of repeat positions and of their range, some of them
 # sharing their braces with a well-formed token of another degree
 TOKENS = [
-    ("0{}", 0), ("7{0}", 1), ("12345{0,1}", 2), ("3{1}", 2), ("\u0663{\u0660}", 1),
+    ("0{}", 0), ("7{0}", 1), ("12345{0,1}", 2), ("3{1}", 2),
     ("", 0), ("{}", 0), ("x{}", 0), ("-1{}", 0), ("+1{}", 0), ("1_0{}", 0), ("0", 0),
+    ("\u0663{\u0660}", 1), ("\u0663{0}", 1), ("0{\u00b2}", 3),
     ("0{", 0), ("0}", 0), ("0{}}", 0), ("0{{}", 0), ("0{},", 0), ("0{,}", 1), ("0{0,}", 2),
     ("0{a}", 1), ("0{ 0}", 1), ("0{-1}", 1), ("0{0}{}", 1), ("x{0}", 1), ("7{0}x", 1),
     ("0{0,0}", 2), ("0{1,0}", 2), ("0{0,1,0}", 3), ("0{0}", 0), ("7{0,1}", 1),
@@ -330,7 +342,7 @@ def test_token_faults_are_never_cached():
         expected = _outcome(regex_parse_simplex, tok, degree, line)
         assert _outcome(_parse_simplex, tok, degree, line) == expected
     # one entry for each well-formed (braces, degree) pair, none for a fault
-    assert warm == _read_braces.cache_info().currsize == 5
+    assert warm == _read_braces.cache_info().currsize == 4
 
 
 def _token_pairs(text: str) -> set[tuple[str, int]]:
