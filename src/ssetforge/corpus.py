@@ -5,7 +5,9 @@ spheres, the face-collapse quotients, and the nerves behind the two
 counterexamples.  Random members are quotients of disjoint unions of
 standard simplices along same-degree cell identifications; the Kan
 subdivisions of everything small enough supply the guaranteed-regular
-population.
+population.  A saved corpus is a ``textio`` manifest and one `.sset`
+file per member; loading refuses a flag that its member's regularity
+contradicts.
 """
 
 from __future__ import annotations
@@ -33,7 +35,15 @@ from .simplicial import (
     standard_simplex,
 )
 from .subdivision import chains_to_top, sd
-from .textio import ParseError, _rows, format_sset, parse_file, parse_sset, write_file
+from .textio import (
+    ParseError,
+    format_manifest,
+    format_sset,
+    parse_file,
+    parse_manifest,
+    parse_sset,
+    write_file,
+)
 
 SD_CAP = 200  # members with larger subdivisions get no sd image, here or in verify
 _RANDOM_COUNT = 12  # random-quotient members per seed
@@ -113,54 +123,13 @@ def save_corpus(corpus: Corpus, directory) -> None:
     """One .sset file per member plus a manifest naming them all."""
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    lines = ["# corpus manifest", f"seed {corpus.seed}"]
+    members = []
     for entry in corpus:
         fname = f"{entry.name}.sset"
         write_file(root / fname, format_sset(entry.space))
         flag = "regular" if entry.regular else "singular"
-        lines.append(f"member {entry.name} {entry.provenance} {flag} {fname}")
-    write_file(root / "manifest.txt", "\n".join(lines) + "\n")
-
-
-def _parse_manifest(text: str) -> tuple[int, list[tuple[int, list[str]]]]:
-    """The seed and the member rows (name, provenance, flag, file) of a
-    manifest, each with its line number; a malformed line, an unknown
-    provenance or flag among them, or a second seed line or line naming a
-    member, is a ParseError naming it."""
-    seed = None
-    members: list[tuple[int, list[str]]] = []
-    names: set[str] = set()
-    for number, tokens in _rows(text):
-        keyword = tokens[0]
-        if keyword == "seed" and len(tokens) == 2:
-            try:
-                value = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"expected an integer seed, got {tokens[1]!r}", number) from None
-            if seed is not None:
-                raise ParseError("seed declared twice", number)
-            seed = value
-        elif keyword == "member" and len(tokens) == 5:
-            if tokens[2] not in ("builtin", "random-quotient", "sd-image"):
-                raise ParseError(
-                    "expected the provenance builtin, random-quotient or sd-image,"
-                    f" got {tokens[2]!r}", number
-                )
-            if tokens[3] not in ("regular", "singular"):
-                raise ParseError(
-                    f"expected the flag regular or singular, got {tokens[3]!r}", number
-                )
-            if tokens[1] in names:
-                raise ParseError(f"member {tokens[1]} declared twice", number)
-            names.add(tokens[1])
-            members.append((number, tokens[1:]))
-        elif keyword == "seed":
-            raise ParseError("a seed line needs one integer", number)
-        elif keyword == "member":
-            raise ParseError("a member line needs a name, a provenance, a flag and a file", number)
-        else:
-            raise ParseError(f"unknown manifest line {' '.join(tokens)!r}", number)
-    return seed or 0, members
+        members.append((entry.name, entry.provenance, flag, fname))
+    write_file(root / "manifest.txt", format_manifest(corpus.seed, members))
 
 
 def load_corpus(directory) -> Corpus:
@@ -168,16 +137,14 @@ def load_corpus(directory) -> Corpus:
     again, and a flag that disagrees is a ParseError naming its line."""
     root = Path(directory)
     manifest = root / "manifest.txt"
-    seed, members = parse_file(manifest, _parse_manifest)
+    seed, members = parse_file(manifest, parse_manifest)
     entries = []
     for number, (name, provenance, flag, fname) in members:
         space = parse_file(root / fname, parse_sset)
         regular = is_regular(space)
         if regular != (flag == "regular"):
-            err = ParseError(
-                f"member {name} is flagged {flag}, but it is "
-                f"{'regular' if regular else 'singular'}", number
-            )
+            actual = "regular" if regular else "singular"
+            err = ParseError(f"member {name} is flagged {flag}, but it is {actual}", number)
             err.path = str(manifest)
             raise err
         entries.append(CorpusEntry(name, space, provenance, regular))

@@ -53,7 +53,7 @@ from enum import Enum
 from functools import lru_cache, partial
 
 from .colimits import Congruence, factor_through, quotient
-from .operators import Operator, all_degeneracies
+from .operators import Operator
 from .simplicial import Simplex, SimplicialMap, SimplicialSet, identity_map
 
 
@@ -182,17 +182,6 @@ def _contains(cong: Congruence, pairs: list[tuple[Simplex, Simplex]]) -> bool:
     return all(find(c) == find(f) for c, f in pairs)
 
 
-def _degenerate_simplices(space: SimplicialSet, degree: int) -> list[Simplex]:
-    out = []
-    for cid in sorted(space.cells):
-        d = space.cells[cid].dim
-        if d < degree:
-            out.extend(
-                Simplex(cid, op) for op in all_degeneracies(degree, d)
-            )
-    return out
-
-
 def _first_singular(space: SimplicialSet, forms: dict[int, Simplex]) -> Simplex | None:
     """The first simplex of the first singular cell of the quotient with
     these normal forms, or None when that quotient is non-singular.
@@ -238,7 +227,7 @@ def _minimal_congruence(space: SimplicialSet) -> Congruence:
             continue
         q = rep.degree
         if q not in degenerate:
-            degenerate[q] = _degenerate_simplices(space, q)
+            degenerate[q] = [s for s in space.simplices(q) if s.is_degenerate]
         tried = set()
         for d in degenerate[q]:
             cls = cong.find(d)

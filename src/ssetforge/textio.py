@@ -1,25 +1,28 @@
-"""Line-oriented text formats for the four kinds of artifact we exchange.
+"""Line-oriented text formats for the five kinds of file we exchange.
 
 A simplicial set is a list of `cell` lines, each naming its cell by a
 non-negative integer id; a face entry is written as `<target>{j,...}`
 where the braces hold the repeat set of the attached degeneracy, which
 together with the declared dimensions pins the operator down.  The
 braces list the repeat positions in ascending order, as they are
-written, so every token reads back as the text it came from.  Every
-integer is ASCII digits: a simplex token's cell id and repeat positions,
-and a `cell` line's id and dimension and a `send` line's id, these three
-with an optional leading minus that later checks reject.  No plus sign,
-underscore or other script's digit is read.  Maps inline their source
-and target between `begin`/`end` fences followed by `send` lines.
-Posets list `el` and `lt` lines; monotone maps mirror the simplicial
-layout.  `#` comments and blank lines are ignored
-everywhere.  Every parser reports malformed text as a ParseError that
-names the line at fault; a cell, an element, a `send` or a section
+written, so every token reads back as the text it came from.  Maps
+inline their source and target between `begin`/`end` fences followed by
+`send` lines.  Posets list `el` and `lt` lines; monotone maps mirror the
+simplicial layout.  A corpus manifest has at most one `seed` line (the
+seed is 0 without one) and a `member <name> <provenance> <flag> <file>`
+line per member: the provenance `builtin`, `random-quotient` or
+`sd-image`, the flag `regular` or `singular`.  Every integer is ASCII
+digits: a simplex token's cell id and repeat positions, and, after an
+optional minus, a `cell` line's id and dimension, a `send` line's id and
+a manifest's seed; no plus sign, underscore or other script's digit is
+read.  `#` comments and blank lines are ignored everywhere.  Every
+parser reports malformed text as a ParseError that names the line at
+fault; a cell, an element, a `send`, a section, a seed or a member
 declared a second time is malformed at its second line, and so is a
-section other than `source` and `target` at its `begin`.  A cell face
-or a `send` image whose degree disagrees with the cell it names, or
-whose braces list a position twice or out of order, is malformed at its
-line; a face that names a missing cell is a fault of the whole text.
+section other than `source` and `target` at its `begin`, a negative id
+or dimension, a cell face or a `send` image whose degree disagrees with
+the cell it names, and braces that list a position twice or out of
+order.  A face that names a missing cell is a fault of the whole text.
 
 Simplex tokens are read and written through per-operator caches: the
 braces text of each degeneracy is built once, and the degeneracy that
@@ -115,6 +118,7 @@ def write_file(path, text: str) -> None:
 
 
 Rows = list[tuple[int, list[str]]]
+Member = tuple[str, str, str, str]  # a manifest's name, provenance, flag and file
 
 
 def _rows(text: str) -> Rows:
@@ -140,7 +144,7 @@ def _ascii_digits(tok: str) -> bool:
 
 def _int(tok: str, line: int) -> int:
     """The integer an ASCII ``-?[0-9]+`` token spells; anything else raises."""
-    if not _ascii_digits(tok[1:] if tok.startswith("-") else tok):
+    if not _ascii_digits(tok.removeprefix("-")):
         raise ParseError(f"expected an integer, got {tok!r}", line)
     return int(tok)
 
@@ -378,3 +382,42 @@ def parse_pmap(text: str) -> MonotoneMap:
             raise ParseError(f"{b!r} is not in the target", line)
         mapping[a] = b
     return _whole(MonotoneMap, source, target, mapping)
+
+
+# -- corpus manifests ---------------------------------------------------------
+
+
+def format_manifest(seed: int, members: list[Member]) -> str:
+    lines = ["# corpus manifest", f"seed {seed}", *(" ".join(["member", *m]) for m in members)]
+    return "\n".join(lines) + "\n"
+
+
+def parse_manifest(text: str) -> tuple[int, list[tuple[int, Member]]]:
+    """The seed (0 when no line sets it) and the members of a manifest,
+    each with its line number."""
+    seed = None
+    members: dict[str, tuple[int, Member]] = {}
+    for line, row in _rows(text):
+        if row[0] == "seed" and len(row) == 2:
+            if not _ascii_digits(row[1].removeprefix("-")):
+                raise ParseError(f"expected an integer seed, got {row[1]!r}", line)
+            if seed is not None:
+                raise ParseError("seed declared twice", line)
+            seed = int(row[1])
+        elif row[0] == "member" and len(row) == 5:
+            _, name, provenance, flag, _ = row
+            if provenance not in ("builtin", "random-quotient", "sd-image"):
+                raise ParseError("expected the provenance builtin, random-quotient or"
+                                 f" sd-image, got {provenance!r}", line)
+            if flag not in ("regular", "singular"):
+                raise ParseError(f"expected the flag regular or singular, got {flag!r}", line)
+            if name in members:
+                raise ParseError(f"member {name} declared twice", line)
+            members[name] = (line, tuple(row[1:]))
+        elif row[0] == "seed":
+            raise ParseError("a seed line needs one integer", line)
+        elif row[0] == "member":
+            raise ParseError("a member line needs a name, a provenance, a flag and a file", line)
+        else:
+            raise ParseError(f"unknown manifest line {' '.join(row)!r}", line)
+    return seed or 0, list(members.values())

@@ -389,6 +389,29 @@ def test_malformed_manifest_line_names_its_line(tmp_path, tiny_corpus, capsys, l
     assert capsys.readouterr().err == f"forge: {manifest}:4: {message}\n"
 
 
+@pytest.mark.parametrize("seed", ["+0", "1_0", "\u0663"])
+def test_manifest_seed_is_ascii_digits(tmp_path, tiny_corpus, capsys, seed):
+    # int() would read these as 0, 10 and 3, which save_corpus writes back
+    # as other text
+    from ssetforge.textio import ParseError
+
+    cdir = tmp_path / "corpus"
+    save_corpus(tiny_corpus, cdir)
+    manifest = cdir / "manifest.txt"
+    rows = manifest.read_text().splitlines()
+    assert rows[1] == "seed 0"
+    rows[1] = f"seed {seed}"
+    manifest.write_text("\n".join(rows) + "\n")
+    message = f"expected an integer seed, got {seed!r}"
+    with pytest.raises(ParseError) as caught:
+        load_corpus(cdir)
+    assert (caught.value.path, caught.value.line, str(caught.value)) == (
+        str(manifest), 2, message
+    )
+    assert main(["verify", "main", "--corpus", str(cdir)]) == 3
+    assert capsys.readouterr().err == f"forge: {manifest}:2: {message}\n"
+
+
 @pytest.mark.parametrize(
     "member, flag, message",
     [

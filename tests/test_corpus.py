@@ -1,7 +1,7 @@
 import hashlib
 
 from ssetforge.colimits import is_regular
-from ssetforge.corpus import SD_CAP, gen_corpus, sd_size, sphere
+from ssetforge.corpus import SD_CAP, gen_corpus, load_corpus, save_corpus, sd_size, sphere
 from ssetforge.simplicial import boundary, standard_simplex
 from ssetforge.subdivision import sd
 from ssetforge.textio import format_sset
@@ -89,3 +89,15 @@ def corpus_digest(corpus):
 
 def test_seed0_corpus_pin(corpus):
     assert corpus_digest(corpus) == SEED0_DIGEST
+
+
+def test_saved_corpus_reads_back_to_the_same_bytes(corpus, tmp_path):
+    # the manifest and every member file, written again from what was read
+    first, second = tmp_path / "first", tmp_path / "second"
+    save_corpus(corpus, first)
+    save_corpus(load_corpus(first), second)
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    assert len(names) == len(corpus) + 1
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name

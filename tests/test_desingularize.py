@@ -395,8 +395,6 @@ def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
     # the same one minimal congruence
     from collections import deque
 
-    from ssetforge.desingularize import _degenerate_simplices
-
     def contains(cong, canon):
         return all(len({cong.find(s) for s in cls}) == 1 for cls in canon)
 
@@ -414,7 +412,7 @@ def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
             if rep is None:
                 solutions.append((cong.canonical(), cong))
                 continue
-            for d in _degenerate_simplices(space, rep.degree):
+            for d in [s for s in space.simplices(rep.degree) if s.is_degenerate]:
                 child = cong.copy()
                 child.merge(rep, d)
                 canon = child.canonical()
@@ -496,8 +494,6 @@ def test_oracle_branches_once_per_class(monkeypatch):
     # over the small quotients: one child per class of degenerate simplices
     # builds strictly fewer children than one per degenerate simplex; the
     # nodes and their order are pinned by the canonical-keys test above
-    from ssetforge.desingularize import _degenerate_simplices
-
     first_singular = desingularize_module._first_singular
     copy = Congruence.copy
     children = per_simplex = 0
@@ -511,7 +507,7 @@ def test_oracle_branches_once_per_class(monkeypatch):
         nonlocal per_simplex
         rep = first_singular(space, forms)
         if rep is not None:
-            per_simplex += len(_degenerate_simplices(space, rep.degree))
+            per_simplex += sum(s.is_degenerate for s in space.simplices(rep.degree))
         return rep
 
     with monkeypatch.context() as m:

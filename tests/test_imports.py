@@ -4,7 +4,8 @@ A standard-library check over ``src/ssetforge/*.py`` and ``tests/*.py``
 with ``ast``: an import binds names, and each must be read somewhere in
 the same file, as a name or inside a quoted annotation.  The package
 namespace holds only its submodules: every name is imported from the
-submodule that defines it.
+submodule that defines it.  No module imports an underscore name from a
+sibling, with one named exception.
 """
 
 from __future__ import annotations
@@ -71,6 +72,47 @@ def test_no_unused_imports():
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in files
         for line, name in unused_imports(path.read_text())
+    ]
+    assert hits == []
+
+
+# (module, name) of the private names a sibling may import: ``_simplex``
+# builds a Simplex in C, skipping the NamedTuple's Python-level __new__,
+# for the hot loops of colimits and posets
+SHARED_PRIVATE = {("simplicial", "_simplex")}
+
+
+def private_sibling_imports(source: str) -> list[tuple[int, str, str]]:
+    """(line, module, name) for each underscore name taken by a relative
+    import, the form in which every module imports its siblings."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            hits += [
+                (node.lineno, node.module, alias.name)
+                for alias in node.names
+                if alias.name.startswith("_") and (node.module, alias.name) not in SHARED_PRIVATE
+            ]
+    return hits
+
+
+def test_checker_flags_a_private_sibling_import():
+    source = (
+        "from .textio import ParseError, _rows\n"
+        "from .simplicial import Simplex, _simplex\n"
+        "from .posets import _canonical_key as key\n"
+        "from os import _exit\n"
+    )
+    assert private_sibling_imports(source) == [
+        (1, "textio", "_rows"), (3, "posets", "_canonical_key")
+    ]
+
+
+def test_no_private_sibling_imports():
+    hits = [
+        f"{path.relative_to(ROOT)}:{line}: {module}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, module, name in private_sibling_imports(path.read_text())
     ]
     assert hits == []
 

@@ -18,6 +18,7 @@ from ssetforge.simplicial import boundary, representing_map, standard_simplex
 from ssetforge.subdivision import sd
 from ssetforge.textio import (
     ParseError,
+    format_manifest,
     format_pmap,
     format_poset,
     format_smap,
@@ -25,6 +26,7 @@ from ssetforge.textio import (
     parse_pmap,
     parse_poset,
     parse_file,
+    parse_manifest,
     parse_smap,
     parse_sset,
     _braces,
@@ -242,6 +244,30 @@ def _monotone_maps():
 
 
 _quotients = st.integers(0, 2**32 - 1).map(_seeded_quotient)
+_words = st.text("abcxyz019-.", min_size=1, max_size=8)
+# a seed and up to five members with distinct names, each with a
+# provenance, a flag and a file name
+_manifests = st.builds(
+    format_manifest,
+    st.integers(-(2**40), 2**40),
+    st.lists(
+        st.tuples(
+            _words,
+            st.sampled_from(["builtin", "random-quotient", "sd-image"]),
+            st.sampled_from(["regular", "singular"]),
+            _words.map(lambda w: w + ".sset"),
+        ),
+        max_size=5,
+        unique_by=lambda member: member[0],
+    ),
+)
+
+
+def _format_parsed_manifest(parsed) -> str:
+    seed, members = parsed
+    return format_manifest(seed, [member for _, member in members])
+
+
 # kind -> (texts of that kind, parser, formatter)
 TEXTS = {
     "sset": (_quotients.map(lambda res: format_sset(res.space)), parse_sset, format_sset),
@@ -252,6 +278,7 @@ TEXTS = {
         parse_pmap,
         format_pmap,
     ),
+    "manifest": (_manifests, parse_manifest, _format_parsed_manifest),
 }
 _generated = settings(
     max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -287,9 +314,12 @@ def test_one_token_dropped_or_corrupted_is_a_parse_error(kind, data):
         parse(mutated)
     except ParseError:
         return
-    # only renaming a poset element that no other line names leaves the
-    # text valid: element names are free text
-    assert how == "corrupt" and lines[i][0] == "el" and j == 1
+    # only free text may change and leave the text valid: a poset element
+    # that no other line names, a manifest member's name or file, or a
+    # comment's words
+    head = lines[i][0]
+    assert (how == "corrupt" and (head, j) in {("el", 1), ("member", 1), ("member", 4)}
+            or head == "#" and j > 0)
 
 
 # -- simplex token codecs -----------------------------------------------------
