@@ -9,6 +9,10 @@ keeps normal forms of cells instead.
 ``injective_by_simplices`` decides degreewise injectivity by comparing
 the images of every simplex of degree up to the source's dimension;
 ``SimplicialMap.is_degreewise_injective`` reads it off the cells.
+``injective_in_degree_by_simplices`` and ``surjective_in_degree_by_simplices``
+decide one degree q by evaluating the map on every q-simplex, degenerate
+ones included; ``injective_in_degree`` and ``surjective_in_degree`` compare
+the image cells of the cells of dimension up to q.
 ``quotient_by_classes`` is the quotient read off ``Congruence.classes()``,
 the walk over every simplex of degree up to the bound.
 ``UnionPushout`` is the pushout as the quotient of the disjoint union by
@@ -278,6 +282,23 @@ def injective_by_simplices(f: SimplicialMap) -> bool:
         if len({f.apply(s) for s in simplices}) != len(simplices):
             return False
     return True
+
+
+def injective_in_degree_by_simplices(f: SimplicialMap, q: int) -> bool:
+    """Injectivity in degree q by its definition, on every q-simplex."""
+    seen: set[Simplex] = set()
+    for s in f.source.simplices(q):
+        t = f.apply(s)
+        if t in seen:
+            return False
+        seen.add(t)
+    return True
+
+
+def surjective_in_degree_by_simplices(f: SimplicialMap, q: int) -> bool:
+    """Surjectivity in degree q by its definition, on every q-simplex."""
+    hit = {f.apply(s) for s in f.source.simplices(q)}
+    return all(t in hit for t in f.target.simplices(q))
 
 
 def quotient_by_classes(space: SimplicialSet, cong: Congruence) -> QuotientResult:

@@ -125,16 +125,57 @@ def test_desing_oracle_above_bound_is_uncertified(tmp_path, capsys, bound):
     assert not (tmp_path / "out.sset").exists()
 
 
+# the sharp of the interval with its ends merged: Delta[1]# onto the circle's
+# cell poset, both vertices to the one vertex
+COLLAPSED_INTERVAL = """\
+begin source
+el 0
+el 1
+el 2
+lt 0 2
+lt 1 2
+end
+begin target
+el 0
+el 1
+lt 0 1
+end
+send 0 0
+send 1 0
+send 2 1
+"""
+
+# the whole dcr table for each counterexample: surjectivity fails above
+# degree 0 for the first, injectivity for the second
+DCR_STDOUT = {
+    WEDGE_TO_CHAIN: """\
+certificate ZipperCertified
+cells 21 -> 25
+degree injective surjective
+     0 yes       yes
+     1 yes       no
+     2 yes       no
+     3 yes       no
+verdict not-an-isomorphism
+""",
+    COLLAPSED_INTERVAL: """\
+certificate ZipperCertified
+cells 17 -> 15
+degree injective surjective
+     0 yes       yes
+     1 no        yes
+     2 no        yes
+verdict not-an-isomorphism
+""",
+}
+
+
 def test_dcr_table(tmp_path, capsys):
     src = tmp_path / "phi.pmap"
-    src.write_text(WEDGE_TO_CHAIN)
-    assert main(["dcr", str(src)]) == 0
-    out = capsys.readouterr().out
-    assert "certificate ZipperCertified" in out
-    assert "verdict not-an-isomorphism" in out
-    rows = [l.split() for l in out.splitlines() if l.strip()[:1].isdigit()]
-    assert rows[0] == ["0", "yes", "yes"]
-    assert rows[3][:2] == ["3", "yes"] and rows[3][2] == "no"
+    for phi, want in DCR_STDOUT.items():
+        src.write_text(phi)
+        assert main(["dcr", str(src)]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_cylinder_outputs(tmp_path, capsys):

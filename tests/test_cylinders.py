@@ -1,10 +1,13 @@
 from collections import Counter
+from dataclasses import replace
+from itertools import product as cartesian
 
 import pytest
 
 from ssetforge.colimits import collapse_subcomplex, is_regular, product
 from ssetforge.corpus import gen_corpus
 from ssetforge.cylinders import (
+    _check_bundle,
     cylinder_reduction,
     dcr,
     embedded_sibling_pairs,
@@ -38,17 +41,19 @@ from ssetforge.simplicial import (
     compose_maps,
     standard_simplex,
 )
-from ssetforge.subdivision import sd
+from ssetforge.subdivision import b_nat, last_vertex, sd
 from ssetforge.textio import format_pmap, format_smap, format_sset
-from ssetforge.verify import prism_comparison
+from ssetforge.verify import _small_quotients, prism_comparison
 
 from reference import (
     find_isomorphism,
     fresh_cylinder_reduction,
     fresh_representing_sharp,
+    injective_in_degree_by_simplices,
     is_isomorphic,
     prism_row,
     product_cylinder_reduction,
+    surjective_in_degree_by_simplices,
 )
 
 
@@ -160,6 +165,84 @@ def test_sibling_criterion_matches_injectivity():
         g, res = dcr(phi, bundle=bundle)
         for q in range(1, bundle.space.dim + 1):
             assert injective_in_degree(g, q) == identifies_embedded_siblings(res.eta, q)
+
+
+def _monotone_maps(max_size):
+    # every monotone map between non-empty posets of at most max_size elements
+    posets = [p for p in all_posets(max_size) if p.elements]
+    for p, r in cartesian(posets, repeat=2):
+        for images in cartesian(r.elements, repeat=len(p)):
+            mapping = dict(zip(p.elements, images))
+            if all(r.leq(mapping[a], mapping[b]) for a, b in p.strict_pairs()):
+                yield MonotoneMap(p, r, mapping)
+
+
+def _cylinder_maps(phi):
+    # dcr, eta and the reduction and three legs of the cylinder of phi
+    bundle = cylinder_reduction(phi)
+    g, res = dcr(phi, bundle=bundle)
+    return [g, res.eta, bundle.reduction, bundle.front, bundle.back, bundle.prism]
+
+
+def test_degreewise_diagnostics_match_simplex_enumeration(corpus):
+    # the cell-table criteria against evaluating the map on every simplex,
+    # in every degree through one past the larger dimension
+    phis = list(_monotone_maps(3))
+    assert len(phis) == 476
+    phis += [*_dcr_suite_maps(corpus), wedge_to_chain(), circle_sharp()]
+    maps = [f for phi in phis for f in _cylinder_maps(phi)]
+    for entry in corpus:
+        if len(entry.space.cells) <= 60:
+            sds = sd(entry.space)
+            maps += [b_nat(entry.space, sd_space=sds), last_vertex(entry.space, sd_space=sds)]
+    quotients = _small_quotients()
+    assert len(quotients) == 102
+    maps += [desingularize(x).eta for x in quotients]
+    pairs, non_injective, non_surjective = 0, 0, 0
+    for f in maps:
+        # the face lemma: every image cell is some cell's non-degenerate image
+        images = {s.cell for s in f.assignment.values()}
+        assert images == {s.cell for s in f.assignment.values() if s.degen.is_identity}
+        for q in range(max(f.source.dim, f.target.dim) + 2):
+            injective, surjective = injective_in_degree(f, q), surjective_in_degree(f, q)
+            assert injective == injective_in_degree_by_simplices(f, q)
+            assert surjective == surjective_in_degree_by_simplices(f, q)
+            pairs += 1
+            non_injective += not injective
+            non_surjective += not surjective
+    assert len(maps) > 3000
+    assert 0 < non_injective < pairs and 0 < non_surjective < pairs
+
+
+def _other_legs(bundle, kind):
+    # valid maps in place of the reduced legs: each the other's map, each
+    # its own cells out of a copy of its source, or with its source and
+    # target but other cells (R sent to one vertex of M, P through its
+    # level-0 end)
+    legs = bundle.reduced_front, bundle.reduced_back
+    if kind == "swapped":
+        return legs[::-1]
+    if kind == "copied-source":
+        return [SimplicialMap(SimplicialSet(f.source.cells), f.target, f.assignment) for f in legs]
+    r, v = bundle.phi.target, bundle.poset
+    point = MonotoneMap(r, v.poset, {e: v.leg_other(r.elements[0]) for e in r.elements})
+    level0 = nerve_map(bundle.phi, bundle.back.source, bundle.front.source)
+    return (
+        nerve_map(point, bundle.front.source, bundle.reduced),
+        compose_maps(level0, bundle.reduced_front),
+    )
+
+
+@pytest.mark.parametrize("kind", ["swapped", "copied-source", "other-cells"])
+def test_check_bundle_names_the_leg_that_disagrees(kind):
+    bundle = cylinder_reduction(wedge_to_chain())
+    _check_bundle(bundle)
+    front, back = _other_legs(bundle, kind)
+    assert front != bundle.reduced_front and back != bundle.reduced_back
+    with pytest.raises(RuntimeError, match="^reduction disagrees with the target-side leg$"):
+        _check_bundle(replace(bundle, reduced_front=front))
+    with pytest.raises(RuntimeError, match="^reduction disagrees with the free-end leg$"):
+        _check_bundle(replace(bundle, reduced_back=back))
 
 
 def _sibling_pairs_by_scan(space, q):
