@@ -228,6 +228,18 @@ def _agrees(reduction: SimplicialMap, leg: SimplicialMap, reduced: SimplicialMap
 
 
 def _check_bundle(b: CylinderBundle) -> None:
+    """Check a bundle's two squares and its reduced cylinder.
+
+    reduction . front = reduced_front and reduction . back = reduced_back,
+    compared on assignments; the reduction bijective on vertices; M
+    non-singular.  Each failure is a RuntimeError naming what failed.
+
+    On a bundle from ``cylinder_reduction`` the front square repeats a
+    check that ``factor_through`` made when ``PushoutResult.mediator``
+    built the reduction.  It stays because ``CylinderBundle`` is a public
+    dataclass whose legs can be anything (``dataclasses.replace`` of a
+    built bundle included), and it costs one ``apply`` per cell of NR.
+    """
     if not _agrees(b.reduction, b.front, b.reduced_front):
         raise RuntimeError("reduction disagrees with the target-side leg")
     if not _agrees(b.reduction, b.back, b.reduced_back):

@@ -23,10 +23,15 @@ Every site that needs a whole row reads it there, a product for its
 factors' simplices, a congruence merge for the forms it sets, and both
 validations below.
 
-The face identities of a cell are compared a whole row at a time: the
-first j faces of face j against face j-1 of each of the first j faces,
-where a face stored under an identity has its own stored faces and a
-degenerate stored face has its face row.  Where a map sends a cell to a
+Operators are interned, so the rank checks pass a face stored under the
+identity object at once when its cell has the rank below; any other
+face, an equal identity that is not interned included, takes every
+check.  The face identities d_i d_j = d_{j-1} d_i of a cell are compared
+a whole cell at a time: its d+1 face rows are laid end to end, where a
+face stored under the identity gives its cell's stored faces and any
+other face its face row, and two getters built once per dimension take
+entry i of row j and entry j-1 of row i for every i < j, so one tuple
+comparison decides the cell.  Where a map sends a cell to a
 cell, its stored faces are compared with the images of the cell's faces
 in one tuple, and where it sends a cell to a degenerate simplex, with that
 simplex's faces, evaluated once per target space, shared by every map
@@ -36,7 +41,8 @@ first failing pair.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .operators import (
@@ -76,6 +82,19 @@ class Simplex(NamedTuple):
 _simplex = partial(tuple.__new__, Simplex)
 
 
+@lru_cache(maxsize=None)
+def _identity_getters(d: int) -> tuple[itemgetter, itemgetter]:
+    """For the d+1 face rows of a d-cell laid end to end, d entries each:
+    getters of entry i of row j and of entry j-1 of row i, for 0 <= i < j
+    <= d in j-then-i order.  The identity d_i d_j = d_{j-1} d_i holds for
+    every pair exactly when the two getters give equal tuples."""
+    pairs = [(i, j) for j in range(1, d + 1) for i in range(j)]
+    return (
+        itemgetter(*[j * d + i for i, j in pairs]),
+        itemgetter(*[i * d + j - 1 for i, j in pairs]),
+    )
+
+
 class Cell(NamedTuple):
     """A cell's dimension and its stored codimension-1 faces; a tuple, so
     built in C and hashed as ``hash((dim, faces))``."""
@@ -109,13 +128,20 @@ class SimplicialSet:
         for cid, cell in cells.items():
             if not isinstance(cid, int):
                 raise ValueError(f"cell ids must be integers, got {cid!r}")
-            d, faces = cell.dim, cell.faces
+            d, faces = cell
             if d < 0:
                 raise ValueError(f"cell {cid} has negative dimension")
             if len(faces) != (d + 1 if d else 0):
                 raise ValueError(f"cell {cid} of dimension {d} stores {len(faces)} faces")
+            if not d:
+                continue
+            # operators are interned, so a face stored under the identity
+            # object on a cell of dimension d-1 passes every check below
+            ident = identity(d - 1)
             for i, (target, op) in enumerate(faces):
                 below = cells.get(target)
+                if op is ident and below is not None and below[0] == d - 1:
+                    continue
                 if below is None:
                     raise ValueError(f"cell {cid} face {i} targets missing cell {target}")
                 if not op.is_degeneracy:
@@ -123,28 +149,30 @@ class SimplicialSet:
                 if op.src != d - 1 or op.dst != below.dim:
                     raise ValueError(f"cell {cid} face {i} has mismatched ranks")
         # The ranks are checked above for every cell, so a face (t, sigma)
-        # with sigma an identity has t of dimension d-1, and its k-th face
-        # is t's stored face k: what eval returns, read off the table.  A
-        # degenerate stored face's faces are its memoized face row.
+        # stored under the identity has t of dimension d-1, and its k-th
+        # face is t's stored face k: what eval returns, read off the table.
+        # Any other face's faces are its memoized face row; an equal but
+        # uninterned identity gives the same row by eval.
         face_row = self.face_row
         for cid, cell in cells.items():
-            d = cell.dim
+            d, faces = cell
             if d < 2:
                 continue
-            rows = [
-                cells[t].faces if sigma.is_identity else face_row(_simplex((t, sigma)))
-                for t, sigma in cell.faces
-            ]
-            # the identities (i, j), i < j, say that row j's first j faces
-            # are column j-1 of the rows above
-            for j in range(1, d + 1):
-                column = tuple([row[j - 1] for row in rows[:j]])
-                if rows[j][:j] != column:
-                    i = next(i for i in range(j) if rows[j][i] != column[i])
-                    raise ValueError(
-                        f"face identities fail at cell {cid}: "
-                        f"faces ({i},{j}) give {_simplex(rows[j][i])} vs {_simplex(column[i])}"
-                    )
+            ident = identity(d - 1)
+            flat = []
+            for t, sigma in faces:
+                flat += cells[t][1] if sigma is ident else face_row(_simplex((t, sigma)))
+            later, earlier = _identity_getters(d)
+            if later(flat) != earlier(flat):
+                # name the first failing pair, j then i
+                for j in range(1, d + 1):
+                    for i in range(j):
+                        a, b = flat[j * d + i], flat[i * d + j - 1]
+                        if a != b:
+                            raise ValueError(
+                                f"face identities fail at cell {cid}: "
+                                f"faces ({i},{j}) give {_simplex(a)} vs {_simplex(b)}"
+                            )
 
     # -- basic structure -------------------------------------------------
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from ssetforge.colimits import collapse_subcomplex, pushout
+from ssetforge.colimits import collapse_subcomplex, product, pushout
 from ssetforge.cylinders import surjective_in_degree
 from ssetforge.operators import (
     Operator,
@@ -31,6 +31,7 @@ from ssetforge.simplicial import (
     representing_map,
     simplex_map,
     standard_simplex,
+    _identity_getters,
 )
 
 from ssetforge.posets import (
@@ -512,6 +513,134 @@ def test_set_validation_matches_eval_reference(corpus):
             row_wise["pass" if want is None else "fail"] += 1
             assert want is None or want.startswith(("face identities", "cell"))
     assert row_wise["pass"] >= 80 and row_wise["fail"] >= 300, row_wise
+    # products, as built and with one face changed: cells up to dimension 4
+    # with degenerate stored faces, whose rows are face rows
+    products = _products(corpus)
+    assert sum(_has_degenerate_face(c) for p in products for c in p.cells.values()) >= 600
+    assert sum(_has_degenerate_face(c) and c.dim == 4 for p in products for c in p.cells.values()) >= 100
+    for p in products:
+        assert _verdict(_validate_set_by_eval, p.cells) is None
+        assert _verdict(SimplicialSet, p.cells) is None
+    found = {"valid": 0, "identity": 0, "at degenerate": 0, "at degenerate 4-cell": 0, "rank": 0}
+    products = [p for p in products if p.dim >= 1]
+    for _ in range(1500):
+        cells = _mutate_presentation(rng, rng.choice(products))
+        want = _verdict(_validate_set_by_eval, cells)
+        assert _verdict(SimplicialSet, cells) == want
+        if want is None:
+            found["valid"] += 1
+        elif want.startswith("face identities"):
+            found["identity"] += 1
+            cid = int(want.split()[5].rstrip(":"))
+            found["at degenerate"] += _has_degenerate_face(cells[cid])
+            found["at degenerate 4-cell"] += _has_degenerate_face(cells[cid]) and cells[cid].dim == 4
+        else:
+            found["rank"] += 1
+    assert found["valid"] >= 400 and found["identity"] >= 700, found
+    assert found["at degenerate"] >= 180 and found["at degenerate 4-cell"] >= 30, found
+    assert found["rank"] >= 100, found
+
+
+def _products(corpus):
+    # x x y over the seed-0 members with at most 8 cells, each unordered
+    # pair once, up to dimension 4
+    members = _small_members(corpus, 8)
+    return [
+        product(x, y).space
+        for k, x in enumerate(members)
+        for y in members[k:]
+        if x.dim + y.dim <= 4
+    ]
+
+
+def _has_degenerate_face(cell):
+    return any(not op.is_identity for _, op in cell.faces)
+
+
+def _uninterned(cells):
+    # the same table with every stored operator rebuilt: equal, not the same
+    return {
+        cid: Cell(cell.dim, tuple((t, Operator(op.dst, op.values)) for t, op in cell.faces))
+        for cid, cell in cells.items()
+    }
+
+
+def test_uninterned_identities_validate_as_interned(corpus):
+    # a face stored under an identity equal to the interned one but not it
+    # misses the shortcut and goes through every check: the same verdict
+    # and the same message, as built and with one face changed
+    rng = random.Random(20261020)
+    spaces = [x for x in _small_members(corpus, 20) if x.dim >= 1]
+    spaces += _nerves(corpus)[:20] + [p for p in _products(corpus)[::4] if p.dim >= 1]
+    missed = 0
+    for x in spaces:
+        cells = _uninterned(x.cells)
+        missed += sum(op == identity(op.src) and op is not identity(op.src)
+                      for c in cells.values() for _, op in c.faces)
+        assert _verdict(SimplicialSet, cells) is None
+    assert missed >= 4000
+    verdicts = []
+    for _ in range(1500):
+        cells = _mutate_presentation(rng, rng.choice(spaces))
+        want = _verdict(SimplicialSet, cells)
+        assert _verdict(SimplicialSet, _uninterned(cells)) == want
+        verdicts.append(want)
+    faces = [v for v in verdicts if v and v.startswith("face identities")]
+    ranks = [v for v in verdicts if v and not v.startswith("face identities")]
+    assert len(faces) >= 600 and len(ranks) >= 100 and verdicts.count(None) >= 400
+
+
+def _failing_pairs(cells, cid):
+    # every pair (i, j), i < j, whose identity fails at the cell, by eval
+    cell = cells[cid]
+    d = cell.dim
+    return [
+        (i, j)
+        for j in range(1, d + 1)
+        for i in range(j)
+        if _eval_by_factoring(cells, Simplex(*cell.faces[j]), make_face(i, d - 1))
+        != _eval_by_factoring(cells, Simplex(*cell.faces[i]), make_face(j - 1, d - 1))
+    ]
+
+
+def test_first_failing_pair_is_named_j_then_i(corpus):
+    # two faces of one cell of dimension >= 3 changed to other cells of
+    # their rank, so that several identities fail: the message names the
+    # first pair in j-then-i order, as the reference does, also where the
+    # first pair in i-then-j order is another one
+    rng = random.Random(20261021)
+    spaces = [n for n in _nerves(corpus) if n.dim >= 3]
+    apart = 0
+    for _ in range(1500):
+        x = rng.choice(spaces)
+        cells = dict(x.cells)
+        cid = rng.choice([c for c in sorted(cells) if cells[c].dim >= 3])
+        d, faces = cells[cid]
+        faces = list(faces)
+        below = [c for c in sorted(cells) if cells[c].dim == d - 1]
+        for k in rng.sample(range(d + 1), 2):
+            faces[k] = (rng.choice(below), identity(d - 1))
+        cells[cid] = Cell(d, tuple(faces))
+        want = _verdict(_validate_set_by_eval, cells)
+        assert _verdict(SimplicialSet, cells) == want
+        if want is None or not want.startswith(f"face identities fail at cell {cid}:"):
+            continue
+        failing = _failing_pairs(cells, cid)
+        i, j = min(failing, key=lambda p: (p[1], p[0]))
+        assert want.split(": ")[1].startswith(f"faces ({i},{j}) give")
+        apart += min(failing) != (i, j)
+    assert apart >= 25, apart
+
+
+def test_identity_getters_select_each_pair_once():
+    # over rows of length d laid end to end, entry i of row j and entry j-1
+    # of row i, for 0 <= i < j <= d in j-then-i order
+    for d in range(2, 9):
+        labels = [(row, entry) for row in range(d + 1) for entry in range(d)]
+        later, earlier = _identity_getters(d)
+        pairs = [(i, j) for j in range(1, d + 1) for i in range(j)]
+        assert later(labels) == tuple((j, i) for i, j in pairs)
+        assert earlier(labels) == tuple((i, j - 1) for i, j in pairs)
 
 
 def _maps(x):
