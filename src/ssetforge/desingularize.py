@@ -15,14 +15,14 @@ was forced, so every map to a non-singular target factors through the
 non-singular result: it is the universal quotient, certified.
 
 Every move runs on one congruence over the input, and D is its one
-quotient.  Each round snapshots the forms of the killed cells and scans
-the first cells in (dimension, id) order; a first cell's vertex row is
-the first cells of its vertices' classes.  The scan that finds no move
-decides the certificate.  Premises are read from that snapshot, not from
-the congruence the round's merges change: a round takes exactly the
-moves its one scan found, and a later move may name a cell an earlier one
-killed, as a zipper move at another position of the same cell does.
-``replay_zipper`` runs recorded moves through the same loop.
+quotient.  Each round snapshots the forms of the killed cells, and the
+snapshot is what the scan reads: it walks the first cells in (dimension,
+id) order, and a first cell's vertex row is the first cells of its
+vertices' classes.  The round's merges take their rows from that scan,
+not from the congruence they change: a round makes exactly the moves its
+one scan found, and a later move may name a cell an earlier one killed,
+as a zipper move at another position of the same cell does.  The scan
+that finds no move decides the certificate.
 
 The oracle is the independent check.  The congruences whose quotient is
 non-singular are closed under meets, since the quotient by the meet of R
@@ -102,59 +102,41 @@ def _row(space: SimplicialSet, snap: dict[int, Simplex], cid: int) -> tuple[int,
     return tuple(snap[v].cell if v in snap else v for v in space.cell_vertices(cid))
 
 
-def _force(cong: Congruence, snap: dict[int, Simplex], mv: MoveRecord | IntervalMove) -> None:
-    """Check a move's premise against the round-start snapshot and merge
-    what it forces; a ValueError names a move that was not forced."""
-    space, simplex = cong.space, cong.space.simplex
-    if mv.cell not in space.cells:
-        raise ValueError(f"{mv} names no cell of the input")
-    if mv.cell in snap and not snap[mv.cell].degen.is_identity:
-        raise ValueError(f"recorded cell {mv.cell} no longer maps onto a cell")
-    vs = _row(space, snap, mv.cell)
-    if isinstance(mv, IntervalMove):
-        if not (0 <= mv.i < mv.j < len(vs) and vs[mv.i] == vs[mv.j]):
-            raise ValueError(f"premise fails for {mv}")
-        for k in range(mv.i + 1, mv.j):
-            cong.merge(simplex(vs[k]), simplex(vs[mv.i]))
-        return
-    p = mv.position
-    if mv.degree != len(vs) - 1 or not 0 <= p < mv.degree or vs[p] != vs[p + 1]:
-        raise ValueError(f"premise fails for {mv}")
-    u = simplex(mv.cell)
-    cong.merge(u, space.eval(u, _dup_operator(mv.degree, p)))
-
-
-def _forced_moves(space: SimplicialSet, intervals: bool, recorded=None) -> DesingResult:
+def _forced_moves(space: SimplicialSet, intervals: bool) -> DesingResult:
     """Rounds of forced moves on one congruence over ``space``, then one
     quotient.  A round takes every zipper move its scan finds or, at a
-    singular zipper fixpoint and with ``intervals``, every interval move;
-    a replay takes the ``recorded`` rounds.  Before any merge the scan reads
-    the cached rows as they are.  The last scan certifies."""
-    cong, rounds = Congruence(space), []
+    singular zipper fixpoint and with ``intervals``, every interval move,
+    and merges from the rows the scan built before any of its merges.
+    The last scan certifies."""
+    cong, rounds, simplex = Congruence(space), [], space.simplex
     while True:
         snap = cong.killed_forms()
         row = partial(_row, space, snap) if snap else space.cell_vertices
         singular = []
         for cid in space.cell_order():
-            vs = row(cid)
-            if len(set(vs)) < len(vs) and cid not in snap:
-                singular.append((cid, vs))
-        if recorded is not None:
-            if len(rounds) == len(recorded):
-                break
-            batch = recorded[len(rounds)]
-        else:
-            batch = [MoveRecord(cid, len(vs) - 1, p) for cid, vs in singular
-                     for p in range(len(vs) - 1) if vs[p] == vs[p + 1]]
-            if not batch and intervals:
-                batch = [IntervalMove(cid, i, j) for cid, vs in singular for i, j in _intervals(vs)]
-            if not batch:
-                break
-        for mv in batch:
-            _force(cong, snap, mv)
+            if cid not in snap:
+                vs = row(cid)
+                if len(set(vs)) < len(vs):
+                    singular.append((cid, vs))
+        batch = []
+        for cid, vs in singular:
+            q = len(vs) - 1
+            for p in range(q):
+                if vs[p] == vs[p + 1]:
+                    u = simplex(cid)
+                    cong.merge(u, space.eval(u, _dup_operator(q, p)))
+                    batch.append(MoveRecord(cid, q, p))
+        if not batch and intervals:
+            for cid, vs in singular:
+                for i, j in _intervals(vs):
+                    for k in range(i + 1, j):
+                        cong.merge(simplex(vs[k]), simplex(vs[i]))
+                    batch.append(IntervalMove(cid, i, j))
+        if not batch:
+            break
         rounds.append(batch)
     cert = Certificate.UNCERTIFIED if singular else Certificate.ZIPPER
-    if not any(rounds):
+    if not rounds:
         return DesingResult(space, identity_map(space), cert, rounds)
     res = quotient(space, cong)
     return DesingResult(res.space, res.projection, cert, rounds)
@@ -163,15 +145,6 @@ def _forced_moves(space: SimplicialSet, intervals: bool, recorded=None) -> Desin
 def zipper_desingularize(space: SimplicialSet) -> DesingResult:
     """Zipper rounds until no cell has equal adjacent vertices, then one quotient."""
     return _forced_moves(space, intervals=False)
-
-
-def replay_zipper(
-    space: SimplicialSet, rounds: list[list[MoveRecord | IntervalMove]]
-) -> DesingResult:
-    """Re-run a recorded move list on one congruence, checking each premise
-    against its round's snapshot; a ValueError names a move that was not
-    forced, or that names no cell of ``space``."""
-    return _forced_moves(space, intervals=True, recorded=rounds)
 
 
 def _contains(cong: Congruence, pairs: list[tuple[Simplex, Simplex]]) -> bool:

@@ -468,8 +468,9 @@ def verify_lemma_suite(corpus: Corpus) -> Report:
                 iso=iso,
             )
 
-    # subcomplexes of regular members stay regular
-    for i in range(50):
+    # subcomplexes of regular members stay regular; with no regular member
+    # there is nothing to draw from
+    for i in range(50 if regulars else 0):
         entry = rng.choice(regulars)
         cells = sorted(entry.space.cells)
         seeds = rng.sample(cells, rng.randint(1, min(3, len(cells))))
@@ -478,7 +479,7 @@ def verify_lemma_suite(corpus: Corpus) -> Report:
 
     # binary products of small regular members stay regular
     small = [e for e in regulars if len(e.space.cells) <= 12]
-    for i in range(15):
+    for i in range(15 if small else 0):
         a, b = rng.choice(small), rng.choice(small)
         pr = product(a.space, b.space).space
         report.add(

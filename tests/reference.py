@@ -738,12 +738,15 @@ def reference_replay(
     space: SimplicialSet, rounds: list[list[MoveRecord | IntervalMove]]
 ) -> DesingResult:
     """Re-run a recorded move list, re-checking every premise at its
-    merge time.  Raises if any recorded merge was not forced."""
+    merge time.  Raises if any recorded merge was not forced, or names no
+    cell of ``space``."""
     cur = space
     eta = identity_map(space)
     for batch in rounds:
         cong = Congruence(cur)
         for mv in batch:
+            if mv.cell not in space.cells:
+                raise ValueError(f"{mv} names no cell of the input")
             u = eta.apply(space.simplex(mv.cell))
             if not u.degen.is_identity:
                 raise ValueError(f"recorded cell {mv.cell} no longer maps onto a cell")

@@ -24,6 +24,7 @@ from ssetforge.textio import (
 from ssetforge.verify import format_report, verify_counterexamples
 
 from reference import is_isomorphic
+from test_verify import sparse_corpora
 
 # triangle with two vertices merged: the zipper stalls with the vertices
 # (0, 1, 0) on its 2-cell; the interval move merges them
@@ -234,6 +235,18 @@ def test_verify_cli_tiny_corpus(tmp_path, tiny_corpus):
     code = main(["verify", "cylinders", "--corpus", str(cdir), "--report", str(report2)])
     assert code == 1
     assert "dcr/pair-count: fail" in report2.read_text()
+
+
+@pytest.mark.parametrize("name", ["sphere-1", "delta-3", "none"])
+def test_verify_lemmas_on_a_sparse_corpus(tmp_path, capsys, name):
+    # a saved corpus with no member the seeded draws can take: a clean
+    # report, not a traceback
+    cdir = tmp_path / "corpus"
+    save_corpus(sparse_corpora()[name], cdir)
+    assert main(["verify", "lemmas", "--corpus", str(cdir)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("report verify-lemmas\n") and ", 0 fail, " in out
 
 
 def test_counterexamples_cli(capsys):

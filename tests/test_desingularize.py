@@ -24,7 +24,6 @@ from ssetforge.desingularize import (
     desingularize,
     factor_through_quotient,
     oracle_desingularize,
-    replay_zipper,
     zipper_desingularize,
 )
 from ssetforge.operators import Operator, identity
@@ -146,23 +145,23 @@ def test_zipper_on_subdivided_sphere():
 def test_replay_confirms_moves():
     space = sd(sphere2())
     res = zipper_desingularize(space)
-    again = replay_zipper(space, res.moves)
+    again = reference_replay(space, res.moves)
     assert again.quotient.same_presentation(res.quotient)
     assert again.eta.assignment == res.eta.assignment
     bad = [list(batch) for batch in res.moves]
     first = bad[0][0]
     bad[0][0] = type(first)(first.cell, first.degree, first.position + 1)
     with pytest.raises(ValueError):
-        replay_zipper(space, bad)
+        reference_replay(space, bad)
     # positions past either end of the cell's vertices
     for position in (-1, first.degree):
         bad[0][0] = type(first)(first.cell, first.degree, position)
         with pytest.raises(ValueError, match="premise fails"):
-            replay_zipper(space, bad)
+            reference_replay(space, bad)
     # a move naming no cell of the input
     for mv in (MoveRecord(999, 1, 0), MoveRecord(-1, 1, 0)):
         with pytest.raises(ValueError, match=re.escape(f"{mv} names no cell")):
-            replay_zipper(standard_simplex(2), [[mv]])
+            reference_replay(standard_simplex(2), [[mv]])
 
 
 def test_oracle_agrees_with_zipper():
@@ -213,7 +212,7 @@ def test_desingularize_matches_oracle_and_zipper():
         else:
             stalled.append(space)
             assert any(isinstance(mv, IntervalMove) for batch in res.moves for mv in batch)
-        again = replay_zipper(space, res.moves)
+        again = reference_replay(space, res.moves)
         assert again.certificate is Certificate.ZIPPER
         assert _same_result(again, res)
     assert sum(s in stalled for s in small) == 11
@@ -226,7 +225,7 @@ def test_every_corpus_member_certifies(seed):
     for entry in gen_corpus(seed):
         res = desingularize(entry.space)
         assert res.certificate is Certificate.ZIPPER, entry.name
-        assert _same_result(replay_zipper(entry.space, res.moves), res)
+        assert _same_result(reference_replay(entry.space, res.moves), res)
         z = zipper_desingularize(entry.space)
         assert (z.certificate is Certificate.ZIPPER) == z.quotient.is_nonsingular()
         if z.certificate is Certificate.ZIPPER:
@@ -250,7 +249,7 @@ def test_interval_move_merges_every_vertex_between():
     top = max(space.cell_ids(3))
     a, b, c, d = space.vertices(space.simplex(top))
     assert a == d and len({a, b, c}) == 3
-    res = replay_zipper(space, [[IntervalMove(top, 0, 3)]])
+    res = reference_replay(space, [[IntervalMove(top, 0, 3)]])
     assert len(res.quotient.cell_ids(0)) == 1
     out = desingularize(space)
     assert out.certificate is Certificate.ZIPPER
@@ -266,15 +265,15 @@ def test_replay_rejects_an_interval_move_that_is_not_forced():
     moves = [list(batch) for batch in res.moves]
     mv = moves[1][-1]
     assert mv.j > mv.i + 1
-    assert _same_result(replay_zipper(space, moves), res)
+    assert _same_result(reference_replay(space, moves), res)
     for bad in (IntervalMove(mv.cell, mv.i, mv.j - 1), IntervalMove(mv.cell, mv.i + 1, mv.j),
                 IntervalMove(mv.cell, mv.i, mv.j + 1)):
         moves[1][-1] = bad
         with pytest.raises(ValueError, match="premise fails"):
-            replay_zipper(space, moves)
+            reference_replay(space, moves)
     for mv in (IntervalMove(999, 0, 2), IntervalMove(-1, 0, 2)):
         with pytest.raises(ValueError, match=re.escape(f"{mv} names no cell")):
-            replay_zipper(standard_simplex(2), [[mv]])
+            reference_replay(standard_simplex(2), [[mv]])
 
 
 def test_desingularize_idempotent():
@@ -587,7 +586,7 @@ def test_one_congruence_matches_round_by_round_reference(one_congruence_inputs):
     # every move on one congruence over the input and one quotient give D,
     # eta, the certificate and the move list byte for byte as a new
     # congruence and a quotient per round did, and each move list replays
-    # to the same result under both replays
+    # to the same result under the reference replay
     assert len(one_congruence_inputs) == 2210
     moved = interval = several = 0
     for space in one_congruence_inputs:
@@ -597,8 +596,7 @@ def test_one_congruence_matches_round_by_round_reference(one_congruence_inputs):
             key = _result_key(res)
             assert key == _result_key(ref)
             assert (res.quotient is space) == (ref.quotient is space)
-            for replay in (replay_zipper, reference_replay):
-                assert _result_key(replay(space, res.moves)) == key
+            assert _result_key(reference_replay(space, res.moves)) == key
         moved += bool(res.moves)
         interval += any(isinstance(mv, IntervalMove) for batch in res.moves for mv in batch)
         several += len(res.moves) > 1
@@ -606,8 +604,8 @@ def test_one_congruence_matches_round_by_round_reference(one_congruence_inputs):
 
 
 def test_one_quotient_per_call(one_congruence_inputs, monkeypatch):
-    # desingularize, zipper_desingularize and replay_zipper each quotient at
-    # most once, and not at all when no move is taken, however many rounds
+    # desingularize and zipper_desingularize each quotient at most once,
+    # and not at all when no move is taken, however many rounds
     calls = 0
 
     def counted(space, cong):
@@ -622,8 +620,37 @@ def test_one_quotient_per_call(one_congruence_inputs, monkeypatch):
             calls = 0
             res = run(space)
             assert calls == bool(res.moves)
-            calls = 0
-            replay_zipper(space, res.moves)
-            assert calls == bool(res.moves)
         several += len(res.moves) > 1
     assert several == 124
+
+
+def test_recorded_moves_match_the_merges_made(one_congruence_inputs, monkeypatch):
+    # each zipper move merges once and each interval move (i, j) merges the
+    # j - i - 1 vertices between, so the move list accounts for every merge
+    # the loop makes: a round that merged other than it recorded fails here
+    # even where the quotient comes out the same
+    merges = 0
+
+    class Counted(Congruence):
+        def merge(self, s, t):
+            nonlocal merges
+            merges += 1
+            super().merge(s, t)
+
+    monkeypatch.setattr(desingularize_module, "Congruence", Counted)
+    spaces = [_pinched_tetrahedron(), *one_congruence_inputs]
+    widths = []
+    for space in spaces:
+        for run in (zipper_desingularize, desingularize):
+            merges = 0
+            res = run(space)
+            moves = [mv for batch in res.moves for mv in batch]
+            zipper = sum(isinstance(mv, MoveRecord) for mv in moves)
+            width = sum(mv.j - mv.i - 1 for mv in moves if isinstance(mv, IntervalMove))
+            assert merges == zipper + width
+            widths.append(width)
+    # the pinched tetrahedron's interval round merges 4 vertices, 2 of them
+    # for its top cell's (0, 3), and each of the 124 inputs that take an
+    # interval move merges at least one vertex by it
+    assert widths[:2] == [0, 4]
+    assert sum(w > 0 for w in widths) == 1 + 124

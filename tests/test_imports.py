@@ -5,7 +5,9 @@ with ``ast``: an import binds names, and each must be read somewhere in
 the same file, as a name or inside a quoted annotation.  The package
 namespace holds only its submodules: every name is imported from the
 submodule that defines it.  No module imports an underscore name from a
-sibling, with one named exception.
+sibling, with one named exception.  Every function and class a module
+of the package defines at its top level is read somewhere in ``src/`` or
+``perfbench/``, with a named allowlist.
 """
 
 from __future__ import annotations
@@ -132,3 +134,82 @@ def test_no_export_shadows_a_submodule():
         if not name.startswith("__") and not isinstance(value, types.ModuleType)
     ]
     assert exported == []
+
+
+# top-level names of the package that no program path reads, each kept on
+# purpose (see ROADMAP.md)
+UNREAD_ALLOWED = {
+    "sd_map", "barratt_map", "representing_map",  # items 1 and 2
+    "all_operators", "make_degen",  # the tests' enumeration primitives
+}
+
+
+def definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each function and class defined at top level."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(node.lineno, node.name) for node in ast.parse(source).body if isinstance(node, kinds)]
+
+
+def reads(source: str) -> set[str]:
+    """The names a source reads: each ``ast.Name``, each attribute of an
+    ``ast.Attribute``, the last part of each imported name, and each part
+    of an attribute path in a module-level ``SPANS`` or ``COUNTERS`` table
+    of (module, attribute path) keys, the tables by which the layer tracer
+    wraps functions by name.  Docstrings and comments read nothing."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) in ("SPANS", "COUNTERS")):
+            for _, path in ast.literal_eval(node.value):
+                names.update(path.split("."))
+    return names
+
+
+def test_checker_flags_an_unread_definition():
+    defined = (
+        "class Used:\n"
+        "    def method(self):\n"
+        "        return helper()\n"
+        "def helper():\n"
+        '    """Mentions orphan, which a docstring does not read."""\n'
+        "def orphan():\n"
+        "    pass\n"
+        "def traced():\n"
+        "    pass\n"
+        "def imported():\n"
+        "    pass\n"
+    )
+    reader = (
+        "from pkg.defined import imported\n"
+        "SPANS = {('defined', 'traced'): 'defined.traced'}\n"
+        "x = Used().method()\n"
+    )
+    read = reads(defined) | reads(reader)
+    assert [(line, name) for line, name in definitions(defined) if name not in read] == [
+        (6, "orphan")
+    ]
+
+
+def test_every_definition_is_read_by_a_program_path():
+    package = sorted(PACKAGE.glob("*.py"))
+    program = package + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*(reads(path.read_text()) for path in program))
+    defined = [
+        (path, line, name) for path in package for line, name in definitions(path.read_text())
+    ]
+    # every allowed name is still defined, so the allowlist cannot go stale
+    assert UNREAD_ALLOWED <= {name for _, _, name in defined}
+    hits = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, line, name in defined
+        if name not in read and name not in UNREAD_ALLOWED
+    ]
+    assert hits == []

@@ -9,12 +9,13 @@ from collections import Counter
 import pytest
 
 from ssetforge.cli import main
-from ssetforge.corpus import Corpus, CorpusEntry, load_corpus, save_corpus
+from ssetforge.colimits import is_regular
+from ssetforge.corpus import Corpus, CorpusEntry, load_corpus, save_corpus, sphere
 from ssetforge import cylinders, operators, verify
 from ssetforge.cylinders import cylinder_reduction
 from ssetforge.desingularize import _dup_operator
 from ssetforge.posets import MonotoneMap, all_posets, singleton_poset
-from ssetforge.simplicial import boundary
+from ssetforge.simplicial import boundary, standard_simplex
 from ssetforge.subdivision import sd
 from ssetforge.textio import format_sset, parse_sset
 from ssetforge.verify import (
@@ -294,3 +295,26 @@ def test_lemma_suite_smoke(tiny_corpus):
     assert rep.ok
     cones = [c for c in rep.cases if c.name.startswith("cone/")]
     assert len(cones) == 88
+
+
+def sparse_corpora() -> dict[str, Corpus]:
+    """Corpora the lemma suite's seeded draws find nothing in: one with no
+    regular member, one whose only regular member has more than 12 cells
+    (delta-3 has 15), and one with no member at all."""
+    corpora = {"none": Corpus(0, [])}
+    for name, space in (("sphere-1", sphere(1)), ("delta-3", standard_simplex(3))):
+        corpora[name] = Corpus(0, [CorpusEntry(name, space, "builtin", is_regular(space))])
+    return corpora
+
+
+@pytest.mark.parametrize("name", ["sphere-1", "delta-3", "none"])
+def test_lemma_suite_draws_nothing_from_an_empty_population(name):
+    # the subcomplex draws need a regular member and the product draws a
+    # regular member of at most 12 cells; without one a loop emits no case
+    corpus = sparse_corpora()[name]
+    rep = verify_lemma_suite(corpus)
+    assert rep.ok
+    kinds = Counter(c.name.split("/")[0] for c in rep.cases)
+    assert kinds["subcomplex-regular"] == (50 if name == "delta-3" else 0)
+    assert kinds["product-regular"] == 0
+    assert kinds["cone"] == 88
