@@ -151,7 +151,7 @@ def load_corpus(directory) -> Corpus:
     return Corpus(seed, entries)
 
 
-def gen_corpus(seed: int = 0) -> Corpus:
+def gen_corpus(seed: int) -> Corpus:
     entries = [
         CorpusEntry(name, space, "builtin", is_regular(space))
         for name, space in _builtins()

@@ -100,9 +100,6 @@ class FinPoset:
     def __contains__(self, e: Hashable) -> bool:
         return e in self._index
 
-    def lt(self, a: Hashable, b: Hashable) -> bool:
-        return (a, b) in self._lt
-
     def leq(self, a: Hashable, b: Hashable) -> bool:
         return a == b or (a, b) in self._lt
 
@@ -170,7 +167,7 @@ def chain_poset(n: int) -> FinPoset:
     return FinPoset(range(n + 1), [(i, i + 1) for i in range(n)])
 
 
-def singleton_poset(label: Hashable = 0) -> FinPoset:
+def singleton_poset(label: Hashable) -> FinPoset:
     return FinPoset([label])
 
 

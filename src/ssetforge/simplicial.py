@@ -13,7 +13,7 @@ factored: a degeneracy of a simplex is the same cell under the composite
 degeneracy, a codimension-1 face of a cell is its stored face, the faces
 of a face stored with an identity are that face's own stored faces, and
 the vertices of a cell are read through its last and first stored faces
-and cached, so a non-degenerate simplex's vertex row is the cached one.
+and cached per cell.
 Validation checks the same identities on every cell either way; only the
 route to each side of a check is shorter.
 
@@ -180,9 +180,7 @@ class SimplicialSet:
     def dim(self) -> int:
         return max((c.dim for c in self.cells.values()), default=-1)
 
-    def cell_ids(self, dim: int | None = None) -> list[int]:
-        if dim is None:
-            return sorted(self.cells)
+    def cell_ids(self, dim: int) -> list[int]:
         return sorted(cid for cid, c in self.cells.items() if c.dim == dim)
 
     def cell_order(self) -> tuple[int, ...]:
@@ -253,9 +251,6 @@ class SimplicialSet:
         z_cell, z_degen = self._cell_face(cell, mu)
         return _simplex((z_cell, compose(tau, z_degen)))
 
-    def face(self, s: Simplex, i: int) -> Simplex:
-        return self.eval(s, make_face(i, s.degree))
-
     def face_row(self, s: Simplex) -> tuple[Simplex, ...]:
         """The faces (s.d_0, ..., s.d_q) of a simplex of degree q, evaluated
         once per space and kept; () in degree 0.  A space is immutable, so
@@ -286,13 +281,6 @@ class SimplicialSet:
                 got = (*(below[v] for v in sigma.values), last)
             self._vertex_cache[cid] = got
         return got
-
-    def vertices(self, s: Simplex) -> tuple[int, ...]:
-        cell, degen = s
-        base = self.cell_vertices(cell)
-        if degen.is_identity:
-            return base
-        return tuple(base[v] for v in degen.values)
 
     # -- predicates --------------------------------------------------------
 

@@ -167,27 +167,21 @@ def sd_map(
     return SimplicialMap(sds, sdt, asg)
 
 
-def b_nat(
-    space: SimplicialSet,
-    barratt_space: SimplicialSet | None = None,
-    sd_space: SimplicialSet | None = None,
-) -> SimplicialMap:
+def b_nat(space: SimplicialSet, sd_space: SimplicialSet | None = None) -> SimplicialMap:
     """The natural comparison from the subdivision to the nerve of the
     cell poset: a chain of faces goes to the chain of their carriers.
 
     Vertex v of Sd X is the barycentre of cell ``labels[v][0]``, and a
     cell's carriers are its vertex row read through those labels.  No
-    chain entry is evaluated on X.  ``barratt_space`` must be a nerve,
-    as ``barratt`` builds it."""
+    chain entry is evaluated on X.  The target is ``barratt(space)``."""
     sds = sd(space) if sd_space is None else sd_space
-    bx = barratt(space) if barratt_space is None else barratt_space
     labels = sds.labels
-    return map_into_nerve(sds, bx, lambda v: labels[v][0])
+    return map_into_nerve(sds, barratt(space), lambda v: labels[v][0])
 
 
-def last_vertex(space: SimplicialSet, sd_space: SimplicialSet | None = None) -> SimplicialMap:
+def last_vertex(space: SimplicialSet) -> SimplicialMap:
     """The map sending a chain of faces to the simplex of their last vertices."""
-    sds = sd(space) if sd_space is None else sd_space
+    sds = sd(space)
     asg: dict[int, Simplex] = {}
     for cid, (x, c) in sds.labels.items():
         n = space.cells[x].dim

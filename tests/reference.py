@@ -416,7 +416,7 @@ def prism_row(pr: ProductResult, cid: int) -> tuple:
     """Vertex row of a prism cell, as (base element, interval level) pairs."""
     base, interval = pr.first.target, pr.second.target
     row = []
-    for v in pr.space.vertices(pr.space.simplex(cid)):
+    for v in pr.space.cell_vertices(cid):
         sx, sy = pr.space.labels[v]
         row.append((base.labels[sx.cell][0], interval.labels[sy.cell].values[0]))
     return tuple(row)
@@ -530,12 +530,12 @@ def pair_scan_closure(elements, relations) -> frozenset | str:
 
 def label_chains(p: FinPoset) -> list[tuple]:
     """The nonempty strict chains of p, shortest first, lexicographic in
-    element order within a length, each extended along ``lt``."""
+    element order within a length, each extended along the strict order."""
     out: list[tuple] = []
     level = [(e,) for e in p.elements]
     while level:
         out.extend(level)
-        level = [c + (e,) for c in level for e in p.elements if p.lt(c[-1], e)]
+        level = [c + (e,) for c in level for e in p.elements if p.leq(c[-1], e) and c[-1] != e]
     return out
 
 
@@ -596,14 +596,10 @@ def reference_sd(space: SimplicialSet) -> SimplicialSet:
     return SimplicialSet(cells, labels)
 
 
-def carrier_b_nat(
-    space: SimplicialSet,
-    barratt_space: SimplicialSet | None = None,
-    sd_space: SimplicialSet | None = None,
-) -> SimplicialMap:
+def carrier_b_nat(space: SimplicialSet, sd_space: SimplicialSet | None = None) -> SimplicialMap:
     """b with each chain entry evaluated on the carrier cell for its carrier."""
     sds = reference_sd(space) if sd_space is None else sd_space
-    bx = barratt(space) if barratt_space is None else barratt_space
+    bx = barratt(space)
     target_ids = {label: cid for cid, label in bx.labels.items()}
     asg: dict[int, Simplex] = {}
     for cid, (x, c) in sds.labels.items():
@@ -626,7 +622,7 @@ def reference_regularity_witness(space: SimplicialSet) -> int | None:
             continue
         top = space.simplex(cid)
         # the cells of Z, then each y.mu found so far
-        hit = generated_cells(space, [space.face(top, d).cell])
+        hit = generated_cells(space, [space.eval(top, make_face(d, d)).cell])
         if d not in through_last:
             through_last[d] = [mu for mu in all_faces(d) if mu.values[-1] == d]
         for mu in through_last[d]:
@@ -750,7 +746,7 @@ def reference_replay(
             u = eta.apply(space.simplex(mv.cell))
             if not u.degen.is_identity:
                 raise ValueError(f"recorded cell {mv.cell} no longer maps onto a cell")
-            vs = cur.vertices(u)
+            vs = cur.cell_vertices(u.cell)
             if isinstance(mv, IntervalMove):
                 if not (0 <= mv.i < mv.j < len(vs) and vs[mv.i] == vs[mv.j]):
                     raise ValueError(f"premise fails for {mv}")

@@ -81,16 +81,16 @@ def test_quotient_interval_ends():
     q = quotient(x, cong)
     assert counts(q.space) == (1, 1)
     e = q.space.simplex(q.space.cell_ids(1)[0])
-    assert q.space.vertices(e) == (0, 0)
+    assert q.space.cell_vertices(e.cell) == (0, 0)
     assert surjective_in_degree(q.projection, q.projection.target.dim)
 
 
 def test_collapse_boundary_of_triangle():
     x = standard_simplex(2)
-    q = collapse_subcomplex(x, boundary(2).cell_ids())
+    q = collapse_subcomplex(x, sorted(boundary(2).cells))
     assert counts(q.space) == (1, 0, 1)
     top = q.space.simplex(q.space.cell_ids(2)[0])
-    assert q.space.vertices(top) == (0, 0, 0)
+    assert q.space.cell_vertices(top.cell) == (0, 0, 0)
     # the boundary edge classes all project to the degenerate edge
     for eid in x.cell_ids(1):
         img = q.projection.apply(x.simplex(eid))
@@ -104,7 +104,7 @@ def test_collapsed_edge_is_regular_but_singular():
     assert not q.space.is_nonsingular()
     assert is_regular(q.space)
     top = q.space.simplex(q.space.cell_ids(2)[0])
-    vs = q.space.vertices(top)
+    vs = q.space.cell_vertices(top.cell)
     assert vs[0] == vs[1] != vs[2]
 
 
@@ -168,7 +168,7 @@ def test_product_point_square():
 
 
 def test_kernel_quotient_is_image():
-    sphere = collapse_subcomplex(standard_simplex(2), boundary(2).cell_ids()).space
+    sphere = collapse_subcomplex(standard_simplex(2), sorted(boundary(2).cells)).space
     cover = representing_map(sphere, sphere.cell_ids(2)[0])
     assert surjective_in_degree(cover, cover.target.dim)
     ker = kernel_congruence(cover)
@@ -190,9 +190,9 @@ def test_regularity_basics():
     assert is_regular(boundary(2))
     assert is_regular(boundary(3))
     # the circle has its lone edge attached to a single vertex at both ends
-    circle = collapse_subcomplex(standard_simplex(1), boundary(1).cell_ids()).space
+    circle = collapse_subcomplex(standard_simplex(1), sorted(boundary(1).cells)).space
     assert regularity_witness(circle) is not None
-    sphere = collapse_subcomplex(standard_simplex(2), boundary(2).cell_ids()).space
+    sphere = collapse_subcomplex(standard_simplex(2), sorted(boundary(2).cells)).space
     assert not is_regular(sphere)
 
 
@@ -211,7 +211,7 @@ def _pushout_witness(space):
         dn = deltas.setdefault(d, standard_simplex(d))
         dn1 = deltas.setdefault(d - 1, standard_simplex(d - 1))
         top = space.simplex(cid)
-        last = space.face(top, d)
+        last = space.eval(top, make_face(d, d))
         sub, incl = generate(space, [last.cell])
         top_dn = dn.simplex(dn.cell_ids(d)[0])
         to_delta = simplex_map(dn, dn.eval(top_dn, make_face(d, d)), source=dn1)

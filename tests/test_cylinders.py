@@ -193,8 +193,8 @@ def test_degreewise_diagnostics_match_simplex_enumeration(corpus):
     maps = [f for phi in phis for f in _cylinder_maps(phi)]
     for entry in corpus:
         if len(entry.space.cells) <= 60:
-            sds = sd(entry.space)
-            maps += [b_nat(entry.space, sd_space=sds), last_vertex(entry.space, sd_space=sds)]
+            lv = last_vertex(entry.space)
+            maps += [b_nat(entry.space, sd_space=lv.source), lv]
     quotients = _small_quotients()
     assert len(quotients) == 102
     maps += [desingularize(x).eta for x in quotients]
@@ -276,7 +276,7 @@ def test_sibling_pairs_match_quadratic_scan(corpus):
 
 
 def test_cone_of_point_is_an_interval():
-    cone = cylinder_reduction(terminal_map(singleton_poset())).space
+    cone = cylinder_reduction(terminal_map(singleton_poset(0))).space
     assert is_isomorphic(cone, standard_simplex(1))
 
 
@@ -287,7 +287,7 @@ def test_cone_raises_dimension_by_one():
 
 def test_cone_rejects_non_nerves():
     # the cone's leg into the apex accepts only the nerve of P itself
-    phi = terminal_map(singleton_poset())
+    phi = terminal_map(singleton_poset(0))
     two_gon = sd(collapse_subcomplex(standard_simplex(1), [0, 1]).space)
     with pytest.raises(ValueError):
         nerve_map(phi, two_gon)

@@ -247,7 +247,7 @@ def _pinched_tetrahedron():
 def test_interval_move_merges_every_vertex_between():
     space = _pinched_tetrahedron()
     top = max(space.cell_ids(3))
-    a, b, c, d = space.vertices(space.simplex(top))
+    a, b, c, d = space.cell_vertices(top)
     assert a == d and len({a, b, c}) == 3
     res = reference_replay(space, [[IntervalMove(top, 0, 3)]])
     assert len(res.quotient.cell_ids(0)) == 1

@@ -402,7 +402,7 @@ def test_pushout_cosieve_cone():
     cyl = product_poset(p, chain_poset(1))
     top = cylinder_end(p, cyl, 1)
     with pytest.raises(ValueError):
-        poset_pushout(top, MonotoneMap(p, singleton_poset(), {e: 0 for e in p.elements}))
+        poset_pushout(top, MonotoneMap(p, singleton_poset(0), {e: 0 for e in p.elements}))
 
 
 def test_pushout_mediator_disagreement():
@@ -429,7 +429,11 @@ def test_poset_isomorphism_search():
     assert iso is not None
     vertex = {na.labels[c][0]: nb.labels[iso[c]][0] for c in na.cells if na.cells[c].dim == 0}
     assert len(vertex) == 6 and set(vertex.values()) == set(b.elements)
-    assert all(a.lt(x, y) == b.lt(vertex[x], vertex[y]) for x in a.elements for y in a.elements)
+    assert all(
+        (a.leq(x, y) and x != y) == (b.leq(vertex[x], vertex[y]) and vertex[x] != vertex[y])
+        for x in a.elements
+        for y in a.elements
+    )
 
 
 def test_poset_enumeration_counts():

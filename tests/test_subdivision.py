@@ -75,7 +75,7 @@ def test_sd_circle():
     assert counts(sds) == (2, 2)
     assert sds.is_nonsingular()
     edges = sds.cell_ids(1)
-    assert sds.vertices(sds.simplex(edges[0])) == sds.vertices(sds.simplex(edges[1]))
+    assert sds.cell_vertices(edges[0]) == sds.cell_vertices(edges[1])
 
 
 def test_sd_empty():
@@ -150,17 +150,16 @@ def test_b_naturality_square():
     circ = circle().space
     f = representing_map(circ, 1)
     delta1 = standard_simplex(1)
-    sd1, sdc = sd(delta1), sd(circ)
-    b1, bc = barratt(delta1), barratt(circ)
-    left = compose_maps(sd_map(f, sd1, sdc), b_nat(circ, bc, sdc))
-    right = compose_maps(b_nat(delta1, b1, sd1), barratt_map(f, b1, bc))
+    b1, bc = b_nat(delta1), b_nat(circ)
+    left = compose_maps(sd_map(f, b1.source, bc.source), bc)
+    right = compose_maps(b1, barratt_map(f, b1.target, bc.target))
     assert left == right
 
 
 def test_last_vertex_edge_patterns():
     delta1 = standard_simplex(1)
-    sd1 = sd(delta1)
-    d = last_vertex(delta1, sd1)
+    d = last_vertex(delta1)
+    sd1 = d.source
     by_label = {sd1.labels[c]: d.assignment[c] for c in sd1.cell_ids(1)}
     e0 = Operator(1, (0,))
     e1 = Operator(1, (1,))
@@ -174,9 +173,9 @@ def test_last_vertex_point_and_naturality():
     circ = circle().space
     f = representing_map(circ, 1)
     delta1 = standard_simplex(1)
-    sd1, sdc = sd(delta1), sd(circ)
-    left = compose_maps(sd_map(f, sd1, sdc), last_vertex(circ, sdc))
-    right = compose_maps(last_vertex(delta1, sd1), f)
+    l1, lc = last_vertex(delta1), last_vertex(circ)
+    left = compose_maps(sd_map(f, l1.source, lc.source), lc)
+    right = compose_maps(l1, f)
     assert left == right
 
 
