@@ -21,7 +21,9 @@ Every function of the calculus below (the constructors, ``compose``,
 ``face_restriction``, the degeneracies, ``all_faces``) is memoized with
 ``lru_cache``: every verdict evaluates the same few operators millions of
 times.  The tables hold only operators between ranks that some space has
-reached, so they are bounded by the dimensions seen.
+reached, so they are bounded by the dimensions seen.  ``run_collapse``
+keeps one plan per pattern of equal neighbours in a row, a table bounded
+the same way.
 
 Each operator these functions return is interned: it passes through the
 one table ``_CANON``, so equal results are the same object.  A cache
@@ -34,8 +36,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import eq, itemgetter
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter, ne
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class Operator(tuple):
@@ -226,12 +228,36 @@ def run_collapse(seq: Sequence) -> tuple[tuple, Operator]:
     so the original sequence is the run sequence precomposed with it.
     A nonempty sequence without repeats is its own run sequence, under
     the identity.
+
+    Which adjacent entries differ, the pattern ``map(ne, seq, seq[1:])``,
+    fixes both results up to the entries themselves, so the pattern picks
+    a plan, built once by ``_collapse_plan``: a getter of the run starts
+    and the interned run degeneracy.  A row then costs its pattern, one
+    cache lookup and one getter call.  An empty row has the pattern of a
+    one-entry row and gives ((), identity(0)), as the definition does.
     """
-    if seq and not any(map(eq, seq, seq[1:])):
-        return tuple(seq), identity(len(seq) - 1)
-    reps = tuple(i for i in range(len(seq) - 1) if seq[i] == seq[i + 1])
-    out = tuple(v for i, v in enumerate(seq) if i == 0 or seq[i - 1] != v)
-    return out, degeneracy_from_repeats(reps, len(seq) - 1)
+    starts, degen = _collapse_plan(tuple(map(ne, seq, seq[1:])))
+    return starts(seq), degen
+
+
+def _first(seq: Sequence) -> tuple:
+    return (seq[0],)
+
+
+@lru_cache(maxsize=None)
+def _collapse_plan(steps: tuple[bool, ...]) -> tuple[Callable[[Sequence], tuple], Operator]:
+    """For a row of len(steps) + 1 entries whose adjacent entries i, i+1
+    differ exactly where steps[i]: a getter of the entries that start a
+    run, as a tuple, and the degeneracy collapsing the other positions.
+    The patterns are those of the row lengths reached, so the table is
+    bounded by the dimensions seen."""
+    if all(steps):
+        return tuple, identity(len(steps))
+    starts = [0] + [i + 1 for i, step in enumerate(steps) if step]
+    reps = [i for i, step in enumerate(steps) if not step]
+    # a getter of one index returns the entry, not a 1-tuple
+    get = itemgetter(*starts) if len(starts) > 1 else _first
+    return get, degeneracy_from_repeats(reps, len(steps))
 
 
 def all_operators(src: int, dst: int) -> Iterator[Operator]:

@@ -11,12 +11,16 @@ built on chains of element indices: a ``Nerve`` keeps its poset and the
 cell id of each index chain, and labels each cell with its chain of
 elements.  Vertex i is the chain (i,) with cell id i, so a chain is its
 own cell's vertex row, and a ``Nerve`` answers ``cell_vertices`` from
-its chains.
+its chains.  The chains are built by extension, a level at a time: the
+faces of c + (j,) are the extensions by j of the faces of c, then c, so
+each face id is one lookup of (face id, j) in a table of the extensions
+built, and no chain is sliced.
 
 A map into a nerve is fixed by where it sends vertices.
 ``map_into_nerve`` sends each cell to the chain of its vertices'
-images, repeats collapsed, looked up in the target's table; a vertex
-row that does not go to a chain is a ValueError naming the cell.
+images, repeats collapsed by ``run_collapse``, looked up in the
+target's table; a vertex row that does not go to a chain is a
+ValueError naming the cell.
 ``nerve_map`` builds N(phi) through it, so it takes only nerves of the
 map's own source and target posets (or of posets equal to them) and
 raises ValueError on any other simplicial set.
@@ -44,7 +48,7 @@ key are isomorphic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby, permutations
 from typing import Callable, Hashable, Iterable
 
@@ -232,24 +236,42 @@ class Nerve(SimplicialSet):
         self._vertex_cache = {cid: chain for chain, cid in chain_ids.items()}
 
 
+# Cell from a (dim, faces) pair in C, skipping the NamedTuple's
+# Python-level __new__ as ``_simplex`` does; the nerve builds one per chain
+_cell = partial(tuple.__new__, Cell)
+
+
 def nerve(p: FinPoset) -> Nerve:
     """One cell per nonempty strict chain, numbered in ``chains()`` order;
-    faces drop chain entries."""
-    elements = p.elements
-    ids: dict[tuple[int, ...], int] = {}
-    cells: dict[int, Cell] = {}
-    labels: dict[int, object] = {}
-    element = elements.__getitem__
-    for c in p.index_chains():
-        cid = ids[c] = len(ids)
-        d = len(c) - 1
-        if d:
-            ident = identity(d - 1)
-            faces = tuple([(ids[c[:i] + c[i + 1 :]], ident) for i in range(d + 1)])
-        else:
-            faces = ()
-        cells[cid] = Cell(d, faces)
-        labels[cid] = tuple(map(element, c))
+    faces drop chain entries.
+
+    The chains are built a level at a time, each chain c + (j,) from c,
+    in ``index_chains()`` order.  The faces of c + (j,) are (d_i c) + (j,)
+    for i <= dim c, then c itself, and those of an edge (i, j) are the
+    vertices (j,) and (i,).  ``ext`` holds the id of each extension
+    (id, j) built, so each face id is read off c's stored faces: no chain
+    is sliced or looked up."""
+    up, element = p._up_idx, p.elements.__getitem__
+    chains = [(i,) for i in range(len(p.elements))]
+    cells = dict.fromkeys(range(len(chains)), _cell((0, ())))
+    ext: dict[tuple[int, int], int] = {}
+    level, dim = range(len(chains)), 0
+    while level:
+        ident, nxt = identity(dim), []
+        for cid in level:
+            c, below, last = chains[cid], cells[cid][1], (cid, ident)
+            for j in up[c[-1]]:
+                nid = ext[cid, j] = len(chains)
+                if dim:
+                    faces = (*[(ext[f, j], ident) for f, _ in below], last)
+                else:
+                    faces = ((j, ident), last)
+                chains.append(c + (j,))
+                cells[nid] = _cell((dim + 1, faces))
+                nxt.append(nid)
+        level, dim = nxt, dim + 1
+    ids = {c: cid for cid, c in enumerate(chains)}
+    labels = {cid: tuple(map(element, c)) for cid, c in enumerate(chains)}
     return Nerve(p, ids, cells, labels)
 
 

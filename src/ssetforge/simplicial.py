@@ -12,8 +12,9 @@ Where the answer is already stored, it is read off the table instead of
 factored: a degeneracy of a simplex is the same cell under the composite
 degeneracy, a codimension-1 face of a cell is its stored face, the faces
 of a face stored with an identity are that face's own stored faces, and
-the vertices of a cell are read through its last and first stored faces
-and cached per cell.
+the vertices of a cell are read through its last and first stored faces.
+The first vertex row asked of a space fills the rows of all its cells in
+one pass, lowest dimension first, and keeps them.
 Validation checks the same identities on every cell either way; only the
 route to each side of a check is shorter.
 
@@ -267,19 +268,25 @@ class SimplicialSet:
         """Vertex cells of the cell, in order.
 
         Vertices 0..d-1 are those of the last face, read through its
-        degeneracy; vertex d is the last vertex of face 0.
+        degeneracy; vertex d is the last vertex of face 0.  The first miss
+        fills the row of every cell in one pass over ``cell_order()``: a
+        face has a lower dimension than its cell, so its row is ready.
+        A reader that stops early (``is_nonsingular``, the oracle's search
+        for a singular cell) still pays for every row.
         """
-        got = self._vertex_cache.get(cid)
+        rows = self._vertex_cache
+        got = rows.get(cid)
         if got is None:
-            faces = self.cells[cid].faces
-            if not faces:
-                got = (cid,)
-            else:
-                (t, sigma), (t0, sigma0) = faces[-1], faces[0]
-                below = self.cell_vertices(t)
-                last = self.cell_vertices(t0)[sigma0.values[-1]]
-                got = (*(below[v] for v in sigma.values), last)
-            self._vertex_cache[cid] = got
+            cells = self.cells
+            for c in self.cell_order():
+                faces = cells[c][1]
+                if faces:
+                    (t, sigma), (t0, sigma0) = faces[-1], faces[0]
+                    below = map(rows[t].__getitem__, sigma.values)
+                    rows[c] = (*below, rows[t0][sigma0.values[-1]])
+                else:
+                    rows[c] = (c,)
+            got = rows[cid]
         return got
 
     # -- predicates --------------------------------------------------------

@@ -28,7 +28,12 @@ their nerve maps on every call; ``representing_sharp`` and
 ``cylinder_reduction`` share one source side per simplex dimension.
 ``label_nerve`` and ``label_nerve_map`` build nerves and nerve maps on
 chains of elements, found by walking the strict pairs; ``nerve`` and
-``nerve_map`` work on chains of element indices.  ``two_pass_run_collapse``
+``nerve_map`` work on chains of element indices.  ``slicing_nerve``
+finds each face of an index chain by slicing out one entry and looking
+the result up; ``nerve`` reads it off the ids of one-element extensions.
+``recursive_vertex_rows`` finds each cell's vertex row by recursion on
+its stored faces; ``SimplicialSet.cell_vertices`` fills every row in one
+pass in dimension order.  ``two_pass_run_collapse``
 is ``run_collapse`` by its definition, and ``pair_scan_closure`` closes a
 relation by composing every two pairs until nothing is added, where
 ``FinPoset`` walks successor sets.
@@ -110,6 +115,7 @@ from ssetforge.posets import (
     DwyerWitness,
     FinPoset,
     MonotoneMap,
+    Nerve,
     barratt,
     barratt_map,
     chain_poset,
@@ -553,6 +559,46 @@ def label_nerve(p: FinPoset) -> SimplicialSet:
         cells[cid] = Cell(d, faces)
         labels[cid] = c
     return SimplicialSet(cells, labels)
+
+
+def slicing_nerve(p: FinPoset) -> Nerve:
+    """One cell per index chain, in ``index_chains()`` order; each face
+    drops an entry by slicing and is looked up by its chain."""
+    ids: dict[tuple[int, ...], int] = {}
+    cells: dict[int, Cell] = {}
+    labels: dict[int, object] = {}
+    for c in p.index_chains():
+        cid = ids[c] = len(ids)
+        d = len(c) - 1
+        faces = tuple(
+            (ids[c[:i] + c[i + 1 :]], identity(d - 1)) for i in range(d + 1)
+        ) if d else ()
+        cells[cid] = Cell(d, faces)
+        labels[cid] = tuple(p.elements[i] for i in c)
+    return Nerve(p, ids, cells, labels)
+
+
+def recursive_vertex_rows(space: SimplicialSet) -> dict[int, tuple[int, ...]]:
+    """The vertex row of every cell, in ``cells`` order, each found by
+    recursion on its last and first stored faces with a memo: vertices
+    0..d-1 are those of the last face, read through its degeneracy, and
+    vertex d is the last vertex of face 0."""
+    memo: dict[int, tuple[int, ...]] = {}
+
+    def row(cid: int) -> tuple[int, ...]:
+        got = memo.get(cid)
+        if got is None:
+            faces = space.cells[cid].faces
+            if not faces:
+                got = (cid,)
+            else:
+                (t, sigma), (t0, sigma0) = faces[-1], faces[0]
+                below = row(t)
+                got = (*(below[v] for v in sigma.values), row(t0)[sigma0.values[-1]])
+            memo[cid] = got
+        return got
+
+    return {cid: row(cid) for cid in space.cells}
 
 
 def label_nerve_map(

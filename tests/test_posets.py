@@ -13,6 +13,7 @@ from ssetforge.operators import Operator, identity, make_vertex, run_collapse
 from ssetforge.posets import (
     FinPoset,
     MonotoneMap,
+    Nerve,
     _canonical_key,
     all_posets,
     barratt,
@@ -50,6 +51,7 @@ from reference import (
     label_nerve_map,
     pair_scan_closure,
     reference_is_dwyer,
+    slicing_nerve,
     two_pass_run_collapse,
 )
 
@@ -225,6 +227,26 @@ def test_index_nerve_matches_label_nerve(corpus):
     assert len(posets) >= 100 and maps >= 6 * 250
 
 
+def test_nerve_matches_slicing_reference(corpus):
+    # every poset with at most five elements, the sharp of every seed-0
+    # member, and each cylinder's posets P, R, P x [1] and the pushout:
+    # the same cells, labels and chain ids, in the same order
+    posets = list(all_posets(5)) + [sharp(e.space) for e in corpus]
+    for phi in _cylinder_phis(corpus):
+        cyl = product_poset(phi.source, chain_poset(1))
+        v = poset_pushout(cylinder_end(phi.source, cyl, 0), phi)
+        posets += [phi.source, phi.target, cyl, v.poset]
+    cells = 0
+    for p in posets:
+        got, want = nerve(p), slicing_nerve(p)
+        assert type(got) is Nerve and got.poset is p
+        assert list(got.cells.items()) == list(want.cells.items())
+        assert list(got.labels.items()) == list(want.labels.items())
+        assert list(got.chain_ids.items()) == list(want.chain_ids.items())
+        cells += len(got.cells)
+    assert len(posets) >= 1000 and cells >= 50_000
+
+
 def test_run_collapse_matches_two_passes():
     # every sequence of length at most 6 over three symbols, for int,
     # string and nested-tuple symbols
@@ -238,6 +260,20 @@ def test_run_collapse_matches_two_passes():
                 assert run_collapse(list(seq)) == want
                 seen += 1
     assert seen == 3 * sum(3 ** n for n in range(7))
+    # operator symbols, as sd collapses them, and the plans' results: a
+    # tuple for tuple and list rows alike, under the interned degeneracy
+    symbols = (identity(0), make_vertex(0, 1), make_vertex(1, 1))
+    for n in range(1, 7):
+        for seq in itertools.product(symbols, repeat=n):
+            want = two_pass_run_collapse(seq)
+            for form in (seq, list(seq)):
+                got = run_collapse(form)
+                assert got == want and type(got[0]) is tuple and got[1] is want[1]
+    # length-1 rows, each its own run under the identity on [0]
+    for symbols in alphabets:
+        for x in symbols:
+            for form in ((x,), [x]):
+                assert run_collapse(form) == two_pass_run_collapse(form) == ((x,), identity(0))
 
 
 def test_closure_matches_pair_scan():

@@ -5,8 +5,11 @@ from dataclasses import dataclass
 
 import pytest
 
+from ssetforge import verify
 from ssetforge.colimits import collapse_subcomplex, product, pushout
-from ssetforge.cylinders import surjective_in_degree
+from ssetforge.corpus import gen_corpus
+from ssetforge.cylinders import cylinder_reduction, representing_sharp, surjective_in_degree
+from ssetforge.desingularize import desingularize
 from ssetforge.operators import (
     Operator,
     all_degeneracies,
@@ -47,8 +50,14 @@ from ssetforge.posets import (
     product_poset,
     singleton_poset,
 )
+from ssetforge.subdivision import sd
 
-from reference import find_isomorphism, injective_by_simplices, is_isomorphic
+from reference import (
+    find_isomorphism,
+    injective_by_simplices,
+    is_isomorphic,
+    recursive_vertex_rows,
+)
 
 
 def circle() -> SimplicialSet:
@@ -382,6 +391,59 @@ def test_cell_vertices_match_vertex_faces(corpus):
                 _face_by_factoring(x.cells, cid, make_vertex(j, d)).cell for j in range(d + 1)
             )
             assert x.cell_vertices(cid) == want
+
+
+def _rows_match_recursion(space) -> int:
+    """Vertex rows of a fresh copy of the table against the recursive
+    reference.  The first row asked for is the last cell's in dict order,
+    so the one pass fills every row before it answers."""
+    fresh = SimplicialSet(space.cells)
+    want = recursive_vertex_rows(space)
+    last = next(reversed(fresh.cells))
+    assert fresh.cell_vertices(last) == want[last]
+    assert {cid: fresh.cell_vertices(cid) for cid in fresh.cells} == want
+    assert {cid: space.cell_vertices(cid) for cid in space.cells} == want
+    return len(want)
+
+
+def _faces_first_renumbered(x: SimplicialSet, rng: random.Random) -> SimplicialSet:
+    """x with its ids permuted and its cells inserted top dimension first,
+    so each cell of positive dimension comes before its faces."""
+    new = dict(zip(x.cells, rng.sample(range(10 * len(x.cells)), len(x.cells))))
+    cells = {
+        new[cid]: Cell(x.cells[cid].dim, tuple((new[t], op) for t, op in x.cells[cid].faces))
+        for cid in reversed(x.cell_order())
+    }
+    return SimplicialSet(cells)
+
+
+def test_one_pass_vertex_rows_match_recursion():
+    # seeds 0-2 members and their sd images, the cylinders T and their
+    # desingularizations D T that the seed-0 dcr suite builds, seeded
+    # products, and members renumbered so a cell precedes its faces
+    rng = random.Random(37)
+    spaces = []
+    for seed in range(3):
+        members = [e.space for e in gen_corpus(seed)]
+        spaces += members + [sd(x) for x in members]
+    seed0 = list(gen_corpus(0))
+    for entry in seed0:
+        x = entry.space
+        if not entry.regular or len(x.cells) > verify._DCR_MAX_CELLS:
+            continue
+        for q in range(x.dim + 1):
+            for y in x.simplices(q):
+                if not y.is_degenerate or len(x.cells) <= verify._DCR_ALL_SIMPLEX_CELLS:
+                    t = cylinder_reduction(representing_sharp(x, y)).space
+                    spaces += [t, desingularize(t).quotient]
+    small = [e.space for e in seed0 if len(e.space.cells) <= 12]
+    spaces += [product(rng.choice(small), rng.choice(small)).space for _ in range(20)]
+    renumbered = [_faces_first_renumbered(e.space, rng) for e in seed0]
+    for x in renumbered:
+        pos = {cid: k for k, cid in enumerate(x.cells)}
+        assert all(pos[cid] < pos[t] for cid, cell in x.cells.items() for t, _ in cell.faces)
+    cells = sum(_rows_match_recursion(x) for x in spaces + renumbered)
+    assert len(spaces) >= 750 and cells >= 90_000
 
 
 def _validate_set_by_eval(cells):
