@@ -299,8 +299,11 @@ class PushoutResult:
     of X u Y under f(a) ~ g(a) with no degenerate member, and they are
     numbered as ``quotient`` numbers classes: by their first members in
     (dimension, union id) order, with the ids ``disjoint_union`` gives,
-    X's first.  Each cell's label lists its members in that order.  Z,
-    both legs and every mediator are validated.
+    X's first.  Each cell's label lists its members in that order.  A
+    stored face (t, sigma) becomes (w, sigma) when its leg sends t to the
+    cell w itself, and (w, rho after sigma) only when it sends t to a
+    degeneracy (w, rho): the same operator, with no compose.  Z, both legs
+    and every mediator are validated.
     """
 
     def __init__(self, f: SimplicialMap, g: SimplicialMap):
@@ -341,10 +344,11 @@ class PushoutResult:
         cells: dict[int, Cell] = {}
         for (side, c), n in new_id.items():
             cell, asg = spaces[side].cells[c], legs[side]
-            cells[n] = Cell(
-                cell.dim,
-                tuple((asg[t].cell, compose(sigma, asg[t].degen)) for t, sigma in cell.faces),
-            )
+            faces = []
+            for t, sigma in cell.faces:
+                w, rho = asg[t]
+                faces.append((w, sigma if rho.is_identity else compose(sigma, rho)))
+            cells[n] = Cell(cell.dim, tuple(faces))
         labels = {new_id[key]: tuple(group) for key, group in members.items()}
         self.space = SimplicialSet(cells, labels)
         self.left = SimplicialMap(f.target, self.space, legs["x"])

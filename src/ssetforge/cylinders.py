@@ -14,7 +14,13 @@ pushout of nerves NR <- NP -> N(P x [1]) along the level-0 end: the
 case k : P -> P x [1] of ``pushout_comparison``, whose comparison map
 onto M is cr.  The level-0 end is injective, so T is NR with the prism
 attached along it: no quotient is taken.  The ends, the prism's map to
-M and the reduced legs are all nerves of monotone maps.  The lemma
+M and the reduced legs are all nerves of monotone maps.  cr is built
+from its vertex map, not as the pushout's mediator: a map into the
+nerve of a poset is fixed by where it sends vertices, and every vertex
+of T is the image of a vertex of the prism or of NR, which the legs of
+the poset pushout send to M's elements.  Where those images agree, the
+map they fix restricts on each leg to the nerve of that leg, so it is
+the mediator.  The lemma
 suite's ``prism-nerve/*`` cases build the comparison NP x Delta[1] ->
 N(P x [1]) from its vertex map, ((e,), level) to (e, level), and check
 that it is an isomorphism.
@@ -72,6 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Hashable
 
 from .colimits import PushoutResult, pushout
 from .desingularize import DesingResult, desingularized_comparison
@@ -83,6 +90,7 @@ from .posets import (
     chain_poset,
     compose_monotone,
     cylinder_end,
+    map_into_nerve,
     nerve,
     nerve_map,
     poset_pushout,
@@ -234,11 +242,12 @@ def _check_bundle(b: CylinderBundle) -> None:
     compared on assignments; the reduction bijective on vertices; M
     non-singular.  Each failure is a RuntimeError naming what failed.
 
-    On a bundle from ``cylinder_reduction`` the front square repeats a
-    check that ``factor_through`` made when ``PushoutResult.mediator``
-    built the reduction.  It stays because ``CylinderBundle`` is a public
-    dataclass whose legs can be anything (``dataclasses.replace`` of a
-    built bundle included), and it costs one ``apply`` per cell of NR.
+    The reduction is built from its vertex map, so the front square is
+    the only cell-by-cell comparison of it with a leg: on a bundle from
+    ``cylinder_reduction`` it holds because the two maps agree on
+    vertices, and this checks that it does.  It also guards a
+    ``CylinderBundle`` whose legs were replaced (``dataclasses.replace``
+    of a built bundle included), at one ``apply`` per cell of NR.
     """
     if not _agrees(b.reduction, b.front, b.reduced_front):
         raise RuntimeError("reduction disagrees with the target-side leg")
@@ -285,14 +294,34 @@ def pushout_comparison(
     comparison map restricts to.  The leg NP -> NQ is ``k_nerve`` when
     given, which must be N(k): NP and NQ are read off it.  The cylinder
     is the case k : P -> P x [1].
+
+    The comparison is the mediator of N(leg_ambient) and N(leg_other),
+    built by ``map_into_nerve`` from its vertex map: a vertex of the
+    pushout goes where the poset pushout's legs send the vertices of NQ
+    and NR glued to it.  Two of those images that differ are a
+    ValueError naming the vertex.  Otherwise the map agrees with each
+    nerve map on vertices, and a map into a nerve is fixed by its
+    vertices, so it restricts to both, and by uniqueness it is the
+    mediator; no map out of NQ is built.
     """
     nk = nerve_map(k) if k_nerve is None else k_nerve
-    np_, nq = nk.source, nk.target
+    np_ = nk.source
     nr = nerve(phi.target)
     po = pushout(nk, nerve_map(phi, np_, nr))
     v = poset_pushout(k, phi)
     nv = nerve(v.poset)
     other = nerve_map(v.leg_other, nr, nv)
-    comp = po.mediator(nerve_map(v.leg_ambient, nq, nv), other)
+    # vertex x of NR or NQ is the cell x; NR's leg goes first, so a
+    # disagreement is caught on the vertices of NQ glued to it
+    image: dict[int, Hashable] = {}
+    for leg, send in ((po.right, v.leg_other.mapping), (po.left, v.leg_ambient.mapping)):
+        asg = leg.assignment
+        for x, e in enumerate(leg.source.poset.elements):
+            t, got = asg[x].cell, send[e]
+            if image.setdefault(t, got) != got:
+                raise ValueError(
+                    f"vertex {t} of the pushout is sent to both {image[t]!r} and {got!r}"
+                )
+    comp = map_into_nerve(po.space, nv, image.__getitem__)
     return po, v, comp, other
 

@@ -4,6 +4,7 @@ from itertools import product as cartesian
 
 import pytest
 
+from ssetforge import cylinders
 from ssetforge.colimits import collapse_subcomplex, is_regular, product
 from ssetforge.corpus import gen_corpus
 from ssetforge.cylinders import (
@@ -357,11 +358,33 @@ def test_pushout_comparison_matches_cylinder_route():
     bundle = cylinder_reduction(phi)
     assert is_isomorphic(po.space, bundle.space)
     assert is_isomorphic(nerve(v.poset), bundle.reduced)
-    # the comparison restricts to the leg out of R on the glued-in target
+    # the comparison restricts to the leg out of R on the glued-in target,
+    # and to N(leg_ambient) on the prism
     assert compose_maps(po.right, comp) == other
+    assert compose_maps(po.left, comp) == nerve_map(v.leg_ambient, po.left.source, comp.target)
     g_here, _ = desingularized_comparison(comp)
     g_there, _ = dcr(phi, bundle=bundle)
     assert g_here.is_isomorphism() == g_there.is_isomorphism()
+
+
+@pytest.mark.parametrize("leg", ["leg_other", "leg_ambient"])
+def test_pushout_comparison_names_the_vertex_its_legs_disagree_on(monkeypatch, leg):
+    # the cone over a chain: every vertex (e, 0) of the prism is glued to
+    # the apex, and one leg of the poset pushout is changed on one element
+    # it sends to the apex, to a vertex of the free end
+    phi = terminal_map(chain_poset(1))
+    apex = cylinder_reduction(phi).front.assignment[0].cell
+    build = cylinders.poset_pushout
+
+    def tampered(k, phi):
+        v = build(k, phi)
+        changed = "apex" if leg == "leg_other" else (0, 0)
+        getattr(v, leg).mapping[changed] = ("q", (0, 1))
+        return v
+
+    monkeypatch.setattr(cylinders, "poset_pushout", tampered)
+    with pytest.raises(ValueError, match=f"^vertex {apex} of the pushout is sent to both "):
+        cylinder_reduction(phi)
 
 
 def test_dwyer_factorization_implication():

@@ -4,6 +4,10 @@ disjoint union that defines them (``reference.UnionPushout``).
 Every caller that builds a pushout is run with ``pushout`` replaced by a
 wrapper that builds both and asserts the same cells, labels (each
 cell's members), legs and mediators, cell for cell and id for id.
+``pushout_comparison`` builds its comparison from the vertex map, not as
+a mediator, so it is wrapped as well, and each comparison is asserted
+equal to the reference pushout's mediator of N(leg_ambient) and the
+reduced leg out of NR.
 """
 
 from __future__ import annotations
@@ -13,7 +17,13 @@ import pytest
 from ssetforge import colimits, corpus, cylinders, verify
 from ssetforge.cli import main
 from ssetforge.operators import Operator
-from ssetforge.posets import FinPoset, MonotoneMap, all_posets, singleton_poset
+from ssetforge.posets import (
+    FinPoset,
+    MonotoneMap,
+    all_posets,
+    nerve_map,
+    singleton_poset,
+)
 from ssetforge.simplicial import (
     Simplex,
     SimplicialMap,
@@ -42,15 +52,20 @@ def _same_pushout(new, old) -> None:
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Make every caller's pushout also build the reference and compare;
-    yields the number of pushouts and mediators compared so far."""
-    seen = {"pushouts": 0, "mediators": 0}
-    build = colimits.pushout
+    """Make every caller's pushout also build the reference and compare,
+    and every ``pushout_comparison`` check its comparison against the
+    reference mediator; yields the number of pushouts, mediators and
+    comparisons compared so far."""
+    seen = {"pushouts": 0, "mediators": 0, "comparisons": 0}
+    build, compare = colimits.pushout, cylinders.pushout_comparison
+    # each pushout built and not yet compared, by id, with its reference
+    built: dict[int, tuple] = {}
 
     def pushout(f, g):
         new, old = build(f, g), UnionPushout(f, g)
         _same_pushout(new, old)
         seen["pushouts"] += 1
+        built[id(new)] = new, old
         fast = new.mediator
 
         def mediator(u, v):
@@ -62,8 +77,18 @@ def checked(monkeypatch):
         new.mediator = mediator
         return new
 
+    def pushout_comparison(k, phi, **kwargs):
+        po, v, comp, other = compare(k, phi, **kwargs)
+        _, old = built.pop(id(po))
+        nq, nv = po.left.source, comp.target
+        _same_map(comp, old.mediator(nerve_map(v.leg_ambient, nq, nv), other))
+        seen["comparisons"] += 1
+        return po, v, comp, other
+
     for module in (cylinders, reference, verify, corpus):
         monkeypatch.setattr(module, "pushout", pushout)
+    for module in (cylinders, verify):
+        monkeypatch.setattr(module, "pushout_comparison", pushout_comparison)
     return seen
 
 
@@ -79,8 +104,8 @@ def test_cones_and_dcr_suite_cylinders(corpus, checked):
     maps += list(_dcr_suite_maps(corpus))
     for phi in maps:
         cylinders.cylinder_reduction(phi)
-    # one pushout and one comparison mediator per cylinder
-    assert checked == {"pushouts": len(maps), "mediators": len(maps)}
+    # one pushout and one comparison per cylinder, and no mediator
+    assert checked == {"pushouts": len(maps), "mediators": 0, "comparisons": len(maps)}
     assert len(maps) >= 88 + 200
 
 
@@ -103,7 +128,9 @@ def test_lemma_suite_dwyer_and_cosieve_squares(checked):
         for leg in (i0, k):
             po, _, comp, other = cylinders.pushout_comparison(leg, phi)
             assert compose_maps(po.right, comp) == other
-    assert checked == {"pushouts": 3 * len(triples), "mediators": 3 * len(triples)}
+    # the square's pushout and mediator, and the comparisons along i0 and k
+    n = len(triples)
+    assert checked == {"pushouts": 3 * n, "mediators": n, "comparisons": 2 * n}
 
 
 def test_corpus_builtin_pushout(checked):
