@@ -41,8 +41,12 @@ pairwise distinct, and a congruence contains another exactly when it
 relates every cell to that one's form of it.  A node branches once per
 class of the degenerate simplices it could merge its first singular cell
 with: merging with any member of a class gives the same child, which the
-key would only drop again.  Only the minimal congruence is quotiented,
-and that quotient, its projection and its non-singularity are validated.
+key would only drop again.  Of a node's children only the minimal ones
+are queued: a child that strictly contains a sibling leads to no
+minimal solution that the sibling does not, so every minimal solution
+is still recorded and the exactly-one check keeps its strength.  Only
+the minimal congruence is quotiented, and that quotient, its projection
+and its non-singularity are validated.
 """
 
 from __future__ import annotations
@@ -148,9 +152,8 @@ def zipper_desingularize(space: SimplicialSet) -> DesingResult:
 
 
 def _contains(cong: Congruence, pairs: list[tuple[Simplex, Simplex]]) -> bool:
-    """Does cong identify at least everything a solution does?  The pairs
-    are the solution's cells with their normal forms, where they differ;
-    they generate the solution as a closed relation."""
+    """Does cong identify at least everything another congruence does?
+    The pairs are that congruence's ``_generators``."""
     find = cong.find
     return all(find(c) == find(f) for c, f in pairs)
 
@@ -174,15 +177,40 @@ def _first_singular(space: SimplicialSet, forms: dict[int, Simplex]) -> Simplex 
     return None
 
 
+def _generators(
+    space: SimplicialSet, forms: dict[int, Simplex]
+) -> list[tuple[Simplex, Simplex]]:
+    """The cells with their normal forms, where they differ: pairs that
+    generate the congruence with these forms as a closed relation."""
+    return [(space.simplex(c), f) for c, f in forms.items() if f.cell != c]
+
+
 def _minimal_congruence(space: SimplicialSet) -> Congruence:
     """The minimal congruence whose quotient is non-singular, by
     breadth-first search.  A singular quotient branches once per class of
     degenerate simplices, merging its first singular cell with the first
-    member of each.  Each queued congruence carries its normal forms,
-    computed once.  The search records every solution that contains no
-    earlier one, and the filter keeps those that contain no other; the
-    family is closed under meets, so one must be left.  The degenerate
-    simplices of each degree are listed once per search."""
+    member of each.  Each child carries its normal forms, computed once.
+    A child whose key is already seen, or equals an earlier sibling's, is
+    dropped; of the rest, one that strictly contains a sibling is not
+    queued, and only queued children are seen.  The search records every
+    solution that contains no earlier one, and the filter keeps those
+    that contain no other; the family is closed under meets, so one must
+    be left.  The degenerate simplices of each degree are listed once per
+    search.
+
+    The pruning loses no minimal solution.  A child strictly contains its
+    node N: the first singular cell is a cell of N's quotient, and the
+    simplex merged with it is degenerate there.  Let S be a non-singular
+    congruence containing N.  The first singular cell still repeats a
+    vertex in S's quotient, so it is degenerate there: S merges it with
+    some degenerate d, and the child for d's class lies in S.  That child
+    is queued now or was queued before, or it strictly contains a distinct
+    sibling, and then a sibling minimal under it is queued, lies in S and
+    strictly contains N.  Inducting down on the size of S over N, the
+    queued nodes in S climb from the start until one is recorded as a
+    solution or is skipped for containing one, and that solution lies in
+    S.  So every minimal S is recorded, and the filter leaves exactly the
+    minimal congruences the unpruned search leaves."""
     start = Congruence(space)
     start_forms = start.normal_forms()
     seen = {tuple(start_forms.values())}
@@ -195,13 +223,12 @@ def _minimal_congruence(space: SimplicialSet) -> Congruence:
             continue
         rep = _first_singular(space, forms)
         if rep is None:
-            pairs = [(space.simplex(c), f) for c, f in forms.items() if f.cell != c]
-            solutions.append((tuple(forms.values()), pairs, cong))
+            solutions.append((tuple(forms.values()), _generators(space, forms), cong))
             continue
         q = rep.degree
         if q not in degenerate:
             degenerate[q] = [s for s in space.simplices(q) if s.is_degenerate]
-        tried = set()
+        tried, children = set(), {}
         for d in degenerate[q]:
             cls = cong.find(d)
             if cls in tried:
@@ -211,9 +238,16 @@ def _minimal_congruence(space: SimplicialSet) -> Congruence:
             child.merge(rep, d)
             child_forms = child.normal_forms()
             key = tuple(child_forms.values())
-            if key not in seen:
-                seen.add(key)
-                queue.append((child, child_forms))
+            if key not in seen and key not in children:
+                children[key] = (child, child_forms)
+        if len(children) > 1:
+            pairs = {key: _generators(space, f) for key, (_, f) in children.items()}
+            children = {
+                key: node for key, node in children.items()
+                if not any(other != key and _contains(node[0], p) for other, p in pairs.items())
+            }
+        seen.update(children)
+        queue.extend(children.values())
     minimal = [
         c for key, _, c in solutions
         if not any(other != key and _contains(c, pairs) for other, pairs, _ in solutions)

@@ -400,20 +400,18 @@ def compose_maps(first: SimplicialMap, second: SimplicialMap) -> SimplicialMap:
 
 
 def standard_simplex(n: int) -> SimplicialSet:
-    """The n-simplex; cells are labeled by their face operators into [n]."""
-    ids: dict[tuple[int, ...], int] = {}
-    for mu in all_faces(n):
-        ids[mu.values] = len(ids)
+    """The n-simplex; cells are labeled by their face operators into [n],
+    the interned ones of ``all_faces``."""
+    faces_of = all_faces(n)
+    ids = {mu.values: cid for cid, mu in enumerate(faces_of)}
     cells: dict[int, Cell] = {}
-    labels: dict[int, object] = {}
     for vals, cid in ids.items():
         d = len(vals) - 1
         faces = tuple(
             (ids[vals[:i] + vals[i + 1 :]], identity(d - 1)) for i in range(d + 1)
         ) if d else ()
         cells[cid] = Cell(d, faces)
-        labels[cid] = Operator(n, vals)
-    return SimplicialSet(cells, labels)
+    return SimplicialSet(cells, dict(enumerate(faces_of)))
 
 
 def generated_cells(space: SimplicialSet, seeds: Iterable[int]) -> set[int]:

@@ -62,6 +62,10 @@ run each round on a new congruence over the round before's quotient,
 quotient every round, compose eta, and map move cells back to the input
 through ``_first_preimages``; the desingularizer runs every move on one
 congruence over the input and quotients once.
+``reference_minimal_congruence`` is the oracle's search without sibling
+pruning: it queues every child whose key is new;
+``_minimal_congruence`` queues only the children that strictly contain
+no sibling.
 ``fstring_simplex_token`` writes a simplex token by joining the repeat
 positions of its degeneracy afresh, and ``regex_parse_simplex`` reads one
 through a regular expression and ``degeneracy_from_repeats``, every
@@ -75,7 +79,7 @@ within classes of equal (|down-set|, |up-set|) signatures.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, deque
 from itertools import permutations
 
 from ssetforge.colimits import (
@@ -95,7 +99,9 @@ from ssetforge.desingularize import (
     DesingResult,
     IntervalMove,
     MoveRecord,
+    _contains,
     _dup_operator,
+    _first_singular,
     _intervals,
 )
 from ssetforge.operators import (
@@ -831,6 +837,57 @@ def reference_desingularize(space: SimplicialSet) -> DesingResult:
         eta = compose_maps(eta, res.eta)
     return DesingResult(res.quotient, eta, res.certificate, rounds)
 
+
+
+def reference_minimal_congruence(space: SimplicialSet) -> Congruence:
+    """The minimal congruence whose quotient is non-singular, by
+    breadth-first search.  A singular quotient branches once per class of
+    degenerate simplices, merging its first singular cell with the first
+    member of each.  Each queued congruence carries its normal forms,
+    computed once.  The search records every solution that contains no
+    earlier one, and the filter keeps those that contain no other; the
+    family is closed under meets, so one must be left.  The degenerate
+    simplices of each degree are listed once per search."""
+    start = Congruence(space)
+    start_forms = start.normal_forms()
+    seen = {tuple(start_forms.values())}
+    queue = deque([(start, start_forms)])
+    solutions: list[tuple[tuple, list, Congruence]] = []
+    degenerate: dict[int, list[Simplex]] = {}
+    while queue:
+        cong, forms = queue.popleft()
+        if any(_contains(cong, pairs) for _, pairs, _ in solutions):
+            continue
+        rep = _first_singular(space, forms)
+        if rep is None:
+            pairs = [(space.simplex(c), f) for c, f in forms.items() if f.cell != c]
+            solutions.append((tuple(forms.values()), pairs, cong))
+            continue
+        q = rep.degree
+        if q not in degenerate:
+            degenerate[q] = [s for s in space.simplices(q) if s.is_degenerate]
+        tried = set()
+        for d in degenerate[q]:
+            cls = cong.find(d)
+            if cls in tried:
+                continue
+            tried.add(cls)
+            child = cong.copy()
+            child.merge(rep, d)
+            child_forms = child.normal_forms()
+            key = tuple(child_forms.values())
+            if key not in seen:
+                seen.add(key)
+                queue.append((child, child_forms))
+    minimal = [
+        c for key, _, c in solutions
+        if not any(other != key and _contains(c, pairs) for other, pairs, _ in solutions)
+    ]
+    if len(minimal) != 1:
+        raise RuntimeError(
+            f"search left {len(minimal)} minimal non-singular congruences, not one"
+        )
+    return minimal[0]
 
 # -- skeletal subdivision --------------------------------------------------
 

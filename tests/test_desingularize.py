@@ -43,11 +43,13 @@ from ssetforge.subdivision import b_nat, sd, t_nat
 from ssetforge.textio import format_smap, format_sset
 from ssetforge.verify import _small_quotients
 
+import reference as reference_module
 from reference import (
     SimplexCongruence,
     is_isomorphic,
     quotient_by_classes,
     reference_desingularize,
+    reference_minimal_congruence,
     reference_replay,
     reference_zipper,
 )
@@ -390,8 +392,9 @@ def test_first_singular_matches_quotient_step(corpus, monkeypatch):
 
 def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
     # the search by its definition, keyed, deduplicated and pruned by the
-    # full partition (canonical()): the same nodes in the same order, and
-    # the same one minimal congruence
+    # full partition (canonical()), a child that strictly contains a
+    # sibling not queued: the same nodes in the same order, and the same
+    # one minimal congruence
     from collections import deque
 
     def contains(cong, canon):
@@ -411,11 +414,15 @@ def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
             if rep is None:
                 solutions.append((cong.canonical(), cong))
                 continue
+            children = {}
             for d in [s for s in space.simplices(rep.degree) if s.is_degenerate]:
                 child = cong.copy()
                 child.merge(rep, d)
                 canon = child.canonical()
-                if canon not in seen:
+                if canon not in seen and canon not in children:
+                    children[canon] = child
+            for canon, child in children.items():
+                if not any(o != canon and contains(child, o) for o in children):
                     seen.add(canon)
                     queue.append(child)
         minimal = [
@@ -449,10 +456,14 @@ def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
 
 def test_zipper_and_oracle_match_simplex_reference(corpus, monkeypatch):
     # every zipper move on the small quotients and the seed-0 members with
-    # <= 60 cells, and every oracle child on those with <= 10 cells: each
-    # merge is repeated on a union-find reference, carried through copies,
-    # and the two must then hold the same relation
+    # <= 60 cells, and every oracle child on those with <= 10 cells, on the
+    # small quotients with their ids reversed and on 600 of the benchmark's
+    # seed-7 cli-small inputs: each merge is repeated on a union-find
+    # reference, carried through copies, and the two must then hold the
+    # same relation
     spaces = _small_quotients() + [e.space for e in corpus if len(e.space.cells) <= 60]
+    searched = [x for x in spaces if len(x.cells) <= 10]
+    searched += [_reversed_ids(x) for x in _small_quotients()] + _cli_small_quotients(7, 600)
     merge, copy = Congruence.merge, Congruence.copy
     merges = copies = 0
 
@@ -483,9 +494,8 @@ def test_zipper_and_oracle_match_simplex_reference(corpus, monkeypatch):
         for x in spaces:
             zipper_desingularize(x)
         zipper_merges = merges
-        for x in spaces:
-            if len(x.cells) <= 10:
-                oracle_desingularize(x)
+        for x in searched:
+            oracle_desingularize(x)
     assert zipper_merges >= 150 and merges - zipper_merges >= 1500 and copies >= 1500
 
 
@@ -532,8 +542,10 @@ def test_oracle_search_leaves_one_minimal_congruence(monkeypatch):
     # so the search's filter leaves exactly one: on the verify suite's small
     # quotients and 600 of the benchmark's seed-7 cli-small inputs, each
     # also with its ids reversed, so that cells of higher dimension come
-    # first and the search meets its classes in another order
-    first_singular = desingularize_module._first_singular
+    # first and the search meets its classes in another order.  The
+    # unpruned reference search records two solutions or more on some of
+    # them, so there the filter has work to do
+    first_singular = reference_module._first_singular
     spaces = _small_quotients() + _cli_small_quotients(7, 600)
     spaces += [_reversed_ids(space) for space in spaces]
     solutions = 0
@@ -547,21 +559,56 @@ def test_oracle_search_leaves_one_minimal_congruence(monkeypatch):
 
     several = []
     with monkeypatch.context() as m:
-        m.setattr(desingularize_module, "_first_singular", counted)
+        m.setattr(reference_module, "_first_singular", counted)
         for space in spaces:
-            solutions = 0
             assert isinstance(desingularize_module._minimal_congruence(space), Congruence)
+            solutions = 0
+            reference_minimal_congruence(space)
             if solutions >= 2:
                 several.append(space)
-    assert several
-    # with no solution containing another, the filter keeps every one
-    # recorded, and the oracle refuses rather than pick one of them
+    assert len(several) == 301
+    # with no solution containing another, neither the sibling rule nor the
+    # filter drops a solution, and the oracle refuses rather than pick one
     space = several[0]
     oracle_desingularize(space)
     with monkeypatch.context() as m:
         m.setattr(desingularize_module, "_contains", lambda cong, pairs: False)
         with pytest.raises(RuntimeError, match="minimal non-singular congruences"):
             oracle_desingularize(space)
+
+
+def test_pruned_search_matches_unpruned_reference(corpus, monkeypatch):
+    # queuing only the children that strictly contain no sibling finds the
+    # same minimal congruence as queuing every new child, so the oracle
+    # gives the same quotient and eta byte for byte, from fewer children:
+    # on the small quotients, also with their ids reversed, 600 of the
+    # benchmark's seed-7 cli-small inputs and the seed-0 members with at
+    # most ten cells
+    small = _small_quotients()
+    spaces = small + [_reversed_ids(x) for x in small] + _cli_small_quotients(7, 600)
+    spaces += [e.space for e in corpus if len(e.space.cells) <= 10]
+    copy = Congruence.copy
+    children = 0
+
+    def counted_copy(cong):
+        nonlocal children
+        children += 1
+        return copy(cong)
+
+    monkeypatch.setattr(Congruence, "copy", counted_copy)
+    pruned = unpruned = 0
+    for space in spaces:
+        children = 0
+        got = desingularize_module._minimal_congruence(space)
+        pruned += children
+        children = 0
+        want = reference_minimal_congruence(space)
+        unpruned += children
+        assert got.canonical() == want.canonical()
+        res, ref = oracle_desingularize(space), quotient(space, want)
+        assert format_sset(res.quotient) == format_sset(ref.space)
+        assert format_smap(res.eta) == format_smap(ref.projection)
+    assert 0 < pruned < unpruned
 
 
 @pytest.fixture(scope="module")
