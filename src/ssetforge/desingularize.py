@@ -12,7 +12,10 @@ where the zipper alone stops singular some cell repeats a vertex, never
 adjacently, and an interval round lowers the vertex count before the
 zipper runs again.  The loop ends with no repeated vertex.  Every merge
 was forced, so every map to a non-singular target factors through the
-non-singular result: it is the universal quotient, certified.
+non-singular result: it is the universal quotient, certified.  An input
+on which the first scan finds no move is its own quotient: the result
+holds no projection, eta is the identity, built only when it is read,
+and ``desingularized_comparison`` returns the map it is given.
 
 Every move runs on one congruence over the input, and D is its one
 quotient.  Each round snapshots the forms of the killed cells, and the
@@ -54,7 +57,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .colimits import Congruence, factor_through, quotient
 from .operators import Operator
@@ -83,10 +86,20 @@ class IntervalMove:
 
 @dataclass
 class DesingResult:
+    """A quotient with its projection, or with None when no move was made
+    and the input is its own quotient.  ``eta`` is the projection, or the
+    identity of the quotient, built and validated on its first read."""
+
     quotient: SimplicialSet
-    eta: SimplicialMap
+    projection: SimplicialMap | None
     certificate: Certificate
     moves: list[list[MoveRecord | IntervalMove]] = field(default_factory=list)
+
+    @cached_property
+    def eta(self) -> SimplicialMap:
+        if self.projection is None:
+            return identity_map(self.quotient)
+        return self.projection
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +154,7 @@ def _forced_moves(space: SimplicialSet, intervals: bool) -> DesingResult:
         rounds.append(batch)
     cert = Certificate.UNCERTIFIED if singular else Certificate.ZIPPER
     if not rounds:
-        return DesingResult(space, identity_map(space), cert, rounds)
+        return DesingResult(space, None, cert, rounds)
     res = quotient(space, cong)
     return DesingResult(res.space, res.projection, cert, rounds)
 
@@ -276,19 +289,18 @@ def desingularize(space: SimplicialSet) -> DesingResult:
 
 def factor_through_quotient(eta: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
     """The unique h with h . eta = g, when g respects eta's identifications.
-
-    When eta is an identity map on g's source, h is g itself: it is
-    returned as it is, not rebuilt."""
+    h is built by ``factor_through`` and validated, whatever eta is; a
+    desingularization that makes no move has no projection to factor
+    through, and ``desingularized_comparison`` does not call this."""
     if eta.source is not g.source and not eta.source.same_presentation(g.source):
         raise ValueError("maps must share their source")
-    if eta.target is g.source and all(
-        s.cell == c and s.degen.is_identity for c, s in eta.assignment.items()
-    ):
-        return g
     return factor_through([eta], [g])
 
 
 def desingularized_comparison(comp: SimplicialMap) -> tuple[SimplicialMap, DesingResult]:
-    """Factor a map to a non-singular target through D of its source."""
+    """Factor a map to a non-singular target through D of its source.
+    When D makes no move, the map is returned as it is."""
     res = desingularize(comp.source)
-    return factor_through_quotient(res.eta, comp), res
+    if res.projection is None:
+        return comp, res
+    return factor_through_quotient(res.projection, comp), res

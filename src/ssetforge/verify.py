@@ -174,16 +174,19 @@ _COMPARISONS: weakref.WeakKeyDictionary[SimplicialSet, Comparison] = (
 def _compare(x: SimplicialSet, subdivide: Callable[[], SimplicialSet]) -> Comparison:
     """The main comparison for x, from the record or, on a miss, from b and
     t built on subdivide() (sd x) and validated, then recorded.  t is b
-    factored through the desingularization, as ``t_nat`` builds it.  Only
-    the verdict facts are kept, not the objects they were read from."""
+    factored through the desingularization, as ``t_nat`` builds it: b
+    itself when sd x is non-singular and D makes no move, and then b's
+    verdict is read once and is t's.  Only the verdict facts are kept,
+    not the objects they were read from."""
     found = _COMPARISONS.get(x)
     if found is not None:
         return found
     b = b_nat(x, sd_space=subdivide())
     t, res = desingularized_comparison(b)
+    b_iso = b.is_isomorphism()
     found = Comparison(
-        res.certificate, len(b.source.cells), len(t.target.cells), t.is_isomorphism(),
-        b.is_isomorphism(),
+        res.certificate, len(b.source.cells), len(t.target.cells),
+        b_iso if t is b else t.is_isomorphism(), b_iso,
     )
     _COMPARISONS[x] = found
     return found

@@ -11,7 +11,7 @@ from ssetforge.corpus import Corpus, gen_corpus, load_corpus, save_corpus
 from ssetforge.cylinders import cylinder_reduction
 from ssetforge.desingularize import desingularize
 from ssetforge.posets import FinPoset, MonotoneMap
-from ssetforge.simplicial import boundary, standard_simplex
+from ssetforge.simplicial import boundary, identity_map, standard_simplex
 from ssetforge.subdivision import b_nat, sd
 from ssetforge.textio import (
     format_pmap,
@@ -382,6 +382,16 @@ def test_outputs_are_their_formatted_text(tmp_path, capsys):
         assert out.read_bytes() == format_sset(sd(space)).encode()
         assert main(["bnat", str(src), "-o", str(eta)]) == 0
         assert eta.read_bytes() == format_smap(b_nat(space)).encode()
+
+
+def test_emit_eta_of_a_non_singular_input_is_its_identity(tmp_path):
+    # D makes no move on a non-singular input, so the eta written is the
+    # identity map of the input, whatever the result holds in its place
+    src, eta = tmp_path / "x.sset", tmp_path / "eta.smap"
+    for space in [standard_simplex(1), standard_simplex(3), sd(boundary(2))]:
+        src.write_text(format_sset(space))
+        assert main(["desing", str(src), "-o", "/dev/null", "--emit-eta", str(eta)]) == 0
+        assert eta.read_bytes() == format_smap(identity_map(space)).encode()
 
 
 @pytest.mark.parametrize("argv, culprit", [

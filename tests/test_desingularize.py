@@ -22,6 +22,7 @@ from ssetforge.desingularize import (
     IntervalMove,
     MoveRecord,
     desingularize,
+    desingularized_comparison,
     factor_through_quotient,
     oracle_desingularize,
     zipper_desingularize,
@@ -41,7 +42,7 @@ from ssetforge.simplicial import (
 )
 from ssetforge.subdivision import b_nat, sd, t_nat
 from ssetforge.textio import format_smap, format_sset
-from ssetforge.verify import _small_quotients
+from ssetforge.verify import _compare, _small_quotients
 
 import reference as reference_module
 from reference import (
@@ -307,19 +308,88 @@ def test_factor_through_quotient():
 
 
 def test_factor_through_identity_returns_g():
-    # a non-singular space takes no zipper move: eta is the identity, and
-    # the factor of g through it is g itself, not a rebuilt copy
+    # a non-singular space takes no zipper move: the comparison through D
+    # is g itself, not a rebuilt copy
     space = standard_simplex(2)
     sds = sd(space)
     res = desingularize(sds)
     assert res.moves == [] and res.eta.source is res.eta.target is sds
     b = b_nat(space, sd_space=sds)
-    assert factor_through_quotient(res.eta, b) is b
-    assert factor_through_quotient(identity_map(sds), b) is b
+    assert desingularized_comparison(b)[0] is b
     # an identity on another presentation of g's source is factored as before
     copy = SimplicialSet(sds.cells)
     h = factor_through_quotient(identity_map(copy), b)
     assert h is not b and h.source is copy and h.assignment == b.assignment
+
+
+def _terminal_map(space: SimplicialSet) -> SimplicialMap:
+    """The map onto the point, a non-singular target every space maps to."""
+    point = standard_simplex(0)
+    return SimplicialMap(space, point, {
+        c: Simplex(0, Operator(0, (0,) * (cell.dim + 1))) for c, cell in space.cells.items()
+    })
+
+
+@pytest.fixture
+def built(monkeypatch) -> list:
+    """Every SimplicialMap constructed while the test runs, in order."""
+    maps = []
+    real = SimplicialMap.__init__
+
+    def counted(self, *args):
+        maps.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(SimplicialMap, "__init__", counted)
+    return maps
+
+
+def test_no_move_builds_no_map(corpus, built):
+    # where D makes no move the result holds no projection: desingularize
+    # builds no map, the comparison is the map it was given, and eta is
+    # the identity, built on its first read and kept
+    inputs = [
+        (sds, b_nat(e.space, sd_space=sds))
+        for e in corpus for sds in [sd(e.space)]
+    ]
+    inputs += [(x, _terminal_map(x)) for x in _small_quotients()]
+    still = moved = 0
+    for space, g in inputs:
+        built.clear()
+        res = desingularize(space)
+        if res.moves:
+            moved += 1
+            assert res.projection is not None and built == [res.projection]
+            assert res.eta is res.projection and res.eta.source is space
+            built.clear()
+            t, again = desingularized_comparison(g)
+            assert again.moves == res.moves and built[-1] is t and t is not g
+            assert t.source is again.quotient and t.target is g.target
+            assert all(t.apply(again.eta.assignment[c]) == g.assignment[c] for c in space.cells)
+            continue
+        still += 1
+        assert built == [] and res.projection is None and res.quotient is space
+        t, again = desingularized_comparison(g)
+        assert t is g and built == []
+        eta = res.eta
+        assert built == [eta] and eta.source is eta.target is space
+        assert eta.assignment == identity_map(space).assignment
+        assert res.eta is eta and len(built) == 2  # the reference identity only
+    # the 45 sd images and 22 small quotients D leaves as they are
+    assert (still, moved) == (67, 90)
+
+
+def test_compare_reads_t_off_b_only_when_t_is_b(built):
+    # with no move t is b: the comparison builds b and no other map; with
+    # moves t is a map of its own, and its verdict is its own
+    x = standard_simplex(2)
+    found = _compare(x, lambda: sd(x))
+    assert len(built) == 1 and len(built[0].source.cells) == found.sd_cells == 25
+    assert found.iso and found.b_iso
+    built.clear()
+    x = collapse_subcomplex(standard_simplex(2), [3]).space  # the last edge collapsed
+    found = _compare(x, lambda: sd(x))
+    assert len(built) > 2 and found.iso and not found.b_iso
 
 
 def test_t_nat_iso_for_regular():
