@@ -28,8 +28,9 @@ the cells of A to distinct cells (which is how
 non-degenerate simplices of X u_A Y are those of Y together with the
 cells of X outside f(A); a cell f(a) of X becomes g(a).  So the cell
 table of the pushout and both legs are written directly, with no
-disjoint union, congruence or quotient.  Every map out of a quotient or
-a pushout is built by ``factor_through``.
+disjoint union, congruence or quotient.  No map out of a pushout is
+built here: every one the program builds lands in a nerve and is fixed
+by its vertices (``cylinders.pushout_into_nerve``).
 
 Regularity is decided in one bottom-up pass over the cell table,
 without building a pushout.  For a d-cell y with Z the subcomplex
@@ -292,7 +293,7 @@ def disjoint_union(
 
 
 class PushoutResult:
-    """Pushout Z of f: A -> X along g: A -> Y, with its universal property.
+    """Pushout Z of f: A -> X along g: A -> Y, with its two legs.
 
     f must be degreewise injective, and Z is attached along it: the cells
     of Y, then the cells of X that A does not hit.  Those are the classes
@@ -302,8 +303,8 @@ class PushoutResult:
     X's first.  Each cell's label lists its members in that order.  A
     stored face (t, sigma) becomes (w, sigma) when its leg sends t to the
     cell w itself, and (w, rho after sigma) only when it sends t to a
-    degeneracy (w, rho): the same operator, with no compose.  Z, both legs
-    and every mediator are validated.
+    degeneracy (w, rho): the same operator, with no compose.  Z and both
+    legs are validated.
     """
 
     def __init__(self, f: SimplicialMap, g: SimplicialMap):
@@ -354,11 +355,6 @@ class PushoutResult:
         self.left = SimplicialMap(f.target, self.space, legs["x"])
         self.right = SimplicialMap(g.target, self.space, legs["y"])
 
-    def mediator(self, u: SimplicialMap, v: SimplicialMap) -> SimplicialMap:
-        """The unique map out of the pushout restricting to u and v.  With
-        Y's leg first, the cells checked are those of X that A hits."""
-        return factor_through([self.right, self.left], [v, u])
-
 
 def pushout(f: SimplicialMap, g: SimplicialMap) -> PushoutResult:
     """The pushout of a span whose first leg is degreewise injective.
@@ -367,37 +363,6 @@ def pushout(f: SimplicialMap, g: SimplicialMap) -> PushoutResult:
     would define that pushout too, and no caller builds one.
     """
     return PushoutResult(f, g)
-
-
-def factor_through(legs: list[SimplicialMap], maps: list[SimplicialMap]) -> SimplicialMap:
-    """The unique h with h . leg = map for every leg and its map, out of
-    the legs' common target, each of whose cells a leg hits.
-
-    A target cell goes where its first preimage goes: the first cell,
-    legs in order and each in (dimension, id) order, sent onto it.  Every
-    other cell is checked before h is built, so a pair that does not
-    factor raises a ValueError naming its first bad cell; h is validated.
-    """
-    target = maps[0].target
-    if any(m.target is not target for m in maps):
-        raise ValueError("maps to factor have different targets")
-    first: dict[int, tuple[int, int]] = {}
-    for k, leg in enumerate(legs):
-        for x in leg.source.cell_order():
-            s = leg.assignment[x]
-            if s.degen.is_identity and s.cell not in first:
-                first[s.cell] = (k, x)
-    space = legs[0].target
-    if len(first) != len(space.cells):
-        raise ValueError("the legs do not hit every cell")
-    out = {u: maps[first[u][0]].assignment[first[u][1]] for u in space.cells}
-    for k, (leg, m) in enumerate(zip(legs, maps)):
-        for x, s in leg.assignment.items():
-            if s.degen.is_identity and first[s.cell] == (k, x):
-                continue
-            if target.eval(out[s.cell], s.degen) != m.assignment[x]:
-                raise ValueError(f"map does not factor at cell {x} of leg {k}")
-    return SimplicialMap(space, target, out)
 
 
 @dataclass

@@ -15,15 +15,15 @@ case k : P -> P x [1] of ``pushout_comparison``, whose comparison map
 onto M is cr.  The level-0 end is injective, so T is NR with the prism
 attached along it: no quotient is taken.  The ends, the prism's map to
 M and the reduced legs are all nerves of monotone maps.  cr is built
-from its vertex map, not as the pushout's mediator: a map into the
-nerve of a poset is fixed by where it sends vertices, and every vertex
-of T is the image of a vertex of the prism or of NR, which the legs of
-the poset pushout send to M's elements.  Where those images agree, the
-map they fix restricts on each leg to the nerve of that leg, so it is
-the mediator.  The lemma
-suite's ``prism-nerve/*`` cases build the comparison NP x Delta[1] ->
-N(P x [1]) from its vertex map, ((e,), level) to (e, level), and check
-that it is an isomorphism.
+by ``pushout_into_nerve``, the one way the program builds a map out of
+a pushout: it lands in a nerve, so it is fixed by where it sends
+vertices, and every vertex of a pushout is the image of a vertex of one
+of the two spaces glued.  Where the images of glued vertices agree, the
+map they fix restricts on each leg to the nerve map given for it, so it
+is the mediator.  The lemma suite builds its cosieve square the same
+way, and its ``prism-nerve/*`` cases build the comparison NP x Delta[1]
+-> N(P x [1]) from its vertex map, ((e,), level) to (e, level), and
+check that it is an isomorphism.
 
 Everything on the source side depends on P alone: NP, P x [1], the
 prism nerve, both ends k and k1 with their nerve maps, and the Dwyer
@@ -296,13 +296,8 @@ def pushout_comparison(
     is the case k : P -> P x [1].
 
     The comparison is the mediator of N(leg_ambient) and N(leg_other),
-    built by ``map_into_nerve`` from its vertex map: a vertex of the
-    pushout goes where the poset pushout's legs send the vertices of NQ
-    and NR glued to it.  Two of those images that differ are a
-    ValueError naming the vertex.  Otherwise the map agrees with each
-    nerve map on vertices, and a map into a nerve is fixed by its
-    vertices, so it restricts to both, and by uniqueness it is the
-    mediator; no map out of NQ is built.
+    built by ``pushout_into_nerve`` from the legs' element maps; no map
+    out of NQ is built.
     """
     nk = nerve_map(k) if k_nerve is None else k_nerve
     np_ = nk.source
@@ -311,10 +306,26 @@ def pushout_comparison(
     v = poset_pushout(k, phi)
     nv = nerve(v.poset)
     other = nerve_map(v.leg_other, nr, nv)
-    # vertex x of NR or NQ is the cell x; NR's leg goes first, so a
-    # disagreement is caught on the vertices of NQ glued to it
+    comp = pushout_into_nerve(po, nv, v.leg_ambient.mapping, v.leg_other.mapping)
+    return po, v, comp, other
+
+
+def pushout_into_nerve(
+    po: PushoutResult, target: Nerve, left: dict, right: dict
+) -> SimplicialMap:
+    """The map out of a pushout of nerves into the nerve ``target`` that
+    restricts on each leg to the nerve of its element map, ``left`` or
+    ``right``, out of the poset of that leg's source.
+
+    Each vertex goes where the element maps send the vertices glued to
+    it, and ``map_into_nerve`` builds and validates the rest: a map into
+    a nerve is fixed by its vertices, so this is the mediator.  The right
+    leg is read first, so two images that differ are caught on a vertex
+    of the left leg's source, a ValueError naming the pushout's vertex.
+    """
+    # vertex x of a nerve is the cell x, the chain of element x
     image: dict[int, Hashable] = {}
-    for leg, send in ((po.right, v.leg_other.mapping), (po.left, v.leg_ambient.mapping)):
+    for leg, send in ((po.right, right), (po.left, left)):
         asg = leg.assignment
         for x, e in enumerate(leg.source.poset.elements):
             t, got = asg[x].cell, send[e]
@@ -322,6 +333,5 @@ def pushout_comparison(
                 raise ValueError(
                     f"vertex {t} of the pushout is sent to both {image[t]!r} and {got!r}"
                 )
-    comp = map_into_nerve(po.space, nv, image.__getitem__)
-    return po, v, comp, other
+    return map_into_nerve(po.space, target, image.__getitem__)
 

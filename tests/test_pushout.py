@@ -3,11 +3,12 @@ disjoint union that defines them (``reference.UnionPushout``).
 
 Every caller that builds a pushout is run with ``pushout`` replaced by a
 wrapper that builds both and asserts the same cells, labels (each
-cell's members), legs and mediators, cell for cell and id for id.
-``pushout_comparison`` builds its comparison from the vertex map, not as
-a mediator, so it is wrapped as well, and each comparison is asserted
-equal to the reference pushout's mediator of N(leg_ambient) and the
-reduced leg out of NR.
+cell's members) and legs, cell for cell and id for id.  Every map out
+of a pushout that the program builds is built by ``pushout_into_nerve``
+from its vertex images, not as a mediator, so that is wrapped as well,
+and each map it returns is asserted equal to the reference pushout's
+mediator of the nerves of its two element maps: the cylinders'
+comparisons and the lemma suite's cosieve squares alike.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 
 from ssetforge import colimits, corpus, cylinders, verify
 from ssetforge.cli import main
+from ssetforge.desingularize import desingularized_comparison
 from ssetforge.operators import Operator
 from ssetforge.posets import (
     FinPoset,
@@ -31,6 +33,7 @@ from ssetforge.simplicial import (
     simplex_map,
     standard_simplex,
 )
+from ssetforge.subdivision import b_nat
 from ssetforge.textio import format_pmap, format_sset
 
 import reference
@@ -53,11 +56,11 @@ def _same_pushout(new, old) -> None:
 @pytest.fixture
 def checked(monkeypatch):
     """Make every caller's pushout also build the reference and compare,
-    and every ``pushout_comparison`` check its comparison against the
-    reference mediator; yields the number of pushouts, mediators and
+    and every map ``pushout_into_nerve`` builds out of one check against
+    the reference mediator; yields the number of pushouts and of
     comparisons compared so far."""
-    seen = {"pushouts": 0, "mediators": 0, "comparisons": 0}
-    build, compare = colimits.pushout, cylinders.pushout_comparison
+    seen = {"pushouts": 0, "comparisons": 0}
+    build, into_nerve = colimits.pushout, cylinders.pushout_into_nerve
     # each pushout built and not yet compared, by id, with its reference
     built: dict[int, tuple] = {}
 
@@ -66,29 +69,23 @@ def checked(monkeypatch):
         _same_pushout(new, old)
         seen["pushouts"] += 1
         built[id(new)] = new, old
-        fast = new.mediator
-
-        def mediator(u, v):
-            got = fast(u, v)
-            _same_map(got, old.mediator(u, v))
-            seen["mediators"] += 1
-            return got
-
-        new.mediator = mediator
         return new
 
-    def pushout_comparison(k, phi, **kwargs):
-        po, v, comp, other = compare(k, phi, **kwargs)
+    def pushout_into_nerve(po, target, left, right):
+        got = into_nerve(po, target, left, right)
         _, old = built.pop(id(po))
-        nq, nv = po.left.source, comp.target
-        _same_map(comp, old.mediator(nerve_map(v.leg_ambient, nq, nv), other))
+        u, v = (
+            nerve_map(MonotoneMap(leg.source.poset, target.poset, send), leg.source, target)
+            for leg, send in ((po.left, left), (po.right, right))
+        )
+        _same_map(got, old.mediator(u, v))
         seen["comparisons"] += 1
-        return po, v, comp, other
+        return got
 
     for module in (cylinders, reference, verify, corpus):
         monkeypatch.setattr(module, "pushout", pushout)
     for module in (cylinders, verify):
-        monkeypatch.setattr(module, "pushout_comparison", pushout_comparison)
+        monkeypatch.setattr(module, "pushout_into_nerve", pushout_into_nerve)
     return seen
 
 
@@ -104,8 +101,8 @@ def test_cones_and_dcr_suite_cylinders(corpus, checked):
     maps += list(_dcr_suite_maps(corpus))
     for phi in maps:
         cylinders.cylinder_reduction(phi)
-    # one pushout and one comparison per cylinder, and no mediator
-    assert checked == {"pushouts": len(maps), "mediators": 0, "comparisons": len(maps)}
+    # one pushout and one comparison per cylinder
+    assert checked == {"pushouts": len(maps), "comparisons": len(maps)}
     assert len(maps) >= 88 + 200
 
 
@@ -128,9 +125,56 @@ def test_lemma_suite_dwyer_and_cosieve_squares(checked):
         for leg in (i0, k):
             po, _, comp, other = cylinders.pushout_comparison(leg, phi)
             assert compose_maps(po.right, comp) == other
-    # the square's pushout and mediator, and the comparisons along i0 and k
+    # the square's pushout and comparison, and the comparisons along i0 and k
     n = len(triples)
-    assert checked == {"pushouts": 3 * n, "mediators": n, "comparisons": 2 * n}
+    assert checked == {"pushouts": 3 * n, "comparisons": 3 * n}
+
+
+@pytest.fixture
+def legs(monkeypatch) -> list:
+    """Both legs of every pushout a caller builds, in order."""
+    out, build = [], colimits.pushout
+
+    def pushout(f, g):
+        po = build(f, g)
+        out.extend((po.left, po.right))
+        return po
+
+    for module in (cylinders, reference, verify, corpus):
+        monkeypatch.setattr(module, "pushout", pushout)
+    return out
+
+
+def test_distinct_image_cells_are_never_degenerate(corpus, legs):
+    # the face lemma of the cylinders module, on which is_degreewise_injective
+    # and is_isomorphism rest: a validated map whose cells have distinct
+    # image cells sends none of them to a degenerate simplex.  On the legs
+    # of the pushouts the tests above build, and on b, eta and t of every
+    # seed-0 member
+    from test_cylinders import _dcr_suite_maps
+
+    for phi in [_terminal(p) for p in all_posets(5)] + list(_dcr_suite_maps(corpus)):
+        cylinders.cylinder_reduction(phi)
+    for x in [e.space for e in corpus if len(e.space.cells) <= 12]:
+        reference.sd_skeletal(x)
+    for _, i0, k, phi in verify._dwyer_triples():
+        verify._cosieve_extension_square(k, phi)
+        for leg in (i0, k):
+            cylinders.pushout_comparison(leg, phi)
+    maps = list(legs)
+    for e in corpus:
+        b = b_nat(e.space)
+        t, res = desingularized_comparison(b)
+        maps += [b, res.eta, t]
+    distinct = degenerate = 0
+    for f in maps:
+        images = [s.cell for s in f.assignment.values()]
+        if len(set(images)) == len(images):
+            distinct += 1
+            assert not any(s.is_degenerate for s in f.assignment.values())
+        elif any(s.is_degenerate for s in f.assignment.values()):
+            degenerate += 1
+    assert (len(maps), distinct, degenerate) == (865, 651, 171)
 
 
 def test_corpus_builtin_pushout(checked):
