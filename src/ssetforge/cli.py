@@ -132,6 +132,8 @@ def cmd_desing(args) -> int:
     else:
         res = desingularize(space)
     print(f"certificate {res.certificate.value}")
+    if res.witness is not None:
+        print(f"singular cell {res.witness}")
     print(f"cells {len(space.cells)} -> {len(res.quotient.cells)}")
     if args.out:
         write_file(args.out, format_sset(res.quotient))

@@ -130,8 +130,9 @@ def embedded_sibling_pairs(space: SimplicialSet, q: int) -> list[tuple[int, int]
     """Pairs (a, b), a < b, of distinct embedded q-cells that share their
     whole vertex row, in sorted order."""
     by_row: dict[tuple[int, ...], list[int]] = {}
+    rows = space.vertex_rows()
     for c in space.cell_ids(q):
-        row = space.cell_vertices(c)
+        row = rows[c]
         if len(set(row)) == len(row):
             by_row.setdefault(row, []).append(c)
     return sorted(pair for cells in by_row.values() for pair in combinations(cells, 2))

@@ -21,11 +21,15 @@ Every move runs on one congruence over the input, and D is its one
 quotient.  Each round snapshots the forms of the killed cells, and the
 snapshot is what the scan reads: it walks the first cells in (dimension,
 id) order, and a first cell's vertex row is the first cells of its
-vertices' classes.  The round's merges take their rows from that scan,
+vertices' classes.  The scan makes no call per cell.  It reads the
+input's ``vertex_rows()`` table, filled once: the first round takes each
+row as it is, and a later one sends each row's killed vertices to their
+forms' cells.  The round's merges take their rows from that scan,
 not from the congruence they change: a round makes exactly the moves its
 one scan found, and a later move may name a cell an earlier one killed,
 as a zipper move at another position of the same cell does.  The scan
-that finds no move decides the certificate.
+that finds no move decides the certificate, and its first singular cell,
+if any, is the result's witness.
 
 The oracle is the independent check.  The congruences whose quotient is
 non-singular are closed under meets, since the quotient by the meet of R
@@ -57,7 +61,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 from .colimits import Congruence, quotient
 from .operators import Operator
@@ -88,11 +92,15 @@ class IntervalMove:
 class DesingResult:
     """A quotient with its projection, or with None when no move was made
     and the input is its own quotient.  ``eta`` is the projection, or the
-    identity of the quotient, built and validated on its first read."""
+    identity of the quotient, built and validated on its first read.
+    ``witness`` is the first cell of the input, in (dimension, id) order,
+    that the last scan found singular, or None: an uncertified zipper
+    names the cell that stalled it."""
 
     quotient: SimplicialSet
     projection: SimplicialMap | None
     certificate: Certificate
+    witness: int | None
     moves: list[list[MoveRecord | IntervalMove]] = field(default_factory=list)
 
     @cached_property
@@ -114,9 +122,21 @@ def _intervals(vs: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(i, last[v]) for i, v in enumerate(vs) if vs.index(v) == i and last[v] > i + 1]
 
 
-def _row(space: SimplicialSet, snap: dict[int, Simplex], cid: int) -> tuple[int, ...]:
-    """A cell's vertex row in the snapshot: the first cells of its vertices' classes."""
-    return tuple(snap[v].cell if v in snap else v for v in space.cell_vertices(cid))
+def _singular_rows(
+    space: SimplicialSet, snap: dict[int, Simplex]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The scan: each first cell, in (dimension, id) order, whose vertex
+    row in the snapshot repeats a vertex, with that row.  A first cell's
+    row is the first cells of its vertices' classes, its row in
+    ``vertex_rows()`` with each killed vertex replaced by its form's
+    cell; with nothing killed it is that row as it is."""
+    rows, order = space.vertex_rows(), space.cell_order()
+    if snap:
+        rep = {c: f.cell for c, f in snap.items()}
+        scan = ((c, tuple(map(rep.get, rows[c], rows[c]))) for c in order if c not in snap)
+    else:
+        scan = ((c, rows[c]) for c in order)
+    return [(c, vs) for c, vs in scan if len(set(vs)) < len(vs)]
 
 
 def _forced_moves(space: SimplicialSet, intervals: bool) -> DesingResult:
@@ -127,14 +147,7 @@ def _forced_moves(space: SimplicialSet, intervals: bool) -> DesingResult:
     The last scan certifies."""
     cong, rounds, simplex = Congruence(space), [], space.simplex
     while True:
-        snap = cong.killed_forms()
-        row = partial(_row, space, snap) if snap else space.cell_vertices
-        singular = []
-        for cid in space.cell_order():
-            if cid not in snap:
-                vs = row(cid)
-                if len(set(vs)) < len(vs):
-                    singular.append((cid, vs))
+        singular = _singular_rows(space, cong.killed_forms())
         batch = []
         for cid, vs in singular:
             q = len(vs) - 1
@@ -153,10 +166,11 @@ def _forced_moves(space: SimplicialSet, intervals: bool) -> DesingResult:
             break
         rounds.append(batch)
     cert = Certificate.UNCERTIFIED if singular else Certificate.ZIPPER
+    witness = singular[0][0] if singular else None
     if not rounds:
-        return DesingResult(space, None, cert, rounds)
+        return DesingResult(space, None, cert, witness, rounds)
     res = quotient(space, cong)
-    return DesingResult(res.space, res.projection, cert, rounds)
+    return DesingResult(res.space, res.projection, cert, witness, rounds)
 
 
 def zipper_desingularize(space: SimplicialSet) -> DesingResult:
@@ -181,10 +195,11 @@ def _first_singular(space: SimplicialSet, forms: dict[int, Simplex]) -> Simplex 
     the class of vertex j of its first cell, and a vertex's form names its
     class; degree-0 classes are all cells and are never singular.
     """
+    rows = space.vertex_rows()
     for c, f in forms.items():
         if f.cell != c or not f.degree:
             continue
-        row = {forms[v].cell for v in space.cell_vertices(c)}
+        row = {forms[v].cell for v in rows[c]}
         if len(row) <= f.degree:
             return f
     return None
@@ -278,7 +293,7 @@ def oracle_desingularize(space: SimplicialSet, bound: int = 10) -> DesingResult:
     res = quotient(space, _minimal_congruence(space))
     if not res.space.is_nonsingular():
         raise RuntimeError("the minimal non-singular congruence has a singular quotient")
-    return DesingResult(res.space, res.projection, Certificate.ORACLE)
+    return DesingResult(res.space, res.projection, Certificate.ORACLE, None)
 
 
 def desingularize(space: SimplicialSet) -> DesingResult:

@@ -10,17 +10,19 @@ The nerve of a poset has one cell per nonempty strict chain.  It is
 built on chains of element indices: a ``Nerve`` keeps its poset and the
 cell id of each index chain, and labels each cell with its chain of
 elements.  Vertex i is the chain (i,) with cell id i, so a chain is its
-own cell's vertex row, and a ``Nerve`` answers ``cell_vertices`` from
-its chains.  The chains are built by extension, a level at a time: the
-faces of c + (j,) are the extensions by j of the faces of c, then c, so
-each face id is one lookup of (face id, j) in a table of the extensions
-built, and no chain is sliced.
+own cell's vertex row, and a ``Nerve`` holds its ``vertex_rows`` table
+from the start, read off its chains.  The chains are built by
+extension, a level at a time: the faces of c + (j,) are the extensions
+by j of the faces of c, then c, so each face id is one lookup of
+(face id, j) in a table of the extensions built, and no chain is
+sliced.
 
 A map into a nerve is fixed by where it sends vertices.
 ``map_into_nerve`` sends each cell to the chain of its vertices'
-images, repeats collapsed by ``run_collapse``, looked up in the
-target's table; a vertex row that does not go to a chain is a
-ValueError naming the cell.
+images, read off the source's vertex rows and looked up in the target's
+table; only a row that is not a strict chain has its repeats collapsed
+by ``run_collapse`` and is looked up again.  A vertex row that does not
+go to a chain is a ValueError naming the cell.
 ``nerve_map`` builds N(phi) through it, so it takes only nerves of the
 map's own source and target posets (or of posets equal to them) and
 raises ValueError on any other simplicial set.
@@ -282,7 +284,12 @@ def map_into_nerve(
     ``source`` to the element ``element_of(v)`` of ``target.poset``: each
     cell goes to the chain of its vertices' images, degenerated along the
     repeats.  A vertex row whose images do not form a chain, an element
-    outside the poset included, is a ValueError naming the cell."""
+    outside the poset included, is a ValueError naming the cell.
+
+    The rows are read off ``source.vertex_rows()``.  An image row is
+    looked up in ``chain_ids`` as it is first: a strict chain is its own
+    run sequence under the identity, which is what ``run_collapse``
+    gives it.  Only a row that misses is collapsed and looked up again."""
     if not isinstance(target, Nerve):
         raise ValueError("map_into_nerve: the target is not a poset nerve")
     index, elements = target.poset._index, target.poset.elements
@@ -293,10 +300,15 @@ def map_into_nerve(
             if e not in index:
                 raise ValueError(f"vertex {v} sent to {e!r}, outside the target poset")
             image[v] = index[e]
-    chain_ids, cell_vertices = target.chain_ids, source.cell_vertices
+    chain_ids, rows, send = target.chain_ids, source.vertex_rows(), image.__getitem__
     asg: dict[int, Simplex] = {}
     for cid in source.cells:
-        collapsed, degen = run_collapse(tuple(map(image.__getitem__, cell_vertices(cid))))
+        row = tuple(map(send, rows[cid]))
+        tid = chain_ids.get(row)
+        if tid is not None:
+            asg[cid] = _simplex((tid, identity(len(row) - 1)))
+            continue
+        collapsed, degen = run_collapse(row)
         tid = chain_ids.get(collapsed)
         if tid is None:
             row = tuple(elements[i] for i in collapsed)

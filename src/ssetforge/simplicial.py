@@ -10,11 +10,14 @@ the whole simplex category once the face-of-face identities hold.
 
 Where the answer is already stored, it is read off the table instead of
 factored: a degeneracy of a simplex is the same cell under the composite
-degeneracy, a codimension-1 face of a cell is its stored face, the faces
-of a face stored with an identity are that face's own stored faces, and
-the vertices of a cell are read through its last and first stored faces.
-The first vertex row asked of a space fills the rows of all its cells in
-one pass, lowest dimension first, and keeps them.
+degeneracy, a face of a cell is its stored face or the memoized face of
+one, the faces of a face stored with an identity are that face's own
+stored faces, and the vertices of a cell are read through its last and
+first stored faces.  ``vertex_rows`` fills the rows of all cells in one
+pass, lowest dimension first, on its first call and keeps them: a last
+face stored under the identity lends its row as it is, and the last
+vertex is the last entry of face 0's row.  Every reader of vertex rows
+reads that one table.
 Validation checks the same identities on every cell either way; only the
 route to each side of a check is shorter.
 
@@ -238,13 +241,22 @@ class SimplicialSet:
         composite.  That is again what the general path returns: the EZ
         factorization of a surjection is (identity, itself), the identity
         face of a cell is the cell, and the composite with the identity
-        is unchanged.  Only other operators factor through the face tables.
+        is unchanged.
+
+        A face operator on a cell under the identity gives that face of
+        the cell, ``_cell_face``, read off the table or its cache.  That
+        too is the general path's result: the composite with the identity
+        is op, a face factors as (itself, identity), and the identity
+        composed with the face's degeneracy leaves it as it is.  Only
+        other operators factor through the face tables.
         """
         cell, degen = s
         if op.dst != degen.src:
             raise ValueError(f"operator {op} does not land in [{degen.src}]")
         if op.is_identity:
             return s if type(s) is Simplex else _simplex(s)
+        if degen.is_identity and op.is_face:
+            return self._cell_face(cell, op)
         both = compose(op, degen)
         if both.is_degeneracy:
             return _simplex((cell, both))
@@ -264,35 +276,40 @@ class SimplicialSet:
             self._row_cache[s] = got
         return got
 
-    def cell_vertices(self, cid: int) -> tuple[int, ...]:
-        """Vertex cells of the cell, in order.
+    def vertex_rows(self) -> dict[int, tuple[int, ...]]:
+        """The vertex cells of every cell, in order, by cell id.
 
-        Vertices 0..d-1 are those of the last face, read through its
-        degeneracy; vertex d is the last vertex of face 0.  The first miss
-        fills the row of every cell in one pass over ``cell_order()``: a
-        face has a lower dimension than its cell, so its row is ready.
-        A reader that stops early (``is_nonsingular``, the oracle's search
-        for a singular cell) still pays for every row.
+        The first call fills the table in one pass over ``cell_order()``:
+        a face has a lower dimension than its cell, so its row is ready.
+        Vertices 0..d-1 are those of the last face: a face stored under
+        the identity gives its cell's row as it is, and any other reads
+        that row through its degeneracy.  Vertex d is the last vertex of
+        face 0, since its degeneracy is a surjection onto its cell's rank
+        and so ends at that rank.  A reader that stops early
+        (``is_nonsingular``, the oracle's search for a singular cell)
+        still pays for every row, once per space.  The table is the
+        space's own, read by every reader of vertex rows, and is not to
+        be changed.
         """
         rows = self._vertex_cache
-        got = rows.get(cid)
-        if got is None:
+        if not rows:
             cells = self.cells
             for c in self.cell_order():
                 faces = cells[c][1]
                 if faces:
-                    (t, sigma), (t0, sigma0) = faces[-1], faces[0]
-                    below = map(rows[t].__getitem__, sigma.values)
-                    rows[c] = (*below, rows[t0][sigma0.values[-1]])
+                    (t, sigma), (t0, _) = faces[-1], faces[0]
+                    below = rows[t]
+                    if not sigma.is_identity:
+                        below = map(below.__getitem__, sigma.values)
+                    rows[c] = (*below, rows[t0][-1])
                 else:
                     rows[c] = (c,)
-            got = rows[cid]
-        return got
+        return rows
 
     # -- predicates --------------------------------------------------------
 
     def is_nonsingular(self) -> bool:
-        return all(len(set(vs)) == len(vs) for vs in map(self.cell_vertices, self.cells))
+        return all(len(set(vs)) == len(vs) for vs in self.vertex_rows().values())
 
     def same_presentation(self, other: "SimplicialSet") -> bool:
         return self.cells == other.cells

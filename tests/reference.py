@@ -36,8 +36,11 @@ chains of elements, found by walking the strict pairs; ``nerve`` and
 finds each face of an index chain by slicing out one entry and looking
 the result up; ``nerve`` reads it off the ids of one-element extensions.
 ``recursive_vertex_rows`` finds each cell's vertex row by recursion on
-its stored faces; ``SimplicialSet.cell_vertices`` fills every row in one
-pass in dimension order.  ``two_pass_run_collapse``
+its stored faces; ``SimplicialSet.vertex_rows`` fills every row in one
+pass in dimension order.  ``snapshot_row`` is a first cell's vertex row
+in a snapshot of killed forms, each vertex looked up in it; the
+desingularizer's scan maps the table's rows through the killed
+vertices' cells.  ``two_pass_run_collapse``
 is ``run_collapse`` by its definition, and ``pair_scan_closure`` closes a
 relation by composing every two pairs until nothing is added, where
 ``FinPoset`` walks successor sets.
@@ -469,7 +472,7 @@ def prism_row(pr: ProductResult, cid: int) -> tuple:
     """Vertex row of a prism cell, as (base element, interval level) pairs."""
     base, interval = pr.first.target, pr.second.target
     row = []
-    for v in pr.space.cell_vertices(cid):
+    for v in pr.space.vertex_rows()[cid]:
         sx, sy = pr.space.labels[v]
         row.append((base.labels[sx.cell][0], interval.labels[sy.cell].values[0]))
     return tuple(row)
@@ -648,6 +651,11 @@ def recursive_vertex_rows(space: SimplicialSet) -> dict[int, tuple[int, ...]]:
     return {cid: row(cid) for cid in space.cells}
 
 
+def snapshot_row(space: SimplicialSet, snap: dict[int, Simplex], cid: int) -> tuple[int, ...]:
+    """A cell's vertex row in the snapshot: the first cells of its vertices' classes."""
+    return tuple(snap[v].cell if v in snap else v for v in recursive_vertex_rows(space)[cid])
+
+
 def label_nerve_map(
     phi: MonotoneMap, source_nerve: SimplicialSet, target_nerve: SimplicialSet
 ) -> SimplicialMap:
@@ -791,20 +799,22 @@ def _first_preimages(eta: SimplicialMap) -> dict[int, int]:
 def reference_zipper(space: SimplicialSet) -> DesingResult:
     """Zipper rounds until no cell has equal adjacent vertices.
 
-    One scan of the vertex rows per round finds the round's moves and
-    whether every row is repeat-free; the last scan, which finds no move,
-    decides the certificate.  eta starts as the first round's projection."""
+    One scan of the vertex rows per round, found by recursion, finds the
+    round's moves and the singular cells; the last scan, which finds no
+    move, decides the certificate, and its first singular cell, named by
+    its first preimage in the input, is the witness.  eta starts as the
+    first round's projection."""
     cur = space
     eta: SimplicialMap | None = None
     rounds: list[list[MoveRecord]] = []
     while True:
         moves = []
-        nonsingular = True
-        cell_vertices, simplex = cur.cell_vertices, cur.simplex
+        singular = []
+        rows, simplex = recursive_vertex_rows(cur), cur.simplex
         for cid in cur.cell_order():
-            vs = cell_vertices(cid)
+            vs = rows[cid]
             if len(set(vs)) < len(vs):
-                nonsingular = False
+                singular.append(cid)
                 moves.extend((cid, p) for p in range(len(vs) - 1) if vs[p] == vs[p + 1])
         if not moves:
             break
@@ -819,8 +829,10 @@ def reference_zipper(space: SimplicialSet) -> DesingResult:
         rounds.append(batch)
         eta = res.projection if eta is None else compose_maps(eta, res.projection)
         cur = res.space
-    cert = Certificate.ZIPPER if nonsingular else Certificate.UNCERTIFIED
-    return DesingResult(cur, identity_map(space) if eta is None else eta, cert, rounds)
+    cert = Certificate.UNCERTIFIED if singular else Certificate.ZIPPER
+    eta = identity_map(space) if eta is None else eta
+    witness = _first_preimages(eta)[singular[0]] if singular else None
+    return DesingResult(cur, eta, cert, witness, rounds)
 
 
 def reference_replay(
@@ -832,14 +844,14 @@ def reference_replay(
     cur = space
     eta = identity_map(space)
     for batch in rounds:
-        cong = Congruence(cur)
+        cong, rows = Congruence(cur), recursive_vertex_rows(cur)
         for mv in batch:
             if mv.cell not in space.cells:
                 raise ValueError(f"{mv} names no cell of the input")
             u = eta.apply(space.simplex(mv.cell))
             if not u.degen.is_identity:
                 raise ValueError(f"recorded cell {mv.cell} no longer maps onto a cell")
-            vs = cur.cell_vertices(u.cell)
+            vs = rows[u.cell]
             if isinstance(mv, IntervalMove):
                 if not (0 <= mv.i < mv.j < len(vs) and vs[mv.i] == vs[mv.j]):
                     raise ValueError(f"premise fails for {mv}")
@@ -852,8 +864,11 @@ def reference_replay(
         res = quotient(cur, cong)
         eta = compose_maps(eta, res.projection)
         cur = res.space
-    cert = Certificate.ZIPPER if cur.is_nonsingular() else Certificate.UNCERTIFIED
-    return DesingResult(cur, eta, cert, list(rounds))
+    rows = recursive_vertex_rows(cur)
+    singular = [cid for cid in cur.cell_order() if len(set(rows[cid])) < len(rows[cid])]
+    cert = Certificate.UNCERTIFIED if singular else Certificate.ZIPPER
+    witness = _first_preimages(eta)[singular[0]] if singular else None
+    return DesingResult(cur, eta, cert, witness, list(rounds))
 
 
 def reference_desingularize(space: SimplicialSet) -> DesingResult:
@@ -863,8 +878,9 @@ def reference_desingularize(space: SimplicialSet) -> DesingResult:
     while res.certificate is not Certificate.ZIPPER:
         cur, reps = res.quotient, _first_preimages(eta)
         cong, batch = Congruence(cur), []
+        rows = recursive_vertex_rows(cur)
         for cid in cur.cell_order():
-            vs = cur.cell_vertices(cid)
+            vs = rows[cid]
             for i, j in _intervals(vs):
                 _merge_interval(cong, vs, i, j)
                 batch.append(IntervalMove(reps[cid], i, j))
@@ -876,7 +892,8 @@ def reference_desingularize(space: SimplicialSet) -> DesingResult:
         rounds.append(batch)
         rounds += ([MoveRecord(reps[m.cell], m.degree, m.position) for m in b] for b in res.moves)
         eta = compose_maps(eta, res.eta)
-    return DesingResult(res.quotient, eta, res.certificate, rounds)
+    # the loop ends certified, so no cell is left to name
+    return DesingResult(res.quotient, eta, res.certificate, None, rounds)
 
 
 

@@ -111,6 +111,24 @@ def test_desing_certifies_above_the_oracle_bound(tmp_path, capsys):
     assert capsys.readouterr().out == "certificate ZipperCertified\ncells 37 -> 26\n"
 
 
+def test_uncertified_zipper_names_its_singular_cell(tmp_path, capsys):
+    # the zipper stalls on STALL at its 2-cell, whose vertices (0, 1, 0)
+    # repeat apart, and on seed 1's random-0 at the 2-cell 31, whose row
+    # (6, 7, 6) does the same; a certified run names no cell
+    member = next(e for e in gen_corpus(1) if e.name == "random-0")
+    cases = [
+        (STALL, "certificate Uncertified\nsingular cell 5\ncells 6 -> 5\n"),
+        (format_sset(member.space), "certificate Uncertified\nsingular cell 31\ncells 37 -> 34\n"),
+    ]
+    src = tmp_path / "x.sset"
+    for text, want in cases:
+        src.write_text(text)
+        assert main(["desing", str(src), "--method", "zipper"]) == 2
+        assert capsys.readouterr().out == want
+        assert main(["desing", str(src)]) == 0
+        assert "singular cell" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("bound", [None, "4", "0"])
 def test_desing_oracle_above_bound_is_uncertified(tmp_path, capsys, bound):
     # the oracle refuses an input above its cell bound: no certificate,

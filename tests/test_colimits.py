@@ -82,7 +82,7 @@ def test_quotient_interval_ends():
     q = quotient(x, cong)
     assert counts(q.space) == (1, 1)
     e = q.space.simplex(q.space.cell_ids(1)[0])
-    assert q.space.cell_vertices(e.cell) == (0, 0)
+    assert q.space.vertex_rows()[e.cell] == (0, 0)
     assert surjective_in_degree(q.projection, q.projection.target.dim)
 
 
@@ -91,7 +91,7 @@ def test_collapse_boundary_of_triangle():
     q = collapse_subcomplex(x, sorted(boundary(2).cells))
     assert counts(q.space) == (1, 0, 1)
     top = q.space.simplex(q.space.cell_ids(2)[0])
-    assert q.space.cell_vertices(top.cell) == (0, 0, 0)
+    assert q.space.vertex_rows()[top.cell] == (0, 0, 0)
     # the boundary edge classes all project to the degenerate edge
     for eid in x.cell_ids(1):
         img = q.projection.apply(x.simplex(eid))
@@ -105,7 +105,7 @@ def test_collapsed_edge_is_regular_but_singular():
     assert not q.space.is_nonsingular()
     assert is_regular(q.space)
     top = q.space.simplex(q.space.cell_ids(2)[0])
-    vs = q.space.cell_vertices(top.cell)
+    vs = q.space.vertex_rows()[top.cell]
     assert vs[0] == vs[1] != vs[2]
 
 

@@ -55,6 +55,7 @@ from reference import (
     mediator,
     prism_row,
     product_cylinder_reduction,
+    recursive_vertex_rows,
     surjective_in_degree_by_simplices,
 )
 
@@ -250,12 +251,12 @@ def test_check_bundle_names_the_leg_that_disagrees(kind):
 def _sibling_pairs_by_scan(space, q):
     # the quadratic scan over all pairs of embedded q-cells, which
     # embedded_sibling_pairs replaced by grouping on vertex rows
-    rows = space.cell_vertices
-    cells = [c for c in space.cell_ids(q) if len(set(rows(c))) == len(rows(c))]
+    rows = recursive_vertex_rows(space)
+    cells = [c for c in space.cell_ids(q) if len(set(rows[c])) == len(rows[c])]
     out = []
     for i, a in enumerate(cells):
         for b in cells[i + 1 :]:
-            if rows(a) == rows(b):
+            if rows[a] == rows[b]:
                 out.append((a, b))
     return out
 

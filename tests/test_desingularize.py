@@ -50,10 +50,12 @@ from reference import (
     factor_through,
     is_isomorphic,
     quotient_by_classes,
+    recursive_vertex_rows,
     reference_desingularize,
     reference_minimal_congruence,
     reference_replay,
     reference_zipper,
+    snapshot_row,
 )
 from test_colimits import _same_congruence, _table_holds_killed_cells
 
@@ -251,7 +253,7 @@ def _pinched_tetrahedron():
 def test_interval_move_merges_every_vertex_between():
     space = _pinched_tetrahedron()
     top = max(space.cell_ids(3))
-    a, b, c, d = space.cell_vertices(top)
+    a, b, c, d = space.vertex_rows()[top]
     assert a == d and len({a, b, c}) == 3
     res = reference_replay(space, [[IntervalMove(top, 0, 3)]])
     assert len(res.quotient.cell_ids(0)) == 1
@@ -451,8 +453,8 @@ def _quotient_step(space, cong):
     res = quotient_by_classes(space, cong)
     z = res.space
     order = sorted(z.cells, key=lambda c: (z.cells[c].dim, c))
-    rows = z.cell_vertices
-    bad = next((c for c in order if len(set(rows(c))) != len(rows(c))), None)
+    rows = recursive_vertex_rows(z)
+    bad = next((c for c in order if len(set(rows[c])) != len(rows[c])), None)
     if bad is None:
         return None
     return Simplex(res.space.labels[bad][0], identity(z.cells[bad].dim))
@@ -735,7 +737,9 @@ def one_congruence_inputs() -> list:
 
 
 def _result_key(res) -> tuple:
-    return (format_sset(res.quotient), format_smap(res.eta), res.certificate, res.moves)
+    return (
+        format_sset(res.quotient), format_smap(res.eta), res.certificate, res.witness, res.moves
+    )
 
 
 def test_one_congruence_matches_round_by_round_reference(one_congruence_inputs):
@@ -778,6 +782,32 @@ def test_one_quotient_per_call(one_congruence_inputs, monkeypatch):
             assert calls == bool(res.moves)
         several += len(res.moves) > 1
     assert several == 124
+
+
+def test_scan_rows_match_snapshot_rows(monkeypatch):
+    # every scan of every round on the verify suite's small quotients and
+    # 600 of the benchmark's cli-small draws, by the zipper and by D: the
+    # singular first cells, in order, each with its row as the snapshot
+    # definition gives it, and no other cell.  Rounds after the first read
+    # the table through the killed vertices' cells, and many run here
+    spaces = _small_quotients() + _cli_small_quotients(7, 600)
+    scan = desingularize_module._singular_rows
+    later = 0
+
+    def checked(space, snap):
+        nonlocal later
+        got = scan(space, snap)
+        rows = [(c, snapshot_row(space, snap, c)) for c in space.cell_order() if c not in snap]
+        assert got == [(c, vs) for c, vs in rows if len(set(vs)) < len(vs)]
+        later += bool(snap)
+        return got
+
+    monkeypatch.setattr(desingularize_module, "_singular_rows", checked)
+    several = 0
+    for space in spaces:
+        for run in (zipper_desingularize, desingularize):
+            several += len(run(space).moves) > 1
+    assert several >= 10 and later >= 1_000
 
 
 def test_recorded_moves_match_the_merges_made(one_congruence_inputs, monkeypatch):

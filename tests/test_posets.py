@@ -7,8 +7,10 @@ import sys
 import pytest
 
 import ssetforge
+import ssetforge.posets as posets_module
 from ssetforge import verify
-from ssetforge.cylinders import representing_sharp, surjective_in_degree
+from ssetforge.corpus import gen_corpus
+from ssetforge.cylinders import cylinder_reduction, representing_sharp, surjective_in_degree
 from ssetforge.operators import Operator, identity, make_vertex, run_collapse
 from ssetforge.posets import (
     FinPoset,
@@ -42,10 +44,13 @@ from ssetforge.simplicial import (
     simplex_map,
     standard_simplex,
 )
+from ssetforge.subdivision import b_nat, sd
 
 from reference import (
     all_posets_by_relabelling,
+    carrier_b_nat,
     find_isomorphism,
+    fresh_cylinder_reduction,
     is_isomorphic,
     label_nerve,
     label_nerve_map,
@@ -154,14 +159,14 @@ def test_nerve_map_needs_nerves_of_its_posets():
 
 
 def test_nerve_vertex_rows_are_its_chains(corpus):
-    # a nerve answers cell_vertices from its chains; the same cells in a
+    # a nerve holds its vertex rows from its chains; the same cells in a
     # plain simplicial set read each row through the stored faces
     nerves = [nerve(p) for p in all_posets(5)]
     nerves += [barratt(e.space) for e in corpus if len(e.space.cells) <= 60]
     for n in nerves:
         plain = SimplicialSet(n.cells)
         for cid in n.cells:
-            assert n.cell_vertices(cid) == plain.cell_vertices(cid)
+            assert n.vertex_rows()[cid] == plain.vertex_rows()[cid]
     assert len(nerves) >= 100
 
 
@@ -176,9 +181,72 @@ def test_map_into_nerve_names_a_cell_off_the_chains():
         map_into_nerve(n, SimplicialSet(n.cells), lambda v: v)
 
 
+def test_map_into_nerve_collapses_only_rows_that_are_not_chains():
+    # the not-a-chain message names the collapsed row when a cell of
+    # positive dimension misses first: N([2]) with its top cell stored
+    # first, its vertices sent to 1, 0, 0 of [1]
+    n = nerve(chain_poset(2))
+    top = next(cid for cid, cell in n.cells.items() if cell.dim == 2)
+    cells = {top: n.cells[top], **{cid: c for cid, c in n.cells.items() if cid != top}}
+    with pytest.raises(ValueError, match=rf"^cell {top} sent to \(1, 0\), which is not a chain$"):
+        map_into_nerve(SimplicialSet(cells), nerve(chain_poset(1)), lambda v: (1, 0, 0)[v])
+
+
+def _tally_rows(f, calls: int) -> tuple[int, int]:
+    """The rows of a map into a nerve found as chains and those collapsed:
+    a row is a strict chain exactly when its cell goes to a cell under the
+    identity.  Each collapsed row costs one ``run_collapse`` call, and no
+    other row does."""
+    chains = sum(s.degen.is_identity for s in f.assignment.values())
+    assert calls == len(f.assignment) - chains
+    return chains, calls
+
+
+def test_map_into_nerve_matches_references(corpus, monkeypatch):
+    # b on the seeds 0-2 members against carrier_b_nat, the nerve maps of
+    # the cylinder campaigns' phis on seeds 0-2 against label_nerve_map,
+    # and the seed-0 cylinders' reduction cr against the mediator of the
+    # fresh route.  Rows that are chains take the lookup alone, the rest
+    # are collapsed, and both paths carry many rows
+    calls = 0
+
+    def counted(seq):
+        nonlocal calls
+        calls += 1
+        return run_collapse(seq)
+
+    monkeypatch.setattr(posets_module, "run_collapse", counted)
+    chains = collapsed = cr_chains = cr_collapsed = 0
+    for seed in range(3):
+        members = corpus if seed == 0 else gen_corpus(seed)
+        for entry in members:
+            sds = sd(entry.space)
+            want = carrier_b_nat(entry.space, sd_space=sds)
+            calls = 0
+            b = b_nat(entry.space, sd_space=sds)
+            assert list(b.assignment.items()) == list(want.assignment.items())
+            a, c = _tally_rows(b, calls)
+            chains, collapsed = chains + a, collapsed + c
+        for phi in _cylinder_phis(members):
+            want = label_nerve_map(phi, label_nerve(phi.source), label_nerve(phi.target))
+            calls = 0
+            got = nerve_map(phi)
+            assert list(got.assignment.items()) == list(want.assignment.items())
+            a, c = _tally_rows(got, calls)
+            chains, collapsed = chains + a, collapsed + c
+            if seed == 0:
+                cr, ref = cylinder_reduction(phi).reduction, fresh_cylinder_reduction(phi).reduction
+                assert list(cr.assignment.items()) == list(ref.assignment.items())
+                a = sum(s.degen.is_identity for s in cr.assignment.values())
+                cr_chains, cr_collapsed = cr_chains + a, cr_collapsed + len(cr.assignment) - a
+    assert chains >= 65_000 and collapsed >= 5_000
+    assert cr_chains >= 10_000 and cr_collapsed >= 1_500
+
+
 def _cylinder_phis(corpus):
     """The monotone maps the cylinder campaigns reduce: the cones over
-    every poset with at most five elements, then the seed-0 dcr suite."""
+    every poset with at most five elements, then the dcr suite of the
+    corpus given."""
     for p in all_posets(5):
         yield MonotoneMap(p, singleton_poset("apex"), {e: "apex" for e in p.elements})
     for entry in corpus:

@@ -84,7 +84,7 @@ def test_standard_simplex_structure():
         assert delta.dim == n
         assert delta.is_nonsingular()
         top = delta.cell_ids(n)[0]
-        assert delta.cell_vertices(top) == tuple(delta.cell_ids(0))
+        assert delta.vertex_rows()[top] == tuple(delta.cell_ids(0))
 
 
 def test_boundary_counts():
@@ -123,7 +123,7 @@ def test_eval_on_circle():
     x = circle()
     e = x.simplex(1)
     assert x.eval(e, make_vertex(0, 1)) == x.eval(e, make_vertex(1, 1)) == x.simplex(0)
-    assert x.cell_vertices(1) == (0, 0)
+    assert x.vertex_rows()[1] == (0, 0)
     assert not x.is_nonsingular()
     # a degenerate 2-simplex on the edge, then its faces
     s = Simplex(1, make_degen(0, 1))
@@ -159,10 +159,10 @@ def test_siblings():
     # the 2-cell and the doubly degenerate vertex share their vertex sequence
     a = x.simplex(1)
     b = Simplex(0, Operator(0, (0, 0, 0)))
-    row = x.cell_vertices(b.cell)
+    row = x.vertex_rows()[b.cell]
     assert a.degree == b.degree
-    assert x.cell_vertices(a.cell) == tuple(row[v] for v in b.degen.values) == (0, 0, 0)
-    assert len(set(x.cell_vertices(1))) < 3
+    assert x.vertex_rows()[a.cell] == tuple(row[v] for v in b.degen.values) == (0, 0, 0)
+    assert len(set(x.vertex_rows()[1])) < 3
 
 
 def test_generate_two_edges():
@@ -357,10 +357,11 @@ def _small_members(corpus, cells=60):
 def test_eval_matches_factoring_path(corpus):
     # every simplex of degree <= dim+1 of the seed-0 members with <= 60
     # cells, under every operator into it from a degree <= dim+1: eval,
-    # with its identity and degeneracy shortcuts, gives the EZ-path result
+    # with its identity, degeneracy and face-of-a-cell shortcuts, gives
+    # the EZ-path result
     members = _small_members(corpus)
     assert len(members) >= 40
-    pairs = shortcuts = 0
+    pairs = shortcuts = cell_faces = 0
     most = max(x.dim for x in members) + 1
     into = [[op for p in range(most + 1) for op in all_operators(p, q)] for q in range(most + 1)]
     for x in members:
@@ -374,8 +375,10 @@ def test_eval_matches_factoring_path(corpus):
                         assert type(got) is Simplex
                         pairs += 1
                         shortcuts += compose(op, s.degen).is_degeneracy
+                        cell_faces += op.is_face and not op.is_identity and not s.is_degenerate
     assert pairs >= 300_000
     assert shortcuts >= 10_000
+    assert cell_faces >= 1_500
 
 
 def test_cell_vertices_match_vertex_faces(corpus):
@@ -390,20 +393,23 @@ def test_cell_vertices_match_vertex_faces(corpus):
             assert want == tuple(
                 _face_by_factoring(x.cells, cid, make_vertex(j, d)).cell for j in range(d + 1)
             )
-            assert x.cell_vertices(cid) == want
+            assert x.vertex_rows()[cid] == want
 
 
-def _rows_match_recursion(space) -> int:
-    """Vertex rows of a fresh copy of the table against the recursive
-    reference.  The first row asked for is the last cell's in dict order,
-    so the one pass fills every row before it answers."""
+def _rows_match_recursion(space) -> tuple[int, int, int]:
+    """Vertex rows of the space and of a fresh copy of its table against
+    the recursive reference, a row for every cell.  Returns the number of
+    rows, and how many of them the one pass fills through a last face
+    stored under the identity and through a degenerate one."""
     fresh = SimplicialSet(space.cells)
     want = recursive_vertex_rows(space)
-    last = next(reversed(fresh.cells))
-    assert fresh.cell_vertices(last) == want[last]
-    assert {cid: fresh.cell_vertices(cid) for cid in fresh.cells} == want
-    assert {cid: space.cell_vertices(cid) for cid in space.cells} == want
-    return len(want)
+    rows = fresh.vertex_rows()
+    assert rows == want and list(rows) == list(fresh.cell_order())
+    assert fresh.vertex_rows() is rows
+    assert space.vertex_rows() == want
+    lasts = [cell.faces[-1][1] for cell in space.cells.values() if cell.dim]
+    ident = sum(op.is_identity for op in lasts)
+    return len(want), ident, len(lasts) - ident
 
 
 def _faces_first_renumbered(x: SimplicialSet, rng: random.Random) -> SimplicialSet:
@@ -420,7 +426,9 @@ def _faces_first_renumbered(x: SimplicialSet, rng: random.Random) -> SimplicialS
 def test_one_pass_vertex_rows_match_recursion():
     # seeds 0-2 members and their sd images, the cylinders T and their
     # desingularizations D T that the seed-0 dcr suite builds, seeded
-    # products, and members renumbered so a cell precedes its faces
+    # products, and members renumbered so a cell precedes its faces; both
+    # kinds of last face fill many rows, so a fill that mistakes either
+    # kind fails here
     rng = random.Random(37)
     spaces = []
     for seed in range(3):
@@ -442,8 +450,12 @@ def test_one_pass_vertex_rows_match_recursion():
     for x in renumbered:
         pos = {cid: k for k, cid in enumerate(x.cells)}
         assert all(pos[cid] < pos[t] for cid, cell in x.cells.items() for t, _ in cell.faces)
-    cells = sum(_rows_match_recursion(x) for x in spaces + renumbered)
+    cells = ident = degenerate = 0
+    for x in spaces + renumbered:
+        n, a, b = _rows_match_recursion(x)
+        cells, ident, degenerate = cells + n, ident + a, degenerate + b
     assert len(spaces) >= 750 and cells >= 90_000
+    assert ident >= 75_000 and degenerate >= 3_000
 
 
 def _validate_set_by_eval(cells):

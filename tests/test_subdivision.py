@@ -75,7 +75,7 @@ def test_sd_circle():
     assert counts(sds) == (2, 2)
     assert sds.is_nonsingular()
     edges = sds.cell_ids(1)
-    assert sds.cell_vertices(edges[0]) == sds.cell_vertices(edges[1])
+    assert sds.vertex_rows()[edges[0]] == sds.vertex_rows()[edges[1]]
 
 
 def test_sd_empty():
