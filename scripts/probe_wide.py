@@ -18,7 +18,7 @@ the module caches are not counted.
 With ``--case``, it runs one case of a benchmark workload, built as
 ``perfbench/workloads.py`` builds it at ``--seed``, under ``tracemalloc``:
 the traced peak during the case, the bytes it leaves live, and the
-source lines holding most of them.
+ten source lines holding most of them.
 
 ``--src`` imports ``ssetforge`` from another source tree, so two
 checkouts can be compared with one script.  Standard library only; not
@@ -42,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ("Δ[5]", "∂Δ[5]", "Δ[2]×Δ[2]", "Δ[3]×Δ[1]", "∂Δ[6]")
 BYTES_INPUTS = ("Δ[5]", "Δ[6]")
+TOP_LINES = 10
 
 
 def build(name: str):
@@ -126,7 +127,7 @@ def bytes_per_cell() -> None:
         del b, s
 
 
-def one_case(workload: str, seed: int, index: int, top: int) -> None:
+def one_case(workload: str, seed: int, index: int) -> None:
     spec = importlib.util.spec_from_file_location("_probe_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the file runs
@@ -146,8 +147,8 @@ def one_case(workload: str, seed: int, index: int, top: int) -> None:
     print(f"{workload} seed {seed} case {index}: {case.name} (verdict {'ok' if ok else 'WRONG'})")
     print(f"traced peak {peak / 1024:.1f} KiB, live after the case {live / 1024:.1f} KiB")
     stats = after.compare_to(before, "lineno")
-    print(f"the {top} lines holding most of what the case left live:")
-    for stat in stats[:top]:
+    print(f"the {TOP_LINES} lines holding most of what the case left live:")
+    for stat in stats[:TOP_LINES]:
         frame = stat.traceback[0]
         print(f"  {stat.size_diff / 1024:9.1f} KiB {stat.count_diff:7} blocks"
               f"  {frame.filename.split('/src/')[-1]}:{frame.lineno}")
@@ -160,7 +161,6 @@ def main(argv=None) -> int:
     parser.add_argument("--case", help="trace one case of this benchmark workload")
     parser.add_argument("--seed", type=int, default=7, help="the workload's seed")
     parser.add_argument("--index", type=int, default=0, help="the case's place in the list")
-    parser.add_argument("--top", type=int, default=10, help="source lines to print")
     parser.add_argument("--rss", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
@@ -169,7 +169,7 @@ def main(argv=None) -> int:
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(json.dumps({"peak_rss_mb": peak}))
     elif args.case:
-        one_case(args.case, args.seed, args.index, args.top)
+        one_case(args.case, args.seed, args.index)
     else:
         times(args.src)
         bytes_per_cell()

@@ -458,6 +458,46 @@ def test_one_pass_vertex_rows_match_recursion():
     assert ident >= 75_000 and degenerate >= 3_000
 
 
+class _FilledTable(dict):
+    """A vertex-row table that refuses every write."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a vertex-row table was written after its fill")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    update = clear = pop = popitem = setdefault = _refuse
+
+
+def test_no_program_path_writes_a_filled_vertex_row_table(monkeypatch):
+    # vertex_rows hands out the space's own table; each table is swapped
+    # for one that refuses writes once it is filled (by the one pass, or
+    # by a nerve's constructor), and `verify all` on seed 0 must run and
+    # pass with every reader of the table behind that swap
+    fill = SimplicialSet.vertex_rows
+    counts = {"tables": 0, "reads": 0}
+
+    def filled_rows(self):
+        rows = fill(self)
+        counts["reads"] += 1
+        if type(rows) is not _FilledTable:
+            rows = self._vertex_cache = _FilledTable(rows)
+            counts["tables"] += 1
+        return rows
+
+    monkeypatch.setattr(SimplicialSet, "vertex_rows", filled_rows)
+    x = standard_simplex(2)
+    rows = x.vertex_rows()
+    assert x.vertex_rows() is rows and rows[next(iter(rows))] == (next(iter(rows)),)
+    with pytest.raises(TypeError, match="written after its fill"):
+        rows[max(rows) + 1] = (0,)
+    with pytest.raises(TypeError, match="written after its fill"):
+        rows.setdefault(max(rows) + 1, (0,))
+    counts.update(tables=0, reads=0)
+    report = verify.run_suite("all", gen_corpus(0))
+    assert report.ok and len(report.cases) >= 700
+    assert counts["tables"] >= 1_200 and counts["reads"] >= 3_000
+
+
 def _validate_set_by_eval(cells):
     # the presentation checks, every face of a face through the EZ path
     for cid, cell in cells.items():
