@@ -245,25 +245,24 @@ def quotient(space: SimplicialSet, cong: Congruence) -> QuotientResult:
     The cells of the quotient are the cell classes, numbered by their first
     cells in (dimension, id) order; a cell's faces and its image are the
     forms of its stored faces and of itself.  No simplex of X outside the
-    cell table is looked at.
+    cell table is looked at.  A first cell is the one whose form is
+    itself; the members of a class are the fibre of the projection over
+    its cell, and no other table lists them.
     """
     forms = cong.normal_forms()
-    members: dict[int, list[int]] = {}
+    new_id: dict[int, int] = {}
     for c, f in forms.items():
-        if f.degen.is_identity:
-            members.setdefault(f.cell, []).append(c)
-    new_id = {first: i for i, first in enumerate(members)}
+        if f.cell == c:
+            new_id[c] = len(new_id)
     cells: dict[int, Cell] = {}
-    labels: dict[int, object] = {}
-    for first, group in members.items():
+    for first, n in new_id.items():
         cell = space.cells[first]
         faces = []
         for t, sigma in cell.faces:
             base = forms[t]
             faces.append((new_id[base.cell], compose(sigma, base.degen)))
-        cells[new_id[first]] = Cell(cell.dim, tuple(faces))
-        labels[new_id[first]] = tuple(group)
-    qspace = SimplicialSet(cells, labels)
+        cells[n] = Cell(cell.dim, tuple(faces))
+    qspace = SimplicialSet(cells)
     projection = SimplicialMap(
         space,
         qspace,
@@ -300,11 +299,11 @@ class PushoutResult:
     of X u Y under f(a) ~ g(a) with no degenerate member, and they are
     numbered as ``quotient`` numbers classes: by their first members in
     (dimension, union id) order, with the ids ``disjoint_union`` gives,
-    X's first.  Each cell's label lists its members in that order.  A
-    stored face (t, sigma) becomes (w, sigma) when its leg sends t to the
-    cell w itself, and (w, rho after sigma) only when it sends t to a
-    degeneracy (w, rho): the same operator, with no compose.  Z and both
-    legs are validated.
+    X's first.  No table lists a class's members: the legs say which
+    cells were glued.  A stored face (t, sigma) becomes (w, sigma) when
+    its leg sends t to the cell w itself, and (w, rho after sigma) only
+    when it sends t to a degeneracy (w, rho): the same operator, with no
+    compose.  Z and both legs are validated.
     """
 
     def __init__(self, f: SimplicialMap, g: SimplicialMap):
@@ -320,8 +319,9 @@ class PushoutResult:
 
         # A union cell is a member of its own class, except that a cell
         # A hits is a member of the class of the cell it is glued to, and
-        # one glued to a degenerate simplex is a member of no cell class.
-        members: dict[tuple[str, int], list[int]] = {}
+        # one glued to a degenerate simplex is a member of no cell class;
+        # a class is numbered when its first member comes up.
+        new_id: dict[tuple[str, int], int] = {}
         dims = [spaces[side].cells[c].dim for side, c in union]
         for u in sorted(range(len(union)), key=dims.__getitem__):
             side, c = key = union[u]
@@ -330,8 +330,7 @@ class PushoutResult:
                 if not s.degen.is_identity:
                     continue
                 key = ("y", s.cell)
-            members.setdefault(key, []).append(u)
-        new_id = {key: i for i, key in enumerate(members)}
+            new_id.setdefault(key, len(new_id))
 
         legs: dict[str, dict[int, Simplex]] = {}
         for side, space in spaces.items():
@@ -350,8 +349,7 @@ class PushoutResult:
                 w, rho = asg[t]
                 faces.append((w, sigma if rho.is_identity else compose(sigma, rho)))
             cells[n] = Cell(cell.dim, tuple(faces))
-        labels = {new_id[key]: tuple(group) for key, group in members.items()}
-        self.space = SimplicialSet(cells, labels)
+        self.space = SimplicialSet(cells)
         self.left = SimplicialMap(f.target, self.space, legs["x"])
         self.right = SimplicialMap(g.target, self.space, legs["y"])
 
@@ -370,7 +368,6 @@ class ProductResult:
     space: SimplicialSet
     first: SimplicialMap
     second: SimplicialMap
-    index: dict[tuple[Simplex, Simplex], int]
 
 
 @lru_cache(maxsize=None)
@@ -405,7 +402,9 @@ def product(x: SimplicialSet, y: SimplicialSet) -> ProductResult:
     their common degeneracy split off, read from each factor's
     ``face_row``: the rows are kept on the factors, so each is evaluated
     once per factor, for this product, later products and the validation
-    of both projections alike.
+    of both projections alike.  Each cell is labelled with its pair, the
+    one fact ``verify.prism_comparison`` reads off a product; the
+    projections hold the same pairs.
     """
     pairs: list[tuple[Simplex, Simplex]] = []
     for q in range(x.dim + y.dim + 1):
@@ -430,7 +429,7 @@ def product(x: SimplicialSet, y: SimplicialSet) -> ProductResult:
     space = SimplicialSet(cells, {cid: pair for pair, cid in ids.items()})
     first = SimplicialMap(space, x, {cid: sx for (sx, _), cid in ids.items()})
     second = SimplicialMap(space, y, {cid: sy for (_, sy), cid in ids.items()})
-    return ProductResult(space, first, second, ids)
+    return ProductResult(space, first, second)
 
 
 def collapse_subcomplex(space: SimplicialSet, seeds: Iterable[int]) -> QuotientResult:

@@ -7,15 +7,16 @@ generating pairs; a cycle is named by the first pair of equivalent
 elements in element order.
 
 The nerve of a poset has one cell per nonempty strict chain.  It is
-built on chains of element indices: a ``Nerve`` keeps its poset and the
-cell id of each index chain, and labels each cell with its chain of
-elements.  Vertex i is the chain (i,) with cell id i, so a chain is its
-own cell's vertex row, and a ``Nerve`` holds its ``vertex_rows`` table
-from the start, read off its chains.  The chains are built by
-extension, a level at a time: the faces of c + (j,) are the extensions
-by j of the faces of c, then c, so each face id is one lookup of
-(face id, j) in a table of the extensions built, and no chain is
-sliced.
+built on chains of element indices.  Vertex i is the chain (i,) with
+cell id i, element i of the poset, so a chain is its own cell's vertex
+row: a ``Nerve`` keeps one table of chains, id to chain, as its
+``vertex_rows`` table from the start, and ``chain_ids``, its inverse,
+shares each chain tuple.  A cell's chain of elements is its row read
+through ``poset.elements``; no cell carries a label.  The chains are
+built by extension, a level at a time: the faces of c + (j,) are the
+extensions by j of the faces of c, then c, so each face id is one
+lookup of (face id, j) in a table of the extensions built, and no chain
+is sliced.
 
 A map into a nerve is fixed by where it sends vertices.
 ``map_into_nerve`` sends each cell to the chain of its vertices'
@@ -219,23 +220,20 @@ def is_cosieve(p: FinPoset, subset: Iterable[Hashable]) -> bool:
 
 
 class Nerve(SimplicialSet):
-    """The nerve of ``poset``: a simplicial set that also keeps its poset and
-    ``chain_ids``, the cell id of each chain as a tuple of element indices.
-    The labels are the chains themselves, as tuples of elements.  The
-    vertex cells are the chains (i,), with cell id i, so each chain is
-    its cell's vertex row."""
+    """The nerve of ``poset``: a simplicial set that also keeps its poset
+    and ``chain_ids``, the cell id of each chain of element indices.  The
+    vertex cells are the chains (i,), with cell id i, so each chain is its
+    cell's vertex row: ``rows``, the chain of each cell id, is the
+    ``vertex_rows`` table itself, ``chain_ids`` is its inverse, and each
+    key of ``chain_ids`` is the tuple ``rows`` holds."""
 
     def __init__(
-        self,
-        poset: FinPoset,
-        chain_ids: dict[tuple[int, ...], int],
-        cells: dict[int, Cell],
-        labels: dict[int, object],
+        self, poset: FinPoset, rows: dict[int, tuple[int, ...]], cells: dict[int, Cell]
     ):
-        super().__init__(cells, labels)
+        super().__init__(cells)
         self.poset = poset
-        self.chain_ids = chain_ids
-        self._vertex_cache = {cid: chain for chain, cid in chain_ids.items()}
+        self._vertex_cache = rows
+        self.chain_ids = {chain: cid for cid, chain in rows.items()}
 
 
 # Cell from a (dim, faces) pair in C, skipping the NamedTuple's
@@ -248,33 +246,32 @@ def nerve(p: FinPoset) -> Nerve:
     faces drop chain entries.
 
     The chains are built a level at a time, each chain c + (j,) from c,
-    in ``index_chains()`` order.  The faces of c + (j,) are (d_i c) + (j,)
-    for i <= dim c, then c itself, and those of an edge (i, j) are the
-    vertices (j,) and (i,).  ``ext`` holds the id of each extension
-    (id, j) built, so each face id is read off c's stored faces: no chain
-    is sliced or looked up."""
-    up, element = p._up_idx, p.elements.__getitem__
-    chains = [(i,) for i in range(len(p.elements))]
-    cells = dict.fromkeys(range(len(chains)), _cell((0, ())))
+    in ``index_chains()`` order, into ``rows``, the one table of chains,
+    id to chain; each chain tuple is made once.  The faces of c + (j,)
+    are (d_i c) + (j,) for i <= dim c, then c itself, and those of an
+    edge (i, j) are the vertices (j,) and (i,).  ``ext`` holds the id of
+    each extension (id, j) built, so each face id is read off c's stored
+    faces: no chain is sliced or looked up."""
+    up = p._up_idx
+    rows = {i: (i,) for i in range(len(p.elements))}
+    cells = dict.fromkeys(rows, _cell((0, ())))
     ext: dict[tuple[int, int], int] = {}
-    level, dim = range(len(chains)), 0
+    level, dim = range(len(rows)), 0
     while level:
         ident, nxt = identity(dim), []
         for cid in level:
-            c, below, last = chains[cid], cells[cid][1], (cid, ident)
+            c, below, last = rows[cid], cells[cid][1], (cid, ident)
             for j in up[c[-1]]:
-                nid = ext[cid, j] = len(chains)
+                nid = ext[cid, j] = len(rows)
                 if dim:
                     faces = (*[(ext[f, j], ident) for f, _ in below], last)
                 else:
                     faces = ((j, ident), last)
-                chains.append(c + (j,))
+                rows[nid] = c + (j,)
                 cells[nid] = _cell((dim + 1, faces))
                 nxt.append(nid)
         level, dim = nxt, dim + 1
-    ids = {c: cid for cid, c in enumerate(chains)}
-    labels = {cid: tuple(map(element, c)) for cid, c in enumerate(chains)}
-    return Nerve(p, ids, cells, labels)
+    return Nerve(p, rows, cells)
 
 
 def map_into_nerve(

@@ -110,9 +110,20 @@ class Cell(NamedTuple):
 class SimplicialSet:
     """Cell table with validated face-of-face identities.
 
-    ``cells`` maps integer ids to Cell records; ``labels`` optionally maps
-    ids to construction data (chains, carrier pairs, ...) and is not part
-    of the presentation.
+    ``cells`` maps integer ids to Cell records.  ``labels`` maps ids to
+    construction data, is not part of the presentation, and is filled
+    only where a program path reads it:
+
+    - ``subdivision.sd``: each cell's carrier and chain, read by
+      ``b_nat``, ``last_vertex``, ``sd_map`` and ``verify._corpus_sd``;
+    - ``standard_simplex``: each cell's face operator, read by
+      ``simplex_map``;
+    - ``colimits.product``: each cell's pair of simplices, read by
+      ``verify.prism_comparison``.
+
+    Every other constructor passes none: a nerve's chains are its vertex
+    rows, a quotient's classes are the fibres of its projection, and a
+    pushout's or subcomplex's cells are named by its maps.
     """
 
     def __init__(self, cells: dict[int, Cell], labels: dict[int, object] | None = None):
@@ -448,10 +459,7 @@ def generated_cells(space: SimplicialSet, seeds: Iterable[int]) -> set[int]:
 def generate(space: SimplicialSet, seeds: Iterable[int]) -> tuple[SimplicialSet, SimplicialMap]:
     """Smallest subcomplex containing the seed cells, with its inclusion."""
     keep = generated_cells(space, seeds)
-    sub = SimplicialSet(
-        {cid: space.cells[cid] for cid in sorted(keep)},
-        {cid: space.labels[cid] for cid in sorted(keep) if cid in space.labels},
-    )
+    sub = SimplicialSet({cid: space.cells[cid] for cid in sorted(keep)})
     incl = SimplicialMap(sub, space, {cid: space.simplex(cid) for cid in sub.cells})
     return sub, incl
 

@@ -581,7 +581,7 @@ def prism_comparison(p: FinPoset) -> SimplicialMap:
 
     def element_of(v: int) -> tuple:
         x, y = prism.labels[v]
-        (e,) = np_.labels[x.cell]
+        e = p.elements[x.cell]
         (level,) = interval.labels[y.cell].values
         return e, level
 

@@ -81,6 +81,18 @@ degeneracy of each (braces text, degree) pair instead.
 ``all_posets_by_relabelling`` enumerates posets keyed by the least
 relation over all n! relabellings; ``all_posets`` permutes elements only
 within classes of equal (|down-set|, |up-set|) signatures.
+
+The program labels only the cells of ``sd``, ``standard_simplex`` and
+``product``, so the tests read every other fact where it lives:
+``chain_labels`` is each nerve cell's chain of elements, its vertex row
+read through ``poset.elements``; ``fibres`` lists the cells a map sends
+onto each target cell, which for a quotient's projection are the
+members of each class, and ``pushout_classes`` does the same for the
+two pushout legs, with the cells of X u Y numbered as ``disjoint_union``
+numbers them; ``pair_ids``
+inverts a product's labels; and a cell of the boundary of Delta[n] is
+the face operator ``all_faces(n)[cid]``, the label of that cell in
+Delta[n].
 """
 
 from __future__ import annotations
@@ -320,6 +332,49 @@ def surjective_in_degree_by_simplices(f: SimplicialMap, q: int) -> bool:
     return all(t in hit for t in f.target.simplices(q))
 
 
+def chain_labels(space: Nerve) -> dict[int, tuple]:
+    """Each nerve cell's chain of elements, by cell id: its vertex row
+    read through ``poset.elements``, since vertex i is element i."""
+    element = space.poset.elements.__getitem__
+    return {cid: tuple(map(element, row)) for cid, row in space.vertex_rows().items()}
+
+
+def fibres(f: SimplicialMap) -> dict[int, tuple[int, ...]]:
+    """The cells f sends onto each target cell under the identity, in
+    (dimension, id) order, by target cell id: for a quotient's
+    projection, the members of each cell class."""
+    out: dict[int, list[int]] = {}
+    for c in f.source.cell_order():
+        s = f.assignment[c]
+        if s.degen.is_identity:
+            out.setdefault(s.cell, []).append(c)
+    return {n: tuple(out[n]) for n in sorted(out)}
+
+
+def pushout_classes(po: PushoutResult) -> dict[int, tuple[int, ...]]:
+    """Each pushout cell's members among the cells of X u Y, numbered as
+    ``disjoint_union`` numbers them (X's cells first, then Y's offset by
+    ``len(X.cells)``), in (dimension, union id) order: the cells each leg
+    sends onto a pushout cell under the identity."""
+    rows = []
+    off = 0
+    for leg in (po.left, po.right):
+        cells = leg.source.cells
+        for i, c in enumerate(sorted(cells)):
+            rows.append((cells[c].dim, off + i, leg.assignment[c]))
+        off += len(cells)
+    out: dict[int, list[int]] = {}
+    for _, uid, s in sorted(rows, key=lambda r: r[:2]):
+        if s.degen.is_identity:
+            out.setdefault(s.cell, []).append(uid)
+    return {n: tuple(out[n]) for n in sorted(out)}
+
+
+def pair_ids(pr: ProductResult) -> dict[tuple[Simplex, Simplex], int]:
+    """The id of each product cell by its pair, inverted from the labels."""
+    return {pair: cid for cid, pair in pr.space.labels.items()}
+
+
 def quotient_by_classes(space: SimplicialSet, cong: Congruence) -> QuotientResult:
     """The quotient by its definition: the classes with no degenerate member
     are the cells, in ``classes()`` order, and every other class is the
@@ -378,8 +433,9 @@ class UnionPushout(PushoutResult):
     """The pushout by its definition, for any span: the quotient of the
     disjoint union X u Y by the congruence generated by f(a) ~ g(a) over
     the cells a of A, with the legs through the projection.  ``_inv``
-    sends a union id back to its side and cell, and the mediator walks
-    the members of each class."""
+    sends a union id back to its side and cell, ``classes`` holds the
+    members of each class, the fibres of the projection, and the
+    mediator walks them."""
 
     def __init__(self, f: SimplicialMap, g: SimplicialMap):
         if f.source is not g.source and not f.source.same_presentation(g.source):
@@ -397,6 +453,7 @@ class UnionPushout(PushoutResult):
             cong.merge(inl.apply(f.apply(a)), inr.apply(g.apply(a)))
         q = quotient(z, cong)
         self.space = q.space
+        self.classes = fibres(q.projection)
         self.left = compose_maps(inl, q.projection)
         self.right = compose_maps(inr, q.projection)
 
@@ -409,7 +466,7 @@ class UnionPushout(PushoutResult):
             if u.apply(self._f.apply(a)) != v.apply(self._g.apply(a)):
                 raise ValueError(f"maps do not agree on cell {aid} of the gluing source")
         asg: dict[int, Simplex] = {}
-        for pid, members in self.space.labels.items():
+        for pid, members in self.classes.items():
             values = set()
             for zc in members:
                 side, orig = self._inv[zc]
@@ -460,11 +517,11 @@ def mediator(po: PushoutResult, u: SimplicialMap, v: SimplicialMap) -> Simplicia
 def _end_inclusion(pr: ProductResult, level: int) -> SimplicialMap:
     base, interval = pr.first.target, pr.second.target
     vcell = next(c for c, lab in interval.labels.items() if lab == make_vertex(level, 1))
-    asg = {}
+    ids, asg = pair_ids(pr), {}
     for cid, cell in base.cells.items():
         constant = Operator(0, (0,) * (cell.dim + 1))
         a, b, rho = _strip_common(identity(cell.dim), constant)
-        asg[cid] = Simplex(pr.index[(Simplex(cid, a), Simplex(vcell, b))], rho)
+        asg[cid] = Simplex(ids[(Simplex(cid, a), Simplex(vcell, b))], rho)
     return SimplicialMap(base, pr.space, asg)
 
 
@@ -474,7 +531,7 @@ def prism_row(pr: ProductResult, cid: int) -> tuple:
     row = []
     for v in pr.space.vertex_rows()[cid]:
         sx, sy = pr.space.labels[v]
-        row.append((base.labels[sx.cell][0], interval.labels[sy.cell].values[0]))
+        row.append((base.poset.elements[sx.cell], interval.labels[sy.cell].values[0]))
     return tuple(row)
 
 
@@ -490,7 +547,7 @@ def product_cylinder_reduction(
     cyl = product_poset(p, chain_poset(1))
     v = poset_pushout(cylinder_end(p, cyl, 0), phi)
     m = nerve(v.poset)
-    mids = {lab: cid for cid, lab in m.labels.items()}
+    mids = {lab: cid for cid, lab in chain_labels(m).items()}
     asg = {}
     for cid in pr.space.cells:
         row = tuple(v.leg_ambient(pe) for pe in prism_row(pr, cid))
@@ -616,7 +673,6 @@ def slicing_nerve(p: FinPoset) -> Nerve:
     drops an entry by slicing and is looked up by its chain."""
     ids: dict[tuple[int, ...], int] = {}
     cells: dict[int, Cell] = {}
-    labels: dict[int, object] = {}
     for c in p.index_chains():
         cid = ids[c] = len(ids)
         d = len(c) - 1
@@ -624,8 +680,7 @@ def slicing_nerve(p: FinPoset) -> Nerve:
             (ids[c[:i] + c[i + 1 :]], identity(d - 1)) for i in range(d + 1)
         ) if d else ()
         cells[cid] = Cell(d, faces)
-        labels[cid] = tuple(p.elements[i] for i in c)
-    return Nerve(p, ids, cells, labels)
+    return Nerve(p, {cid: c for c, cid in ids.items()}, cells)
 
 
 def recursive_vertex_rows(space: SimplicialSet) -> dict[int, tuple[int, ...]]:
@@ -701,7 +756,7 @@ def carrier_b_nat(space: SimplicialSet, sd_space: SimplicialSet | None = None) -
     """b with each chain entry evaluated on the carrier cell for its carrier."""
     sds = reference_sd(space) if sd_space is None else sd_space
     bx = barratt(space)
-    target_ids = {label: cid for cid, label in bx.labels.items()}
+    target_ids = {label: cid for cid, label in chain_labels(bx).items()}
     asg: dict[int, Simplex] = {}
     for cid, (x, c) in sds.labels.items():
         gen = space.simplex(x)
@@ -976,11 +1031,12 @@ def sd_skeletal(space: SimplicialSet) -> SimplicialSet:
         if not ncells:
             continue
         delta = standard_simplex(n)
-        top = max(delta.cells)
+        top, faces_n = max(delta.cells), all_faces(n)
         bnd, incl = generate(delta, [c for c in delta.cells if c != top])
         bdelta = barratt(delta)
         bbnd = barratt(bnd)
         bincl = barratt_map(incl, bbnd, bdelta)
+        bnd_chains, delta_chains = chain_labels(bbnd), chain_labels(bdelta)
 
         amalgam = _copies(bbnd, len(ncells))
         offb, offd = len(bbnd.cells), len(bdelta.cells)
@@ -988,8 +1044,8 @@ def sd_skeletal(space: SimplicialSet) -> SimplicialSet:
         incl_asg: dict[int, Simplex] = {}
         for j, x in enumerate(ncells):
             gen = space.simplex(x)
-            for cid, chain in bbnd.labels.items():
-                mus = [bnd.labels[c] for c in chain]
+            for cid, chain in bnd_chains.items():
+                mus = [faces_n[c] for c in chain]
                 nu = mus[-1]
                 zs = space.eval(gen, nu)
                 pushed = tuple(
@@ -1008,7 +1064,7 @@ def sd_skeletal(space: SimplicialSet) -> SimplicialSet:
         )
         phi = {key: po.right.apply(s) for key, s in phi.items()}
         for j, x in enumerate(ncells):
-            for cid, chain in bdelta.labels.items():
+            for cid, chain in delta_chains.items():
                 key = (x, tuple(delta.labels[c] for c in chain))
                 phi[key] = po.left.apply(flat.simplex(j * offd + cid))
         cur = po.space

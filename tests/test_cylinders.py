@@ -47,6 +47,7 @@ from ssetforge.textio import format_pmap, format_smap, format_sset
 from ssetforge.verify import _small_quotients, prism_comparison
 
 from reference import (
+    chain_labels,
     find_isomorphism,
     fresh_cylinder_reduction,
     fresh_representing_sharp,
@@ -507,7 +508,7 @@ def test_nerve_prism_matches_product_prism(corpus):
         # the isomorphism T_old -> T_new out of the pushout: the prisms
         # match cell for cell by vertex rows, and NR goes to itself
         prism = new.prism.source
-        chains = {label: cid for cid, label in prism.labels.items()}
+        chains = {label: cid for cid, label in chain_labels(prism).items()}
         rows = SimplicialMap(
             pr.space, prism, {c: prism.simplex(chains[prism_row(pr, c)]) for c in pr.space.cells}
         )

@@ -9,9 +9,10 @@ import pytest
 import ssetforge
 import ssetforge.posets as posets_module
 from ssetforge import verify
+from ssetforge.colimits import congruence_from_pairs, disjoint_union, product, pushout, quotient
 from ssetforge.corpus import gen_corpus
 from ssetforge.cylinders import cylinder_reduction, representing_sharp, surjective_in_degree
-from ssetforge.operators import Operator, identity, make_vertex, run_collapse
+from ssetforge.operators import Operator, all_faces, identity, make_vertex, run_collapse
 from ssetforge.posets import (
     FinPoset,
     MonotoneMap,
@@ -41,6 +42,7 @@ from ssetforge.posets import (
 )
 from ssetforge.simplicial import (
     SimplicialSet,
+    generate,
     simplex_map,
     standard_simplex,
 )
@@ -49,6 +51,7 @@ from ssetforge.subdivision import b_nat, sd
 from reference import (
     all_posets_by_relabelling,
     carrier_b_nat,
+    chain_labels,
     find_isomorphism,
     fresh_cylinder_reduction,
     is_isomorphic,
@@ -115,12 +118,10 @@ def test_nerve_of_chain_is_simplex():
 def test_nerve_of_wedge():
     nv = nerve(wedge_poset())
     assert counts(nv) == (3, 2)
-    assert nv.labels[3] == ("a", "b")
+    assert chain_labels(nv)[3] == ("a", "b")
 
 
 def test_nerve_of_product_is_product_of_nerves():
-    from ssetforge.colimits import product
-
     p = chain_poset(1)
     square = nerve(product_poset(p, p))
     assert counts(square) == (4, 5, 2)
@@ -146,9 +147,9 @@ def test_nerve_map_needs_nerves_of_its_posets():
     # nerves of posets equal to phi's own are accepted
     assert nerve_map(phi, np_, nq).assignment == nerve_map(phi).assignment
     foreign = [
-        (nerve(chain_poset(1)), nq, "source"),  # labels a subset of phi's chains
+        (nerve(chain_poset(1)), nq, "source"),  # its chains are a subset of phi's, the poset is not its source
         (np_, nerve(chain_poset(2)), "target"),  # phi's image fits, the poset is not its target
-        (np_, SimplicialSet(nq.cells, nq.labels), "target"),  # the same cells, no poset
+        (np_, SimplicialSet(nq.cells), "target"),  # the same cells, no poset
         (np_, nerve(wedge_poset()), "target"),
     ]
     for source, target, side in foreign:
@@ -168,6 +169,48 @@ def test_nerve_vertex_rows_are_its_chains(corpus):
         for cid in n.cells:
             assert n.vertex_rows()[cid] == plain.vertex_rows()[cid]
     assert len(nerves) >= 100
+
+
+def test_one_chain_table_and_only_read_labels(corpus):
+    # a nerve keeps one table of chains: chain_ids and vertex_rows() are
+    # inverse, each chain_ids key is the tuple its row holds, and no cell
+    # is labelled; over the nerve of every seed-0 sharp and all_posets(4)
+    nerves = [nerve(sharp(e.space)) for e in corpus] + [nerve(p) for p in all_posets(4)]
+    cells = 0
+    for n in nerves:
+        rows = n.vertex_rows()
+        assert len(n.chain_ids) == len(rows) == len(n.cells)
+        for chain, cid in n.chain_ids.items():
+            assert rows[cid] is chain
+        for cid, row in rows.items():
+            assert n.chain_ids[row] == cid
+        assert n.labels == {}
+        cells += len(n.cells)
+    assert len(nerves) == 55 + 25 and cells >= 20_000
+    # sd, standard_simplex and product label every cell, with the facts
+    # their readers take; quotient, pushout, nerve, generate and
+    # disjoint_union label none
+    delta, interval = standard_simplex(2), standard_simplex(1)
+    assert delta.labels == dict(enumerate(all_faces(2)))
+    sds = sd(delta)
+    assert sorted(sds.labels) == sorted(sds.cells)
+    assert all(c[-1] == identity(delta.cells[x].dim) for x, c in sds.labels.values())
+    pr = product(delta, interval)
+    assert pr.space.labels == {
+        c: (pr.first.assignment[c], pr.second.assignment[c]) for c in pr.space.cells
+    }
+    edge = next(c for c, mu in delta.labels.items() if mu.values == (0, 1))
+    glue = simplex_map(delta, delta.simplex(edge), source=interval)
+    cong = congruence_from_pairs(delta, [(delta.simplex(0), delta.simplex(1))])
+    unlabelled = [
+        quotient(delta, cong).space,
+        pushout(glue, glue).space,
+        nerve(chain_poset(2)),
+        generate(delta, [edge])[0],
+        disjoint_union(delta, interval)[0],
+    ]
+    for space in unlabelled:
+        assert space.cells and space.labels == {}
 
 
 def test_map_into_nerve_names_a_cell_off_the_chains():
@@ -262,10 +305,11 @@ def _cylinder_phis(corpus):
 def _same_nerve(n, p):
     ref = label_nerve(p)
     assert list(n.cells.items()) == list(ref.cells.items())
-    assert list(n.labels.items()) == list(ref.labels.items())
+    labels = chain_labels(n)
+    assert list(labels.items()) == list(ref.labels.items())
     assert n.poset is p and len(n.chain_ids) == len(n.cells)
     for chain, cid in n.chain_ids.items():
-        assert tuple(p.elements[i] for i in chain) == n.labels[cid]
+        assert tuple(p.elements[i] for i in chain) == labels[cid]
     return ref
 
 
@@ -309,7 +353,7 @@ def test_nerve_matches_slicing_reference(corpus):
         got, want = nerve(p), slicing_nerve(p)
         assert type(got) is Nerve and got.poset is p
         assert list(got.cells.items()) == list(want.cells.items())
-        assert list(got.labels.items()) == list(want.labels.items())
+        assert list(chain_labels(got).items()) == list(chain_labels(want).items())
         assert list(got.chain_ids.items()) == list(want.chain_ids.items())
         cells += len(got.cells)
     assert len(posets) >= 1000 and cells >= 50_000
@@ -518,7 +562,8 @@ def test_poset_isomorphism_search():
     na, nb = nerve(a), nerve(b)
     iso = find_isomorphism(na, nb)
     assert iso is not None
-    vertex = {na.labels[c][0]: nb.labels[iso[c]][0] for c in na.cells if na.cells[c].dim == 0}
+    la, lb = chain_labels(na), chain_labels(nb)
+    vertex = {la[c][0]: lb[iso[c]][0] for c in na.cells if na.cells[c].dim == 0}
     assert len(vertex) == 6 and set(vertex.values()) == set(b.elements)
     assert all(
         (a.leq(x, y) and x != y) == (b.leq(vertex[x], vertex[y]) and vertex[x] != vertex[y])

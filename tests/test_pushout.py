@@ -2,8 +2,9 @@
 disjoint union that defines them (``reference.UnionPushout``).
 
 Every caller that builds a pushout is run with ``pushout`` replaced by a
-wrapper that builds both and asserts the same cells, labels (each
-cell's members) and legs, cell for cell and id for id.  Every map out
+wrapper that builds both and asserts the same cells, classes (each
+cell's members, read off the legs and off the reference's projection)
+and legs, cell for cell and id for id.  Every map out
 of a pushout that the program builds is built by ``pushout_into_nerve``
 from its vertex images, not as a mediator, so that is wrapped as well,
 and each map it returns is asserted equal to the reference pushout's
@@ -37,7 +38,7 @@ from ssetforge.subdivision import b_nat
 from ssetforge.textio import format_pmap, format_sset
 
 import reference
-from reference import UnionPushout
+from reference import UnionPushout, pushout_classes
 
 
 def _same_map(new: SimplicialMap, old: SimplicialMap) -> None:
@@ -48,7 +49,7 @@ def _same_map(new: SimplicialMap, old: SimplicialMap) -> None:
 def _same_pushout(new, old) -> None:
     assert new.space.cells == old.space.cells
     assert list(new.space.cells) == list(old.space.cells)
-    assert new.space.labels == old.space.labels
+    assert pushout_classes(new) == old.classes
     _same_map(new.left, old.left)
     _same_map(new.right, old.right)
 
