@@ -85,6 +85,57 @@ MUTANTS = [
         "            continue\n",
         "map validation must compare every cell's image faces with its faces' images",
     ),
+    # the one walk over each table, and what it defers
+    Mutant(
+        "set-validation-walk-identities",
+        "src/ssetforge/simplicial.py",
+        "if d > 1 and (len(flat) != size or later(flat) != earlier(flat)):",
+        "if False:",
+        "a cell whose faces all lie under the identity has its identities checked in the walk",
+    ),
+    Mutant(
+        "set-validation-deferred-order",
+        "src/ssetforge/simplicial.py",
+        "        for cid in deferred:\n            d, faces = cells[cid]\n",
+        "        for cid in reversed(deferred):\n            d, faces = cells[cid]\n",
+        "the deferred cells are named in table order, so the first failure is named",
+    ),
+    Mutant(
+        "map-validation-walk-faces",
+        "src/ssetforge/simplicial.py",
+        "if sigma is not ident or image_of(t) != face:",
+        "if sigma is not ident:",
+        "a cell whose faces all lie under the identity has its faces' images compared in the walk",
+    ),
+    Mutant(
+        "map-validation-deferred-order",
+        "src/ssetforge/simplicial.py",
+        "        for cid, got in deferred:\n",
+        "        for cid, got in reversed(deferred):\n",
+        "the deferred cells of a map are named in table order, so the first failure is named",
+    ),
+    # poset order decided on index tables
+    Mutant(
+        "monotone-index-check",
+        "src/ssetforge/posets.py",
+        "if row and not upset[image[a]].issuperset(map(image.__getitem__, row)):",
+        "if False:",
+        "a monotone map must send the elements above a into the up-set of a's image",
+    ),
+    Mutant(
+        "dwyer-retraction-max",
+        "src/ssetforge/posets.py",
+        "        if len(p_down[top]) + 1 != len(below):\n",
+        "        if False:\n",
+        "each w of the cosieve needs a maximum below it, which also makes k full",
+    ),
+    Mutant(
+        "dwyer-sieve",
+        "src/ssetforge/posets.py",
+        "or not is_sieve(q, map(q.elements.__getitem__, image)):",
+        "or not is_sieve(q, ()):",
+        "a Dwyer map's image is a sieve: down-closed in the target",
+    ),
     Mutant(
         "isomorphism-cell-count",
         "src/ssetforge/simplicial.py",

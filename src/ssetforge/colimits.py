@@ -402,9 +402,9 @@ def product(x: SimplicialSet, y: SimplicialSet) -> ProductResult:
     their common degeneracy split off, read from each factor's
     ``face_row``: the rows are kept on the factors, so each is evaluated
     once per factor, for this product, later products and the validation
-    of both projections alike.  Each cell is labelled with its pair, the
-    one fact ``verify.prism_comparison`` reads off a product; the
-    projections hold the same pairs.
+    of both projections alike.  No cell is labelled: the projections send
+    each cell to its pair's two simplices, which is where
+    ``verify.prism_comparison`` reads them.
     """
     pairs: list[tuple[Simplex, Simplex]] = []
     for q in range(x.dim + y.dim + 1):
@@ -426,7 +426,7 @@ def product(x: SimplicialSet, y: SimplicialSet) -> ProductResult:
             # a plain pair hashes and compares as the Simplex it stands for
             faces.append((ids[((cx, a), (cy, b))], rho))
         cells[cid] = Cell(q, tuple(faces))
-    space = SimplicialSet(cells, {cid: pair for pair, cid in ids.items()})
+    space = SimplicialSet(cells)
     first = SimplicialMap(space, x, {cid: sx for (sx, _), cid in ids.items()})
     second = SimplicialMap(space, y, {cid: sy for (_, sy), cid in ids.items()})
     return ProductResult(space, first, second)

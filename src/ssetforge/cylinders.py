@@ -102,8 +102,7 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     compose_maps,
-    generate,
-    simplex_map,
+    generated_cells,
     standard_simplex,
 )
 
@@ -273,11 +272,15 @@ def dcr(
 
 def representing_sharp(space: SimplicialSet, s: Simplex) -> MonotoneMap:
     """Sharp of the representing map of s, corestricted to what s generates,
-    out of the one Delta[q]# shared by every simplex of its degree."""
-    sub, _ = generate(space, [s.cell])
+    out of the one Delta[q]# shared by every simplex of its degree.
+
+    Only the image cells of the representing map are read, so no
+    simplicial map is built: the cell of Delta[q] labelled by the face mu
+    goes to the cell of s.mu, and the monotone map checks the result."""
+    keep = sorted(generated_cells(space, [s.cell]))
+    sub = SimplicialSet({cid: space.cells[cid] for cid in keep})
     delta, side = _simplex_source(s.degree)
-    f = simplex_map(sub, s, source=delta)
-    mapping = {cid: t.cell for cid, t in f.assignment.items()}
+    mapping = {cid: sub.eval(s, mu).cell for cid, mu in delta.labels.items()}
     return MonotoneMap(side.nerve.poset, sharp(sub), mapping)
 
 

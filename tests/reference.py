@@ -30,6 +30,9 @@ generic simplicial product NP x Delta[1] instead of the nerve of P x [1].
 new Delta[q]#, its nerve, P x [1], the prism nerve and both ends with
 their nerve maps on every call; ``representing_sharp`` and
 ``cylinder_reduction`` share one source side per simplex dimension.
+``simplex_map_from`` is ``simplex_map`` out of a given Delta[q], for
+tests that need two maps out of one; the program builds each
+representing map out of a Delta[q] of its own.
 ``label_nerve`` and ``label_nerve_map`` build nerves and nerve maps on
 chains of elements, found by walking the strict pairs; ``nerve`` and
 ``nerve_map`` work on chains of element indices.  ``slicing_nerve``
@@ -55,7 +58,9 @@ walking the closure of its last face and evaluating it on every face of
 closures and of those faces' cells in one pass over the cell table.
 ``reference_is_dwyer`` searches every cosieve containing the image,
 largest first, for one carrying a retraction; ``is_dwyer`` builds the
-only one that can pass.
+only one that can pass.  ``pairwise_monotone_error`` checks a map pair
+by pair against the posets' strict pairs; ``MonotoneMap`` decides each
+element on index tables and names a failing pair only then.
 ``sd_skeletal`` builds the subdivision from the skeleton filtration,
 one pushout per dimension attaching a subdivided standard simplex along
 its subdivided boundary for every cell, the boundary inclusion its
@@ -82,15 +87,15 @@ degeneracy of each (braces text, degree) pair instead.
 relation over all n! relabellings; ``all_posets`` permutes elements only
 within classes of equal (|down-set|, |up-set|) signatures.
 
-The program labels only the cells of ``sd``, ``standard_simplex`` and
-``product``, so the tests read every other fact where it lives:
+The program labels only the cells of ``sd`` and ``standard_simplex``,
+so the tests read every other fact where it lives:
 ``chain_labels`` is each nerve cell's chain of elements, its vertex row
 read through ``poset.elements``; ``fibres`` lists the cells a map sends
 onto each target cell, which for a quotient's projection are the
 members of each class, and ``pushout_classes`` does the same for the
 two pushout legs, with the cells of X u Y numbered as ``disjoint_union``
 numbers them; ``pair_ids``
-inverts a product's labels; and a cell of the boundary of Delta[n] is
+numbers a product's pairs, read off its two projections; and a cell of the boundary of Delta[n] is
 the face operator ``all_faces(n)[cid]``, the label of that cell in
 Delta[n].
 """
@@ -371,8 +376,15 @@ def pushout_classes(po: PushoutResult) -> dict[int, tuple[int, ...]]:
 
 
 def pair_ids(pr: ProductResult) -> dict[tuple[Simplex, Simplex], int]:
-    """The id of each product cell by its pair, inverted from the labels."""
-    return {pair: cid for cid, pair in pr.space.labels.items()}
+    """The id of each product cell by its pair, read off the projections."""
+    first, second = pr.first.assignment, pr.second.assignment
+    return {(first[cid], second[cid]): cid for cid in pr.space.cells}
+
+
+def simplex_map_from(target: SimplicialSet, s: Simplex, delta: SimplicialSet) -> SimplicialMap:
+    """``simplex_map`` out of the given standard simplex ``delta`` of the
+    degree of s, for a test that needs two maps out of one Delta[q]."""
+    return SimplicialMap(delta, target, {cid: target.eval(s, mu) for cid, mu in delta.labels.items()})
 
 
 def quotient_by_classes(space: SimplicialSet, cong: Congruence) -> QuotientResult:
@@ -530,7 +542,7 @@ def prism_row(pr: ProductResult, cid: int) -> tuple:
     base, interval = pr.first.target, pr.second.target
     row = []
     for v in pr.space.vertex_rows()[cid]:
-        sx, sy = pr.space.labels[v]
+        sx, sy = pr.first.assignment[v], pr.second.assignment[v]
         row.append((base.poset.elements[sx.cell], interval.labels[sy.cell].values[0]))
     return tuple(row)
 
@@ -788,6 +800,25 @@ def reference_regularity_witness(space: SimplicialSet) -> int | None:
             hit.add(s.cell)
     return None
 
+
+def pairwise_monotone_error(source: FinPoset, target: FinPoset, mapping: dict) -> str | None:
+    """The message of the ValueError ``MonotoneMap(source, target, mapping)``
+    raises, or None, by the pairwise definition on the posets' strict
+    pairs: every element has a value in the target, and for the first
+    pair a < b, in element order, with f(a) != f(b), (f(a), f(b)) is a
+    strict pair of the target."""
+    for e in source.elements:
+        if e not in mapping:
+            return f"no value for {e!r}"
+        if mapping[e] not in target:
+            return f"{e!r} sent outside the target poset"
+    below, above = source.strict_pairs(), target.strict_pairs()
+    for a in source.elements:
+        for b in source.elements:
+            x, y = mapping[a], mapping[b]
+            if (a, b) in below and x != y and (x, y) not in above:
+                return f"not monotone on {a!r} < {b!r}"
+    return None
 
 def reference_is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
     """A witness that k is an injective sieve embedding admitting a

@@ -37,7 +37,6 @@ from ssetforge.simplicial import (
     boundary,
     identity_map,
     representing_map,
-    simplex_map,
     standard_simplex,
 )
 from ssetforge.subdivision import b_nat, sd, t_nat
@@ -55,6 +54,7 @@ from reference import (
     reference_minimal_congruence,
     reference_replay,
     reference_zipper,
+    simplex_map_from,
     snapshot_row,
 )
 from test_colimits import _same_congruence, _table_holds_killed_cells
@@ -296,7 +296,7 @@ def test_factor_through_quotient():
     eta = representing_map(circ, 1)
     eta = SimplicialMap(delta1, circ, {c: eta.assignment[c] for c in delta1.cells})
     point = standard_simplex(0)
-    squash = simplex_map(point, Simplex(0, Operator(0, (0, 0))), source=delta1)
+    squash = simplex_map_from(point, Simplex(0, Operator(0, (0, 0))), delta1)
     h = factor_through_quotient(eta, squash)
     assert h.source is circ and h.target is point
     ident = SimplicialMap(delta1, delta1, {c: delta1.simplex(c) for c in delta1.cells})

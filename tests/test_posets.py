@@ -57,8 +57,11 @@ from reference import (
     is_isomorphic,
     label_nerve,
     label_nerve_map,
+    pair_ids,
     pair_scan_closure,
+    pairwise_monotone_error,
     reference_is_dwyer,
+    simplex_map_from,
     slicing_nerve,
     two_pass_run_collapse,
 )
@@ -187,22 +190,21 @@ def test_one_chain_table_and_only_read_labels(corpus):
         assert n.labels == {}
         cells += len(n.cells)
     assert len(nerves) == 55 + 25 and cells >= 20_000
-    # sd, standard_simplex and product label every cell, with the facts
-    # their readers take; quotient, pushout, nerve, generate and
-    # disjoint_union label none
+    # sd and standard_simplex label every cell, with the facts their
+    # readers take; product, quotient, pushout, nerve, generate and
+    # disjoint_union label none, a product's pairs being its projections'
     delta, interval = standard_simplex(2), standard_simplex(1)
     assert delta.labels == dict(enumerate(all_faces(2)))
     sds = sd(delta)
     assert sorted(sds.labels) == sorted(sds.cells)
     assert all(c[-1] == identity(delta.cells[x].dim) for x, c in sds.labels.values())
     pr = product(delta, interval)
-    assert pr.space.labels == {
-        c: (pr.first.assignment[c], pr.second.assignment[c]) for c in pr.space.cells
-    }
+    assert sorted(pair_ids(pr).values()) == sorted(pr.space.cells)
     edge = next(c for c, mu in delta.labels.items() if mu.values == (0, 1))
-    glue = simplex_map(delta, delta.simplex(edge), source=interval)
+    glue = simplex_map_from(delta, delta.simplex(edge), interval)
     cong = congruence_from_pairs(delta, [(delta.simplex(0), delta.simplex(1))])
     unlabelled = [
+        pr.space,
         quotient(delta, cong).space,
         pushout(glue, glue).space,
         nerve(chain_poset(2)),
@@ -415,6 +417,93 @@ def test_closure_matches_pair_scan():
         passed += not isinstance(want, str)
     assert open_ >= 200 and passed >= 50
 
+
+
+def test_monotone_check_matches_pairwise_definition():
+    # seeded maps between members of all_posets(4), most of them not
+    # monotone, a few with a value missing or outside the target: the
+    # check on index tables gives the pairwise definition's verdict, and
+    # the same message, naming the same first pair
+    rng = random.Random(45)
+    posets = all_posets(4)
+    found = {"not monotone": 0, "no value": 0, "outside": 0, "monotone": 0}
+    for _ in range(4000):
+        p, q = rng.choice(posets), rng.choice(posets)
+        mapping = {e: rng.choice(q.elements) if q.elements else "x" for e in p.elements}
+        if p.elements and rng.random() < 0.03:
+            del mapping[rng.choice(p.elements)]
+        elif p.elements and rng.random() < 0.03:
+            mapping[rng.choice(p.elements)] = "x"
+        want = pairwise_monotone_error(p, q, mapping)
+        try:
+            MonotoneMap(p, q, mapping)
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == want
+        if want is None:
+            found["monotone"] += 1
+        else:
+            found[next(k for k in ("not monotone", "no value", "outside") if k in want)] += 1
+    assert found["monotone"] >= 800 and found["not monotone"] >= 1500, found
+    assert found["no value"] >= 40 and found["outside"] >= 40, found
+
+
+def _posets_of_every_constructor() -> list[FinPoset]:
+    # the enumeration, products with [1], cones' pushouts, full subposets,
+    # face posets, cell posets and psi's source
+    small = all_posets(4)
+    out = small + [product_poset(p, chain_poset(1)) for p in small]
+    for p in small[1:]:
+        k = cylinder_end(p, out[small.index(p) + len(small)], 0)
+        out.append(poset_pushout(k, MonotoneMap(p, singleton_poset("apex"),
+                                                {e: "apex" for e in p.elements})).poset)
+        out.append(full_subposet(p, p.elements[1:]))
+    out += [face_poset(2), sharp(standard_simplex(3)), psi(2).source, wedge_poset()]
+    return out
+
+
+def test_leq_matches_strict_pairs():
+    # leq, read off the up-set table, is the reflexive closure of the
+    # strict pairs, and an element outside the poset is below only itself
+    posets = _posets_of_every_constructor()
+    assert len(posets) >= 90
+    for p in posets:
+        lt = p.strict_pairs()
+        for a in p.elements:
+            for b in p.elements:
+                assert p.leq(a, b) == (a == b or (a, b) in lt)
+            assert not p.leq(a, "outside") and not p.leq("outside", a)
+        assert p.leq("outside", "outside")
+
+
+def test_no_pair_set_is_built_until_strict_pairs_is_read(monkeypatch):
+    # every constructor, monotone check, nerve, Dwyer witness and cylinder
+    # works on index tables: no poset builds its set of strict pairs until
+    # strict_pairs() is read, and then it builds it once
+    built = []
+    init = FinPoset.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(FinPoset, "__init__", recorded)
+    posets = _posets_of_every_constructor()
+    for p in all_posets(4):
+        phi = MonotoneMap(p, singleton_poset("apex"), {e: "apex" for e in p.elements})
+        cylinder_reduction(phi)
+    for _, i0, k, phi in verify._dwyer_triples():
+        assert k.dwyer is not None
+        poset_pushout(k, phi)
+        poset_pushout(i0, phi)
+    delta = standard_simplex(2)
+    representing_sharp(delta, delta.simplex(6))
+    assert len(built) >= 350 and len(posets) >= 90
+    assert all(p._lt is None for p in built)
+    for p in built[::7]:
+        pairs = p.strict_pairs()
+        assert isinstance(pairs, frozenset) and p.strict_pairs() is pairs
 
 def test_sharp_of_standard_simplex():
     for n in range(4):

@@ -31,14 +31,13 @@ from ssetforge.simplicial import (
     Simplex,
     SimplicialMap,
     compose_maps,
-    simplex_map,
     standard_simplex,
 )
 from ssetforge.subdivision import b_nat
 from ssetforge.textio import format_pmap, format_sset
 
 import reference
-from reference import UnionPushout, pushout_classes
+from reference import UnionPushout, pushout_classes, simplex_map_from
 
 
 def _same_map(new: SimplicialMap, old: SimplicialMap) -> None:
@@ -186,7 +185,7 @@ def test_corpus_builtin_pushout(checked):
 def test_pushout_needs_an_injective_leg():
     # both legs fold an edge onto a vertex
     delta1, point = standard_simplex(1), standard_simplex(0)
-    fold = simplex_map(point, Simplex(0, Operator(0, (0, 0))), source=delta1)
+    fold = simplex_map_from(point, Simplex(0, Operator(0, (0, 0))), delta1)
     with pytest.raises(ValueError, match="pushout needs a degreewise injective first leg"):
         colimits.pushout(fold, fold)
     # the reference quotient is defined for it: a point
@@ -196,8 +195,8 @@ def test_pushout_needs_an_injective_leg():
 def test_pushout_attaches_along_its_first_leg_only():
     # an edge glued into a triangle, and folded onto a point
     delta1, delta2, point = standard_simplex(1), standard_simplex(2), standard_simplex(0)
-    fold = simplex_map(point, Simplex(0, Operator(0, (0, 0))), source=delta1)
-    glue = simplex_map(delta2, delta2.simplex(delta2.cell_ids(1)[0]), source=delta1)
+    fold = simplex_map_from(point, Simplex(0, Operator(0, (0, 0))), delta1)
+    glue = simplex_map_from(delta2, delta2.simplex(delta2.cell_ids(1)[0]), delta1)
     with pytest.raises(ValueError, match="pushout needs a degreewise injective first leg"):
         colimits.pushout(fold, glue)
     po = colimits.pushout(glue, fold)

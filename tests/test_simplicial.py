@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
@@ -852,6 +853,74 @@ def test_map_validation_matches_eval_reference(corpus):
             row_wise["pass" if want is None else "fail"] += 1
     assert row_wise["pass"] >= 100 and row_wise["fail"] >= 300, row_wise
 
+
+
+def _shuffled(rng, cells):
+    # the same cells under the same ids, in a random table order
+    ids = list(cells)
+    rng.shuffle(ids)
+    return {cid: cells[cid] for cid in ids}
+
+
+def _cut_short(rng, cells):
+    # one cell of positive dimension with its last stored face dropped
+    cells = dict(cells)
+    cid = rng.choice([c for c in sorted(cells) if cells[c].dim >= 1])
+    cells[cid] = Cell(cells[cid].dim, cells[cid].faces[:-1])
+    return cells
+
+
+def test_validation_names_the_first_failure_in_any_table_order(corpus):
+    # a walk checks each cell's own faces where it stands, and a cell's
+    # identities there only when all its faces lie under the interned
+    # identity, deferring the rest; a cell's faces may rest on cells later
+    # in the table.  With the table in a random order, one or two faces
+    # changed and at times one face count cut short, both checks name the
+    # reference's first failure: every cell's faces come before any
+    # cell's identities
+    rng = random.Random(20261021)
+    spaces = [x for x in _small_members(corpus, 20) if x.dim >= 2] + _nerves(corpus)[:30]
+    spaces += [p for p in _products(corpus)[::3] if p.dim >= 2]
+    kinds = {"valid": 0, "identity": 0, "count": 0, "other": 0}
+    for _ in range(1500):
+        cells = _mutate_presentation(rng, rng.choice(spaces))
+        if rng.random() < 0.5:
+            cells = _mutate_presentation(rng, SimpleNamespace(cells=cells))
+        if rng.random() < 0.2:
+            cells = _cut_short(rng, cells)
+        cells = _shuffled(rng, cells)
+        want = _verdict(_validate_set_by_eval, cells)
+        assert _verdict(SimplicialSet, cells) == want
+        if want is None:
+            kinds["valid"] += 1
+        elif want.startswith("face identities"):
+            kinds["identity"] += 1
+        elif " stores " in want:
+            kinds["count"] += 1
+        else:
+            kinds["other"] += 1
+    assert kinds["valid"] >= 100 and kinds["identity"] >= 500, kinds
+    assert kinds["count"] >= 150 and kinds["other"] >= 100, kinds
+    # maps out of a source in a random table order, one or two images changed
+    maps = [f for x in _small_members(corpus, 20) for f in _maps(x)] + list(_nerve_maps(corpus))
+    found = {"valid": 0, "faces": 0, "images": 0}
+    for _ in range(1500):
+        f = rng.choice(maps)
+        source = SimplicialSet(_shuffled(rng, f.source.cells))
+        asg = dict(f.assignment)
+        for _ in range(rng.choice((1, 2))):
+            cid = rng.choice(sorted(asg))
+            q = source.cells[cid].dim + (rng.random() < 0.1)
+            asg[cid] = rng.choice(list(f.target.simplices(q)))
+        want = _verdict(_validate_map_by_eval, source, f.target, asg)
+        assert _verdict(SimplicialMap, source, f.target, asg) == want
+        if want is None:
+            found["valid"] += 1
+        elif want.startswith("assignment not simplicial"):
+            found["faces"] += 1
+        else:
+            found["images"] += 1
+    assert found["valid"] >= 100 and found["faces"] >= 500 and found["images"] >= 80, found
 
 def test_face_row_matches_eval(corpus):
     # every simplex of degree <= dim+1 of the seed-0 members with <= 40

@@ -28,7 +28,7 @@ from ssetforge.subdivision import b_nat, chains_to_top, last_vertex, sd, sd_map
 from ssetforge.textio import format_smap, format_sset
 from ssetforge.verify import _small_quotients
 
-from reference import carrier_b_nat, is_isomorphic, reference_sd, sd_skeletal
+from reference import carrier_b_nat, is_isomorphic, reference_sd, sd_skeletal, simplex_map_from
 
 # sha256 of format_sset(sd(x)) then format_smap(b_nat(x)), over the seed-0
 # members x with sd_size(x) <= SD_CAP in corpus order, recorded on the
@@ -117,7 +117,7 @@ def test_sd_map_functorial():
     delta2 = standard_simplex(2)
     circ = circle().space
     to_circle = representing_map(circ, 1)
-    squash = simplex_map(standard_simplex(1), Simplex(2, Operator(1, (0, 0, 1))), source=delta2)
+    squash = simplex_map_from(standard_simplex(1), Simplex(2, Operator(1, (0, 0, 1))), delta2)
     sd2, sd1, sdc = sd(delta2), sd(standard_simplex(1)), sd(circ)
     one = sd_map(compose_maps(squash, to_circle), sd2, sdc)
     two = compose_maps(sd_map(squash, sd2, sd1), sd_map(to_circle, sd1, sdc))
