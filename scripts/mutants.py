@@ -172,7 +172,7 @@ MUTANTS = [
         "b_iso, b_iso,",
         "t's verdict is b's only when t is b",
     ),
-    # one chain table per nerve, no labels where none is read
+    # one chain table per nerve
     Mutant(
         "nerve-chain-ids-copy-chains",
         "src/ssetforge/posets.py",
@@ -186,6 +186,21 @@ MUTANTS = [
         "        if f.cell == c:\n            new_id[c] = len(new_id)\n",
         "        if f.degen.is_identity:\n            new_id[c] = len(new_id)\n",
         "a quotient's cells are the first cells of their classes, one per class",
+    ),
+    # a cell's id is its only name: sd's numbering, and a corpus's sd images
+    Mutant(
+        "sd-cells-reverse-carriers",
+        "src/ssetforge/subdivision.py",
+        "        for x in order:\n            n = cells_of[x].dim\n            if q <= n:\n",
+        "        for x in reversed(order):\n            n = cells_of[x].dim\n            if q <= n:\n",
+        "sd numbers its cells by carrier in id order within a chain length",
+    ),
+    Mutant(
+        "load-corpus-trusts-sd-images",
+        "src/ssetforge/corpus.py",
+        "if base is not image and not image.space.same_presentation(sd(base.space)):",
+        "if False:",
+        "a loaded member sd-X is taken for sd(X), so it must be sd(X)",
     ),
 ]
 

@@ -14,8 +14,9 @@ Exit codes: 0 success; 1 a failed verification; 2 no certified
 desingularization, which only the explicit checks ``desing --method
 zipper`` and ``--method oracle`` (above its ``--bound``, default 10) end
 with, as the default method always certifies; 3 a malformed input file
-(one that is not UTF-8 included, and a corpus manifest whose regular or
-singular flag disagrees with its member), reported as one line
+(one that is not UTF-8 included, a corpus manifest whose regular or
+singular flag disagrees with its member, and one whose member sd-X is
+not sd of its member X), reported as one line
 ``forge: <file>:<line>: <message>`` on stderr, a file that cannot be
 read or written, reported as ``forge: <file>: <reason>``, or a usage
 error (an unknown command or option, a missing argument, a value of the

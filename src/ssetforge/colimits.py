@@ -402,9 +402,9 @@ def product(x: SimplicialSet, y: SimplicialSet) -> ProductResult:
     their common degeneracy split off, read from each factor's
     ``face_row``: the rows are kept on the factors, so each is evaluated
     once per factor, for this product, later products and the validation
-    of both projections alike.  No cell is labelled: the projections send
-    each cell to its pair's two simplices, which is where
-    ``verify.prism_comparison`` reads them.
+    of both projections alike.  The projections send each cell to its
+    pair's two simplices, which is where ``verify.prism_comparison`` reads
+    them.
     """
     pairs: list[tuple[Simplex, Simplex]] = []
     for q in range(x.dim + y.dim + 1):

@@ -7,7 +7,7 @@ standard simplices along same-degree cell identifications; the Kan
 subdivisions of everything small enough supply the guaranteed-regular
 population.  A saved corpus is a ``textio`` manifest and one `.sset`
 file per member; loading refuses a flag that its member's regularity
-contradicts.
+contradicts, and a member sd-X that is not sd of the member X.
 """
 
 from __future__ import annotations
@@ -134,20 +134,31 @@ def save_corpus(corpus: Corpus, directory) -> None:
 
 def load_corpus(directory) -> Corpus:
     """The corpus a manifest names.  Each member's regularity is decided
-    again, and a flag that disagrees is a ParseError naming its line."""
+    again, and a flag that disagrees is a ParseError naming its line; so
+    is a member sd-X that is not sd(X), which ``verify`` takes it for."""
     root = Path(directory)
     manifest = root / "manifest.txt"
     seed, members = parse_file(manifest, parse_manifest)
     entries = []
+
+    def refuse(message: str, number: int) -> ParseError:
+        err = ParseError(message, number)
+        err.path = str(manifest)
+        return err
+
     for number, (name, provenance, flag, fname) in members:
         space = parse_file(root / fname, parse_sset)
         regular = is_regular(space)
         if regular != (flag == "regular"):
             actual = "regular" if regular else "singular"
-            err = ParseError(f"member {name} is flagged {flag}, but it is {actual}", number)
-            err.path = str(manifest)
-            raise err
+            raise refuse(f"member {name} is flagged {flag}, but it is {actual}", number)
         entries.append(CorpusEntry(name, space, provenance, regular))
+    by_name = {e.name: e for e in entries}
+    for (number, _), image in zip(members, entries):
+        # a member with no base present is its own base, and is not checked
+        base = by_name.get(image.name.removeprefix("sd-"), image)
+        if base is not image and not image.space.same_presentation(sd(base.space)):
+            raise refuse(f"member {image.name} is not the subdivision of {base.name}", number)
     return Corpus(seed, entries)
 
 

@@ -30,8 +30,8 @@ prism nerve, both ends k and k1 with their nerve maps, and the Dwyer
 check of k.  ``cylinder_source`` builds and validates these together.
 The maps the ``dcr`` suite takes the cylinders of come out of the cell
 poset of a standard simplex, so ``representing_sharp`` returns its map
-out of one shared Delta[q]#, and a memo keyed by q keeps Delta[q] with
-its source side: one entry per simplex dimension reached, built once.
+out of one shared Delta[q]#, and a memo keyed by q keeps the source
+side over it: one entry per simplex dimension reached, built once.
 ``cylinder_reduction`` reads the memo when its map comes out of a
 shared Delta[q]#, and builds the source side afresh, keeping nothing,
 for any other poset: the cones and the lemma suite reach many posets
@@ -82,6 +82,7 @@ from typing import Hashable
 
 from .colimits import PushoutResult, pushout
 from .desingularize import DesingResult, desingularized_comparison
+from .operators import all_faces
 from .posets import (
     FinPoset,
     MonotoneMap,
@@ -182,23 +183,22 @@ def cylinder_source(p: FinPoset) -> CylinderSource:
     return CylinderSource(np_, k, k1, nerve_map(k, np_, prism), nerve_map(k1, np_, prism))
 
 
-# q -> (Delta[q], the source side over Delta[q]#): one entry per simplex
-# dimension reached, so no size limit is needed
-_SIMPLEX_SOURCES: dict[int, tuple[SimplicialSet, CylinderSource]] = {}
+# q -> the source side over Delta[q]#: one entry per simplex dimension
+# reached, so no size limit is needed
+_SIMPLEX_SOURCES: dict[int, CylinderSource] = {}
 
 
-def _simplex_source(q: int) -> tuple[SimplicialSet, CylinderSource]:
-    """Delta[q] and the source side over its cell poset, built once per q."""
+def _simplex_source(q: int) -> CylinderSource:
+    """The source side over the cell poset of Delta[q], built once per q."""
     got = _SIMPLEX_SOURCES.get(q)
     if got is None:
-        delta = standard_simplex(q)
-        got = _SIMPLEX_SOURCES[q] = (delta, cylinder_source(sharp(delta)))
+        got = _SIMPLEX_SOURCES[q] = cylinder_source(sharp(standard_simplex(q)))
     return got
 
 
 def _source_of(p: FinPoset) -> CylinderSource:
     """The memo's source side when p is a shared Delta[q]#, else a fresh one."""
-    for _, side in _SIMPLEX_SOURCES.values():
+    for side in _SIMPLEX_SOURCES.values():
         if side.nerve.poset is p:
             return side
     return cylinder_source(p)
@@ -275,12 +275,13 @@ def representing_sharp(space: SimplicialSet, s: Simplex) -> MonotoneMap:
     out of the one Delta[q]# shared by every simplex of its degree.
 
     Only the image cells of the representing map are read, so no
-    simplicial map is built: the cell of Delta[q] labelled by the face mu
-    goes to the cell of s.mu, and the monotone map checks the result."""
+    simplicial map is built: cell cid of Delta[q], the face
+    ``all_faces(q)[cid]``, goes to the cell of s.mu, and the monotone map
+    checks the result."""
     keep = sorted(generated_cells(space, [s.cell]))
     sub = SimplicialSet({cid: space.cells[cid] for cid in keep})
-    delta, side = _simplex_source(s.degree)
-    mapping = {cid: sub.eval(s, mu).cell for cid, mu in delta.labels.items()}
+    side = _simplex_source(s.degree)
+    mapping = {cid: sub.eval(s, mu).cell for cid, mu in enumerate(all_faces(s.degree))}
     return MonotoneMap(side.nerve.poset, sharp(sub), mapping)
 
 

@@ -35,9 +35,9 @@ value or its hash.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from operator import itemgetter, ne
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class Operator(tuple):
@@ -119,14 +119,6 @@ def make_face(i: int, n: int) -> Operator:
     if n < 1 or not 0 <= i <= n:
         raise ValueError(f"no face operator omitting {i} into [{n}]")
     return _canon(Operator(n, tuple(j for j in range(n + 1) if j != i)))
-
-
-@lru_cache(maxsize=None)
-def make_degen(i: int, n: int) -> Operator:
-    """The degeneracy [n+1] -> [n] hitting i twice."""
-    if not 0 <= i <= n:
-        raise ValueError(f"no degeneracy repeating {i} onto [{n}]")
-    return _canon(Operator(n, tuple(j if j <= i else j - 1 for j in range(n + 2))))
 
 
 @lru_cache(maxsize=None)
@@ -258,11 +250,6 @@ def _collapse_plan(steps: tuple[bool, ...]) -> tuple[Callable[[Sequence], tuple]
     # a getter of one index returns the entry, not a 1-tuple
     get = itemgetter(*starts) if len(starts) > 1 else _first
     return get, degeneracy_from_repeats(reps, len(steps))
-
-
-def all_operators(src: int, dst: int) -> Iterator[Operator]:
-    for vals in combinations_with_replacement(range(dst + 1), src + 1):
-        yield Operator(dst, vals)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ cell id i, element i of the poset, so a chain is its own cell's vertex
 row: a ``Nerve`` keeps one table of chains, id to chain, as its
 ``vertex_rows`` table from the start, and ``chain_ids``, its inverse,
 shares each chain tuple.  A cell's chain of elements is its row read
-through ``poset.elements``; no cell carries a label.  The chains are
+through ``poset.elements``.  The chains are
 built by extension, a level at a time: the faces of c + (j,) are the
 extensions by j of the faces of c, then c, so each face id is one
 lookup of (face id, j) in a table of the extensions built, and no chain

@@ -123,27 +123,21 @@ class Cell(NamedTuple):
 class SimplicialSet:
     """Cell table with validated face-of-face identities.
 
-    ``cells`` maps integer ids to Cell records.  ``labels`` maps ids to
-    construction data, is not part of the presentation, and is filled
-    only where a program path reads it:
+    ``cells`` maps integer ids to Cell records, and a cell's id is its
+    only name: cell cid of ``standard_simplex(n)`` is the face
+    ``all_faces(n)[cid]``, ``subdivision._sd_cells`` lists the carrier and
+    chain of each cell of ``sd`` in id order, a nerve's chains are its
+    vertex rows, a quotient's classes are the fibres of its projection,
+    and a product's, pushout's or subcomplex's cells are named by its
+    maps.
 
-    - ``subdivision.sd``: each cell's carrier and chain, read by
-      ``b_nat``, ``last_vertex``, ``sd_map`` and ``verify._corpus_sd``;
-    - ``standard_simplex``: each cell's face operator, read by
-      ``simplex_map`` and ``cylinders.representing_sharp``.
-
-    Every other constructor passes none: a nerve's chains are its vertex
-    rows, a quotient's classes are the fibres of its projection, and a
-    product's, pushout's or subcomplex's cells are named by its maps.
-
-    Both tables are kept as given, not copied: a caller hands over tables
-    it no longer changes, as every constructor does with the tables it
+    The table is kept as given, not copied: a caller hands over a table
+    it no longer changes, as every constructor does with the table it
     has just built.
     """
 
-    def __init__(self, cells: dict[int, Cell], labels: dict[int, object] | None = None):
+    def __init__(self, cells: dict[int, Cell]):
         self.cells = cells
-        self.labels = {} if labels is None else labels
         self._face_cache: dict[tuple[int, Operator], Simplex] = {}
         self._vertex_cache: dict[int, tuple[int, ...]] = {}
         self._row_cache: dict[Simplex, tuple[Simplex, ...]] = {}
@@ -510,8 +504,7 @@ def compose_maps(first: SimplicialMap, second: SimplicialMap) -> SimplicialMap:
 
 
 def standard_simplex(n: int) -> SimplicialSet:
-    """The n-simplex; cells are labeled by their face operators into [n],
-    the interned ones of ``all_faces``."""
+    """The n-simplex; cell cid is the face ``all_faces(n)[cid]`` of [n]."""
     faces_of = all_faces(n)
     ids = {mu.values: cid for cid, mu in enumerate(faces_of)}
     cells: dict[int, Cell] = {}
@@ -521,7 +514,7 @@ def standard_simplex(n: int) -> SimplicialSet:
             (ids[vals[:i] + vals[i + 1 :]], identity(d - 1)) for i in range(d + 1)
         ) if d else ()
         cells[cid] = Cell(d, faces)
-    return SimplicialSet(cells, dict(enumerate(faces_of)))
+    return SimplicialSet(cells)
 
 
 def generated_cells(space: SimplicialSet, seeds: Iterable[int]) -> set[int]:
@@ -558,9 +551,8 @@ def boundary(n: int) -> SimplicialSet:
 
 def simplex_map(target: SimplicialSet, s: Simplex) -> SimplicialMap:
     """The map out of the standard simplex representing the simplex s."""
-    delta = standard_simplex(s.degree)
-    asg = {cid: target.eval(s, delta.labels[cid]) for cid in delta.cells}
-    return SimplicialMap(delta, target, asg)
+    asg = {cid: target.eval(s, mu) for cid, mu in enumerate(all_faces(s.degree))}
+    return SimplicialMap(standard_simplex(s.degree), target, asg)
 
 
 def representing_map(space: SimplicialSet, cid: int) -> SimplicialMap:

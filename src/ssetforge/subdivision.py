@@ -12,16 +12,19 @@ it through the degeneracy part).
 numbered once per n (``chains_to_top``, shortest first), with the
 indices of the faces that keep the top entry and where each length
 starts.  The cells of Sd X are numbered by chain length, then carrier
-cell, then chain, so a cell's id is its carrier's offset for that length
-plus the chain's position within it, and a face's id is found the same
-way.  The rebasing of a last face depends only on n, the chain and the
-degeneracy of the carrier's face at the chain's second-to-last entry, so
-it is computed once per such triple.
+cell in id order, then chain, so a cell's id is its carrier's offset for
+that length plus the chain's position within it, and a face's id is
+found the same way.  The id is a cell's only name: ``last_vertex`` and
+``sd_map`` read each cell's (carrier, chain) off ``_sd_cells``, which
+lists them in id order.  The rebasing of a last face depends only on n,
+the chain and the degeneracy of the carrier's face at the chain's
+second-to-last entry, so it is computed once per such triple.
 
-A map into the nerve BX is fixed by where it sends vertices, and the
-vertex of Sd X at (x, identity) is the barycentre of x.  So ``b_nat`` is
-built by ``map_into_nerve`` from the vertex labels: each vertex goes to
-its carrier cell, and a subdivided cell to the carriers of its chain, in
+A map into the nerve BX is fixed by where it sends vertices, and vertex
+v of Sd X, the chain of the identity alone on the v-th cell of X in id
+order, is the barycentre of that cell.  So ``b_nat`` is built by
+``map_into_nerve`` from the sorted cell ids: each vertex goes to its
+carrier cell, and a subdivided cell to the carriers of its chain, in
 order.
 
 This direct cell structure is not taken on faith: ``sd_skeletal`` in
@@ -34,7 +37,7 @@ constructions up to isomorphism.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .desingularize import desingularized_comparison
 from .operators import (
@@ -106,8 +109,21 @@ def _rebase(n: int, k: int, degen: Operator) -> tuple[int, int, Operator]:
     return q, table.index[strict] - table.starts[q], run
 
 
+def _sd_cells(space: SimplicialSet) -> Iterator[tuple[int, tuple[Operator, ...]]]:
+    """The (carrier cell, strict chain) of each cell of sd(space), in id order."""
+    cells_of = space.cells
+    order = sorted(cells_of)
+    for q in range(space.dim + 1):
+        for x in order:
+            n = cells_of[x].dim
+            if q <= n:
+                chains, _, starts, *_ = _chain_table(n)
+                for c in chains[starts[q] : starts[q + 1]]:
+                    yield x, c
+
+
 def sd(space: SimplicialSet) -> SimplicialSet:
-    """Subdivision; cells are labeled (carrier cell, strict chain)."""
+    """Subdivision; cell ids are numbered as ``_sd_cells`` lists them."""
     cells_of = space.cells
     order = sorted(cells_of)
     top = space.dim
@@ -126,18 +142,16 @@ def sd(space: SimplicialSet) -> SimplicialSet:
         x: [space.eval(space.simplex(x), mu) for mu in tables[x].proper] for x in order
     }
     cells: dict[int, Cell] = {}
-    labels: dict[int, object] = {}
     point = Cell(0, ())
     for x in order:  # the barycentres, chains of the identity alone
         cells[offset[x][0]] = point
-        labels[offset[x][0]] = (x, tables[x].chains[0])
     for q in range(1, top + 1):
         ident = identity(q - 1)
         for x in order:
             n = cells_of[x].dim
             if q > n:
                 continue
-            chains, _, starts, inner, _, penult = tables[x]
+            _, _, starts, inner, _, penult = tables[x]
             cid, below, x_faces = offset[x][q], offset[x][q - 1], faces_at[x]
             for k in range(starts[q], starts[q + 1]):
                 z, degen = x_faces[penult[k]]
@@ -145,9 +159,8 @@ def sd(space: SimplicialSet) -> SimplicialSet:
                 faces = [(below + j, ident) for j in inner[k]]
                 faces.append((offset[z][fq] + pos, run))
                 cells[cid] = Cell(q, tuple(faces))
-                labels[cid] = (x, chains[k])
                 cid += 1
-    return SimplicialSet(cells, labels)
+    return SimplicialSet(cells)
 
 
 def sd_map(
@@ -157,9 +170,9 @@ def sd_map(
 ) -> SimplicialMap:
     sds = sd(f.source) if sd_source is None else sd_source
     sdt = sd(f.target) if sd_target is None else sd_target
-    target_ids = {label: cid for cid, label in sdt.labels.items()}
+    target_ids = {pair: cid for cid, pair in enumerate(_sd_cells(f.target))}
     asg: dict[int, Simplex] = {}
-    for cid, (x, c) in sds.labels.items():
+    for cid, (x, c) in enumerate(_sd_cells(f.source)):
         fx = f.assignment[x]
         pushed = tuple(ez_factor(compose(mu, fx.degen))[0] for mu in c)
         strict, degen = run_collapse(pushed)
@@ -171,19 +184,18 @@ def b_nat(space: SimplicialSet, sd_space: SimplicialSet | None = None) -> Simpli
     """The natural comparison from the subdivision to the nerve of the
     cell poset: a chain of faces goes to the chain of their carriers.
 
-    Vertex v of Sd X is the barycentre of cell ``labels[v][0]``, and a
-    cell's carriers are its vertex row read through those labels.  No
+    Vertex v of Sd X is the barycentre of ``sorted(space.cells)[v]``, and
+    a cell's carriers are its vertex row read through that order.  No
     chain entry is evaluated on X.  The target is ``barratt(space)``."""
     sds = sd(space) if sd_space is None else sd_space
-    labels = sds.labels
-    return map_into_nerve(sds, barratt(space), lambda v: labels[v][0])
+    return map_into_nerve(sds, barratt(space), sorted(space.cells).__getitem__)
 
 
 def last_vertex(space: SimplicialSet) -> SimplicialMap:
     """The map sending a chain of faces to the simplex of their last vertices."""
     sds = sd(space)
     asg: dict[int, Simplex] = {}
-    for cid, (x, c) in sds.labels.items():
+    for cid, (x, c) in enumerate(_sd_cells(space)):
         n = space.cells[x].dim
         alpha = Operator(n, tuple(max(mu.values) for mu in c))
         asg[cid] = space.eval(space.simplex(x), alpha)

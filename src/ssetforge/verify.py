@@ -140,16 +140,11 @@ def format_report(report: Report, timings: bool = False) -> str:
 
 
 def _corpus_sd(entry: CorpusEntry, by_name: dict[str, CorpusEntry]) -> SimplicialSet:
-    """sd of a member, taken from the corpus when gen_corpus already built it.
-
-    Only a built image carries (cell, chain) labels.  b_nat reads just the
-    vertex labels, each vertex's carrier cell, and needs them; an image read
-    from a corpus directory has no labels and is built again.
-    """
+    """sd of a member: the corpus's member sd-X when there is one, else
+    built.  ``gen_corpus`` builds that member as sd(X), and ``load_corpus``
+    refuses one that is not, so it has sd's cell ids, which b_nat reads."""
     image = by_name.get(f"sd-{entry.name}")
-    if image is not None and image.space.labels:
-        return image.space
-    return sd(entry.space)
+    return sd(entry.space) if image is None else image.space
 
 
 class Comparison(NamedTuple):
@@ -224,8 +219,7 @@ def verify_second_subdivision(corpus: Corpus) -> Report:
     for entry in corpus:
         if entry.provenance == "sd-image" or sd_size(entry.space) > SD_CAP:
             continue
-        image = by_name.get(f"sd-{entry.name}")
-        y = image.space if image is not None else sd(entry.space)
+        y = _corpus_sd(entry, by_name)
         c = _compare(y, lambda: sd(y))
         report.add(
             f"corollary/{entry.name}", c.iso,
@@ -582,7 +576,7 @@ def prism_comparison(p: FinPoset) -> SimplicialMap:
 
     def element_of(v: int) -> tuple:
         e = p.elements[first[v].cell]
-        (level,) = interval.labels[second[v].cell].values
+        (level,) = all_faces(1)[second[v].cell].values
         return e, level
 
     return map_into_nerve(prism.space, nerve(product_poset(p, chain_poset(1))), element_of)

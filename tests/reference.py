@@ -14,7 +14,8 @@ decide one degree q by evaluating the map on every q-simplex, degenerate
 ones included; ``injective_in_degree`` and ``surjective_in_degree`` compare
 the image cells of the cells of dimension up to q.
 ``quotient_by_classes`` is the quotient read off ``Congruence.classes()``,
-the walk over every simplex of degree up to the bound.
+the walk over every simplex of degree up to the bound, returned beside
+the members of each class.
 ``UnionPushout`` is the pushout as the quotient of the disjoint union by
 the congruence its span generates, defined for any span, and its
 mediator checks agreement on A and walks the members of each class;
@@ -34,8 +35,9 @@ their nerve maps on every call; ``representing_sharp`` and
 tests that need two maps out of one; the program builds each
 representing map out of a Delta[q] of its own.
 ``label_nerve`` and ``label_nerve_map`` build nerves and nerve maps on
-chains of elements, found by walking the strict pairs; ``nerve`` and
-``nerve_map`` work on chains of element indices.  ``slicing_nerve``
+chains of elements, found by walking the strict pairs, each nerve
+returned beside its chain of each cell; ``nerve`` and ``nerve_map``
+work on chains of element indices.  ``slicing_nerve``
 finds each face of an index chain by slicing out one entry and looking
 the result up; ``nerve`` reads it off the ids of one-element extensions.
 ``recursive_vertex_rows`` finds each cell's vertex row by recursion on
@@ -48,8 +50,9 @@ is ``run_collapse`` by its definition, and ``pair_scan_closure`` closes a
 relation by composing every two pairs until nothing is added, where
 ``FinPoset`` walks successor sets.
 ``reference_sd`` numbers the subdivided cells through a dict keyed by
-(carrier cell, chain of operators) and rebases every last face afresh;
-``sd`` works on chain indices and offsets.  ``carrier_b_nat`` finds the
+(carrier cell, chain of operators), as ``sd_pairs`` lists them, rebases
+every last face afresh, and returns that list beside the space; ``sd``
+works on chain indices and offsets.  ``carrier_b_nat`` finds the
 carriers of a subdivided cell by evaluating each chain entry on the
 carrier cell; ``b_nat`` reads them off the cell's vertex row.
 ``reference_regularity_witness`` decides each cell's attachment by
@@ -87,24 +90,28 @@ degeneracy of each (braces text, degree) pair instead.
 relation over all n! relabellings; ``all_posets`` permutes elements only
 within classes of equal (|down-set|, |up-set|) signatures.
 
-The program labels only the cells of ``sd`` and ``standard_simplex``,
-so the tests read every other fact where it lives:
+The program labels no cell: a cell's id is its only name, so the tests
+read every fact where it lives.  A cell of Delta[n] is the face
+operator ``all_faces(n)[cid]``, and a cell of Sd X is the pair at its
+id in ``sd_pairs``.
 ``chain_labels`` is each nerve cell's chain of elements, its vertex row
 read through ``poset.elements``; ``fibres`` lists the cells a map sends
 onto each target cell, which for a quotient's projection are the
 members of each class, and ``pushout_classes`` does the same for the
 two pushout legs, with the cells of X u Y numbered as ``disjoint_union``
 numbers them; ``pair_ids``
-numbers a product's pairs, read off its two projections; and a cell of the boundary of Delta[n] is
-the face operator ``all_faces(n)[cid]``, the label of that cell in
-Delta[n].
+numbers a product's pairs, read off its two projections.
+``all_operators`` enumerates every operator [src] -> [dst], and
+``make_degen(i, n)`` is the elementary degeneracy [n+1] -> [n] hitting
+i twice; no program path needs either.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter, deque
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
+from typing import Iterator
 
 from ssetforge.colimits import (
     Congruence,
@@ -136,7 +143,6 @@ from ssetforge.operators import (
     ez_factor,
     face_restriction,
     identity,
-    make_degen,
     make_face,
     make_vertex,
     run_collapse,
@@ -175,6 +181,17 @@ from ssetforge.simplicial import (
 )
 from ssetforge.subdivision import chains_to_top
 from ssetforge.textio import ParseError
+
+
+def all_operators(src: int, dst: int) -> Iterator[Operator]:
+    """Every weakly monotone map [src] -> [dst]."""
+    for vals in combinations_with_replacement(range(dst + 1), src + 1):
+        yield Operator(dst, vals)
+
+
+def make_degen(i: int, n: int) -> Operator:
+    """The degeneracy [n+1] -> [n] hitting i twice."""
+    return degeneracy_from_repeats({i}, n + 1)
 
 
 class SimplexCongruence:
@@ -384,13 +401,17 @@ def pair_ids(pr: ProductResult) -> dict[tuple[Simplex, Simplex], int]:
 def simplex_map_from(target: SimplicialSet, s: Simplex, delta: SimplicialSet) -> SimplicialMap:
     """``simplex_map`` out of the given standard simplex ``delta`` of the
     degree of s, for a test that needs two maps out of one Delta[q]."""
-    return SimplicialMap(delta, target, {cid: target.eval(s, mu) for cid, mu in delta.labels.items()})
+    faces = all_faces(s.degree)
+    return SimplicialMap(delta, target, {cid: target.eval(s, faces[cid]) for cid in delta.cells})
 
 
-def quotient_by_classes(space: SimplicialSet, cong: Congruence) -> QuotientResult:
+def quotient_by_classes(
+    space: SimplicialSet, cong: Congruence
+) -> tuple[QuotientResult, dict[int, tuple[int, ...]]]:
     """The quotient by its definition: the classes with no degenerate member
     are the cells, in ``classes()`` order, and every other class is the
-    degeneration of a lower class through its least degenerate member."""
+    degeneration of a lower class through its least degenerate member.
+    Beside it, the member cells of each cell's class."""
     classes = cong.classes()
     is_cell = {
         root: all(not m.is_degenerate for m in members)
@@ -420,7 +441,7 @@ def quotient_by_classes(space: SimplicialSet, cong: Congruence) -> QuotientResul
         return out
 
     cells: dict[int, Cell] = {}
-    labels: dict[int, object] = {}
+    members_of: dict[int, tuple[int, ...]] = {}
     for root, members in classes.items():
         if not is_cell[root]:
             continue
@@ -431,14 +452,14 @@ def quotient_by_classes(space: SimplicialSet, cong: Congruence) -> QuotientResul
             fs = normal_form(cong.find(space.eval(rep, make_face(i, q))))
             faces.append((fs.cell, fs.degen))
         cells[new_id[root]] = Cell(q, tuple(faces))
-        labels[new_id[root]] = tuple(m.cell for m in members)
-    qspace = SimplicialSet(cells, labels)
+        members_of[new_id[root]] = tuple(m.cell for m in members)
+    qspace = SimplicialSet(cells)
     projection = SimplicialMap(
         space,
         qspace,
         {cid: normal_form(cong.find(space.simplex(cid))) for cid in space.cells},
     )
-    return QuotientResult(qspace, projection)
+    return QuotientResult(qspace, projection), members_of
 
 
 class UnionPushout(PushoutResult):
@@ -528,7 +549,7 @@ def mediator(po: PushoutResult, u: SimplicialMap, v: SimplicialMap) -> Simplicia
 
 def _end_inclusion(pr: ProductResult, level: int) -> SimplicialMap:
     base, interval = pr.first.target, pr.second.target
-    vcell = next(c for c, lab in interval.labels.items() if lab == make_vertex(level, 1))
+    vcell = all_faces(1).index(make_vertex(level, 1))
     ids, asg = pair_ids(pr), {}
     for cid, cell in base.cells.items():
         constant = Operator(0, (0,) * (cell.dim + 1))
@@ -543,7 +564,7 @@ def prism_row(pr: ProductResult, cid: int) -> tuple:
     row = []
     for v in pr.space.vertex_rows()[cid]:
         sx, sy = pr.first.assignment[v], pr.second.assignment[v]
-        row.append((base.poset.elements[sx.cell], interval.labels[sy.cell].values[0]))
+        row.append((base.poset.elements[sx.cell], all_faces(1)[sy.cell].values[0]))
     return tuple(row)
 
 
@@ -664,20 +685,23 @@ def label_chains(p: FinPoset) -> list[tuple]:
     return out
 
 
-def label_nerve(p: FinPoset) -> SimplicialSet:
+# a nerve built on chains of elements, with each cell's chain
+LabelNerve = tuple[SimplicialSet, dict[int, tuple]]
+
+
+def label_nerve(p: FinPoset) -> LabelNerve:
     """One cell per chain of elements, in ``label_chains`` order; a face
-    drops an entry and is found by its chain."""
+    drops an entry and is found by its chain.  Beside it, each cell's
+    chain."""
     ids = {c: i for i, c in enumerate(label_chains(p))}
     cells: dict[int, Cell] = {}
-    labels: dict[int, object] = {}
     for c, cid in ids.items():
         d = len(c) - 1
         faces = tuple(
             (ids[c[:i] + c[i + 1 :]], identity(d - 1)) for i in range(d + 1)
         ) if d else ()
         cells[cid] = Cell(d, faces)
-        labels[cid] = c
-    return SimplicialSet(cells, labels)
+    return SimplicialSet(cells), {cid: c for c, cid in ids.items()}
 
 
 def slicing_nerve(p: FinPoset) -> Nerve:
@@ -723,29 +747,39 @@ def snapshot_row(space: SimplicialSet, snap: dict[int, Simplex], cid: int) -> tu
     return tuple(snap[v].cell if v in snap else v for v in recursive_vertex_rows(space)[cid])
 
 
-def label_nerve_map(
-    phi: MonotoneMap, source_nerve: SimplicialSet, target_nerve: SimplicialSet
-) -> SimplicialMap:
-    """Each chain label of the source nerve sent through phi, collapsed,
-    and looked up among the target nerve's labels."""
-    target_ids = {label: cid for cid, label in target_nerve.labels.items()}
+def label_nerve_map(phi: MonotoneMap, source: LabelNerve, target: LabelNerve) -> SimplicialMap:
+    """Each chain of the source nerve sent through phi, collapsed, and
+    looked up among the target nerve's chains; each nerve comes with its
+    chains, as ``label_nerve`` returns it."""
+    (source_nerve, source_chains), (target_nerve, target_chains) = source, target
+    target_ids = {chain: cid for cid, chain in target_chains.items()}
     asg: dict[int, Simplex] = {}
-    for cid, chain in source_nerve.labels.items():
+    for cid, chain in source_chains.items():
         collapsed, degen = two_pass_run_collapse(tuple(phi(x) for x in chain))
         asg[cid] = Simplex(target_ids[collapsed], degen)
     return SimplicialMap(source_nerve, target_nerve, asg)
 
 
-def reference_sd(space: SimplicialSet) -> SimplicialSet:
-    """Subdivision with cells keyed by (carrier cell, strict chain)."""
+def sd_pairs(space: SimplicialSet) -> list[tuple[int, tuple[Operator, ...]]]:
+    """The (carrier cell, strict chain) pairs of the subdivision, by chain
+    length, then carrier, then chain in ``chains_to_top`` order: the pair
+    at position cid is that cell's."""
     pairs: list[tuple[int, tuple[Operator, ...]]] = []
     for q in range(space.dim + 1):
         for x in sorted(space.cells):
             n = space.cells[x].dim
             pairs.extend((x, c) for c in chains_to_top(n) if len(c) == q + 1)
+    return pairs
+
+
+def reference_sd(
+    space: SimplicialSet,
+) -> tuple[SimplicialSet, list[tuple[int, tuple[Operator, ...]]]]:
+    """Subdivision with cells keyed by (carrier cell, strict chain), beside
+    its ``sd_pairs``."""
+    pairs = sd_pairs(space)
     ids = {pair: i for i, pair in enumerate(pairs)}
     cells: dict[int, Cell] = {}
-    labels: dict[int, object] = {}
     for (x, c), cid in ids.items():
         q = len(c) - 1
         faces = []
@@ -760,17 +794,17 @@ def reference_sd(space: SimplicialSet) -> SimplicialSet:
             strict, degen = run_collapse(pushed)
             faces.append((ids[(zs.cell, strict)], degen))
         cells[cid] = Cell(q, tuple(faces))
-        labels[cid] = (x, c)
-    return SimplicialSet(cells, labels)
+    return SimplicialSet(cells), pairs
 
 
 def carrier_b_nat(space: SimplicialSet, sd_space: SimplicialSet | None = None) -> SimplicialMap:
-    """b with each chain entry evaluated on the carrier cell for its carrier."""
-    sds = reference_sd(space) if sd_space is None else sd_space
+    """b with each chain entry evaluated on the carrier cell for its carrier,
+    the cells of sd_space taken as ``sd_pairs`` numbers them."""
+    sds = reference_sd(space)[0] if sd_space is None else sd_space
     bx = barratt(space)
     target_ids = {label: cid for cid, label in chain_labels(bx).items()}
     asg: dict[int, Simplex] = {}
-    for cid, (x, c) in sds.labels.items():
+    for cid, (x, c) in enumerate(sd_pairs(space)):
         gen = space.simplex(x)
         carriers = tuple(space.eval(gen, mu).cell for mu in c)
         strict, degen = run_collapse(carriers)
@@ -1096,7 +1130,7 @@ def sd_skeletal(space: SimplicialSet) -> SimplicialSet:
         phi = {key: po.right.apply(s) for key, s in phi.items()}
         for j, x in enumerate(ncells):
             for cid, chain in delta_chains.items():
-                key = (x, tuple(delta.labels[c] for c in chain))
+                key = (x, tuple(faces_n[c] for c in chain))
                 phi[key] = po.left.apply(flat.simplex(j * offd + cid))
         cur = po.space
     return cur

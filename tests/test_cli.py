@@ -495,17 +495,20 @@ def test_manifest_seed_is_ascii_digits(tmp_path, tiny_corpus, capsys, seed):
 
 
 @pytest.mark.parametrize(
-    "member, flag, message",
+    "member, flag, copied, message",
     [
-        ("circle", "regular", "member circle is flagged regular, but it is singular"),
-        ("delta-2", "singular", "member delta-2 is flagged singular, but it is regular"),
+        ("circle", "regular", None, "member circle is flagged regular, but it is singular"),
+        ("delta-2", "singular", None, "member delta-2 is flagged singular, but it is regular"),
+        ("sd-circle", "regular", "delta-2.sset",
+         "member sd-circle is not the subdivision of circle"),
     ],
 )
 def test_manifest_flag_must_match_regularity(
-    tmp_path, tiny_corpus, capsys, member, flag, message
+    tmp_path, tiny_corpus, capsys, member, flag, copied, message
 ):
     # a wrong flag would make verify main compare a member the theorem says
-    # nothing about, or skip one it covers
+    # nothing about, or skip one it covers; a member sd-X that is not sd(X),
+    # here another member's file copied over it, would be compared as sd(X)
     from ssetforge.corpus import save_corpus
     from ssetforge.textio import ParseError
 
@@ -517,6 +520,8 @@ def test_manifest_flag_must_match_regularity(
     name, provenance, _, fname = rows[line - 1].split()[1:]
     rows[line - 1] = f"member {name} {provenance} {flag} {fname}"
     manifest.write_text("\n".join(rows) + "\n")
+    if copied:
+        (cdir / fname).write_bytes((cdir / copied).read_bytes())
     with pytest.raises(ParseError) as caught:
         load_corpus(cdir)
     assert (caught.value.path, caught.value.line, str(caught.value)) == (

@@ -450,14 +450,14 @@ def _quotient_step(space, cong):
     """The oracle's search step by its definition: quotient by cong (the
     classes walk), take the first non-embedded cell in (dimension, id)
     order, and return its first member as a simplex of space."""
-    res = quotient_by_classes(space, cong)
+    res, classes = quotient_by_classes(space, cong)
     z = res.space
     order = sorted(z.cells, key=lambda c: (z.cells[c].dim, c))
     rows = recursive_vertex_rows(z)
     bad = next((c for c in order if len(set(rows[c])) != len(rows[c])), None)
     if bad is None:
         return None
-    return Simplex(res.space.labels[bad][0], identity(z.cells[bad].dim))
+    return Simplex(classes[bad][0], identity(z.cells[bad].dim))
 
 
 def test_first_singular_matches_quotient_step(corpus, monkeypatch):

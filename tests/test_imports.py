@@ -143,7 +143,6 @@ def test_no_export_shadows_a_submodule():
 # purpose (see ROADMAP.md)
 UNREAD_ALLOWED = {
     "sd_map", "barratt_map", "representing_map",  # items 1 and 2
-    "all_operators", "make_degen",  # the tests' enumeration primitives
 }
 
 # methods a library calls by name: argparse calls ``error`` on a bad

@@ -14,12 +14,10 @@ from ssetforge.desingularize import desingularize
 from ssetforge.operators import (
     Operator,
     all_degeneracies,
-    all_operators,
     compose,
     ez_factor,
     face_split,
     identity,
-    make_degen,
     make_face,
     make_vertex,
 )
@@ -54,9 +52,11 @@ from ssetforge.posets import (
 from ssetforge.subdivision import sd
 
 from reference import (
+    all_operators,
     find_isomorphism,
     injective_by_simplices,
     is_isomorphic,
+    make_degen,
     recursive_vertex_rows,
 )
 
@@ -968,7 +968,7 @@ def test_warm_face_rows_keep_map_validation_errors(corpus):
                 asg = dict(f.assignment)
                 asg[cid] = rng.choice(same)
                 assert asg[cid] in f.target._row_cache
-                fresh = SimplicialSet(f.target.cells, f.target.labels)
+                fresh = SimplicialSet(f.target.cells)
                 want = _verdict(SimplicialMap, f.source, fresh, asg)
                 assert _verdict(SimplicialMap, f.source, f.target, asg) == want
                 assert want == _verdict(_validate_map_by_eval, f.source, fresh, asg)

@@ -11,7 +11,7 @@ from ssetforge.colimits import (
 )
 from ssetforge.corpus import SD_CAP, gen_corpus, sd_size
 from ssetforge.cylinders import surjective_in_degree
-from ssetforge.operators import Operator, identity, make_face
+from ssetforge.operators import Operator, all_faces, identity, make_face
 from ssetforge.posets import barratt, barratt_map
 from ssetforge.simplicial import (
     Cell,
@@ -24,11 +24,18 @@ from ssetforge.simplicial import (
     simplex_map,
     standard_simplex,
 )
-from ssetforge.subdivision import b_nat, chains_to_top, last_vertex, sd, sd_map
+from ssetforge.subdivision import _sd_cells, b_nat, chains_to_top, last_vertex, sd, sd_map
 from ssetforge.textio import format_smap, format_sset
 from ssetforge.verify import _small_quotients
 
-from reference import carrier_b_nat, is_isomorphic, reference_sd, sd_skeletal, simplex_map_from
+from reference import (
+    carrier_b_nat,
+    is_isomorphic,
+    reference_sd,
+    sd_pairs,
+    sd_skeletal,
+    simplex_map_from,
+)
 
 # sha256 of format_sset(sd(x)) then format_smap(b_nat(x)), over the seed-0
 # members x with sd_size(x) <= SD_CAP in corpus order, recorded on the
@@ -108,7 +115,7 @@ def test_sd_map_of_representing_map():
 def test_sd_map_embeds_face():
     delta3 = standard_simplex(3)
     last = simplex_map(delta3, delta3.simplex(10))
-    assert delta3.labels[10] == make_face(3, 3)
+    assert all_faces(3)[10] == make_face(3, 3)
     lifted = sd_map(last)
     assert lifted.is_degreewise_injective()
 
@@ -160,7 +167,8 @@ def test_last_vertex_edge_patterns():
     delta1 = standard_simplex(1)
     d = last_vertex(delta1)
     sd1 = d.source
-    by_label = {sd1.labels[c]: d.assignment[c] for c in sd1.cell_ids(1)}
+    pairs = sd_pairs(delta1)
+    by_label = {pairs[c]: d.assignment[c] for c in sd1.cell_ids(1)}
     e0 = Operator(1, (0,))
     e1 = Operator(1, (1,))
     assert by_label[(2, (e0, identity(1)))] == Simplex(2, identity(1))
@@ -213,10 +221,11 @@ def test_sd_and_b_nat_bytes_are_pinned(corpus):
 
 def _assert_matches_reference(space):
     """sd on chain indices and b read off vertex rows give the reference's
-    cells, labels and assignments, in the reference's insertion order."""
-    fast, ref = sd(space), reference_sd(space)
+    cells and assignments, in the reference's insertion order, and
+    ``_sd_cells`` lists the reference's (carrier, chain) pairs."""
+    fast, (ref, pairs) = sd(space), reference_sd(space)
     assert list(fast.cells.items()) == list(ref.cells.items())
-    assert list(fast.labels.items()) == list(ref.labels.items())
+    assert list(_sd_cells(space)) == pairs
     b = b_nat(space, sd_space=fast)
     assert list(b.assignment.items()) == list(carrier_b_nat(space, sd_space=ref).assignment.items())
 

@@ -82,7 +82,7 @@ def test_main_theorem_reuses_built_sd_image(monkeypatch):
     x = boundary(2)
     image = sd(x)
     built = [CorpusEntry("b", x, "builtin", True), CorpusEntry("sd-b", image, "sd-image", True)]
-    # an image read back from text has no chain labels, so it is built again
+    # an image read back from text has sd's cell ids, so it is used as it is
     read = [built[0], CorpusEntry("sd-b", parse_sset(format_sset(image)), "sd-image", True)]
     subdivided = []
     monkeypatch.setattr("ssetforge.verify.sd", lambda s: subdivided.append(s) or sd(s))
@@ -93,7 +93,7 @@ def test_main_theorem_reuses_built_sd_image(monkeypatch):
         rep = verify_main_theorem(Corpus(0, entries))
         assert rep.ok
         reports[name] = [(c.outcome, c.details) for c in rep.cases if c.name == "main/b"]
-        assert sum(s is x for s in subdivided) == (name != "built"), name
+        assert sum(s is x for s in subdivided) == (name == "alone"), name
     assert reports["alone"] == reports["built"] == reports["read"]
 
 
@@ -105,7 +105,7 @@ def test_operator_memo_stays_small(corpus):
         name: fn for name, fn in vars(operators).items() if hasattr(fn, "cache_clear")
     }
     assert {
-        "identity", "make_face", "make_degen", "make_vertex", "compose", "ez_factor",
+        "identity", "make_face", "make_vertex", "compose", "ez_factor",
         "face_split", "section", "face_restriction", "_degeneracy", "all_degeneracies",
     } <= set(caches)
     for fn in caches.values():
@@ -214,6 +214,24 @@ def test_verify_main_report_matches_pin(tmp_path):
     report = tmp_path / "main.txt"
     assert main(["verify", "main", "--seed", "0", "--report", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_MAIN_SEED0_SHA256
+
+
+def test_saved_corpus_gives_the_pinned_report_without_building_its_images(
+    corpus, tmp_path, monkeypatch
+):
+    # load_corpus checks each sd-X member against sd(X), so both campaigns
+    # take the loaded image as it is and subdivide no member X that has one
+    save_corpus(corpus, tmp_path)
+    loaded = load_corpus(tmp_path)
+    names = {e.name for e in loaded}
+    imaged = [e.space for e in loaded if f"sd-{e.name}" in names]
+    subdivided = []
+    monkeypatch.setattr("ssetforge.verify.sd", lambda s: subdivided.append(s) or sd(s))
+    verify._COMPARISONS.clear()
+    text = format_report(verify.run_suite("main", loaded))
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_MAIN_SEED0_SHA256
+    assert len(imaged) == 26 and subdivided
+    assert not any(s is x for s in subdivided for x in imaged)
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "2"])
