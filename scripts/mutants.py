@@ -187,13 +187,20 @@ MUTANTS = [
         "        if f.degen.is_identity:\n            new_id[c] = len(new_id)\n",
         "a quotient's cells are the first cells of their classes, one per class",
     ),
-    # a cell's id is its only name: sd's numbering, and a corpus's sd images
+    # a cell's id is its only name: sd's numbering, Sd f's ids, and a corpus's sd images
     Mutant(
         "sd-cells-reverse-carriers",
         "src/ssetforge/subdivision.py",
-        "        for x in order:\n            n = cells_of[x].dim\n            if q <= n:\n",
-        "        for x in reversed(order):\n            n = cells_of[x].dim\n            if q <= n:\n",
+        "        for x in order:\n            if q <= cells_of[x].dim:\n",
+        "        for x in reversed(order):\n            if q <= cells_of[x].dim:\n",
         "sd numbers its cells by carrier in id order within a chain length",
+    ),
+    Mutant(
+        "sd-map-target-block",
+        "src/ssetforge/subdivision.py",
+        "asg[cid] = Simplex(offset[fx.cell][q] + pos, run)",
+        "asg[cid] = Simplex(offset[fx.cell][q - 1] + pos, run)",
+        "Sd f sends a chain of q+1 entries into the image cell's block of that length",
     ),
     Mutant(
         "load-corpus-trusts-sd-images",

@@ -5,10 +5,10 @@
     python3 scripts/probe_wide.py --case comparison --seed 7 --index 0
 
 With no ``--case``, it prints two tables.  The first gives, for Δ[5],
-∂Δ[5], Δ[2]×Δ[2], Δ[3]×Δ[1] and ∂Δ[6], the cells and dimension of the
-input, the cells of its subdivision, the seconds of the main comparison
-(best of three in this process) and the peak RSS of one comparison in a
-fresh process.  The main comparison is the one ``verify`` runs:
+∂Δ[5], Δ[2]×Δ[2], Δ[3]×Δ[1], ∂Δ[6] and Δ[6], the cells and dimension
+of the input, the cells of its subdivision, the seconds of the main
+comparison (best of three in this process) and the peak RSS of one
+comparison in a fresh process.  The main comparison is the one ``verify`` runs:
 ``is_regular``, ``sd``, ``b_nat``, ``desingularized_comparison`` and
 ``is_isomorphism``.  The second gives ``tracemalloc``'s live bytes per
 cell of ``sd``, of the nerve of the cell poset and of ``b`` beyond that
@@ -40,7 +40,7 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-INPUTS = ("Δ[5]", "∂Δ[5]", "Δ[2]×Δ[2]", "Δ[3]×Δ[1]", "∂Δ[6]")
+INPUTS = ("Δ[5]", "∂Δ[5]", "Δ[2]×Δ[2]", "Δ[3]×Δ[1]", "∂Δ[6]", "Δ[6]")
 BYTES_INPUTS = ("Δ[5]", "Δ[6]")
 TOP_LINES = 10
 

@@ -11,14 +11,22 @@ it through the degeneracy part).
 ``sd`` works on chain indices.  The strict chains to the top of [n] are
 numbered once per n (``chains_to_top``, shortest first), with the
 indices of the faces that keep the top entry and where each length
-starts.  The cells of Sd X are numbered by chain length, then carrier
-cell in id order, then chain, so a cell's id is its carrier's offset for
-that length plus the chain's position within it, and a face's id is
-found the same way.  The id is a cell's only name: ``last_vertex`` and
-``sd_map`` read each cell's (carrier, chain) off ``_sd_cells``, which
-lists them in id order.  The rebasing of a last face depends only on n,
-the chain and the degeneracy of the carrier's face at the chain's
-second-to-last entry, so it is computed once per such triple.
+starts.  One layout, ``_sd_layout``, numbers the cells of Sd X: by chain
+length, then carrier cell in id order, then chain, in one block per
+length and carrier, so a cell's id is its block's first id (its
+carrier's offset for that length) plus the chain's position within it.
+``sd`` builds its cells and ``_sd_cells`` lists each cell's (carrier,
+chain) by walking these blocks; the id is a cell's only name.
+
+One pushforward, ``_push``, moves a chain of faces along a degeneracy:
+each entry's face part after it, runs collapsed, and the strict chain's
+position in its table.  ``sd_map`` applies it to each cell's chain along
+the degeneracy of its carrier's image, and adds the position to the
+image cell's offset in the target's layout.  A last face is the same
+operation: the chain below the top, restricted to its second-to-last
+entry, pushed along the degeneracy of the carrier's face there.  It
+depends only on n, the chain and that degeneracy, so ``_rebase`` computes
+it once per such triple.
 
 A map into the nerve BX is fixed by where it sends vertices, and vertex
 v of Sd X, the chain of the identity alone on the v-th cell of X in id
@@ -94,72 +102,75 @@ def _chain_table(n: int) -> _ChainTable:
     return _ChainTable(chains, index, tuple(starts), inner, proper, penult)
 
 
-@lru_cache(maxsize=None)
-def _rebase(n: int, k: int, degen: Operator) -> tuple[int, int, Operator]:
-    """The last face of chain k of [n] on a carrier whose face at the chain's
-    second-to-last entry is a cell under ``degen``: the face's length q
-    (as a simplex degree), its chain's position among the chains of q+1
-    entries into [degen.dst], and its degeneracy."""
-    c = chains_to_top(n)[k]
-    nu = c[-2]
-    pushed = tuple(ez_factor(compose(face_restriction(nu, mu), degen))[0] for mu in c[:-1])
-    strict, run = run_collapse(pushed)
+def _push(chain: tuple[Operator, ...], degen: Operator) -> tuple[int, int, Operator]:
+    """Push a chain of faces forward along ``degen``: each entry's face part
+    after it, runs collapsed.  Returns the strict chain's length q (as a
+    simplex degree), its position among the chains of q+1 entries into
+    [degen.dst], and the run degeneracy."""
+    strict, run = run_collapse(tuple(ez_factor(compose(mu, degen))[0] for mu in chain))
     table = _chain_table(degen.dst)
     q = len(strict) - 1
     return q, table.index[strict] - table.starts[q], run
 
 
-def _sd_cells(space: SimplicialSet) -> Iterator[tuple[int, tuple[Operator, ...]]]:
-    """The (carrier cell, strict chain) of each cell of sd(space), in id order."""
+@lru_cache(maxsize=None)
+def _rebase(n: int, k: int, degen: Operator) -> tuple[int, int, Operator]:
+    """The last face of chain k of [n] on a carrier whose face at the chain's
+    second-to-last entry is a cell under ``degen``: the chain below the top
+    restricted to that entry, then pushed along ``degen``."""
+    c = chains_to_top(n)[k]
+    return _push(tuple(face_restriction(c[-2], mu) for mu in c[:-1]), degen)
+
+
+_Block = tuple[int, int, _ChainTable, int]  # (q, carrier, its chain table, first id)
+
+
+def _sd_layout(space: SimplicialSet) -> tuple[list[_Block], dict[int, list[int]]]:
+    """The blocks of sd(space)'s cells in id order, one per chain length q
+    and then carrier x in id order: (q, x, x's chain table, the block's
+    first id).  Also ``offset[x][q]``, the first id of x's block for q."""
     cells_of = space.cells
     order = sorted(cells_of)
+    blocks: list[_Block] = []
+    offset: dict[int, list[int]] = {x: [] for x in order}
+    count = 0
     for q in range(space.dim + 1):
         for x in order:
-            n = cells_of[x].dim
-            if q <= n:
-                chains, _, starts, *_ = _chain_table(n)
-                for c in chains[starts[q] : starts[q + 1]]:
-                    yield x, c
+            if q <= cells_of[x].dim:
+                table = _chain_table(cells_of[x].dim)
+                blocks.append((q, x, table, count))
+                offset[x].append(count)
+                count += table.starts[q + 1] - table.starts[q]
+    return blocks, offset
+
+
+def _sd_cells(space: SimplicialSet) -> Iterator[tuple[int, tuple[Operator, ...]]]:
+    """The (carrier cell, strict chain) of each cell of sd(space), in id order."""
+    for q, x, (chains, _, starts, *_), _ in _sd_layout(space)[0]:
+        for c in chains[starts[q] : starts[q + 1]]:
+            yield x, c
 
 
 def sd(space: SimplicialSet) -> SimplicialSet:
-    """Subdivision; cell ids are numbered as ``_sd_cells`` lists them."""
-    cells_of = space.cells
-    order = sorted(cells_of)
-    top = space.dim
-    tables = {x: _chain_table(cells_of[x].dim) for x in order}
-    # offset[x][q]: the id of the first cell carried by x with q+1 entries
-    offset: dict[int, list[int]] = {x: [] for x in order}
-    count = 0
-    for q in range(top + 1):
-        for x in order:
-            if q <= cells_of[x].dim:
-                starts = tables[x].starts
-                offset[x].append(count)
-                count += starts[q + 1] - starts[q]
-    # x's face at each proper face of [dim x], the second-to-last entries
-    faces_at = {
-        x: [space.eval(space.simplex(x), mu) for mu in tables[x].proper] for x in order
-    }
+    """Subdivision; cell ids are numbered as ``_sd_layout`` lays them out."""
+    blocks, offset = _sd_layout(space)
+    faces_at: dict[int, list[Simplex]] = {}
     cells: dict[int, Cell] = {}
     point = Cell(0, ())
-    for x in order:  # the barycentres, chains of the identity alone
-        cells[offset[x][0]] = point
-    for q in range(1, top + 1):
-        ident = identity(q - 1)
-        for x in order:
-            n = cells_of[x].dim
-            if q > n:
-                continue
-            _, _, starts, inner, _, penult = tables[x]
-            cid, below, x_faces = offset[x][q], offset[x][q - 1], faces_at[x]
-            for k in range(starts[q], starts[q + 1]):
-                z, degen = x_faces[penult[k]]
-                fq, pos, run = _rebase(n, k, degen)
-                faces = [(below + j, ident) for j in inner[k]]
-                faces.append((offset[z][fq] + pos, run))
-                cells[cid] = Cell(q, tuple(faces))
-                cid += 1
+    for q, x, (_, _, starts, inner, proper, penult), cid in blocks:
+        if not q:  # x's barycentre, and x's faces at the proper faces of [dim x]
+            cells[cid] = point
+            faces_at[x] = [space.eval(space.simplex(x), mu) for mu in proper]
+            continue
+        n, ident = space.cells[x].dim, identity(q - 1)
+        below, x_faces = offset[x][q - 1], faces_at[x]
+        for k in range(starts[q], starts[q + 1]):
+            z, degen = x_faces[penult[k]]
+            fq, pos, run = _rebase(n, k, degen)
+            faces = [(below + j, ident) for j in inner[k]]
+            faces.append((offset[z][fq] + pos, run))
+            cells[cid] = Cell(q, tuple(faces))
+            cid += 1
     return SimplicialSet(cells)
 
 
@@ -168,15 +179,16 @@ def sd_map(
     sd_source: SimplicialSet | None = None,
     sd_target: SimplicialSet | None = None,
 ) -> SimplicialMap:
+    """Sd f: a cell (x, c) goes to c pushed along the degeneracy of f(x), on
+    the image's cell, its id read off the target's layout."""
     sds = sd(f.source) if sd_source is None else sd_source
     sdt = sd(f.target) if sd_target is None else sd_target
-    target_ids = {pair: cid for cid, pair in enumerate(_sd_cells(f.target))}
+    offset = _sd_layout(f.target)[1]
     asg: dict[int, Simplex] = {}
     for cid, (x, c) in enumerate(_sd_cells(f.source)):
         fx = f.assignment[x]
-        pushed = tuple(ez_factor(compose(mu, fx.degen))[0] for mu in c)
-        strict, degen = run_collapse(pushed)
-        asg[cid] = Simplex(target_ids[(fx.cell, strict)], degen)
+        q, pos, run = _push(c, fx.degen)
+        asg[cid] = Simplex(offset[fx.cell][q] + pos, run)
     return SimplicialMap(sds, sdt, asg)
 
 

@@ -55,6 +55,9 @@ every last face afresh, and returns that list beside the space; ``sd``
 works on chain indices and offsets.  ``carrier_b_nat`` finds the
 carriers of a subdivided cell by evaluating each chain entry on the
 carrier cell; ``b_nat`` reads them off the cell's vertex row.
+``reference_sd_map`` pushes each chain along its carrier's image and
+looks the result up in an inverse of the target's ``sd_pairs``;
+``sd_map`` adds the pushed chain's position to its block's first id.
 ``reference_regularity_witness`` decides each cell's attachment by
 walking the closure of its last face and evaluating it on every face of
 [d] containing the vertex d; ``regularity_witness`` keeps bitmasks of
@@ -795,6 +798,21 @@ def reference_sd(
             faces.append((ids[(zs.cell, strict)], degen))
         cells[cid] = Cell(q, tuple(faces))
     return SimplicialSet(cells), pairs
+
+
+def reference_sd_map(f: SimplicialMap, sds: SimplicialSet, sdt: SimplicialSet) -> SimplicialMap:
+    """Sd f, from sd of f's source to sd of its target: each entry of a
+    cell's chain composed with the degeneracy of its carrier's image and
+    EZ-reduced, runs collapsed, and the pair on the image's cell looked up
+    by (carrier cell, strict chain)."""
+    target_ids = {pair: cid for cid, pair in enumerate(sd_pairs(f.target))}
+    asg: dict[int, Simplex] = {}
+    for cid, (x, c) in enumerate(sd_pairs(f.source)):
+        fx = f.assignment[x]
+        pushed = tuple(ez_factor(compose(mu, fx.degen))[0] for mu in c)
+        strict, degen = run_collapse(pushed)
+        asg[cid] = Simplex(target_ids[(fx.cell, strict)], degen)
+    return SimplicialMap(sds, sdt, asg)
 
 
 def carrier_b_nat(space: SimplicialSet, sd_space: SimplicialSet | None = None) -> SimplicialMap:

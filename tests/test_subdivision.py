@@ -11,7 +11,7 @@ from ssetforge.colimits import (
 )
 from ssetforge.corpus import SD_CAP, gen_corpus, sd_size
 from ssetforge.cylinders import surjective_in_degree
-from ssetforge.operators import Operator, all_faces, identity, make_face
+from ssetforge.operators import Operator, all_degeneracies, all_faces, identity, make_face
 from ssetforge.posets import barratt, barratt_map
 from ssetforge.simplicial import (
     Cell,
@@ -32,6 +32,7 @@ from reference import (
     carrier_b_nat,
     is_isomorphic,
     reference_sd,
+    reference_sd_map,
     sd_pairs,
     sd_skeletal,
     simplex_map_from,
@@ -129,6 +130,49 @@ def test_sd_map_functorial():
     one = sd_map(compose_maps(squash, to_circle), sd2, sdc)
     two = compose_maps(sd_map(squash, sd2, sd1), sd_map(to_circle, sd1, sdc))
     assert one == two
+
+
+def _simplices(space, n):
+    """Every simplex of degree n of space, the degenerate ones included."""
+    for x, cell in space.cells.items():
+        for degen in all_degeneracies(n, cell.dim):
+            yield Simplex(x, degen)
+
+
+def _small_members(corpus):
+    small = [e.space for e in corpus if len(e.space.cells) <= 15]
+    assert len(small) == 31
+    return small
+
+
+def test_sd_map_matches_reference_on_corpus(corpus):
+    """sd_map gives the reference's assignment on the representing map of
+    every simplex through the dimension of each small seed-0 member."""
+    for space in _small_members(corpus):
+        sdx = sd(space)
+        for n in range(space.dim + 1):
+            sdn = sd(standard_simplex(n))
+            for s in _simplices(space, n):
+                f = simplex_map(space, s)
+                fast, ref = sd_map(f, sdn, sdx), reference_sd_map(f, sdn, sdx)
+                assert list(fast.assignment.items()) == list(ref.assignment.items())
+
+
+def test_sd_map_functorial_on_corpus(corpus):
+    """Sd(g f) = Sd g Sd f for f: Delta[m] -> Delta[n] every simplex of
+    degree m <= n and g: Delta[n] -> X every cell of each small
+    seed-0 member."""
+    sds = [sd(standard_simplex(n)) for n in range(4)]
+    for space in _small_members(corpus):
+        sdx = sd(space)
+        for x in space.cells:
+            g = representing_map(space, x)
+            n = g.source.dim
+            for m in range(n + 1):
+                for s in _simplices(g.source, m):
+                    f = simplex_map(g.source, s)
+                    one = sd_map(compose_maps(f, g), sds[m], sdx)
+                    assert one == compose_maps(sd_map(f, sds[m], sds[n]), sd_map(g, sds[n], sdx))
 
 
 def test_b_nat_iso_for_nonsingular():
