@@ -209,6 +209,15 @@ MUTANTS = [
         "if False:",
         "a loaded member sd-X is taken for sd(X), so it must be sd(X)",
     ),
+    # the collection policy in __init__.py holds only while nothing makes a cycle
+    Mutant(
+        "space-keeps-its-bound-method",
+        "src/ssetforge/simplicial.py",
+        "        self._ids: tuple[int, ...] | None = None\n        self._validate()\n",
+        "        self._ids: tuple[int, ...] | None = None\n"
+        "        self._check = self._validate\n        self._check()\n",
+        "a space that refers to itself through a bound method is freed only by the collector",
+    ),
 ]
 
 

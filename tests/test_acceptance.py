@@ -1,12 +1,12 @@
 """Acceptance gate: every criterion checked exactly, one printed line each.
 
-The heavyweight campaigns run once per session through fixtures;
-each criterion then asserts on the relevant slice of the reports, with
+The heavyweight campaigns run once per session through fixtures: the
+campaigns of `forge verify all --seed 0` in ``verify_all_run``
+(``conftest.py``), timed one by one, and the counterexamples here.
+Each criterion then asserts on the relevant slice of the reports, with
 the stated population minimums and wall clock budgets enforced as hard
 bounds.
 """
-
-import time
 
 import pytest
 
@@ -16,18 +16,12 @@ from ssetforge.cylinders import (
     surjective_in_degree,
 )
 from ssetforge.posets import FinPoset, MonotoneMap, all_posets, singleton_poset
-from ssetforge.verify import (
-    verify_counterexamples,
-    verify_dcr_suite,
-    verify_lemma_suite,
-    verify_main_theorem,
-    verify_second_subdivision,
-)
+from ssetforge.verify import verify_counterexamples
 
 
 @pytest.fixture(scope="module")
-def lemma_report(corpus):
-    return verify_lemma_suite(corpus)
+def lemma_report(verify_all_run):
+    return verify_all_run.campaigns["verify_lemma_suite"]
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +44,9 @@ def all_pass(cases):
     return bool(cases) and all(c.outcome == "pass" for c in cases)
 
 
-def test_main_theorem_regular_corpus(corpus, capsys):
-    started = time.time()
-    report = verify_main_theorem(corpus)
-    elapsed = time.time() - started
+def test_main_theorem_regular_corpus(verify_all_run, capsys):
+    report = verify_all_run.campaigns["verify_main_theorem"]
+    elapsed = verify_all_run.seconds["verify_main_theorem"]
     cases = section(report, "main/")
     zipper = all(
         dict(c.details).get("certificate") == "ZipperCertified" for c in cases
@@ -65,10 +58,9 @@ def test_main_theorem_regular_corpus(corpus, capsys):
     )
 
 
-def test_double_subdivision_corollary(corpus, capsys):
-    started = time.time()
-    report = verify_second_subdivision(corpus)
-    elapsed = time.time() - started
+def test_double_subdivision_corollary(verify_all_run, capsys):
+    report = verify_all_run.campaigns["verify_second_subdivision"]
+    elapsed = verify_all_run.seconds["verify_second_subdivision"]
     cases = section(report, "corollary/")
     ok = all_pass(cases) and len(cases) >= 15 and elapsed < 300
     announce(
@@ -91,10 +83,9 @@ def test_counterexample_noninjective_dcr(counterexample_report, capsys):
              "sibling 2-cell pair survives, degrees 1 and 2 collapse")
 
 
-def test_representing_cylinder_suite(corpus, capsys):
-    started = time.time()
-    report = verify_dcr_suite(corpus)
-    elapsed = time.time() - started
+def test_representing_cylinder_suite(verify_all_run, capsys):
+    report = verify_all_run.campaigns["verify_dcr_suite"]
+    elapsed = verify_all_run.seconds["verify_dcr_suite"]
     count = [c for c in report.cases if c.name == "dcr/pair-count"][0]
     pairs = int(dict(count.details)["pairs"])
     criterion = all(

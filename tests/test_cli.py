@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import ssetforge
 from ssetforge import cli
 from ssetforge.cli import main
 from ssetforge.corpus import Corpus, gen_corpus, load_corpus, save_corpus
@@ -21,7 +22,7 @@ from ssetforge.textio import (
     parse_smap,
     parse_sset,
 )
-from ssetforge.verify import format_report, verify_counterexamples
+from ssetforge.verify import format_report, run_suite, verify_counterexamples
 
 from reference import is_isomorphic
 from test_verify import sparse_corpora
@@ -577,25 +578,35 @@ def test_options_do_not_leak_between_calls(tmp_path, capsys, monkeypatch):
     assert "certificate OracleExact" in capsys.readouterr().out
 
 
-def test_calls_leave_no_argparse_garbage(tmp_path, capsys):
-    src = tmp_path / "stall.sset"
-    src.write_text(STALL)
-    # building the parser leaves one HelpFormatter per argument to the
-    # collector, once per process; the calls after it must leave nothing
-    cli.build_parser()
+def test_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    # the package's collection policy rests on this: reference counting
+    # frees everything the program builds, so the collector finds nothing
+    assert gc.isenabled()
+    assert gc.get_threshold()[0] == ssetforge.GC_GEN0_THRESHOLD
+    stall = tmp_path / "stall.sset"
+    stall.write_text(STALL)
+    phi = tmp_path / "phi.pmap"
+    phi.write_text(WEDGE_TO_CHAIN)
+    cli.build_parser()  # argparse's formatters make cycles once per process
     gc.collect()
     gc.garbage.clear()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        for _ in range(3):
-            assert main(["sd", str(src), "-o", str(tmp_path / "sd.sset")]) == 0
-            assert main(["desing", str(src)]) == 0
+        corpus = gen_corpus(0)
+        assert run_suite("all", corpus).ok and run_suite("counterexamples", corpus).ok
+        del corpus
+        assert main(["sd", str(stall), "-o", str(tmp_path / "sd.sset")]) == 0
+        assert main(["desing", str(stall)]) == 0
+        assert main(["desing", str(stall), "--method", "zipper"]) == 2
+        assert main(["desing", str(stall), "--method", "oracle"]) == 0
+        assert main(["cylinder", str(phi), "--bundle"]) == 0
+        assert main(["dcr", str(phi)]) == 0
         gc.collect()
-        leaked = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+        garbage = [type(o).__qualname__ for o in gc.garbage]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
-    assert leaked == []
+    assert garbage == []
 
 
 # one command line of each subcommand, with its options

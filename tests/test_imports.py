@@ -3,9 +3,10 @@
 A standard-library check over ``src/ssetforge/*.py`` and ``tests/*.py``
 with ``ast``: an import binds names, and each must be read somewhere in
 the same file, as a name or inside a quoted annotation.  The package
-namespace holds only its submodules: every name is imported from the
-submodule that defines it.  No module imports an underscore name from a
-sibling, with one named exception.  Every function and class a module
+namespace holds only its submodules and its one constant, the collection
+policy: every other name is imported from the submodule that defines
+it.  No module imports an underscore name from a sibling, with one
+named exception.  Every function and class a module
 of the package defines at its top level is read somewhere in ``src/`` or
 ``perfbench/``, with a named allowlist, and every method of its classes
 is read there as an attribute, dunders and named hooks aside.  Every
@@ -126,6 +127,7 @@ def test_no_export_shadows_a_submodule():
     # ``import ssetforge.x as m`` binds the attribute ``ssetforge.x``, so a
     # re-exported name equal to a submodule's would bind that name instead;
     # with no re-exports, every public attribute of the package is a module
+    # but the collection policy, which the package itself defines and sets
     names = [info.name for info in pkgutil.iter_modules(ssetforge.__path__)]
     assert "desingularize" in names
     for name in names:
@@ -136,7 +138,7 @@ def test_no_export_shadows_a_submodule():
         for name, value in vars(ssetforge).items()
         if not name.startswith("__") and not isinstance(value, types.ModuleType)
     ]
-    assert exported == []
+    assert exported == ["GC_GEN0_THRESHOLD"]
 
 
 # top-level names of the package that no program path reads, each kept on

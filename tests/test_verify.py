@@ -247,29 +247,8 @@ def test_verify_main_report_ignores_hash_seed(tmp_path, hash_seed):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_MAIN_SEED0_SHA256
 
 
-@pytest.fixture(scope="module")
-def verify_all_run(tmp_path_factory):
-    """`forge verify all --seed 0` run once: its report bytes, and every
-    space b_nat was called on, in call order."""
-    built = []
-    b_nat = verify.b_nat
-
-    def counted(space, *args, **kwargs):
-        built.append(space)  # kept alive, so no two spaces share an id
-        return b_nat(space, *args, **kwargs)
-
-    report = tmp_path_factory.mktemp("verify-all") / "all.txt"
-    verify.b_nat = counted
-    try:
-        assert main(["verify", "all", "--seed", "0", "--report", str(report)]) == 0
-    finally:
-        verify.b_nat = b_nat
-    return report.read_bytes(), built
-
-
 def test_verify_all_report_matches_pin(verify_all_run):
-    report, _ = verify_all_run
-    assert hashlib.sha256(report).hexdigest() == VERIFY_ALL_SEED0_SHA256
+    assert hashlib.sha256(verify_all_run.report).hexdigest() == VERIFY_ALL_SEED0_SHA256
 
 
 def test_lemma_report_reads_b_from_the_record(corpus):
@@ -289,7 +268,7 @@ def test_lemma_report_reads_b_from_the_record(corpus):
 def test_verify_all_builds_b_once_per_space(verify_all_run):
     # the lemma suite reads b's verdict for every space that the main
     # campaign or the corollary compared
-    _, built = verify_all_run
+    built = verify_all_run.built
     assert set(Counter(id(space) for space in built).values()) == {1}
     assert len(built) == VERIFY_ALL_SEED0_BNAT_CALLS_UNSHARED - 39
 
