@@ -209,6 +209,28 @@ MUTANTS = [
         "if False:",
         "a loaded member sd-X is taken for sd(X), so it must be sd(X)",
     ),
+    # maps into nerves read monotone maps' index tables
+    Mutant(
+        "pushout-into-nerve-ignores-disagreement",
+        "src/ssetforge/cylinders.py",
+        "if image.setdefault(t, got) != got:",
+        "if image.setdefault(t, got) != got and False:",
+        "two legs that send one vertex of the pushout apart fix no mediator",
+    ),
+    Mutant(
+        "compose-monotone-tables-swapped",
+        "src/ssetforge/posets.py",
+        "image = [elements[table[x]] for x in first.indices]",
+        "image = [elements[first.indices[x]] for x in table]",
+        "second . first reads the first map's table, then the second's",
+    ),
+    Mutant(
+        "b-nat-identity-reversed",
+        "src/ssetforge/subdivision.py",
+        "map_into_nerve(sds, barratt(space), list(range(len(space.cells))))",
+        "map_into_nerve(sds, barratt(space), list(range(len(space.cells)))[::-1])",
+        "vertex v of Sd X is the barycentre of element v of X#",
+    ),
     # the collection policy in __init__.py holds only while nothing makes a cycle
     Mutant(
         "space-keeps-its-bound-method",

@@ -78,7 +78,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable
 
 from .colimits import PushoutResult, pushout
 from .desingularize import DesingResult, desingularized_comparison
@@ -94,6 +93,7 @@ from .posets import (
     map_into_nerve,
     nerve,
     nerve_map,
+    nerve_of,
     poset_pushout,
     product_poset,
     sharp,
@@ -301,7 +301,7 @@ def pushout_comparison(
     is the case k : P -> P x [1].
 
     The comparison is the mediator of N(leg_ambient) and N(leg_other),
-    built by ``pushout_into_nerve`` from the legs' element maps; no map
+    built by ``pushout_into_nerve`` from the legs' tables; no map
     out of NQ is built.
     """
     nk = nerve_map(k) if k_nerve is None else k_nerve
@@ -311,32 +311,36 @@ def pushout_comparison(
     v = poset_pushout(k, phi)
     nv = nerve(v.poset)
     other = nerve_map(v.leg_other, nr, nv)
-    comp = pushout_into_nerve(po, nv, v.leg_ambient.mapping, v.leg_other.mapping)
+    comp = pushout_into_nerve(po, nv, v.leg_ambient, v.leg_other)
     return po, v, comp, other
 
 
 def pushout_into_nerve(
-    po: PushoutResult, target: Nerve, left: dict, right: dict
+    po: PushoutResult, target: Nerve, left: MonotoneMap, right: MonotoneMap
 ) -> SimplicialMap:
     """The map out of a pushout of nerves into the nerve ``target`` that
-    restricts on each leg to the nerve of its element map, ``left`` or
-    ``right``, out of the poset of that leg's source.
+    restricts on each leg to the nerve of its monotone map, ``left`` or
+    ``right``, out of the poset whose nerve is that leg's source and into
+    the poset of ``target``.
 
-    Each vertex goes where the element maps send the vertices glued to
+    Each vertex goes where the maps' tables send the vertices glued to
     it, and ``map_into_nerve`` builds and validates the rest: a map into
     a nerve is fixed by its vertices, so this is the mediator.  The right
     leg is read first, so two images that differ are caught on a vertex
     of the left leg's source, a ValueError naming the pushout's vertex.
     """
     # vertex x of a nerve is the cell x, the chain of element x
-    image: dict[int, Hashable] = {}
-    for leg, send in ((po.right, right), (po.left, left)):
+    image: dict[int, int] = {}
+    for leg, phi in ((po.right, right), (po.left, left)):
+        nerve_of(leg.source, phi.source, "source")
+        nerve_of(target, phi.target, "target")
         asg = leg.assignment
-        for x, e in enumerate(leg.source.poset.elements):
-            t, got = asg[x].cell, send[e]
+        for x, got in enumerate(phi.indices):
+            t = asg[x].cell
             if image.setdefault(t, got) != got:
+                elements = target.poset.elements
                 raise ValueError(
-                    f"vertex {t} of the pushout is sent to both {image[t]!r} and {got!r}"
+                    f"vertex {t} of the pushout is sent to both "
+                    f"{elements[image[t]]!r} and {elements[got]!r}"
                 )
-    return map_into_nerve(po.space, target, image.__getitem__)
-
+    return map_into_nerve(po.space, target, image)

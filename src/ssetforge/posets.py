@@ -10,7 +10,9 @@ built only when ``strict_pairs()`` is first read (by ``textio`` when a
 poset is written): products, full subposets and pushouts read their
 relations off the factors' up-index tables, a monotone map is checked
 an element at a time against the target's up-sets, and ``is_dwyer``
-decides its conditions on the same tables.
+decides its conditions on the same tables.  A monotone map keeps one
+table, ``indices``, the target index of each source element's image;
+it is the form in which posets and nerves pass elements to each other.
 
 The nerve of a poset has one cell per nonempty strict chain.  It is
 built on chains of element indices.  Vertex i is the chain (i,) with
@@ -24,15 +26,16 @@ extensions by j of the faces of c, then c, so each face id is one
 lookup of (face id, j) in a table of the extensions built, and no chain
 is sliced.
 
-A map into a nerve is fixed by where it sends vertices.
-``map_into_nerve`` sends each cell to the chain of its vertices'
+A map into a nerve is fixed by where it sends vertices, and
+``map_into_nerve`` takes that as a table: the target element index of
+each vertex cell.  It sends each cell to the chain of its vertices'
 images, read off the source's vertex rows and looked up in the target's
 table; only a row that is not a strict chain has its repeats collapsed
 by ``run_collapse`` and is looked up again.  A vertex row that does not
-go to a chain is a ValueError naming the cell.
-``nerve_map`` builds N(phi) through it, so it takes only nerves of the
-map's own source and target posets (or of posets equal to them) and
-raises ValueError on any other simplicial set.
+go to a chain is a ValueError naming the cell.  ``nerve_map`` builds
+N(phi) through it from phi's table, so it takes only nerves of the map's
+own source and target posets (or of posets equal to them) and raises
+ValueError on any other simplicial set.
 
 The cell poset (``sharp``) of a simplicial set orders cells by the face
 relation: y <= x when y is the non-degenerate part of some face of x.
@@ -59,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import groupby, permutations
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .operators import Operator, all_faces, identity, run_collapse
 from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet, _simplex
@@ -173,17 +176,18 @@ class FinPoset:
 class MonotoneMap:
     """A map of posets, checked monotone on index tables.
 
-    ``_image`` holds the target index of the image of each source index.
-    Monotonicity is decided an element at a time: the images of the
-    elements above a are all in the up-set of a's image.  An element
-    that fails has the first failing pair named by the pairwise check,
-    in element order, not set order.
+    ``indices`` holds the target index of the image of each source index:
+    the one table of the map, which the nerve maps, pushouts and
+    ``is_dwyer`` read and through which ``__call__`` sends an element, so
+    an element outside the source is a KeyError.  Monotonicity is decided
+    an element at a time: the images of the elements above a are all in
+    the up-set of a's image.  An element that fails has the first failing
+    pair named by the pairwise check, in element order, not set order.
     """
 
     def __init__(self, source: FinPoset, target: FinPoset, mapping: dict):
         self.source = source
         self.target = target
-        self.mapping = mapping = dict(mapping)
         index = target._index
         image = []
         for e in source.elements:
@@ -193,7 +197,7 @@ class MonotoneMap:
             if x is None:
                 raise ValueError(f"{e!r} sent outside the target poset")
             image.append(x)
-        self._image = image
+        self.indices = image
         upset, elements = target._upset, source.elements
         for a, row in enumerate(source._up_idx):
             if row and not upset[image[a]].issuperset(map(image.__getitem__, row)):
@@ -203,7 +207,7 @@ class MonotoneMap:
                         raise ValueError(f"not monotone on {a!r} < {b!r}")
 
     def __call__(self, e: Hashable) -> Hashable:
-        return self.mapping[e]
+        return self.target.elements[self.indices[self.source._index[e]]]
 
     @cached_property
     def dwyer(self) -> DwyerWitness | None:
@@ -213,8 +217,10 @@ class MonotoneMap:
 
 
 def compose_monotone(first: MonotoneMap, second: MonotoneMap) -> MonotoneMap:
-    mapping = {e: second(first(e)) for e in first.source.elements}
-    return MonotoneMap(first.source, second.target, mapping)
+    """second . first, its table the first's read through the second's."""
+    table, elements = second.indices, second.target.elements
+    image = [elements[table[x]] for x in first.indices]
+    return MonotoneMap(first.source, second.target, dict(zip(first.source.elements, image)))
 
 
 def chain_poset(n: int) -> FinPoset:
@@ -227,7 +233,8 @@ def singleton_poset(label: Hashable) -> FinPoset:
 
 def product_poset(p: FinPoset, q: FinPoset) -> FinPoset:
     """Pairs ordered componentwise, generated by a step up in one
-    coordinate, read off both factors' up-index tables."""
+    coordinate, read off both factors' up-index tables.  The pair of the
+    i-th element of p and the j-th of q is element i * len(q) + j."""
     pairs = [[(a, b) for b in q.elements] for a in p.elements]
     rel = [
         (row[j], pairs[c][j])
@@ -332,28 +339,22 @@ def nerve(p: FinPoset) -> Nerve:
 
 
 def map_into_nerve(
-    source: SimplicialSet, target: SimplicialSet, element_of: Callable[[int], Hashable]
+    source: SimplicialSet, target: SimplicialSet, image: Sequence[int] | Mapping[int, int]
 ) -> SimplicialMap:
     """The map into the nerve ``target`` sending each vertex cell v of
-    ``source`` to the element ``element_of(v)`` of ``target.poset``: each
-    cell goes to the chain of its vertices' images, degenerated along the
-    repeats.  A vertex row whose images do not form a chain, an element
-    outside the poset included, is a ValueError naming the cell.
+    ``source`` to element ``image[v]`` of ``target.poset``, given by its
+    index: each cell goes to the chain of its vertices' images,
+    degenerated along the repeats.  A vertex row whose images do not form
+    a chain is a ValueError naming the cell.
 
-    The rows are read off ``source.vertex_rows()``.  An image row is
-    looked up in ``chain_ids`` as it is first: a strict chain is its own
-    run sequence under the identity, which is what ``run_collapse``
-    gives it.  Only a row that misses is collapsed and looked up again."""
+    The rows are read off ``source.vertex_rows()``, in one walk of the
+    source's cells.  An image row is looked up in ``chain_ids`` as it is
+    first: a strict chain is its own run sequence under the identity,
+    which is what ``run_collapse`` gives it.  Only a row that misses is
+    collapsed and looked up again, and only a failing row is read as
+    elements, to name it."""
     if not isinstance(target, Nerve):
         raise ValueError("map_into_nerve: the target is not a poset nerve")
-    index, elements = target.poset._index, target.poset.elements
-    image: dict[int, int] = {}
-    for v, cell in source.cells.items():
-        if not cell.dim:
-            e = element_of(v)
-            if e not in index:
-                raise ValueError(f"vertex {v} sent to {e!r}, outside the target poset")
-            image[v] = index[e]
     chain_ids, rows, send = target.chain_ids, source.vertex_rows(), image.__getitem__
     asg: dict[int, Simplex] = {}
     for cid in source.cells:
@@ -365,18 +366,17 @@ def map_into_nerve(
         collapsed, degen = run_collapse(row)
         tid = chain_ids.get(collapsed)
         if tid is None:
-            row = tuple(elements[i] for i in collapsed)
+            row = tuple(map(target.poset.elements.__getitem__, collapsed))
             raise ValueError(f"cell {cid} sent to {row}, which is not a chain")
         asg[cid] = _simplex((tid, degen))
     return SimplicialMap(source, target, asg)
 
 
-def _nerve_of(space: SimplicialSet, p: FinPoset, side: str) -> Nerve:
-    """space itself, when it is the nerve of p or of a poset equal to it."""
+def nerve_of(space: SimplicialSet, p: FinPoset, side: str) -> Nerve:
+    """space itself, when it is the nerve of p or of a poset equal to it,
+    the map's ``side``; else a ValueError."""
     if not isinstance(space, Nerve) or (space.poset is not p and not space.poset.same_as(p)):
-        raise ValueError(
-            f"nerve_map: the {side} nerve given is not the nerve of the map's {side}"
-        )
+        raise ValueError(f"the {side} nerve given is not the nerve of the map's {side}")
     return space
 
 
@@ -391,13 +391,12 @@ def nerve_map(
     if source_nerve is None:
         np_ = nerve(phi.source)
     else:
-        np_ = _nerve_of(source_nerve, phi.source, "source")
+        np_ = nerve_of(source_nerve, phi.source, "source")
     if target_nerve is None:
         nq = nerve(phi.target)
     else:
-        nq = _nerve_of(target_nerve, phi.target, "target")
-    mapping, elements = phi.mapping, np_.poset.elements
-    return map_into_nerve(np_, nq, lambda v: mapping[elements[v]])
+        nq = nerve_of(target_nerve, phi.target, "target")
+    return map_into_nerve(np_, nq, phi.indices)
 
 
 # -- the cell poset ----------------------------------------------------------
@@ -461,7 +460,7 @@ def is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
     ``is_sieve`` on the image.
     """
     p, q = k.source, k.target
-    image = k._image
+    image = k.indices
     # preimage: the source index of each image index
     preimage = {x: e for e, x in enumerate(image)}
     if len(preimage) != len(image) or not is_sieve(q, map(q.elements.__getitem__, image)):
@@ -492,8 +491,8 @@ class PosetPushout:
         q, r = k.target, phi.target
         # the index in R where each index of k(P) in Q goes: the legs share
         # their source's elements, so their index tables line up
-        glued = dict(zip(k._image, phi._image))
-        if len(glued) != len(k._image):
+        glued = dict(zip(k.indices, phi.indices))
+        if len(glued) != len(k.indices):
             raise ValueError("pushout requires an injective embedding leg")
         if k.dwyer is None:
             raise ValueError("embedding leg admits no cosieve retraction witness")

@@ -464,6 +464,8 @@ class SimplicialMap:
     def apply(self, s: Simplex) -> Simplex:
         return self.target.eval(self.assignment[s.cell], s.degen)
 
+    # maps compare by value, so, with no __hash__ of its own, the class is
+    # unhashable: a hash by identity would part equal maps
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SimplicialMap)
@@ -471,9 +473,6 @@ class SimplicialMap:
             and self.target is other.target
             and self.assignment == other.assignment
         )
-
-    def __hash__(self):  # pragma: no cover - maps are not meant to be hashed
-        return id(self)
 
     def is_degreewise_injective(self) -> bool:
         """Read off the cells: by Eilenberg-Zilber a map is injective in

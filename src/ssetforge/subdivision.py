@@ -30,8 +30,9 @@ it once per such triple.
 
 A map into the nerve BX is fixed by where it sends vertices, and vertex
 v of Sd X, the chain of the identity alone on the v-th cell of X in id
-order, is the barycentre of that cell.  So ``b_nat`` is built by
-``map_into_nerve`` from the sorted cell ids: each vertex goes to its
+order, is the barycentre of that cell, element v of the cell poset X#,
+which numbers the cells in id order too.  So ``b_nat`` is built by
+``map_into_nerve`` from the identity table: each vertex goes to its
 carrier cell, and a subdivided cell to the carriers of its chain, in
 order.
 
@@ -196,11 +197,12 @@ def b_nat(space: SimplicialSet, sd_space: SimplicialSet | None = None) -> Simpli
     """The natural comparison from the subdivision to the nerve of the
     cell poset: a chain of faces goes to the chain of their carriers.
 
-    Vertex v of Sd X is the barycentre of ``sorted(space.cells)[v]``, and
-    a cell's carriers are its vertex row read through that order.  No
-    chain entry is evaluated on X.  The target is ``barratt(space)``."""
+    Vertex v of Sd X is the barycentre of the v-th cell of X in id
+    order, element v of X#: the vertex map is the identity table, and a
+    cell's vertex row is the chain of its carriers' indices.  No chain
+    entry is evaluated on X.  The target is ``barratt(space)``."""
     sds = sd(space) if sd_space is None else sd_space
-    return map_into_nerve(sds, barratt(space), sorted(space.cells).__getitem__)
+    return map_into_nerve(sds, barratt(space), list(range(len(space.cells))))
 
 
 def last_vertex(space: SimplicialSet) -> SimplicialMap:

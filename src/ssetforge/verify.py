@@ -569,24 +569,23 @@ def verify_lemma_suite(corpus: Corpus) -> Report:
 def prism_comparison(p: FinPoset) -> SimplicialMap:
     """The comparison NP x Delta[1] -> N(P x [1]) of the prism as a product
     with the prism as a nerve, built from its vertex map: the vertex
-    ((e,), level) goes to (e, level)."""
+    ((e,), level) goes to (e, level), whose index in P x [1] is twice
+    e's in P, plus level."""
     np_, interval = nerve(p), standard_simplex(1)
     prism = product(np_, interval)
     first, second = prism.first.assignment, prism.second.assignment
-
-    def element_of(v: int) -> tuple:
-        e = p.elements[first[v].cell]
+    image = {}
+    for v in prism.space.cell_ids(0):
         (level,) = all_faces(1)[second[v].cell].values
-        return e, level
-
-    return map_into_nerve(prism.space, nerve(product_poset(p, chain_poset(1))), element_of)
+        image[v] = 2 * first[v].cell + level
+    return map_into_nerve(prism.space, nerve(product_poset(p, chain_poset(1))), image)
 
 
 def _cosieve_extension_square(k: MonotoneMap, phi: MonotoneMap) -> bool:
     """Pushing out along the rest of the target reproduces the full pushout:
     for W the cosieve of k's Dwyer witness, the comparison of NQ u_NW
     N(W u_P R) with N(Q u_P R), by the full pushout's leg out of Q and
-    by ``glue``, is an isomorphism."""
+    by ``glue``, the inclusion, is an isomorphism."""
     witness = k.dwyer
     if witness is None:
         return False
@@ -601,8 +600,8 @@ def _cosieve_extension_square(k: MonotoneMap, phi: MonotoneMap) -> bool:
     # both poset pushouts name their elements ("r", y) for y in R and
     # ("q", x) for x outside k(P), and W lies in Q, so W u_P R lies in
     # Q u_P R element for element: glue is the inclusion
-    glue = {e: e for e in small.poset.elements}
-    comparison = pushout_into_nerve(po, nerve(big.poset), big.leg_ambient.mapping, glue)
+    glue = MonotoneMap(small.poset, big.poset, {e: e for e in small.poset.elements})
+    comparison = pushout_into_nerve(po, nerve(big.poset), big.leg_ambient, glue)
     return comparison.is_isomorphism()
 
 

@@ -307,7 +307,7 @@ def test_reduced_cone_is_the_nerve_of_the_poset_cone():
     assert is_isomorphic(bundle.reduced, nerve(q))
     # P plus one apex, comparable with each element of P
     assert len(q) == 5 and len(q.strict_pairs()) == len(p.strict_pairs()) + 4
-    apex = bundle.poset.leg_other.mapping["apex"]
+    apex = bundle.poset.leg_other("apex")
     assert all(q.leq(apex, e) or q.leq(e, apex) for e in q.elements)
 
 
@@ -381,13 +381,28 @@ def test_pushout_comparison_names_the_vertex_its_legs_disagree_on(monkeypatch, l
 
     def tampered(k, phi):
         v = build(k, phi)
-        changed = "apex" if leg == "leg_other" else (0, 0)
-        getattr(v, leg).mapping[changed] = ("q", (0, 1))
+        changed = getattr(v, leg)
+        e = "apex" if leg == "leg_other" else (0, 0)
+        changed.indices[changed.source.elements.index(e)] = v.poset.elements.index(("q", (0, 1)))
         return v
 
     monkeypatch.setattr(cylinders, "poset_pushout", tampered)
     with pytest.raises(ValueError, match=f"^vertex {apex} of the pushout is sent to both "):
         cylinder_reduction(phi)
+
+
+def test_pushout_into_nerve_takes_only_nerves_of_its_maps_posets():
+    # the legs swapped: each leg's source nerve is the nerve of the other
+    # map's source; a map into another poset's nerve is refused as well
+    phi = wedge_to_chain()
+    p = phi.source
+    po, v, comp, _ = pushout_comparison(cylinder_end(p, product_poset(p, chain_poset(1)), 0), phi)
+    assert cylinders.pushout_into_nerve(po, comp.target, v.leg_ambient, v.leg_other) == comp
+    for side, legs, target in (("source", (v.leg_other, v.leg_ambient), comp.target),
+                               ("target", (v.leg_ambient, v.leg_other), nerve(phi.target))):
+        message = f"^the {side} nerve given is not the nerve of the map's {side}$"
+        with pytest.raises(ValueError, match=message):
+            cylinders.pushout_into_nerve(po, target, *legs)
 
 
 @pytest.mark.parametrize("triple", verify._dwyer_triples(), ids=lambda t: t[0])
@@ -405,7 +420,7 @@ def test_cosieve_square_names_the_vertex_its_legs_disagree_on(monkeypatch, tripl
         v = build_poset(k_, phi_)
         if k_ is k:
             changed.append(next(x for x in v.poset.elements if x != want))
-            v.leg_ambient.mapping[k(e)] = changed[0]
+            v.leg_ambient.indices[k.indices[0]] = v.poset.elements.index(changed[0])
         return v
 
     def recorded(f, g):

@@ -8,7 +8,7 @@ and legs, cell for cell and id for id.  Every map out
 of a pushout that the program builds is built by ``pushout_into_nerve``
 from its vertex images, not as a mediator, so that is wrapped as well,
 and each map it returns is asserted equal to the reference pushout's
-mediator of the nerves of its two element maps: the cylinders'
+mediator of the nerves of its two monotone maps: the cylinders'
 comparisons and the lemma suite's cosieve squares alike.
 """
 
@@ -75,8 +75,7 @@ def checked(monkeypatch):
         got = into_nerve(po, target, left, right)
         _, old = built.pop(id(po))
         u, v = (
-            nerve_map(MonotoneMap(leg.source.poset, target.poset, send), leg.source, target)
-            for leg, send in ((po.left, left), (po.right, right))
+            nerve_map(phi, leg.source, target) for leg, phi in ((po.left, left), (po.right, right))
         )
         _same_map(got, old.mediator(u, v))
         seen["comparisons"] += 1

@@ -219,6 +219,15 @@ def test_identity_and_compose():
     assert g.assignment == f.assignment
 
 
+def test_maps_compare_by_value_and_are_not_hashed():
+    # equal maps would hash apart by identity, so a map has no hash
+    f = representing_map(sphere2(), 1)
+    g = compose_maps(identity_map(f.source), f)
+    assert g == f and g is not f
+    with pytest.raises(TypeError):
+        hash(f)
+
+
 def test_degreewise_checks_above_dim():
     # the collapse of an interval to a point is surjective, not injective
     x = standard_simplex(1)

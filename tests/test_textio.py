@@ -86,7 +86,7 @@ def test_pmap_round_trip_and_validation():
     r = FinPoset("uv", [("u", "v")])
     phi = MonotoneMap(p, r, {"a": "u", "b": "v", "c": "v"})
     again = parse_pmap(format_pmap(phi))
-    assert again.mapping == phi.mapping
+    assert [again(e) for e in p.elements] == [phi(e) for e in p.elements]
     # reversing where a and b land breaks monotonicity
     bad = format_pmap(phi).replace("send a u", "send a v").replace("send b v", "send b u")
     with pytest.raises(ValueError):
