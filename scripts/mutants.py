@@ -125,16 +125,37 @@ MUTANTS = [
     Mutant(
         "dwyer-retraction-max",
         "src/ssetforge/posets.py",
-        "        if len(p_down[top]) + 1 != len(below):\n",
+        "        if not all(top in p_up[e] for e in below):\n",
         "        if False:\n",
         "each w of the cosieve needs a maximum below it, which also makes k full",
     ),
     Mutant(
+        "dwyer-top-most-above",
+        "src/ssetforge/posets.py",
+        "top = min(below, key=lambda e: len(p_up[e]))",
+        "top = max(below, key=lambda e: len(p_up[e]))",
+        "the maximum of a set is its element with the fewest elements above it",
+    ),
+    Mutant(
         "dwyer-sieve",
         "src/ssetforge/posets.py",
-        "or not is_sieve(q, map(q.elements.__getitem__, image)):",
-        "or not is_sieve(q, ()):",
+        "if any(not q_up[y].isdisjoint(inside) for y in range(len(q)) if y not in inside):",
+        "if False:",
         "a Dwyer map's image is a sieve: down-closed in the target",
+    ),
+    Mutant(
+        "from-indices-unchecked",
+        "src/ssetforge/posets.py",
+        "        phi._check(source, target, image)\n",
+        "        phi.source, phi.target, phi.indices = source, target, image\n",
+        "a map built from its index table takes the element constructor's monotone check",
+    ),
+    Mutant(
+        "cylinder-end-ignores-level",
+        "src/ssetforge/posets.py",
+        "[2 * i + level for i in range(len(p))]",
+        "[2 * i for i in range(len(p))]",
+        "element i at level 1 of P x [1] is element 2 * i + 1",
     ),
     Mutant(
         "isomorphism-cell-count",
@@ -220,8 +241,8 @@ MUTANTS = [
     Mutant(
         "compose-monotone-tables-swapped",
         "src/ssetforge/posets.py",
-        "image = [elements[table[x]] for x in first.indices]",
-        "image = [elements[first.indices[x]] for x in table]",
+        "[table[x] for x in first.indices]",
+        "[first.indices[x] for x in table]",
         "second . first reads the first map's table, then the second's",
     ),
     Mutant(

@@ -1,18 +1,21 @@
 """Finite posets, their nerves, and the cell poset of a simplicial set.
 
 A poset numbers its elements in the order given and keeps, for each
-element, the ascending indices of the elements above and below it, and
-its up-set as a set of indices: the order table, which ``leq`` reads.
-Every relation it is given is closed, so a constructor passes only
-generating pairs; a cycle is named by the first pair of equivalent
-elements in element order.  The set of strict pairs of elements is
-built only when ``strict_pairs()`` is first read (by ``textio`` when a
-poset is written): products, full subposets and pushouts read their
-relations off the factors' up-index tables, a monotone map is checked
-an element at a time against the target's up-sets, and ``is_dwyer``
-decides its conditions on the same tables.  A monotone map keeps one
-table, ``indices``, the target index of each source element's image;
-it is the form in which posets and nerves pass elements to each other.
+element, its up-set twice: as a set of indices and as the ascending
+indices of the elements above it.  These index tables are the only place
+the program reads order.  Every relation it is given is closed, so a
+constructor passes only generating pairs; a cycle is named by the first
+pair of equivalent elements in element order.  The set of strict pairs
+of elements is built only when ``strict_pairs()`` is first read (by
+``textio`` when a poset is written): products, full subposets and
+pushouts read their relations off the factors' up-index tables, a
+monotone map is checked an element at a time against the target's
+up-sets, and ``is_dwyer`` decides its conditions on the same tables.  A
+monotone map keeps one table, ``indices``, the target index of each
+source element's image; it is the form in which posets and nerves pass
+elements to each other, and the maps whose tables are known by
+construction (composites, cylinder ends, pushout legs and Dwyer
+retractions) are built from them by ``MonotoneMap.from_indices``.
 
 The nerve of a poset has one cell per nonempty strict chain.  It is
 built on chains of element indices.  Vertex i is the chain (i,) with
@@ -59,9 +62,8 @@ key are isomorphic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import groupby, permutations
+from itertools import count, groupby, permutations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .operators import Operator, all_faces, identity, run_collapse
@@ -73,10 +75,10 @@ class FinPoset:
 
     It keeps two tables of one fact, both filled by the closure it
     computes anyway.  ``_upset[i]`` is the set of indices above element
-    i, i included: the membership tests of ``leq``, ``MonotoneMap`` and
-    ``is_dwyer`` read it.  ``_up_idx[i]`` lists the same indices, i left
-    out, ascending: the readers that go in element order read it (``up``,
-    the nerve's chains, the relations of products, full subposets and
+    i, i included: the membership tests of ``MonotoneMap``, ``is_dwyer``
+    and ``is_cosieve`` read it.  ``_up_idx[i]`` lists the same indices, i
+    left out, ascending: the readers that go in element order read it
+    (the nerve's chains, the relations of products, full subposets and
     pushouts, ``strict_pairs`` and the naming of a first failing pair).
     A set gives no order and a list no constant-time membership, so
     deriving either from the other where it is read would redo that
@@ -119,13 +121,10 @@ class FinPoset:
                     raise ValueError(f"not antisymmetric: {a!r} and {b!r} are equivalent")
         # no element reaches itself now, so reach[i] with i added is the
         # up-set of element i: the order table
-        down: list[list[int]] = [[] for _ in elements]
-        for a, row in enumerate(up):
-            reach[a].add(a)
-            for b in row:
-                down[b].append(a)
+        for a, row in enumerate(reach):
+            row.add(a)
         self._upset: list[set[int]] = reach
-        self._up_idx, self._down_idx = up, down
+        self._up_idx = up
         self._lt: frozenset | None = None
 
     def __len__(self) -> int:
@@ -133,16 +132,6 @@ class FinPoset:
 
     def __contains__(self, e: Hashable) -> bool:
         return e in self._index
-
-    def leq(self, a: Hashable, b: Hashable) -> bool:
-        index = self._index
-        return a == b or (a in index and b in index and index[b] in self._upset[index[a]])
-
-    def up(self, a: Hashable) -> tuple:
-        return tuple(map(self.elements.__getitem__, self._up_idx[self._index[a]]))
-
-    def down(self, a: Hashable) -> tuple:
-        return tuple(map(self.elements.__getitem__, self._down_idx[self._index[a]]))
 
     def strict_pairs(self) -> frozenset:
         """The pairs (a, b) with a < b, built on the first call and kept."""
@@ -179,15 +168,16 @@ class MonotoneMap:
     ``indices`` holds the target index of the image of each source index:
     the one table of the map, which the nerve maps, pushouts and
     ``is_dwyer`` read and through which ``__call__`` sends an element, so
-    an element outside the source is a KeyError.  Monotonicity is decided
-    an element at a time: the images of the elements above a are all in
-    the up-set of a's image.  An element that fails has the first failing
-    pair named by the pairwise check, in element order, not set order.
+    an element outside the source is a KeyError.  The constructor takes
+    a dict of elements and translates it; ``from_indices`` takes the
+    table itself.  Both run one check: monotonicity is decided an element
+    at a time, the images of the elements above a all in the up-set of
+    a's image.  For the first element a that fails, in element order, the
+    pair named is a < b for the first b of a's ascending up-row whose
+    image is not in that up-set.
     """
 
     def __init__(self, source: FinPoset, target: FinPoset, mapping: dict):
-        self.source = source
-        self.target = target
         index = target._index
         image = []
         for e in source.elements:
@@ -197,20 +187,41 @@ class MonotoneMap:
             if x is None:
                 raise ValueError(f"{e!r} sent outside the target poset")
             image.append(x)
-        self.indices = image
-        upset, elements = target._upset, source.elements
+        self._check(source, target, image)
+
+    @classmethod
+    def from_indices(
+        cls, source: FinPoset, target: FinPoset, indices: Iterable[int]
+    ) -> MonotoneMap:
+        """The map sending source element i to target element indices[i],
+        checked for length, range and monotonicity."""
+        image, size = list(indices), len(target.elements)
+        if len(image) != len(source.elements):
+            raise ValueError(f"{len(image)} indices for {len(source.elements)} elements")
+        for e, x in zip(source.elements, image):
+            if not 0 <= x < size:
+                raise ValueError(f"{e!r} sent to index {x!r}, outside the target poset")
+        phi = cls.__new__(cls)
+        phi._check(source, target, image)
+        return phi
+
+    def _check(self, source: FinPoset, target: FinPoset, image: list[int]) -> None:
+        """Keep image as the table of a map source -> target, once it is
+        checked monotone; else a ValueError naming the first failing pair."""
+        upset = target._upset
         for a, row in enumerate(source._up_idx):
             if row and not upset[image[a]].issuperset(map(image.__getitem__, row)):
-                a = elements[a]
-                for b in source.up(a):
-                    if not target.leq(mapping[a], mapping[b]):
-                        raise ValueError(f"not monotone on {a!r} < {b!r}")
+                above = upset[image[a]]
+                b = next(b for b in row if image[b] not in above)
+                a, b = source.elements[a], source.elements[b]
+                raise ValueError(f"not monotone on {a!r} < {b!r}")
+        self.source, self.target, self.indices = source, target, image
 
     def __call__(self, e: Hashable) -> Hashable:
         return self.target.elements[self.indices[self.source._index[e]]]
 
     @cached_property
-    def dwyer(self) -> DwyerWitness | None:
+    def dwyer(self) -> MonotoneMap | None:
         """``is_dwyer(self)``, decided once per map: a map shared by many
         pushouts, such as a cylinder's level-0 end, is checked once."""
         return is_dwyer(self)
@@ -218,9 +229,8 @@ class MonotoneMap:
 
 def compose_monotone(first: MonotoneMap, second: MonotoneMap) -> MonotoneMap:
     """second . first, its table the first's read through the second's."""
-    table, elements = second.indices, second.target.elements
-    image = [elements[table[x]] for x in first.indices]
-    return MonotoneMap(first.source, second.target, dict(zip(first.source.elements, image)))
+    table = second.indices
+    return MonotoneMap.from_indices(first.source, second.target, [table[x] for x in first.indices])
 
 
 def chain_poset(n: int) -> FinPoset:
@@ -246,38 +256,18 @@ def product_poset(p: FinPoset, q: FinPoset) -> FinPoset:
     return FinPoset([x for row in pairs for x in row], rel)
 
 
-def full_subposet(p: FinPoset, subset: Iterable[Hashable]) -> FinPoset:
-    """The elements of subset, in p's order, with p's order among them."""
-    keep = set(subset)
-    elements = p.elements
-    kept = [i for i, e in enumerate(elements) if e in keep]
-    inside = set(kept)
+def full_subposet(p: FinPoset, kept: Sequence[int]) -> FinPoset:
+    """The elements of p at the ascending indices kept, with p's order
+    among them."""
+    elements, inside = p.elements, set(kept)
     rel = [(elements[i], elements[j]) for i in kept for j in p._up_idx[i] if j in inside]
     return FinPoset([elements[i] for i in kept], rel)
 
 
-def down_closure(p: FinPoset, subset: Iterable[Hashable]) -> set:
-    out = set(subset)
-    for e in list(out):
-        out.update(p.down(e))
-    return out
-
-
-def up_closure(p: FinPoset, subset: Iterable[Hashable]) -> set:
-    out = set(subset)
-    for e in list(out):
-        out.update(p.up(e))
-    return out
-
-
-def is_sieve(p: FinPoset, subset: Iterable[Hashable]) -> bool:
-    sub = set(subset)
-    return down_closure(p, sub) == sub
-
-
-def is_cosieve(p: FinPoset, subset: Iterable[Hashable]) -> bool:
-    sub = set(subset)
-    return up_closure(p, sub) == sub
+def is_cosieve(p: FinPoset, kept: Iterable[int]) -> bool:
+    """Whether the element indices kept are up-closed in p."""
+    sub = set(kept)
+    return all(p._upset[i] <= sub for i in sub)
 
 
 # -- nerves -----------------------------------------------------------------
@@ -433,16 +423,12 @@ def barratt_map(
 # -- Dwyer embeddings and pushouts -------------------------------------------
 
 
-@dataclass
-class DwyerWitness:
-    cosieve: tuple
-    retraction: MonotoneMap
-
-
-def is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
-    """A witness that k is an injective sieve embedding admitting a
-    cosieve W containing the image on which the image is a reflective
-    sieve: each w in W has a maximum r(w) of {p : k(p) <= w}.
+def is_dwyer(k: MonotoneMap) -> MonotoneMap | None:
+    """The retraction r : W -> P witnessing that k : P -> Q is an
+    injective sieve embedding admitting a cosieve W containing the image
+    on which the image is a reflective sieve: each w in W has a maximum
+    r(w) of {p : k(p) <= w}.  W is ``r.source``, the full subposet of Q
+    on its elements; None when k is no Dwyer map.
 
     Only W = up-closure of k(P) can pass, so no other is tried.  A
     cosieve containing the image contains that up-closure, and any
@@ -454,31 +440,32 @@ def is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
     Fullness needs no test of its own.  For a and b with k(a) <= k(b),
     the check at w = k(b) finds a maximum m of {e : k(e) <= k(b)}; b <= m
     gives k(b) <= k(m) <= k(b), so m = b as k is injective, and a <= b.
-    Injectivity is
-    decided on k's image indices and each r(w) on the down-set table of
-    Q, with no pairwise scan of either poset; the sieve condition is
-    ``is_sieve`` on the image.
+
+    Every condition is decided on the up-set tables ``_upset`` of P and
+    Q and on k's image indices, with no pairwise scan of either poset.
+    An element below the maximum of a set has a strictly larger up-set,
+    so the maximum, if there is one, is the element with the fewest
+    elements above it, and it is one exactly when it lies above them all.
     """
     p, q = k.source, k.target
     image = k.indices
-    # preimage: the source index of each image index
-    preimage = {x: e for e, x in enumerate(image)}
-    if len(preimage) != len(image) or not is_sieve(q, map(q.elements.__getitem__, image)):
+    q_up, p_up = q._upset, p._upset
+    inside = set(image)
+    if len(inside) != len(image):
         return None
-    # W = up-closure of k(P); for w in it, below = k^-1(down-set of w) is
-    # down-closed in P, so it has a maximum exactly when some m in it has
-    # a down-set as large as all of it
-    base = set(image).union(*map(q._upset.__getitem__, image))
-    q_down, p_down = q._down_idx, p._down_idx
-    mapping = {}
-    for w in sorted(base):
-        below = [preimage[x] for x in (*q_down[w], w) if x in preimage]
-        top = max(below, key=lambda e: len(p_down[e]))
-        if len(p_down[top]) + 1 != len(below):
+    # the image is a sieve: no element outside it lies below one in it
+    if any(not q_up[y].isdisjoint(inside) for y in range(len(q)) if y not in inside):
+        return None
+    # W = up-closure of k(P); below holds the e with k(e) <= w
+    base = sorted(set().union(*map(q_up.__getitem__, image)))
+    tops = []
+    for w in base:
+        below = [e for e, x in enumerate(image) if w in q_up[x]]
+        top = min(below, key=lambda e: len(p_up[e]))
+        if not all(top in p_up[e] for e in below):
             return None
-        mapping[q.elements[w]] = p.elements[top]
-    w_elems = tuple(mapping)
-    return DwyerWitness(w_elems, MonotoneMap(full_subposet(q, w_elems), p, mapping))
+        tops.append(top)
+    return MonotoneMap.from_indices(full_subposet(q, base), p, tops)
 
 
 class PosetPushout:
@@ -497,15 +484,19 @@ class PosetPushout:
         if k.dwyer is None:
             raise ValueError("embedding leg admits no cosieve retraction witness")
 
-        # each element made once, by index, and the relations read off
-        # both targets' up-index tables
-        ours = [("r", y) for y in r.elements]
-        sent = [ours[glued[i]] if i in glued else ("q", x) for i, x in enumerate(q.elements)]
+        # each index of Q goes to its glued index in R, or past R's to its
+        # position among the new elements; the relations are read off both
+        # targets' up-index tables
+        fresh = count(len(r))
+        table = [glued[i] if i in glued else next(fresh) for i in range(len(q))]
+        elements = [("r", y) for y in r.elements]
+        elements += [("q", x) for i, x in enumerate(q.elements) if i not in glued]
+        sent = [elements[x] for x in table]
         rel = [(sent[a], sent[b]) for a, row in enumerate(q._up_idx) for b in row]
-        rel += [(ours[a], ours[b]) for a, row in enumerate(r._up_idx) for b in row]
-        self.poset = FinPoset(ours + [e for e in sent if e[0] == "q"], rel)
-        self.leg_ambient = MonotoneMap(q, self.poset, dict(zip(q.elements, sent)))
-        self.leg_other = MonotoneMap(r, self.poset, dict(zip(r.elements, ours)))
+        rel += [(elements[a], elements[b]) for a, row in enumerate(r._up_idx) for b in row]
+        self.poset = FinPoset(elements, rel)
+        self.leg_ambient = MonotoneMap.from_indices(q, self.poset, table)
+        self.leg_other = MonotoneMap.from_indices(r, self.poset, range(len(r)))
 
 
 def poset_pushout(k: MonotoneMap, phi: MonotoneMap) -> PosetPushout:
@@ -529,7 +520,10 @@ def face_poset(n: int) -> FinPoset:
 
 
 def cylinder_end(p: FinPoset, cyl: FinPoset, level: int) -> MonotoneMap:
-    return MonotoneMap(p, cyl, {e: (e, level) for e in p.elements})
+    """The end of cyl = ``product_poset(p, chain_poset(1))`` at level:
+    the i-th element e of p goes to (e, level), element 2 * i + level of
+    cyl."""
+    return MonotoneMap.from_indices(p, cyl, [2 * i + level for i in range(len(p))])
 
 
 def psi(n: int) -> MonotoneMap:

@@ -63,7 +63,6 @@ from .posets import (
     compose_monotone,
     cylinder_end,
     face_poset,
-    full_subposet,
     is_cosieve,
     map_into_nerve,
     nerve,
@@ -561,7 +560,7 @@ def verify_lemma_suite(corpus: Corpus) -> Report:
         missing = set(ps.target.elements) - image
         report.add(
             f"psi-image/{n}",
-            missing == {make_vertex(n, n)} and is_cosieve(ps.target, image),
+            missing == {make_vertex(n, n)} and is_cosieve(ps.target, ps.indices),
         )
     return report
 
@@ -583,14 +582,13 @@ def prism_comparison(p: FinPoset) -> SimplicialMap:
 
 def _cosieve_extension_square(k: MonotoneMap, phi: MonotoneMap) -> bool:
     """Pushing out along the rest of the target reproduces the full pushout:
-    for W the cosieve of k's Dwyer witness, the comparison of NQ u_NW
+    for W the source of k's Dwyer retraction, the comparison of NQ u_NW
     N(W u_P R) with N(Q u_P R), by the full pushout's leg out of Q and
     by ``glue``, the inclusion, is an isomorphism."""
-    witness = k.dwyer
-    if witness is None:
+    retraction = k.dwyer
+    if retraction is None:
         return False
-    p, q = k.source, k.target
-    w = full_subposet(q, witness.cosieve)
+    p, q, w = k.source, k.target, retraction.source
     into_w = MonotoneMap(p, w, {e: k(e) for e in p.elements})
     j = MonotoneMap(w, q, {e: e for e in w.elements})
     small = poset_pushout(into_w, phi)

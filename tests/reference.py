@@ -63,8 +63,9 @@ walking the closure of its last face and evaluating it on every face of
 [d] containing the vertex d; ``regularity_witness`` keeps bitmasks of
 closures and of those faces' cells in one pass over the cell table.
 ``reference_is_dwyer`` searches every cosieve containing the image,
-largest first, for one carrying a retraction; ``is_dwyer`` builds the
-only one that can pass.  ``pairwise_monotone_error`` checks a map pair
+largest first, for one carrying a retraction, with order read off the
+strict pairs through ``leq``; ``is_dwyer`` builds the only one that can
+pass, on the up-set tables.  ``pairwise_monotone_error`` checks a map pair
 by pair against the posets' strict pairs; ``MonotoneMap`` decides each
 element on index tables and names a failing pair only then.
 ``sd_skeletal`` builds the subdivision from the skeleton filtration,
@@ -151,7 +152,6 @@ from ssetforge.operators import (
     run_collapse,
 )
 from ssetforge.posets import (
-    DwyerWitness,
     FinPoset,
     MonotoneMap,
     Nerve,
@@ -160,14 +160,11 @@ from ssetforge.posets import (
     chain_poset,
     compose_monotone,
     cylinder_end,
-    full_subposet,
-    is_sieve,
     nerve,
     nerve_map,
     poset_pushout,
     product_poset,
     sharp_map,
-    up_closure,
 )
 from ssetforge.simplicial import (
     Cell,
@@ -677,6 +674,11 @@ def pair_scan_closure(elements, relations) -> frozenset | str:
     return frozenset(pairs)
 
 
+def leq(p: FinPoset, a, b) -> bool:
+    """a <= b in p, read off its strict pairs."""
+    return a == b or (a, b) in p.strict_pairs()
+
+
 def label_chains(p: FinPoset) -> list[tuple]:
     """The nonempty strict chains of p, shortest first, lexicographic in
     element order within a length, each extended along the strict order."""
@@ -684,7 +686,7 @@ def label_chains(p: FinPoset) -> list[tuple]:
     level = [(e,) for e in p.elements]
     while level:
         out.extend(level)
-        level = [c + (e,) for c in level for e in p.elements if p.leq(c[-1], e) and c[-1] != e]
+        level = [c + (e,) for c in level for e in p.elements if c[-1] != e and leq(p, c[-1], e)]
     return out
 
 
@@ -872,22 +874,24 @@ def pairwise_monotone_error(source: FinPoset, target: FinPoset, mapping: dict) -
                 return f"not monotone on {a!r} < {b!r}"
     return None
 
-def reference_is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
-    """A witness that k is an injective sieve embedding admitting a
-    cosieve W containing the image on which the image is a reflective
-    sieve: each w in W has a maximum element of {p : k(p) <= w}."""
+def reference_is_dwyer(k: MonotoneMap) -> MonotoneMap | None:
+    """The retraction r : W -> P witnessing that k is an injective sieve
+    embedding admitting a cosieve W containing the image on which the
+    image is a reflective sieve: each w in W has a maximum element of
+    {p : k(p) <= w}.  Order is read off the posets' strict pairs."""
     p, q = k.source, k.target
     image = [k(e) for e in p.elements]
-    if len(set(image)) != len(image) or not is_sieve(q, image):
+    down = {e: {a for a in q.elements if leq(q, a, e)} for e in q.elements}
+    if len(set(image)) != len(image) or not all(down[e] <= set(image) for e in image):
         return None
-    if not all(p.leq(a, b) == q.leq(k(a), k(b)) for a in p.elements for b in p.elements):
+    if not all(leq(p, a, b) == leq(q, k(a), k(b)) for a in p.elements for b in p.elements):
         return None
-    base = up_closure(q, image)
+    base = {e for e in q.elements if any(leq(q, x, e) for x in image)}
     rest = [e for e in q.elements if e not in base]
     candidates = []
     for bits in range(2 ** len(rest)):
         s = {rest[i] for i in range(len(rest)) if bits >> i & 1}
-        if all(set(q.down(e)) <= s for e in s):
+        if all(down[e] <= s for e in s):
             candidates.append(s)
     candidates.sort(key=len, reverse=True)
     for s in candidates:
@@ -895,25 +899,26 @@ def reference_is_dwyer(k: MonotoneMap) -> DwyerWitness | None:
         mapping = {}
         ok = True
         for w in w_elems:
-            below = [e for e in p.elements if q.leq(k(e), w)]
-            tops = [m for m in below if all(p.leq(b, m) for b in below)]
+            below = [e for e in p.elements if leq(q, k(e), w)]
+            tops = [m for m in below if all(leq(p, b, m) for b in below)]
             if not tops:
                 ok = False
                 break
             mapping[w] = tops[0]
         if not ok:
             continue
-        w_poset = full_subposet(q, w_elems)
+        inside = set(w_elems)
+        w_poset = FinPoset(w_elems, [(a, b) for a, b in q.strict_pairs() if {a, b} <= inside])
         try:
             retraction = MonotoneMap(w_poset, p, mapping)
         except ValueError:
             continue
         if all(
-            q.leq(k(e), w) == p.leq(e, retraction(w))
+            leq(q, k(e), w) == leq(p, e, retraction(w))
             for e in p.elements
             for w in w_elems
         ):
-            return DwyerWitness(tuple(w_elems), retraction)
+            return retraction
     return None
 
 

@@ -53,6 +53,7 @@ from reference import (
     fresh_representing_sharp,
     injective_in_degree_by_simplices,
     is_isomorphic,
+    leq,
     mediator,
     prism_row,
     product_cylinder_reduction,
@@ -177,7 +178,7 @@ def _monotone_maps(max_size):
     for p, r in cartesian(posets, repeat=2):
         for images in cartesian(r.elements, repeat=len(p)):
             mapping = dict(zip(p.elements, images))
-            if all(r.leq(mapping[a], mapping[b]) for a, b in p.strict_pairs()):
+            if all(leq(r, mapping[a], mapping[b]) for a, b in p.strict_pairs()):
                 yield MonotoneMap(p, r, mapping)
 
 
@@ -308,7 +309,7 @@ def test_reduced_cone_is_the_nerve_of_the_poset_cone():
     # P plus one apex, comparable with each element of P
     assert len(q) == 5 and len(q.strict_pairs()) == len(p.strict_pairs()) + 4
     apex = bundle.poset.leg_other("apex")
-    assert all(q.leq(apex, e) or q.leq(e, apex) for e in q.elements)
+    assert all(leq(q, apex, e) or leq(q, e, apex) for e in q.elements)
 
 
 def test_desingularized_cone_is_the_reduced_cone():

@@ -31,12 +31,10 @@ from ssetforge.posets import (
     chain_poset,
     compose_monotone,
     cylinder_end,
-    down_closure,
     face_poset,
     full_subposet,
     is_cosieve,
     is_dwyer,
-    is_sieve,
     map_into_nerve,
     nerve,
     nerve_map,
@@ -46,7 +44,6 @@ from ssetforge.posets import (
     sharp,
     sharp_map,
     singleton_poset,
-    up_closure,
 )
 from ssetforge.simplicial import (
     SimplicialSet,
@@ -65,6 +62,7 @@ from reference import (
     is_isomorphic,
     label_nerve,
     label_nerve_map,
+    leq,
     pair_ids,
     pair_scan_closure,
     pairwise_monotone_error,
@@ -94,17 +92,16 @@ def wedge_poset():
 
 
 def test_poset_basics():
+    # the up-set table, each element's up-set with itself, in both forms
     p = chain_poset(2)
-    assert p.leq(0, 2) and not p.leq(2, 0)
+    assert p._upset == [{0, 1, 2}, {1, 2}, {2}] and p._up_idx == [[1, 2], [2], []]
     w = wedge_poset()
-    assert w.up("a") == ("b", "c") and w.down("a") == ()
-    assert down_closure(w, {"b"}) == {"a", "b"}
-    assert up_closure(w, {"a"}) == {"a", "b", "c"}
-    assert is_sieve(w, {"a", "b"}) and not is_sieve(w, {"b"})
-    assert is_cosieve(w, {"b", "c"}) and not is_cosieve(w, {"a", "b"})
+    assert w._upset == [{0, 1, 2}, {1}, {2}] and w._up_idx == [[1, 2], [], []]
+    # cosieves and full subposets take element indices
+    assert is_cosieve(w, [1, 2]) and is_cosieve(w, []) and not is_cosieve(w, [0, 1])
     with pytest.raises(ValueError):
         FinPoset("ab", [("a", "b"), ("b", "a")])
-    sub = full_subposet(w, {"a", "b"})
+    sub = full_subposet(w, [0, 1])
     assert sub.same_as(FinPoset("ab", [("a", "b")]))
 
 
@@ -443,6 +440,7 @@ def test_monotone_check_matches_pairwise_definition():
     rng = random.Random(45)
     posets = all_posets(4)
     found = {"not monotone": 0, "no value": 0, "outside": 0, "monotone": 0}
+    tables = 0
     for _ in range(4000):
         p, q = rng.choice(posets), rng.choice(posets)
         mapping = {e: rng.choice(q.elements) if q.elements else "x" for e in p.elements}
@@ -461,8 +459,19 @@ def test_monotone_check_matches_pairwise_definition():
             found["monotone"] += 1
         else:
             found[next(k for k in ("not monotone", "no value", "outside") if k in want)] += 1
+        # a table with every value in the target takes the same one check
+        if want is None or "not monotone" in want:
+            table = [q.elements.index(mapping[e]) for e in p.elements]
+            try:
+                MonotoneMap.from_indices(p, q, table)
+                got = None
+            except ValueError as err:
+                got = str(err)
+            assert got == want
+            tables += 1
     assert found["monotone"] >= 800 and found["not monotone"] >= 1500, found
     assert found["no value"] >= 40 and found["outside"] >= 40, found
+    assert tables == found["monotone"] + found["not monotone"]
 
 
 def _posets_of_every_constructor() -> list[FinPoset]:
@@ -474,23 +483,22 @@ def _posets_of_every_constructor() -> list[FinPoset]:
         k = cylinder_end(p, out[small.index(p) + len(small)], 0)
         out.append(poset_pushout(k, MonotoneMap(p, singleton_poset("apex"),
                                                 {e: "apex" for e in p.elements})).poset)
-        out.append(full_subposet(p, p.elements[1:]))
+        out.append(full_subposet(p, range(1, len(p))))
     out += [face_poset(2), sharp(standard_simplex(3)), psi(2).source, wedge_poset()]
     return out
 
 
-def test_leq_matches_strict_pairs():
-    # leq, read off the up-set table, is the reflexive closure of the
-    # strict pairs, and an element outside the poset is below only itself
+def test_upset_table_matches_strict_pairs():
+    # the up-set table, which every membership test of order reads, holds
+    # each element and the elements above it in the strict pairs, which
+    # are read off the up-index table: the two tables agree
     posets = _posets_of_every_constructor()
     assert len(posets) >= 90
     for p in posets:
-        lt = p.strict_pairs()
-        for a in p.elements:
-            for b in p.elements:
-                assert p.leq(a, b) == (a == b or (a, b) in lt)
-            assert not p.leq(a, "outside") and not p.leq("outside", a)
-        assert p.leq("outside", "outside")
+        above = [{i} for i in range(len(p))]
+        for a, b in p.strict_pairs():
+            above[p.elements.index(a)].add(p.elements.index(b))
+        assert p._upset == above
 
 
 def test_no_pair_set_is_built_until_strict_pairs_is_read(monkeypatch):
@@ -561,10 +569,11 @@ def test_psi_image_nerve():
     k = psi(2)
     assert len(set(k.indices)) == len(k.indices)
     img = [k(e) for e in k.source.elements]
-    assert is_cosieve(k.target, img) and not is_sieve(k.target, img)
     missing = [e for e in k.target.elements if e not in img]
     assert missing == [make_vertex(2, 2)]
-    w = full_subposet(k.target, img)
+    # up-closed, and not down-closed: the last vertex lies below the top
+    assert is_cosieve(k.target, k.indices) and leq(k.target, missing[0], identity(2))
+    w = full_subposet(k.target, sorted(k.indices))
     assert counts(nerve(w)) == (6, 9, 4)
 
 
@@ -582,10 +591,10 @@ def test_dwyer_witness_cylinder_end():
     p = chain_poset(2)
     cyl = product_poset(p, chain_poset(1))
     bottom = cylinder_end(p, cyl, 0)
-    wit = is_dwyer(bottom)
-    assert wit is not None
-    assert set(wit.cosieve) == set(cyl.elements)
-    assert all(wit.retraction((e, lv)) == e for e, lv in cyl.elements)
+    r = is_dwyer(bottom)
+    assert r is not None and r.target is p
+    assert r.source.elements == cyl.elements
+    assert all(r((e, lv)) == e for e, lv in cyl.elements)
     assert is_dwyer(cylinder_end(p, cyl, 1)) is None
 
 
@@ -596,23 +605,23 @@ def test_dwyer_witness_last_face():
             face_poset(n),
             {mu: Operator(n, mu.values) for mu in face_poset(n - 1).elements},
         )
-        wit = is_dwyer(k)
-        assert wit is not None
-        assert len(wit.cosieve) == len(face_poset(n)) - 1
+        r = is_dwyer(k)
+        assert r is not None
+        assert len(r.source) == len(face_poset(n)) - 1
         top = identity(n)
-        assert wit.retraction(top) == identity(n - 1)
+        assert r(top) == identity(n - 1)
 
 
 def test_is_dwyer_matches_cosieve_search():
     # every injective monotone map from a poset of at most 3 elements into
-    # one of at most 5: the witness built on the up-closure of the image is
-    # the one the search over all cosieves finds first, or both are None
+    # one of at most 5: the retraction built on the up-closure of the image
+    # is the one the search over all cosieves finds first, or both are None
     maps = dwyer = 0
     for p in all_posets(3):
         for q in all_posets(5):
             for values in itertools.permutations(q.elements, len(p)):
                 mapping = dict(zip(p.elements, values))
-                if not all(q.leq(mapping[a], mapping[b]) for a, b in p.strict_pairs()):
+                if not all(leq(q, mapping[a], mapping[b]) for a, b in p.strict_pairs()):
                     continue
                 k = MonotoneMap(p, q, mapping)
                 got, want = is_dwyer(k), reference_is_dwyer(k)
@@ -621,10 +630,10 @@ def test_is_dwyer_matches_cosieve_search():
                     assert got is None
                     continue
                 dwyer += 1
-                assert got.cosieve == want.cosieve
-                got_r, want_r = got.retraction, want.retraction
-                assert got_r.source.elements == want_r.source.elements
-                assert got_r.indices == want_r.indices
+                # the cosieve W is the retraction's source
+                assert got.source.elements == want.source.elements
+                assert got.source.same_as(want.source) and got.target is p
+                assert got.indices == want.indices
     # 88 of these maps leave the empty poset, one into each target
     assert (maps, dwyer) == (8946, 822)
 
@@ -673,7 +682,7 @@ def test_poset_isomorphism_search():
     vertex = {la[c][0]: lb[iso[c]][0] for c in na.cells if na.cells[c].dim == 0}
     assert len(vertex) == 6 and set(vertex.values()) == set(b.elements)
     assert all(
-        (a.leq(x, y) and x != y) == (b.leq(vertex[x], vertex[y]) and vertex[x] != vertex[y])
+        (leq(a, x, y) and x != y) == (leq(b, vertex[x], vertex[y]) and vertex[x] != vertex[y])
         for x in a.elements
         for y in a.elements
     )
@@ -733,6 +742,74 @@ def test_compose_monotone():
     assert [h(e) for e in h.source.elements] == [0, 2]
 
 
+def _same_map(got, want):
+    assert got.source is want.source and got.target is want.target
+    assert got.indices == want.indices
+
+
+def test_maps_built_from_tables_match_the_element_route():
+    # cylinder ends at both levels, pushout legs, composites and Dwyer
+    # retractions, built from their index tables, against the maps built
+    # from element dicts: the same source, target and table.  Over the
+    # posets of every constructor, with the cone of each, and the lemma
+    # suite's last-face embeddings; each span (k, phi) comes with a map
+    # into k's target to compose with the pushout's leg out of it
+    spans, ends, composites = [], [], []
+    for p in _posets_of_every_constructor():
+        cyl = product_poset(p, chain_poset(1))
+        k, back = cylinder_end(p, cyl, 0), cylinder_end(p, cyl, 1)
+        for level, end in enumerate((k, back)):
+            _same_map(end, MonotoneMap(p, cyl, {e: (e, level) for e in p.elements}))
+        cone = MonotoneMap(p, singleton_poset("apex"), {e: "apex" for e in p.elements})
+        spans.append((k, cone, back))
+        ends += [k, back]
+    for _, i0, k, phi in verify._dwyer_triples():
+        spans += [(i0, phi, i0), (k, phi, k)]
+        ends += [i0, k]
+    for n in (1, 2, 3):
+        p = face_poset(n - 1)
+        composites.append((cylinder_end(p, product_poset(p, chain_poset(1)), 0), psi(n)))
+    for k, phi, back in spans:
+        q, r = k.target, phi.target
+        v = poset_pushout(k, phi)
+        glued = {k(e): phi(e) for e in k.source.elements}
+        new = [("q", x) for x in q.elements if x not in glued]
+        assert v.poset.elements == tuple(("r", y) for y in r.elements) + tuple(new)
+        ambient = {x: ("r", glued[x]) if x in glued else ("q", x) for x in q.elements}
+        _same_map(v.leg_ambient, MonotoneMap(q, v.poset, ambient))
+        _same_map(v.leg_other, MonotoneMap(r, v.poset, {y: ("r", y) for y in r.elements}))
+        composites.append((back, v.leg_ambient))
+    for f, g in composites:
+        want = MonotoneMap(f.source, g.target, {e: g(f(e)) for e in f.source.elements})
+        _same_map(compose_monotone(f, g), want)
+    retractions = 0
+    for k in ends:
+        got, want = is_dwyer(k), reference_is_dwyer(k)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.source.elements == want.source.elements
+            assert got.source.same_as(want.source) and got.target is want.target
+            assert got.indices == want.indices
+            retractions += 1
+    assert len(spans) >= 100 and len(composites) >= 100 and retractions >= 100
+
+
+def test_from_indices_refuses_a_table_that_is_no_monotone_map():
+    p, q = chain_poset(2), FinPoset("xy", [("x", "y")])
+    with pytest.raises(ValueError, match=r"^2 indices for 3 elements$"):
+        MonotoneMap.from_indices(p, q, [0, 1])
+    with pytest.raises(ValueError, match=r"^2 sent to index 2, outside the target poset$"):
+        MonotoneMap.from_indices(p, q, [0, 1, 2])
+    with pytest.raises(ValueError, match=r"^1 sent to index -1, outside the target poset$"):
+        MonotoneMap.from_indices(p, q, [0, -1, 1])
+    # the element constructor's message for the same map
+    with pytest.raises(ValueError) as want:
+        MonotoneMap(p, q, {0: "y", 1: "x", 2: "y"})
+    with pytest.raises(ValueError) as got:
+        MonotoneMap.from_indices(p, q, [1, 0, 1])
+    assert str(got.value) == str(want.value) == "not monotone on 0 < 1"
+
+
 def test_monotone_map_keeps_one_table_and_sends_only_its_source():
     p, q = chain_poset(1), FinPoset("uv", [("u", "v")])
     # the value for 5, outside the source, is not kept
@@ -773,7 +850,7 @@ def test_product_poset_is_componentwise():
                 (x, y)
                 for x in pq.elements
                 for y in pq.elements
-                if x != y and p.leq(x[0], y[0]) and q.leq(x[1], y[1])
+                if x != y and leq(p, x[0], y[0]) and leq(q, x[1], y[1])
             }
             assert pq.strict_pairs() == want
 

@@ -36,7 +36,7 @@ from ssetforge.textio import (
     write_file,
 )
 
-from reference import fstring_simplex_token, regex_parse_simplex
+from reference import fstring_simplex_token, leq, regex_parse_simplex
 
 
 def test_sset_round_trip_on_varied_spaces():
@@ -206,7 +206,7 @@ def test_invalid_presentation_is_a_parse_error_of_the_whole_text(parse, text, me
 def test_wellformed_texts_parse():
     assert len(parse_sset(SSET).cells) == 3
     assert parse_smap(SMAP).assignment[0].cell == 1
-    assert parse_poset(POSET).leq("a", "b")
+    assert leq(parse_poset(POSET), "a", "b")
     assert parse_pmap(PMAP)("p") == "b"
 
 
@@ -238,7 +238,7 @@ def _monotone_maps():
         for r in posets:
             for values in product(r.elements, repeat=len(p)):
                 mapping = dict(zip(p.elements, values))
-                if all(r.leq(mapping[a], mapping[b]) for a, b in p.strict_pairs()):
+                if all(leq(r, mapping[a], mapping[b]) for a, b in p.strict_pairs()):
                     maps.append(MonotoneMap(p, r, mapping))
     return maps
 
