@@ -13,7 +13,11 @@ prints one line per mutant: ``killed`` when a test fails, ``survived``
 when the suite passes, and ``error`` when the suite could not run (a
 collection error or a timeout) or the old text no longer occurs exactly
 once, which is never a pass.  The exit status is 0 only when every
-mutant run is killed.
+mutant run is killed.  Each mutated suite runs under an address-space
+limit of ``MEMORY_BYTES``, which the unmutated suite stays well under: a
+mutant that makes a loop build without end (a nerve whose rows keep
+their own element extends its chains forever) then fails on a
+MemoryError within seconds, instead of filling the host's memory.
 
 A mutant takes from a few seconds to a full suite run (about 1.5 min on
 a 2-core host), so this is not part of the test suite;
@@ -24,6 +28,7 @@ A change that adds a check adds its mutant here.  Standard library only.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -33,6 +38,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 1800
+MEMORY_BYTES = 2 * 1024**3
 _IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-work"
 )
@@ -118,7 +124,7 @@ MUTANTS = [
     Mutant(
         "monotone-index-check",
         "src/ssetforge/posets.py",
-        "if row and not upset[image[a]].issuperset(map(image.__getitem__, row)):",
+        "if not above.issuperset(map(image.__getitem__, row)):",
         "if False:",
         "a monotone map must send the elements above a into the up-set of a's image",
     ),
@@ -153,9 +159,24 @@ MUTANTS = [
     Mutant(
         "cylinder-end-ignores-level",
         "src/ssetforge/posets.py",
-        "[2 * i + level for i in range(len(p))]",
-        "[2 * i for i in range(len(p))]",
-        "element i at level 1 of P x [1] is element 2 * i + 1",
+        "{e: (e, level) for e in p.elements}",
+        "{e: (e, 0) for e in p.elements}",
+        "the end at level 1 sends each element e to (e, 1)",
+    ),
+    # one order table, and the rows derived from it
+    Mutant(
+        "poset-cycle-precheck",
+        "src/ssetforge/posets.py",
+        "            if a in row:\n",
+        "            if False:\n",
+        "a relation whose closure has a cycle is no partial order",
+    ),
+    Mutant(
+        "nerve-rows-keep-self",
+        "src/ssetforge/posets.py",
+        "up = [sorted(row - {i}) for i, row in enumerate(p._upset)]",
+        "up = [sorted(row) for i, row in enumerate(p._upset)]",
+        "a chain of the nerve is strict: no element follows itself",
     ),
     Mutant(
         "isomorphism-cell-count",
@@ -275,6 +296,10 @@ def check_applies(mutant: Mutant, root: Path = ROOT) -> str | None:
     return None
 
 
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
 def run_mutant(mutant: Mutant) -> tuple[str, str]:
     """(outcome, detail) of Tier-1 with -x on a mutated copy."""
     problem = check_applies(mutant)
@@ -291,7 +316,8 @@ def run_mutant(mutant: Mutant) -> tuple[str, str]:
                "--ignore=tests/test_mutants.py"]
         try:
             done = subprocess.run(
-                cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+                cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+                preexec_fn=_limit_memory,
             )
         except subprocess.TimeoutExpired:
             return "error", f"timeout after {TIMEOUT_S} s"
@@ -301,6 +327,9 @@ def run_mutant(mutant: Mutant) -> tuple[str, str]:
         return "survived", last
     if done.returncode == 1:
         failed = next((ln for ln in lines if ln.startswith(("FAILED", "ERROR"))), "")
+        if not failed and done.stderr.strip():
+            # a suite cut short by the memory limit prints no summary
+            failed = done.stderr.strip().splitlines()[-1]
         return "killed", f"{failed} | {last}" if failed else last
     return "error", f"pytest exit {done.returncode}: {last}"
 

@@ -112,7 +112,7 @@ def _random_quotient(rng: random.Random) -> SimplicialSet:
         space, _, _ = disjoint_union(space, nxt)
     pairs = []
     for _ in range(rng.randint(1, 3)):
-        degs = sorted({c.dim for c in space.cells.values() if c.dim < space.dim})
+        degs = sorted({c.dim for c in space.cells.values()} - {space.dim})
         q = rng.choice(degs)
         a, b = rng.sample(space.cell_ids(q), 2)
         pairs.append((Simplex(a, identity(q)), Simplex(b, identity(q))))

@@ -1,21 +1,25 @@
 """Finite posets, their nerves, and the cell poset of a simplicial set.
 
-A poset numbers its elements in the order given and keeps, for each
-element, its up-set twice: as a set of indices and as the ascending
-indices of the elements above it.  These index tables are the only place
-the program reads order.  Every relation it is given is closed, so a
-constructor passes only generating pairs; a cycle is named by the first
-pair of equivalent elements in element order.  The set of strict pairs
-of elements is built only when ``strict_pairs()`` is first read (by
-``textio`` when a poset is written): products, full subposets and
-pushouts read their relations off the factors' up-index tables, a
-monotone map is checked an element at a time against the target's
-up-sets, and ``is_dwyer`` decides its conditions on the same tables.  A
+A poset numbers its elements in the order given and keeps one order
+table: for each element, its up-set as a set of indices, itself
+included.  It is the only place the program reads order.  Every
+relation it is given is closed, so a constructor passes only generating
+pairs; a cycle is named by the first pair of equivalent elements in
+element order.  The set of strict pairs of elements is built only when
+``strict_pairs()`` is first read (by ``textio`` when a poset is
+written): products, full subposets and pushouts read their relations
+off the factors' up-sets, a monotone map is checked an element at a
+time against the target's up-sets, and ``is_dwyer`` decides its
+conditions on the same table.  Only the chains need the elements above
+each element in ascending order, so ``index_chains`` and ``nerve``
+derive those rows from the table once per call.  A
 monotone map keeps one table, ``indices``, the target index of each
 source element's image; it is the form in which posets and nerves pass
 elements to each other, and the maps whose tables are known by
-construction (composites, cylinder ends, pushout legs and Dwyer
-retractions) are built from them by ``MonotoneMap.from_indices``.
+construction (composites, pushout legs and Dwyer retractions) are built
+from them by ``MonotoneMap.from_indices``.  A cylinder end is built from
+its elements, (e, level), so the numbering of P x [1] is stated only by
+``product_poset``.
 
 The nerve of a poset has one cell per nonempty strict chain.  It is
 built on chains of element indices.  Vertex i is the chain (i,) with
@@ -73,16 +77,16 @@ from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet, _simplex
 class FinPoset:
     """A finite poset on the elements given, in their order.
 
-    It keeps two tables of one fact, both filled by the closure it
-    computes anyway.  ``_upset[i]`` is the set of indices above element
-    i, i included: the membership tests of ``MonotoneMap``, ``is_dwyer``
-    and ``is_cosieve`` read it.  ``_up_idx[i]`` lists the same indices, i
-    left out, ascending: the readers that go in element order read it
-    (the nerve's chains, the relations of products, full subposets and
-    pushouts, ``strict_pairs`` and the naming of a first failing pair).
-    A set gives no order and a list no constant-time membership, so
-    deriving either from the other where it is read would redo that
-    work on every read.
+    It keeps one order table, filled by the closure it computes anyway:
+    ``_upset[i]`` is the set of indices above element i, i included.
+    Every reader of order reads it: the membership tests of
+    ``MonotoneMap``, ``is_dwyer`` and ``is_cosieve``, the relations of
+    products, full subposets and pushouts, and ``strict_pairs``.  Only
+    the chains need the elements above i in ascending order, so
+    ``index_chains`` and ``nerve`` derive ``sorted(_upset[i] - {i})``
+    once per call; the first failing pair of a cycle or of a monotone
+    check is named by the least index that fails.  Besides it, the poset
+    keeps only the memo of ``strict_pairs()``.
     """
 
     def __init__(
@@ -111,20 +115,19 @@ class FinPoset:
                     else:
                         seen |= reach[k]
             reach[i] = seen
-        # up[i]: the indices above element i, ascending
-        up = [sorted(row - {i}) for i, row in enumerate(reach)]
-        # the first offending pair in element order, not set order
-        for a, row in enumerate(up):
-            for b in row:
-                if a in reach[b]:
-                    a, b = elements[a], elements[b]
-                    raise ValueError(f"not antisymmetric: {a!r} and {b!r} are equivalent")
-        # no element reaches itself now, so reach[i] with i added is the
-        # up-set of element i: the order table
+        # an element that reaches itself lies on a cycle, and the first
+        # such, with the least element it is equivalent to, is the first
+        # offending pair in element order, not set order
+        for a, row in enumerate(reach):
+            if a in row:
+                b = min(b for b in row if b != a and a in reach[b])
+                a, b = elements[a], elements[b]
+                raise ValueError(f"not antisymmetric: {a!r} and {b!r} are equivalent")
+        # no element reaches itself, so reach[i] with i added is the up-set
+        # of element i: the order table
         for a, row in enumerate(reach):
             row.add(a)
         self._upset: list[set[int]] = reach
-        self._up_idx = up
         self._lt: frozenset | None = None
 
     def __len__(self) -> int:
@@ -138,14 +141,14 @@ class FinPoset:
         if self._lt is None:
             elements = self.elements
             self._lt = frozenset(
-                (elements[a], elements[b]) for a, row in enumerate(self._up_idx) for b in row
+                (elements[a], elements[b]) for a, row in enumerate(self._upset) for b in row - {a}
             )
         return self._lt
 
     def index_chains(self) -> list[tuple[int, ...]]:
         """All nonempty strict chains as tuples of element indices, shortest
         first, lexicographic within length."""
-        up = self._up_idx
+        up = [sorted(row - {i}) for i, row in enumerate(self._upset)]
         out: list[tuple[int, ...]] = []
         level: list[tuple[int, ...]] = [(i,) for i in range(len(self.elements))]
         while level:
@@ -159,7 +162,7 @@ class FinPoset:
         return [tuple(elements[i] for i in c) for c in self.index_chains()]
 
     def same_as(self, other: "FinPoset") -> bool:
-        return self.elements == other.elements and self._up_idx == other._up_idx
+        return self.elements == other.elements and self._upset == other._upset
 
 
 class MonotoneMap:
@@ -171,10 +174,9 @@ class MonotoneMap:
     an element outside the source is a KeyError.  The constructor takes
     a dict of elements and translates it; ``from_indices`` takes the
     table itself.  Both run one check: monotonicity is decided an element
-    at a time, the images of the elements above a all in the up-set of
-    a's image.  For the first element a that fails, in element order, the
-    pair named is a < b for the first b of a's ascending up-row whose
-    image is not in that up-set.
+    at a time, the images of a's up-set all in the up-set of a's image.
+    For the first element a that fails, in element order, the pair named
+    is a < b for the least b above a whose image is not in that up-set.
     """
 
     def __init__(self, source: FinPoset, target: FinPoset, mapping: dict):
@@ -209,10 +211,10 @@ class MonotoneMap:
         """Keep image as the table of a map source -> target, once it is
         checked monotone; else a ValueError naming the first failing pair."""
         upset = target._upset
-        for a, row in enumerate(source._up_idx):
-            if row and not upset[image[a]].issuperset(map(image.__getitem__, row)):
-                above = upset[image[a]]
-                b = next(b for b in row if image[b] not in above)
+        for a, row in enumerate(source._upset):
+            above = upset[image[a]]
+            if not above.issuperset(map(image.__getitem__, row)):
+                b = min(b for b in row if image[b] not in above)
                 a, b = source.elements[a], source.elements[b]
                 raise ValueError(f"not monotone on {a!r} < {b!r}")
         self.source, self.target, self.indices = source, target, image
@@ -243,16 +245,20 @@ def singleton_poset(label: Hashable) -> FinPoset:
 
 def product_poset(p: FinPoset, q: FinPoset) -> FinPoset:
     """Pairs ordered componentwise, generated by a step up in one
-    coordinate, read off both factors' up-index tables.  The pair of the
-    i-th element of p and the j-th of q is element i * len(q) + j."""
+    coordinate, read off both factors' up-sets.  The pair of the i-th
+    element of p and the j-th of q is element i * len(q) + j; so in the
+    cylinder P x [1] = ``product_poset(p, chain_poset(1))``, (e, level)
+    is element 2 * i + level for e the i-th element of p.  This is the
+    one statement of that numbering: the program reads the cylinder's
+    elements through its ends, ``cylinder_end``."""
     pairs = [[(a, b) for b in q.elements] for a in p.elements]
     rel = [
         (row[j], pairs[c][j])
         for i, row in enumerate(pairs)
-        for c in p._up_idx[i]
+        for c in p._upset[i]
         for j in range(len(row))
     ]
-    rel += [(row[j], row[d]) for row in pairs for j, ups in enumerate(q._up_idx) for d in ups]
+    rel += [(row[j], row[d]) for row in pairs for j, ups in enumerate(q._upset) for d in ups]
     return FinPoset([x for row in pairs for x in row], rel)
 
 
@@ -260,7 +266,7 @@ def full_subposet(p: FinPoset, kept: Sequence[int]) -> FinPoset:
     """The elements of p at the ascending indices kept, with p's order
     among them."""
     elements, inside = p.elements, set(kept)
-    rel = [(elements[i], elements[j]) for i in kept for j in p._up_idx[i] if j in inside]
+    rel = [(elements[i], elements[j]) for i in kept for j in p._upset[i] if j in inside]
     return FinPoset([elements[i] for i in kept], rel)
 
 
@@ -306,7 +312,7 @@ def nerve(p: FinPoset) -> Nerve:
     edge (i, j) are the vertices (j,) and (i,).  ``ext`` holds the id of
     each extension (id, j) built, so each face id is read off c's stored
     faces: no chain is sliced or looked up."""
-    up = p._up_idx
+    up = [sorted(row - {i}) for i, row in enumerate(p._upset)]
     rows = {i: (i,) for i in range(len(p.elements))}
     cells = dict.fromkeys(rows, _cell((0, ())))
     ext: dict[tuple[int, int], int] = {}
@@ -486,14 +492,14 @@ class PosetPushout:
 
         # each index of Q goes to its glued index in R, or past R's to its
         # position among the new elements; the relations are read off both
-        # targets' up-index tables
+        # targets' up-sets
         fresh = count(len(r))
         table = [glued[i] if i in glued else next(fresh) for i in range(len(q))]
         elements = [("r", y) for y in r.elements]
         elements += [("q", x) for i, x in enumerate(q.elements) if i not in glued]
         sent = [elements[x] for x in table]
-        rel = [(sent[a], sent[b]) for a, row in enumerate(q._up_idx) for b in row]
-        rel += [(elements[a], elements[b]) for a, row in enumerate(r._up_idx) for b in row]
+        rel = [(sent[a], sent[b]) for a, row in enumerate(q._upset) for b in row]
+        rel += [(elements[a], elements[b]) for a, row in enumerate(r._upset) for b in row]
         self.poset = FinPoset(elements, rel)
         self.leg_ambient = MonotoneMap.from_indices(q, self.poset, table)
         self.leg_other = MonotoneMap.from_indices(r, self.poset, range(len(r)))
@@ -521,9 +527,9 @@ def face_poset(n: int) -> FinPoset:
 
 def cylinder_end(p: FinPoset, cyl: FinPoset, level: int) -> MonotoneMap:
     """The end of cyl = ``product_poset(p, chain_poset(1))`` at level:
-    the i-th element e of p goes to (e, level), element 2 * i + level of
-    cyl."""
-    return MonotoneMap.from_indices(p, cyl, [2 * i + level for i in range(len(p))])
+    each element e of p goes to (e, level), looked up among cyl's own
+    elements, so a cyl without those elements is a ValueError."""
+    return MonotoneMap(p, cyl, {e: (e, level) for e in p.elements})
 
 
 def psi(n: int) -> MonotoneMap:
@@ -534,12 +540,7 @@ def psi(n: int) -> MonotoneMap:
         raise ValueError("psi needs n >= 1")
     src = product_poset(face_poset(n - 1), chain_poset(1))
     dst = face_poset(n)
-    mapping = {}
-    for mu, level in src.elements:
-        if level == 0:
-            mapping[(mu, level)] = Operator(n, mu.values)
-        else:
-            mapping[(mu, level)] = Operator(n, mu.values + (n,))
+    mapping = {(mu, level): Operator(n, mu.values + (n,) * level) for mu, level in src.elements}
     return MonotoneMap(src, dst, mapping)
 
 

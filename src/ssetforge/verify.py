@@ -568,16 +568,18 @@ def verify_lemma_suite(corpus: Corpus) -> Report:
 def prism_comparison(p: FinPoset) -> SimplicialMap:
     """The comparison NP x Delta[1] -> N(P x [1]) of the prism as a product
     with the prism as a nerve, built from its vertex map: the vertex
-    ((e,), level) goes to (e, level), whose index in P x [1] is twice
-    e's in P, plus level."""
+    ((e,), level) goes to (e, level), read off the end of P x [1] at
+    level."""
     np_, interval = nerve(p), standard_simplex(1)
     prism = product(np_, interval)
     first, second = prism.first.assignment, prism.second.assignment
+    cyl = product_poset(p, chain_poset(1))
+    ends = [cylinder_end(p, cyl, level).indices for level in (0, 1)]
     image = {}
     for v in prism.space.cell_ids(0):
         (level,) = all_faces(1)[second[v].cell].values
-        image[v] = 2 * first[v].cell + level
-    return map_into_nerve(prism.space, nerve(product_poset(p, chain_poset(1))), image)
+        image[v] = ends[level][first[v].cell]
+    return map_into_nerve(prism.space, nerve(cyl), image)
 
 
 def _cosieve_extension_square(k: MonotoneMap, phi: MonotoneMap) -> bool:
@@ -589,16 +591,21 @@ def _cosieve_extension_square(k: MonotoneMap, phi: MonotoneMap) -> bool:
     if retraction is None:
         return False
     p, q, w = k.source, k.target, retraction.source
-    into_w = MonotoneMap(p, w, {e: k(e) for e in p.elements})
-    j = MonotoneMap(w, q, {e: e for e in w.elements})
-    small = poset_pushout(into_w, phi)
-    big = poset_pushout(k, phi)
+    # W is a full subposet of Q: into_w sends p to the index in W of k(p),
+    # and j sends each element of W to its index in Q
+    into_w = MonotoneMap.from_indices(p, w, [w._index[q.elements[x]] for x in k.indices])
+    j = MonotoneMap.from_indices(w, q, map(q._index.__getitem__, w.elements))
+    small, big = poset_pushout(into_w, phi), poset_pushout(k, phi)
     nw, nq, nsmall = nerve(w), nerve(q), nerve(small.poset)
     po = pushout(nerve_map(j, nw, nq), nerve_map(small.leg_ambient, nw, nsmall))
     # both poset pushouts name their elements ("r", y) for y in R and
     # ("q", x) for x outside k(P), and W lies in Q, so W u_P R lies in
-    # Q u_P R element for element: glue is the inclusion
-    glue = MonotoneMap(small.poset, big.poset, {e: e for e in small.poset.elements})
+    # Q u_P R element for element: glue is the inclusion, read off the
+    # larger poset's index and not off either leg, which it is checked
+    # against
+    glue = MonotoneMap.from_indices(
+        small.poset, big.poset, map(big.poset._index.__getitem__, small.poset.elements)
+    )
     comparison = pushout_into_nerve(po, nerve(big.poset), big.leg_ambient, glue)
     return comparison.is_isomorphism()
 

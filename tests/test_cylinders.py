@@ -440,6 +440,43 @@ def test_cosieve_square_names_the_vertex_its_legs_disagree_on(monkeypatch, tripl
     )
 
 
+def test_cosieve_square_maps_have_the_element_maps_tables(monkeypatch):
+    # into_w, j and glue are built from index tables; each has the table of
+    # the map the element route builds: k onto W, the inclusion of W in Q,
+    # and the inclusion of W u_P R in Q u_P R
+    seen = {"pushed": [], "nerve maps": []}
+    build_poset, build_map, build_into = (
+        verify.poset_pushout, verify.nerve_map, verify.pushout_into_nerve
+    )
+
+    def poset_pushout(k_, phi_):
+        seen["pushed"].append(k_)
+        return build_poset(k_, phi_)
+
+    def nerve_map(phi_, *nerves):
+        seen["nerve maps"].append(phi_)
+        return build_map(phi_, *nerves)
+
+    def pushout_into_nerve(po, target, left, right):
+        seen["glue"] = right
+        return build_into(po, target, left, right)
+
+    for name, patched in (("poset_pushout", poset_pushout), ("nerve_map", nerve_map),
+                          ("pushout_into_nerve", pushout_into_nerve)):
+        monkeypatch.setattr(verify, name, patched)
+    for _, _, k, phi in verify._dwyer_triples():
+        seen["pushed"].clear()
+        seen["nerve maps"].clear()
+        assert verify._cosieve_extension_square(k, phi)
+        (into_w, full), (j, _), glue = seen["pushed"], seen["nerve maps"], seen["glue"]
+        p, q, w = k.source, k.target, k.dwyer.source
+        assert full is k and into_w.target is w and j.target is q
+        assert into_w.indices == MonotoneMap(p, w, {e: k(e) for e in p.elements}).indices
+        assert j.indices == MonotoneMap(w, q, {e: e for e in w.elements}).indices
+        inclusion = MonotoneMap(glue.source, glue.target, {e: e for e in glue.source.elements})
+        assert glue.indices == inclusion.indices
+
+
 def test_dwyer_factorization_implication():
     # factor the last-face embedding through its cylinder cosieve
     n = 2

@@ -92,11 +92,11 @@ def wedge_poset():
 
 
 def test_poset_basics():
-    # the up-set table, each element's up-set with itself, in both forms
+    # the order table, each element's up-set with itself
     p = chain_poset(2)
-    assert p._upset == [{0, 1, 2}, {1, 2}, {2}] and p._up_idx == [[1, 2], [2], []]
+    assert p._upset == [{0, 1, 2}, {1, 2}, {2}]
     w = wedge_poset()
-    assert w._upset == [{0, 1, 2}, {1}, {2}] and w._up_idx == [[1, 2], [], []]
+    assert w._upset == [{0, 1, 2}, {1}, {2}]
     # cosieves and full subposets take element indices
     assert is_cosieve(w, [1, 2]) and is_cosieve(w, []) and not is_cosieve(w, [0, 1])
     with pytest.raises(ValueError):
@@ -489,16 +489,21 @@ def _posets_of_every_constructor() -> list[FinPoset]:
 
 
 def test_upset_table_matches_strict_pairs():
-    # the up-set table, which every membership test of order reads, holds
-    # each element and the elements above it in the strict pairs, which
-    # are read off the up-index table: the two tables agree
+    # the up-set table, the one table every reader of order reads, is a
+    # partial order on every constructor's poset: each up-set holds its
+    # element, holds the up-set of each element in it, and no two elements
+    # lie in each other's.  The strict pairs are read off it with each
+    # element's own entry left out, so they must give it back
     posets = _posets_of_every_constructor()
     assert len(posets) >= 90
     for p in posets:
+        up = p._upset
+        for i, row in enumerate(up):
+            assert i in row and all(up[j] <= row and (j == i or i not in up[j]) for j in row)
         above = [{i} for i in range(len(p))]
         for a, b in p.strict_pairs():
             above[p.elements.index(a)].add(p.elements.index(b))
-        assert p._upset == above
+        assert up == above
 
 
 def test_no_pair_set_is_built_until_strict_pairs_is_read(monkeypatch):
@@ -748,18 +753,20 @@ def _same_map(got, want):
 
 
 def test_maps_built_from_tables_match_the_element_route():
-    # cylinder ends at both levels, pushout legs, composites and Dwyer
-    # retractions, built from their index tables, against the maps built
-    # from element dicts: the same source, target and table.  Over the
-    # posets of every constructor, with the cone of each, and the lemma
-    # suite's last-face embeddings; each span (k, phi) comes with a map
-    # into k's target to compose with the pushout's leg out of it
+    # pushout legs, composites and Dwyer retractions, built from their
+    # index tables, against the maps built from element dicts: the same
+    # source, target and table; and cylinder ends at both levels, built
+    # from their elements, against the numbering product_poset states.
+    # Over the posets of every constructor, with the cone of each, and the
+    # lemma suite's last-face embeddings; each span (k, phi) comes with a
+    # map into k's target to compose with the pushout's leg out of it
     spans, ends, composites = [], [], []
     for p in _posets_of_every_constructor():
         cyl = product_poset(p, chain_poset(1))
         k, back = cylinder_end(p, cyl, 0), cylinder_end(p, cyl, 1)
         for level, end in enumerate((k, back)):
-            _same_map(end, MonotoneMap(p, cyl, {e: (e, level) for e in p.elements}))
+            assert end.source is p and end.target is cyl
+            assert end.indices == [2 * i + level for i in range(len(p))]
         cone = MonotoneMap(p, singleton_poset("apex"), {e: "apex" for e in p.elements})
         spans.append((k, cone, back))
         ends += [k, back]
@@ -863,6 +870,60 @@ def _warshall(n, rel):
                 for b in range(n):
                     reach[a][b] = reach[a][b] or reach[k][b]
     return reach
+
+
+def _brute_force_chains(n, rel):
+    """The strict chains of the order that rel generates on range(n),
+    shortest first, lexicographic within a length: each sequence of
+    distinct indices whose neighbours are related in rel's closure."""
+    reach = _warshall(n, rel)
+    return [
+        c
+        for length in range(1, n + 1)
+        for c in itertools.permutations(range(n), length)
+        if all(reach[a][b] for a, b in zip(c, c[1:]))
+    ]
+
+
+def test_chains_match_brute_force_over_random_acyclic_relations():
+    # seeded relations, acyclic by a hidden ranking that element order does
+    # not follow, on assorted labels: the nerve's rows, in cell id order,
+    # and the chains are the sequences that increase along the relations'
+    # closure, found without reading the poset's order table
+    rng = random.Random(51)
+    labels = ["x", 0, (1, 0), "y", 3, 2, (0,)]
+    deep = 0
+    for _ in range(150):
+        n = rng.randint(0, 7)
+        rank = rng.sample(range(n), n)
+        rel = {
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if rank[a] < rank[b] and rng.random() < 0.5
+        }
+        elements = rng.sample(labels, n)
+        p = FinPoset(elements, [(elements[a], elements[b]) for a, b in rel])
+        want = _brute_force_chains(n, rel)
+        rows = nerve(p).vertex_rows()
+        assert list(rows) == list(range(len(want))) and list(rows.values()) == want
+        assert p.index_chains() == want
+        assert p.chains() == [tuple(elements[i] for i in c) for c in want]
+        deep += any(len(c) >= 4 for c in want)
+    assert deep >= 30
+
+
+def test_cylinder_end_reads_its_cylinders_elements():
+    # an end sends e to (e, level) among cyl's own elements, so a cyl that
+    # is not p x [1] raises, though [0, 2] is a monotone table into the
+    # chain 0 < 1 < 2 < 3
+    p = chain_poset(1)
+    with pytest.raises(ValueError, match=r"^0 sent outside the target poset$"):
+        cylinder_end(p, chain_poset(3), 0)
+    cyl = product_poset(p, chain_poset(1))
+    for level in (0, 1):
+        end = cylinder_end(p, cyl, level)
+        assert [cyl.elements[x] for x in end.indices] == [(e, level) for e in p.elements]
 
 
 def test_closure_matches_warshall():

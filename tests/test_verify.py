@@ -1,10 +1,12 @@
 import gc
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,8 @@ VERIFY_ALL_SEED0_SHA256 = (
 # b_nat calls in `forge verify all --seed 0` if the lemma suite built every
 # b itself: 55 spaces, 39 of them twice
 VERIFY_ALL_SEED0_BNAT_CALLS_UNSHARED = 94
+# records the `all` report of seeds 0 to 40 in SWEEP.json
+SWEEP_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sweep.py"
 
 
 def test_report_formatting_is_stable():
@@ -249,6 +253,20 @@ def test_verify_main_report_ignores_hash_seed(tmp_path, hash_seed):
 
 def test_verify_all_report_matches_pin(verify_all_run):
     assert hashlib.sha256(verify_all_run.report).hexdigest() == VERIFY_ALL_SEED0_SHA256
+
+
+def test_seed_digest_holds_the_pin_and_two_more_seeds():
+    # SWEEP.json, which scripts/sweep.py records, digests the `all` report of
+    # seeds 0 to 40: seed 0's entry is the pinned report, and seeds 7 and
+    # 40, run again here in this process, give the reports recorded
+    spec = importlib.util.spec_from_file_location("sweep", SWEEP_SCRIPT)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    recorded = sweep.load()
+    assert sorted(recorded) == list(sweep.SEEDS)
+    assert recorded[0]["sha256"] == VERIFY_ALL_SEED0_SHA256
+    assert all(entry["fail"] == 0 for entry in recorded.values())
+    assert sweep.differences(recorded, (7, 40)) == []
 
 
 def test_lemma_report_reads_b_from_the_record(corpus):
