@@ -13,30 +13,42 @@ prints one line per mutant: ``killed`` when a test fails, ``survived``
 when the suite passes, and ``error`` when the suite could not run (a
 collection error or a timeout) or the old text no longer occurs exactly
 once, which is never a pass.  The exit status is 0 only when every
-mutant run is killed.  Each mutated suite runs under an address-space
-limit of ``MEMORY_BYTES``, which the unmutated suite stays well under: a
-mutant that makes a loop build without end (a nerve whose rows keep
-their own element extends its chains forever) then fails on a
-MemoryError within seconds, instead of filling the host's memory.
+mutant run is killed, and the last line gives the run's wall time.
+Each mutated suite runs under an address-space limit of
+``MEMORY_BYTES``, which the unmutated suite stays well under: a mutant
+that makes a loop build without end (a nerve whose rows keep their own
+element extends its chains forever) then fails on a MemoryError within
+seconds, instead of filling the host's memory.
+
+The test file named on a killed mutant's first FAILED or ERROR line is
+recorded in ``KILLERS`` (``scripts/mutant_killers.json``), rewritten
+after each mutant, and the next run puts that file first.  The other
+test files follow in the order pytest collects them, so no mutant runs
+against fewer tests than the whole suite, and a mutant that only a late
+file kills no longer waits for every file before it.
 
 A mutant takes from a few seconds to a full suite run (about 1.5 min on
 a 2-core host), so this is not part of the test suite;
-``tests/test_mutants.py`` checks only that every old text still applies.
+``tests/test_mutants.py`` checks only that every old text still applies
+and that the record names catalogue mutants and test files.
 A change that adds a check adds its mutant here.  Standard library only.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import resource
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+KILLERS = ROOT / "scripts" / "mutant_killers.json"
 TIMEOUT_S = 1800
 MEMORY_BYTES = 2 * 1024**3
 _IGNORE = shutil.ignore_patterns(
@@ -225,9 +237,32 @@ MUTANTS = [
     Mutant(
         "quotient-numbers-every-member",
         "src/ssetforge/colimits.py",
-        "        if f.cell == c:\n            new_id[c] = len(new_id)\n",
-        "        if f.degen.is_identity:\n            new_id[c] = len(new_id)\n",
+        "        if c not in killed:\n            new_id[c] = len(new_id)\n",
+        "        if c not in killed or killed[c].degen.is_identity:\n"
+        "            new_id[c] = len(new_id)\n",
         "a quotient's cells are the first cells of their classes, one per class",
+    ),
+    # a congruence is read through its killed forms, and built from cells
+    Mutant(
+        "kernel-skips-degenerate-images",
+        "src/ssetforge/colimits.py",
+        "if rho.is_identity and first.setdefault(w, x) == x:",
+        "if not rho.is_identity or first.setdefault(w, x) == x:",
+        "a cell with a degenerate image (w, rho) is related to (z_w, rho)",
+    ),
+    Mutant(
+        "oracle-key-drops-forms",
+        "src/ssetforge/desingularize.py",
+        "key = frozenset(child_killed.items())",
+        "key = frozenset(child_killed)",
+        "two congruences that kill the same cells onto different forms are different nodes",
+    ),
+    Mutant(
+        "collapse-keeps-a-cell",
+        "src/ssetforge/colimits.py",
+        "for s in map(space.simplex, sorted(keep))",
+        "for s in map(space.simplex, sorted(keep)[:-1])",
+        "every cell of the collapsed subcomplex goes to the base vertex",
     ),
     # a cell's id is its only name: sd's numbering, Sd f's ids, and a corpus's sd images
     Mutant(
@@ -296,15 +331,28 @@ def check_applies(mutant: Mutant, root: Path = ROOT) -> str | None:
     return None
 
 
+def suite_files(first: str | None = None, root: Path = ROOT) -> list[str]:
+    """The Tier-1 test files bar ``tests/test_mutants.py``, in the order
+    pytest collects them, with ``first`` moved to the front when it is
+    one of them."""
+    files = sorted(p.relative_to(root).as_posix() for p in (root / "tests").glob("test_*.py"))
+    files.remove("tests/test_mutants.py")
+    if first in files:
+        files.remove(first)
+        files.insert(0, first)
+    return files
+
+
 def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
-def run_mutant(mutant: Mutant) -> tuple[str, str]:
-    """(outcome, detail) of Tier-1 with -x on a mutated copy."""
+def run_mutant(mutant: Mutant, first: str | None = None) -> tuple[str, str, str | None]:
+    """(outcome, detail, killing test file or None) of Tier-1 with -x on a
+    mutated copy, the file ``first`` run first."""
     problem = check_applies(mutant)
     if problem is not None:
-        return "error", problem
+        return "error", problem, None
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=_IGNORE)
@@ -313,33 +361,41 @@ def run_mutant(mutant: Mutant) -> tuple[str, str]:
         path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               "--ignore=tests/test_mutants.py"]
+               *suite_files(first)]
         try:
             done = subprocess.run(
                 cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
                 preexec_fn=_limit_memory,
             )
         except subprocess.TimeoutExpired:
-            return "error", f"timeout after {TIMEOUT_S} s"
+            return "error", f"timeout after {TIMEOUT_S} s", None
     lines = done.stdout.strip().splitlines()
     last = lines[-1] if lines else done.stderr.strip()[-200:]
     if done.returncode == 0:
-        return "survived", last
+        return "survived", last, None
     if done.returncode == 1:
         failed = next((ln for ln in lines if ln.startswith(("FAILED", "ERROR"))), "")
+        # "FAILED tests/test_x.py::test_y - ..." or "ERROR tests/test_x.py"
+        killer = failed.split()[1].split("::")[0] if failed else None
         if not failed and done.stderr.strip():
             # a suite cut short by the memory limit prints no summary
             failed = done.stderr.strip().splitlines()[-1]
-        return "killed", f"{failed} | {last}" if failed else last
-    return "error", f"pytest exit {done.returncode}: {last}"
+        return "killed", f"{failed} | {last}" if failed else last, killer
+    return "error", f"pytest exit {done.returncode}: {last}", None
 
 
 def main() -> int:
-    ok = True
+    killers = json.loads(KILLERS.read_text(encoding="utf-8")) if KILLERS.is_file() else {}
+    ok, started = True, time.perf_counter()
     for m in MUTANTS:
-        outcome, detail = run_mutant(m)
+        outcome, detail, killer = run_mutant(m, killers.get(m.name))
         ok = ok and outcome == "killed"
+        if killer is not None:
+            killers[m.name] = killer
+            kept = {n.name: killers[n.name] for n in MUTANTS if n.name in killers}
+            KILLERS.write_text(json.dumps(kept, indent=2) + "\n", encoding="utf-8")
         print(f"{outcome:8}  {m.name}  {detail}", flush=True)
+    print(f"{len(MUTANTS)} mutants in {time.perf_counter() - started:.0f} s", flush=True)
     return 0 if ok else 1
 
 if __name__ == "__main__":

@@ -15,9 +15,10 @@ when it stops being a first cell; the entry is a simplex of its class on
 an earlier cell.  Degenerate simplices never enter the table, closure
 under degeneracies holds by construction, and a merge kills at most
 |cells| cells, each with one step that queues its stored faces against
-the faces of its new form.  The quotient is read off the forms of the
-cells in (dimension, id) order, and the simplices of X are never
-enumerated.
+the faces of its new form.  The table of killed forms is the one way a
+congruence is read: the quotient, the forced moves and the oracle all
+read it, the quotient numbering the cells it does not hold in
+(dimension, id) order, and the simplices of X are never enumerated.
 
 Pushouts are attached, not quotiented.  Every pushout the program
 builds has a degreewise injective first leg f: A -> X, the nerve of a
@@ -76,7 +77,7 @@ from .simplicial import (
 
 
 class Congruence:
-    """An operator-closed equivalence relation, kept as normal forms of cells.
+    """An operator-closed equivalence relation, kept as the forms of its killed cells.
 
     ``_form[c]`` is set only for a cell c that is no longer the first cell
     of a cell class.  It holds a simplex of X in c's class on a cell that
@@ -173,25 +174,19 @@ class Congruence:
             work.append((a, b))
             work.extend(zip(cells[f].faces, face_row(to)))
 
-    def normal_forms(self) -> dict[int, Simplex]:
-        """Each cell's class, as a degeneracy of the first cell of a cell
-        class, in (dimension, id) order: read off the table, with no walk
-        over simplices."""
-        space, form, resolve = self.space, self._form, self._resolve
-        return {
-            c: resolve(c) if c in form else space.simplex(c) for c in space.cell_order()
-        }
-
     def killed_forms(self) -> dict[int, Simplex]:
-        """The forms of the killed cells, in a dict later merges leave as it is."""
+        """The normal forms of the killed cells, in a dict later merges
+        leave as it is.  Every other cell is a first cell, its own form, so
+        this fixes the relation, and it is canonical for it: two
+        congruences are equal exactly when their killed forms are."""
         resolve = self._resolve
         return {c: resolve(c) for c in self._form}
 
     def classes(self) -> dict[Simplex, list[Simplex]]:
         """All simplices of degree <= dim X grouped by class, scan order kept.
 
-        The definition of the relation as a partition; ``normal_forms``
-        reads the same classes off the table without this walk.
+        The definition of the relation as a partition; ``killed_forms``
+        fixes the same classes on the cell table without this walk.
         """
         out: dict[Simplex, list[Simplex]] = {}
         for q in range(max(self.space.dim, 0) + 1):
@@ -221,16 +216,29 @@ def congruence_from_pairs(
 
 
 def kernel_congruence(f: SimplicialMap) -> Congruence:
-    cong = Congruence(f.source)
-    for q in range(f.source.dim + 1):
-        fibers: dict[Simplex, Simplex] = {}
-        for s in f.source.simplices(q):
-            img = f.apply(s)
-            if img in fibers:
-                cong.merge(fibers[img], s)
-            else:
-                fibers[img] = s
-    return cong
+    """The relation f(s) = f(t), built from one pair per cell at most.
+
+    The cells are walked in (dimension, id) order.  For f(x) = (w, rho),
+    x becomes z_w, the first cell that f sends onto w under the identity,
+    when there is none yet and rho is the identity; otherwise x is merged
+    with (z_w, rho).  By the face lemma in the ``cylinders`` docstring,
+    a cell of lower dimension than x maps onto w when rho is not the
+    identity, so z_w comes before x.  The pairs lie in the kernel: f(z_w, rho) is f(z_w)
+    degenerated by rho, which is (w, rho).  And they generate it: a
+    simplex (x, sigma) has the image (w, rho sigma), in normal form, and
+    is related to (z_w, rho) degenerated by sigma, (z_w, rho sigma); so
+    two simplices with one image reach the same simplex.
+    """
+    space, asg, first = f.source, f.assignment, {}
+
+    def pairs():
+        for x in space.cell_order():
+            w, rho = asg[x]
+            if rho.is_identity and first.setdefault(w, x) == x:
+                continue
+            yield space.simplex(x), _simplex((first[w], rho))
+
+    return congruence_from_pairs(space, pairs())
 
 
 @dataclass
@@ -240,38 +248,43 @@ class QuotientResult:
 
 
 def quotient(space: SimplicialSet, cong: Congruence) -> QuotientResult:
-    """The quotient by a congruence, read off its table of cell forms.
+    """The quotient by a congruence, read off its killed forms.
 
     The cells of the quotient are the cell classes, numbered by their first
-    cells in (dimension, id) order; a cell's faces and its image are the
-    forms of its stored faces and of itself.  No simplex of X outside the
-    cell table is looked at.  A first cell is the one whose form is
-    itself; the members of a class are the fibre of the projection over
-    its cell, and no other table lists them.
+    cells, the cells that are not killed, in (dimension, id) order.  A
+    stored face (t, sigma) of a first cell stays (new id of t, sigma) when
+    t is a first cell, and becomes (new id of its form's cell, sigma then
+    the form's degeneracy) when t is killed.  The projection sends a first
+    cell to its own number under the identity and a killed cell to its
+    form.  No simplex of X outside the cell table is looked at; the
+    members of a class are the fibre of the projection over its cell, and
+    no other table lists them.
     """
-    forms = cong.normal_forms()
+    killed = cong.killed_forms()
     new_id: dict[int, int] = {}
-    for c, f in forms.items():
-        if f.cell == c:
+    for c in space.cell_order():
+        if c not in killed:
             new_id[c] = len(new_id)
     cells: dict[int, Cell] = {}
     for first, n in new_id.items():
         cell = space.cells[first]
         faces = []
         for t, sigma in cell.faces:
-            base = forms[t]
-            faces.append((new_id[base.cell], compose(sigma, base.degen)))
+            form = killed.get(t)
+            if form is None:
+                faces.append((new_id[t], sigma))
+            else:
+                faces.append((new_id[form.cell], compose(sigma, form.degen)))
         cells[n] = Cell(cell.dim, tuple(faces))
     qspace = SimplicialSet(cells)
-    projection = SimplicialMap(
-        space,
-        qspace,
-        {
-            cid: _simplex((new_id[forms[cid].cell], forms[cid].degen))
-            for cid in space.cells
-        },
-    )
-    return QuotientResult(qspace, projection)
+    asg: dict[int, Simplex] = {}
+    for cid, cell in space.cells.items():
+        form = killed.get(cid)
+        if form is None:
+            asg[cid] = _simplex((new_id[cid], identity(cell.dim)))
+        else:
+            asg[cid] = _simplex((new_id[form.cell], form.degen))
+    return QuotientResult(qspace, SimplicialMap(space, qspace, asg))
 
 
 def disjoint_union(
@@ -438,11 +451,11 @@ def collapse_subcomplex(space: SimplicialSet, seeds: Iterable[int]) -> QuotientR
     if not keep:
         raise ValueError("cannot collapse an empty subcomplex")
     base = min(cid for cid in keep if space.cells[cid].dim == 0)
-    cong = Congruence(space)
-    for cid in sorted(keep):
-        d = space.cells[cid].dim
-        cong.merge(space.simplex(cid), Simplex(base, Operator(0, (0,) * (d + 1))))
-    return quotient(space, cong)
+    pairs = (
+        (s, _simplex((base, degeneracy_from_repeats(range(s.degree), s.degree))))
+        for s in map(space.simplex, sorted(keep))
+    )
+    return quotient(space, congruence_from_pairs(space, pairs))
 
 
 # -- regularity ------------------------------------------------------------

@@ -38,22 +38,22 @@ one of them is minimal: the kernel of the universal quotient.  The
 oracle finds it by witness-directed search, keeps the solutions that
 contain no other, and raises unless exactly one is left.  The search
 builds no quotient per node and walks no simplices: it reads each
-congruence's normal forms off its table of cell forms (see
-``colimits``).  The forms of the cells determine the congruence, since
-two simplices (c, sigma) and (d, tau) are related exactly when the form
-of c degenerated by sigma is the form of d degenerated by tau.  So the
-tuple of forms is the key that removes duplicate nodes, the first
-singular cell is the first cell class whose vertex forms are not
-pairwise distinct, and a congruence contains another exactly when it
-relates every cell to that one's form of it.  A node branches once per
-class of the degenerate simplices it could merge its first singular cell
-with: merging with any member of a class gives the same child, which the
-key would only drop again.  Of a node's children only the minimal ones
-are queued: a child that strictly contains a sibling leads to no
-minimal solution that the sibling does not, so every minimal solution
-is still recorded and the exactly-one check keeps its strength.  Only
-the minimal congruence is quotiented, and that quotient, its projection
-and its non-singularity are validated.
+congruence's killed forms, as the forced moves do (see ``colimits``).
+They determine the congruence, since every other cell is its own form
+and two simplices (c, sigma) and (d, tau) are related exactly when the
+form of c degenerated by sigma is the form of d degenerated by tau; and
+they are canonical for it.  So the set of killed forms is the key that
+removes duplicate nodes, the first singular cell is the first entry of
+the forced moves' scan of those forms, and a congruence contains another
+exactly when it relates every cell that one kills to its form.  A node
+branches once per class of the degenerate simplices it could merge its
+first singular cell with: merging with any member of a class gives the
+same child, which the key would only drop again.  Of a node's children
+only the minimal ones are queued: a child that strictly contains a
+sibling leads to no minimal solution that the sibling does not, so every
+minimal solution is still recorded and the exactly-one check keeps its
+strength.  Only the minimal congruence is quotiented, and that quotient,
+its projection and its non-singularity are validated.
 """
 
 from __future__ import annotations
@@ -178,46 +178,20 @@ def zipper_desingularize(space: SimplicialSet) -> DesingResult:
     return _forced_moves(space, intervals=False)
 
 
-def _contains(cong: Congruence, pairs: list[tuple[Simplex, Simplex]]) -> bool:
-    """Does cong identify at least everything another congruence does?
-    The pairs are that congruence's ``_generators``."""
-    find = cong.find
-    return all(find(c) == find(f) for c, f in pairs)
-
-
-def _first_singular(space: SimplicialSet, forms: dict[int, Simplex]) -> Simplex | None:
-    """The first simplex of the first singular cell of the quotient with
-    these normal forms, or None when that quotient is non-singular.
-
-    The quotient numbers its cells by their first cells in (dimension, id)
-    order, the order of ``forms``; a first cell is its own form.  The
-    congruence is closed under operators, so vertex j of a quotient cell is
-    the class of vertex j of its first cell, and a vertex's form names its
-    class; degree-0 classes are all cells and are never singular.
-    """
-    rows = space.vertex_rows()
-    for c, f in forms.items():
-        if f.cell != c or not f.degree:
-            continue
-        row = {forms[v].cell for v in rows[c]}
-        if len(row) <= f.degree:
-            return f
-    return None
-
-
-def _generators(
-    space: SimplicialSet, forms: dict[int, Simplex]
-) -> list[tuple[Simplex, Simplex]]:
-    """The cells with their normal forms, where they differ: pairs that
-    generate the congruence with these forms as a closed relation."""
-    return [(space.simplex(c), f) for c, f in forms.items() if f.cell != c]
+def _contains(cong: Congruence, killed: dict[int, Simplex]) -> bool:
+    """Does cong identify at least everything the congruence with these
+    killed forms does?  Each killed cell with its form is a pair that
+    generates that congruence as a closed relation."""
+    find, simplex = cong.find, cong.space.simplex
+    return all(find(simplex(c)) == find(f) for c, f in killed.items())
 
 
 def _minimal_congruence(space: SimplicialSet) -> Congruence:
     """The minimal congruence whose quotient is non-singular, by
     breadth-first search.  A singular quotient branches once per class of
-    degenerate simplices, merging its first singular cell with the first
-    member of each.  Each child carries its normal forms, computed once.
+    degenerate simplices, merging its first singular cell, the first entry
+    of the forced moves' scan, with the first member of each.  Each child
+    carries its killed forms, read once, and their set is its key.
     A child whose key is already seen, or equals an earlier sibling's, is
     dropped; of the rest, one that strictly contains a sibling is not
     queued, and only queued children are seen.  The search records every
@@ -239,20 +213,19 @@ def _minimal_congruence(space: SimplicialSet) -> Congruence:
     solution or is skipped for containing one, and that solution lies in
     S.  So every minimal S is recorded, and the filter leaves exactly the
     minimal congruences the unpruned search leaves."""
-    start = Congruence(space)
-    start_forms = start.normal_forms()
-    seen = {tuple(start_forms.values())}
-    queue = deque([(start, start_forms)])
-    solutions: list[tuple[tuple, list, Congruence]] = []
+    seen = {frozenset()}
+    queue = deque([(Congruence(space), {})])
+    solutions: list[tuple[dict, Congruence]] = []
     degenerate: dict[int, list[Simplex]] = {}
     while queue:
-        cong, forms = queue.popleft()
-        if any(_contains(cong, pairs) for _, pairs, _ in solutions):
+        cong, killed = queue.popleft()
+        if any(_contains(cong, k) for k, _ in solutions):
             continue
-        rep = _first_singular(space, forms)
-        if rep is None:
-            solutions.append((tuple(forms.values()), _generators(space, forms), cong))
+        singular = _singular_rows(space, killed)
+        if not singular:
+            solutions.append((killed, cong))
             continue
+        rep = space.simplex(singular[0][0])
         q = rep.degree
         if q not in degenerate:
             degenerate[q] = [s for s in space.simplices(q) if s.is_degenerate]
@@ -264,21 +237,19 @@ def _minimal_congruence(space: SimplicialSet) -> Congruence:
             tried.add(cls)
             child = cong.copy()
             child.merge(rep, d)
-            child_forms = child.normal_forms()
-            key = tuple(child_forms.values())
+            child_killed = child.killed_forms()
+            key = frozenset(child_killed.items())
             if key not in seen and key not in children:
-                children[key] = (child, child_forms)
+                children[key] = (child, child_killed)
         if len(children) > 1:
-            pairs = {key: _generators(space, f) for key, (_, f) in children.items()}
             children = {
                 key: node for key, node in children.items()
-                if not any(other != key and _contains(node[0], p) for other, p in pairs.items())
+                if not any(o != key and _contains(node[0], k) for o, (_, k) in children.items())
             }
         seen.update(children)
         queue.extend(children.values())
     minimal = [
-        c for key, _, c in solutions
-        if not any(other != key and _contains(c, pairs) for other, pairs, _ in solutions)
+        c for _, c in solutions if not any(o is not c and _contains(c, k) for k, o in solutions)
     ]
     if len(minimal) != 1:
         raise RuntimeError(

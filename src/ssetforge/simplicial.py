@@ -341,8 +341,7 @@ class SimplicialSet:
         that row through its degeneracy.  Vertex d is the last vertex of
         face 0, since its degeneracy is a surjection onto its cell's rank
         and so ends at that rank.  A reader that stops early
-        (``is_nonsingular``, the oracle's search for a singular cell)
-        still pays for every row, once per space.  The table is the
+        (``is_nonsingular``) still pays for every row, once per space.  The table is the
         space's own, read by every reader of vertex rows, and is not to
         be changed.
         """

@@ -81,10 +81,17 @@ run each round on a new congruence over the round before's quotient,
 quotient every round, compose eta, and map move cells back to the input
 through ``_first_preimages``; the desingularizer runs every move on one
 congruence over the input and quotients once.
-``reference_minimal_congruence`` is the oracle's search without sibling
-pruning: it queues every child whose key is new;
-``_minimal_congruence`` queues only the children that strictly contain
+``reference_minimal_congruence`` is the oracle's search by its
+definition and without sibling pruning: it finds each node's first
+singular cell by ``_quotient_step`` on the classes-walk quotient, keys
+nodes by ``canonical()``, decides containment on classes
+(``contains_classes``) and queues every child whose key is new;
+``_minimal_congruence`` reads each node's killed forms, branches on the
+forced moves' scan and queues only the children that strictly contain
 no sibling.
+``kernel_by_simplices`` is the kernel of a map by merging every two
+simplices of one degree with one image; ``kernel_congruence`` merges
+each cell once, with the first cell sent onto its image cell.
 ``fstring_simplex_token`` writes a simplex token by joining the repeat
 positions of its degeneracy afresh, and ``regex_parse_simplex`` reads one
 through a regular expression and ``degeneracy_from_repeats``, every
@@ -134,9 +141,7 @@ from ssetforge.desingularize import (
     DesingResult,
     IntervalMove,
     MoveRecord,
-    _contains,
     _dup_operator,
-    _first_singular,
     _intervals,
 )
 from ssetforge.operators import (
@@ -460,6 +465,21 @@ def quotient_by_classes(
         {cid: normal_form(cong.find(space.simplex(cid))) for cid in space.cells},
     )
     return QuotientResult(qspace, projection), members_of
+
+
+def kernel_by_simplices(f: SimplicialMap) -> Congruence:
+    """The relation f(s) = f(t) by its definition: in each degree, every
+    simplex is merged with the first one of its image."""
+    cong = Congruence(f.source)
+    for q in range(f.source.dim + 1):
+        fibers: dict[Simplex, Simplex] = {}
+        for s in f.source.simplices(q):
+            img = f.apply(s)
+            if img in fibers:
+                cong.merge(fibers[img], s)
+            else:
+                fibers[img] = s
+    return cong
 
 
 class UnionPushout(PushoutResult):
@@ -1040,29 +1060,49 @@ def reference_desingularize(space: SimplicialSet) -> DesingResult:
 
 
 
+def _quotient_step(space: SimplicialSet, cong: Congruence) -> Simplex | None:
+    """The oracle's search step by its definition: quotient by cong (the
+    classes walk), take the first non-embedded cell in (dimension, id)
+    order, and return its first member as a simplex of space."""
+    res, classes = quotient_by_classes(space, cong)
+    z = res.space
+    order = sorted(z.cells, key=lambda c: (z.cells[c].dim, c))
+    rows = recursive_vertex_rows(z)
+    bad = next((c for c in order if len(set(rows[c])) != len(rows[c])), None)
+    if bad is None:
+        return None
+    return Simplex(classes[bad][0], identity(z.cells[bad].dim))
+
+
+def contains_classes(cong: Congruence, canon: frozenset[frozenset[Simplex]]) -> bool:
+    """Does cong relate the members of each class of another congruence's
+    ``canonical()`` partition?"""
+    find = cong.find
+    return all(len({find(s) for s in cls}) == 1 for cls in canon)
+
+
 def reference_minimal_congruence(space: SimplicialSet) -> Congruence:
     """The minimal congruence whose quotient is non-singular, by
     breadth-first search.  A singular quotient branches once per class of
-    degenerate simplices, merging its first singular cell with the first
-    member of each.  Each queued congruence carries its normal forms,
-    computed once.  The search records every solution that contains no
-    earlier one, and the filter keeps those that contain no other; the
-    family is closed under meets, so one must be left.  The degenerate
-    simplices of each degree are listed once per search."""
+    degenerate simplices, merging its first singular cell, found by
+    ``_quotient_step``, with the first member of each.  Each queued
+    congruence is keyed by its full partition, ``canonical()``, and
+    containment is decided on classes.  The search records every solution
+    that contains no earlier one, and the filter keeps those that contain
+    no other; the family is closed under meets, so one must be left.  The
+    degenerate simplices of each degree are listed once per search."""
     start = Congruence(space)
-    start_forms = start.normal_forms()
-    seen = {tuple(start_forms.values())}
-    queue = deque([(start, start_forms)])
-    solutions: list[tuple[tuple, list, Congruence]] = []
+    seen = {start.canonical()}
+    queue = deque([start])
+    solutions: list[tuple[frozenset, Congruence]] = []
     degenerate: dict[int, list[Simplex]] = {}
     while queue:
-        cong, forms = queue.popleft()
-        if any(_contains(cong, pairs) for _, pairs, _ in solutions):
+        cong = queue.popleft()
+        if any(contains_classes(cong, canon) for canon, _ in solutions):
             continue
-        rep = _first_singular(space, forms)
+        rep = _quotient_step(space, cong)
         if rep is None:
-            pairs = [(space.simplex(c), f) for c, f in forms.items() if f.cell != c]
-            solutions.append((tuple(forms.values()), pairs, cong))
+            solutions.append((cong.canonical(), cong))
             continue
         q = rep.degree
         if q not in degenerate:
@@ -1075,14 +1115,13 @@ def reference_minimal_congruence(space: SimplicialSet) -> Congruence:
             tried.add(cls)
             child = cong.copy()
             child.merge(rep, d)
-            child_forms = child.normal_forms()
-            key = tuple(child_forms.values())
+            key = child.canonical()
             if key not in seen:
                 seen.add(key)
-                queue.append((child, child_forms))
+                queue.append(child)
     minimal = [
-        c for key, _, c in solutions
-        if not any(other != key and _contains(c, pairs) for other, pairs, _ in solutions)
+        c for canon, c in solutions
+        if not any(other != canon and contains_classes(c, other) for other, _ in solutions)
     ]
     if len(minimal) != 1:
         raise RuntimeError(

@@ -37,6 +37,7 @@ from reference import (
     all_operators,
     fibres,
     is_isomorphic,
+    kernel_by_simplices,
     mediator,
     pair_ids,
     quotient_by_classes,
@@ -176,6 +177,45 @@ def test_kernel_quotient_is_image():
     assert is_isomorphic(q.space, sphere)
     # the cover identifies simplices, so its kernel is not the trivial congruence
     assert ker.canonical()
+
+
+def test_kernel_from_cells_matches_simplex_walk(corpus, monkeypatch):
+    # one merge per cell fixes the relation that merging every two
+    # simplices with one image fixes: on the projections that build the
+    # verify suite's small quotients, every desingularize and oracle eta on
+    # those quotients and on the seed-0 members (the oracle's within its
+    # bound), and b_nat, last_vertex and both product projections of
+    # X x Delta[1] for the members with at most 12 cells
+    from ssetforge import verify
+    from ssetforge.desingularize import desingularize, oracle_desingularize
+    from ssetforge.subdivision import b_nat, last_vertex
+
+    projections = []
+
+    def recorded(space, cong):
+        res = quotient(space, cong)
+        projections.append(res.projection)
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "quotient", recorded)
+        small = verify._small_quotients()
+    members = [e.space for e in corpus if len(e.space.cells) <= 60]
+    maps = projections + [desingularize(x).eta for x in small + members]
+    maps += [oracle_desingularize(x).eta for x in small + members if len(x.cells) <= 10]
+    for x in members:
+        if len(x.cells) <= 12:
+            pr = product(x, standard_simplex(1))
+            maps += [b_nat(x), last_vertex(x), pr.first, pr.second]
+    degenerate = identified = 0
+    for f in maps:
+        got, want = kernel_congruence(f), kernel_by_simplices(f)
+        assert got.killed_forms() == want.killed_forms()
+        assert got.canonical() == want.canonical()
+        degenerate += any(s.is_degenerate for s in f.assignment.values())
+        identified += bool(want.killed_forms())
+    assert len(projections) == len(small) == 102
+    assert (len(maps), degenerate, identified) == (475, 256, 364)
 
 
 def test_disjoint_union():
@@ -333,6 +373,13 @@ def test_merge_matches_full_closure(corpus):
     assert merges >= 1000 and identified >= 400
 
 
+def _forms(cong):
+    # each cell's normal form, rebuilt from the killed forms: a cell that
+    # is not killed is a first cell, its own form
+    space, killed = cong.space, cong.killed_forms()
+    return {c: killed[c] if c in killed else space.simplex(c) for c in space.cell_order()}
+
+
 def _normal_forms_by_closure(cong):
     # each cell's class read off the full partition: a class with a
     # degenerate member (d, sigma), the least one, is the form of d
@@ -373,7 +420,7 @@ def test_quotient_matches_classes_walk(corpus):
                 fast.merge(a, b)
                 full.merge_pushing_everything(a, b)
             want = _normal_forms_by_closure(full)
-            assert fast.normal_forms() == want
+            assert _forms(fast) == want
             assert full.normal_forms() == want
             got, (ref, classes) = quotient(x, fast), quotient_by_classes(x, fast)
             assert format_sset(got.space) == format_sset(ref.space)
@@ -393,10 +440,10 @@ def test_copy_carries_witnesses():
     cong = Congruence(x)
     cong.merge(edge, Simplex(0, Operator(0, (0, 0))))
     other = cong.copy()
-    assert other.normal_forms() == cong.normal_forms()
+    assert other.killed_forms() == cong.killed_forms()
     other.merge(x.simplex(1), x.simplex(2))
     for c in (cong, other):
-        forms = c.normal_forms()
+        forms = _forms(c)
         assert forms == _normal_forms_by_closure(c)
         assert forms[edge.cell].is_degenerate
     # the copy's merge leaves the original alone
@@ -406,7 +453,7 @@ def test_copy_carries_witnesses():
 
 def _same_congruence(fast, ref):
     """The table and the union-find reference hold the same relation."""
-    assert fast.normal_forms() == ref.normal_forms()
+    assert _forms(fast) == ref.normal_forms()
     assert fast.canonical() == ref.canonical()
     # each reference class lies in one class of fast, and no two
     # reference classes do
@@ -419,10 +466,14 @@ def _same_congruence(fast, ref):
 
 
 def _table_holds_killed_cells(cong):
-    # a form is kept exactly for each cell that is not a first cell
-    forms = cong.normal_forms()
-    assert set(cong._form) <= set(cong.space.cells)
-    assert len(cong._form) == sum(f.cell != c for c, f in forms.items())
+    # a form is kept exactly for each cell that is not a first cell: each
+    # killed cell's form lies on a first cell before it in (dimension, id)
+    # order, and ``_same_congruence`` matched every other cell with a
+    # reference class of its own
+    cells, killed = cong.space.cells, cong.killed_forms()
+    assert set(cong._form) == set(killed) <= set(cells)
+    for c, f in killed.items():
+        assert f.cell not in killed and (cells[f.cell].dim, f.cell) < (cells[c].dim, c)
 
 
 def test_forms_match_simplex_reference(corpus, monkeypatch):
@@ -470,7 +521,7 @@ def test_equal_rank_degeneracies_of_one_edge():
     fast.merge(a, b)
     ref.merge_pushing_everything(a, b)
     _same_congruence(fast, ref)
-    forms = fast.normal_forms()
+    forms = _forms(fast)
     assert forms[EDGE].is_degenerate and forms[0] == forms[1]
     assert counts(quotient(x, fast).space) == (2, 2, 1)
 
@@ -485,7 +536,7 @@ def test_long_form_chain_resolves():
         cong.merge(x.simplex(c), x.simplex(c - 1))
     assert len(cong._form) == n - 1
     assert cong.find(x.simplex(n - 1)) == x.simplex(0)
-    assert set(cong.normal_forms().values()) == {x.simplex(0)}
+    assert set(_forms(cong).values()) == {x.simplex(0)}
 
 
 def _strip_by_runs(sx, sy):

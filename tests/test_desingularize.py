@@ -27,7 +27,7 @@ from ssetforge.desingularize import (
     oracle_desingularize,
     zipper_desingularize,
 )
-from ssetforge.operators import Operator, identity
+from ssetforge.operators import Operator
 from ssetforge.posets import barratt
 from ssetforge.simplicial import (
     Cell,
@@ -46,10 +46,10 @@ from ssetforge.verify import _compare, _small_quotients
 import reference as reference_module
 from reference import (
     SimplexCongruence,
+    _quotient_step,
+    contains_classes,
     factor_through,
     is_isomorphic,
-    quotient_by_classes,
-    recursive_vertex_rows,
     reference_desingularize,
     reference_minimal_congruence,
     reference_replay,
@@ -446,54 +446,48 @@ def test_t_nat_circle_counterexample():
     assert not t.is_isomorphism()
 
 
-def _quotient_step(space, cong):
-    """The oracle's search step by its definition: quotient by cong (the
-    classes walk), take the first non-embedded cell in (dimension, id)
-    order, and return its first member as a simplex of space."""
-    res, classes = quotient_by_classes(space, cong)
-    z = res.space
-    order = sorted(z.cells, key=lambda c: (z.cells[c].dim, c))
-    rows = recursive_vertex_rows(z)
-    bad = next((c for c in order if len(set(rows[c])) != len(rows[c])), None)
-    if bad is None:
-        return None
-    return Simplex(classes[bad][0], identity(z.cells[bad].dim))
-
-
 def test_first_singular_matches_quotient_step(corpus, monkeypatch):
     # every small quotient of the verify suite and every seed-0 member with
-    # at most ten cells, zipper-uncertified ones among them
+    # at most ten cells, zipper-uncertified ones among them: the first entry
+    # of the scan the oracle reads at each node is the first singular cell
+    # of that node's quotient
     spaces = _small_quotients() + [e.space for e in corpus if len(e.space.cells) <= 10]
     assert sum(
         zipper_desingularize(s).certificate is Certificate.UNCERTIFIED for s in spaces
     ) > 0
     fast = [oracle_desingularize(space) for space in spaces]
 
-    first_singular = desingularize_module._first_singular
-    normal_forms = Congruence.normal_forms
+    scan = desingularize_module._singular_rows
+    killed_forms = Congruence.killed_forms
     congs = {}
     nodes = 0
 
-    def forms_of(cong):
-        # remember which congruence each node's forms came from
-        forms = normal_forms(cong)
-        congs[id(forms)] = (forms, cong)
-        return forms
+    def killed_of(cong):
+        # remember which congruence each child's killed forms came from
+        killed = killed_forms(cong)
+        congs[id(killed)] = (killed, cong)
+        return killed
 
-    def step(space, forms):
-        # branch on the reference, and check the helper at every node
+    def step(space, killed):
+        # branch on the reference, and check the scan at every node; only
+        # the start node kills nothing, and the oracle reads only the cell
+        # of the first entry
         nonlocal nodes
         nodes += 1
-        held, cong = congs[id(forms)]
-        assert held is forms
+        if killed:
+            held, cong = congs[id(killed)]
+            assert held is killed
+        else:
+            cong = Congruence(space)
         want = _quotient_step(space, cong)
-        got = first_singular(space, forms)
-        assert got == want and type(got) is type(want)
-        return want
+        got = scan(space, killed)
+        first = space.simplex(got[0][0]) if got else None
+        assert first == want and type(first) is type(want)
+        return [] if want is None else [(want.cell, None)]
 
     with monkeypatch.context() as m:
-        m.setattr(Congruence, "normal_forms", forms_of)
-        m.setattr(desingularize_module, "_first_singular", step)
+        m.setattr(Congruence, "killed_forms", killed_of)
+        m.setattr(desingularize_module, "_singular_rows", step)
         slow = [oracle_desingularize(space) for space in spaces]
     assert nodes > len(spaces)
     for a, b in zip(fast, slow):
@@ -505,20 +499,23 @@ def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
     # the search by its definition, keyed, deduplicated and pruned by the
     # full partition (canonical()), a child that strictly contains a
     # sibling not queued: the same nodes in the same order, and the same
-    # one minimal congruence
+    # one minimal congruence.  With containment switched off on both
+    # sides, so that no node is pruned or skipped, the keys alone decide
+    # which children are new, and on 32 of the inputs two visited nodes
+    # kill the same cells onto different forms
     from collections import deque
 
-    def contains(cong, canon):
-        return all(len({cong.find(s) for s in cls}) == 1 for cls in canon)
+    def never(cong, other):
+        return False
 
-    def search(space):
+    def search(space, contains_classes):
         start = Congruence(space)
         seen = {start.canonical()}
         queue = deque([start])
         solutions, order = [], []
         while queue:
             cong = queue.popleft()
-            if any(contains(cong, canon) for canon, _ in solutions):
+            if any(contains_classes(cong, canon) for canon, _ in solutions):
                 continue
             order.append(cong.canonical())
             rep = _quotient_step(space, cong)
@@ -533,36 +530,46 @@ def test_oracle_search_matches_canonical_keys(corpus, monkeypatch):
                 if canon not in seen and canon not in children:
                     children[canon] = child
             for canon, child in children.items():
-                if not any(o != canon and contains(child, o) for o in children):
+                if not any(o != canon and contains_classes(child, o) for o in children):
                     seen.add(canon)
                     queue.append(child)
         minimal = [
             c for canon, c in solutions
-            if not any(o != canon and contains(c, o) for o, _ in solutions)
+            if not any(o != canon and contains_classes(c, o) for o, _ in solutions)
         ]
         return order, minimal
 
     spaces = _small_quotients() + [e.space for e in corpus if len(e.space.cells) <= 10]
-    first_singular = desingularize_module._first_singular
+    scan = desingularize_module._singular_rows
+    same_cells = 0
     for space in spaces:
-        order, minimal = search(space)
-        assert len(minimal) == 1
-        visited = []
+        for contains in (contains_classes, never):
+            order, minimal = search(space, contains)
+            assert len(minimal) == 1 or contains is never
+            visited, cells = [], []
 
-        def step(space, forms):
-            # a node's forms pair each cell with a simplex of its class and
-            # generate the node's congruence, so its classes are rebuilt here
-            cong = congruence_from_pairs(
-                space, [(space.simplex(c), f) for c, f in forms.items() if f.cell != c]
-            )
-            visited.append(cong.canonical())
-            return first_singular(space, forms)
+            def step(space, killed):
+                # a node's killed forms pair each killed cell with a simplex
+                # of its class and generate the node's congruence, so its
+                # classes are rebuilt here
+                pairs = [(space.simplex(c), f) for c, f in killed.items()]
+                visited.append(congruence_from_pairs(space, pairs).canonical())
+                cells.append(frozenset(killed))
+                return scan(space, killed)
 
-        with monkeypatch.context() as m:
-            m.setattr(desingularize_module, "_first_singular", step)
-            got = desingularize_module._minimal_congruence(space)
-        assert visited == order
-        assert got.canonical() == minimal[0].canonical()
+            with monkeypatch.context() as m:
+                m.setattr(desingularize_module, "_singular_rows", step)
+                if contains is never:
+                    m.setattr(desingularize_module, "_contains", never)
+                if len(minimal) == 1:
+                    got = desingularize_module._minimal_congruence(space)
+                    assert got.canonical() == minimal[0].canonical()
+                else:
+                    with pytest.raises(RuntimeError, match="minimal non-singular congruences"):
+                        desingularize_module._minimal_congruence(space)
+            assert visited == order
+        same_cells += len(set(cells)) < len(cells)
+    assert same_cells == 32
 
 
 def test_zipper_and_oracle_match_simplex_reference(corpus, monkeypatch):
@@ -614,7 +621,7 @@ def test_oracle_branches_once_per_class(monkeypatch):
     # over the small quotients: one child per class of degenerate simplices
     # builds strictly fewer children than one per degenerate simplex; the
     # nodes and their order are pinned by the canonical-keys test above
-    first_singular = desingularize_module._first_singular
+    scan = desingularize_module._singular_rows
     copy = Congruence.copy
     children = per_simplex = 0
 
@@ -623,16 +630,17 @@ def test_oracle_branches_once_per_class(monkeypatch):
         children += 1
         return copy(cong)
 
-    def step(space, forms):
+    def step(space, killed):
         nonlocal per_simplex
-        rep = first_singular(space, forms)
-        if rep is not None:
-            per_simplex += sum(s.is_degenerate for s in space.simplices(rep.degree))
-        return rep
+        got = scan(space, killed)
+        if got:
+            q = space.cells[got[0][0]].dim
+            per_simplex += sum(s.is_degenerate for s in space.simplices(q))
+        return got
 
     with monkeypatch.context() as m:
         m.setattr(Congruence, "copy", counted_copy)
-        m.setattr(desingularize_module, "_first_singular", step)
+        m.setattr(desingularize_module, "_singular_rows", step)
         for space in _small_quotients():
             oracle_desingularize(space)
     assert 0 < children < per_simplex
@@ -656,21 +664,21 @@ def test_oracle_search_leaves_one_minimal_congruence(monkeypatch):
     # first and the search meets its classes in another order.  The
     # unpruned reference search records two solutions or more on some of
     # them, so there the filter has work to do
-    first_singular = reference_module._first_singular
+    step = reference_module._quotient_step
     spaces = _small_quotients() + _cli_small_quotients(7, 600)
     spaces += [_reversed_ids(space) for space in spaces]
     solutions = 0
 
-    def counted(space, forms):
+    def counted(space, cong):
         # a node with no singular cell is recorded as a solution
         nonlocal solutions
-        rep = first_singular(space, forms)
+        rep = step(space, cong)
         solutions += rep is None
         return rep
 
     several = []
     with monkeypatch.context() as m:
-        m.setattr(reference_module, "_first_singular", counted)
+        m.setattr(reference_module, "_quotient_step", counted)
         for space in spaces:
             assert isinstance(desingularize_module._minimal_congruence(space), Congruence)
             solutions = 0
@@ -683,7 +691,7 @@ def test_oracle_search_leaves_one_minimal_congruence(monkeypatch):
     space = several[0]
     oracle_desingularize(space)
     with monkeypatch.context() as m:
-        m.setattr(desingularize_module, "_contains", lambda cong, pairs: False)
+        m.setattr(desingularize_module, "_contains", lambda cong, killed: False)
         with pytest.raises(RuntimeError, match="minimal non-singular congruences"):
             oracle_desingularize(space)
 
