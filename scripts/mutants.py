@@ -22,15 +22,20 @@ seconds, instead of filling the host's memory.
 
 The test file named on a killed mutant's first FAILED or ERROR line is
 recorded in ``KILLERS`` (``scripts/mutant_killers.json``), rewritten
-after each mutant, and the next run puts that file first.  The other
+after each mutant, and the next run puts that file first.  A suite that
+the memory limit cuts short prints no such line; the suite runs with
+``-v``, which names each test as it starts, so the file of the last test
+named is recorded instead.  Such a suite is killed whether pytest exits
+1 or, when the MemoryError strikes its own reporting, 3.  The other
 test files follow in the order pytest collects them, so no mutant runs
 against fewer tests than the whole suite, and a mutant that only a late
 file kills no longer waits for every file before it.
 
 A mutant takes from a few seconds to a full suite run (about 1.5 min on
 a 2-core host), so this is not part of the test suite;
-``tests/test_mutants.py`` checks only that every old text still applies
-and that the record names catalogue mutants and test files.
+``tests/test_mutants.py`` checks only that every old text still applies,
+that the record names catalogue mutants and test files, and which file
+a run's output names as the killer.
 A change that adds a check adds its mutant here.  Standard library only.
 """
 
@@ -308,6 +313,36 @@ MUTANTS = [
         "map_into_nerve(sds, barratt(space), list(range(len(space.cells)))[::-1])",
         "vertex v of Sd X is the barycentre of element v of X#",
     ),
+    # sd's size, against a closed form that shares no code with it
+    Mutant(
+        "chain-table-drops-a-chain",
+        "src/ssetforge/subdivision.py",
+        "    chains = chains_to_top(n)\n",
+        "    chains = chains_to_top(n)[: -1 if n > 2 else None]\n",
+        "Sd of an n-cell has one cell per strict chain of faces of [n] ending at the top",
+    ),
+    # a file is read to its end, and a simplex token names its cell
+    Mutant(
+        "read-keeps-first-chunk",
+        "src/ssetforge/textio.py",
+        "            while chunk := os.read(fd, _CHUNK):\n"
+        "                chunks.append(chunk)\n",
+        "            chunks.append(os.read(fd, _CHUNK))\n",
+        "a file longer than one read is read to its end",
+    ),
+    Mutant(
+        "token-accepts-empty-cell-id",
+        "src/ssetforge/textio.py",
+        "    if not (brace and cell.isascii() and cell.isdigit()):\n"
+        "        raise ParseError(f\"bad simplex token {tok!r}\", line)\n"
+        "    try:\n"
+        "        return int(cell), _read_braces(braces, degree)\n",
+        "    if not (brace and cell.isascii() and (cell.isdigit() or not cell)):\n"
+        "        raise ParseError(f\"bad simplex token {tok!r}\", line)\n"
+        "    try:\n"
+        "        return int(cell or 0), _read_braces(braces, degree)\n",
+        "a simplex token's cell id is one or more digits before its braces",
+    ),
     # the collection policy in __init__.py holds only while nothing makes a cycle
     Mutant(
         "space-keeps-its-bound-method",
@@ -347,6 +382,22 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
+_SUMMARY = ("FAILED tests/", "ERROR tests/")
+
+
+def killing_file(lines: list[str]) -> str | None:
+    """The test file of a killed suite's first summary line ("FAILED
+    tests/test_x.py::test_y - ..." or "ERROR tests/test_x.py"); with no
+    summary, which a suite the memory limit cut short does not print, the
+    file of the last test -v named ("tests/test_x.py::test_y ..."), the
+    one that was running."""
+    failed = next((ln for ln in lines if ln.startswith(_SUMMARY)), None)
+    if failed is not None:
+        return failed.split()[1].split("::")[0]
+    named = [ln for ln in lines if ln.startswith("tests/") and "::" in ln]
+    return named[-1].split("::")[0] if named else None
+
+
 def run_mutant(mutant: Mutant, first: str | None = None) -> tuple[str, str, str | None]:
     """(outcome, detail, killing test file or None) of Tier-1 with -x on a
     mutated copy, the file ``first`` run first."""
@@ -360,7 +411,7 @@ def run_mutant(mutant: Mutant, first: str | None = None) -> tuple[str, str, str 
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        cmd = [sys.executable, "-m", "pytest", "-v", "-x", "-p", "no:cacheprovider",
                *suite_files(first)]
         try:
             done = subprocess.run(
@@ -373,14 +424,14 @@ def run_mutant(mutant: Mutant, first: str | None = None) -> tuple[str, str, str 
     last = lines[-1] if lines else done.stderr.strip()[-200:]
     if done.returncode == 0:
         return "survived", last, None
-    if done.returncode == 1:
-        failed = next((ln for ln in lines if ln.startswith(("FAILED", "ERROR"))), "")
-        # "FAILED tests/test_x.py::test_y - ..." or "ERROR tests/test_x.py"
-        killer = failed.split()[1].split("::")[0] if failed else None
+    # the memory limit cuts a suite short with no summary: pytest exits 1,
+    # or 3 when the MemoryError strikes its own reporting
+    cut = "MemoryError" in done.stderr or "Cannot allocate memory" in done.stderr
+    if done.returncode == 1 or done.returncode == 3 and cut:
+        failed = next((ln for ln in lines if ln.startswith(_SUMMARY)), "")
         if not failed and done.stderr.strip():
-            # a suite cut short by the memory limit prints no summary
             failed = done.stderr.strip().splitlines()[-1]
-        return "killed", f"{failed} | {last}" if failed else last, killer
+        return "killed", f"{failed} | {last}" if failed else last, killing_file(lines)
     return "error", f"pytest exit {done.returncode}: {last}", None
 
 

@@ -33,7 +33,12 @@ time it is read.
 
 Files are read and written as UTF-8 through ``parse_file`` and
 ``write_file``; a file that is not UTF-8 is a ParseError naming the line
-of its first bad byte.
+of its first bad byte.  Each side reaches its file through a descriptor:
+``os.open``, then ``os.read`` to end of file or ``os.write`` until every
+byte is written, then ``os.close``.  A request reads a file or two of a
+few kilobytes, where a ``pathlib.Path`` and a buffered file object built
+per read cost more than the reading itself.  An OSError from either
+side names the file.
 """
 
 from __future__ import annotations
@@ -41,14 +46,17 @@ from __future__ import annotations
 import os
 import re
 import stat
-from functools import lru_cache
-from pathlib import Path
+from functools import lru_cache, partial
 
 from .operators import Operator, degeneracy_from_repeats
 from .posets import FinPoset, MonotoneMap
 from .simplicial import Cell, Simplex, SimplicialMap, SimplicialSet
 
 _PLAIN = re.compile(r"[A-Za-z0-9_.:+'-]+$")
+_CHUNK = 1 << 16  # bytes asked of each read
+# Cell from a (dim, faces) pair in C, skipping the NamedTuple's Python-level
+# __new__ as ``posets._cell`` does; one per cell line
+_cell = partial(tuple.__new__, Cell)
 
 
 class ParseError(ValueError):
@@ -67,10 +75,26 @@ class ParseError(ValueError):
 
 def parse_file(path, parse):
     """``parse`` applied to the UTF-8 text of the file at ``path``; a
-    ParseError it raises, or bytes that are not UTF-8, name the file."""
-    data = Path(path).read_bytes()
+    ParseError it raises, or bytes that are not UTF-8, name the file.
+
+    The file is read through its descriptor to end of file, in reads of
+    ``_CHUNK`` bytes joined once.  An OSError names the file, also where
+    the failing call names none: opening a directory succeeds, and reading
+    it fails with EISDIR.
+    """
     try:
-        return parse(_decode(data))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+    except OSError as err:
+        err.filename = os.fspath(path)
+        raise
+    try:
+        return parse(_decode(b"".join(chunks)))
     except ParseError as err:
         err.path = str(path)
         raise
@@ -173,12 +197,13 @@ class _TokenFault(ValueError):
 
 @lru_cache(maxsize=None)
 def _read_braces(braces: str, degree: int) -> Operator:
-    """The degeneracy out of [degree] whose repeat positions a `{i,j,...}`
-    text lists, in ascending order.  A text that names none raises, and
-    lru_cache keeps no entry for it."""
-    inner = braces[1:-1]
+    """The degeneracy out of [degree] whose repeat positions the braces
+    text `i,j,...}` lists, in ascending order: a token's text after its
+    `{`.  A text that names none raises, and lru_cache keeps no entry
+    for it."""
+    inner = braces[:-1]
     positions = inner.split(",") if inner else ()
-    if braces[-1] != "}" or not all(map(_ascii_digits, positions)):
+    if not braces.endswith("}") or not all(map(_ascii_digits, positions)):
         raise _TokenFault("bad simplex token {!r}")
     reps = tuple(map(int, positions))
     if any(a >= b for a, b in zip(reps, reps[1:])):
@@ -190,13 +215,12 @@ def _read_braces(braces: str, degree: int) -> Operator:
 
 def _parse_simplex(tok: str, degree: int, line: int) -> tuple[int, Operator]:
     """The (cell, degeneracy) pair a `<cell>{repeats}` token names, given its degree."""
-    brace = tok.find("{")
-    cell = tok[:brace]
-    # brace == -1 leaves no braces
-    if brace < 1 or not _ascii_digits(cell):
+    cell, brace, braces = tok.partition("{")
+    # a token without `{` leaves brace empty
+    if not (brace and cell.isascii() and cell.isdigit()):
         raise ParseError(f"bad simplex token {tok!r}", line)
     try:
-        return int(cell), _read_braces(tok[brace:], degree)
+        return int(cell), _read_braces(braces, degree)
     except _TokenFault as err:
         raise ParseError(str(err).format(tok), line) from None
     except ValueError as err:
@@ -227,7 +251,10 @@ def _parse_cells(rows: Rows) -> SimplicialSet:
             raise _unexpected(line, row)
         if len(row) < 3:
             raise ParseError("a cell line needs an id and a dimension", line)
-        cid, dim = _int(row[1], line), _int(row[2], line)
+        # ASCII digits are read inline; _int reads or rejects anything else
+        cid, dim = row[1], row[2]
+        cid = int(cid) if cid.isascii() and cid.isdigit() else _int(cid, line)
+        dim = int(dim) if dim.isascii() and dim.isdigit() else _int(dim, line)
         if cid < 0:
             raise ParseError(f"cell {cid} has a negative id", line)
         if dim < 0:
@@ -238,7 +265,8 @@ def _parse_cells(rows: Rows) -> SimplicialSet:
             raise ParseError(f"cell {cid} needs {need} faces, got {len(toks)}", line)
         if cid in cells:
             raise ParseError(f"cell {cid} declared twice", line)
-        cells[cid] = Cell(dim, tuple(_parse_simplex(tok, dim - 1, line) for tok in toks))
+        degree = dim - 1
+        cells[cid] = _cell((dim, tuple([_parse_simplex(tok, degree, line) for tok in toks])))
         lines[cid] = line
     # a face's rank is checked at its line up to the first face that names
     # a missing cell, which is a fault of the whole text

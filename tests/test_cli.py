@@ -18,6 +18,7 @@ from ssetforge.textio import (
     format_pmap,
     format_smap,
     format_sset,
+    parse_file,
     parse_pmap,
     parse_smap,
     parse_sset,
@@ -368,6 +369,21 @@ def test_unreadable_or_unwritable_file_is_one_line_and_exit_3(tmp_path, capsys, 
     assert err == f"forge: {culprit.format(tmp=tmp_path)}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("argv, culprit", [
+    # opening a directory succeeds; reading it fails, naming no file
+    (["sd", "{tmp}"], "{tmp}"),
+    (["desing", "{tmp}"], "{tmp}"),
+    (["dcr", "{tmp}"], "{tmp}"),
+    (["verify", "main", "--corpus", "{tmp}/corpus"], "{tmp}/corpus/manifest.txt"),
+])
+def test_directory_as_input_is_one_line_and_exit_3(tmp_path, capsys, argv, culprit):
+    (tmp_path / "corpus" / "manifest.txt").mkdir(parents=True)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"forge: {culprit.format(tmp=tmp_path)}: Is a directory\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["sd", "{tmp}/x.sset", "-o", "/dev/full"],
     ["desing", "{tmp}/x.sset", "--emit-eta", "/dev/full"],
@@ -401,6 +417,35 @@ def test_outputs_are_their_formatted_text(tmp_path, capsys):
         assert out.read_bytes() == format_sset(sd(space)).encode()
         assert main(["bnat", str(src), "-o", str(eta)]) == 0
         assert eta.read_bytes() == format_smap(b_nat(space)).encode()
+
+
+def test_parse_file_reads_what_parse_reads_on_forge_outputs(tmp_path):
+    # the .smap files forge writes, and the .pmap files it reads, read
+    # through parse_file and through parse on the file's text alike
+    src, out = tmp_path / "x.sset", tmp_path / "out"
+    written = []
+    for space in [parse_sset(STALL), boundary(2), standard_simplex(3)]:
+        src.write_text(format_sset(space))
+        for argv in (["desing", str(src), "-o", "/dev/null", "--emit-eta", str(out)],
+                     ["bnat", str(src), "-o", str(out)],
+                     ["lastvertex", str(src), "-o", str(out)]):
+            assert main(argv) == 0
+            written.append(out.read_text())
+    phi = tmp_path / "phi.pmap"
+    for text in DCR_STDOUT:
+        phi.write_text(text)
+        got, want = parse_file(phi, parse_pmap), parse_pmap(text)
+        assert got.indices == want.indices
+        for a, b in ((got.source, want.source), (got.target, want.target)):
+            assert a.elements == b.elements and a.strict_pairs() == b.strict_pairs()
+        assert main(["cylinder", str(phi), "--bundle", "-o", str(out)]) == 0
+        written.append(out.read_text())
+    for text in written:
+        out.write_text(text)
+        got, want = parse_file(out, parse_smap), parse_smap(text)
+        assert got.assignment == want.assignment
+        assert got.source.same_presentation(want.source)
+        assert got.target.same_presentation(want.target)
 
 
 def test_emit_eta_of_a_non_singular_input_is_its_identity(tmp_path):

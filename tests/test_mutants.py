@@ -6,6 +6,8 @@ check it names and a mutant whose text is gone is caught when the code
 changes, not when the catalogue is next run.  The record of which test
 file killed each mutant names catalogue mutants and test files, and a
 run puts a mutant's recorded file first without dropping any other.
+The killer is read off a suite's output, its summary or, when the
+memory limit cut it short, the last test it named.
 """
 
 from __future__ import annotations
@@ -55,3 +57,17 @@ def test_recorded_killers_run_first_and_drop_no_file():
     for path in killers.values():
         order = mutants.suite_files(path)
         assert order[0] == path and sorted(order) == everything
+
+
+def test_killing_file_reads_the_summary_or_the_last_test_named():
+    mutants = _catalogue()
+    # -v names each test as it starts; an outcome the test's own output
+    # pushed off its line stands alone, as "FAILED   [ 2%]"
+    verbose = ["tests/test_a.py::test_x PASSED   [  1%]", "tests/test_b.py::test_y ",
+               "FAILED    [  2%]"]
+    summary = ["FAILED tests/test_b.py::test_y - assert 0", "ERROR tests/test_c.py"]
+    assert mutants.killing_file(verbose + summary) == "tests/test_b.py"
+    assert mutants.killing_file(summary[1:]) == "tests/test_c.py"
+    # a suite the memory limit cut short prints no summary
+    assert mutants.killing_file(verbose) == "tests/test_b.py"
+    assert mutants.killing_file(["collected 0 items"]) is None

@@ -1,4 +1,6 @@
 import hashlib
+from functools import lru_cache
+from math import factorial
 
 import pytest
 
@@ -62,6 +64,49 @@ def sphere2():
 
 def test_chain_counts():
     assert [len(chains_to_top(n)) for n in range(4)] == [1, 3, 13, 75]
+
+
+@lru_cache(maxsize=None)
+def _stirling2(m: int, j: int) -> int:
+    """S(m, j), the partitions of m things into j blocks."""
+    if m == 0 or j == 0:
+        return int(m == j)
+    return j * _stirling2(m - 1, j) + _stirling2(m - 1, j - 1)
+
+
+def _sd_counts(f: tuple[int, ...]) -> tuple[int, ...]:
+    """f(Sd X) from f(X): a k-cell of Sd X is an n-cell of X with a strict
+    chain of k+1 faces of [n] ending at the top, an ordered partition of
+    its n+1 vertices into k+1 blocks; shares no code with ``sd``."""
+    return tuple(
+        sum(fn * factorial(k + 1) * _stirling2(n + 1, k + 1) for n, fn in enumerate(f))
+        for k in range(len(f))
+    )
+
+
+def _euler(f: tuple[int, ...]) -> int:
+    return sum((-1) ** n * fn for n, fn in enumerate(f))
+
+
+def test_sd_counts_match_the_closed_form(corpus):
+    # column sums are the ordered Bell numbers, each alternating sum (-1)^n
+    columns = [_sd_counts((0,) * n + (1,)) for n in range(6)]
+    assert [sum(c) for c in columns] == [1, 3, 13, 75, 541, 4683]
+    assert [_euler(c) for c in columns] == [1, -1, 1, -1, 1, -1]
+    checked = regular = 0
+    for members in (corpus, gen_corpus(1), gen_corpus(2)):
+        for entry in members:
+            if len(entry.space.cells) > 200:
+                continue
+            f, sd_f = counts(entry.space), counts(sd(entry.space))
+            assert sd_f == _sd_counts(f), entry.name
+            assert _euler(sd_f) == _euler(f)
+            if entry.regular:
+                # BX is homeomorphic to X on a regular X
+                assert _euler(counts(barratt(entry.space))) == _euler(f), entry.name
+                regular += 1
+            checked += 1
+    assert (checked, regular) == (163, 128)
 
 
 def test_sd_standard_simplex_is_barratt():

@@ -12,6 +12,7 @@ from ssetforge.colimits import (
     disjoint_union,
     quotient,
 )
+from ssetforge.corpus import save_corpus
 from ssetforge.operators import all_degeneracies
 from ssetforge.posets import FinPoset, MonotoneMap, all_posets
 from ssetforge.simplicial import boundary, representing_map, standard_simplex
@@ -483,3 +484,38 @@ def test_non_utf8_file_is_a_parse_error_naming_its_line(tmp_path, parse, name, t
         parse_file(path, parse)
     assert (caught.value.path, caught.value.line) == (str(path), 2)
     assert str(caught.value) == f"byte 0x{bad[0]:02x} is not UTF-8"
+
+
+def test_empty_file_parses_as_empty_text(tmp_path):
+    path = tmp_path / "empty.sset"
+    path.write_bytes(b"")
+    assert parse_file(path, parse_sset).same_presentation(parse_sset(""))
+    assert parse_file(path, parse_manifest) == parse_manifest("") == (0, [])
+    with pytest.raises(ParseError) as caught:
+        parse_file(path, parse_smap)
+    assert (caught.value.path, caught.value.line) == (str(path), None)
+    assert str(caught.value) == "map needs source and target sections"
+
+
+def test_file_of_many_reads_round_trips_byte_for_byte(tmp_path):
+    # far longer than one 64 KiB read, and a comment whose three-byte
+    # characters straddle each read's end
+    path = tmp_path / "sd5.sset"
+    cells = format_sset(sd(standard_simplex(5)))
+    assert len(cells.encode()) > 4 * 2**16
+    for text in (cells, "# " + "\u2202" * 2**16 + "\n" + cells):
+        path.write_bytes(text.encode())
+        assert parse_file(path, str) == text
+        assert format_sset(parse_file(path, parse_sset)) == cells
+
+
+def test_parse_file_reads_what_parse_reads_on_the_saved_corpus(tmp_path, corpus):
+    save_corpus(corpus, tmp_path)
+    paths = sorted(tmp_path.iterdir())
+    assert len(paths) == len(corpus) + 1
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        if path.name == "manifest.txt":
+            assert parse_file(path, parse_manifest) == parse_manifest(text)
+        else:
+            assert parse_file(path, parse_sset).same_presentation(parse_sset(text))
