@@ -4,7 +4,7 @@
     python3 scripts/probe_wide.py --src ../other-checkout/src
     python3 scripts/probe_wide.py --case comparison --seed 7 --index 0
 
-With no ``--case``, it prints two tables.  The first gives, for Δ[5],
+With no ``--case``, it prints three tables.  The first gives, for Δ[5],
 ∂Δ[5], Δ[2]×Δ[2], Δ[3]×Δ[1], ∂Δ[6] and Δ[6], the cells and dimension
 of the input, the cells of its subdivision, the seconds of the main
 comparison (best of three in this process), the seconds of that best run
@@ -16,7 +16,13 @@ package sets.  The main comparison is the one ``verify`` runs:
 ``is_isomorphism``.  The second gives ``tracemalloc``'s live bytes per
 cell of ``sd``, of the nerve of the cell poset and of ``b`` beyond that
 nerve, on Δ[5] and Δ[6]; each is measured after one warm-up build, so
-the module caches are not counted.
+the module caches are not counted.  The third gives, for Δ[a]×Δ[b] with
+1 <= a <= b and a + b <= 7, the seconds of ``product`` (best of three,
+each on factors built afresh outside the clock, so no face row is
+memoized on them), the cells it keeps, and the pairs of simplices of one
+degree that its enumeration scans to find them.  The product's
+projections are not read, so a checkout that builds them eagerly pays
+for them and one that builds them on first read does not.
 
 With ``--case``, it runs one case of a benchmark workload, built as
 ``perfbench/workloads.py`` builds it at ``--seed``, under ``tracemalloc``:
@@ -45,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ("Δ[5]", "∂Δ[5]", "Δ[2]×Δ[2]", "Δ[3]×Δ[1]", "∂Δ[6]", "Δ[6]")
 BYTES_INPUTS = ("Δ[5]", "Δ[6]")
+PRODUCT_MAX_DIM = 7
 TOP_LINES = 10
 
 
@@ -148,6 +155,28 @@ def bytes_per_cell() -> None:
         del b, s
 
 
+def product_times() -> None:
+    from ssetforge.colimits import product
+    from ssetforge.simplicial import standard_simplex
+
+    print("product        cells  pairs scanned  best of 3")
+    for a in range(1, PRODUCT_MAX_DIM):
+        for b in range(a, PRODUCT_MAX_DIM - a + 1):
+            best = None
+            for _ in range(3):
+                x, y = standard_simplex(a), standard_simplex(b)
+                gc.collect()
+                started = time.perf_counter()
+                pr = product(x, y)
+                took = time.perf_counter() - started
+                best = took if best is None else min(best, took)
+            scanned = sum(
+                sum(1 for _ in x.simplices(q)) * sum(1 for _ in y.simplices(q))
+                for q in range(a + b + 1)
+            )
+            print(f"Δ[{a}]×Δ[{b}] {len(pr.space.cells):10} {scanned:14} {best:8.4f} s")
+
+
 def one_case(workload: str, seed: int, index: int) -> None:
     spec = importlib.util.spec_from_file_location("_probe_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -194,6 +223,7 @@ def main(argv=None) -> int:
     else:
         times(args.src)
         bytes_per_cell()
+        product_times()
     return 0
 
 

@@ -55,7 +55,7 @@ face.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .operators import (
@@ -378,9 +378,27 @@ def pushout(f: SimplicialMap, g: SimplicialMap) -> PushoutResult:
 
 @dataclass
 class ProductResult:
+    """X x Y with the pair of simplices each cell stands for: ``ids``
+    sends each jointly non-degenerate pair to its cell.  The projections
+    ``first`` and ``second`` send each cell to its pair's simplex of X
+    and of Y; each is read off ``ids``, built and validated on its first
+    read, so a product whose projections nothing reads builds no map."""
+
     space: SimplicialSet
-    first: SimplicialMap
-    second: SimplicialMap
+    ids: dict[tuple[Simplex, Simplex], int]
+    factors: tuple[SimplicialSet, SimplicialSet]
+
+    @cached_property
+    def first(self) -> SimplicialMap:
+        return SimplicialMap(
+            self.space, self.factors[0], {cid: sx for (sx, _), cid in self.ids.items()}
+        )
+
+    @cached_property
+    def second(self) -> SimplicialMap:
+        return SimplicialMap(
+            self.space, self.factors[1], {cid: sy for (_, sy), cid in self.ids.items()}
+        )
 
 
 @lru_cache(maxsize=None)
@@ -415,9 +433,9 @@ def product(x: SimplicialSet, y: SimplicialSet) -> ProductResult:
     their common degeneracy split off, read from each factor's
     ``face_row``: the rows are kept on the factors, so each is evaluated
     once per factor, for this product, later products and the validation
-    of both projections alike.  The projections send each cell to its
-    pair's two simplices, which is where ``verify.prism_comparison`` reads
-    them.
+    of a projection alike.  The result keeps the pair of each cell, and
+    builds a projection only when it is read: ``verify.prism_comparison``
+    reads both, and no other program path reads either.
     """
     pairs: list[tuple[Simplex, Simplex]] = []
     for q in range(x.dim + y.dim + 1):
@@ -439,10 +457,7 @@ def product(x: SimplicialSet, y: SimplicialSet) -> ProductResult:
             # a plain pair hashes and compares as the Simplex it stands for
             faces.append((ids[((cx, a), (cy, b))], rho))
         cells[cid] = Cell(q, tuple(faces))
-    space = SimplicialSet(cells)
-    first = SimplicialMap(space, x, {cid: sx for (sx, _), cid in ids.items()})
-    second = SimplicialMap(space, y, {cid: sy for (_, sy), cid in ids.items()})
-    return ProductResult(space, first, second)
+    return ProductResult(SimplicialSet(cells), ids, (x, y))
 
 
 def collapse_subcomplex(space: SimplicialSet, seeds: Iterable[int]) -> QuotientResult:

@@ -460,9 +460,6 @@ class SimplicialMap:
                         f"{_simplex(a)} vs {_simplex(b)}"
                     )
 
-    def apply(self, s: Simplex) -> Simplex:
-        return self.target.eval(self.assignment[s.cell], s.degen)
-
     # maps compare by value, so, with no __hash__ of its own, the class is
     # unhashable: a hash by identity would part equal maps
     def __eq__(self, other: object) -> bool:
@@ -489,13 +486,6 @@ class SimplicialMap:
 
 def identity_map(space: SimplicialSet) -> SimplicialMap:
     return SimplicialMap(space, space, {cid: space.simplex(cid) for cid in space.cells})
-
-
-def compose_maps(first: SimplicialMap, second: SimplicialMap) -> SimplicialMap:
-    if first.target is not second.source and not first.target.same_presentation(second.source):
-        raise ValueError("maps do not chain")
-    asg = {cid: second.apply(s) for cid, s in first.assignment.items()}
-    return SimplicialMap(first.source, second.target, asg)
 
 
 # -- standard complexes and subcomplexes ---------------------------------

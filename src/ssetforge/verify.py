@@ -540,9 +540,9 @@ def verify_lemma_suite(corpus: Corpus) -> Report:
                 ok = False
         report.add(f"dwyer-pushout-poset/{name}", ok)
         report.add(f"cosieve-extension/{name}", _cosieve_extension_square(k, phi))
-        _, _, comp_w, _ = pushout_comparison(i0, phi)
+        _, _, comp_w = pushout_comparison(i0, phi)
         gw, _ = desingularized_comparison(comp_w)
-        _, _, comp_q, _ = pushout_comparison(k, phi)
+        _, _, comp_q = pushout_comparison(k, phi)
         gq, _ = desingularized_comparison(comp_q)
         antecedent = gw.is_isomorphism()
         consequent = gq.is_isomorphism()

@@ -31,6 +31,15 @@ generic simplicial product NP x Delta[1] instead of the nerve of P x [1].
 new Delta[q]#, its nerve, P x [1], the prism nerve and both ends with
 their nerve maps on every call; ``representing_sharp`` and
 ``cylinder_reduction`` share one source side per simplex dimension.
+Both reference cylinders take their reduction as ``mediator`` of the
+reduced legs, and return a ``SquaredBundle``: the bundle with the free
+end at level 1 and the two reduced legs, whose squares ``check_squares``
+compares cell by cell through ``agrees``.  ``bundle_squares`` rebuilds
+those three maps for a bundle of ``cylinder_reduction``, which builds
+none of them, since its squares hold by construction.
+``apply_map`` is a map's image of any simplex of its source, and
+``compose_maps`` composes two maps cell by cell; no program path
+evaluates a map off its cells or composes simplicial maps.
 ``simplex_map_from`` is ``simplex_map`` out of a given Delta[q], for
 tests that need two maps out of one; the program builds each
 representing map out of a Delta[q] of its own.
@@ -115,13 +124,20 @@ numbers a product's pairs, read off its two projections.
 ``all_operators`` enumerates every operator [src] -> [dst], and
 ``make_degen(i, n)`` is the elementary degeneracy [n+1] -> [n] hitting
 i twice; no program path needs either.
+``benchmark_workloads`` loads ``perfbench/workloads.py`` from its file,
+for tests that run what the benchmark runs; nothing there is changed.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import re
+import sys
 from collections import Counter, deque
+from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement, permutations
+from pathlib import Path
+from types import ModuleType
 from typing import Iterator
 
 from ssetforge.colimits import (
@@ -177,7 +193,6 @@ from ssetforge.simplicial import (
     SimplicialMap,
     SimplicialSet,
     _simplex,
-    compose_maps,
     generate,
     generated_cells,
     identity_map,
@@ -186,6 +201,22 @@ from ssetforge.simplicial import (
 )
 from ssetforge.subdivision import chains_to_top
 from ssetforge.textio import ParseError
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def benchmark_workloads() -> ModuleType:
+    """The benchmark's workload module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("_reference_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file runs
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
 
 
 def all_operators(src: int, dst: int) -> Iterator[Operator]:
@@ -337,7 +368,7 @@ def injective_by_simplices(f: SimplicialMap) -> bool:
     the source's dimension."""
     for q in range(f.source.dim + 1):
         simplices = list(f.source.simplices(q))
-        if len({f.apply(s) for s in simplices}) != len(simplices):
+        if len({apply_map(f, s) for s in simplices}) != len(simplices):
             return False
     return True
 
@@ -346,7 +377,7 @@ def injective_in_degree_by_simplices(f: SimplicialMap, q: int) -> bool:
     """Injectivity in degree q by its definition, on every q-simplex."""
     seen: set[Simplex] = set()
     for s in f.source.simplices(q):
-        t = f.apply(s)
+        t = apply_map(f, s)
         if t in seen:
             return False
         seen.add(t)
@@ -355,7 +386,7 @@ def injective_in_degree_by_simplices(f: SimplicialMap, q: int) -> bool:
 
 def surjective_in_degree_by_simplices(f: SimplicialMap, q: int) -> bool:
     """Surjectivity in degree q by its definition, on every q-simplex."""
-    hit = {f.apply(s) for s in f.source.simplices(q)}
+    hit = {apply_map(f, s) for s in f.source.simplices(q)}
     return all(t in hit for t in f.target.simplices(q))
 
 
@@ -395,6 +426,19 @@ def pushout_classes(po: PushoutResult) -> dict[int, tuple[int, ...]]:
         if s.degen.is_identity:
             out.setdefault(s.cell, []).append(uid)
     return {n: tuple(out[n]) for n in sorted(out)}
+
+
+def apply_map(f: SimplicialMap, s: Simplex) -> Simplex:
+    """The image under f of any simplex of its source."""
+    return f.target.eval(f.assignment[s.cell], s.degen)
+
+
+def compose_maps(first: SimplicialMap, second: SimplicialMap) -> SimplicialMap:
+    """second . first, built cell by cell and validated."""
+    if first.target is not second.source and not first.target.same_presentation(second.source):
+        raise ValueError("maps do not chain")
+    asg = {cid: apply_map(second, s) for cid, s in first.assignment.items()}
+    return SimplicialMap(first.source, second.target, asg)
 
 
 def pair_ids(pr: ProductResult) -> dict[tuple[Simplex, Simplex], int]:
@@ -474,7 +518,7 @@ def kernel_by_simplices(f: SimplicialMap) -> Congruence:
     for q in range(f.source.dim + 1):
         fibers: dict[Simplex, Simplex] = {}
         for s in f.source.simplices(q):
-            img = f.apply(s)
+            img = apply_map(f, s)
             if img in fibers:
                 cong.merge(fibers[img], s)
             else:
@@ -503,7 +547,7 @@ class UnionPushout(PushoutResult):
         cong = Congruence(z)
         for aid in sorted(f.source.cells):
             a = f.source.simplex(aid)
-            cong.merge(inl.apply(f.apply(a)), inr.apply(g.apply(a)))
+            cong.merge(apply_map(inl, apply_map(f, a)), apply_map(inr, apply_map(g, a)))
         q = quotient(z, cong)
         self.space = q.space
         self.classes = fibres(q.projection)
@@ -516,7 +560,7 @@ class UnionPushout(PushoutResult):
             raise ValueError("mediator targets differ")
         for aid in self._f.source.cells:
             a = self._f.source.simplex(aid)
-            if u.apply(self._f.apply(a)) != v.apply(self._g.apply(a)):
+            if apply_map(u, apply_map(self._f, a)) != apply_map(v, apply_map(self._g, a)):
                 raise ValueError(f"maps do not agree on cell {aid} of the gluing source")
         asg: dict[int, Simplex] = {}
         for pid, members in self.classes.items():
@@ -588,9 +632,59 @@ def prism_row(pr: ProductResult, cid: int) -> tuple:
     return tuple(row)
 
 
+@dataclass
+class SquaredBundle(CylinderBundle):
+    """A cylinder bundle with the maps of its two squares: ``back`` : NP
+    -> T, the free end at level 1, and the reduced legs N(leg_other) :
+    NR -> M and N(k1 . leg_ambient) : NP -> M for the level-1 end k1."""
+
+    back: SimplicialMap
+    reduced_front: SimplicialMap
+    reduced_back: SimplicialMap
+
+
+def agrees(reduction: SimplicialMap, leg: SimplicialMap, reduced: SimplicialMap) -> bool:
+    """Whether reduction . leg is reduced, compared on assignments: the leg
+    lands in the reduction's source, the composite has the reduced leg's
+    source and target objects, and the reduction applied to each image of
+    the leg is the reduced leg's assignment.  No composite is built."""
+    if not (leg.source is reduced.source and leg.target is reduction.source
+            and reduction.target is reduced.target):
+        return False
+    want = reduced.assignment
+    return all(apply_map(reduction, s) == want[cid] for cid, s in leg.assignment.items())
+
+
+def check_squares(b: SquaredBundle) -> None:
+    """reduction . front = reduced_front and reduction . back =
+    reduced_back, cell by cell; each failure is a RuntimeError naming
+    the leg that disagrees."""
+    if not agrees(b.reduction, b.front, b.reduced_front):
+        raise RuntimeError("reduction disagrees with the target-side leg")
+    if not agrees(b.reduction, b.back, b.reduced_back):
+        raise RuntimeError("reduction disagrees with the free-end leg")
+
+
+def bundle_squares(bundle: CylinderBundle) -> SquaredBundle:
+    """The maps of the squares of a bundle glued from the nerve prism,
+    rebuilt from its prism and poset pushout with NP and the level-1 end
+    built afresh, and checked cell by cell."""
+    phi, v, m, prism = bundle.phi, bundle.poset, bundle.reduced, bundle.prism.source
+    np_ = nerve(phi.source)
+    back_end = cylinder_end(phi.source, prism.poset, 1)
+    out = SquaredBundle(
+        **{f.name: getattr(bundle, f.name) for f in fields(bundle)},
+        back=compose_maps(nerve_map(back_end, np_, prism), bundle.prism),
+        reduced_front=nerve_map(v.leg_other, bundle.front.source, m),
+        reduced_back=nerve_map(compose_monotone(back_end, v.leg_ambient), np_, m),
+    )
+    check_squares(out)
+    return out
+
+
 def product_cylinder_reduction(
     phi: MonotoneMap,
-) -> tuple[CylinderBundle, ProductResult, PushoutResult]:
+) -> tuple[SquaredBundle, ProductResult, PushoutResult]:
     """The cylinder bundle with T glued from the product prism, with the
     prism and the pushout that glues it."""
     p, r = phi.source, phi.target
@@ -608,21 +702,22 @@ def product_cylinder_reduction(
         asg[cid] = Simplex(mids[collapsed], degen)
     prism_to_m = SimplicialMap(pr.space, m, asg)
     reduced_front = nerve_map(v.leg_other, nr, m)
-    bundle = CylinderBundle(
+    bundle = SquaredBundle(
         phi=phi,
         space=po.space,
         reduced=m,
         reduction=mediator(po, prism_to_m, reduced_front),
         front=po.right,
-        back=compose_maps(_end_inclusion(pr, 1), po.left),
         prism=po.left,
+        poset=v,
+        back=compose_maps(_end_inclusion(pr, 1), po.left),
         reduced_front=reduced_front,
         reduced_back=nerve_map(
             compose_monotone(cylinder_end(p, cyl, 1), v.leg_ambient), np_, m
         ),
-        poset=v,
     )
     _check_bundle(bundle)
+    check_squares(bundle)
     return bundle, pr, po
 
 
@@ -634,9 +729,10 @@ def fresh_representing_sharp(space: SimplicialSet, s: Simplex) -> MonotoneMap:
     return sharp_map(simplex_map(sub, Simplex(back[s.cell], s.degen)))
 
 
-def fresh_cylinder_reduction(phi: MonotoneMap) -> CylinderBundle:
+def fresh_cylinder_reduction(phi: MonotoneMap) -> SquaredBundle:
     """The cylinder bundle with its whole source side built for this call:
-    NP, P x [1], its nerve, both ends and their nerve maps."""
+    NP, P x [1], its nerve, both ends and their nerve maps; the reduction
+    is the mediator of the reduced legs."""
     p = phi.source
     np_ = nerve(p)
     cyl = product_poset(p, chain_poset(1))
@@ -646,19 +742,20 @@ def fresh_cylinder_reduction(phi: MonotoneMap) -> CylinderBundle:
     v = poset_pushout(k, phi)
     m = nerve(v.poset)
     reduced_front = nerve_map(v.leg_other, nr, m)
-    bundle = CylinderBundle(
+    bundle = SquaredBundle(
         phi=phi,
         space=po.space,
         reduced=m,
         reduction=mediator(po, nerve_map(v.leg_ambient, nq, m), reduced_front),
         front=po.right,
-        back=compose_maps(nerve_map(back_end, np_, nq), po.left),
         prism=po.left,
+        poset=v,
+        back=compose_maps(nerve_map(back_end, np_, nq), po.left),
         reduced_front=reduced_front,
         reduced_back=nerve_map(compose_monotone(back_end, v.leg_ambient), np_, m),
-        poset=v,
     )
     _check_bundle(bundle)
+    check_squares(bundle)
     return bundle
 
 
@@ -1011,7 +1108,7 @@ def reference_replay(
         for mv in batch:
             if mv.cell not in space.cells:
                 raise ValueError(f"{mv} names no cell of the input")
-            u = eta.apply(space.simplex(mv.cell))
+            u = apply_map(eta, space.simplex(mv.cell))
             if not u.degen.is_identity:
                 raise ValueError(f"recorded cell {mv.cell} no longer maps onto a cell")
             vs = rows[u.cell]
@@ -1189,11 +1286,11 @@ def sd_skeletal(space: SimplicialSet) -> SimplicialSet:
             SimplicialMap(amalgam, flat, incl_asg),
             SimplicialMap(amalgam, cur, attach_asg),
         )
-        phi = {key: po.right.apply(s) for key, s in phi.items()}
+        phi = {key: apply_map(po.right, s) for key, s in phi.items()}
         for j, x in enumerate(ncells):
             for cid, chain in delta_chains.items():
                 key = (x, tuple(faces_n[c] for c in chain))
-                phi[key] = po.left.apply(flat.simplex(j * offd + cid))
+                phi[key] = apply_map(po.left, flat.simplex(j * offd + cid))
         cur = po.space
     return cur
 

@@ -21,6 +21,7 @@ from ssetforge.operators import Operator, all_faces, compose, identity, make_fac
 from ssetforge.simplicial import (
     Cell,
     Simplex,
+    SimplicialMap,
     SimplicialSet,
     boundary,
     generate,
@@ -35,6 +36,8 @@ from reference import (
     SimplexCongruence,
     UnionPushout,
     all_operators,
+    apply_map,
+    benchmark_workloads,
     fibres,
     is_isomorphic,
     kernel_by_simplices,
@@ -95,7 +98,7 @@ def test_collapse_boundary_of_triangle():
     assert q.space.vertex_rows()[top.cell] == (0, 0, 0)
     # the boundary edge classes all project to the degenerate edge
     for eid in x.cell_ids(1):
-        img = q.projection.apply(x.simplex(eid))
+        img = apply_map(q.projection, x.simplex(eid))
         assert img.is_degenerate
 
 
@@ -606,6 +609,70 @@ def test_product_matches_per_pair_enumeration(corpus):
         assert list(pr.space.cells.items()) == list(cells.items())
 
 
+def test_projections_are_built_and_validated_on_first_read(monkeypatch):
+    # a product whose projections are never read builds no map, the first
+    # read of each builds and validates one, and a second read returns it
+    x, y = standard_simplex(2), boundary(2)
+    built = []
+    init = SimplicialMap.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialMap, "__init__", counted)
+    pr = product(x, y)
+    assert built == []
+    first = pr.first
+    assert built == [first] and first.source is pr.space and first.target is x
+    second = pr.second
+    assert built == [first, second] and second.target is y
+    assert pr.first is first and pr.second is second and len(built) == 2
+    # the projections are read off the pair table that the result keeps
+    assert list(pair_ids(pr).items()) == list(pr.ids.items())
+
+
+def _recorded_products(monkeypatch, modules) -> list:
+    # every product that the given modules build while the patch holds
+    out = []
+
+    def recorded(x, y):
+        out.append(product(x, y))
+        return out[-1]
+
+    for module in modules:
+        monkeypatch.setattr(module, "product", recorded)
+    return out
+
+
+def test_every_product_the_program_builds_has_valid_projections(monkeypatch):
+    # products are built without their projections on the hot path: every
+    # product of `verify all` at seeds 0, 7 and 40 and of the benchmark's
+    # regularity list at seed 7 has both projections validate on first
+    # read, and the pairs they give are the per-pair enumeration's
+    from ssetforge import corpus as corpus_module, verify
+    from ssetforge.corpus import gen_corpus
+
+    built = _recorded_products(monkeypatch, (verify, corpus_module))
+    for seed in (0, 7, 40):
+        assert verify.run_suite("all", gen_corpus(seed)).ok
+    assert len(built) >= 50
+    workloads = benchmark_workloads()
+    cases = workloads.build("regularity", 7, None)
+    timed = _recorded_products(monkeypatch, (workloads,))
+    for case in cases:
+        ok, _ = case.run()()
+        assert ok
+    assert len(timed) == sum(c.name.startswith("product/") for c in cases) >= 80
+    for pr in built + timed:
+        x, y = pr.factors
+        assert pr.first.source is pr.space and pr.first.target is x
+        assert pr.second.source is pr.space and pr.second.target is y
+        ids, cells = _product_per_pair(x, y)
+        assert list(pair_ids(pr).items()) == list(ids.items())
+        assert list(pr.space.cells.items()) == list(cells.items())
+
+
 def _product_factor_pairs(corpus):
     # ordered pairs of the seed-0 members with <= 12 cells, and pairs of a
     # slice of the oracle campaign's small quotients, each factor a fresh
@@ -639,9 +706,11 @@ def test_second_product_evaluates_nothing_on_its_factors(corpus, monkeypatch):
     for x, y in pairs:
         seen.clear()
         pr = product(x, y)
+        pr.first, pr.second
         first += any(z is x or z is y for z in seen)
         seen.clear()
         again = product(x, y)
+        again.first, again.second
         assert not [z for z in seen if z is x or z is y]
         assert list(again.space.cells.items()) == list(pr.space.cells.items())
         assert again.first.assignment == pr.first.assignment

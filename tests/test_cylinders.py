@@ -8,7 +8,6 @@ from ssetforge import cylinders, verify
 from ssetforge.colimits import collapse_subcomplex, is_regular, product
 from ssetforge.corpus import gen_corpus
 from ssetforge.cylinders import (
-    _check_bundle,
     cylinder_reduction,
     dcr,
     embedded_sibling_pairs,
@@ -39,7 +38,6 @@ from ssetforge.simplicial import (
     Cell,
     SimplicialMap,
     SimplicialSet,
-    compose_maps,
     standard_simplex,
 )
 from ssetforge.subdivision import b_nat, last_vertex, sd
@@ -47,7 +45,11 @@ from ssetforge.textio import format_pmap, format_smap, format_sset
 from ssetforge.verify import _small_quotients, prism_comparison
 
 from reference import (
+    benchmark_workloads,
+    bundle_squares,
     chain_labels,
+    check_squares,
+    compose_maps,
     find_isomorphism,
     fresh_cylinder_reduction,
     fresh_representing_sharp,
@@ -99,7 +101,7 @@ def test_prism_comparison_is_an_isomorphism():
 
 
 def test_cylinder_legs_glue_correctly():
-    bundle = cylinder_reduction(wedge_to_chain())
+    bundle = bundle_squares(cylinder_reduction(wedge_to_chain()))
     front, back = bundle.front, bundle.back
     assert front.target is bundle.space and back.target is bundle.space
     assert front.is_degreewise_injective()
@@ -184,7 +186,7 @@ def _monotone_maps(max_size):
 
 def _cylinder_maps(phi):
     # dcr, eta and the reduction and three legs of the cylinder of phi
-    bundle = cylinder_reduction(phi)
+    bundle = bundle_squares(cylinder_reduction(phi))
     g, res = dcr(phi, bundle=bundle)
     return [g, res.eta, bundle.reduction, bundle.front, bundle.back, bundle.prism]
 
@@ -239,15 +241,54 @@ def _other_legs(bundle, kind):
 
 
 @pytest.mark.parametrize("kind", ["swapped", "copied-source", "other-cells"])
-def test_check_bundle_names_the_leg_that_disagrees(kind):
-    bundle = cylinder_reduction(wedge_to_chain())
-    _check_bundle(bundle)
+def test_square_check_names_the_leg_that_disagrees(kind):
+    bundle = bundle_squares(cylinder_reduction(wedge_to_chain()))
+    check_squares(bundle)
     front, back = _other_legs(bundle, kind)
     assert front != bundle.reduced_front and back != bundle.reduced_back
     with pytest.raises(RuntimeError, match="^reduction disagrees with the target-side leg$"):
-        _check_bundle(replace(bundle, reduced_front=front))
+        check_squares(replace(bundle, reduced_front=front))
     with pytest.raises(RuntimeError, match="^reduction disagrees with the free-end leg$"):
-        _check_bundle(replace(bundle, reduced_back=back))
+        check_squares(replace(bundle, reduced_back=back))
+
+
+def _seed7_cylinder_maps():
+    # the map of every case of the benchmark's cylinders list at seed 7,
+    # each case run as the benchmark runs it
+    workloads, phis = benchmark_workloads(), []
+    build = workloads.cylinder_reduction
+
+    def recorded(phi):
+        phis.append(phi)
+        return build(phi)
+
+    workloads.cylinder_reduction = recorded
+    for case in workloads.build("cylinders", 7, None):
+        ok, _ = case.run()()
+        assert ok
+    return phis
+
+
+def test_squares_of_every_cylinder_commute_cell_by_cell(corpus):
+    # the 88 cones over posets with at most five elements, the seed-0 dcr
+    # suite and the seed-7 cylinders list of the benchmark: the program
+    # builds neither square, so both are rebuilt here and compared cell by
+    # cell, and the bundle is the one a fresh source side and the mediator
+    # of the reduced legs give, map for map
+    cones = [terminal_map(p) for p in all_posets(5)]
+    assert len(cones) == 88
+    phis = cones + list(_dcr_suite_maps(corpus)) + _seed7_cylinder_maps()
+    assert len(phis) >= 88 + 200 + 274
+    for phi in phis:
+        new = bundle_squares(cylinder_reduction(phi))
+        old = fresh_cylinder_reduction(phi)
+        assert format_sset(new.space) == format_sset(old.space)
+        assert format_sset(new.reduced) == format_sset(old.reduced)
+        for a, b in ((new.reduction, old.reduction), (new.front, old.front),
+                     (new.prism, old.prism), (new.back, old.back),
+                     (new.reduced_front, old.reduced_front),
+                     (new.reduced_back, old.reduced_back)):
+            assert format_smap(a) == format_smap(b)
 
 
 def _sibling_pairs_by_scan(space, q):
@@ -358,13 +399,13 @@ def test_pushout_comparison_matches_cylinder_route():
     phi = wedge_to_chain()
     p = phi.source
     cyl = product_poset(p, chain_poset(1))
-    po, v, comp, other = pushout_comparison(cylinder_end(p, cyl, 0), phi)
+    po, v, comp = pushout_comparison(cylinder_end(p, cyl, 0), phi)
     bundle = cylinder_reduction(phi)
     assert is_isomorphic(po.space, bundle.space)
     assert is_isomorphic(nerve(v.poset), bundle.reduced)
     # the comparison restricts to the leg out of R on the glued-in target,
     # and to N(leg_ambient) on the prism
-    assert compose_maps(po.right, comp) == other
+    assert compose_maps(po.right, comp) == nerve_map(v.leg_other, po.right.source, comp.target)
     assert compose_maps(po.left, comp) == nerve_map(v.leg_ambient, po.left.source, comp.target)
     g_here, _ = desingularized_comparison(comp)
     g_there, _ = dcr(phi, bundle=bundle)
@@ -397,7 +438,7 @@ def test_pushout_into_nerve_takes_only_nerves_of_its_maps_posets():
     # map's source; a map into another poset's nerve is refused as well
     phi = wedge_to_chain()
     p = phi.source
-    po, v, comp, _ = pushout_comparison(cylinder_end(p, product_poset(p, chain_poset(1)), 0), phi)
+    po, v, comp = pushout_comparison(cylinder_end(p, product_poset(p, chain_poset(1)), 0), phi)
     assert cylinders.pushout_into_nerve(po, comp.target, v.leg_ambient, v.leg_other) == comp
     for side, legs, target in (("source", (v.leg_other, v.leg_ambient), comp.target),
                                ("target", (v.leg_ambient, v.leg_other), nerve(phi.target))):
@@ -490,9 +531,9 @@ def test_dwyer_factorization_implication():
         MonotoneMap(p, chain_poset(1), {e: (0 if len(e.values) == 1 else 1) for e in p.elements}),
     ]
     for phi in targets:
-        _, _, comp_w, _ = pushout_comparison(i0, phi)
+        _, _, comp_w = pushout_comparison(i0, phi)
         gw, _ = desingularized_comparison(comp_w)
-        _, _, comp_q, _ = pushout_comparison(k, phi)
+        _, _, comp_q = pushout_comparison(k, phi)
         gq, _ = desingularized_comparison(comp_q)
         if gw.is_isomorphism():
             assert gq.is_isomorphism()
@@ -533,7 +574,7 @@ def test_shared_source_side_matches_fresh_route(corpus, seed):
         assert sources.setdefault(y.degree, phi.source) is phi.source
         assert ref.source is not phi.source
         assert format_pmap(phi) == format_pmap(ref)
-        new, old = cylinder_reduction(phi), fresh_cylinder_reduction(ref)
+        new, old = bundle_squares(cylinder_reduction(phi)), fresh_cylinder_reduction(ref)
         (g_new, res_new), (g_old, res_old) = dcr(phi, bundle=new), dcr(ref, bundle=old)
         spaces = [(new.space, old.space), (new.reduced, old.reduced),
                   (res_new.quotient, res_old.quotient)]
@@ -575,10 +616,11 @@ def test_nerve_prism_matches_product_prism(corpus):
         assert Counter(new.reduction.assignment.values()) == Counter(
             old.reduction.assignment.values()
         )
-        # the reduced front is the nerve map cr was mediated from, kept
-        # rather than built again: it equals a fresh one
-        fresh = nerve_map(new.poset.leg_other, new.front.source, new.reduced)
-        assert new.reduced_front.assignment == fresh.assignment
+        # both squares commute on both sides, and the reduced legs, out of
+        # NR and NP into one M, are the same maps
+        squares = bundle_squares(new)
+        assert squares.reduced_front.assignment == old.reduced_front.assignment
+        assert squares.reduced_back.assignment == old.reduced_back.assignment
         verdicts = []
         for bundle in (new, old):
             g, res = dcr(phi, bundle=bundle)

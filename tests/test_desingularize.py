@@ -1,8 +1,5 @@
-import importlib.util
 import random
 import re
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -47,6 +44,8 @@ import reference as reference_module
 from reference import (
     SimplexCongruence,
     _quotient_step,
+    apply_map,
+    benchmark_workloads,
     contains_classes,
     factor_through,
     is_isomorphic,
@@ -60,26 +59,10 @@ from reference import (
 from test_colimits import _same_congruence, _table_holds_killed_cells
 
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-def _workloads():
-    """The benchmark's workload module, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("_workloads_quotients", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while the file runs
-    sys.modules[spec.name] = workloads
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
-    return workloads
-
-
 def _cli_small_quotients(seed: int, count: int) -> list:
     """The first ``count`` small quotients the benchmark's cli-small
     workload runs forge desing on at ``seed``, drawn as it draws them."""
-    workloads = _workloads()
+    workloads = benchmark_workloads()
     rng = random.Random(f"cli-small:{seed}")
     spaces = []
     while len(spaces) < count:
@@ -199,7 +182,7 @@ def test_desingularize_matches_oracle_and_zipper():
     # oracle's bound: desingularize certifies each, equals the oracle, is
     # the zipper's result byte for byte where the zipper certifies, and its
     # move list replays to the same quotient and eta
-    workloads = _workloads()
+    workloads = benchmark_workloads()
     small = _small_quotients()
     drawn = [workloads._small_quotient(random.Random(7000 + i)) for i in range(600)]
     stalled = []
@@ -406,7 +389,7 @@ def test_no_move_builds_no_map(corpus, built):
             t, again = desingularized_comparison(g)
             assert again.moves == res.moves and built[-1] is t and t is not g
             assert t.source is again.quotient and t.target is g.target
-            assert all(t.apply(again.eta.assignment[c]) == g.assignment[c] for c in space.cells)
+            assert all(apply_map(t, again.eta.assignment[c]) == g.assignment[c] for c in space.cells)
             continue
         still += 1
         assert built == [] and res.projection is None and res.quotient is space
@@ -736,7 +719,7 @@ def one_congruence_inputs() -> list:
     quotient draws, the seed 0-3 corpus members and the sd images of those
     with at most 60 cells, each also with its ids reversed, so that ids are
     not in (dimension, id) order."""
-    workloads = _workloads()
+    workloads = benchmark_workloads()
     members = [e.space for seed in range(4) for e in gen_corpus(seed)]
     spaces = _small_quotients()
     spaces += [workloads._small_quotient(random.Random(7000 + i)) for i in range(600)]

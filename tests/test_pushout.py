@@ -30,14 +30,13 @@ from ssetforge.posets import (
 from ssetforge.simplicial import (
     Simplex,
     SimplicialMap,
-    compose_maps,
     standard_simplex,
 )
 from ssetforge.subdivision import b_nat
 from ssetforge.textio import format_pmap, format_sset
 
 import reference
-from reference import UnionPushout, pushout_classes, simplex_map_from
+from reference import UnionPushout, compose_maps, pushout_classes, simplex_map_from
 
 
 def _same_map(new: SimplicialMap, old: SimplicialMap) -> None:
@@ -122,8 +121,10 @@ def test_lemma_suite_dwyer_and_cosieve_squares(checked):
     for _, i0, k, phi in triples:
         assert verify._cosieve_extension_square(k, phi)
         for leg in (i0, k):
-            po, _, comp, other = cylinders.pushout_comparison(leg, phi)
-            assert compose_maps(po.right, comp) == other
+            po, v, comp = cylinders.pushout_comparison(leg, phi)
+            assert compose_maps(po.right, comp) == nerve_map(
+                v.leg_other, po.right.source, comp.target
+            )
     # the square's pushout and comparison, and the comparisons along i0 and k
     n = len(triples)
     assert checked == {"pushouts": 3 * n, "comparisons": 3 * n}

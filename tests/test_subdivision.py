@@ -21,7 +21,6 @@ from ssetforge.simplicial import (
     SimplicialMap,
     SimplicialSet,
     boundary,
-    compose_maps,
     representing_map,
     simplex_map,
     standard_simplex,
@@ -32,6 +31,7 @@ from ssetforge.verify import _small_quotients
 
 from reference import (
     carrier_b_nat,
+    compose_maps,
     is_isomorphic,
     reference_sd,
     reference_sd_map,
